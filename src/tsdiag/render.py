@@ -47,6 +47,11 @@ def _label(value: float) -> str:
     return f"{value:g}"
 
 
+def _xml_text(text: str) -> str:
+    # by hand: xml.sax.saxutils would put urllib into every run's start-up
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(diagram: TimeSpaceDiagram,
                reference: TimeSpaceDiagram | None = None, *,
                width: int = 900, height: int = 620,
@@ -85,7 +90,7 @@ def render_svg(diagram: TimeSpaceDiagram,
     if title:
         parts.append(
             f'<text x="{width / 2:.0f}" y="24" font-family="monospace" font-size="15" '
-            f'text-anchor="middle">{title}</text>')
+            f'text-anchor="middle">{_xml_text(title)}</text>')
 
     for tick in _ticks(0.0, t_max):
         x = sx(tick)

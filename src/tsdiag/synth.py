@@ -15,7 +15,7 @@ from .geodesy import GeoPoint, WGS84
 from .kitti import DetectionRecord, FrameClock, OxtsSample
 from .photogrammetry import CameraIntrinsics, bbox_height_at_range, kitti_intrinsics
 
-__all__ = ["SyntheticScene", "head_on_scene", "write_scene_files"]
+__all__ = ["SyntheticScene", "head_on_scene", "write_scene_files", "write_fixture"]
 
 
 @dataclass

@@ -52,6 +52,18 @@ _VEL_WEIGHT = 1.0 / 160.0
 _GATE_COST = 1e5  # sentinel for forbidden assignment edges
 
 
+# constant-velocity transition and position-only observation, built once
+# and read-only so no caller can alter them for the rest of the process
+_TRANSITION = np.eye(8)
+_TRANSITION[:4, 4:] = np.eye(4)
+_TRANSITION.flags.writeable = False
+_TRANSITION_T = _TRANSITION.T
+_OBSERVATION = np.zeros((4, 8))
+_OBSERVATION[:, :4] = np.eye(4)
+_OBSERVATION.flags.writeable = False
+_OBSERVATION_T = _OBSERVATION.T
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     nn_metric: str = "cosine"          # cosine | euclidean
@@ -120,15 +132,13 @@ def kalman_predict(state: KalmanState, position_weight: float = _POS_WEIGHT,
     """Advance one frame under constant velocity; grow covariance by process noise."""
     if not (np.all(np.isfinite(state.mean)) and np.all(np.isfinite(state.covariance))):
         raise ValidationError("non-finite Kalman state")
-    transition = np.eye(8)
-    transition[:4, 4:] = np.eye(4)
     h = state.mean[3]
     std = np.array([
         position_weight * h, position_weight * h, 1e-2, position_weight * h,
         velocity_weight * h, velocity_weight * h, 1e-5, velocity_weight * h,
     ])
-    mean = transition @ state.mean
-    covariance = transition @ state.covariance @ transition.T + np.diag(std ** 2)
+    mean = _TRANSITION @ state.mean
+    covariance = _TRANSITION @ state.covariance @ _TRANSITION_T + np.diag(std ** 2)
     return KalmanState(mean, covariance)
 
 
@@ -145,13 +155,11 @@ def kalman_update(state: KalmanState, bbox, confidence: float) -> KalmanState:
     if not 0.0 <= confidence <= 1.0:
         raise ValidationError(f"confidence {confidence} outside [0, 1]")
     measured = _bbox_to_xyah(bbox)
-    observation = np.zeros((4, 8))
-    observation[:, :4] = np.eye(4)
     noise = _measurement_noise(state.mean[3], confidence)
-    projected_mean = observation @ state.mean
-    projected_cov = observation @ state.covariance @ observation.T + noise
+    projected_mean = _OBSERVATION @ state.mean
+    projected_cov = _OBSERVATION @ state.covariance @ _OBSERVATION_T + noise
     try:
-        gain = np.linalg.solve(projected_cov.T, (state.covariance @ observation.T).T).T
+        gain = np.linalg.solve(projected_cov.T, (state.covariance @ _OBSERVATION_T).T).T
     except np.linalg.LinAlgError:
         raise ValidationError("singular innovation covariance in Kalman update") from None
     innovation = measured - projected_mean
@@ -162,11 +170,9 @@ def kalman_update(state: KalmanState, bbox, confidence: float) -> KalmanState:
 
 def gating_distance(state: KalmanState, bboxes: Sequence) -> np.ndarray:
     """Squared Mahalanobis distance of measurements to the predicted box."""
-    observation = np.zeros((4, 8))
-    observation[:, :4] = np.eye(4)
     noise = _measurement_noise(state.mean[3], 0.0)
-    projected_mean = observation @ state.mean
-    projected_cov = observation @ state.covariance @ observation.T + noise
+    projected_mean = _OBSERVATION @ state.mean
+    projected_cov = _OBSERVATION @ state.covariance @ _OBSERVATION_T + noise
     measured = np.array([_bbox_to_xyah(b) for b in bboxes])
     diff = measured - projected_mean
     solved = np.linalg.solve(projected_cov, diff.T)
@@ -212,6 +218,15 @@ class TrackSnapshot:
 
 @dataclass
 class Track:
+    """One identity's Kalman state, lifecycle and matched observations.
+
+    ``observe`` is the only way to add an observation after construction:
+    it appends to ``history`` and ``records`` and keeps running tallies of
+    class labels and annotated identities, so ``class_label`` and
+    ``majority_gt_track_id`` cost the same however old the track is.
+    ``records`` passed to the constructor seed those tallies.
+    """
+
     track_id: int
     state: KalmanState
     status: str = TENTATIVE
@@ -221,20 +236,38 @@ class Track:
     records: list[DetectionRecord] = field(default_factory=list)
     appearance: np.ndarray | None = None
     ever_confirmed: bool = False
+    # insertion-ordered, so most_common(1) breaks ties toward the first seen
+    _label_counts: Counter = field(default_factory=Counter, init=False, repr=False,
+                                   compare=False)
+    _gt_id_counts: Counter = field(default_factory=Counter, init=False, repr=False,
+                                   compare=False)
+
+    def __post_init__(self):
+        for record in self.records:
+            self._tally(record)
+
+    def _tally(self, record: DetectionRecord) -> None:
+        self._label_counts[record.class_label] += 1
+        if record.gt_track_id >= 0:
+            self._gt_id_counts[record.gt_track_id] += 1
+
+    def observe(self, frame_index: int, det: DetectionRecord) -> None:
+        """Record one matched detection in history, records and the tallies."""
+        self.history.append((frame_index, det.bbox, det.confidence))
+        self.records.append(det)
+        self._tally(det)
 
     @property
     def class_label(self) -> str:
-        if not self.records:
+        if not self._label_counts:
             return "other"
-        counts = Counter(r.class_label for r in self.records)
-        return counts.most_common(1)[0][0]
+        return self._label_counts.most_common(1)[0][0]
 
     @property
     def majority_gt_track_id(self) -> int:
-        ids = [r.gt_track_id for r in self.records if r.gt_track_id >= 0]
-        if not ids:
+        if not self._gt_id_counts:
             return -1
-        return Counter(ids).most_common(1)[0][0]
+        return self._gt_id_counts.most_common(1)[0][0]
 
     def snapshot(self, frame_index: int) -> TrackSnapshot:
         return TrackSnapshot(
@@ -345,12 +378,13 @@ class Tracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
+        self._live: list[Track] = []  # self.tracks minus DELETED, same order
         self._next_id = 1
         self._last_frame: int | None = None
 
     @property
     def live_tracks(self) -> list[Track]:
-        return [t for t in self.tracks if t.status != DELETED]
+        return list(self._live)
 
     def step(self, detections: Sequence[DetectionRecord], frame_index: int,
              embeddings: Sequence[np.ndarray | None] | None = None,
@@ -361,7 +395,7 @@ class Tracker:
                 f"frame {frame_index} not after previous frame {self._last_frame}")
         self._last_frame = frame_index
 
-        live = self.live_tracks
+        live = self._live
         for track in live:
             track.state = kalman_predict(track.state)
 
@@ -375,8 +409,7 @@ class Tracker:
             track.state = kalman_update(track.state, det.bbox, det.confidence)
             track.hits += 1
             track.frames_since_update = 0
-            track.history.append((frame_index, det.bbox, det.confidence))
-            track.records.append(det)
+            track.observe(frame_index, det)
             embedding = embeddings[det_idx] if embeddings is not None else None
             if embedding is not None:
                 if track.appearance is None:
@@ -399,23 +432,22 @@ class Tracker:
             elif track.frames_since_update > self.config.max_age:
                 track.status = DELETED
 
+        self._live = [t for t in live if t.status != DELETED]
+
         for det_idx in unmatched_dets:
             det = detections[det_idx]
             embedding = embeddings[det_idx] if embeddings is not None else None
-            track = Track(
-                track_id=self._next_id,
-                state=kalman_initiate(det.bbox),
-                history=[(frame_index, det.bbox, det.confidence)],
-                records=[det],
-                appearance=embedding,
-            )
+            track = Track(track_id=self._next_id, state=kalman_initiate(det.bbox),
+                          appearance=embedding)
+            track.observe(frame_index, det)
             if self.config.n_init <= 1:
                 track.status = CONFIRMED
                 track.ever_confirmed = True
             self._next_id += 1
             self.tracks.append(track)
+            self._live.append(track)
 
-        return [t.snapshot(frame_index) for t in self.live_tracks]
+        return [t.snapshot(frame_index) for t in self._live]
 
     def run(self, records: Iterable[DetectionRecord], n_frames: int | None = None,
             embeddings: Mapping[tuple[int, int], np.ndarray] | None = None,

@@ -1,3 +1,5 @@
+from xml.dom import minidom
+
 from tsdiag.render import render_svg
 from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint
 
@@ -41,6 +43,13 @@ class TestRenderSvg:
     def test_title_rendered_when_given(self):
         svg = render_svg(diagram_with({}), title="sequence-0004")
         assert "sequence-0004" in svg
+
+    def test_title_with_markup_characters_is_escaped(self):
+        svg = render_svg(diagram_with({}), title="A&B <seq>")
+        document = minidom.parseString(svg)
+        texts = ["".join(n.data for n in t.childNodes)
+                 for t in document.getElementsByTagName("text")]
+        assert "A&B <seq>" in texts
 
     def test_negative_distances_still_render(self):
         svg = render_svg(diagram_with({1: [(0.0, -5.0), (1.0, 9.0)]}))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from tsdiag.tracker import (
     DELETED,
     TENTATIVE,
     KalmanState,
+    Track,
     Tracker,
     TrackerConfig,
     associate,
@@ -363,6 +366,111 @@ class TestGroundTruthTracks:
         assert [t.track_id for t in tracks] == [4, 9]
         assert [len(t.history) for t in tracks] == [2, 1]
         assert all(t.ever_confirmed for t in tracks)
+
+    def test_label_and_identity_tallies_seeded(self):
+        # frames given out of order; the tie resolves toward frame order
+        labels = {3: "car", 0: "van", 2: "van", 1: "car", 4: "truck"}
+        records = [det(f, box_at(10 + f, 10), cls=cls, gt=4) for f, cls in labels.items()]
+        (track,) = tracks_from_ground_truth(records)
+        assert track.class_label == _oracle_label(track.records) == "van"
+        assert track.majority_gt_track_id == 4
+
+
+def _oracle_label(records) -> str:
+    if not records:
+        return "other"
+    return Counter(r.class_label for r in records).most_common(1)[0][0]
+
+
+def _oracle_gt_id(records) -> int:
+    ids = [r.gt_track_id for r in records if r.gt_track_id >= 0]
+    if not ids:
+        return -1
+    return Counter(ids).most_common(1)[0][0]
+
+
+def _assert_tallies_match(track, frame_index):
+    assert track.class_label == _oracle_label(track.records)
+    assert track.majority_gt_track_id == _oracle_gt_id(track.records)
+    snap = track.snapshot(frame_index)
+    assert snap.class_label == track.class_label
+    assert snap.gt_track_id == track.majority_gt_track_id
+    assert snap.confidence == track.history[-1][2]
+
+
+# small alphabets so that tied counts are common
+observations = st.tuples(st.sampled_from(["car", "van", "truck"]),
+                         st.sampled_from([-1, 0, 1, 2]))
+
+
+class TestTrackTallies:
+    @given(st.lists(observations, max_size=6), st.lists(observations, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_observe_matches_recount_after_every_step(self, seeded, observed):
+        records = [det(f, box_at(100, 100), cls=cls, gt=gt)
+                   for f, (cls, gt) in enumerate(seeded)]
+        track = Track(track_id=1, state=kalman_initiate(box_at(100, 100)),
+                      history=[(r.frame_index, r.bbox, r.confidence) for r in records],
+                      records=records)
+        assert track.class_label == _oracle_label(track.records)
+        assert track.majority_gt_track_id == _oracle_gt_id(track.records)
+        for frame, (cls, gt) in enumerate(observed, start=len(seeded)):
+            track.observe(frame, det(frame, box_at(100, 100), conf=0.5, cls=cls, gt=gt))
+            _assert_tallies_match(track, frame)
+
+
+# per frame, each of two far-apart objects is either missed (None) or seen
+# with a label and an identity; misses give births, losses and deletions
+frame_streams = st.lists(
+    st.tuples(st.none() | observations, st.none() | observations),
+    min_size=1, max_size=40)
+
+
+def _stream_detections(frame, objects):
+    return [det(frame, box_at(100 + 400 * k + frame, 100), cls=obs[0], gt=obs[1])
+            for k, obs in enumerate(objects) if obs is not None]
+
+
+class TestTrackerTallies:
+    @given(frame_streams)
+    @settings(max_examples=100, deadline=None)
+    def test_step_snapshots_match_recount(self, stream):
+        tracker = Tracker(TrackerConfig(max_age=3))
+        for frame, objects in enumerate(stream):
+            snaps = tracker.step(_stream_detections(frame, objects), frame)
+            by_id = {t.track_id: t for t in tracker.tracks}
+            for snap in snaps:
+                track = by_id[snap.track_id]
+                assert snap.class_label == _oracle_label(track.records)
+                assert snap.gt_track_id == _oracle_gt_id(track.records)
+            for track in tracker.tracks:
+                _assert_tallies_match(track, frame)
+
+
+class TestLiveTracks:
+    @given(frame_streams)
+    @settings(max_examples=100, deadline=None)
+    def test_live_tracks_equal_filtered_tracks(self, stream):
+        tracker = Tracker(TrackerConfig(max_age=3))
+        for frame, objects in enumerate(stream):
+            snaps = tracker.step(_stream_detections(frame, objects), frame)
+            expected = [t for t in tracker.tracks if t.status != DELETED]
+            assert [id(t) for t in tracker.live_tracks] == [id(t) for t in expected]
+            assert [s.track_id for s in snaps] == [t.track_id for t in expected]
+
+    def test_births_misses_and_deletions(self):
+        tracker = Tracker(TrackerConfig(max_age=2))
+        a, b = ("car", 1), ("van", 2)
+        stream = [(a, None), (a, b), (a, b), (None, b), (None, None), (a, None),
+                  (None, None), (None, None), (None, None), (a, b), (a, b)]
+        statuses = set()
+        for frame, objects in enumerate(stream):
+            tracker.step(_stream_detections(frame, objects), frame)
+            statuses.update(t.status for t in tracker.tracks)
+            expected = [t for t in tracker.tracks if t.status != DELETED]
+            assert [id(t) for t in tracker.live_tracks] == [id(t) for t in expected]
+        assert statuses == {TENTATIVE, CONFIRMED, DELETED}
+        assert len(tracker.tracks) > len(tracker.live_tracks) > 0
 
 
 class TestConfigValidation:
