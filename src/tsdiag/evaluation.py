@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .kitti import DetectionRecord
 from .photogrammetry import CameraIntrinsics, QUALITY_OK, range_from_bbox
-from .tracker import iou, solve_assignment
+from .tracker import iou_matrix, solve_assignment
 from .trajectory import TimeSpaceDiagram
 
 __all__ = [
@@ -88,6 +89,27 @@ def _summarize(per_track: dict[int, float], count: int, scenario: str,
     )
 
 
+def _overlaps_by_frame(frames: Iterable[int], rows: Mapping[int, Sequence],
+                       cols: Mapping[int, Sequence], box) -> dict[int, np.ndarray]:
+    """IoU matrix between the boxes of rows[f] and cols[f] for each frame f.
+
+    ``box`` gets the (left, top, right, bottom) box of an item.  Frames
+    with equal box counts share one stacked ``iou_matrix`` call, so the
+    number of numpy calls follows the number of distinct frame shapes, not
+    the number of frames.
+    """
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for frame in frames:
+        by_shape.setdefault((len(rows[frame]), len(cols[frame])), []).append(frame)
+    overlaps: dict[int, np.ndarray] = {}
+    for (n_rows, n_cols), group in by_shape.items():
+        stacked = iou_matrix(
+            np.reshape([[box(item) for item in rows[f]] for f in group], (len(group), n_rows, 4)),
+            np.reshape([[box(item) for item in cols[f]] for f in group], (len(group), n_cols, 4)))
+        overlaps.update(zip(group, stacked))
+    return overlaps
+
+
 def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
                            reference: Sequence[DetectionRecord],
                            min_iou: float) -> list[tuple[DetectionRecord, DetectionRecord]]:
@@ -98,18 +120,15 @@ def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
     by_frame_ref: dict[int, list[DetectionRecord]] = {}
     for det in reference:
         by_frame_ref.setdefault(det.frame_index, []).append(det)
+    overlaps = _overlaps_by_frame([f for f in by_frame_ref if f in by_frame_pred],
+                                  by_frame_ref, by_frame_pred, attrgetter("bbox"))
     pairs = []
     for frame, refs in sorted(by_frame_ref.items()):
         preds = by_frame_pred.get(frame, [])
         if not preds:
             continue
-        cost = np.zeros((len(refs), len(preds)))
-        overlap = np.zeros((len(refs), len(preds)))
-        for i, g in enumerate(refs):
-            for j, p in enumerate(preds):
-                o = iou(g.bbox, p.bbox)
-                overlap[i, j] = o
-                cost[i, j] = -o if o >= min_iou else 0.0
+        overlap = overlaps[frame]
+        cost = np.where(overlap >= min_iou, -overlap, 0.0)
         for i, j in solve_assignment(cost):
             if overlap[i, j] >= min_iou and cost[i, j] < 0.0:
                 pairs.append((refs[i], preds[j]))
@@ -265,15 +284,8 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
     total_pred = len(pred_boxes)
 
     # overlap matrices are alpha-independent; compute once
-    overlaps = {}
-    for f in frames:
-        gts = gt_by_frame[f]
-        preds = pred_by_frame[f]
-        matrix = np.zeros((len(gts), len(preds)))
-        for i, (_, gb) in enumerate(gts):
-            for j, (_, pb) in enumerate(preds):
-                matrix[i, j] = iou(gb, pb)
-        overlaps[f] = matrix
+    overlaps = _overlaps_by_frame([f for f in frames if gt_by_frame[f] and pred_by_frame[f]],
+                                  gt_by_frame, pred_by_frame, itemgetter(1))
 
     per_alpha = []
     for alpha in alpha_values:

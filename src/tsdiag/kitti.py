@@ -300,16 +300,44 @@ def parse_oxts_lines(stream: IO[str] | Iterable[str]) -> list[OxtsSample]:
     return samples
 
 
+def _oxts_files_by_frame(path: str) -> list[str]:
+    # a per-frame file is named by its frame number (0000000042.txt); every
+    # frame from 0 up must have exactly one file, so none can shift
+    files: dict[int, str] = {}
+    for name in os.listdir(path):
+        if not name.endswith(".txt"):
+            continue
+        stem = name[:-4]
+        if not (stem.isascii() and stem.isdigit()):
+            raise ValidationError(f"{path}: OXTS file {name!r} is not named by a frame number")
+        frame_index = int(stem)
+        if frame_index in files:
+            raise ValidationError(
+                f"{path}: OXTS files {files[frame_index]!r} and {name!r} are both frame "
+                f"{frame_index}")
+        files[frame_index] = name
+    for frame_index in range(len(files)):
+        if frame_index not in files:
+            raise ValidationError(f"{path}: no OXTS file for frame {frame_index}")
+    return [files[frame_index] for frame_index in range(len(files))]
+
+
 def load_oxts(path: str) -> list[OxtsSample]:
-    """Load OXTS fixes from a directory of per-frame files or one multi-line file."""
+    """Load OXTS fixes from a directory of per-frame files or one multi-line file.
+
+    In a directory, each ``<frame>.txt`` file holds the fix of the frame
+    its name gives; frames must run from 0 without a gap.
+    """
     if os.path.isdir(path):
-        names = sorted(n for n in os.listdir(path) if n.endswith(".txt"))
         samples = []
-        for frame_index, name in enumerate(names):
-            with open(os.path.join(path, name)) as fh:
+        for frame_index, name in enumerate(_oxts_files_by_frame(path)):
+            file_path = os.path.join(path, name)
+            with open(file_path) as fh:
                 for line_no, line in _iter_content_lines(fh):
                     samples.append(_parse_oxts_line(line, frame_index, line_no))
                     break
+                else:
+                    raise ValidationError(f"{file_path}: no OXTS fix for frame {frame_index}")
         return samples
     with open(path) as fh:
         return parse_oxts_lines(fh)

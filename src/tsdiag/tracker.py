@@ -34,6 +34,7 @@ __all__ = [
     "kalman_update",
     "gating_distance",
     "iou",
+    "iou_matrix",
     "solve_assignment",
     "associate",
     "load_embeddings",
@@ -52,16 +53,32 @@ _VEL_WEIGHT = 1.0 / 160.0
 _GATE_COST = 1e5  # sentinel for forbidden assignment edges
 
 
-# constant-velocity transition and position-only observation, built once
-# and read-only so no caller can alter them for the rest of the process
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Constant-velocity transition and identity matrices, built once and
+# read-only so no caller can alter them for the rest of the process.  The
+# observation takes the first four state components, so it is a slice.
 _TRANSITION = np.eye(8)
 _TRANSITION[:4, 4:] = np.eye(4)
-_TRANSITION.flags.writeable = False
+_TRANSITION = _readonly(_TRANSITION)
 _TRANSITION_T = _TRANSITION.T
-_OBSERVATION = np.zeros((4, 8))
-_OBSERVATION[:, :4] = np.eye(4)
-_OBSERVATION.flags.writeable = False
-_OBSERVATION_T = _OBSERVATION.T
+_EYE4 = _readonly(np.eye(4))
+_EYE8 = _readonly(np.eye(8))
+
+# Noise standard deviations are h * weights + constant per component, h
+# being the box height: every component scales with h except the aspect
+# ratio and its velocity, which get fixed values.
+_STATE_STD_CONSTANT = _readonly(np.array([0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-5, 0.0]))
+_MEASUREMENT_STD_WEIGHTS = _readonly(np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT]))
+_MEASUREMENT_STD_CONSTANT = _readonly(np.array([0.0, 0.0, 1e-1, 0.0]))
+
+
+def _state_std_weights(position_weight: float, velocity_weight: float) -> np.ndarray:
+    return np.array([position_weight, position_weight, 0.0, position_weight,
+                     velocity_weight, velocity_weight, 0.0, velocity_weight])
 
 
 @dataclass(frozen=True)
@@ -92,91 +109,116 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Box state (cx, cy, aspect, h) plus per-frame velocities, with covariance."""
+    """Box state (cx, cy, aspect, h) plus per-frame velocities, with covariance.
 
-    mean: np.ndarray        # shape (8,)
-    covariance: np.ndarray  # shape (8, 8)
+    One track has mean (8,) and covariance (8, 8); a stack of n tracks has
+    mean (n, 8) and covariance (n, 8, 8), and the Kalman functions below
+    work row by row on either.
+    """
+
+    mean: np.ndarray        # shape (..., 8)
+    covariance: np.ndarray  # shape (..., 8, 8)
 
 
 def _bbox_to_xyah(bbox) -> np.ndarray:
-    left, top, right, bottom = bbox
-    w = right - left
-    h = bottom - top
-    return np.array([left + w / 2.0, top + h / 2.0, w / h, h])
+    """(..., 4) boxes (left, top, right, bottom) to (..., 4) (cx, cy, aspect, h)."""
+    bbox = np.asarray(bbox, dtype=float)
+    top_left = bbox[..., :2]
+    size = bbox[..., 2:] - top_left  # (w, h)
+    height = size[..., 1:]
+    return np.concatenate([top_left + size / 2.0, size[..., :1] / height, height], axis=-1)
 
 
-def _xyah_to_bbox(mean) -> tuple[float, float, float, float]:
-    cx, cy, aspect, h = mean[:4]
-    w = aspect * h
-    return (float(cx - w / 2.0), float(cy - h / 2.0),
-            float(cx + w / 2.0), float(cy + h / 2.0))
+def _xyah_to_bbox(mean) -> np.ndarray:
+    """(..., >= 4) states to (..., 4) boxes (left, top, right, bottom)."""
+    center = mean[..., :2]
+    height = mean[..., 3:4]
+    half = np.concatenate([mean[..., 2:3] * height, height], axis=-1) / 2.0
+    return np.concatenate([center - half, center + half], axis=-1)
+
+
+def _take_rows(states: KalmanState, rows) -> KalmanState:
+    """A copy of the given rows of stacked states."""
+    return KalmanState(states.mean.take(rows, axis=0), states.covariance.take(rows, axis=0))
 
 
 def kalman_initiate(bbox, position_weight: float = _POS_WEIGHT,
                     velocity_weight: float = _VEL_WEIGHT) -> KalmanState:
-    """Initial state from an unassociated detection: zero velocity, wide covariance."""
+    """Initial state from an unassociated detection: zero velocity, wide covariance.
+
+    ``bbox`` is one box or an (n, 4) array of boxes, giving n states.
+    """
     measured = _bbox_to_xyah(bbox)
-    mean = np.concatenate([measured, np.zeros(4)])
-    h = measured[3]
-    std = np.array([
-        2.0 * position_weight * h, 2.0 * position_weight * h, 1e-2,
-        2.0 * position_weight * h,
-        10.0 * velocity_weight * h, 10.0 * velocity_weight * h, 1e-5,
-        10.0 * velocity_weight * h,
-    ])
-    return KalmanState(mean, np.diag(std ** 2))
+    mean = np.concatenate([measured, np.zeros_like(measured)], axis=-1)
+    weights = _state_std_weights(2.0 * position_weight, 10.0 * velocity_weight)
+    std = measured[..., 3:4] * weights + _STATE_STD_CONSTANT
+    return KalmanState(mean, (std ** 2)[..., None] * _EYE8)
 
 
 def kalman_predict(state: KalmanState, position_weight: float = _POS_WEIGHT,
                    velocity_weight: float = _VEL_WEIGHT) -> KalmanState:
     """Advance one frame under constant velocity; grow covariance by process noise."""
-    if not (np.all(np.isfinite(state.mean)) and np.all(np.isfinite(state.covariance))):
+    if not (np.isfinite(state.mean).all() and np.isfinite(state.covariance).all()):
         raise ValidationError("non-finite Kalman state")
-    h = state.mean[3]
-    std = np.array([
-        position_weight * h, position_weight * h, 1e-2, position_weight * h,
-        velocity_weight * h, velocity_weight * h, 1e-5, velocity_weight * h,
-    ])
-    mean = _TRANSITION @ state.mean
-    covariance = _TRANSITION @ state.covariance @ _TRANSITION_T + np.diag(std ** 2)
+    weights = _state_std_weights(position_weight, velocity_weight)
+    std = state.mean[..., 3:4] * weights + _STATE_STD_CONSTANT
+    mean = state.mean @ _TRANSITION_T
+    covariance = (_TRANSITION @ state.covariance @ _TRANSITION_T
+                  + (std ** 2)[..., None] * _EYE8)
     return KalmanState(mean, covariance)
 
 
-def _measurement_noise(h: float, confidence: float) -> np.ndarray:
-    # noise shrinks with detection confidence; floored to stay invertible
-    std = np.array([_POS_WEIGHT * h, _POS_WEIGHT * h, 1e-1, _POS_WEIGHT * h])
-    scaled = (1.0 - confidence) * std ** 2
-    floor = (1e-6 * max(h, 1.0)) ** 2
-    return np.diag(np.maximum(scaled, floor))
+def _project(state: KalmanState, confidence) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement-space mean and innovation covariance of (stacked) states.
+
+    ``confidence`` broadcasts against (..., 1).  Measurement noise shrinks
+    with detection confidence and is floored to stay invertible.  The floor
+    is squared with float_power, which calls the C library's pow like the
+    scalar ``** 2`` it replaces; ``x * x`` differs from that in the last
+    bit for about one value in a thousand.
+    """
+    h = state.mean[..., 3:4]
+    std = h * _MEASUREMENT_STD_WEIGHTS + _MEASUREMENT_STD_CONSTANT
+    noise = np.maximum((1.0 - confidence) * std ** 2,
+                       np.float_power(1e-6 * np.maximum(h, 1.0), 2))
+    return (state.mean[..., :4],
+            state.covariance[..., :4, :4] + noise[..., None] * _EYE4)
 
 
-def kalman_update(state: KalmanState, bbox, confidence: float) -> KalmanState:
-    """Standard linear correction against the measured box."""
-    if not 0.0 <= confidence <= 1.0:
-        raise ValidationError(f"confidence {confidence} outside [0, 1]")
+def kalman_update(state: KalmanState, bbox, confidence) -> KalmanState:
+    """Standard linear correction against the measured box.
+
+    For a stack of n states, ``bbox`` is (n, 4) and ``confidence`` (n,).
+    """
+    confidence = np.asarray(confidence, dtype=float)
+    in_range = (confidence >= 0.0) & (confidence <= 1.0)
+    if not in_range.all():
+        raise ValidationError(f"confidence {confidence[~in_range].flat[0]} outside [0, 1]")
     measured = _bbox_to_xyah(bbox)
-    noise = _measurement_noise(state.mean[3], confidence)
-    projected_mean = _OBSERVATION @ state.mean
-    projected_cov = _OBSERVATION @ state.covariance @ _OBSERVATION_T + noise
+    projected_mean, projected_cov = _project(state, confidence[..., None])
     try:
-        gain = np.linalg.solve(projected_cov.T, (state.covariance @ _OBSERVATION_T).T).T
+        # solves gain @ projected_cov = covariance @ observation.T, transposed
+        gain_t = np.linalg.solve(projected_cov.swapaxes(-1, -2),
+                                 state.covariance[..., :, :4].swapaxes(-1, -2))
     except np.linalg.LinAlgError:
         raise ValidationError("singular innovation covariance in Kalman update") from None
+    gain = gain_t.swapaxes(-1, -2)
     innovation = measured - projected_mean
-    mean = state.mean + gain @ innovation
-    covariance = state.covariance - gain @ projected_cov @ gain.T
+    mean = state.mean + (gain @ innovation[..., None])[..., 0]
+    covariance = state.covariance - gain @ projected_cov @ gain_t
     return KalmanState(mean, covariance)
 
 
-def gating_distance(state: KalmanState, bboxes: Sequence) -> np.ndarray:
-    """Squared Mahalanobis distance of measurements to the predicted box."""
-    noise = _measurement_noise(state.mean[3], 0.0)
-    projected_mean = _OBSERVATION @ state.mean
-    projected_cov = _OBSERVATION @ state.covariance @ _OBSERVATION_T + noise
-    measured = np.array([_bbox_to_xyah(b) for b in bboxes])
-    diff = measured - projected_mean
-    solved = np.linalg.solve(projected_cov, diff.T)
-    return np.sum(diff.T * solved, axis=0)
+def gating_distance(state: KalmanState, bboxes) -> np.ndarray:
+    """Squared Mahalanobis distance of m measurements to the predicted box.
+
+    Returns (m,) for one state and (n, m) for a stack of n states.
+    """
+    projected_mean, projected_cov = _project(state, 0.0)
+    measured = _bbox_to_xyah(np.asarray(bboxes, dtype=float).reshape(-1, 4))
+    diff = (measured - projected_mean[..., None, :]).swapaxes(-1, -2)  # (..., 4, m)
+    product = diff * np.linalg.solve(projected_cov, diff)
+    return product[..., 0, :] + product[..., 1, :] + product[..., 2, :] + product[..., 3, :]
 
 
 def iou(a, b) -> float:
@@ -190,6 +232,19 @@ def iou(a, b) -> float:
     area_b = max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
     union = area_a + area_b - inter
     return inter / union if union > 0.0 else 0.0
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """``iou`` of every pair: boxes a (..., n, 4) and b (..., m, 4) give (..., n, m)."""
+    a = np.asarray(a, dtype=float)[..., :, None, :]
+    b = np.asarray(b, dtype=float)[..., None, :, :]
+    overlap = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
+    inter = overlap[..., 0] * overlap[..., 1]
+    size_a = np.maximum(0.0, a[..., 2:] - a[..., :2])
+    size_b = np.maximum(0.0, b[..., 2:] - b[..., :2])
+    union = size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1] - inter
+    positive = (np.minimum(overlap[..., 0], overlap[..., 1]) > 0.0) & (union > 0.0)
+    return np.divide(inter, union, out=np.zeros(union.shape), where=positive)
 
 
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -270,11 +325,15 @@ class Track:
         return self._gt_id_counts.most_common(1)[0][0]
 
     def snapshot(self, frame_index: int) -> TrackSnapshot:
+        return self._snapshot(frame_index, tuple(_xyah_to_bbox(self.state.mean).tolist()))
+
+    def _snapshot(self, frame_index: int,
+                  bbox: tuple[float, float, float, float]) -> TrackSnapshot:
         return TrackSnapshot(
             track_id=self.track_id,
             frame_index=frame_index,
             status=self.status,
-            bbox=_xyah_to_bbox(self.state.mean),
+            bbox=bbox,
             class_label=self.class_label,
             confidence=self.history[-1][2] if self.history else 0.0,
             hits=self.hits,
@@ -283,15 +342,18 @@ class Track:
         )
 
 
-def _appearance_cost(track: Track, embedding: np.ndarray, metric: str) -> float:
+def _appearance_cost(appearances: np.ndarray, embeddings: np.ndarray,
+                     metric: str) -> np.ndarray:
+    """Cost of every (track appearance, detection embedding) pair."""
     if metric == "cosine":
-        return 1.0 - float(np.dot(track.appearance, embedding))
-    return float(np.linalg.norm(track.appearance - embedding))
+        return 1.0 - appearances @ embeddings.T
+    return np.linalg.norm(appearances[:, None, :] - embeddings[None, :, :], axis=-1)
 
 
 def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
               config: TrackerConfig,
               embeddings: Sequence[np.ndarray | None] | None = None,
+              states: KalmanState | None = None,
               ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage matching of track indices to detection indices.
 
@@ -299,17 +361,22 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     and embeddings are present) or a combined overlap/Mahalanobis cost,
     gated by the Mahalanobis distance.  Stage 2 matches everything left
     over on plain overlap.  Both stages solve the assignment optimally.
+    ``states`` are the tracks' Kalman states stacked row for row; when
+    omitted they are stacked from each track's ``state``.
     Returns (matches, unmatched_track_indices, unmatched_detection_indices).
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
+    if states is None:
+        states = KalmanState(np.stack([t.state.mean for t in tracks]),
+                             np.stack([t.state.covariance for t in tracks]))
 
-    gate = config.mahalanobis_gate
     n_dets = len(detections)
-    det_boxes = [d.bbox for d in detections]
+    det_boxes = np.array([d.bbox for d in detections], dtype=float)
+    predicted = _xyah_to_bbox(states.mean)
 
     matches: list[tuple[int, int]] = []
-    matched_dets: set[int] = set()
+    free = np.ones(n_dets, dtype=bool)
 
     confirmed = [i for i, t in enumerate(tracks) if t.status == CONFIRMED]
     others = [i for i, t in enumerate(tracks) if t.status != CONFIRMED]
@@ -322,7 +389,7 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
             assigned_rows.add(row)
             if cost[row, col] < _GATE_COST:
                 matches.append((track_indices[row], det_indices[col]))
-                matched_dets.add(det_indices[col])
+                free[det_indices[col]] = False
             else:
                 leftover_tracks.append(track_indices[row])
         for row in range(len(track_indices)):
@@ -332,53 +399,51 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
 
     leftover: list[int] = []
     if confirmed:
-        cost = np.full((len(confirmed), n_dets), _GATE_COST)
-        for row, ti in enumerate(confirmed):
-            track = tracks[ti]
-            predicted = _xyah_to_bbox(track.state.mean)
-            maha = gating_distance(track.state, det_boxes)
-            for col in range(n_dets):
-                if maha[col] > gate:
-                    continue
-                embedding = embeddings[col] if embeddings is not None else None
-                if (config.use_appearance and track.appearance is not None
-                        and embedding is not None):
-                    value = _appearance_cost(track, embedding, config.nn_metric)
-                    if value > config.max_dist:
-                        continue
-                else:
-                    overlap = iou(predicted, det_boxes[col])
-                    value = 0.5 * (1.0 - overlap) + 0.5 * min(maha[col] / gate, 1.0)
-                cost[row, col] = value
-        leftover = _run_stage(confirmed, list(range(n_dets)), cost)
+        gate = config.mahalanobis_gate
+        maha = gating_distance(_take_rows(states, confirmed), det_boxes)
+        cost = (0.5 * (1.0 - iou_matrix(predicted[confirmed], det_boxes))
+                + 0.5 * np.minimum(maha / gate, 1.0))
+        if config.use_appearance and embeddings is not None:
+            rows = [row for row, ti in enumerate(confirmed)
+                    if tracks[ti].appearance is not None]
+            cols = [col for col in range(n_dets) if embeddings[col] is not None]
+            if rows and cols:
+                value = _appearance_cost(
+                    np.array([tracks[confirmed[row]].appearance for row in rows]),
+                    np.array([embeddings[col] for col in cols]), config.nn_metric)
+                cost[np.ix_(rows, cols)] = np.where(value > config.max_dist, _GATE_COST, value)
+        cost[maha > gate] = _GATE_COST
+        leftover = _run_stage(confirmed, range(n_dets), cost)
 
     stage2_tracks = sorted(others + leftover)
-    free_dets = [j for j in range(n_dets) if j not in matched_dets]
+    free_dets = free.nonzero()[0].tolist()
     if stage2_tracks and free_dets:
-        cost = np.full((len(stage2_tracks), len(free_dets)), _GATE_COST)
-        for row, ti in enumerate(stage2_tracks):
-            predicted = _xyah_to_bbox(tracks[ti].state.mean)
-            for col, dj in enumerate(free_dets):
-                value = 1.0 - iou(predicted, det_boxes[dj])
-                if value <= config.max_iou_dist:
-                    cost[row, col] = value
+        value = 1.0 - iou_matrix(predicted[stage2_tracks], det_boxes[free_dets])
+        cost = np.where(value <= config.max_iou_dist, value, _GATE_COST)
         unmatched_tracks = _run_stage(stage2_tracks, free_dets, cost)
     else:
         unmatched_tracks = stage2_tracks
 
-    unmatched_dets = [j for j in range(n_dets) if j not in matched_dets]
+    unmatched_dets = free.nonzero()[0].tolist()
     matches.sort()
     unmatched_tracks.sort()
     return matches, unmatched_tracks, unmatched_dets
 
 
 class Tracker:
-    """Sequence-local tracking state; call step() once per frame in order."""
+    """Sequence-local tracking state; call step() once per frame in order.
+
+    The Kalman states of the live tracks are kept stacked, one row per live
+    track in ``live_tracks`` order, so each step predicts, gates and
+    updates every track with one call each; each live track's ``state``
+    holds a copy of its row after every step.
+    """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
         self._live: list[Track] = []  # self.tracks minus DELETED, same order
+        self._states = KalmanState(np.empty((0, 8)), np.empty((0, 8, 8)))
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -396,17 +461,28 @@ class Tracker:
         self._last_frame = frame_index
 
         live = self._live
-        for track in live:
-            track.state = kalman_predict(track.state)
+        states = self._states
+        if live:
+            states = kalman_predict(states)
 
         matches, unmatched_tracks, unmatched_dets = associate(
-            live, detections, self.config, embeddings)
+            live, detections, self.config, embeddings, states)
+
+        if matches:
+            rows = np.array([track_idx for track_idx, _ in matches])
+            matched = [detections[det_idx] for _, det_idx in matches]
+            updated = kalman_update(_take_rows(states, rows), [det.bbox for det in matched],
+                                    [det.confidence for det in matched])
+            states.mean[rows] = updated.mean
+            states.covariance[rows] = updated.covariance
+        for row, track in enumerate(live):
+            # a copy, so a deleted track does not keep the whole stack alive
+            track.state = KalmanState(states.mean[row].copy(), states.covariance[row].copy())
 
         alpha = self.config.appearance_ema_alpha
         for track_idx, det_idx in matches:
             track = live[track_idx]
             det = detections[det_idx]
-            track.state = kalman_update(track.state, det.bbox, det.confidence)
             track.hits += 1
             track.frames_since_update = 0
             track.observe(frame_index, det)
@@ -432,22 +508,33 @@ class Tracker:
             elif track.frames_since_update > self.config.max_age:
                 track.status = DELETED
 
-        self._live = [t for t in live if t.status != DELETED]
+        keep = [row for row, track in enumerate(live) if track.status != DELETED]
+        if len(keep) < len(live):
+            live = [live[row] for row in keep]
+            states = _take_rows(states, keep)
 
-        for det_idx in unmatched_dets:
-            det = detections[det_idx]
-            embedding = embeddings[det_idx] if embeddings is not None else None
-            track = Track(track_id=self._next_id, state=kalman_initiate(det.bbox),
-                          appearance=embedding)
-            track.observe(frame_index, det)
-            if self.config.n_init <= 1:
-                track.status = CONFIRMED
-                track.ever_confirmed = True
-            self._next_id += 1
-            self.tracks.append(track)
-            self._live.append(track)
+        if unmatched_dets:
+            born = [detections[det_idx] for det_idx in unmatched_dets]
+            initial = kalman_initiate([det.bbox for det in born])
+            for row, (det_idx, det) in enumerate(zip(unmatched_dets, born)):
+                embedding = embeddings[det_idx] if embeddings is not None else None
+                track = Track(track_id=self._next_id,
+                              state=KalmanState(initial.mean[row], initial.covariance[row]),
+                              appearance=embedding)
+                track.observe(frame_index, det)
+                if self.config.n_init <= 1:
+                    track.status = CONFIRMED
+                    track.ever_confirmed = True
+                self._next_id += 1
+                self.tracks.append(track)
+                live.append(track)
+            states = KalmanState(np.concatenate([states.mean, initial.mean]),
+                                 np.concatenate([states.covariance, initial.covariance]))
 
-        return [t.snapshot(frame_index) for t in self._live]
+        self._live = live
+        self._states = states
+        boxes = _xyah_to_bbox(states.mean).tolist()
+        return [track._snapshot(frame_index, tuple(box)) for track, box in zip(live, boxes)]
 
     def run(self, records: Iterable[DetectionRecord], n_frames: int | None = None,
             embeddings: Mapping[tuple[int, int], np.ndarray] | None = None,

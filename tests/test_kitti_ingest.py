@@ -9,6 +9,7 @@ from tsdiag.kitti import (
     FrameClock,
     format_detections,
     group_by_frame,
+    load_oxts,
     parse_detections_file,
     parse_label_file,
     parse_oxts,
@@ -126,6 +127,64 @@ class TestParseOxts:
         s = parse_oxts([io.StringIO(" ".join(fields))])[0]
         assert s.velocity_north_mps == pytest.approx(3.5)
         assert s.velocity_east_mps == pytest.approx(-1.25)
+
+
+def _oxts_dir(directory, frame_names):
+    """One OXTS file per name; the latitude encodes the name's position."""
+    directory.mkdir()
+    for k, name in enumerate(frame_names):
+        (directory / name).write_text(OXTS_LINE.replace("49.011212", f"49.{k:06d}") + "\n")
+    return str(directory)
+
+
+class TestLoadOxtsDirectory:
+    def test_frame_index_comes_from_file_stem(self, tmp_path):
+        path = _oxts_dir(tmp_path / "oxts", [f"{i:010d}.txt" for i in range(3)])
+        samples = load_oxts(path)
+        assert [s.frame_index for s in samples] == [0, 1, 2]
+        assert [s.position.latitude_deg for s in samples] == pytest.approx(
+            [49.0, 49.000001, 49.000002], abs=1e-9)
+
+    def test_unpadded_stems_are_ordered_numerically(self, tmp_path):
+        path = _oxts_dir(tmp_path / "oxts", [f"{i}.txt" for i in range(12)])
+        samples = load_oxts(path)
+        assert [s.frame_index for s in samples] == list(range(12))
+        assert samples[10].position.latitude_deg == pytest.approx(49.000010, abs=1e-9)
+
+    def test_missing_file_names_directory_and_first_missing_frame(self, tmp_path):
+        # 0000000002.txt is absent: frame 2 must not get frame 3's fix
+        names = [f"{i:010d}.txt" for i in (0, 1, 3, 4, 6)]
+        path = _oxts_dir(tmp_path / "oxts", names)
+        with pytest.raises(ValidationError, match=r"frame 2\b") as info:
+            load_oxts(path)
+        assert path in str(info.value)
+
+    def test_first_frame_missing(self, tmp_path):
+        path = _oxts_dir(tmp_path / "oxts", [f"{i:010d}.txt" for i in (1, 2)])
+        with pytest.raises(ValidationError, match=r"frame 0\b"):
+            load_oxts(path)
+
+    def test_non_numeric_name_rejected(self, tmp_path):
+        path = _oxts_dir(tmp_path / "oxts", ["0000000000.txt", "notes.txt"])
+        with pytest.raises(ValidationError, match="notes.txt") as info:
+            load_oxts(path)
+        assert path in str(info.value)
+
+    def test_two_files_for_one_frame_rejected(self, tmp_path):
+        path = _oxts_dir(tmp_path / "oxts", ["0.txt", "00.txt", "1.txt"])
+        with pytest.raises(ValidationError, match=r"frame 0\b"):
+            load_oxts(path)
+
+    def test_file_without_a_fix_names_the_file(self, tmp_path):
+        path = _oxts_dir(tmp_path / "oxts", [f"{i:010d}.txt" for i in range(4)])
+        (tmp_path / "oxts" / "0000000002.txt").write_text("# no fix here\n")
+        with pytest.raises(ValidationError, match="0000000002.txt"):
+            load_oxts(path)
+
+    def test_other_extensions_ignored(self, tmp_path):
+        path = _oxts_dir(tmp_path / "oxts", ["0.txt", "1.txt"])
+        (tmp_path / "oxts" / "README.md").write_text("not a fix\n")
+        assert [s.frame_index for s in load_oxts(path)] == [0, 1]
 
 
 class TestParseDetectionsFile:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles.assignment_oracle import brute_force_min_cost
+from oracles import tracker_oracle as reference
+from oracles.tracker_oracle import OracleTracker
 from tsdiag.errors import ValidationError
 from tsdiag.kitti import DetectionRecord
 from tsdiag.tracker import (
@@ -18,6 +20,7 @@ from tsdiag.tracker import (
     associate,
     gating_distance,
     iou,
+    iou_matrix,
     kalman_initiate,
     kalman_predict,
     kalman_update,
@@ -139,6 +142,191 @@ class TestIou:
         assert iou(b, a) == pytest.approx(value, abs=1e-12)
 
 
+def _random_boxes(rng, n):
+    left, top = rng.uniform(0.0, 1200.0, n), rng.uniform(0.0, 300.0, n)
+    width, height = rng.uniform(5.0, 300.0, n), rng.uniform(5.0, 200.0, n)
+    return np.stack([left, top, left + width, top + height], axis=-1)
+
+
+def _random_states(rng, n):
+    # realistic stacks: initiated, then moved and corrected a few times
+    boxes = _random_boxes(rng, n)
+    states = kalman_initiate(boxes)
+    for _ in range(rng.randint(0, 4)):
+        states = kalman_predict(states)
+        boxes = boxes + rng.uniform(-3.0, 3.0, size=(n, 1))
+        states = kalman_update(states, boxes, rng.uniform(0.0, 1.0, n))
+    return states
+
+
+def _row(states, i):
+    return KalmanState(states.mean[i].copy(), states.covariance[i].copy())
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+stack_sizes = st.integers(0, 6)
+seeds = st.integers(0, 2**31 - 1)
+confidence_values = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestStackedKalman:
+    """Stacked calls equal the single-track calls row by row, bit for bit."""
+
+    @given(stack_sizes, seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_initiate_and_predict_match_rows(self, n, seed):
+        rng = np.random.RandomState(seed)
+        boxes = _random_boxes(rng, n)
+        initial = kalman_initiate(boxes)
+        states = _random_states(rng, n)
+        predicted = kalman_predict(states)
+        for i in range(n):
+            single = kalman_initiate(tuple(boxes[i].tolist()))
+            assert _same_bits(initial.mean[i], single.mean)
+            assert _same_bits(initial.covariance[i], single.covariance)
+            single = kalman_predict(_row(states, i))
+            assert _same_bits(predicted.mean[i], single.mean)
+            assert _same_bits(predicted.covariance[i], single.covariance)
+
+    @given(stack_sizes, st.integers(1, 6), seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_gating_matches_rows(self, n, m, seed):
+        rng = np.random.RandomState(seed)
+        states = kalman_predict(_random_states(rng, n))
+        bboxes = [tuple(b) for b in _random_boxes(rng, m).tolist()]
+        distances = gating_distance(states, bboxes)
+        assert distances.shape == (n, m)
+        for i in range(n):
+            assert _same_bits(distances[i], gating_distance(_row(states, i), bboxes))
+
+    @given(st.data(), stack_sizes, seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_update_matches_rows(self, data, n, seed):
+        rng = np.random.RandomState(seed)
+        states = kalman_predict(_random_states(rng, n))
+        boxes = _random_boxes(rng, n)
+        confidences = data.draw(st.lists(confidence_values, min_size=n, max_size=n))
+        updated = kalman_update(states, boxes, confidences)
+        for i in range(n):
+            single = kalman_update(_row(states, i), tuple(boxes[i].tolist()), confidences[i])
+            assert _same_bits(updated.mean[i], single.mean)
+            assert _same_bits(updated.covariance[i], single.covariance)
+
+    @given(stack_sizes, seeds)
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_row_rejected(self, n, seed):
+        rng = np.random.RandomState(seed)
+        states = _random_states(rng, n + 1)
+        mean = states.mean.copy()
+        mean[rng.randint(n + 1), rng.randint(8)] = rng.choice([np.nan, np.inf])
+        with pytest.raises(ValidationError, match="non-finite"):
+            kalman_predict(KalmanState(mean, states.covariance))
+
+    @given(stack_sizes, seeds, st.sampled_from([-0.1, 1.5, np.nan]))
+    @settings(max_examples=50, deadline=None)
+    def test_confidence_outside_unit_interval_rejected(self, n, seed, bad):
+        rng = np.random.RandomState(seed)
+        states = kalman_predict(_random_states(rng, n + 1))
+        confidences = rng.uniform(0.0, 1.0, n + 1)
+        confidences[rng.randint(n + 1)] = bad
+        with pytest.raises(ValidationError, match="confidence"):
+            kalman_update(states, _random_boxes(rng, n + 1), confidences)
+
+    @given(stack_sizes, seeds)
+    @settings(max_examples=50, deadline=None)
+    def test_singular_innovation_row_rejected(self, n, seed):
+        # one row's covariance cancels its measurement noise exactly
+        rng = np.random.RandomState(seed)
+        boxes = np.tile([0.0, 0.0, 10.0, 10.0], (n + 1, 1))
+        states = kalman_initiate(boxes)
+        covariance = states.covariance.copy()
+        bad = rng.randint(n + 1)
+        noise = np.diag([(10.0 / 20.0) ** 2, (10.0 / 20.0) ** 2, 1e-2, (10.0 / 20.0) ** 2])
+        covariance[bad] = 0.0
+        covariance[bad, :4, :4] = -noise
+        with pytest.raises(ValidationError, match="singular"):
+            kalman_update(KalmanState(states.mean, covariance), boxes, np.zeros(n + 1))
+
+
+class TestKernelsMatchReference:
+    """Stacked kernels equal the per-track reference kernels bit for bit."""
+
+    @given(st.data(), stack_sizes, st.integers(1, 6), seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_equals_reference(self, data, n, m, seed):
+        rng = np.random.RandomState(seed)
+        boxes = _random_boxes(rng, n)
+        initial = kalman_initiate(boxes)
+        states = _random_states(rng, n)
+        predicted = kalman_predict(states)
+        bboxes = [tuple(b) for b in _random_boxes(rng, m).tolist()]
+        distances = gating_distance(predicted, bboxes)
+        confidences = data.draw(st.lists(confidence_values, min_size=n, max_size=n))
+        updated = kalman_update(predicted, boxes, confidences)
+        for i in range(n):
+            box = tuple(boxes[i].tolist())
+            expected = reference.kalman_initiate(box)
+            assert _same_bits(initial.mean[i], expected.mean)
+            assert _same_bits(initial.covariance[i], expected.covariance)
+            expected = reference.kalman_predict(_row(states, i))
+            assert _same_bits(predicted.mean[i], expected.mean)
+            assert _same_bits(predicted.covariance[i], expected.covariance)
+            row = _row(predicted, i)
+            assert _same_bits(distances[i], reference.gating_distance(row, bboxes))
+            expected = reference.kalman_update(row, box, confidences[i])
+            assert _same_bits(updated.mean[i], expected.mean)
+            assert _same_bits(updated.covariance[i], expected.covariance)
+
+
+    def test_noise_floor_matches_reference_over_many_heights(self):
+        # With a fully confident measurement and no prior position variance
+        # the innovation covariance is the noise floor alone, and the gain
+        # divides the cross-covariance by it, so the floor's last bit shows.
+        rng = np.random.RandomState(3)
+        boxes = _random_boxes(rng, 4000)
+        mean = kalman_initiate(boxes).mean
+        covariance = np.zeros((len(boxes), 8, 8))
+        covariance[:, 4:, :4] = covariance[:, :4, 4:] = np.eye(4)
+        states = KalmanState(mean, covariance)
+        updated = kalman_update(states, boxes + 0.5, np.ones(len(boxes)))
+        for i in range(len(boxes)):
+            expected = reference.kalman_update(_row(states, i), tuple(boxes[i] + 0.5), 1.0)
+            assert _same_bits(updated.mean[i], expected.mean)
+            assert _same_bits(updated.covariance[i], expected.covariance)
+
+
+box_coordinates = st.floats(-50.0, 50.0, allow_nan=False)
+any_boxes = st.lists(st.tuples(box_coordinates, box_coordinates, box_coordinates,
+                               box_coordinates), max_size=5)
+
+
+class TestIouMatrix:
+    @given(any_boxes, any_boxes)
+    @settings(max_examples=200, deadline=None)
+    def test_every_pair_equals_scalar_iou(self, a, b):
+        # unordered corners give degenerate and inverted boxes too
+        matrix = iou_matrix(np.reshape(a, (-1, 4)), np.reshape(b, (-1, 4)))
+        assert matrix.shape == (len(a), len(b))
+        for i, box_a in enumerate(a):
+            for j, box_b in enumerate(b):
+                assert _same_bits(matrix[i, j], np.float64(iou(box_a, box_b)))
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), seeds)
+    @settings(max_examples=50, deadline=None)
+    def test_stacked_frames_equal_single_frames(self, k, n, m, seed):
+        rng = np.random.RandomState(seed)
+        a = _random_boxes(rng, k * n).reshape(k, n, 4)
+        b = _random_boxes(rng, k * m).reshape(k, m, 4)
+        stacked = iou_matrix(a, b)
+        assert stacked.shape == (k, n, m)
+        for f in range(k):
+            assert _same_bits(stacked[f], iou_matrix(a[f], b[f]))
+
+
 class TestAssignment:
     def test_documented_matrix(self):
         cost = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]])
@@ -184,6 +372,39 @@ class TestAssociate:
             tracks, [det(1, candidate)], TrackerConfig())
         assert matches == []
         assert unmatched_t == [0] and unmatched_d == [0]
+
+    def test_overlap_gate_is_inclusive(self):
+        # overlap 0.5 -> cost exactly 0.5, on the gate
+        tracks = self._tentative_track((0.0, 0.0, 10.0, 10.0))
+        matches, _, _ = associate(tracks, [det(1, (0.0, 0.0, 10.0, 5.0))],
+                                  TrackerConfig(max_iou_dist=0.5))
+        assert matches == [(0, 0)]
+
+    def test_mahalanobis_gate_is_inclusive(self):
+        # a confirmed track and a detection without overlap, so only the
+        # first stage can match them, at a distance exactly on the gate
+        track = Track(track_id=1, state=kalman_predict(kalman_initiate(box_at(100, 100))),
+                      status=CONFIRMED)
+        far = box_at(160, 100)
+        distance = float(gating_distance(track.state, [far])[0])
+        assert iou(box_at(100, 100), far) == 0.0
+        for gate, expected in ((distance, [(0, 0)]), (np.nextafter(distance, 0.0), [])):
+            matches, _, _ = associate([track], [det(1, far)],
+                                      TrackerConfig(mahalanobis_gate=gate))
+            assert matches == expected
+
+    def test_explicit_states_equal_stacked_track_states(self):
+        tracker = Tracker(TrackerConfig(n_init=1))
+        tracker.step([det(0, box_at(100, 100)), det(0, box_at(400, 100))], 0)
+        tracks = tracker.live_tracks
+        for track in tracks:
+            track.state = kalman_predict(track.state)
+        dets = [det(1, box_at(405, 101)), det(1, box_at(103, 99))]
+        states = KalmanState(np.stack([t.state.mean for t in tracks]),
+                             np.stack([t.state.covariance for t in tracks]))
+        assert (associate(tracks, dets, TrackerConfig(), states=states)
+                == associate(tracks, dets, TrackerConfig())
+                == ([(0, 1), (1, 0)], [], []))
 
     def test_empty_inputs(self):
         assert associate([], [], TrackerConfig()) == ([], [], [])
@@ -303,6 +524,35 @@ class TestAppearance:
         tracker.step([det(1, box_at(100, 100))], 1, [e])  # confirmed now
         snaps = tracker.step([det(2, box_at(104, 100))], 2, [e])
         assert snaps[0].hits == 3
+
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6), seeds,
+           st.sampled_from(["cosine", "euclidean"]))
+    @settings(max_examples=50, deadline=None)
+    def test_appearance_costs_match_pairwise_formula(self, k, l, dim, seed, metric):
+        from tsdiag.tracker import _appearance_cost
+
+        rng = np.random.RandomState(seed)
+        appearances = rng.normal(size=(k, dim))
+        embeddings = rng.normal(size=(l, dim))
+        cost = _appearance_cost(appearances, embeddings, metric)
+        for i in range(k):
+            for j in range(l):
+                if metric == "cosine":
+                    expected = 1.0 - float(np.dot(appearances[i], embeddings[j]))
+                else:
+                    expected = float(np.linalg.norm(appearances[i] - embeddings[j]))
+                assert cost[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_appearance_gate_is_inclusive(self):
+        # appearance cost exactly max_dist, and no overlap for the second stage
+        track = Track(track_id=1, state=kalman_predict(kalman_initiate(box_at(100, 100))),
+                      status=CONFIRMED, appearance=np.array([1.0, 0.0]))
+        far = det(1, box_at(160, 100))
+        embedding = np.array([0.5, np.sqrt(0.75)])
+        for max_dist, expected in ((0.5, [(0, 0)]), (np.nextafter(0.5, 0.0), [])):
+            config = TrackerConfig(use_appearance=True, max_dist=max_dist, mahalanobis_gate=1e9)
+            matches, _, _ = associate([track], [far], config, [embedding])
+            assert matches == expected
 
     def test_appearance_mismatch_falls_back_to_overlap_stage(self):
         # a confirmed track whose appearance gate rejects the detection
@@ -471,6 +721,116 @@ class TestLiveTracks:
             assert [id(t) for t in tracker.live_tracks] == [id(t) for t in expected]
         assert statuses == {TENTATIVE, CONFIRMED, DELETED}
         assert len(tracker.tracks) > len(tracker.live_tracks) > 0
+
+
+# A vehicle enters at `start`, moves at constant image velocity while its
+# height changes, and is missed during its gaps; vehicles sharing a row and
+# moving in opposite directions cross in the image.
+vehicles = st.fixed_dictionaries({
+    "start": st.integers(0, 20),
+    "length": st.integers(1, 25),
+    "cx": st.floats(100.0, 1100.0),
+    "cy": st.sampled_from([150.0, 200.0, 260.0]),
+    "vx": st.sampled_from([-14.0, -6.0, -2.0, 0.0, 3.0, 9.0]),
+    "vy": st.floats(-1.5, 1.5),
+    "w": st.floats(20.0, 120.0),
+    "h": st.floats(20.0, 100.0),
+    "dh": st.floats(-1.0, 1.0),
+    "gaps": st.lists(st.tuples(st.integers(0, 24), st.integers(1, 7)), max_size=2),
+})
+
+
+def _vehicle_frames(vehicles_spec, seed):
+    """Per-frame detections of the vehicles, jittered and shuffled by seed."""
+    rng = np.random.RandomState(seed)
+    n_frames = max(v["start"] + v["length"] for v in vehicles_spec)
+    frames = []
+    for frame in range(n_frames):
+        dets = []
+        for k, v in enumerate(vehicles_spec):
+            age = frame - v["start"]
+            if not 0 <= age < v["length"]:
+                continue
+            if any(offset <= age < offset + span for offset, span in v["gaps"]):
+                continue
+            cx = v["cx"] + v["vx"] * age + rng.uniform(-2.0, 2.0)
+            cy = v["cy"] + v["vy"] * age + rng.uniform(-2.0, 2.0)
+            h = max(8.0, v["h"] + v["dh"] * age + rng.uniform(-1.0, 1.0))
+            confidence = 1.0 if rng.rand() < 0.3 else float(rng.uniform(0.3, 1.0))
+            dets.append(det(frame, box_at(cx, cy, v["w"], h), conf=confidence, gt=k))
+        rng.shuffle(dets)
+        frames.append(dets)
+    return frames
+
+
+def _assert_same_tracking(tracker, oracle, snaps, oracle_snaps):
+    assert snaps == oracle_snaps
+    assert len(tracker.tracks) == len(oracle.tracks)
+    for track, expected in zip(tracker.tracks, oracle.tracks):
+        assert ((track.track_id, track.status, track.hits, track.frames_since_update,
+                 track.ever_confirmed)
+                == (expected.track_id, expected.status, expected.hits,
+                    expected.frames_since_update, expected.ever_confirmed))
+        assert track.records == expected.records
+        assert track.history == expected.history
+        assert _same_bits(track.state.mean, expected.state.mean)
+        assert _same_bits(track.state.covariance, expected.state.covariance)
+    assert ([t.track_id for t in tracker.live_tracks]
+            == [t.track_id for t in oracle.live_tracks()])
+
+
+def _one_hot_embeddings(dets):
+    # one direction per vehicle: every appearance cost is then exact
+    return [np.eye(8)[d.gt_track_id % 8] for d in dets]
+
+
+def _run_against_oracle(config, frames):
+    tracker, oracle = Tracker(config), OracleTracker(config)
+    for frame, dets in enumerate(frames):
+        embeddings = _one_hot_embeddings(dets) if config.use_appearance else None
+        snaps = tracker.step(dets, frame, embeddings)
+        oracle_snaps = oracle.step(dets, frame, embeddings)
+        _assert_same_tracking(tracker, oracle, snaps, oracle_snaps)
+        if config.use_appearance:
+            for track, expected in zip(tracker.tracks, oracle.tracks):
+                assert _same_bits(track.appearance, expected.appearance)
+    return tracker
+
+
+class TestTrackerOracle:
+    """The batched tracker reproduces the per-track loop after every frame."""
+
+    @given(st.lists(vehicles, min_size=1, max_size=6), seeds,
+           st.integers(1, 4), st.integers(1, 3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_multi_vehicle_streams(self, vehicles_spec, seed, max_age, n_init,
+                                             use_appearance):
+        config = TrackerConfig(max_age=max_age, n_init=n_init, use_appearance=use_appearance)
+        _run_against_oracle(config, _vehicle_frames(vehicles_spec, seed))
+
+    def test_crossings_misses_and_same_frame_births_and_deaths(self):
+        # two cars cross head-on; a third is missed past max_age and comes
+        # back as a new identity in the frame where a fourth one's tentative
+        # track dies
+        spec = [
+            dict(start=0, length=30, cx=200.0, cy=200.0, vx=12.0, vy=0.0, w=60.0, h=50.0,
+                 dh=0.2, gaps=[]),
+            dict(start=0, length=30, cx=560.0, cy=204.0, vx=-12.0, vy=0.0, w=60.0, h=50.0,
+                 dh=-0.2, gaps=[]),
+            dict(start=2, length=26, cx=900.0, cy=150.0, vx=2.0, vy=0.5, w=50.0, h=40.0,
+                 dh=0.0, gaps=[(6, 5)]),
+            dict(start=12, length=1, cx=1000.0, cy=260.0, vx=0.0, vy=0.0, w=40.0, h=30.0,
+                 dh=0.0, gaps=[]),
+        ]
+        frames = _vehicle_frames(spec, seed=7)
+        for n_init in (1, 2):
+            tracker = _run_against_oracle(TrackerConfig(max_age=3, n_init=n_init), frames)
+            assert DELETED in {t.status for t in tracker.tracks}
+            # the crossing cars keep their identities through the crossing
+            for track in tracker.tracks[:2]:
+                assert {r.gt_track_id for r in track.records} == {track.majority_gt_track_id}
+            # the third car is split into two identities by its long miss
+            assert sum(t.majority_gt_track_id == 2 for t in tracker.tracks) == 2
 
 
 class TestConfigValidation:
