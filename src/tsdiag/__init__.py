@@ -13,7 +13,6 @@ from .geodesy import (
     WGS84,
     geodesic_inverse,
     probe_distances,
-    probe_link_distance,
 )
 from .kitti import (
     DetectionRecord,
@@ -24,7 +23,6 @@ from .kitti import (
     load_oxts,
     parse_detections_file,
     parse_label_file,
-    parse_oxts,
     parse_timestamps,
     perturb_ground_truth,
     without_dontcare,

@@ -1,15 +1,19 @@
 """Run configuration: INI-style files with key = value sections.
 
-Every key can also be supplied as a command-line flag of the same name;
-dump_config() writes a manifest that re-parses to an equal PipelineConfig,
-which is what run_meta.txt relies on.
+CONFIG_SCHEMA lists every key once, with the PipelineConfig attribute it
+sets; a key's type and default are those of its attribute.  Every key can
+also be supplied as a command-line flag of the same name; dump_config()
+writes a manifest that re-parses to an equal PipelineConfig, which is
+what run_meta.txt relies on.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import io
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, ValidationError
 from .geodesy import GeoPoint
@@ -19,66 +23,68 @@ from .trajectory import LaneFilterConfig
 
 __all__ = ["PipelineConfig", "CONFIG_SCHEMA", "load_config", "build_config", "dump_config"]
 
-# section -> key -> (type tag, default); keys are globally unique so each
-# doubles as a CLI flag name
-CONFIG_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
+# section -> key -> attribute path in PipelineConfig; keys are globally
+# unique so each doubles as a CLI flag name.  "preset" sets nothing: the
+# defaults are the KITTI camera, and the key stays so older files parse.
+CONFIG_SCHEMA: dict[str, dict[str, str | None]] = {
     "paths": {
-        "labels": ("str", ""),
-        "detections": ("str", ""),
-        "oxts": ("str", ""),
-        "timestamps": ("str", ""),
-        "embeddings": ("str", ""),
-        "output_dir": ("str", "out"),
+        "labels": "labels",
+        "detections": "detections",
+        "oxts": "oxts",
+        "timestamps": "timestamps",
+        "embeddings": "embeddings",
+        "output_dir": "output_dir",
     },
     "camera": {
-        "preset": ("str", "kitti"),
-        "focal_length_px": ("float", "721.0"),
-        "image_height_px": ("float", "376.0"),
-        "sensor_height_px": ("float", "362.0"),
-        "image_width_px": ("float", "1242.0"),
-        "class_heights": ("str", "car:1.5"),
+        "preset": None,
+        "focal_length_px": "intrinsics.focal_length_px",
+        "image_height_px": "intrinsics.image_height_px",
+        "sensor_height_px": "intrinsics.sensor_height_px",
+        "image_width_px": "image_width_px",
+        "class_heights": "intrinsics.class_height_m",
     },
     "tracker": {
-        "nn_metric": ("str", "cosine"),
-        "max_dist": ("float", "0.2"),
-        "max_iou_dist": ("float", "0.7"),
-        "max_age": ("int", "30"),
-        "n_init": ("int", "2"),
-        "appearance_ema_alpha": ("float", "0.9"),
-        "use_appearance": ("bool", "false"),
-        "mahalanobis_gate": ("float", "9.4877"),
+        "nn_metric": "tracker.nn_metric",
+        "max_dist": "tracker.max_dist",
+        "max_iou_dist": "tracker.max_iou_dist",
+        "max_age": "tracker.max_age",
+        "n_init": "tracker.n_init",
+        "appearance_ema_alpha": "tracker.appearance_ema_alpha",
+        "use_appearance": "tracker.use_appearance",
+        "mahalanobis_gate": "tracker.mahalanobis_gate",
     },
     "lane_filter": {
-        "lane_filter": ("bool", "true"),
-        "traffic_side": ("str", "right"),
-        "lane_offset_threshold_m": ("float", "-1.5"),
-        "image_fraction": ("float", "0.5"),
-        "min_side_fraction": ("float", "0.7"),
+        "lane_filter": "lane.enabled",
+        "traffic_side": "lane.traffic_side",
+        "lane_offset_threshold_m": "lane.lane_offset_threshold_m",
+        "image_fraction": "lane.image_fraction",
+        "min_side_fraction": "lane.min_side_fraction",
     },
     "range": {
-        "min_bbox_height_px": ("float", "8.0"),
-        "max_range_m": ("float", "120.0"),
+        "min_bbox_height_px": "min_bbox_height_px",
+        "max_range_m": "max_range_m",
     },
     "link": {
-        "link_start_lat": ("float", "0.0"),
-        "link_start_lon": ("float", "0.0"),
-        "link_length_m": ("float", "300.0"),
+        "link_start_lat": "link_start_lat",
+        "link_start_lon": "link_start_lon",
+        "link_length_m": "link_length_m",
     },
     "run": {
-        "sequence_id": ("str", ""),
-        "classes": ("str", "car"),
-        "distance_mode": ("str", "direct"),
-        "frame_rate_hz": ("float", "10.0"),
-        "smoothing_window": ("int", "1"),
-        "seed": ("int", "0"),
-        "jitter_px": ("float", "0.0"),
-        "drop_rate": ("float", "0.0"),
-        "include_dontcare": ("bool", "false"),
+        "sequence_id": "sequence_id",
+        "classes": "classes",
+        "distance_mode": "distance_mode",
+        "frame_rate_hz": "frame_rate_hz",
+        "smoothing_window": "smoothing_window",
+        "seed": "seed",
+        "jitter_px": "jitter_px",
+        "drop_rate": "drop_rate",
+        "include_dontcare": "include_dontcare",
     },
 }
 
-_KEY_TO_SECTION = {key: section
-                   for section, keys in CONFIG_SCHEMA.items() for key in keys}
+_KEY_PATHS = {key: path for keys in CONFIG_SCHEMA.values() for key, path in keys.items()}
+
+_PRESETS = ("", "none", "kitti")
 
 
 @dataclass(frozen=True)
@@ -108,28 +114,31 @@ class PipelineConfig:
     drop_rate: float = 0.0
     include_dontcare: bool = False
 
+    def __post_init__(self):
+        if self.distance_mode not in ("direct", "cumulative"):
+            raise ValidationError(f"distance_mode must be direct or cumulative, "
+                                  f"got {self.distance_mode!r}")
+        if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
+            raise ValidationError(f"smoothing_window must be a positive odd integer, "
+                                  f"got {self.smoothing_window}")
+        if not 0.0 <= self.drop_rate < 1.0:
+            raise ValidationError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
+        if self.jitter_px < 0.0:
+            raise ValidationError(f"jitter_px must be >= 0, got {self.jitter_px}")
+        if not self.frame_rate_hz > 0.0:
+            raise ValidationError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
+        if not self.link_length_m > 0.0:
+            raise ValidationError(f"link_length_m must be positive, got {self.link_length_m}")
+        if not self.classes:
+            raise ValidationError("classes must name at least one class label")
+
     @property
     def link_start(self) -> GeoPoint:
         return GeoPoint(self.link_start_lat, self.link_start_lon)
 
 
-def _convert(key: str, kind: str, raw: str):
-    raw = raw.strip()
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"bad value {raw!r} for key {key!r} (expected {kind})") from None
+def _lookup(cfg: PipelineConfig, path: str):
+    return functools.reduce(getattr, path.split("."), cfg)
 
 
 def _parse_class_heights(raw: str) -> dict[str, float]:
@@ -150,115 +159,55 @@ def _parse_class_heights(raw: str) -> dict[str, float]:
     return heights
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _convert(key: str, raw: str, kind: type):
+    """A key's text as a value of its attribute's type."""
+    raw = raw.strip()
+    if kind is dict:
+        return _parse_class_heights(raw)
+    if kind is tuple:
+        return tuple(c.strip().lower() for c in raw.split(",") if c.strip())
+    try:
+        return _parse_bool(raw) if kind is bool else kind(raw)
+    except ValueError:
+        raise ConfigError(f"bad value {raw!r} for key {key!r} "
+                          f"(expected {kind.__name__})") from None
+
+
 def build_config(values: dict[str, str]) -> PipelineConfig:
     """Build a validated PipelineConfig from flat key -> string values."""
-    merged: dict[str, str] = {}
-    for section, keys in CONFIG_SCHEMA.items():
-        for key, (_kind, default) in keys.items():
-            merged[key] = default
-    for key, raw in values.items():
-        if key not in _KEY_TO_SECTION:
+    for key in values:
+        if key not in _KEY_PATHS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        merged[key] = raw
-
-    typed = {}
-    for section, keys in CONFIG_SCHEMA.items():
-        for key, (kind, _default) in keys.items():
-            typed[key] = _convert(key, kind, merged[key])
-
-    preset = typed["preset"].strip().lower()
-    if preset in ("", "none"):
-        class_heights = _parse_class_heights(typed["class_heights"])
-        intrinsics_args = dict(
-            focal_length_px=typed["focal_length_px"],
-            image_height_px=typed["image_height_px"],
-            sensor_height_px=typed["sensor_height_px"],
-            class_height_m=class_heights,
-        )
-    elif preset == "kitti":
-        base = kitti_intrinsics()
-        class_heights = _parse_class_heights(typed["class_heights"])
-        # preset supplies geometry; class heights stay overridable
-        explicit = {k for k in values if k in CONFIG_SCHEMA["camera"]}
-        intrinsics_args = dict(
-            focal_length_px=typed["focal_length_px"] if "focal_length_px" in explicit
-            else base.focal_length_px,
-            image_height_px=typed["image_height_px"] if "image_height_px" in explicit
-            else base.image_height_px,
-            sensor_height_px=typed["sensor_height_px"] if "sensor_height_px" in explicit
-            else base.sensor_height_px,
-            class_height_m=class_heights,
-        )
-    else:
+    base = PipelineConfig()  # fresh, so no two configs share a class-height dict
+    top: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
+    for key, path in _KEY_PATHS.items():
+        if key not in values or path is None:
+            continue
+        value = _convert(key, values[key], type(_lookup(base, path)))
+        head, _, leaf = path.partition(".")
+        if leaf:
+            nested.setdefault(head, {})[leaf] = value
+        else:
+            top[head] = value
+    preset = values.get("preset", "").strip().lower()
+    if preset not in _PRESETS:
         raise ConfigError(f"unknown camera preset {preset!r}")
-
     try:
-        intrinsics = CameraIntrinsics(**intrinsics_args)
-        tracker = TrackerConfig(
-            nn_metric=typed["nn_metric"],
-            max_dist=typed["max_dist"],
-            max_iou_dist=typed["max_iou_dist"],
-            max_age=typed["max_age"],
-            n_init=typed["n_init"],
-            appearance_ema_alpha=typed["appearance_ema_alpha"],
-            use_appearance=typed["use_appearance"],
-            mahalanobis_gate=typed["mahalanobis_gate"],
-        )
-        lane = LaneFilterConfig(
-            enabled=typed["lane_filter"],
-            traffic_side=typed["traffic_side"],
-            lane_offset_threshold_m=typed["lane_offset_threshold_m"],
-            image_fraction=typed["image_fraction"],
-            min_side_fraction=typed["min_side_fraction"],
-        )
+        for head, fields in nested.items():
+            top[head] = replace(getattr(base, head), **fields)
+        return replace(base, **top)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
-
-    if typed["distance_mode"] not in ("direct", "cumulative"):
-        raise ConfigError(f"distance_mode must be direct or cumulative, "
-                          f"got {typed['distance_mode']!r}")
-    if typed["smoothing_window"] < 1 or typed["smoothing_window"] % 2 == 0:
-        raise ConfigError(f"smoothing_window must be a positive odd integer, "
-                          f"got {typed['smoothing_window']}")
-    if not 0.0 <= typed["drop_rate"] < 1.0:
-        raise ConfigError(f"drop_rate must be in [0, 1), got {typed['drop_rate']}")
-    if typed["jitter_px"] < 0.0:
-        raise ConfigError(f"jitter_px must be >= 0, got {typed['jitter_px']}")
-    if not typed["frame_rate_hz"] > 0.0:
-        raise ConfigError(f"frame_rate_hz must be positive, got {typed['frame_rate_hz']}")
-    if not typed["link_length_m"] > 0.0:
-        raise ConfigError(f"link_length_m must be positive, got {typed['link_length_m']}")
-
-    classes = tuple(c.strip().lower() for c in typed["classes"].split(",") if c.strip())
-    if not classes:
-        raise ConfigError("classes must name at least one class label")
-
-    return PipelineConfig(
-        labels=typed["labels"],
-        detections=typed["detections"],
-        oxts=typed["oxts"],
-        timestamps=typed["timestamps"],
-        embeddings=typed["embeddings"],
-        output_dir=typed["output_dir"],
-        intrinsics=intrinsics,
-        image_width_px=typed["image_width_px"],
-        tracker=tracker,
-        lane=lane,
-        min_bbox_height_px=typed["min_bbox_height_px"],
-        max_range_m=typed["max_range_m"],
-        link_start_lat=typed["link_start_lat"],
-        link_start_lon=typed["link_start_lon"],
-        link_length_m=typed["link_length_m"],
-        sequence_id=typed["sequence_id"],
-        classes=classes,
-        distance_mode=typed["distance_mode"],
-        frame_rate_hz=typed["frame_rate_hz"],
-        smoothing_window=typed["smoothing_window"],
-        seed=typed["seed"],
-        jitter_px=typed["jitter_px"],
-        drop_rate=typed["drop_rate"],
-        include_dontcare=typed["include_dontcare"],
-    )
 
 
 def load_config(path: str | None = None,
@@ -291,56 +240,20 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(value)
+    if isinstance(value, Mapping):
+        return ",".join(f"{label}:{height!r}" for label, height in sorted(value.items()))
     return str(value)
 
 
 def dump_config(cfg: PipelineConfig) -> str:
     """Serialize to INI text; load_config on the result gives an equal config."""
-    class_heights = ",".join(
-        f"{label}:{height!r}"
-        for label, height in sorted(cfg.intrinsics.class_height_m.items()))
-    flat = {
-        "labels": cfg.labels, "detections": cfg.detections, "oxts": cfg.oxts,
-        "timestamps": cfg.timestamps, "embeddings": cfg.embeddings,
-        "output_dir": cfg.output_dir,
-        "preset": "",
-        "focal_length_px": cfg.intrinsics.focal_length_px,
-        "image_height_px": cfg.intrinsics.image_height_px,
-        "sensor_height_px": cfg.intrinsics.sensor_height_px,
-        "image_width_px": cfg.image_width_px,
-        "class_heights": class_heights,
-        "nn_metric": cfg.tracker.nn_metric,
-        "max_dist": cfg.tracker.max_dist,
-        "max_iou_dist": cfg.tracker.max_iou_dist,
-        "max_age": cfg.tracker.max_age,
-        "n_init": cfg.tracker.n_init,
-        "appearance_ema_alpha": cfg.tracker.appearance_ema_alpha,
-        "use_appearance": cfg.tracker.use_appearance,
-        "mahalanobis_gate": cfg.tracker.mahalanobis_gate,
-        "lane_filter": cfg.lane.enabled,
-        "traffic_side": cfg.lane.traffic_side,
-        "lane_offset_threshold_m": cfg.lane.lane_offset_threshold_m,
-        "image_fraction": cfg.lane.image_fraction,
-        "min_side_fraction": cfg.lane.min_side_fraction,
-        "min_bbox_height_px": cfg.min_bbox_height_px,
-        "max_range_m": cfg.max_range_m,
-        "link_start_lat": cfg.link_start_lat,
-        "link_start_lon": cfg.link_start_lon,
-        "link_length_m": cfg.link_length_m,
-        "sequence_id": cfg.sequence_id,
-        "classes": ",".join(cfg.classes),
-        "distance_mode": cfg.distance_mode,
-        "frame_rate_hz": cfg.frame_rate_hz,
-        "smoothing_window": cfg.smoothing_window,
-        "seed": cfg.seed,
-        "jitter_px": cfg.jitter_px,
-        "drop_rate": cfg.drop_rate,
-        "include_dontcare": cfg.include_dontcare,
-    }
     out = io.StringIO()
     for section, keys in CONFIG_SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key in keys:
-            out.write(f"{key} = {_format_value(flat[key])}\n")
+        for key, path in keys.items():
+            value = "" if path is None else _format_value(_lookup(cfg, path))
+            out.write(f"{key} = {value}\n")
         out.write("\n")
     return out.getvalue()

@@ -246,8 +246,8 @@ def boxes_from_tracks(tracks, class_labels: Sequence[str] | None = None,
             continue
         if class_labels is not None and track.class_label not in class_labels:
             continue
-        for frame, bbox, _conf in track.history:
-            out.append((frame, track.track_id, bbox))
+        for record in track.records:
+            out.append((record.frame_index, track.track_id, record.bbox))
     return out
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "InverseSolution",
     "WGS84",
     "geodesic_inverse",
-    "probe_link_distance",
     "probe_distances",
 ]
 
@@ -641,30 +640,16 @@ def geodesic_inverse(p1: GeoPoint, p2: GeoPoint,
     return InverseSolution(s12, azi1, azi2)
 
 
-def probe_link_distance(link_start: GeoPoint, probe_fix: GeoPoint,
-                        mode: str = "direct", *,
-                        previous_fix: GeoPoint | None = None,
-                        prior_cumulative_m: float = 0.0,
-                        ellipsoid: Ellipsoid = WGS84) -> float:
-    """Distance of the probe along the link for one GPS fix.
-
-    "direct" measures straight from the link start; "cumulative" adds the
-    increment from the previous fix to a running odometer, which tracks
-    curved links better.
-    """
-    if mode == "direct":
-        return geodesic_inverse(link_start, probe_fix, ellipsoid).distance_m
-    if mode == "cumulative":
-        if previous_fix is None:
-            raise ValueError("cumulative mode requires the previous fix")
-        step = geodesic_inverse(previous_fix, probe_fix, ellipsoid).distance_m
-        return prior_cumulative_m + step
-    raise ValueError(f"unknown distance mode {mode!r}")
-
-
 def probe_distances(link_start: GeoPoint, fixes, mode: str = "direct",
                     ellipsoid: Ellipsoid = WGS84) -> list[float]:
-    """Per-fix link distances for a whole GPS trace (see probe_link_distance)."""
+    """Distance of the probe along the link at each GPS fix of a trace.
+
+    "direct" measures straight from the link start; "cumulative" measures
+    the first fix from the link start and adds each fix-to-fix increment
+    to a running odometer, which tracks curved links better.
+    """
+    if mode not in ("direct", "cumulative"):
+        raise ValueError(f"unknown distance mode {mode!r}")
     out = []
     prev = None
     running = 0.0
@@ -672,10 +657,7 @@ def probe_distances(link_start: GeoPoint, fixes, mode: str = "direct",
         if mode == "direct" or prev is None:
             running = geodesic_inverse(link_start, fix, ellipsoid).distance_m
         else:
-            running = probe_link_distance(
-                link_start, fix, "cumulative",
-                previous_fix=prev, prior_cumulative_m=running,
-                ellipsoid=ellipsoid)
+            running += geodesic_inverse(prev, fix, ellipsoid).distance_m
         out.append(running)
         prev = fix
     return out

@@ -28,7 +28,6 @@ __all__ = [
     "normalize_class_label",
     "parse_detections_file",
     "parse_label_file",
-    "parse_oxts",
     "parse_timestamps",
     "perturb_ground_truth",
     "without_dontcare",
@@ -71,6 +70,8 @@ class DetectionRecord:
     def __post_init__(self):
         if self.frame_index < 0:
             raise ValidationError(f"frame_index must be >= 0, got {self.frame_index}")
+        if not all(map(math.isfinite, self.bbox)):
+            raise ValidationError(f"non-finite bbox {self.bbox}")
         left, top, right, bottom = self.bbox
         if not (left < right and top < bottom):
             raise ValidationError(f"degenerate bbox {self.bbox}")
@@ -146,8 +147,10 @@ def _float_field(token: str, line_no: int) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(f"line {line_no}: non-numeric field {token!r}") from None
-    if math.isnan(value):
-        raise ParseError(f"line {line_no}: NaN field")
+    if not math.isfinite(value):
+        if math.isnan(value):
+            raise ParseError(f"line {line_no}: NaN field")
+        raise ParseError(f"line {line_no}: non-finite field {token!r}")
     return value
 
 
@@ -156,6 +159,8 @@ def _int_field(token: str, line_no: int) -> int:
         return int(float(token))
     except ValueError:
         raise ParseError(f"line {line_no}: non-numeric field {token!r}") from None
+    except OverflowError:
+        raise ParseError(f"line {line_no}: non-finite field {token!r}") from None
 
 
 def _iter_content_lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -278,16 +283,6 @@ def _parse_oxts_line(line: str, frame_index: int, line_no: int) -> OxtsSample:
         velocity_east_mps=values[7],
         raw_fields=tuple(values),
     )
-
-
-def parse_oxts(streams: Iterable[IO[str] | Iterable[str]]) -> list[OxtsSample]:
-    """Parse per-frame OXTS streams (one file per frame, file order = frame order)."""
-    samples = []
-    for frame_index, stream in enumerate(streams):
-        for line_no, line in _iter_content_lines(stream):
-            samples.append(_parse_oxts_line(line, frame_index, line_no))
-            break  # one fix per file
-    return samples
 
 
 def parse_oxts_lines(stream: IO[str] | Iterable[str]) -> list[OxtsSample]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import platform
 from dataclasses import dataclass
@@ -72,18 +73,15 @@ class EvalResult:
     reference: TimeSpaceDiagram
 
 
-def _stage(name):
-    # context manager that re-raises stage failures with the stage name
-    class _Stage:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, str(exc)) from exc
-            return False
-
-    return _Stage()
+@contextlib.contextmanager
+def _stage(name: str):
+    """Re-raise a failure inside the block as a PipelineError naming the stage."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, str(exc)) from exc
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:

@@ -275,11 +275,13 @@ class TrackSnapshot:
 class Track:
     """One identity's Kalman state, lifecycle and matched observations.
 
-    ``observe`` is the only way to add an observation after construction:
-    it appends to ``history`` and ``records`` and keeps running tallies of
-    class labels and annotated identities, so ``class_label`` and
-    ``majority_gt_track_id`` cost the same however old the track is.
-    ``records`` passed to the constructor seed those tallies.
+    ``records`` holds each matched detection once, in frame order; its
+    frame, box and confidence are the track's observation history.
+    ``observe`` is the only way to add one after construction: it appends
+    to ``records`` and keeps running tallies of class labels and annotated
+    identities, so ``class_label`` and ``majority_gt_track_id`` cost the
+    same however old the track is.  ``records`` passed to the constructor
+    seed those tallies.
     """
 
     track_id: int
@@ -287,7 +289,6 @@ class Track:
     status: str = TENTATIVE
     hits: int = 1
     frames_since_update: int = 0
-    history: list[tuple[int, tuple[float, float, float, float], float]] = field(default_factory=list)
     records: list[DetectionRecord] = field(default_factory=list)
     appearance: np.ndarray | None = None
     ever_confirmed: bool = False
@@ -306,9 +307,8 @@ class Track:
         if record.gt_track_id >= 0:
             self._gt_id_counts[record.gt_track_id] += 1
 
-    def observe(self, frame_index: int, det: DetectionRecord) -> None:
-        """Record one matched detection in history, records and the tallies."""
-        self.history.append((frame_index, det.bbox, det.confidence))
+    def observe(self, det: DetectionRecord) -> None:
+        """Record one matched detection in records and the tallies."""
         self.records.append(det)
         self._tally(det)
 
@@ -335,7 +335,7 @@ class Track:
             status=self.status,
             bbox=bbox,
             class_label=self.class_label,
-            confidence=self.history[-1][2] if self.history else 0.0,
+            confidence=self.records[-1].confidence if self.records else 0.0,
             hits=self.hits,
             frames_since_update=self.frames_since_update,
             gt_track_id=self.majority_gt_track_id,
@@ -458,6 +458,11 @@ class Tracker:
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValidationError(
                 f"frame {frame_index} not after previous frame {self._last_frame}")
+        for det in detections:
+            if det.frame_index != frame_index:
+                raise ValidationError(
+                    f"detection of frame {det.frame_index} passed to the step of "
+                    f"frame {frame_index}")
         self._last_frame = frame_index
 
         live = self._live
@@ -485,7 +490,7 @@ class Tracker:
             det = detections[det_idx]
             track.hits += 1
             track.frames_since_update = 0
-            track.observe(frame_index, det)
+            track.observe(det)
             embedding = embeddings[det_idx] if embeddings is not None else None
             if embedding is not None:
                 if track.appearance is None:
@@ -521,7 +526,7 @@ class Tracker:
                 track = Track(track_id=self._next_id,
                               state=KalmanState(initial.mean[row], initial.covariance[row]),
                               appearance=embedding)
-                track.observe(frame_index, det)
+                track.observe(det)
                 if self.config.n_init <= 1:
                     track.status = CONFIRMED
                     track.ever_confirmed = True
@@ -594,7 +599,6 @@ def tracks_from_ground_truth(records: Iterable[DetectionRecord]) -> list[Track]:
             state=kalman_initiate(recs[-1].bbox),
             status=CONFIRMED,
             hits=len(recs),
-            history=[(r.frame_index, r.bbox, r.confidence) for r in recs],
             records=recs,
             ever_confirmed=True,
         )

@@ -112,7 +112,7 @@ def opposite_lane_filter(tracks: Iterable[Track], image_width_px: float,
                 if median_x >= -config.lane_offset_threshold_m:
                     kept.append(track)
             continue
-        centers = [(bbox[0] + bbox[2]) / 2.0 for _, bbox, _ in track.history]
+        centers = [r.center_x for r in track.records]
         if not centers:
             continue
         if config.traffic_side == "right":
@@ -122,7 +122,7 @@ def opposite_lane_filter(tracks: Iterable[Track], image_width_px: float,
         if sum(on_side) / len(on_side) < config.min_side_fraction:
             continue
         # box height grows as range shrinks, so 1/height tracks the range
-        proxy_ranges = [1.0 / (bbox[3] - bbox[1]) for _, bbox, _ in track.history]
+        proxy_ranges = [1.0 / r.height for r in track.records]
         if _is_closing(proxy_ranges):
             kept.append(track)
     return kept
@@ -165,7 +165,8 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
         if not track.ever_confirmed:
             continue
         points = []
-        for (frame, bbox, _conf), record in zip(track.history, track.records):
+        for record in track.records:
+            frame = record.frame_index
             if frame not in probe_by_frame:
                 raise ValidationError(f"frame {frame} has no GPS sample")
             time_s = clock.time_for_frame(frame)
@@ -177,7 +178,7 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
                 quality = QUALITY_OK
             else:
                 estimate = range_from_height(
-                    bbox[3] - bbox[1], track.class_label, intrinsics,
+                    record.height, track.class_label, intrinsics,
                     min_bbox_height_px, max_range_m)
                 camera_range = estimate.distance_m
                 quality = estimate.quality_flag

@@ -210,7 +210,7 @@ class OracleTracker:
             track.state = kalman_update(track.state, det.bbox, det.confidence)
             track.hits += 1
             track.frames_since_update = 0
-            track.observe(frame_index, det)
+            track.observe(det)
             embedding = embeddings[det_idx] if embeddings is not None else None
             if embedding is not None:
                 if track.appearance is None:
@@ -237,7 +237,7 @@ class OracleTracker:
             embedding = embeddings[det_idx] if embeddings is not None else None
             track = Track(track_id=self._next_id, state=kalman_initiate(det.bbox),
                           appearance=embedding)
-            track.observe(frame_index, det)
+            track.observe(det)
             if self.config.n_init <= 1:
                 track.status = CONFIRMED
                 track.ever_confirmed = True

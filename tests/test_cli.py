@@ -1,10 +1,16 @@
+import argparse
+import dataclasses
+import functools
 import os
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tsdiag.cli import main
-from tsdiag.config import build_config, dump_config, load_config
-from tsdiag.errors import ConfigError
+from tsdiag.cli import _add_override_flags, _collect_overrides, main
+from tsdiag.config import CONFIG_SCHEMA, PipelineConfig, build_config, dump_config, load_config
+from tsdiag.errors import ConfigError, PipelineError, ValidationError
+from tsdiag.pipeline import _stage
 from tsdiag.kitti import parse_detections_file
 from tsdiag.synth import head_on_scene, write_fixture, write_scene_files
 from tsdiag.trajectory import diagram_from_csv
@@ -58,6 +64,195 @@ class TestConfig:
         _, config_path = fixture_dir
         cfg = load_config(config_path, {"seed": "99"})
         assert cfg.seed == 99
+
+
+TABLE_KEYS = [key for keys in CONFIG_SCHEMA.values() for key in keys]
+
+# dump_config(build_config({})) as it must stay: run_meta.txt is built on it
+DEFAULT_MANIFEST = "\n".join([
+    "[paths]", "labels = ", "detections = ", "oxts = ", "timestamps = ", "embeddings = ",
+    "output_dir = out", "",
+    "[camera]", "preset = ", "focal_length_px = 721.0", "image_height_px = 376.0",
+    "sensor_height_px = 362.0", "image_width_px = 1242.0", "class_heights = car:1.5", "",
+    "[tracker]", "nn_metric = cosine", "max_dist = 0.2", "max_iou_dist = 0.7", "max_age = 30",
+    "n_init = 2", "appearance_ema_alpha = 0.9", "use_appearance = false",
+    "mahalanobis_gate = 9.4877", "",
+    "[lane_filter]", "lane_filter = true", "traffic_side = right",
+    "lane_offset_threshold_m = -1.5", "image_fraction = 0.5", "min_side_fraction = 0.7", "",
+    "[range]", "min_bbox_height_px = 8.0", "max_range_m = 120.0", "",
+    "[link]", "link_start_lat = 0.0", "link_start_lon = 0.0", "link_length_m = 300.0", "",
+    "[run]", "sequence_id = ", "classes = car", "distance_mode = direct", "frame_rate_hz = 10.0",
+    "smoothing_window = 1", "seed = 0", "jitter_px = 0.0", "drop_rate = 0.0",
+    "include_dontcare = false", "", "",
+])
+
+
+def _float_text(**bounds):
+    return st.floats(allow_nan=False, **bounds).map(repr)
+
+
+_label = st.text(alphabet=string.ascii_lowercase + "_", min_size=1, max_size=8)
+_text = st.text(alphabet=string.ascii_letters + string.digits + "/._- ", max_size=12)
+_bool_text = st.sampled_from(["true", "false", "yes", "no", "1", "0", "on", "off", "TRUE", "Off"])
+_positive = _float_text(min_value=1e-3, max_value=1e6)
+_unit = _float_text(min_value=0.0, max_value=1.0)
+_open_unit = _float_text(min_value=0.0, max_value=1.0, exclude_min=True)
+
+# one strategy of valid text per key
+VALID_VALUES = {
+    "labels": _text, "detections": _text, "oxts": _text, "timestamps": _text,
+    "embeddings": _text, "output_dir": _text,
+    "preset": st.sampled_from(["", "none", "kitti", "KITTI", " None "]),
+    "focal_length_px": _positive, "image_height_px": _positive,
+    "sensor_height_px": _positive, "image_width_px": _float_text(),
+    "class_heights": st.dictionaries(_label, st.floats(min_value=0.1, max_value=10.0),
+                                     min_size=1, max_size=3).map(
+        lambda heights: ", ".join(f"{label}:{h!r}" for label, h in heights.items())),
+    "nn_metric": st.sampled_from(["cosine", "euclidean"]),
+    "max_dist": _open_unit, "max_iou_dist": _open_unit,
+    "max_age": st.integers(1, 1000).map(str), "n_init": st.integers(1, 10).map(str),
+    "appearance_ema_alpha": _unit, "use_appearance": _bool_text,
+    "mahalanobis_gate": _float_text(min_value=0.0),
+    "lane_filter": _bool_text, "traffic_side": st.sampled_from(["right", "left", " left "]),
+    "lane_offset_threshold_m": _float_text(), "image_fraction": _unit,
+    "min_side_fraction": _unit,
+    "min_bbox_height_px": _float_text(min_value=0.0), "max_range_m": _positive,
+    "link_start_lat": _float_text(min_value=-90.0, max_value=90.0),
+    "link_start_lon": _float_text(min_value=-180.0, max_value=180.0),
+    "link_length_m": _positive,
+    "sequence_id": _text,
+    "classes": st.lists(_label, min_size=1, max_size=3).map(",".join),
+    "distance_mode": st.sampled_from(["direct", "cumulative"]),
+    "frame_rate_hz": _positive,
+    "smoothing_window": st.integers(0, 10).map(lambda k: str(2 * k + 1)),
+    "seed": st.integers(-2**31, 2**31).map(str),
+    "jitter_px": _float_text(min_value=0.0, max_value=100.0),
+    "drop_rate": _float_text(min_value=0.0, max_value=1.0, exclude_max=True),
+    "include_dontcare": _bool_text,
+}
+
+
+class TestConfigTable:
+    def test_every_key_written_once(self):
+        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 39
+        assert set(VALID_VALUES) == set(TABLE_KEYS)
+
+    def test_paths_name_fields_and_only_preset_maps_to_none(self):
+        defaults = PipelineConfig()
+        unmapped = []
+        for keys in CONFIG_SCHEMA.values():
+            for key, path in keys.items():
+                if path is None:
+                    unmapped.append(key)
+                    continue
+                *owner_path, name = path.split(".")
+                owner = functools.reduce(getattr, owner_path, defaults)
+                assert name in {f.name for f in dataclasses.fields(owner)}, key
+        assert unmapped == ["preset"]
+
+    def test_defaults_equal_dataclass_defaults(self):
+        assert build_config({}) == PipelineConfig()
+
+    def test_default_manifest_pinned(self):
+        assert dump_config(build_config({})) == DEFAULT_MANIFEST
+
+    def test_manifest_formats_composite_values(self):
+        cfg = build_config({"classes": "Car, van", "class_heights": "van:2, car:1.5",
+                            "use_appearance": "YES", "max_age": "7", "seed": "-3"})
+        lines = dump_config(cfg).splitlines()
+        for line in ("classes = car,van", "class_heights = car:1.5,van:2.0",
+                     "use_appearance = true", "max_age = 7", "seed = -3"):
+            assert line in lines
+
+    @given(st.fixed_dictionaries({}, optional=VALID_VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_over_valid_values(self, values):
+        cfg = build_config(values)
+        assert load_config_from_text(dump_config(cfg)) == cfg
+
+    def test_each_key_has_one_flag_and_one_manifest_line(self):
+        parser = argparse.ArgumentParser()
+        _add_override_flags(parser)
+        flags = [option for action in parser._actions if action.dest.startswith("cfg_")
+                 for option in action.option_strings]
+        assert sorted(flags) == sorted(f"--{key.replace('_', '-')}" for key in TABLE_KEYS)
+        for key in TABLE_KEYS:
+            args = parser.parse_args([f"--{key.replace('_', '-')}", "v"])
+            assert _collect_overrides(args) == {key: "v"}
+        manifest_keys = [line.split(" = ")[0] for line in dump_config(build_config({})).splitlines()
+                         if " = " in line]
+        assert manifest_keys == TABLE_KEYS
+
+    @pytest.mark.parametrize("preset", ["", "none", "NONE", "kitti", " Kitti "])
+    @pytest.mark.parametrize("camera", [
+        {}, {"focal_length_px": "800.0"}, {"class_heights": "car:1.6, van:2.0"},
+        {"image_height_px": "400", "sensor_height_px": "380"}])
+    def test_every_preset_spelling_gives_the_same_config(self, preset, camera):
+        assert build_config({"preset": preset, **camera}) == build_config(camera)
+
+    @pytest.mark.parametrize("values, message", [
+        ({"frobnicate": "1"}, "unknown configuration key 'frobnicate'"),
+        ({"max_age": "many"}, "bad value 'many' for key 'max_age' (expected int)"),
+        ({"use_appearance": "maybe"}, "bad value 'maybe' for key 'use_appearance' (expected bool)"),
+        ({"max_dist": "x"}, "bad value 'x' for key 'max_dist' (expected float)"),
+        ({"preset": "Nikon"}, "unknown camera preset 'nikon'"),
+        ({"class_heights": "car"}, "class_heights entry 'car' must look like label:meters"),
+        ({"class_heights": "car:-1"}, "class height for 'car' must be positive"),
+        ({"focal_length_px": "0"}, "focal_length_px must be positive"),
+        ({"max_age": "0"}, "max_age must be >= 1, got 0"),
+        ({"traffic_side": "up"}, "traffic_side must be right or left, got 'up'"),
+        ({"distance_mode": "diagonal"},
+         "distance_mode must be direct or cumulative, got 'diagonal'"),
+        ({"smoothing_window": "4"}, "smoothing_window must be a positive odd integer, got 4"),
+        ({"drop_rate": "1.0"}, "drop_rate must be in [0, 1), got 1.0"),
+        ({"jitter_px": "-1"}, "jitter_px must be >= 0, got -1.0"),
+        ({"frame_rate_hz": "0"}, "frame_rate_hz must be positive, got 0.0"),
+        ({"link_length_m": "-5"}, "link_length_m must be positive, got -5.0"),
+        ({"classes": " , "}, "classes must name at least one class label"),
+        ({"classes": "", "link_length_m": "0"}, "link_length_m must be positive, got 0.0"),
+    ])
+    def test_error_messages(self, values, message):
+        with pytest.raises(ConfigError) as info:
+            build_config(values)
+        assert str(info.value) == message
+
+    def test_range_checks_live_on_the_dataclass(self):
+        with pytest.raises(ValidationError, match="smoothing_window"):
+            PipelineConfig(smoothing_window=4)
+        with pytest.raises(ValidationError, match="classes"):
+            PipelineConfig(classes=())
+
+    def test_configs_do_not_share_class_heights(self):
+        assert build_config({}).intrinsics.class_height_m is not \
+            build_config({}).intrinsics.class_height_m
+
+
+class TestStage:
+    def test_exception_reraised_naming_the_stage(self):
+        original = OSError("disk gone")
+        with pytest.raises(PipelineError) as info:
+            with _stage("render"):
+                raise original
+        assert info.value.stage == "render"
+        assert str(info.value) == "render: disk gone"
+        assert info.value.__cause__ is original
+
+    def test_pipeline_error_passes_unchanged(self):
+        inner = PipelineError("ingest", "no OXTS")
+        with pytest.raises(PipelineError) as info:
+            with _stage("diagram"):
+                raise inner
+        assert info.value is inner
+
+    def test_interrupt_is_not_wrapped(self):
+        with pytest.raises(KeyboardInterrupt):
+            with _stage("tracking"):
+                raise KeyboardInterrupt
+
+    def test_clean_block_passes(self):
+        with _stage("tracking"):
+            value = 1
+        assert value == 1
 
 
 def load_config_from_text(text):

@@ -12,7 +12,6 @@ from tsdiag.geodesy import (
     WGS84,
     geodesic_inverse,
     probe_distances,
-    probe_link_distance,
 )
 
 EQUATOR_DEG_M = 111319.4908  # one degree of longitude on the WGS84 equator
@@ -170,9 +169,8 @@ class TestInverseProperties:
 class TestProbeLinkDistance:
     def test_zero_at_link_start(self):
         start = GeoPoint(0.0, 0.0)
-        assert probe_link_distance(start, start, "direct") == 0.0
-        assert probe_link_distance(start, start, "cumulative",
-                                   previous_fix=start, prior_cumulative_m=0.0) == 0.0
+        assert probe_distances(start, [start], "direct") == [0.0]
+        assert probe_distances(start, [start, start], "cumulative") == [0.0, 0.0]
 
     def test_equatorial_march_agrees_in_both_modes(self):
         start = GeoPoint(0.0, 0.0)
@@ -191,10 +189,18 @@ class TestProbeLinkDistance:
         cumulative = probe_distances(start, fixes, "cumulative")
         assert cumulative[-1] >= direct[-1] - 1e-9
 
-    def test_cumulative_requires_previous_fix(self):
-        with pytest.raises(ValueError):
-            probe_link_distance(GeoPoint(0, 0), GeoPoint(0, 1), "cumulative")
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            probe_link_distance(GeoPoint(0, 0), GeoPoint(0, 1), "sideways")
+        with pytest.raises(ValueError, match="sideways"):
+            probe_distances(GeoPoint(0, 0), [GeoPoint(0, 0), GeoPoint(0, 1)], "sideways")
+        with pytest.raises(ValueError, match="sideways"):
+            probe_distances(GeoPoint(0, 0), [], "sideways")
+
+    def test_cumulative_adds_fix_to_fix_steps(self):
+        start = GeoPoint(0.0, 0.0)
+        fixes = [GeoPoint(0.0, 0.001), GeoPoint(0.001, 0.001), GeoPoint(0.001, 0.002)]
+        running = geodesic_inverse(start, fixes[0]).distance_m
+        expected = [running]
+        for prev, fix in zip(fixes, fixes[1:]):
+            running += geodesic_inverse(prev, fix).distance_m
+            expected.append(running)
+        assert probe_distances(start, fixes, "cumulative") == expected

@@ -12,7 +12,6 @@ from tsdiag.kitti import (
     load_oxts,
     parse_detections_file,
     parse_label_file,
-    parse_oxts,
     parse_oxts_lines,
     parse_timestamps,
     perturb_ground_truth,
@@ -94,7 +93,7 @@ class TestParseLabelFile:
 
 class TestParseOxts:
     def test_documented_line(self):
-        samples = parse_oxts([io.StringIO(OXTS_LINE)])
+        samples = parse_oxts_lines(io.StringIO(OXTS_LINE))
         assert len(samples) == 1
         s = samples[0]
         assert s.position.latitude_deg == pytest.approx(49.011212)
@@ -104,16 +103,21 @@ class TestParseOxts:
         assert s.frame_index == 0
 
     def test_empty_input_is_empty_list(self):
-        assert parse_oxts([]) == []
+        assert parse_oxts_lines(io.StringIO("")) == []
 
     def test_latitude_out_of_range(self):
         bad = OXTS_LINE.replace("49.011212", "95.0")
         with pytest.raises(ValidationError, match="latitude"):
-            parse_oxts([io.StringIO(bad)])
+            parse_oxts_lines(io.StringIO(bad))
+
+    def test_infinite_altitude_names_line(self):
+        bad = OXTS_LINE.replace("112.83", "-inf")
+        with pytest.raises(ParseError, match="line 1: non-finite"):
+            parse_oxts_lines(io.StringIO(bad))
 
     def test_too_few_fields(self):
         with pytest.raises(ParseError, match="30"):
-            parse_oxts([io.StringIO("49.0 8.4 112.8")])
+            parse_oxts_lines(io.StringIO("49.0 8.4 112.8"))
 
     def test_multi_line_file_assigns_frames_in_order(self):
         two = OXTS_LINE + "\n" + OXTS_LINE.replace("49.011212", "49.011300")
@@ -124,7 +128,7 @@ class TestParseOxts:
     def test_velocity_fields(self):
         fields = OXTS_LINE.split()
         fields[6], fields[7] = "3.5", "-1.25"
-        s = parse_oxts([io.StringIO(" ".join(fields))])[0]
+        s = parse_oxts_lines(io.StringIO(" ".join(fields)))[0]
         assert s.velocity_north_mps == pytest.approx(3.5)
         assert s.velocity_east_mps == pytest.approx(-1.25)
 
@@ -214,6 +218,20 @@ class TestParseDetectionsFile:
     def test_wrong_arity(self):
         with pytest.raises(ParseError, match="7 fields"):
             parse_detections_file(io.StringIO("0 car 1 2 3 4"))
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e400"])
+    def test_infinite_field_names_line(self, token):
+        text = f"0 car 100 100 180 150 0.9\n0 car 100 100 {token} 150 0.9\n"
+        with pytest.raises(ParseError, match=f"line 2: non-finite field {token!r}"):
+            parse_detections_file(io.StringIO(text))
+
+    def test_infinite_frame_names_line(self):
+        with pytest.raises(ParseError, match="line 1: non-finite field 'inf'"):
+            parse_detections_file(io.StringIO("inf car 100 100 180 150 0.9"))
+
+    def test_nan_field_names_line(self):
+        with pytest.raises(ParseError, match="line 1: NaN field"):
+            parse_detections_file(io.StringIO("0 car 100 nan 180 150 0.9"))
 
 
 @st.composite
@@ -314,6 +332,10 @@ class TestTimestampsFile:
         with pytest.raises(ValidationError):
             parse_timestamps(io.StringIO("0.0\n0.1\n0.1\n"))
 
+    def test_infinite_stamp_names_line(self):
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            parse_timestamps(io.StringIO("0.0\n0.1\ninf\n"))
+
 
 class TestGrouping:
     def test_group_by_frame(self):
@@ -333,3 +355,9 @@ class TestRecordValidation:
         with pytest.raises(ValidationError):
             DetectionRecord(frame_index=0, class_label="car", bbox=(0, 0, 1, 1),
                             gt_depth_m=0.0)
+
+    @pytest.mark.parametrize("bbox", [(0, 0, float("inf"), 1), (float("-inf"), 0, 1, 1),
+                                      (0, float("nan"), 1, 1)])
+    def test_non_finite_bbox_rejected(self, bbox):
+        with pytest.raises(ValidationError, match="non-finite bbox"):
+            DetectionRecord(frame_index=0, class_label="car", bbox=bbox)

@@ -1,0 +1,44 @@
+"""The README's configuration listing and library example stay true."""
+
+import os
+
+from tsdiag.config import PipelineConfig, dump_config
+from tsdiag.synth import write_fixture
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _first_code_block(title: str) -> str:
+    with open(README) as fh:
+        text = fh.read()
+    body = text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    fenced = body.split("```", 2)[1]
+    return fenced.split("\n", 1)[1]  # drop the language tag line
+
+
+def _ini_entries(text: str) -> list[tuple[str, str, str]]:
+    entries = []
+    section = None
+    for line in text.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            key, _, value = line.partition("=")
+            entries.append((section, key.strip(), value.strip()))
+    return entries
+
+
+def test_configuration_block_lists_every_key_with_its_default():
+    listed = _ini_entries(_first_code_block("Configuration"))
+    assert listed == _ini_entries(dump_config(PipelineConfig()))
+
+
+def test_library_example_runs(tmp_path, monkeypatch):
+    write_fixture(str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(_first_code_block("Library use"), "README.md", "exec"), namespace)
+    diagram = namespace["diagram"]
+    assert len(diagram.vehicle_trajectories) == 1
+    assert len(diagram.probe_trajectory) == 100

@@ -449,6 +449,14 @@ class TestLifecycle:
         with pytest.raises(ValidationError):
             tracker.step([det(0, box_at(100, 100))], 0)
 
+    def test_detection_of_another_frame_rejected(self):
+        tracker = Tracker()
+        with pytest.raises(ValidationError, match="frame 7.*frame 0"):
+            tracker.step([det(0, box_at(100, 100)), det(7, box_at(400, 100))], 0)
+        assert tracker.tracks == []
+        # the rejected call leaves the tracker as it was
+        assert [s.frame_index for s in tracker.step([det(0, box_at(100, 100))], 0)] == [0]
+
     def test_track_ids_never_reused(self):
         tracker = Tracker()
         seen = set()
@@ -614,7 +622,7 @@ class TestGroundTruthTracks:
                    det(0, box_at(300, 10), gt=9)]
         tracks = tracks_from_ground_truth(records)
         assert [t.track_id for t in tracks] == [4, 9]
-        assert [len(t.history) for t in tracks] == [2, 1]
+        assert [len(t.records) for t in tracks] == [2, 1]
         assert all(t.ever_confirmed for t in tracks)
 
     def test_label_and_identity_tallies_seeded(self):
@@ -645,7 +653,7 @@ def _assert_tallies_match(track, frame_index):
     snap = track.snapshot(frame_index)
     assert snap.class_label == track.class_label
     assert snap.gt_track_id == track.majority_gt_track_id
-    assert snap.confidence == track.history[-1][2]
+    assert snap.confidence == track.records[-1].confidence
 
 
 # small alphabets so that tied counts are common
@@ -660,12 +668,11 @@ class TestTrackTallies:
         records = [det(f, box_at(100, 100), cls=cls, gt=gt)
                    for f, (cls, gt) in enumerate(seeded)]
         track = Track(track_id=1, state=kalman_initiate(box_at(100, 100)),
-                      history=[(r.frame_index, r.bbox, r.confidence) for r in records],
                       records=records)
         assert track.class_label == _oracle_label(track.records)
         assert track.majority_gt_track_id == _oracle_gt_id(track.records)
         for frame, (cls, gt) in enumerate(observed, start=len(seeded)):
-            track.observe(frame, det(frame, box_at(100, 100), conf=0.5, cls=cls, gt=gt))
+            track.observe(det(frame, box_at(100, 100), conf=0.5, cls=cls, gt=gt))
             _assert_tallies_match(track, frame)
 
 
@@ -772,7 +779,6 @@ def _assert_same_tracking(tracker, oracle, snaps, oracle_snaps):
                 == (expected.track_id, expected.status, expected.hits,
                     expected.frames_since_update, expected.ever_confirmed))
         assert track.records == expected.records
-        assert track.history == expected.history
         assert _same_bits(track.state.mean, expected.state.mean)
         assert _same_bits(track.state.covariance, expected.state.covariance)
     assert ([t.track_id for t in tracker.live_tracks]

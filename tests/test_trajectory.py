@@ -38,14 +38,9 @@ def make_track(track_id, entries, lateral_x=None, confirmed=True):
         track_id=track_id,
         state=kalman_initiate(entries[-1][1]),
         status="confirmed" if confirmed else "tentative",
-        history=[(f, b, 1.0) for f, b in records_boxes(records)],
         records=records,
         ever_confirmed=confirmed,
     )
-
-
-def records_boxes(records):
-    return [(r.frame_index, r.bbox) for r in records]
 
 
 def box_with_height(center_x, height, top=100.0):
@@ -209,7 +204,7 @@ class TestBuildDiagram:
                                    gt_track_id=3, gt_depth_m=37.5)]
         track = Track(track_id=3, state=kalman_initiate(records[0].bbox),
                       status="confirmed", ever_confirmed=True,
-                      history=[(0, records[0].bbox, 1.0)], records=records)
+                      records=records)
         diagram = build_diagram([track], make_oxts(range(1)), FrameClock(),
                                 GeoPoint(0, 0), 300.0, KITTI, range_source="gt_depth")
         assert diagram.vehicle_trajectories[3][0].camera_range_m == 37.5
