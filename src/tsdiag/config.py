@@ -131,6 +131,10 @@ class PipelineConfig:
             raise ValidationError(f"link_length_m must be positive, got {self.link_length_m}")
         if not self.classes:
             raise ValidationError("classes must name at least one class label")
+        try:
+            self.link_start  # builds the GeoPoint, which range-checks it
+        except ValidationError as exc:
+            raise ValidationError(f"link start: {exc}") from None
 
     @property
     def link_start(self) -> GeoPoint:

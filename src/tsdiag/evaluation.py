@@ -110,6 +110,32 @@ def _overlaps_by_frame(frames: Iterable[int], rows: Mapping[int, Sequence],
     return overlaps
 
 
+def _overlap_matches(overlap: np.ndarray, thresholds: Sequence[float],
+                     ) -> list[list[tuple[int, int, float]]]:
+    """Per threshold, the optimal one-to-one matching of an overlap matrix.
+
+    A pair is eligible at threshold t when its overlap is >= t and > 0.
+    The matching minimizes the cost -overlap on eligible pairs and 0
+    elsewhere, and keeps its eligible pairs, as (row, col, overlap) in row
+    order.  Eligible sets are nested in the threshold, so a threshold with
+    as many eligible pairs as the one before it poses the same problem and
+    reuses its matching; a threshold without eligible pairs needs no solve.
+    """
+    positive = overlap[overlap > 0.0].tolist()
+    matches = []
+    count, kept = 0, []
+    for threshold in thresholds:
+        eligible = sum(value >= threshold for value in positive)
+        if eligible != count:
+            count, kept = eligible, []
+            if eligible:
+                cost = np.where(overlap >= threshold, -overlap, 0.0)
+                kept = [(i, j, overlap[i, j]) for i, j in solve_assignment(cost)
+                        if cost[i, j] < 0.0]
+        matches.append(kept)
+    return matches
+
+
 def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
                            reference: Sequence[DetectionRecord],
                            min_iou: float) -> list[tuple[DetectionRecord, DetectionRecord]]:
@@ -127,11 +153,8 @@ def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
         preds = by_frame_pred.get(frame, [])
         if not preds:
             continue
-        overlap = overlaps[frame]
-        cost = np.where(overlap >= min_iou, -overlap, 0.0)
-        for i, j in solve_assignment(cost):
-            if overlap[i, j] >= min_iou and cost[i, j] < 0.0:
-                pairs.append((refs[i], preds[j]))
+        [matches] = _overlap_matches(overlaps[frame], (min_iou,))
+        pairs.extend((refs[i], preds[j]) for i, j, _ in matches)
     return pairs
 
 
@@ -287,19 +310,18 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
     overlaps = _overlaps_by_frame([f for f in frames if gt_by_frame[f] and pred_by_frame[f]],
                                   gt_by_frame, pred_by_frame, itemgetter(1))
 
+    # (gt_id, pred_id, iou) of each alpha's true positives, in frame order
+    tp_by_alpha: list[list[tuple[int, int, float]]] = [[] for _ in alpha_values]
+    for f in frames:
+        gts = gt_by_frame[f]
+        preds = pred_by_frame[f]
+        if not gts or not preds:
+            continue
+        for tp_pairs, matches in zip(tp_by_alpha, _overlap_matches(overlaps[f], alpha_values)):
+            tp_pairs.extend((gts[i][0], preds[j][0], o) for i, j, o in matches)
+
     per_alpha = []
-    for alpha in alpha_values:
-        tp_pairs: list[tuple[int, int, float]] = []  # (gt_id, pred_id, iou)
-        for f in frames:
-            gts = gt_by_frame[f]
-            preds = pred_by_frame[f]
-            if not gts or not preds:
-                continue
-            matrix = overlaps[f]
-            cost = np.where(matrix >= alpha, -matrix, 0.0)
-            for i, j in solve_assignment(cost):
-                if matrix[i, j] >= alpha and cost[i, j] < 0.0:
-                    tp_pairs.append((gts[i][0], preds[j][0], matrix[i, j]))
+    for alpha, tp_pairs in zip(alpha_values, tp_by_alpha):
         tp = len(tp_pairs)
         fn = total_gt - tp
         fp = total_pred - tp

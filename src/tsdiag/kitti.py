@@ -156,11 +156,13 @@ def _float_field(token: str, line_no: int) -> float:
 
 def _int_field(token: str, line_no: int) -> int:
     try:
-        return int(float(token))
+        return int(token)
     except ValueError:
-        raise ParseError(f"line {line_no}: non-numeric field {token!r}") from None
-    except OverflowError:
-        raise ParseError(f"line {line_no}: non-finite field {token!r}") from None
+        pass
+    value = _float_field(token, line_no)  # such as "3.0" or "1e1"
+    if not value.is_integer():
+        raise ParseError(f"line {line_no}: non-integer field {token!r}")
+    return int(value)
 
 
 def _iter_content_lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -8,7 +8,6 @@ import platform
 from dataclasses import dataclass
 
 import numpy
-import scipy
 
 from .config import PipelineConfig, dump_config
 from .errors import PipelineError, ValidationError
@@ -162,7 +161,7 @@ def _run_meta(cfg: PipelineConfig) -> str:
     lines = [
         "# tsdiag run manifest; re-parses as a pipeline config",
         f"# tsdiag {__version__} on python {platform.python_version()}",
-        f"# numpy {numpy.__version__}, scipy {scipy.__version__}",
+        f"# numpy {numpy.__version__}",
         f"# seed {cfg.seed}",
         "",
     ]

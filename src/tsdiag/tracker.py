@@ -10,12 +10,12 @@ deleted scheme.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 from .kitti import DetectionRecord, group_by_frame
@@ -248,12 +248,94 @@ def iou_matrix(a, b) -> np.ndarray:
 
 
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum-cost bipartite assignment; returns min(rows, cols) (row, col) pairs."""
+    """Minimum-cost bipartite assignment; returns min(rows, cols) (row, col) pairs.
+
+    Shortest augmenting paths on the rectangular matrix (Crouse 2016, "On
+    implementing 2D rectangular assignment algorithms"), with the scan
+    order and tie-breaks of ``scipy.optimize.linear_sum_assignment``, so an
+    equal-cost optimum resolves to the same pairs.  A tall matrix is solved
+    transposed; pairs come sorted by row.  ``+inf`` forbids a pair; a NaN
+    or ``-inf`` entry, or no complete assignment of finite cost, raises
+    ValueError.
+    """
     cost = np.asarray(cost, dtype=float)
     if cost.size == 0:
         return []
-    rows, cols = linear_sum_assignment(cost)
-    return list(zip(rows.tolist(), cols.tolist()))
+    if cost.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim}-D array")
+    if not cost.min() > -math.inf:  # also false for NaN
+        raise ValueError("matrix contains invalid numeric entries")
+    if cost.shape[1] < cost.shape[0]:
+        col4row = _shortest_augmenting_paths(cost.T.tolist())
+        return sorted((row, col) for col, row in enumerate(col4row))
+    return list(enumerate(_shortest_augmenting_paths(cost.tolist())))
+
+
+def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
+    """Column assigned to each row of a wide (rows <= columns) cost matrix.
+
+    Rows are added one at a time.  Each addition runs a Dijkstra-like
+    search over reduced costs from the new row to an unassigned column,
+    then flips the path and updates the row and column duals.
+    """
+    n_rows, n_cols = len(cost), len(cost[0])
+    inf = math.inf
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur_row in range(n_rows):
+        shortest = [inf] * n_cols
+        # scanned last to first, so a constant matrix gives the identity
+        remaining = list(range(n_cols - 1, -1, -1))
+        scanned_rows: list[int] = []
+        scanned_cols: list[int] = []
+        min_val = 0.0
+        row = cur_row
+        sink = -1
+        while sink == -1:
+            scanned_rows.append(row)
+            row_cost = cost[row]
+            u_row = u[row]
+            lowest = inf
+            index = -1
+            for it, col in enumerate(remaining):
+                reduced = min_val + row_cost[col] - u_row - v[col]
+                best = shortest[col]
+                if reduced < best:
+                    path[col] = row
+                    shortest[col] = best = reduced
+                # on a tie prefer a column that ends the path
+                if best < lowest or (best == lowest and row4col[col] == -1):
+                    lowest = best
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            col = remaining[index]
+            if row4col[col] == -1:
+                sink = col
+            else:
+                row = row4col[col]
+            scanned_cols.append(col)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for row in scanned_rows[1:]:
+            u[row] += min_val - shortest[col4row[row]]
+        for col in scanned_cols:
+            v[col] -= min_val - shortest[col]
+
+        col = sink
+        while True:
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == cur_row:
+                break
+    return col4row
 
 
 @dataclass(frozen=True)
@@ -468,7 +550,15 @@ class Tracker:
         live = self._live
         states = self._states
         if live:
-            states = kalman_predict(states)
+            try:
+                states = kalman_predict(states)
+            except ValidationError:
+                finite = (np.isfinite(states.mean).all(axis=1)
+                          & np.isfinite(states.covariance).all(axis=(1, 2)))
+                ids = [str(live[row].track_id) for row in np.flatnonzero(~finite)]
+                raise ValidationError(
+                    f"frame {frame_index}: non-finite Kalman state of "
+                    f"{'track' if len(ids) == 1 else 'tracks'} {', '.join(ids)}") from None
 
         matches, unmatched_tracks, unmatched_dets = associate(
             live, detections, self.config, embeddings, states)

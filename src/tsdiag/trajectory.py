@@ -54,6 +54,10 @@ class LaneFilterConfig:
     def __post_init__(self):
         if self.traffic_side not in ("right", "left"):
             raise ValidationError(f"traffic_side must be right or left, got {self.traffic_side!r}")
+        for name in ("image_fraction", "min_side_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 import argparse
 import dataclasses
 import functools
+import json
 import os
 import string
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,6 +214,11 @@ class TestConfigTable:
         ({"link_length_m": "-5"}, "link_length_m must be positive, got -5.0"),
         ({"classes": " , "}, "classes must name at least one class label"),
         ({"classes": "", "link_length_m": "0"}, "link_length_m must be positive, got 0.0"),
+        ({"image_fraction": "-1"}, "image_fraction must be in [0, 1], got -1.0"),
+        ({"image_fraction": "nan"}, "image_fraction must be in [0, 1], got nan"),
+        ({"min_side_fraction": "3"}, "min_side_fraction must be in [0, 1], got 3.0"),
+        ({"link_start_lat": "91"}, "link start: latitude 91.0 outside [-90, 90]"),
+        ({"link_start_lon": "inf"}, "link start: longitude inf is not finite"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -318,6 +327,17 @@ class TestRunCommand:
         _, config_path = fixture_dir
         code = main(["run", config_path, "--max-age", "zero"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--min-side-fraction", "3"),
+                                             ("--image-fraction", "-1"),
+                                             ("--link-start-lat", "91")])
+    def test_out_of_range_value_exits_2_naming_it(self, fixture_dir, tmp_path, capsys,
+                                                  flag, value):
+        _, config_path = fixture_dir
+        code = main(["run", config_path, flag, value, "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert str(float(value)) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_explicit_timestamps_file(self, fixture_dir, tmp_path):
         directory, config_path = fixture_dir
@@ -529,3 +549,29 @@ class TestEmbeddingsPath:
         with open(os.path.join(str(tmp_path / "oute"), "diagram.csv")) as fh:
             rows = [ln for ln in fh.read().splitlines()[1:] if not ln.startswith("0,")]
         assert rows  # the vehicle still tracked end to end
+
+
+class TestRuntimeDependencies:
+    def test_run_and_eval_never_import_scipy(self, tmp_path):
+        # scipy is a test-only dependency: with its import made to fail, the
+        # CLI must still import, run and evaluate
+        script = textwrap.dedent("""
+            import json, sys
+            sys.modules["scipy"] = None
+            from tsdiag.cli import main
+            after_import = sorted(m for m in sys.modules if m.startswith("scipy"))
+            from tsdiag.synth import write_fixture
+            config = write_fixture(sys.argv[1])
+            codes = [main(["run", config]), main(["eval", config])]
+            print(json.dumps({"codes": codes, "after_import": after_import,
+                              "after_run": sorted(m for m in sys.modules
+                                                  if m.startswith("scipy"))}))
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "scene")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0], "after_import": ["scipy"], "after_run": ["scipy"]}
+        assert (tmp_path / "scene" / "out" / "hota_report.txt").is_file()

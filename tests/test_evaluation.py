@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +17,10 @@ from tsdiag.evaluation import (
     rmse,
     trajectory_error_report,
 )
+from tsdiag import evaluation
 from tsdiag.kitti import DetectionRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
+from tsdiag.tracker import iou_matrix
 from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint
 
 KITTI = kitti_intrinsics()
@@ -264,6 +267,75 @@ class TestHota:
             assert got.det_a == pytest.approx(expected["det_a"], abs=1e-9)
             assert got.ass_a == pytest.approx(expected["ass_a"], abs=1e-9)
             assert got.loc_a == pytest.approx(expected["loc_a"], abs=1e-9)
+
+
+def _old_overlap_matches(overlap, threshold):
+    """The per-frame matching as it was before thresholds shared solves:
+    threshold the cost, solve with scipy, keep the eligible pairs."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.where(overlap >= threshold, -overlap, 0.0)
+    rows, cols = linear_sum_assignment(cost)
+    return [(i, j, overlap[i, j]) for i, j in zip(rows.tolist(), cols.tolist())
+            if overlap[i, j] >= threshold and cost[i, j] < 0.0]
+
+
+@st.composite
+def overlap_matrices(draw):
+    """IoU matrices of boxes on a coarse grid: overlaps, conflicts and equal
+    IoU values are common; some rows are zeroed."""
+    def boxes(n):
+        corners = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2),
+                                          st.integers(1, 3), st.integers(1, 3)),
+                                min_size=n, max_size=n))
+        return [(10.0 * x, 10.0 * y, 10.0 * (x + w), 10.0 * (y + h)) for x, y, w, h in corners]
+
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    overlap = iou_matrix(boxes(n), boxes(m))
+    zero_rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    overlap[np.array(zero_rows)] = 0.0
+    return overlap
+
+
+def counting_solver(monkeypatch):
+    calls = []
+    real = evaluation.solve_assignment
+    monkeypatch.setattr(evaluation, "solve_assignment",
+                        lambda cost: calls.append(cost) or real(cost))
+    return calls
+
+
+class TestOverlapMatches:
+    @given(overlap_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_threshold_solve_filter(self, overlap, data):
+        thresholds = [0.0, *DEFAULT_ALPHAS, data.draw(st.sampled_from(overlap.ravel().tolist()))]
+        # any order: equal eligible counts of neighbouring thresholds still mean equal sets
+        thresholds = data.draw(st.permutations(thresholds))
+        got = evaluation._overlap_matches(overlap, thresholds)
+        assert len(got) == len(thresholds)
+        for threshold, matches in zip(thresholds, got):
+            assert matches == _old_overlap_matches(overlap, threshold), threshold
+
+    def test_equal_eligible_sets_share_one_solve(self, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        overlap = np.array([[0.0, 0.8, 0.0], [0.6, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert evaluation._overlap_matches(overlap, [0.0, 0.5, 0.7, 0.75, 0.9]) == [
+            [(0, 1, 0.8), (1, 0, 0.6)], [(0, 1, 0.8), (1, 0, 0.6)],
+            [(0, 1, 0.8)], [(0, 1, 0.8)], []]
+        # one solve with two eligible pairs, one with one, none with none
+        assert len(calls) == 2
+
+    def test_no_eligible_pair_needs_no_solve(self, monkeypatch):
+        calls = counting_solver(monkeypatch)
+        overlap = np.array([[0.5, 0.4], [0.4, 0.0]])
+        assert evaluation._overlap_matches(overlap, [0.6, 0.9]) == [[], []]
+        assert evaluation._overlap_matches(np.zeros((2, 3)), [0.0]) == [[]]
+        assert calls == []
+        # at 0.3 row 0 and column 0 each hold two eligible pairs
+        assert evaluation._overlap_matches(overlap, [0.3]) == [[(0, 1, 0.4), (1, 0, 0.4)]]
+        assert len(calls) == 1
 
 
 class TestSerialization:

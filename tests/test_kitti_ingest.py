@@ -233,6 +233,29 @@ class TestParseDetectionsFile:
         with pytest.raises(ParseError, match="line 1: NaN field"):
             parse_detections_file(io.StringIO("0 car 100 nan 180 150 0.9"))
 
+    @pytest.mark.parametrize("token", ["1.7", "-0.5", "2.000001", "1e-3"])
+    def test_fractional_frame_names_line_and_token(self, token):
+        text = f"0 car 100 100 180 150 0.9\n{token} car 100 100 180 150 0.9\n"
+        with pytest.raises(ParseError, match=f"line 2: non-integer field {token!r}"):
+            parse_detections_file(io.StringIO(text))
+
+    @pytest.mark.parametrize("token, frame", [("3", 3), (" 3", 3), ("+3", 3), ("3.0", 3),
+                                              ("3e0", 3), ("1e1", 10), ("-0.0", 0)])
+    def test_integral_frame_tokens_accepted(self, token, frame):
+        [record] = parse_detections_file(io.StringIO(f"{token},car,100,100,180,150,0.9"))
+        assert record.frame_index == frame and type(record.frame_index) is int
+
+    def test_nan_frame_names_line(self):
+        with pytest.raises(ParseError, match="line 1: NaN field"):
+            parse_detections_file(io.StringIO("nan car 100 100 180 150 0.9"))
+
+    @pytest.mark.parametrize("column", [0, 1, 4])
+    def test_fractional_label_integer_columns_rejected(self, column):
+        fields = LABEL_LINE.split()
+        fields[column] = "2.5"
+        with pytest.raises(ParseError, match="line 1: non-integer field '2.5'"):
+            parse_label_file(io.StringIO(" ".join(fields)))
+
 
 @st.composite
 def detection_records(draw):

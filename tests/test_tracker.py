@@ -226,6 +226,21 @@ class TestStackedKalman:
         with pytest.raises(ValidationError, match="non-finite"):
             kalman_predict(KalmanState(mean, states.covariance))
 
+        # through the tracker, the error names the frame and the bad tracks
+        tracker = Tracker(TrackerConfig())
+        tracker.step([det(0, box_at(100.0 * k, 100.0)) for k in range(n + 1)], 0)
+        bad = sorted(set(rng.randint(n + 1, size=rng.randint(1, 3)).tolist()))
+        for row in bad:
+            if rng.randint(2):
+                tracker._states.mean[row, rng.randint(8)] = rng.choice([np.nan, np.inf])
+            else:
+                tracker._states.covariance[row, rng.randint(8), rng.randint(8)] = np.nan
+        ids = ", ".join(str(tracker.live_tracks[row].track_id) for row in bad)
+        noun = "track" if len(bad) == 1 else "tracks"
+        with pytest.raises(ValidationError) as info:
+            tracker.step([], 5)
+        assert str(info.value) == f"frame 5: non-finite Kalman state of {noun} {ids}"
+
     @given(stack_sizes, seeds, st.sampled_from([-0.1, 1.5, np.nan]))
     @settings(max_examples=50, deadline=None)
     def test_confidence_outside_unit_interval_rejected(self, n, seed, bad):
@@ -327,7 +342,89 @@ class TestIouMatrix:
             assert _same_bits(stacked[f], iou_matrix(a[f], b[f]))
 
 
+def _scipy_pairs(cost):
+    """linear_sum_assignment's pairs, or ValueError; the reference solver."""
+    from scipy.optimize import linear_sum_assignment
+
+    try:
+        rows, cols = linear_sum_assignment(cost)
+    except ValueError:
+        return ValueError
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _our_pairs(cost):
+    try:
+        return solve_assignment(cost)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def cost_matrices(draw, entries, max_side=7):
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    values = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=float).reshape(rows, cols)
+
+
+small_integers = st.integers(0, 3).map(float)
+real_costs = st.floats(-1e3, 1e3, allow_nan=False)
+
+
 class TestAssignment:
+    @given(cost_matrices(small_integers))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scipy_on_small_integer_costs(self, cost):
+        # ties are common here, so this pins the tie-breaks, not just the optimum
+        assert _our_pairs(cost) == _scipy_pairs(cost)
+
+    @given(cost_matrices(st.one_of(small_integers, real_costs)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_on_real_costs(self, cost):
+        assert _our_pairs(cost) == _scipy_pairs(cost)
+
+    @given(cost_matrices(st.one_of(small_integers, st.just(1e5), st.just(np.inf),
+                                   st.floats(0.0, 1.0))))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_scipy_with_gate_sentinels_and_inf(self, cost):
+        # +inf forbids a pair; a matrix without a finite assignment raises
+        assert _our_pairs(cost) == _scipy_pairs(cost)
+
+    @given(cost_matrices(small_integers), st.sampled_from([np.nan, -np.inf]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nan_and_negative_inf_rejected(self, cost, bad, data):
+        if cost.size == 0:
+            return
+        row = data.draw(st.integers(0, cost.shape[0] - 1))
+        col = data.draw(st.integers(0, cost.shape[1] - 1))
+        cost[row, col] = bad
+        assert _scipy_pairs(cost) is ValueError
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            solve_assignment(cost)
+
+    @pytest.mark.parametrize("cost", [
+        [[np.inf, np.inf], [1.0, 2.0]],
+        [[np.inf], [np.inf]],
+        [[1.0, np.inf], [2.0, np.inf], [np.inf, np.inf]],
+    ])
+    def test_infeasible_rejected(self, cost):
+        assert _scipy_pairs(np.array(cost)) is ValueError
+        with pytest.raises(ValueError, match="infeasible"):
+            solve_assignment(cost)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 5), (5, 1), (2, 6), (6, 2)])
+    def test_shapes(self, shape):
+        cost = np.arange(shape[0] * shape[1], dtype=float).reshape(shape)[:, ::-1] % 4
+        pairs = solve_assignment(cost)
+        assert pairs == _scipy_pairs(cost)
+        assert len(pairs) == min(shape)
+        assert [row for row, _ in pairs] == sorted(row for row, _ in pairs)
+
+    def test_constant_matrix_gives_identity(self):
+        assert solve_assignment(np.ones((3, 4))) == [(0, 0), (1, 1), (2, 2)]
+        assert solve_assignment(np.ones((4, 3))) == [(0, 0), (1, 1), (2, 2)]
+
     def test_documented_matrix(self):
         cost = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]])
         pairs = solve_assignment(cost)
