@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 input parse error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 
@@ -51,36 +50,11 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def _run_one(config_path: str, overrides: dict[str, str]) -> tuple[str, int, str]:
-    try:
-        cfg = load_config(config_path, overrides)
-        result = run_pipeline(cfg)
-        paths = write_run_outputs(result)
-        return config_path, EXIT_OK, f"wrote {paths['csv']}"
-    except ConfigError as exc:
-        return config_path, EXIT_CONFIG, f"config error: {exc}"
-    except PipelineError as exc:
-        code = EXIT_PARSE if exc.stage == "ingest" else EXIT_PIPELINE
-        return config_path, code, f"pipeline error: {exc}"
-    except (ParseError, ValidationError) as exc:
-        return config_path, EXIT_PARSE, f"input error: {exc}"
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = _collect_overrides(args)
-    configs = args.config
-    if args.jobs > 1 and len(configs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, configs,
-                                    [overrides] * len(configs)))
-    else:
-        results = [_run_one(path, overrides) for path in configs]
-    status = EXIT_OK
-    for path, code, message in results:
-        stream = sys.stdout if code == EXIT_OK else sys.stderr
-        print(f"{path}: {message}", file=stream)
-        status = max(status, code)
-    return status
+    cfg = load_config(args.config, _collect_overrides(args))
+    paths = write_run_outputs(run_pipeline(cfg))
+    print(f"{args.config}: wrote {paths['csv']}")
+    return EXIT_OK
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -135,9 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the full reconstruction pipeline")
-    run_p.add_argument("config", nargs="+", help="INI config file(s), one per sequence")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="process this many sequences in parallel")
+    run_p.add_argument("config", help="INI config file of one sequence")
     _add_override_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 

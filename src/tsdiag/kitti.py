@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
@@ -266,12 +266,18 @@ def without_dontcare(records: Iterable[DetectionRecord]) -> list[DetectionRecord
 
 
 def _parse_oxts_line(line: str, frame_index: int, line_no: int) -> OxtsSample:
-    fields = line.split()
+    fields = line.split()[:_OXTS_FIELD_COUNT]
     if len(fields) < _OXTS_FIELD_COUNT:
         raise ParseError(
             f"line {line_no}: OXTS record needs >= {_OXTS_FIELD_COUNT} fields, "
             f"got {len(fields)}")
-    values = [_float_field(tok, line_no) for tok in fields[:_OXTS_FIELD_COUNT]]
+    try:
+        values = list(map(float, fields))
+        clean = all(map(math.isfinite, values))
+    except ValueError:
+        clean = False
+    if not clean:  # parse field by field for the error that names the bad token
+        values = [_float_field(tok, line_no) for tok in fields]
     lat, lon, alt = values[0], values[1], values[2]
     if not -90.0 <= lat <= 90.0:
         raise ValidationError(f"line {line_no}: latitude {lat} outside [-90, 90]")
@@ -326,18 +332,46 @@ def load_oxts(path: str) -> list[OxtsSample]:
     its name gives; frames must run from 0 without a gap.
     """
     if os.path.isdir(path):
-        samples = []
-        for frame_index, name in enumerate(_oxts_files_by_frame(path)):
-            file_path = os.path.join(path, name)
-            with open(file_path) as fh:
-                for line_no, line in _iter_content_lines(fh):
-                    samples.append(_parse_oxts_line(line, frame_index, line_no))
-                    break
-                else:
-                    raise ValidationError(f"{file_path}: no OXTS fix for frame {frame_index}")
-        return samples
+        return [_read_oxts_fix(os.path.join(path, name), frame_index)
+                for frame_index, name in enumerate(_oxts_files_by_frame(path))]
     with open(path) as fh:
-        return parse_oxts_lines(fh)
+        try:
+            return parse_oxts_lines(fh)
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+
+def _read_bytes(path: str) -> bytes:
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _read_oxts_fix(file_path: str, frame_index: int) -> OxtsSample:
+    """The first fix of a per-frame OXTS file, read whole as raw bytes.
+
+    The reader sees the lines a text-mode reader sees: they end at LF,
+    CRLF or a lone CR, and a file that is not plain ASCII is decoded in
+    the locale's encoding, as ``open`` does.
+    """
+    data = _read_bytes(file_path)
+    if data.isascii():
+        text = data.decode("ascii")
+    else:
+        with open(file_path) as fh:
+            text = fh.read()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in _iter_content_lines(lines):
+        try:
+            return _parse_oxts_line(line, frame_index, line_no)
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{file_path}: {exc}") from None
+    raise ValidationError(f"{file_path}: no OXTS fix for frame {frame_index}")
 
 
 def parse_timestamps(stream: IO[str] | Iterable[str]) -> list[float]:
@@ -367,6 +401,7 @@ def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
     if not 0.0 <= drop_rate < 1.0:
         raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
     rng = random.Random(seed)
+    uniform = rng.uniform
     out = []
     for record in records:
         if drop_rate > 0.0 and rng.random() < drop_rate:
@@ -375,18 +410,25 @@ def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
             out.append(record)
             continue
         left, top, right, bottom = record.bbox
-        noise = (0.0, 0.0, 0.0, 0.0)
+        noise = [0.0, 0.0, 0.0, 0.0]
         for _ in range(100):
-            candidate = tuple(rng.uniform(-jitter_px, jitter_px) for _ in range(4))
+            candidate = [uniform(-jitter_px, jitter_px) for _ in range(4)]
             if (left + candidate[0] < right + candidate[2] and
                     top + candidate[1] < bottom + candidate[3]):
                 noise = candidate
                 break
-        magnitude = sum(abs(n) for n in noise) / 4.0
+        magnitude = sum(map(abs, noise)) / 4.0
         confidence = min(1.0, max(0.5, 1.0 - magnitude / (2.0 * jitter_px)))
-        out.append(replace(
-            record,
+        out.append(DetectionRecord(
+            frame_index=record.frame_index,
+            class_label=record.class_label,
             bbox=(left + noise[0], top + noise[1], right + noise[2], bottom + noise[3]),
             confidence=confidence,
+            truncated=record.truncated,
+            occluded=record.occluded,
+            gt_track_id=record.gt_track_id,
+            gt_location_camera=record.gt_location_camera,
+            gt_depth_m=record.gt_depth_m,
+            is_dontcare=record.is_dontcare,
         ))
     return out

@@ -10,8 +10,8 @@ deleted scheme.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -76,9 +76,11 @@ _MEASUREMENT_STD_WEIGHTS = _readonly(np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _P
 _MEASUREMENT_STD_CONSTANT = _readonly(np.array([0.0, 0.0, 1e-1, 0.0]))
 
 
+@functools.lru_cache(maxsize=16)
 def _state_std_weights(position_weight: float, velocity_weight: float) -> np.ndarray:
-    return np.array([position_weight, position_weight, 0.0, position_weight,
-                     velocity_weight, velocity_weight, 0.0, velocity_weight])
+    # cached, so the default weights are built once, not on every predict
+    return _readonly(np.array([position_weight, position_weight, 0.0, position_weight,
+                               velocity_weight, velocity_weight, 0.0, velocity_weight]))
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,18 @@ def _xyah_to_bbox(mean) -> np.ndarray:
     height = mean[..., 3:4]
     half = np.concatenate([mean[..., 2:3] * height, height], axis=-1) / 2.0
     return np.concatenate([center - half, center + half], axis=-1)
+
+
+def _snapshot_box(cx: float, cy: float, aspect: float, h: float
+                  ) -> tuple[float, float, float, float]:
+    """``_xyah_to_bbox`` of one state's Python floats, for a snapshot.
+
+    The same operations in the same order give the same bits, without
+    numpy's per-call cost on a handful of rows.
+    """
+    half_w = aspect * h / 2.0
+    half_h = h / 2.0
+    return (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
 
 
 def _take_rows(states: KalmanState, rows) -> KalmanState:
@@ -266,9 +280,31 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     if not cost.min() > -math.inf:  # also false for NaN
         raise ValueError("matrix contains invalid numeric entries")
     if cost.shape[1] < cost.shape[0]:
-        col4row = _shortest_augmenting_paths(cost.T.tolist())
+        col4row = _solve_wide(cost.T.tolist())
         return sorted((row, col) for col, row in enumerate(col4row))
-    return list(enumerate(_shortest_augmenting_paths(cost.tolist())))
+    return list(enumerate(_solve_wide(cost.tolist())))
+
+
+def _solve_wide(cost: list[list[float]]) -> list[int]:
+    col4row = _distinct_row_minima(cost)
+    return _shortest_augmenting_paths(cost) if col4row is None else col4row
+
+
+def _distinct_row_minima(cost: list[list[float]]) -> list[int] | None:
+    """Each row's argmin, if every row has a unique finite minimum in its own column.
+
+    That assignment is then the unique optimum, and it is also what the
+    augmenting-path search returns: with every dual still 0 each row's
+    reduced costs are its own costs, so each row in turn takes its
+    minimum column while that column is still free.  None otherwise.
+    """
+    col4row = []
+    for row in cost:
+        lowest = min(row)
+        if lowest == math.inf or row.count(lowest) != 1:
+            return None
+        col4row.append(row.index(lowest))
+    return col4row if len(set(col4row)) == len(col4row) else None
 
 
 def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
@@ -353,6 +389,33 @@ class TrackSnapshot:
     gt_track_id: int = -1
 
 
+class _Tally:
+    """Counts of values, with the most common one kept current as each is added.
+
+    A tie goes to the value seen first, as with ``Counter.most_common(1)``:
+    a value that catches up with the leader takes the lead only if it was
+    seen before the leader.
+    """
+
+    __slots__ = ("_seen", "leader", "_lead")
+
+    def __init__(self):
+        self._seen: dict = {}  # value -> [count, rank in order first seen]
+        self.leader = None
+        self._lead = 0
+
+    def add(self, value) -> None:
+        entry = self._seen.get(value)
+        if entry is None:
+            entry = self._seen[value] = [0, len(self._seen)]
+        entry[0] += 1
+        count = entry[0]
+        if count > self._lead or (count == self._lead
+                                  and entry[1] < self._seen[self.leader][1]):
+            self.leader = value
+            self._lead = count
+
+
 @dataclass
 class Track:
     """One identity's Kalman state, lifecycle and matched observations.
@@ -361,9 +424,9 @@ class Track:
     frame, box and confidence are the track's observation history.
     ``observe`` is the only way to add one after construction: it appends
     to ``records`` and keeps running tallies of class labels and annotated
-    identities, so ``class_label`` and ``majority_gt_track_id`` cost the
-    same however old the track is.  ``records`` passed to the constructor
-    seed those tallies.
+    identities with their current leaders, so ``class_label`` and
+    ``majority_gt_track_id`` cost the same however old the track is.
+    ``records`` passed to the constructor seed those tallies.
     """
 
     track_id: int
@@ -374,20 +437,17 @@ class Track:
     records: list[DetectionRecord] = field(default_factory=list)
     appearance: np.ndarray | None = None
     ever_confirmed: bool = False
-    # insertion-ordered, so most_common(1) breaks ties toward the first seen
-    _label_counts: Counter = field(default_factory=Counter, init=False, repr=False,
-                                   compare=False)
-    _gt_id_counts: Counter = field(default_factory=Counter, init=False, repr=False,
-                                   compare=False)
+    _labels: _Tally = field(default_factory=_Tally, init=False, repr=False, compare=False)
+    _gt_ids: _Tally = field(default_factory=_Tally, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for record in self.records:
             self._tally(record)
 
     def _tally(self, record: DetectionRecord) -> None:
-        self._label_counts[record.class_label] += 1
+        self._labels.add(record.class_label)
         if record.gt_track_id >= 0:
-            self._gt_id_counts[record.gt_track_id] += 1
+            self._gt_ids.add(record.gt_track_id)
 
     def observe(self, det: DetectionRecord) -> None:
         """Record one matched detection in records and the tallies."""
@@ -396,18 +456,16 @@ class Track:
 
     @property
     def class_label(self) -> str:
-        if not self._label_counts:
-            return "other"
-        return self._label_counts.most_common(1)[0][0]
+        label = self._labels.leader
+        return "other" if label is None else label
 
     @property
     def majority_gt_track_id(self) -> int:
-        if not self._gt_id_counts:
-            return -1
-        return self._gt_id_counts.most_common(1)[0][0]
+        gt_id = self._gt_ids.leader
+        return -1 if gt_id is None else gt_id
 
     def snapshot(self, frame_index: int) -> TrackSnapshot:
-        return self._snapshot(frame_index, tuple(_xyah_to_bbox(self.state.mean).tolist()))
+        return self._snapshot(frame_index, _snapshot_box(*self.state.mean[:4].tolist()))
 
     def _snapshot(self, frame_index: int,
                   bbox: tuple[float, float, float, float]) -> TrackSnapshot:
@@ -436,15 +494,18 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
               config: TrackerConfig,
               embeddings: Sequence[np.ndarray | None] | None = None,
               states: KalmanState | None = None,
+              boxes: np.ndarray | None = None,
               ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage matching of track indices to detection indices.
 
     Stage 1 matches confirmed tracks with an appearance cost (when enabled
     and embeddings are present) or a combined overlap/Mahalanobis cost,
     gated by the Mahalanobis distance.  Stage 2 matches everything left
-    over on plain overlap.  Both stages solve the assignment optimally.
-    ``states`` are the tracks' Kalman states stacked row for row; when
-    omitted they are stacked from each track's ``state``.
+    over on plain overlap.  Both stages solve the assignment optimally and
+    read their overlaps from one IoU matrix of every track against every
+    detection.  ``states`` are the tracks' Kalman states stacked row for
+    row, and ``boxes`` the detections' boxes as one (m, 4) array; each is
+    built from ``tracks`` or ``detections`` when omitted.
     Returns (matches, unmatched_track_indices, unmatched_detection_indices).
     """
     if not tracks or not detections:
@@ -452,13 +513,13 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     if states is None:
         states = KalmanState(np.stack([t.state.mean for t in tracks]),
                              np.stack([t.state.covariance for t in tracks]))
+    if boxes is None:
+        boxes = np.array([d.bbox for d in detections], dtype=float)
 
     n_dets = len(detections)
-    det_boxes = np.array([d.bbox for d in detections], dtype=float)
-    predicted = _xyah_to_bbox(states.mean)
+    overlap = iou_matrix(_xyah_to_bbox(states.mean), boxes)
 
     matches: list[tuple[int, int]] = []
-    free = np.ones(n_dets, dtype=bool)
 
     confirmed = [i for i, t in enumerate(tracks) if t.status == CONFIRMED]
     others = [i for i, t in enumerate(tracks) if t.status != CONFIRMED]
@@ -471,7 +532,6 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
             assigned_rows.add(row)
             if cost[row, col] < _GATE_COST:
                 matches.append((track_indices[row], det_indices[col]))
-                free[det_indices[col]] = False
             else:
                 leftover_tracks.append(track_indices[row])
         for row in range(len(track_indices)):
@@ -482,9 +542,13 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     leftover: list[int] = []
     if confirmed:
         gate = config.mahalanobis_gate
-        maha = gating_distance(_take_rows(states, confirmed), det_boxes)
-        cost = (0.5 * (1.0 - iou_matrix(predicted[confirmed], det_boxes))
-                + 0.5 * np.minimum(maha / gate, 1.0))
+        if others:
+            maha = gating_distance(_take_rows(states, confirmed), boxes)
+            confirmed_overlap = overlap.take(confirmed, axis=0)
+        else:
+            maha = gating_distance(states, boxes)
+            confirmed_overlap = overlap
+        cost = 0.5 * (1.0 - confirmed_overlap) + 0.5 * np.minimum(maha / gate, 1.0)
         if config.use_appearance and embeddings is not None:
             rows = [row for row, ti in enumerate(confirmed)
                     if tracks[ti].appearance is not None]
@@ -497,16 +561,20 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
         cost[maha > gate] = _GATE_COST
         leftover = _run_stage(confirmed, range(n_dets), cost)
 
+    def _free_dets():
+        matched = {det_idx for _, det_idx in matches}
+        return [det_idx for det_idx in range(n_dets) if det_idx not in matched]
+
     stage2_tracks = sorted(others + leftover)
-    free_dets = free.nonzero()[0].tolist()
+    free_dets = _free_dets()
     if stage2_tracks and free_dets:
-        value = 1.0 - iou_matrix(predicted[stage2_tracks], det_boxes[free_dets])
+        value = 1.0 - overlap.take(stage2_tracks, axis=0).take(free_dets, axis=1)
         cost = np.where(value <= config.max_iou_dist, value, _GATE_COST)
         unmatched_tracks = _run_stage(stage2_tracks, free_dets, cost)
     else:
         unmatched_tracks = stage2_tracks
 
-    unmatched_dets = free.nonzero()[0].tolist()
+    unmatched_dets = _free_dets()
     matches.sort()
     unmatched_tracks.sort()
     return matches, unmatched_tracks, unmatched_dets
@@ -517,8 +585,9 @@ class Tracker:
 
     The Kalman states of the live tracks are kept stacked, one row per live
     track in ``live_tracks`` order, so each step predicts, gates and
-    updates every track with one call each; each live track's ``state``
-    holds a copy of its row after every step.
+    updates every track with one call each.  After every step each live
+    track's ``state`` is a view of its row in one copy of the stack, and a
+    track deleted in the step keeps a copy of its own row.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -546,6 +615,7 @@ class Tracker:
                     f"detection of frame {det.frame_index} passed to the step of "
                     f"frame {frame_index}")
         self._last_frame = frame_index
+        boxes = np.array([det.bbox for det in detections], dtype=float).reshape(-1, 4)
 
         live = self._live
         states = self._states
@@ -561,18 +631,19 @@ class Tracker:
                     f"{'track' if len(ids) == 1 else 'tracks'} {', '.join(ids)}") from None
 
         matches, unmatched_tracks, unmatched_dets = associate(
-            live, detections, self.config, embeddings, states)
+            live, detections, self.config, embeddings, states, boxes)
 
         if matches:
-            rows = np.array([track_idx for track_idx, _ in matches])
-            matched = [detections[det_idx] for _, det_idx in matches]
-            updated = kalman_update(_take_rows(states, rows), [det.bbox for det in matched],
-                                    [det.confidence for det in matched])
-            states.mean[rows] = updated.mean
-            states.covariance[rows] = updated.covariance
-        for row, track in enumerate(live):
-            # a copy, so a deleted track does not keep the whole stack alive
-            track.state = KalmanState(states.mean[row].copy(), states.covariance[row].copy())
+            rows = [track_idx for track_idx, _ in matches]
+            cols = [det_idx for _, det_idx in matches]
+            measured = boxes.take(cols, axis=0)
+            confidences = [detections[det_idx].confidence for det_idx in cols]
+            if len(rows) == len(live):  # every track matched, in row order
+                states = kalman_update(states, measured, confidences)
+            else:
+                updated = kalman_update(_take_rows(states, rows), measured, confidences)
+                states.mean[rows] = updated.mean
+                states.covariance[rows] = updated.covariance
 
         alpha = self.config.appearance_ema_alpha
         for track_idx, det_idx in matches:
@@ -594,23 +665,25 @@ class Tracker:
                 track.status = CONFIRMED
                 track.ever_confirmed = True
 
+        deleted = []
         for track_idx in unmatched_tracks:
             track = live[track_idx]
             track.frames_since_update += 1
-            if track.status == TENTATIVE:
-                # a miss before confirmation kills the candidate immediately
+            # a miss before confirmation kills the candidate immediately
+            if track.status == TENTATIVE or track.frames_since_update > self.config.max_age:
                 track.status = DELETED
-            elif track.frames_since_update > self.config.max_age:
-                track.status = DELETED
-
-        keep = [row for row, track in enumerate(live) if track.status != DELETED]
-        if len(keep) < len(live):
+                # its own copy, so it does not keep the whole stack alive
+                track.state = KalmanState(states.mean[track_idx].copy(),
+                                          states.covariance[track_idx].copy())
+                deleted.append(track_idx)
+        if deleted:
+            keep = [row for row, track in enumerate(live) if track.status != DELETED]
             live = [live[row] for row in keep]
             states = _take_rows(states, keep)
 
         if unmatched_dets:
             born = [detections[det_idx] for det_idx in unmatched_dets]
-            initial = kalman_initiate([det.bbox for det in born])
+            initial = kalman_initiate(boxes.take(unmatched_dets, axis=0))
             for row, (det_idx, det) in enumerate(zip(unmatched_dets, born)):
                 embedding = embeddings[det_idx] if embeddings is not None else None
                 track = Track(track_id=self._next_id,
@@ -628,8 +701,12 @@ class Tracker:
 
         self._live = live
         self._states = states
-        boxes = _xyah_to_bbox(states.mean).tolist()
-        return [track._snapshot(frame_index, tuple(box)) for track, box in zip(live, boxes)]
+        # one copy of the stack, so no caller can alter the tracker's own
+        mean, covariance = states.mean.copy(), states.covariance.copy()
+        for track, track_mean, track_covariance in zip(live, mean, covariance):
+            track.state = KalmanState(track_mean, track_covariance)
+        return [track._snapshot(frame_index, _snapshot_box(*row))
+                for track, row in zip(live, mean[:, :4].tolist())]
 
     def run(self, records: Iterable[DetectionRecord], n_frames: int | None = None,
             embeddings: Mapping[tuple[int, int], np.ndarray] | None = None,

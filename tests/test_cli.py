@@ -323,6 +323,17 @@ class TestRunCommand:
         assert code == 3
         assert "/nonexistent/oxts" in capsys.readouterr().err
 
+    def test_bad_oxts_token_exits_3_and_names_the_file(self, tmp_path, capsys):
+        config_path = write_fixture(str(tmp_path / "scene"))
+        bad = tmp_path / "scene" / "oxts" / "0000000042.txt"
+        fields = bad.read_text().split()
+        fields[1] = "abc"
+        bad.write_text(" ".join(fields) + "\n")
+        code = main(["run", config_path, "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert (f"pipeline error: ingest: {bad}: line 1: non-numeric field 'abc'"
+                in capsys.readouterr().err)
+
     def test_config_error_exits_2(self, fixture_dir, tmp_path, capsys):
         _, config_path = fixture_dir
         code = main(["run", config_path, "--max-age", "zero"])
@@ -521,15 +532,6 @@ class TestPipelineErrors:
         assert code == 4
         err = capsys.readouterr().err
         assert "diagram" in err and "frame 15" in err
-
-
-class TestJobsFanOut:
-    def test_two_configs_two_workers(self, tmp_path):
-        config_a = write_fixture(str(tmp_path / "sa"))
-        config_b = write_fixture(str(tmp_path / "sb"))
-        assert main(["run", config_a, config_b, "--jobs", "2"]) == 0
-        for base in ("sa", "sb"):
-            assert os.path.exists(str(tmp_path / base / "out" / "diagram.csv"))
 
 
 class TestEmbeddingsPath:

@@ -1,4 +1,7 @@
+import dataclasses
 import io
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +136,20 @@ class TestParseOxts:
         assert s.velocity_east_mps == pytest.approx(-1.25)
 
 
+# line ends of every kind, comments, whitespace that str.split() splits on
+# but bytes.split() does not, a line separator only str.splitlines() knows,
+# a fix and a bad token
+_OXTS_PIECES = ["\n", "\r\n", "\r", "# comment", "  ", "\t", "\x0c", "\x1c", "\xa0",
+                "\u2028", OXTS_LINE, OXTS_LINE.replace("112.83", "abc"), "abc"]
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
 def _oxts_dir(directory, frame_names):
     """One OXTS file per name; the latitude encodes the name's position."""
     directory.mkdir()
@@ -189,6 +206,75 @@ class TestLoadOxtsDirectory:
         path = _oxts_dir(tmp_path / "oxts", ["0.txt", "1.txt"])
         (tmp_path / "oxts" / "README.md").write_text("not a fix\n")
         assert [s.frame_index for s in load_oxts(path)] == [0, 1]
+
+    @pytest.mark.parametrize("old, new, error, message", [
+        ("8.422885", "abc", ParseError, "line 1: non-numeric field 'abc'"),
+        ("112.83", "inf", ParseError, "line 1: non-finite field 'inf'"),
+        ("49.000042", "95.0", ValidationError, "line 1: latitude 95.0 outside [-90, 90]"),
+        ("8.422885", "-200.0", ValidationError,
+         "line 1: longitude -200.0 outside [-180, 180]"),
+    ])
+    def test_bad_fix_names_the_file(self, tmp_path, old, new, error, message):
+        path = _oxts_dir(tmp_path / "oxts", [f"{i:010d}.txt" for i in range(43)])
+        bad = tmp_path / "oxts" / "0000000042.txt"
+        bad.write_text(bad.read_text().replace(old, new))
+        with pytest.raises(error) as info:
+            load_oxts(path)
+        assert str(info.value) == f"{bad}: {message}"
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_lines(self, tmp_path, newline):
+        directory = tmp_path / "oxts"
+        directory.mkdir()
+        later = OXTS_LINE.replace("49.011212", "1.0")
+        text = newline.join(["# written by the logger", "", OXTS_LINE, later, ""])
+        (directory / "0.txt").write_bytes(text.encode())
+        (directory / "1.txt").write_bytes(
+            newline.join(["# bad fix", "  ", OXTS_LINE.replace("112.83", "x")]).encode())
+        with pytest.raises(ParseError, match=r"1\.txt: line 3: non-numeric field 'x'"):
+            load_oxts(str(directory))
+        (directory / "1.txt").unlink()
+        (sample,) = load_oxts(str(directory))
+        assert sample.position.latitude_deg == pytest.approx(49.011212)
+        assert sample.raw_fields == parse_oxts_lines(io.StringIO(OXTS_LINE))[0].raw_fields
+
+    def test_comment_before_the_fix(self, tmp_path):
+        directory = tmp_path / "oxts"
+        directory.mkdir()
+        (directory / "0.txt").write_text(f"# lat lon alt ...\n\n   \n{OXTS_LINE}\n")
+        (sample,) = load_oxts(str(directory))
+        assert sample.altitude_m == pytest.approx(112.83)
+
+    @given(st.lists(st.sampled_from(_OXTS_PIECES), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_reader_sees_the_lines_of_the_text_mode_reader(self, pieces):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "0.txt")
+            with open(path, "w", newline="") as fh:  # newlines written as given
+                fh.write("".join(pieces))
+
+            def text_mode():
+                # the lines up to the first that is neither blank nor a comment
+                lines = []
+                with open(path) as fh:
+                    for line in fh:
+                        lines.append(line)
+                        if line.strip() and not line.strip().startswith("#"):
+                            break
+                return parse_oxts_lines(lines)
+
+            def per_frame():
+                try:
+                    return load_oxts(directory)
+                except ValidationError as exc:
+                    if str(exc) == f"{path}: no OXTS fix for frame 0":
+                        return []
+                    raise
+
+            expected, found = _outcome(text_mode), _outcome(per_frame)
+            if isinstance(expected, tuple):
+                expected = (expected[0], f"{path}: {expected[1]}")
+            assert found == expected
 
 
 class TestParseDetectionsFile:
@@ -310,6 +396,15 @@ class TestPerturb:
     def test_drop_rate_one_rejected(self):
         with pytest.raises(ValueError):
             perturb_ground_truth(self._records(), 0.0, 1.0, seed=0)
+
+    def test_perturbed_record_keeps_every_other_field(self):
+        record = DetectionRecord(frame_index=3, class_label="van",
+                                 bbox=(10.0, 20.0, 60.0, 70.0), confidence=0.8,
+                                 truncated=0.25, occluded=1, gt_track_id=9,
+                                 gt_location_camera=(1.0, 2.0, 30.0), gt_depth_m=30.0)
+        (out,) = perturb_ground_truth([record], 2.0, 0.0, seed=5)
+        assert out.bbox != record.bbox
+        assert out == dataclasses.replace(record, bbox=out.bbox, confidence=out.confidence)
 
     def test_track_ids_preserved(self):
         records = self._records()

@@ -28,6 +28,7 @@ from tsdiag.tracker import (
     solve_assignment,
     tracks_from_ground_truth,
 )
+from tsdiag.tracker import _distinct_row_minima
 
 
 def det(frame, bbox, conf=1.0, cls="car", gt=-1):
@@ -421,6 +422,22 @@ class TestAssignment:
         assert len(pairs) == min(shape)
         assert [row for row, _ in pairs] == sorted(row for row, _ in pairs)
 
+    @pytest.mark.parametrize("cost, distinct_minima", [
+        ([[1.0, 1.0, 2.0], [0.0, 3.0, 3.0]], False),    # row 0's minimum is tied
+        ([[1.0, 2.0, 3.0], [0.5, 4.0, 1.0]], False),    # both rows' minimum is column 0
+        ([[np.inf, np.inf, np.inf], [0.0, 1.0, 2.0]], False),  # an all-+inf row
+        ([[np.inf, np.inf], [1.0, 2.0], [3.0, 0.0]], True),    # tall: left unassigned
+        ([[0.1, 5.0], [4.0, 0.2], [3.0, 3.0]], True),          # tall
+        ([[0.3, 0.1, 0.2], [0.0, 9.0, 0.5]], True),
+        ([[0.0, -0.0, 1.0], [1.0, 1.0, 0.0]], False),   # -0.0 ties 0.0
+    ])
+    def test_distinct_row_minima_equal_scipy(self, cost, distinct_minima):
+        # the shortcut takes each row's strict minimum when no two rows share it
+        cost = np.array(cost)
+        wide = cost if cost.shape[0] <= cost.shape[1] else cost.T
+        assert (_distinct_row_minima(wide.tolist()) is not None) == distinct_minima
+        assert _our_pairs(cost) == _scipy_pairs(cost)
+
     def test_constant_matrix_gives_identity(self):
         assert solve_assignment(np.ones((3, 4))) == [(0, 0), (1, 1), (2, 2)]
         assert solve_assignment(np.ones((4, 3))) == [(0, 0), (1, 1), (2, 2)]
@@ -753,6 +770,21 @@ def _assert_tallies_match(track, frame_index):
     assert snap.confidence == track.records[-1].confidence
 
 
+class TestTallyLeader:
+    def test_catch_up_tie_goes_to_the_value_seen_first(self):
+        # X leads, L draws level (X was seen first), L overtakes, X draws level
+        observed = [("van", 7), ("car", 3), ("car", 3), ("van", 7)]
+        leaders = [("van", 7), ("van", 7), ("car", 3), ("van", 7)]
+        track = Track(track_id=1, state=kalman_initiate(box_at(100, 100)))
+        for frame, ((cls, gt), leader) in enumerate(zip(observed, leaders)):
+            track.observe(det(frame, box_at(100, 100), cls=cls, gt=gt))
+            assert (track.class_label, track.majority_gt_track_id) == leader
+            seeded = Track(track_id=2, state=kalman_initiate(box_at(100, 100)),
+                           records=list(track.records))
+            assert (seeded.class_label, seeded.majority_gt_track_id) == leader
+            _assert_tallies_match(track, frame)
+
+
 # small alphabets so that tied counts are common
 observations = st.tuples(st.sampled_from(["car", "van", "truck"]),
                          st.sampled_from([-1, 0, 1, 2]))
@@ -827,6 +859,35 @@ class TestLiveTracks:
         assert len(tracker.tracks) > len(tracker.live_tracks) > 0
 
 
+class TestStateWriteBack:
+    def _stream(self):
+        # a confirmed car throughout; a second box seen once, so its
+        # tentative track dies in frame 1; a third box born in frame 2
+        return [[det(0, box_at(100, 100)), det(0, box_at(600, 100))],
+                [det(1, box_at(103, 100))],
+                [det(2, box_at(106, 100)), det(2, box_at(900, 300))],
+                [det(3, box_at(109, 100)), det(3, box_at(902, 300))]]
+
+    def test_deleted_track_state_owns_its_arrays(self):
+        tracker = Tracker(TrackerConfig(max_age=1))
+        for frame, dets in enumerate(self._stream()[:2]):
+            tracker.step(dets, frame)
+        (dead,) = [t for t in tracker.tracks if t.status == DELETED]
+        assert dead.state.mean.flags.owndata and dead.state.covariance.flags.owndata
+        assert dead.state.mean.shape == (8,) and dead.state.covariance.shape == (8, 8)
+
+    def test_live_states_are_not_the_trackers_own(self):
+        # altering the states handed out must not alter later tracking
+        clean, altered = Tracker(), Tracker()
+        for frame, dets in enumerate(self._stream()):
+            expected = clean.step(dets, frame)
+            assert altered.step(dets, frame) == expected
+            for track in altered.live_tracks:
+                assert not np.shares_memory(track.state.mean, altered._states.mean)
+                track.state.mean[:] = np.nan
+                track.state.covariance[:] = np.nan
+
+
 # A vehicle enters at `start`, moves at constant image velocity while its
 # height changes, and is missed during its gaps; vehicles sharing a row and
 # moving in opposite directions cross in the image.
@@ -894,6 +955,7 @@ def _run_against_oracle(config, frames):
         snaps = tracker.step(dets, frame, embeddings)
         oracle_snaps = oracle.step(dets, frame, embeddings)
         _assert_same_tracking(tracker, oracle, snaps, oracle_snaps)
+        assert [track.snapshot(frame) for track in tracker.live_tracks] == snaps
         if config.use_appearance:
             for track, expected in zip(tracker.tracks, oracle.tracks):
                 assert _same_bits(track.appearance, expected.appearance)
