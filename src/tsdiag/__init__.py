@@ -40,7 +40,6 @@ from .tracker import (
     Track,
     Tracker,
     TrackerConfig,
-    TrackSnapshot,
     associate,
     iou,
     kalman_predict,

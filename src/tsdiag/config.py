@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import functools
 import io
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
@@ -129,6 +130,14 @@ class PipelineConfig:
             raise ValidationError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
         if not self.link_length_m > 0.0:
             raise ValidationError(f"link_length_m must be positive, got {self.link_length_m}")
+        if not (math.isfinite(self.image_width_px) and self.image_width_px > 0.0):
+            raise ValidationError(f"image_width_px must be finite and positive, "
+                                  f"got {self.image_width_px}")
+        if not (math.isfinite(self.min_bbox_height_px) and self.min_bbox_height_px >= 0.0):
+            raise ValidationError(f"min_bbox_height_px must be finite and >= 0, "
+                                  f"got {self.min_bbox_height_px}")
+        if not self.max_range_m > 0.0:
+            raise ValidationError(f"max_range_m must be positive, got {self.max_range_m}")
         if not self.classes:
             raise ValidationError("classes must name at least one class label")
         try:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .kitti import DetectionRecord
+from .kitti import DetectionRecord, group_by_frame
 from .photogrammetry import CameraIntrinsics, QUALITY_OK, range_from_bbox
 from .tracker import iou_matrix, solve_assignment
 from .trajectory import TimeSpaceDiagram
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
+_RANGE_MATCH_IOU = 0.5  # overlap at which a predicted box is a range instance
 
 
 @dataclass
@@ -138,14 +139,10 @@ def _overlap_matches(overlap: np.ndarray, thresholds: Sequence[float],
 
 def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
                            reference: Sequence[DetectionRecord],
-                           min_iou: float) -> list[tuple[DetectionRecord, DetectionRecord]]:
-    # optimal per-frame box matching; pairs below min_iou are not matches
-    by_frame_pred: dict[int, list[DetectionRecord]] = {}
-    for det in predicted:
-        by_frame_pred.setdefault(det.frame_index, []).append(det)
-    by_frame_ref: dict[int, list[DetectionRecord]] = {}
-    for det in reference:
-        by_frame_ref.setdefault(det.frame_index, []).append(det)
+                           ) -> list[tuple[DetectionRecord, DetectionRecord]]:
+    # optimal per-frame box matching; pairs below _RANGE_MATCH_IOU are not matches
+    by_frame_pred = group_by_frame(predicted)
+    by_frame_ref = group_by_frame(reference)
     overlaps = _overlaps_by_frame([f for f in by_frame_ref if f in by_frame_pred],
                                   by_frame_ref, by_frame_pred, attrgetter("bbox"))
     pairs = []
@@ -153,7 +150,7 @@ def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
         preds = by_frame_pred.get(frame, [])
         if not preds:
             continue
-        [matches] = _overlap_matches(overlaps[frame], (min_iou,))
+        [matches] = _overlap_matches(overlaps[frame], (_RANGE_MATCH_IOU,))
         pairs.extend((refs[i], preds[j]) for i, j, _ in matches)
     return pairs
 
@@ -161,12 +158,11 @@ def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
 def range_error_report(records: Sequence[DetectionRecord],
                        intrinsics: CameraIntrinsics,
                        predicted: Sequence[DetectionRecord] | None = None,
-                       min_iou: float = 0.5,
                        class_labels: Sequence[str] | None = None) -> ErrorReport:
     """Per-track RMSE between estimated camera ranges and annotated depths.
 
     With predicted boxes the estimate is computed from each true-positive
-    prediction (matched to ground truth at IoU >= min_iou); otherwise the
+    prediction (matched to ground truth at IoU >= 0.5); otherwise the
     annotated boxes themselves are used.
     """
     gt = [r for r in records
@@ -176,7 +172,7 @@ def range_error_report(records: Sequence[DetectionRecord],
     if predicted is None:
         instances = [(r, r) for r in gt]
     else:
-        instances = _match_to_ground_truth(predicted, gt, min_iou)
+        instances = _match_to_ground_truth(predicted, gt)
 
     errors_by_track: dict[int, list[float]] = {}
     count = 0

@@ -28,6 +28,7 @@ from .kitti import (
     DetectionRecord,
     FrameClock,
     OxtsSample,
+    load_embeddings,
     load_oxts,
     parse_detections_file,
     parse_label_file,
@@ -36,7 +37,7 @@ from .kitti import (
     without_dontcare,
 )
 from .render import render_svg
-from .tracker import Track, Tracker, load_embeddings, tracks_from_ground_truth
+from .tracker import Track, Tracker, tracks_from_ground_truth
 from .version import __version__
 from .trajectory import (
     TimeSpaceDiagram,
@@ -116,8 +117,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         else:
             raise ValidationError("need either a detections file or a labels file")
 
-        detections = [d for d in detections if d.class_label in cfg.classes
-                      and (cfg.include_dontcare or not d.is_dontcare)]
+        detections = [d for d in detections if d.class_label in cfg.classes]
 
         embeddings = None
         if cfg.embeddings:
@@ -189,10 +189,12 @@ def write_run_outputs(result: PipelineResult, out_dir: str | None = None) -> dic
 
 
 def build_reference_diagram(gt_records, oxts, clock, cfg: PipelineConfig) -> TimeSpaceDiagram:
-    """Ground-truth diagram: annotated identities and depths, same lane filter."""
-    base = gt_records if cfg.include_dontcare else without_dontcare(gt_records)
-    base = [r for r in base if r.class_label in cfg.classes and r.gt_depth_m is not None]
-    ref_tracks = tracks_from_ground_truth(base)
+    """Ground-truth diagram: annotated identities and depths, same lane filter.
+
+    DontCare rows never enter it: tracks_from_ground_truth drops them.
+    """
+    ref_tracks = tracks_from_ground_truth(
+        r for r in gt_records if r.class_label in cfg.classes and r.gt_depth_m is not None)
     ref_tracks = opposite_lane_filter(ref_tracks, cfg.image_width_px, cfg.lane)
     return build_diagram(
         ref_tracks, oxts, clock, cfg.link_start, cfg.link_length_m, cfg.intrinsics,

@@ -15,6 +15,7 @@ __all__ = ["render_svg"]
 _PREDICTED_COLOR = "#1f77b4"
 _REFERENCE_COLOR = "#d62728"
 _PROBE_COLOR = "#555555"
+_WIDTH, _HEIGHT = 900, 620  # document size [px]
 
 
 def _nice_step(span: float, target_ticks: int = 6) -> float:
@@ -54,12 +55,11 @@ def _xml_text(text: str) -> str:
 
 def render_svg(diagram: TimeSpaceDiagram,
                reference: TimeSpaceDiagram | None = None, *,
-               width: int = 900, height: int = 620,
                title: str | None = None) -> str:
     """Render one diagram (optionally overlaying a reference in red)."""
     margin_left, margin_right, margin_top, margin_bottom = 70, 30, 40, 55
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
+    plot_w = _WIDTH - margin_left - margin_right
+    plot_h = _HEIGHT - margin_top - margin_bottom
 
     diagrams = [diagram] + ([reference] if reference is not None else [])
     t_values = [0.0]
@@ -83,13 +83,13 @@ def render_svg(diagram: TimeSpaceDiagram,
         return margin_top + plot_h - ((d - d_min) / (d_max - d_min)) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="24" font-family="monospace" font-size="15" '
+            f'<text x="{_WIDTH / 2:.0f}" y="24" font-family="monospace" font-size="15" '
             f'text-anchor="middle">{_xml_text(title)}</text>')
 
     for tick in _ticks(0.0, t_max):
@@ -110,7 +110,7 @@ def render_svg(diagram: TimeSpaceDiagram,
 
     parts.append(f'<rect x="{margin_left}" y="{margin_top}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="black" stroke-width="1"/>')
-    parts.append(f'<text x="{margin_left + plot_w / 2:.0f}" y="{height - 12}" '
+    parts.append(f'<text x="{margin_left + plot_w / 2:.0f}" y="{_HEIGHT - 12}" '
                  f'font-family="monospace" font-size="13" text-anchor="middle">'
                  f'time [s]</text>')
     parts.append(f'<text x="18" y="{margin_top + plot_h / 2:.0f}" '

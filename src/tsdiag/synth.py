@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geodesy import GeoPoint, WGS84
 from .kitti import DetectionRecord, FrameClock, OxtsSample
@@ -27,8 +27,6 @@ class SyntheticScene:
     link_length_m: float
     intrinsics: CameraIntrinsics
     image_width_px: float
-    probe_distance_by_frame: dict[int, float] = field(default_factory=dict)
-    car_link_distance_by_frame: dict[int, float] = field(default_factory=dict)
 
 
 def head_on_scene(duration_s: float = 10.0,
@@ -49,16 +47,12 @@ def head_on_scene(duration_s: float = 10.0,
 
     records = []
     oxts = []
-    probe_by_frame = {}
-    car_by_frame = {}
     center_x = 0.3 * image_width_px
     center_y = 190.0
     for frame in range(n_frames):
         t = frame / frame_rate_hz
         probe_d = probe_speed_mps * t
         car_d = car_start_link_m - car_speed_mps * t
-        probe_by_frame[frame] = probe_d
-        car_by_frame[frame] = car_d
 
         lon = math.degrees(probe_d / WGS84.semi_major_axis_m)
         raw = [0.0] * 30
@@ -99,8 +93,6 @@ def head_on_scene(duration_s: float = 10.0,
         link_length_m=link_length_m,
         intrinsics=intrinsics,
         image_width_px=image_width_px,
-        probe_distance_by_frame=probe_by_frame,
-        car_link_distance_by_frame=car_by_frame,
     )
 
 

@@ -10,10 +10,9 @@ deleted scheme.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "TrackerConfig",
     "KalmanState",
     "Track",
-    "TrackSnapshot",
     "Tracker",
     "TENTATIVE",
     "CONFIRMED",
@@ -37,7 +35,6 @@ __all__ = [
     "iou_matrix",
     "solve_assignment",
     "associate",
-    "load_embeddings",
     "tracks_from_ground_truth",
 ]
 
@@ -74,13 +71,13 @@ _EYE8 = _readonly(np.eye(8))
 _STATE_STD_CONSTANT = _readonly(np.array([0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-5, 0.0]))
 _MEASUREMENT_STD_WEIGHTS = _readonly(np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT]))
 _MEASUREMENT_STD_CONSTANT = _readonly(np.array([0.0, 0.0, 1e-1, 0.0]))
-
-
-@functools.lru_cache(maxsize=16)
-def _state_std_weights(position_weight: float, velocity_weight: float) -> np.ndarray:
-    # cached, so the default weights are built once, not on every predict
-    return _readonly(np.array([position_weight, position_weight, 0.0, position_weight,
-                               velocity_weight, velocity_weight, 0.0, velocity_weight]))
+# process noise of one predict; a new track's state starts twice as
+# uncertain in position and ten times as uncertain in velocity
+_PROCESS_STD_WEIGHTS = _readonly(np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT,
+                                           _VEL_WEIGHT, _VEL_WEIGHT, 0.0, _VEL_WEIGHT]))
+_INITIAL_STD_WEIGHTS = _readonly(np.array([2.0 * _POS_WEIGHT, 2.0 * _POS_WEIGHT, 0.0,
+                                           2.0 * _POS_WEIGHT, 10.0 * _VEL_WEIGHT,
+                                           10.0 * _VEL_WEIGHT, 0.0, 10.0 * _VEL_WEIGHT]))
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,9 @@ class TrackerConfig:
             raise ValidationError(f"n_init must be >= 1, got {self.n_init}")
         if not 0.0 <= self.appearance_ema_alpha <= 1.0:
             raise ValidationError("appearance_ema_alpha outside [0, 1]")
+        if not self.mahalanobis_gate > 0.0:  # also false for NaN
+            raise ValidationError(
+                f"mahalanobis_gate must be positive, got {self.mahalanobis_gate}")
 
 
 @dataclass(frozen=True)
@@ -139,43 +139,27 @@ def _xyah_to_bbox(mean) -> np.ndarray:
     return np.concatenate([center - half, center + half], axis=-1)
 
 
-def _snapshot_box(cx: float, cy: float, aspect: float, h: float
-                  ) -> tuple[float, float, float, float]:
-    """``_xyah_to_bbox`` of one state's Python floats, for a snapshot.
-
-    The same operations in the same order give the same bits, without
-    numpy's per-call cost on a handful of rows.
-    """
-    half_w = aspect * h / 2.0
-    half_h = h / 2.0
-    return (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
-
-
 def _take_rows(states: KalmanState, rows) -> KalmanState:
     """A copy of the given rows of stacked states."""
     return KalmanState(states.mean.take(rows, axis=0), states.covariance.take(rows, axis=0))
 
 
-def kalman_initiate(bbox, position_weight: float = _POS_WEIGHT,
-                    velocity_weight: float = _VEL_WEIGHT) -> KalmanState:
+def kalman_initiate(bbox) -> KalmanState:
     """Initial state from an unassociated detection: zero velocity, wide covariance.
 
     ``bbox`` is one box or an (n, 4) array of boxes, giving n states.
     """
     measured = _bbox_to_xyah(bbox)
     mean = np.concatenate([measured, np.zeros_like(measured)], axis=-1)
-    weights = _state_std_weights(2.0 * position_weight, 10.0 * velocity_weight)
-    std = measured[..., 3:4] * weights + _STATE_STD_CONSTANT
+    std = measured[..., 3:4] * _INITIAL_STD_WEIGHTS + _STATE_STD_CONSTANT
     return KalmanState(mean, (std ** 2)[..., None] * _EYE8)
 
 
-def kalman_predict(state: KalmanState, position_weight: float = _POS_WEIGHT,
-                   velocity_weight: float = _VEL_WEIGHT) -> KalmanState:
+def kalman_predict(state: KalmanState) -> KalmanState:
     """Advance one frame under constant velocity; grow covariance by process noise."""
     if not (np.isfinite(state.mean).all() and np.isfinite(state.covariance).all()):
         raise ValidationError("non-finite Kalman state")
-    weights = _state_std_weights(position_weight, velocity_weight)
-    std = state.mean[..., 3:4] * weights + _STATE_STD_CONSTANT
+    std = state.mean[..., 3:4] * _PROCESS_STD_WEIGHTS + _STATE_STD_CONSTANT
     mean = state.mean @ _TRANSITION_T
     covariance = (_TRANSITION @ state.covariance @ _TRANSITION_T
                   + (std ** 2)[..., None] * _EYE8)
@@ -374,21 +358,6 @@ def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-@dataclass(frozen=True)
-class TrackSnapshot:
-    """Immutable view of a track after one tracking step."""
-
-    track_id: int
-    frame_index: int
-    status: str
-    bbox: tuple[float, float, float, float]
-    class_label: str
-    confidence: float
-    hits: int
-    frames_since_update: int
-    gt_track_id: int = -1
-
-
 class _Tally:
     """Counts of values, with the most common one kept current as each is added.
 
@@ -463,23 +432,6 @@ class Track:
     def majority_gt_track_id(self) -> int:
         gt_id = self._gt_ids.leader
         return -1 if gt_id is None else gt_id
-
-    def snapshot(self, frame_index: int) -> TrackSnapshot:
-        return self._snapshot(frame_index, _snapshot_box(*self.state.mean[:4].tolist()))
-
-    def _snapshot(self, frame_index: int,
-                  bbox: tuple[float, float, float, float]) -> TrackSnapshot:
-        return TrackSnapshot(
-            track_id=self.track_id,
-            frame_index=frame_index,
-            status=self.status,
-            bbox=bbox,
-            class_label=self.class_label,
-            confidence=self.records[-1].confidence if self.records else 0.0,
-            hits=self.hits,
-            frames_since_update=self.frames_since_update,
-            gt_track_id=self.majority_gt_track_id,
-        )
 
 
 def _appearance_cost(appearances: np.ndarray, embeddings: np.ndarray,
@@ -583,11 +535,14 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
 class Tracker:
     """Sequence-local tracking state; call step() once per frame in order.
 
-    The Kalman states of the live tracks are kept stacked, one row per live
-    track in ``live_tracks`` order, so each step predicts, gates and
-    updates every track with one call each.  After every step each live
-    track's ``state`` is a view of its row in one copy of the stack, and a
-    track deleted in the step keeps a copy of its own row.
+    The result is the track list: ``tracks`` holds every track ever born,
+    in birth order, and ``live_tracks`` those not yet deleted; step()
+    returns nothing.  The Kalman states of the live tracks are kept
+    stacked, one row per live track in ``live_tracks`` order, so each step
+    predicts, gates and updates every track with one call each.  After
+    every step each live track's ``state`` is a view of its row in one
+    copy of the stack, and a track deleted in the step keeps a copy of its
+    own row.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -603,8 +558,7 @@ class Tracker:
         return list(self._live)
 
     def step(self, detections: Sequence[DetectionRecord], frame_index: int,
-             embeddings: Sequence[np.ndarray | None] | None = None,
-             ) -> list[TrackSnapshot]:
+             embeddings: Sequence[np.ndarray | None] | None = None) -> None:
         """Predict, associate, update, and manage lifecycles for one frame."""
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValidationError(
@@ -705,13 +659,14 @@ class Tracker:
         mean, covariance = states.mean.copy(), states.covariance.copy()
         for track, track_mean, track_covariance in zip(live, mean, covariance):
             track.state = KalmanState(track_mean, track_covariance)
-        return [track._snapshot(frame_index, _snapshot_box(*row))
-                for track, row in zip(live, mean[:, :4].tolist())]
 
     def run(self, records: Iterable[DetectionRecord], n_frames: int | None = None,
             embeddings: Mapping[tuple[int, int], np.ndarray] | None = None,
             ) -> list[Track]:
-        """Track a whole detection stream; empty frames still age the tracks."""
+        """Track a whole detection stream and return ``tracks``.
+
+        Empty frames still age the tracks.
+        """
         by_frame = group_by_frame(records)
         if n_frames is None:
             n_frames = max(by_frame, default=-1) + 1
@@ -722,33 +677,6 @@ class Tracker:
                 frame_embeddings = [embeddings.get((frame, j)) for j in range(len(dets))]
             self.step(dets, frame, frame_embeddings)
         return self.tracks
-
-
-def load_embeddings(stream: IO[str] | Iterable[str]) -> dict[tuple[int, int], np.ndarray]:
-    """Load per-detection appearance vectors.
-
-    Format: `frame detection_index dim v1 ... vdim`, one per line; vectors
-    are renormalized to unit length.
-    """
-    from .kitti import _float_field, _int_field, _iter_content_lines
-
-    table: dict[tuple[int, int], np.ndarray] = {}
-    for line_no, line in _iter_content_lines(stream):
-        fields = line.split()
-        if len(fields) < 4:
-            raise ValidationError(f"line {line_no}: embedding line too short")
-        frame = _int_field(fields[0], line_no)
-        det_index = _int_field(fields[1], line_no)
-        dim = _int_field(fields[2], line_no)
-        if len(fields) != 3 + dim:
-            raise ValidationError(
-                f"line {line_no}: expected {dim} vector components, got {len(fields) - 3}")
-        vec = np.array([_float_field(tok, line_no) for tok in fields[3:]])
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValidationError(f"line {line_no}: zero-norm embedding")
-        table[(frame, det_index)] = vec / norm
-    return table
 
 
 def tracks_from_ground_truth(records: Iterable[DetectionRecord]) -> list[Track]:

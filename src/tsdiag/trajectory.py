@@ -8,12 +8,13 @@ annotated lateral position or by an image-side heuristic.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .geodesy import Ellipsoid, GeoPoint, WGS84, probe_distances
+from .geodesy import GeoPoint, probe_distances
 from .kitti import FrameClock, OxtsSample
 from .photogrammetry import (
     CameraIntrinsics,
@@ -54,6 +55,9 @@ class LaneFilterConfig:
     def __post_init__(self):
         if self.traffic_side not in ("right", "left"):
             raise ValidationError(f"traffic_side must be right or left, got {self.traffic_side!r}")
+        if not math.isfinite(self.lane_offset_threshold_m):
+            raise ValidationError(f"lane_offset_threshold_m must be finite, "
+                                  f"got {self.lane_offset_threshold_m}")
         for name in ("image_fraction", "min_side_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -145,8 +149,7 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
                   min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX,
                   max_range_m: float = DEFAULT_MAX_RANGE_M,
                   range_source: str = "bbox",
-                  sequence_id: str = "",
-                  ellipsoid: Ellipsoid = WGS84) -> TimeSpaceDiagram:
+                  sequence_id: str = "") -> TimeSpaceDiagram:
     """Compose per-track link distances over time into a diagram.
 
     Tracks must already be lane-filtered; only tracks that reached the
@@ -159,7 +162,7 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
     fixes_sorted = sorted(oxts, key=lambda s: s.frame_index)
     frame_order = [s.frame_index for s in fixes_sorted]
     distances = probe_distances(link_start, (s.position for s in fixes_sorted),
-                                distance_mode, ellipsoid)
+                                distance_mode)
     probe_by_frame = dict(zip(frame_order, distances))
     probe_trajectory = [(clock.time_for_frame(f), probe_by_frame[f]) for f in frame_order]
 
@@ -261,6 +264,7 @@ def smooth_diagram(diagram: TimeSpaceDiagram, window: int) -> TimeSpaceDiagram:
 
 
 _CSV_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality"
+_CSV_COLUMNS = _CSV_HEADER.split(",")
 
 
 def diagram_to_csv(diagram: TimeSpaceDiagram) -> str:
@@ -298,12 +302,13 @@ def diagram_from_csv(text: str, link_length_m: float | None = None) -> TimeSpace
             raise ParseError(f"line {line_no}: expected 6 columns, got {len(fields)}")
         try:
             track_id = int(fields[0])
-            time_s = float(fields[1])
-            link = float(fields[2])
-            probe_d = float(fields[3])
-            camera = float(fields[4])
+            time_s, link, probe_d, camera = map(float, fields[1:5])
         except ValueError:
             raise ParseError(f"line {line_no}: non-numeric column") from None
+        for name, value, token in zip(_CSV_COLUMNS[1:5], (time_s, link, probe_d, camera),
+                                      fields[1:5]):
+            if not math.isfinite(value):
+                raise ParseError(f"line {line_no}: non-finite {name} {token!r}")
         max_distance = max(max_distance, link)
         if track_id == 0:
             probe.append((time_s, probe_d))

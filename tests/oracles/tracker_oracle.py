@@ -11,8 +11,6 @@ tracks, lifecycles and states bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from tsdiag.errors import ValidationError
@@ -243,6 +241,3 @@ class OracleTracker:
                 track.ever_confirmed = True
             self._next_id += 1
             self.tracks.append(track)
-
-        return [replace(t.snapshot(frame_index), bbox=_box(t.state.mean))
-                for t in self.live_tracks()]

@@ -193,12 +193,12 @@ def test_tracker_lifecycle():
                                bbox=(100.0, 100.0, 140.0, 150.0))
 
     tracker = Tracker(config)
-    snaps = tracker.step([det(0)], 0)
-    assert snaps[0].status == "tentative"
-    snaps = tracker.step([det(1)], 1)
-    assert snaps[0].status == CONFIRMED  # hit number n_init
-
+    tracker.step([det(0)], 0)
     track = tracker.tracks[0]
+    assert track.status == "tentative"
+    tracker.step([det(1)], 1)
+    assert track.status == CONFIRMED  # hit number n_init
+
     for frame in range(2, 2 + config.max_age):
         tracker.step([], frame)
         assert track.status == CONFIRMED, f"deleted too early at miss {frame - 1}"

@@ -108,7 +108,8 @@ VALID_VALUES = {
     "embeddings": _text, "output_dir": _text,
     "preset": st.sampled_from(["", "none", "kitti", "KITTI", " None "]),
     "focal_length_px": _positive, "image_height_px": _positive,
-    "sensor_height_px": _positive, "image_width_px": _float_text(),
+    "sensor_height_px": _positive,
+    "image_width_px": _float_text(min_value=0.0, exclude_min=True, allow_infinity=False),
     "class_heights": st.dictionaries(_label, st.floats(min_value=0.1, max_value=10.0),
                                      min_size=1, max_size=3).map(
         lambda heights: ", ".join(f"{label}:{h!r}" for label, h in heights.items())),
@@ -116,11 +117,12 @@ VALID_VALUES = {
     "max_dist": _open_unit, "max_iou_dist": _open_unit,
     "max_age": st.integers(1, 1000).map(str), "n_init": st.integers(1, 10).map(str),
     "appearance_ema_alpha": _unit, "use_appearance": _bool_text,
-    "mahalanobis_gate": _float_text(min_value=0.0),
+    "mahalanobis_gate": _float_text(min_value=0.0, exclude_min=True),
     "lane_filter": _bool_text, "traffic_side": st.sampled_from(["right", "left", " left "]),
-    "lane_offset_threshold_m": _float_text(), "image_fraction": _unit,
+    "lane_offset_threshold_m": _float_text(allow_infinity=False), "image_fraction": _unit,
     "min_side_fraction": _unit,
-    "min_bbox_height_px": _float_text(min_value=0.0), "max_range_m": _positive,
+    "min_bbox_height_px": _float_text(min_value=0.0, allow_infinity=False),
+    "max_range_m": _positive,
     "link_start_lat": _float_text(min_value=-90.0, max_value=90.0),
     "link_start_lon": _float_text(min_value=-180.0, max_value=180.0),
     "link_length_m": _positive,
@@ -219,6 +221,20 @@ class TestConfigTable:
         ({"min_side_fraction": "3"}, "min_side_fraction must be in [0, 1], got 3.0"),
         ({"link_start_lat": "91"}, "link start: latitude 91.0 outside [-90, 90]"),
         ({"link_start_lon": "inf"}, "link start: longitude inf is not finite"),
+        ({"image_width_px": "0"}, "image_width_px must be finite and positive, got 0.0"),
+        ({"image_width_px": "nan"}, "image_width_px must be finite and positive, got nan"),
+        ({"image_width_px": "inf"}, "image_width_px must be finite and positive, got inf"),
+        ({"max_range_m": "-1"}, "max_range_m must be positive, got -1.0"),
+        ({"max_range_m": "nan"}, "max_range_m must be positive, got nan"),
+        ({"min_bbox_height_px": "-3"}, "min_bbox_height_px must be finite and >= 0, got -3.0"),
+        ({"min_bbox_height_px": "nan"}, "min_bbox_height_px must be finite and >= 0, got nan"),
+        ({"min_bbox_height_px": "inf"}, "min_bbox_height_px must be finite and >= 0, got inf"),
+        ({"mahalanobis_gate": "-1"}, "mahalanobis_gate must be positive, got -1.0"),
+        ({"mahalanobis_gate": "0"}, "mahalanobis_gate must be positive, got 0.0"),
+        ({"mahalanobis_gate": "nan"}, "mahalanobis_gate must be positive, got nan"),
+        ({"lane_offset_threshold_m": "nan"}, "lane_offset_threshold_m must be finite, got nan"),
+        ({"lane_offset_threshold_m": "-inf"},
+         "lane_offset_threshold_m must be finite, got -inf"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -341,7 +357,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag, value", [("--min-side-fraction", "3"),
                                              ("--image-fraction", "-1"),
-                                             ("--link-start-lat", "91")])
+                                             ("--link-start-lat", "91"),
+                                             ("--image-width-px", "0"),
+                                             ("--mahalanobis-gate", "-1")])
     def test_out_of_range_value_exits_2_naming_it(self, fixture_dir, tmp_path, capsys,
                                                   flag, value):
         _, config_path = fixture_dir
@@ -484,6 +502,15 @@ class TestRenderCommand:
         with open(svg_path) as fh:
             svg = fh.read()
         assert svg.count("<polyline") == 2 * n_tracks + 2
+
+    def test_non_finite_csv_value_exits_3_naming_line_and_column(self, tmp_path, capsys):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("track_id,time_s,link_distance_m,probe_distance_m,"
+                            "camera_range_m,quality\n0,0.0,0.0,0.0,0.0,ok\n1,nan,inf,1,2,ok\n")
+        code = main(["render", "--csv", str(csv_path), "--out", str(tmp_path / "bad.svg")])
+        assert code == 3
+        assert "line 3: non-finite time_s 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "bad.svg").exists()
 
     def test_render_deterministic(self, fixture_dir, tmp_path):
         directory, config_path = fixture_dir

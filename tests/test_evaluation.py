@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from tsdiag.evaluation import (
     trajectory_error_report,
 )
 from tsdiag import evaluation
+from tsdiag.config import load_config
 from tsdiag.kitti import DetectionRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
+from tsdiag.pipeline import build_reference_diagram, run_pipeline
+from tsdiag.synth import write_fixture
 from tsdiag.tracker import iou_matrix
-from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint
+from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint, diagram_to_csv
 
 KITTI = kitti_intrinsics()
 
@@ -361,3 +365,36 @@ class TestSerialization:
         dc = DetectionRecord(frame_index=0, class_label="other",
                              bbox=(0.0, 0.0, 5.0, 5.0), is_dontcare=True)
         assert len(boxes_from_records(records + [dc])) == 1
+
+
+class TestDontCare:
+    # KITTI marks unannotated regions with DontCare rows: the first as the
+    # dataset writes them, the second carrying an identity and a depth, so
+    # nothing but its type keeps it out of the reference diagram
+    DONTCARE_ROWS = [
+        "5 -1 DontCare -1 -1 -10 900.0 50.0 950.0 100.0 -1 -1 -1 -1000 -1000 -1000 -10",
+        "40 7 DontCare 0 0 0.0 1000.0 40.0 1060.0 90.0 1.5 1.6 3.9 -4.0 1.6 30.0 0.0",
+    ]
+
+    def _run(self, directory, include_dontcare):
+        cfg = load_config(os.path.join(directory, "config.ini"),
+                          {"classes": "car,other", "include_dontcare": include_dontcare})
+        result = run_pipeline(cfg)
+        reference = build_reference_diagram(result.gt_records, result.oxts, result.clock, cfg)
+        return result, diagram_to_csv(reference)
+
+    def test_include_dontcare_feeds_detections_not_the_reference(self, tmp_path):
+        directory = str(tmp_path / "scene")
+        write_fixture(directory)
+        with open(os.path.join(directory, "labels.txt"), "a") as fh:
+            fh.write("\n".join(self.DONTCARE_ROWS) + "\n")
+        with_dc, reference_with = self._run(directory, "true")
+        without_dc, reference_without = self._run(directory, "false")
+        assert sum(r.is_dontcare for r in with_dc.gt_records) == 2
+        assert reference_with == reference_without
+        # the probe (track id 0) and the car; no row of a DontCare region
+        assert {row.split(",")[0] for row in reference_with.splitlines()[1:]} == {"0", "1"}
+        assert [(d.frame_index, d.class_label) for d in with_dc.detections
+                if d.is_dontcare] == [(5, "other"), (40, "other")]
+        assert not any(d.is_dontcare for d in without_dc.detections)
+        assert len(with_dc.detections) == len(without_dc.detections) + 2

@@ -8,7 +8,7 @@ from oracles.assignment_oracle import brute_force_min_cost
 from oracles import tracker_oracle as reference
 from oracles.tracker_oracle import OracleTracker
 from tsdiag.errors import ValidationError
-from tsdiag.kitti import DetectionRecord
+from tsdiag.kitti import DetectionRecord, load_embeddings
 from tsdiag.tracker import (
     CONFIRMED,
     DELETED,
@@ -24,7 +24,6 @@ from tsdiag.tracker import (
     kalman_initiate,
     kalman_predict,
     kalman_update,
-    load_embeddings,
     solve_assignment,
     tracks_from_ground_truth,
 )
@@ -38,6 +37,24 @@ def det(frame, bbox, conf=1.0, cls="car", gt=-1):
 
 def box_at(cx, cy, w=40.0, h=50.0):
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
+def _summary(tracker):
+    """Everything the tracker has produced so far, as comparable values."""
+    return [(t.track_id, t.status, t.hits, t.frames_since_update, t.ever_confirmed,
+             t.class_label, t.majority_gt_track_id, t.records,
+             t.state.mean.tolist(), t.state.covariance.tolist())
+            for t in tracker.tracks]
+
+
+def _summaries_per_frame(frames):
+    """A new default tracker's summary after each frame of the stream."""
+    tracker = Tracker()
+    per_frame = []
+    for frame, dets in enumerate(frames):
+        tracker.step(dets, frame)
+        per_frame.append(_summary(tracker))
+    return per_frame
 
 
 class TestKalman:
@@ -107,7 +124,7 @@ class TestKalman:
     def test_mean_constant_when_measurements_match_predictions(self):
         state = kalman_initiate((10.0, 10.0, 50.0, 60.0))
         for _ in range(20):
-            state = kalman_predict(state, position_weight=0.0, velocity_weight=0.0)
+            state = kalman_predict(state)
             bbox = (state.mean[0] - state.mean[2] * state.mean[3] / 2,
                     state.mean[1] - state.mean[3] / 2,
                     state.mean[0] + state.mean[2] * state.mean[3] / 2,
@@ -529,16 +546,17 @@ class TestAssociate:
 class TestLifecycle:
     def test_first_frame_spawns_tentative_with_sequential_ids(self):
         tracker = Tracker()
-        snaps = tracker.step([det(0, box_at(100, 100)), det(0, box_at(400, 100))], 0)
-        assert [s.track_id for s in snaps] == [1, 2]
-        assert all(s.status == TENTATIVE for s in snaps)
+        tracker.step([det(0, box_at(100, 100)), det(0, box_at(400, 100))], 0)
+        assert [t.track_id for t in tracker.live_tracks] == [1, 2]
+        assert all(t.status == TENTATIVE for t in tracker.live_tracks)
 
     def test_confirmed_on_second_hit(self):
         tracker = Tracker(TrackerConfig(n_init=2))
         tracker.step([det(0, box_at(100, 100))], 0)
-        snaps = tracker.step([det(1, box_at(101, 100))], 1)
-        assert snaps[0].status == CONFIRMED
-        assert snaps[0].hits == 2
+        tracker.step([det(1, box_at(101, 100))], 1)
+        (track,) = tracker.live_tracks
+        assert track.status == CONFIRMED
+        assert track.hits == 2
 
     def test_deleted_after_max_age_misses(self):
         config = TrackerConfig(max_age=30)
@@ -569,7 +587,8 @@ class TestLifecycle:
             tracker.step([det(0, box_at(100, 100)), det(7, box_at(400, 100))], 0)
         assert tracker.tracks == []
         # the rejected call leaves the tracker as it was
-        assert [s.frame_index for s in tracker.step([det(0, box_at(100, 100))], 0)] == [0]
+        assert tracker.step([det(0, box_at(100, 100))], 0) is None
+        assert [t.records[0].frame_index for t in tracker.live_tracks] == [0]
 
     def test_track_ids_never_reused(self):
         tracker = Tracker()
@@ -594,12 +613,7 @@ class TestDeterminismAndStability:
         return frames
 
     def test_identical_streams_identical_outputs(self):
-        outputs = []
-        for _ in range(2):
-            tracker = Tracker()
-            snaps = [tracker.step(dets, f) for f, dets in enumerate(self._stream())]
-            outputs.append(snaps)
-        assert outputs[0] == outputs[1]
+        assert _summaries_per_frame(self._stream()) == _summaries_per_frame(self._stream())
 
     def test_well_separated_objects_never_swap(self):
         tracker = Tracker()
@@ -615,16 +629,30 @@ class TestDeterminismAndStability:
 
 class TestAppearance:
     def test_load_embeddings_renormalizes(self):
-        text = "0 0 3 3.0 0.0 4.0\n1 2 2 1.0 0.0\n"
+        text = "0 0 3 3.0 0.0 4.0\n1 2 3 0.0 2.0 0.0\n"
         table = load_embeddings(text.splitlines())
         assert np.allclose(table[(0, 0)], [0.6, 0.0, 0.8])
-        assert np.allclose(table[(1, 2)], [1.0, 0.0])
+        assert np.allclose(table[(1, 2)], [0.0, 1.0, 0.0])
 
     def test_bad_embedding_lines_rejected(self):
         with pytest.raises(ValidationError):
             load_embeddings(["0 0 3 1.0 0.0"])
         with pytest.raises(ValidationError):
             load_embeddings(["0 0 2 0.0 0.0"])
+
+    def test_repeated_detection_rejected_naming_both_lines(self):
+        # a second vector for (frame 0, detection 0) must not replace the first
+        with pytest.raises(ValidationError,
+                           match=r"^line 3: frame 0 detection 0 already has a vector "
+                                 r"on line 1$"):
+            load_embeddings(["0 0 2 1 0", "0 1 2 1 0", "0 0 2 0 1"])
+
+    def test_dimension_change_rejected_naming_the_lines(self):
+        with pytest.raises(ValidationError,
+                           match=r"^line 2: 3-dimensional vector, but line 1 is 2-dimensional$"):
+            load_embeddings(["0 0 2 1 0", "1 0 3 1 0 0"])
+        with pytest.raises(ValidationError, match=r"^line 4: 1-dimensional"):
+            load_embeddings(["# dim 2", "0 0 2 1 0", "", "1 0 1 1"])
 
     def test_appearance_ema_stays_unit_norm(self):
         config = TrackerConfig(use_appearance=True, appearance_ema_alpha=0.9)
@@ -644,8 +672,8 @@ class TestAppearance:
         e = np.array([1.0, 0.0])
         tracker.step([det(0, box_at(100, 100))], 0, [e])
         tracker.step([det(1, box_at(100, 100))], 1, [e])  # confirmed now
-        snaps = tracker.step([det(2, box_at(104, 100))], 2, [e])
-        assert snaps[0].hits == 3
+        tracker.step([det(2, box_at(104, 100))], 2, [e])
+        assert tracker.tracks[0].hits == 3
 
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6), seeds,
            st.sampled_from(["cosine", "euclidean"]))
@@ -685,8 +713,8 @@ class TestAppearance:
         orthogonal = np.array([0.0, 1.0])
         tracker.step([det(0, box_at(100, 100))], 0, [e])
         tracker.step([det(1, box_at(100, 100))], 1, [e])
-        snaps = tracker.step([det(2, box_at(100, 100))], 2, [orthogonal])
-        assert snaps[0].hits == 3
+        tracker.step([det(2, box_at(100, 100))], 2, [orthogonal])
+        assert tracker.tracks[0].hits == 3
         assert len(tracker.tracks) == 1  # no spurious new identity
 
 
@@ -714,13 +742,10 @@ class TestConcurrentSequences:
             return [[det(f, box_at(100 + offset + 2 * f, 100), gt=offset)]
                     for f in range(30)]
 
-        def run(frames):
-            tracker = Tracker()
-            return [tracker.step(dets, f) for f, dets in enumerate(frames)]
-
-        sequential = [run(stream(0)), run(stream(500))]
+        sequential = [_summaries_per_frame(stream(0)), _summaries_per_frame(stream(500))]
         results = [None, None]
-        threads = [threading.Thread(target=lambda i=i, o=o: results.__setitem__(i, run(stream(o))))
+        threads = [threading.Thread(target=lambda i=i, o=o: results.__setitem__(
+                       i, _summaries_per_frame(stream(o))))
                    for i, o in enumerate((0, 500))]
         for t in threads:
             t.start()
@@ -761,13 +786,9 @@ def _oracle_gt_id(records) -> int:
     return Counter(ids).most_common(1)[0][0]
 
 
-def _assert_tallies_match(track, frame_index):
+def _assert_tallies_match(track):
     assert track.class_label == _oracle_label(track.records)
     assert track.majority_gt_track_id == _oracle_gt_id(track.records)
-    snap = track.snapshot(frame_index)
-    assert snap.class_label == track.class_label
-    assert snap.gt_track_id == track.majority_gt_track_id
-    assert snap.confidence == track.records[-1].confidence
 
 
 class TestTallyLeader:
@@ -782,7 +803,7 @@ class TestTallyLeader:
             seeded = Track(track_id=2, state=kalman_initiate(box_at(100, 100)),
                            records=list(track.records))
             assert (seeded.class_label, seeded.majority_gt_track_id) == leader
-            _assert_tallies_match(track, frame)
+            _assert_tallies_match(track)
 
 
 # small alphabets so that tied counts are common
@@ -802,7 +823,7 @@ class TestTrackTallies:
         assert track.majority_gt_track_id == _oracle_gt_id(track.records)
         for frame, (cls, gt) in enumerate(observed, start=len(seeded)):
             track.observe(det(frame, box_at(100, 100), conf=0.5, cls=cls, gt=gt))
-            _assert_tallies_match(track, frame)
+            _assert_tallies_match(track)
 
 
 # per frame, each of two far-apart objects is either missed (None) or seen
@@ -820,17 +841,12 @@ def _stream_detections(frame, objects):
 class TestTrackerTallies:
     @given(frame_streams)
     @settings(max_examples=100, deadline=None)
-    def test_step_snapshots_match_recount(self, stream):
+    def test_track_tallies_match_recount_after_every_step(self, stream):
         tracker = Tracker(TrackerConfig(max_age=3))
         for frame, objects in enumerate(stream):
-            snaps = tracker.step(_stream_detections(frame, objects), frame)
-            by_id = {t.track_id: t for t in tracker.tracks}
-            for snap in snaps:
-                track = by_id[snap.track_id]
-                assert snap.class_label == _oracle_label(track.records)
-                assert snap.gt_track_id == _oracle_gt_id(track.records)
+            tracker.step(_stream_detections(frame, objects), frame)
             for track in tracker.tracks:
-                _assert_tallies_match(track, frame)
+                _assert_tallies_match(track)
 
 
 class TestLiveTracks:
@@ -839,10 +855,9 @@ class TestLiveTracks:
     def test_live_tracks_equal_filtered_tracks(self, stream):
         tracker = Tracker(TrackerConfig(max_age=3))
         for frame, objects in enumerate(stream):
-            snaps = tracker.step(_stream_detections(frame, objects), frame)
+            tracker.step(_stream_detections(frame, objects), frame)
             expected = [t for t in tracker.tracks if t.status != DELETED]
             assert [id(t) for t in tracker.live_tracks] == [id(t) for t in expected]
-            assert [s.track_id for s in snaps] == [t.track_id for t in expected]
 
     def test_births_misses_and_deletions(self):
         tracker = Tracker(TrackerConfig(max_age=2))
@@ -880,8 +895,9 @@ class TestStateWriteBack:
         # altering the states handed out must not alter later tracking
         clean, altered = Tracker(), Tracker()
         for frame, dets in enumerate(self._stream()):
-            expected = clean.step(dets, frame)
-            assert altered.step(dets, frame) == expected
+            clean.step(dets, frame)
+            altered.step(dets, frame)
+            assert _summary(altered) == _summary(clean)
             for track in altered.live_tracks:
                 assert not np.shares_memory(track.state.mean, altered._states.mean)
                 track.state.mean[:] = np.nan
@@ -928,14 +944,14 @@ def _vehicle_frames(vehicles_spec, seed):
     return frames
 
 
-def _assert_same_tracking(tracker, oracle, snaps, oracle_snaps):
-    assert snaps == oracle_snaps
+def _assert_same_tracking(tracker, oracle):
     assert len(tracker.tracks) == len(oracle.tracks)
     for track, expected in zip(tracker.tracks, oracle.tracks):
         assert ((track.track_id, track.status, track.hits, track.frames_since_update,
-                 track.ever_confirmed)
+                 track.ever_confirmed, track.class_label, track.majority_gt_track_id)
                 == (expected.track_id, expected.status, expected.hits,
-                    expected.frames_since_update, expected.ever_confirmed))
+                    expected.frames_since_update, expected.ever_confirmed,
+                    expected.class_label, expected.majority_gt_track_id))
         assert track.records == expected.records
         assert _same_bits(track.state.mean, expected.state.mean)
         assert _same_bits(track.state.covariance, expected.state.covariance)
@@ -952,10 +968,9 @@ def _run_against_oracle(config, frames):
     tracker, oracle = Tracker(config), OracleTracker(config)
     for frame, dets in enumerate(frames):
         embeddings = _one_hot_embeddings(dets) if config.use_appearance else None
-        snaps = tracker.step(dets, frame, embeddings)
-        oracle_snaps = oracle.step(dets, frame, embeddings)
-        _assert_same_tracking(tracker, oracle, snaps, oracle_snaps)
-        assert [track.snapshot(frame) for track in tracker.live_tracks] == snaps
+        tracker.step(dets, frame, embeddings)
+        oracle.step(dets, frame, embeddings)
+        _assert_same_tracking(tracker, oracle)
         if config.use_appearance:
             for track, expected in zip(tracker.tracks, oracle.tracks):
                 assert _same_bits(track.appearance, expected.appearance)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdiag.errors import ValidationError
+from tsdiag.errors import ParseError, ValidationError
 from tsdiag.geodesy import GeoPoint
 from tsdiag.kitti import DetectionRecord, FrameClock, OxtsSample
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
@@ -299,6 +299,18 @@ class TestDiagramCsv:
             for a, b in zip(points, got):
                 assert b.link_distance_m == pytest.approx(a.link_distance_m, abs=1e-6)
                 assert b.quality == a.quality
+
+    @pytest.mark.parametrize("row, column", [
+        ("1,nan,inf,1,2,ok", "time_s"),
+        ("1,0.5,inf,1,2,ok", "link_distance_m"),
+        ("1,0.5,3,-inf,2,ok", "probe_distance_m"),
+        ("1,0.5,3,1,NaN,ok", "camera_range_m"),
+    ])
+    def test_reader_rejects_non_finite_values(self, row, column):
+        text = diagram_to_csv(self._diagram()) + row + "\n"
+        line_no = text.count("\n")
+        with pytest.raises(ParseError, match=rf"^line {line_no}: non-finite {column} "):
+            diagram_from_csv(text)
 
     def test_writer_rejects_broken_identity(self):
         diagram = self._diagram()
