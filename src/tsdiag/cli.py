@@ -88,13 +88,18 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_diagram(path: str, link_length_m: float | None):
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return diagram_from_csv(text, link_length_m=link_length_m)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
-    with open(args.csv) as fh:
-        diagram = diagram_from_csv(fh.read(), link_length_m=args.link_length)
-    reference = None
-    if args.reference:
-        with open(args.reference) as fh:
-            reference = diagram_from_csv(fh.read(), link_length_m=args.link_length)
+    diagram = _read_diagram(args.csv, args.link_length)
+    reference = _read_diagram(args.reference, args.link_length) if args.reference else None
     with open(args.out, "w") as fh:
         fh.write(render_svg(diagram, reference, title=args.title))
     print(f"wrote {args.out}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kitti import DetectionRecord, group_by_frame
-from .photogrammetry import CameraIntrinsics, QUALITY_OK, range_from_bbox
+from .photogrammetry import CameraIntrinsics, QUALITY_OK, range_from_height
 from .tracker import iou_matrix, solve_assignment
 from .trajectory import TimeSpaceDiagram
 
@@ -60,7 +60,6 @@ class HotaReport:
     det_a: float
     ass_a: float
     loc_a: float
-    alpha_values: tuple[float, ...]
     per_alpha: list[dict] = field(default_factory=list)
     degenerate: bool = False
 
@@ -177,8 +176,8 @@ def range_error_report(records: Sequence[DetectionRecord],
     errors_by_track: dict[int, list[float]] = {}
     count = 0
     for gt_rec, box_rec in instances:
-        estimate = range_from_bbox(box_rec, intrinsics,
-                                   min_bbox_height_px=0.0, max_range_m=math.inf)
+        estimate = range_from_height(box_rec.height, box_rec.class_label, intrinsics,
+                                     min_bbox_height_px=0.0, max_range_m=math.inf)
         errors_by_track.setdefault(gt_rec.gt_track_id, []).append(
             estimate.distance_m - gt_rec.gt_depth_m)
         count += 1
@@ -211,16 +210,13 @@ def _greedy_mean_distance_matching(predicted: TimeSpaceDiagram,
 
 def trajectory_error_report(predicted: TimeSpaceDiagram,
                             reference: TimeSpaceDiagram,
-                            matching: Mapping[int, int] | None = None,
                             quality_ok_only: bool = False) -> ErrorReport:
     """Per-track RMSE of link distances at common timestamps.
 
-    Track correspondence comes from the explicit mapping, else from the
-    annotated identities recorded in the predicted diagram, else from
-    greedy nearest-mean-distance matching.
+    Track correspondence comes from the annotated identities recorded in
+    the predicted diagram, else from greedy nearest-mean-distance matching.
     """
-    if matching is None:
-        matching = predicted.metadata.get("gt_track_map")
+    matching = predicted.metadata.get("gt_track_map")
     if matching is None:
         matching = _greedy_mean_distance_matching(predicted, reference)
 
@@ -248,26 +244,16 @@ def trajectory_error_report(predicted: TimeSpaceDiagram,
 
 
 def boxes_from_records(records: Iterable[DetectionRecord],
-                       class_labels: Sequence[str] | None = None,
                        ) -> list[tuple[int, int, tuple[float, float, float, float]]]:
     """Adapt annotated records to (frame, identity, bbox) triples."""
     return [(r.frame_index, r.gt_track_id, r.bbox) for r in records
-            if not r.is_dontcare and r.gt_track_id >= 0
-            and (class_labels is None or r.class_label in class_labels)]
+            if not r.is_dontcare and r.gt_track_id >= 0]
 
 
-def boxes_from_tracks(tracks, class_labels: Sequence[str] | None = None,
-                      ) -> list[tuple[int, int, tuple[float, float, float, float]]]:
-    """Adapt tracker output to (frame, identity, bbox) triples."""
-    out = []
-    for track in tracks:
-        if not track.ever_confirmed:
-            continue
-        if class_labels is not None and track.class_label not in class_labels:
-            continue
-        for record in track.records:
-            out.append((record.frame_index, track.track_id, record.bbox))
-    return out
+def boxes_from_tracks(tracks) -> list[tuple[int, int, tuple[float, float, float, float]]]:
+    """Adapt confirmed tracks to (frame, identity, bbox) triples."""
+    return [(record.frame_index, track.track_id, record.bbox)
+            for track in tracks if track.ever_confirmed for record in track.records]
 
 
 def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
@@ -283,7 +269,7 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
         per_alpha = [{"alpha": a, "det_a": 1.0, "ass_a": 1.0, "loc_a": 1.0,
                       "hota": 1.0, "tp": 0, "fn": 0, "fp": 0}
                      for a in alpha_values]
-        return HotaReport(1.0, 1.0, 1.0, 1.0, tuple(alpha_values), per_alpha, True)
+        return HotaReport(1.0, 1.0, 1.0, 1.0, per_alpha, True)
 
     frames = sorted({f for f, _, _ in gt_boxes} | {f for f, _, _ in pred_boxes})
     gt_by_frame = {f: [] for f in frames}
@@ -350,7 +336,6 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
         det_a=sum(row["det_a"] for row in per_alpha) / n,
         ass_a=sum(row["ass_a"] for row in per_alpha) / n,
         loc_a=sum(row["loc_a"] for row in per_alpha) / n,
-        alpha_values=tuple(alpha_values),
         per_alpha=per_alpha,
     )
 

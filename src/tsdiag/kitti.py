@@ -62,8 +62,6 @@ class DetectionRecord:
     class_label: str
     bbox: tuple[float, float, float, float]  # left, top, right, bottom [px]
     confidence: float = 1.0
-    truncated: float | None = None
-    occluded: int | None = None
     gt_track_id: int = -1
     gt_location_camera: tuple[float, float, float] | None = None
     gt_depth_m: float | None = None
@@ -97,9 +95,6 @@ class OxtsSample:
 
     frame_index: int
     position: GeoPoint
-    altitude_m: float
-    velocity_north_mps: float | None = None
-    velocity_east_mps: float | None = None
     raw_fields: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -170,7 +165,9 @@ def _iter_content_lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, 
 def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
     """Parse a KITTI tracking label file into records sorted by (frame, track).
 
-    "DontCare" rows are kept but marked; use without_dontcare() to drop them.
+    "DontCare" rows are kept but marked, with no location and no depth:
+    KITTI writes -1000 placeholders there.  Use without_dontcare() to drop
+    them.
     """
     records = []
     for line_no, line in _iter_content_lines(stream):
@@ -183,21 +180,22 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
         track_id = _int_field(fields[1], line_no)
         raw_type = fields[2]
         is_dontcare = raw_type.lower() == "dontcare"
-        truncated = _float_field(fields[3], line_no)
-        occluded = _int_field(fields[4], line_no)
+        _float_field(fields[3], line_no)  # truncated and occluded: checked, not kept
+        _int_field(fields[4], line_no)
         bbox = tuple(_float_field(fields[i], line_no) for i in range(6, 10))
         location = tuple(_float_field(fields[i], line_no) for i in range(13, 16))
         confidence = (_float_field(fields[17], line_no)
                       if len(fields) == _LABEL_FIELDS_WITH_SCORE else 1.0)
-        depth = location[2] if location[2] > 0.0 else None
+        if is_dontcare:
+            location = depth = None
+        else:
+            depth = location[2] if location[2] > 0.0 else None
         try:
             records.append(DetectionRecord(
                 frame_index=frame,
                 class_label=_class_label(raw_type),
                 bbox=bbox,
                 confidence=confidence,
-                truncated=truncated,
-                occluded=occluded,
                 gt_track_id=track_id,
                 gt_location_camera=location,
                 gt_depth_m=depth,
@@ -272,7 +270,7 @@ def _parse_oxts_line(line: str, frame_index: int, line_no: int) -> OxtsSample:
         clean = False
     if not clean:  # parse field by field for the error that names the bad token
         values = [_float_field(tok, line_no) for tok in fields]
-    lat, lon, alt = values[0], values[1], values[2]
+    lat, lon = values[0], values[1]
     if not -90.0 <= lat <= 90.0:
         raise ValidationError(f"line {line_no}: latitude {lat} outside [-90, 90]")
     if not -180.0 <= lon <= 180.0:
@@ -280,9 +278,6 @@ def _parse_oxts_line(line: str, frame_index: int, line_no: int) -> OxtsSample:
     return OxtsSample(
         frame_index=frame_index,
         position=GeoPoint(lat, lon),
-        altitude_m=alt,
-        velocity_north_mps=values[6],
-        velocity_east_mps=values[7],
         raw_fields=tuple(values),
     )
 
@@ -460,8 +455,6 @@ def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
             class_label=record.class_label,
             bbox=(left + noise[0], top + noise[1], right + noise[2], bottom + noise[3]),
             confidence=confidence,
-            truncated=record.truncated,
-            occluded=record.occluded,
             gt_track_id=record.gt_track_id,
             gt_location_camera=record.gt_location_camera,
             gt_depth_m=record.gt_depth_m,

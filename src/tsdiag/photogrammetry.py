@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ValidationError
-from .kitti import DetectionRecord
 
 __all__ = [
     "CameraIntrinsics",
@@ -21,9 +20,7 @@ __all__ = [
     "QUALITY_BELOW_MIN_HEIGHT",
     "QUALITY_ABOVE_MAX_RANGE",
     "kitti_intrinsics",
-    "image_plane_height",
     "range_from_height",
-    "range_from_bbox",
     "bbox_height_at_range",
 ]
 
@@ -74,17 +71,7 @@ def kitti_intrinsics() -> CameraIntrinsics:
 @dataclass(frozen=True)
 class RangeEstimate:
     distance_m: float
-    bbox_height_px: float
-    image_plane_height_px: float
-    class_label: str
     quality_flag: str = QUALITY_OK
-
-
-def image_plane_height(bbox_height_px: float, intrinsics: CameraIntrinsics) -> float:
-    """Rescale a box height from image raster to sensor raster [px]."""
-    if not bbox_height_px > 0.0:
-        raise ValidationError(f"bbox height must be positive, got {bbox_height_px}")
-    return (intrinsics.sensor_height_px * bbox_height_px) / intrinsics.image_height_px
 
 
 def range_from_height(bbox_height_px: float, class_label: str,
@@ -95,7 +82,6 @@ def range_from_height(bbox_height_px: float, class_label: str,
     if not bbox_height_px > 0.0:
         raise ValidationError(f"bbox height must be positive, got {bbox_height_px}")
     real_height = intrinsics.height_for_class(class_label)
-    plane_height = image_plane_height(bbox_height_px, intrinsics)
     distance = (intrinsics.focal_length_px * real_height *
                 intrinsics.image_height_px) / (bbox_height_px * intrinsics.sensor_height_px)
     if bbox_height_px < min_bbox_height_px:
@@ -104,20 +90,7 @@ def range_from_height(bbox_height_px: float, class_label: str,
         flag = QUALITY_ABOVE_MAX_RANGE
     else:
         flag = QUALITY_OK
-    return RangeEstimate(
-        distance_m=distance,
-        bbox_height_px=bbox_height_px,
-        image_plane_height_px=plane_height,
-        class_label=class_label,
-        quality_flag=flag,
-    )
-
-
-def range_from_bbox(det: DetectionRecord, intrinsics: CameraIntrinsics,
-                    min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX,
-                    max_range_m: float = DEFAULT_MAX_RANGE_M) -> RangeEstimate:
-    return range_from_height(det.height, det.class_label, intrinsics,
-                             min_bbox_height_px, max_range_m)
+    return RangeEstimate(distance_m=distance, quality_flag=flag)
 
 
 def bbox_height_at_range(distance_m: float, class_label: str,

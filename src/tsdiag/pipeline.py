@@ -61,7 +61,6 @@ class PipelineResult:
     gt_records: list[DetectionRecord] | None
     oxts: list[OxtsSample]
     clock: FrameClock
-    n_frames: int
 
 
 @dataclass
@@ -153,7 +152,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         gt_records=gt_records,
         oxts=oxts,
         clock=clock,
-        n_frames=n_frames,
     )
 
 
@@ -218,7 +216,7 @@ def evaluate(result: PipelineResult) -> EvalResult:
                                             result.clock, cfg)
         trajectory = trajectory_error_report(result.diagram, reference)
         hota_report = hota(boxes_from_records(gt),
-                           boxes_from_tracks(result.kept_tracks, cfg.classes))
+                           boxes_from_tracks(result.kept_tracks))
     return EvalResult(range_gt, range_pred, trajectory, hota_report, reference)
 
 

@@ -61,9 +61,6 @@ def head_on_scene(duration_s: float = 10.0,
         oxts.append(OxtsSample(
             frame_index=frame,
             position=GeoPoint(0.0, lon),
-            altitude_m=112.0,
-            velocity_north_mps=0.0,
-            velocity_east_mps=probe_speed_mps,
             raw_fields=tuple(raw),
         ))
 

@@ -41,7 +41,7 @@ __all__ = [
 
 QUALITY_OUT_OF_LINK = "out_of_link"
 
-DEFAULT_OUT_OF_LINK_MARGIN_M = 20.0
+OUT_OF_LINK_MARGIN_M = 20.0  # how far past the link end a point may lie and stay ok
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class LaneFilterConfig:
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    track_id: int
     time_s: float
     link_distance_m: float
     probe_distance_m: float
@@ -145,7 +144,6 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
                   clock: FrameClock, link_start: GeoPoint, link_length_m: float,
                   intrinsics: CameraIntrinsics, *,
                   distance_mode: str = "direct",
-                  out_of_link_margin_m: float = DEFAULT_OUT_OF_LINK_MARGIN_M,
                   min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX,
                   max_range_m: float = DEFAULT_MAX_RANGE_M,
                   range_source: str = "bbox",
@@ -192,10 +190,9 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
             probe_distance = probe_by_frame[frame]
             link_distance = compose_distance(probe_distance, camera_range)
             if quality == QUALITY_OK and not (
-                    0.0 <= link_distance <= link_length_m + out_of_link_margin_m):
+                    0.0 <= link_distance <= link_length_m + OUT_OF_LINK_MARGIN_M):
                 quality = QUALITY_OUT_OF_LINK
             points.append(TrajectoryPoint(
-                track_id=track.track_id,
                 time_s=time_s,
                 link_distance_m=link_distance,
                 probe_distance_m=probe_distance,
@@ -314,7 +311,7 @@ def diagram_from_csv(text: str, link_length_m: float | None = None) -> TimeSpace
             probe.append((time_s, probe_d))
         else:
             vehicles.setdefault(track_id, []).append(TrajectoryPoint(
-                track_id=track_id, time_s=time_s, link_distance_m=link,
+                time_s=time_s, link_distance_m=link,
                 probe_distance_m=probe_d, camera_range_m=camera,
                 quality=fields[5]))
     return TimeSpaceDiagram(

@@ -429,6 +429,24 @@ class TestEvalCommand:
         hota_value = float([ln for ln in text.splitlines() if ln.startswith("hota")][0].split("=")[1])
         assert 0.5 < hota_value < 1.0  # degraded but not destroyed by noise
 
+    def test_dontcare_region_does_not_reach_the_diagram(self, tmp_path):
+        # KITTI writes a DontCare row's location as -1000 placeholders; read
+        # as a lateral offset, they made a region marked in ten frames an
+        # oncoming "other" track, which has no real-world height (exit 4)
+        config_path = write_fixture(str(tmp_path / "scene"))
+        with open(tmp_path / "scene" / "labels.txt", "a") as fh:
+            fh.writelines(f"{frame} -1 DontCare -1 -1 -10 900.0 50.0 950.0 100.0 "
+                          "-1 -1 -1 -1000 -1000 -1000 -10\n" for frame in range(10, 20))
+        outputs = []
+        for include in ("true", "false"):
+            out_dir = tmp_path / f"out_{include}"
+            assert main(["eval", config_path, "--classes", "car,other",
+                         "--include-dontcare", include, "--output-dir", str(out_dir)]) == 0
+            diagram = diagram_from_csv((out_dir / "diagram.csv").read_text())
+            outputs.append(list(diagram.vehicle_trajectories.values()))
+        assert outputs[0] == outputs[1]  # the car alone, under its own track id
+        assert len(outputs[0]) == 1
+
     def test_eval_requires_labels(self, fixture_dir, tmp_path, capsys):
         directory, config_path = fixture_dir
         dets_path = str(tmp_path / "dets.txt")
@@ -509,7 +527,18 @@ class TestRenderCommand:
                             "camera_range_m,quality\n0,0.0,0.0,0.0,0.0,ok\n1,nan,inf,1,2,ok\n")
         code = main(["render", "--csv", str(csv_path), "--out", str(tmp_path / "bad.svg")])
         assert code == 3
-        assert "line 3: non-finite time_s 'nan'" in capsys.readouterr().err
+        assert f"{csv_path}: line 3: non-finite time_s 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "bad.svg").exists()
+        # a bad --reference is named too, not the good --csv read before it
+        good_path = tmp_path / "good.csv"
+        good_path.write_text("track_id,time_s,link_distance_m,probe_distance_m,"
+                             "camera_range_m,quality\n0,0.0,0.0,0.0,0.0,ok\n")
+        code = main(["render", "--csv", str(good_path), "--reference", str(csv_path),
+                     "--out", str(tmp_path / "bad.svg")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{csv_path}: line 3: non-finite time_s 'nan'" in err
+        assert str(good_path) not in err
         assert not (tmp_path / "bad.svg").exists()
 
     def test_render_deterministic(self, fixture_dir, tmp_path):

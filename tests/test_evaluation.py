@@ -49,8 +49,8 @@ def simple_diagram(points_by_track, probe=None, metadata=None):
     )
 
 
-def traj_points(track_id, pairs, quality="ok"):
-    return [TrajectoryPoint(track_id=track_id, time_s=t, link_distance_m=d,
+def traj_points(pairs, quality="ok"):
+    return [TrajectoryPoint(time_s=t, link_distance_m=d,
                             probe_distance_m=0.0, camera_range_m=d, quality=quality)
             for t, d in pairs]
 
@@ -148,49 +148,45 @@ class TestRangeErrorReport:
 
 class TestTrajectoryErrorReport:
     def test_identical_diagrams_zero(self):
-        points = {1: traj_points(1, [(0.0, 10.0), (0.1, 12.0)])}
-        report = trajectory_error_report(simple_diagram(points), simple_diagram(points),
-                                         matching={1: 1})
+        points = {1: traj_points([(0.0, 10.0), (0.1, 12.0)])}
+        report = trajectory_error_report(simple_diagram(points), simple_diagram(points))
         assert report.per_track_rmse_m[1] == 0.0
         assert report.instance_count == 2
 
     def test_uniform_shift_gives_that_rmse(self):
-        ref = {1: traj_points(1, [(0.0, 10.0), (0.1, 12.0), (0.2, 14.0)])}
-        pred = {1: traj_points(1, [(0.0, 13.0), (0.1, 15.0), (0.2, 17.0)])}
-        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref),
-                                         matching={1: 1})
+        ref = {1: traj_points([(0.0, 10.0), (0.1, 12.0), (0.2, 14.0)])}
+        pred = {1: traj_points([(0.0, 13.0), (0.1, 15.0), (0.2, 17.0)])}
+        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref))
         assert report.per_track_rmse_m[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_no_common_timestamps_skipped_with_warning(self):
-        ref = {1: traj_points(1, [(5.0, 10.0)])}
-        pred = {1: traj_points(1, [(0.0, 10.0)])}
-        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref),
-                                         matching={1: 1})
+        ref = {1: traj_points([(5.0, 10.0)])}
+        pred = {1: traj_points([(0.0, 10.0)])}
+        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref))
         assert report.skipped_pairs == 1
         assert report.per_track_rmse_m == {}
         assert report.missed_reference_tracks == 1
 
     def test_gt_track_map_used_when_present(self):
-        ref = {9: traj_points(9, [(0.0, 10.0)])}
-        pred_points = {4: traj_points(4, [(0.0, 11.0)])}
+        ref = {9: traj_points([(0.0, 10.0)])}
+        pred_points = {4: traj_points([(0.0, 11.0)])}
         predicted = simple_diagram(pred_points, metadata={"gt_track_map": {4: 9}})
         report = trajectory_error_report(predicted, simple_diagram(ref))
         assert report.per_track_rmse_m[4] == pytest.approx(1.0)
 
     def test_greedy_matching_fallback(self):
-        ref = {1: traj_points(1, [(0.0, 10.0)]), 2: traj_points(2, [(0.0, 100.0)])}
-        pred = {7: traj_points(7, [(0.0, 98.0)]), 8: traj_points(8, [(0.0, 12.0)])}
+        ref = {1: traj_points([(0.0, 10.0)]), 2: traj_points([(0.0, 100.0)])}
+        pred = {7: traj_points([(0.0, 98.0)]), 8: traj_points([(0.0, 12.0)])}
         report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref))
         assert report.per_track_rmse_m[7] == pytest.approx(2.0)
         assert report.per_track_rmse_m[8] == pytest.approx(2.0)
 
     def test_quality_filter(self):
-        ref = {1: traj_points(1, [(0.0, 10.0), (0.1, 12.0)])}
-        pred_pts = (traj_points(1, [(0.0, 10.0)]) +
-                    traj_points(1, [(0.1, 99.0)], quality="above_max_range"))
+        ref = {1: traj_points([(0.0, 10.0), (0.1, 12.0)])}
+        pred_pts = (traj_points([(0.0, 10.0)]) +
+                    traj_points([(0.1, 99.0)], quality="above_max_range"))
         report = trajectory_error_report(simple_diagram({1: pred_pts}),
-                                         simple_diagram(ref), matching={1: 1},
-                                         quality_ok_only=True)
+                                         simple_diagram(ref), quality_ok_only=True)
         assert report.instance_count == 1
         assert report.per_track_rmse_m[1] == 0.0
 

@@ -101,7 +101,7 @@ class TestParseOxts:
         s = samples[0]
         assert s.position.latitude_deg == pytest.approx(49.011212)
         assert s.position.longitude_deg == pytest.approx(8.422885)
-        assert s.altitude_m == pytest.approx(112.83)
+        assert s.raw_fields[2] == pytest.approx(112.83)
         assert len(s.raw_fields) == 30
         assert s.frame_index == 0
 
@@ -132,8 +132,7 @@ class TestParseOxts:
         fields = OXTS_LINE.split()
         fields[6], fields[7] = "3.5", "-1.25"
         s = parse_oxts_lines(io.StringIO(" ".join(fields)))[0]
-        assert s.velocity_north_mps == pytest.approx(3.5)
-        assert s.velocity_east_mps == pytest.approx(-1.25)
+        assert s.raw_fields[6:8] == (3.5, -1.25)
 
 
 # line ends of every kind, comments, whitespace that str.split() splits on
@@ -243,7 +242,7 @@ class TestLoadOxtsDirectory:
         directory.mkdir()
         (directory / "0.txt").write_text(f"# lat lon alt ...\n\n   \n{OXTS_LINE}\n")
         (sample,) = load_oxts(str(directory))
-        assert sample.altitude_m == pytest.approx(112.83)
+        assert sample.raw_fields[2] == pytest.approx(112.83)
 
     @given(st.lists(st.sampled_from(_OXTS_PIECES), max_size=6))
     @settings(max_examples=200, deadline=None)
@@ -400,7 +399,7 @@ class TestPerturb:
     def test_perturbed_record_keeps_every_other_field(self):
         record = DetectionRecord(frame_index=3, class_label="van",
                                  bbox=(10.0, 20.0, 60.0, 70.0), confidence=0.8,
-                                 truncated=0.25, occluded=1, gt_track_id=9,
+                                 gt_track_id=9,
                                  gt_location_camera=(1.0, 2.0, 30.0), gt_depth_m=30.0)
         (out,) = perturb_ground_truth([record], 2.0, 0.0, seed=5)
         assert out.bbox != record.bbox

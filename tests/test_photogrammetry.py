@@ -2,16 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsdiag.errors import ValidationError
-from tsdiag.kitti import DetectionRecord
 from tsdiag.photogrammetry import (
     CameraIntrinsics,
     QUALITY_ABOVE_MAX_RANGE,
     QUALITY_BELOW_MIN_HEIGHT,
     QUALITY_OK,
     bbox_height_at_range,
-    image_plane_height,
     kitti_intrinsics,
-    range_from_bbox,
     range_from_height,
 )
 
@@ -19,35 +16,14 @@ KITTI = kitti_intrinsics()
 
 # hand-evaluated with the preset constants F=721, H_real=1.50, I=376, S=362
 CAR_RANGE_AT_100PX = 406644.0 / 36200.0   # 11.233259668...
-PLANE_HEIGHT_AT_100PX = 36200.0 / 376.0   # 96.276595744...
-
-
-class TestImagePlaneHeight:
-    def test_worked_example(self):
-        assert image_plane_height(100.0, KITTI) == pytest.approx(
-            PLANE_HEIGHT_AT_100PX, abs=1e-9)
-        assert image_plane_height(100.0, KITTI) == pytest.approx(96.2766, abs=1e-4)
-
-    def test_identity_when_sensor_equals_image(self):
-        intr = CameraIntrinsics(721.0, 376.0, 376.0, {"car": 1.5})
-        assert image_plane_height(123.4, intr) == pytest.approx(123.4, abs=1e-12)
-
-    def test_full_frame_object_fills_sensor(self):
-        assert image_plane_height(376.0, KITTI) == pytest.approx(362.0, abs=1e-9)
-
-    def test_nonpositive_height_rejected(self):
-        with pytest.raises(ValidationError):
-            image_plane_height(0.0, KITTI)
 
 
 class TestRangeFromBbox:
     def test_worked_example_100px(self):
-        det = DetectionRecord(0, "car", (0.0, 0.0, 90.0, 100.0))
-        estimate = range_from_bbox(det, KITTI)
+        estimate = range_from_height(100.0, "car", KITTI)
         assert estimate.distance_m == pytest.approx(CAR_RANGE_AT_100PX, abs=1e-9)
         assert estimate.distance_m == pytest.approx(11.2332, abs=1e-3)
         assert estimate.quality_flag == QUALITY_OK
-        assert estimate.image_plane_height_px == pytest.approx(PLANE_HEIGHT_AT_100PX)
 
     def test_half_height_doubles_range(self):
         estimate = range_from_height(50.0, "car", KITTI)
@@ -73,6 +49,11 @@ class TestRangeFromBbox:
     def test_missing_class_height_names_class(self):
         with pytest.raises(ValidationError, match="tram"):
             range_from_height(50.0, "tram", KITTI)
+
+    def test_nonpositive_height_rejected(self):
+        for height in (0.0, -5.0):
+            with pytest.raises(ValidationError, match="bbox height must be positive"):
+                range_from_height(height, "car", KITTI)
 
 
 class TestInversion:

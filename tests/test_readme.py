@@ -1,7 +1,10 @@
 """The README's configuration listing and library example stay true."""
 
 import os
+import subprocess
+import sys
 
+import tsdiag
 from tsdiag.config import PipelineConfig, dump_config
 from tsdiag.synth import write_fixture
 
@@ -42,3 +45,12 @@ def test_library_example_runs(tmp_path, monkeypatch):
     diagram = namespace["diagram"]
     assert len(diagram.vehicle_trajectories) == 1
     assert len(diagram.probe_trajectory) == 100
+
+
+def test_package_root_loads_only_the_version():
+    code = ("import sys, tsdiag; "
+            "print(sorted(name for name in sys.modules if name.startswith('tsdiag.')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tsdiag.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['tsdiag.version']"

@@ -7,6 +7,7 @@ from tsdiag.kitti import DetectionRecord, FrameClock, OxtsSample
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
 from tsdiag.tracker import Track, kalman_initiate
 from tsdiag.trajectory import (
+    OUT_OF_LINK_MARGIN_M,
     LaneFilterConfig,
     TrajectoryPoint,
     build_diagram,
@@ -49,8 +50,7 @@ def box_with_height(center_x, height, top=100.0):
 
 
 def make_oxts(frames, lon_per_frame_deg=0.0):
-    return [OxtsSample(frame_index=f, position=GeoPoint(0.0, f * lon_per_frame_deg),
-                       altitude_m=100.0)
+    return [OxtsSample(frame_index=f, position=GeoPoint(0.0, f * lon_per_frame_deg))
             for f in frames]
 
 
@@ -190,12 +190,13 @@ class TestBuildDiagram:
             assert p.link_distance_m == p.probe_distance_m + p.camera_range_m
 
     def test_out_of_link_flagging(self):
-        # 11.2 m range at 100 px against a 5 m link with 2 m margin
-        track = make_track(1, [(0, box_with_height(300.0, 100.0))])
-        oxts = make_oxts(range(1))
-        diagram = build_diagram([track], oxts, FrameClock(), GeoPoint(0, 0),
-                                5.0, KITTI, out_of_link_margin_m=2.0)
-        assert diagram.vehicle_trajectories[1][0].quality == "out_of_link"
+        # a 5 m link keeps points up to 5 + OUT_OF_LINK_MARGIN_M (20 m) ok
+        heights = [bbox_height_at_range(r, "car", KITTI) for r in (24.0, 26.0)]
+        track = make_track(1, [(f, box_with_height(300.0, h)) for f, h in enumerate(heights)])
+        diagram = build_diagram([track], make_oxts(range(2)), FrameClock(), GeoPoint(0, 0),
+                                5.0, KITTI)
+        assert OUT_OF_LINK_MARGIN_M == 20.0
+        assert [p.quality for p in diagram.vehicle_trajectories[1]] == ["ok", "out_of_link"]
 
     def test_gt_depth_reference_mode(self):
         height = bbox_height_at_range(40.0, "car", KITTI)
@@ -216,8 +217,7 @@ class TestBuildDiagram:
                                (1, box_with_height(300.0, far)),
                                (2, box_with_height(300.0, tiny))])
         diagram = build_diagram([track], make_oxts(range(3)), FrameClock(),
-                                GeoPoint(0, 0), 300.0, KITTI,
-                                out_of_link_margin_m=1e6)
+                                GeoPoint(0, 0), 300.0, KITTI)
         qualities = [p.quality for p in diagram.vehicle_trajectories[1]]
         assert qualities == ["ok", "above_max_range", "below_min_height"]
         assert len(diagram.vehicle_trajectories[1]) == 3
@@ -225,7 +225,7 @@ class TestBuildDiagram:
 
 class TestSmoothing:
     def _points(self, link_values, probe=5.0):
-        return [TrajectoryPoint(track_id=1, time_s=0.1 * i, link_distance_m=v,
+        return [TrajectoryPoint(time_s=0.1 * i, link_distance_m=v,
                                 probe_distance_m=probe, camera_range_m=v - probe)
                 for i, v in enumerate(link_values)]
 
@@ -314,7 +314,7 @@ class TestDiagramCsv:
 
     def test_writer_rejects_broken_identity(self):
         diagram = self._diagram()
-        bad = TrajectoryPoint(track_id=1, time_s=9.9, link_distance_m=1.0,
+        bad = TrajectoryPoint(time_s=9.9, link_distance_m=1.0,
                               probe_distance_m=2.0, camera_range_m=3.0)
         diagram.vehicle_trajectories[1].append(bad)
         with pytest.raises(ValidationError):
