@@ -140,6 +140,10 @@ class PipelineConfig:
             raise ValidationError(f"max_range_m must be positive, got {self.max_range_m}")
         if not self.classes:
             raise ValidationError("classes must name at least one class label")
+        missing = [c for c in self.classes if c not in self.intrinsics.class_height_m]
+        if missing:
+            raise ValidationError(f"no class_heights entry for "
+                                  f"{', '.join(map(repr, missing))} in classes")
         try:
             self.link_start  # builds the GeoPoint, which range-checks it
         except ValidationError as exc:

@@ -167,9 +167,11 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
 
     "DontCare" rows are kept but marked, with no location and no depth:
     KITTI writes -1000 placeholders there.  Use without_dontcare() to drop
-    them.
+    them.  An identity (track id >= 0) has at most one non-DontCare row per
+    frame; a repeated one raises ValidationError naming both lines.
     """
     records = []
+    line_of: dict[tuple[int, int], int] = {}  # (frame, track id) -> line
     for line_no, line in _iter_content_lines(stream):
         fields = line.split()
         if len(fields) not in (_LABEL_FIELDS_NO_SCORE, _LABEL_FIELDS_WITH_SCORE):
@@ -203,6 +205,12 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
             ))
         except ValidationError as exc:
             raise ValidationError(f"line {line_no}: {exc}") from None
+        if track_id >= 0 and not is_dontcare:
+            first = line_of.setdefault((frame, track_id), line_no)
+            if first != line_no:
+                raise ValidationError(
+                    f"line {line_no}: frame {frame} track {track_id} already has a row "
+                    f"on line {first}")
     records.sort(key=lambda r: (r.frame_index, r.gt_track_id))
     return records
 

@@ -11,6 +11,7 @@ deleted scheme.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -358,80 +359,38 @@ def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-class _Tally:
-    """Counts of values, with the most common one kept current as each is added.
-
-    A tie goes to the value seen first, as with ``Counter.most_common(1)``:
-    a value that catches up with the leader takes the lead only if it was
-    seen before the leader.
-    """
-
-    __slots__ = ("_seen", "leader", "_lead")
-
-    def __init__(self):
-        self._seen: dict = {}  # value -> [count, rank in order first seen]
-        self.leader = None
-        self._lead = 0
-
-    def add(self, value) -> None:
-        entry = self._seen.get(value)
-        if entry is None:
-            entry = self._seen[value] = [0, len(self._seen)]
-        entry[0] += 1
-        count = entry[0]
-        if count > self._lead or (count == self._lead
-                                  and entry[1] < self._seen[self.leader][1]):
-            self.leader = value
-            self._lead = count
-
-
 @dataclass
 class Track:
-    """One identity's Kalman state, lifecycle and matched observations.
+    """One identity's lifecycle, matched observations and appearance.
 
     ``records`` holds each matched detection once, in frame order; its
-    frame, box and confidence are the track's observation history.
-    ``observe`` is the only way to add one after construction: it appends
-    to ``records`` and keeps running tallies of class labels and annotated
-    identities with their current leaders, so ``class_label`` and
-    ``majority_gt_track_id`` cost the same however old the track is.
-    ``records`` passed to the constructor seed those tallies.
+    frame, box and confidence are the track's observation history, and its
+    length is the track's hit count.  ``class_label`` and
+    ``majority_gt_track_id`` count over ``records`` when read; a tie goes
+    to the value seen first.  A track holds no Kalman state: ``Tracker``
+    keeps its live tracks' states stacked.
     """
 
     track_id: int
-    state: KalmanState
     status: str = TENTATIVE
-    hits: int = 1
     frames_since_update: int = 0
     records: list[DetectionRecord] = field(default_factory=list)
     appearance: np.ndarray | None = None
     ever_confirmed: bool = False
-    _labels: _Tally = field(default_factory=_Tally, init=False, repr=False, compare=False)
-    _gt_ids: _Tally = field(default_factory=_Tally, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for record in self.records:
-            self._tally(record)
-
-    def _tally(self, record: DetectionRecord) -> None:
-        self._labels.add(record.class_label)
-        if record.gt_track_id >= 0:
-            self._gt_ids.add(record.gt_track_id)
-
-    def observe(self, det: DetectionRecord) -> None:
-        """Record one matched detection in records and the tallies."""
-        self.records.append(det)
-        self._tally(det)
 
     @property
     def class_label(self) -> str:
-        label = self._labels.leader
-        return "other" if label is None else label
+        return _most_common((r.class_label for r in self.records), "other")
 
     @property
     def majority_gt_track_id(self) -> int:
-        gt_id = self._gt_ids.leader
-        return -1 if gt_id is None else gt_id
+        return _most_common((r.gt_track_id for r in self.records if r.gt_track_id >= 0), -1)
+
+
+def _most_common(values: Iterable, default):
+    """The most frequent value, the first seen on a tie; ``default`` if none."""
+    counts = Counter(values)
+    return counts.most_common(1)[0][0] if counts else default
 
 
 def _appearance_cost(appearances: np.ndarray, embeddings: np.ndarray,
@@ -443,30 +402,23 @@ def _appearance_cost(appearances: np.ndarray, embeddings: np.ndarray,
 
 
 def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
-              config: TrackerConfig,
+              states: KalmanState, boxes: np.ndarray, config: TrackerConfig,
               embeddings: Sequence[np.ndarray | None] | None = None,
-              states: KalmanState | None = None,
-              boxes: np.ndarray | None = None,
               ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage matching of track indices to detection indices.
 
-    Stage 1 matches confirmed tracks with an appearance cost (when enabled
-    and embeddings are present) or a combined overlap/Mahalanobis cost,
-    gated by the Mahalanobis distance.  Stage 2 matches everything left
-    over on plain overlap.  Both stages solve the assignment optimally and
-    read their overlaps from one IoU matrix of every track against every
-    detection.  ``states`` are the tracks' Kalman states stacked row for
-    row, and ``boxes`` the detections' boxes as one (m, 4) array; each is
-    built from ``tracks`` or ``detections`` when omitted.
+    ``states`` are the tracks' predicted Kalman states stacked row for row,
+    and ``boxes`` the detections' boxes as one (m, 4) array.  Stage 1
+    matches confirmed tracks with an appearance cost (when enabled and
+    embeddings are present) or a combined overlap/Mahalanobis cost, gated
+    by the Mahalanobis distance.  Stage 2 matches everything left over on
+    plain overlap.  Both stages solve the assignment optimally and read
+    their overlaps from one IoU matrix of every track against every
+    detection.
     Returns (matches, unmatched_track_indices, unmatched_detection_indices).
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
-    if states is None:
-        states = KalmanState(np.stack([t.state.mean for t in tracks]),
-                             np.stack([t.state.covariance for t in tracks]))
-    if boxes is None:
-        boxes = np.array([d.bbox for d in detections], dtype=float)
 
     n_dets = len(detections)
     overlap = iou_matrix(_xyah_to_bbox(states.mean), boxes)
@@ -537,12 +489,10 @@ class Tracker:
 
     The result is the track list: ``tracks`` holds every track ever born,
     in birth order, and ``live_tracks`` those not yet deleted; step()
-    returns nothing.  The Kalman states of the live tracks are kept
-    stacked, one row per live track in ``live_tracks`` order, so each step
-    predicts, gates and updates every track with one call each.  After
-    every step each live track's ``state`` is a view of its row in one
-    copy of the stack, and a track deleted in the step keeps a copy of its
-    own row.
+    returns nothing.  The tracker alone holds Kalman states: those of the
+    live tracks, stacked one row per live track in ``live_tracks`` order,
+    so each step predicts, gates and updates every track with one call
+    each.  A deleted track's state is dropped with its row.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -585,7 +535,7 @@ class Tracker:
                     f"{'track' if len(ids) == 1 else 'tracks'} {', '.join(ids)}") from None
 
         matches, unmatched_tracks, unmatched_dets = associate(
-            live, detections, self.config, embeddings, states, boxes)
+            live, detections, states, boxes, self.config, embeddings)
 
         if matches:
             rows = [track_idx for track_idx, _ in matches]
@@ -602,10 +552,8 @@ class Tracker:
         alpha = self.config.appearance_ema_alpha
         for track_idx, det_idx in matches:
             track = live[track_idx]
-            det = detections[det_idx]
-            track.hits += 1
             track.frames_since_update = 0
-            track.observe(det)
+            track.records.append(detections[det_idx])
             embedding = embeddings[det_idx] if embeddings is not None else None
             if embedding is not None:
                 if track.appearance is None:
@@ -615,35 +563,29 @@ class Tracker:
                     norm = np.linalg.norm(blended)
                     if norm > 0.0:
                         track.appearance = blended / norm
-            if track.status == TENTATIVE and track.hits >= self.config.n_init:
+            if track.status == TENTATIVE and len(track.records) >= self.config.n_init:
                 track.status = CONFIRMED
                 track.ever_confirmed = True
 
-        deleted = []
+        deleted = False
         for track_idx in unmatched_tracks:
             track = live[track_idx]
             track.frames_since_update += 1
             # a miss before confirmation kills the candidate immediately
             if track.status == TENTATIVE or track.frames_since_update > self.config.max_age:
                 track.status = DELETED
-                # its own copy, so it does not keep the whole stack alive
-                track.state = KalmanState(states.mean[track_idx].copy(),
-                                          states.covariance[track_idx].copy())
-                deleted.append(track_idx)
+                deleted = True
         if deleted:
             keep = [row for row, track in enumerate(live) if track.status != DELETED]
             live = [live[row] for row in keep]
             states = _take_rows(states, keep)
 
         if unmatched_dets:
-            born = [detections[det_idx] for det_idx in unmatched_dets]
             initial = kalman_initiate(boxes.take(unmatched_dets, axis=0))
-            for row, (det_idx, det) in enumerate(zip(unmatched_dets, born)):
+            for det_idx in unmatched_dets:
                 embedding = embeddings[det_idx] if embeddings is not None else None
-                track = Track(track_id=self._next_id,
-                              state=KalmanState(initial.mean[row], initial.covariance[row]),
+                track = Track(track_id=self._next_id, records=[detections[det_idx]],
                               appearance=embedding)
-                track.observe(det)
                 if self.config.n_init <= 1:
                     track.status = CONFIRMED
                     track.ever_confirmed = True
@@ -655,21 +597,22 @@ class Tracker:
 
         self._live = live
         self._states = states
-        # one copy of the stack, so no caller can alter the tracker's own
-        mean, covariance = states.mean.copy(), states.covariance.copy()
-        for track, track_mean, track_covariance in zip(live, mean, covariance):
-            track.state = KalmanState(track_mean, track_covariance)
 
     def run(self, records: Iterable[DetectionRecord], n_frames: int | None = None,
             embeddings: Mapping[tuple[int, int], np.ndarray] | None = None,
             ) -> list[Track]:
         """Track a whole detection stream and return ``tracks``.
 
-        Empty frames still age the tracks.
+        Empty frames still age the tracks.  A record of frame ``n_frames``
+        or later raises ValidationError.
         """
         by_frame = group_by_frame(records)
         if n_frames is None:
             n_frames = max(by_frame, default=-1) + 1
+        past = [frame for frame in by_frame if frame >= n_frames]
+        if past:
+            raise ValidationError(
+                f"detection of frame {min(past)} at or past n_frames {n_frames}")
         for frame in range(n_frames):
             dets = by_frame.get(frame, [])
             frame_embeddings = None
@@ -686,16 +629,7 @@ def tracks_from_ground_truth(records: Iterable[DetectionRecord]) -> list[Track]:
         if record.is_dontcare or record.gt_track_id < 0:
             continue
         grouped.setdefault(record.gt_track_id, []).append(record)
-    tracks = []
-    for gt_id in sorted(grouped):
-        recs = sorted(grouped[gt_id], key=lambda r: r.frame_index)
-        track = Track(
-            track_id=gt_id,
-            state=kalman_initiate(recs[-1].bbox),
-            status=CONFIRMED,
-            hits=len(recs),
-            records=recs,
-            ever_confirmed=True,
-        )
-        tracks.append(track)
-    return tracks
+    return [Track(track_id=gt_id, status=CONFIRMED,
+                  records=sorted(grouped[gt_id], key=lambda r: r.frame_index),
+                  ever_confirmed=True)
+            for gt_id in sorted(grouped)]

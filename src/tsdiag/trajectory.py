@@ -169,6 +169,7 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
     for track in sorted(tracks, key=lambda t: t.track_id):
         if not track.ever_confirmed:
             continue
+        class_label = track.class_label
         points = []
         for record in track.records:
             frame = record.frame_index
@@ -183,7 +184,7 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
                 quality = QUALITY_OK
             else:
                 estimate = range_from_height(
-                    record.height, track.class_label, intrinsics,
+                    record.height, class_label, intrinsics,
                     min_bbox_height_px, max_range_m)
                 camera_range = estimate.distance_m
                 quality = estimate.quality_flag

@@ -4,8 +4,9 @@ Each frame predicts, gates and updates the live tracks one at a time with
 single-track Kalman functions that build their noise matrices with
 ``np.diag`` and project with an explicit observation matrix, and both
 association stages fill their cost matrices pair by pair with the scalar
-``iou``.  Only ``Track``, ``iou`` and the assignment solver are shared with
-the production tracker, so a batched ``Tracker`` must reproduce this one's
+``iou``.  Each live track's state is kept on its own, keyed by track id.
+Only ``Track``, ``iou`` and the assignment solver are shared with the
+production tracker, so a batched ``Tracker`` must reproduce this one's
 tracks, lifecycles and states bit for bit.
 """
 
@@ -110,8 +111,11 @@ def _appearance_cost(track, embedding, metric):
     return float(np.linalg.norm(track.appearance - embedding))
 
 
-def associate(tracks, detections, config, embeddings=None):
-    """Two-stage matching with per-pair cost loops; see tsdiag.tracker.associate."""
+def associate(tracks, states, detections, config, embeddings=None):
+    """Two-stage matching with per-pair cost loops; see tsdiag.tracker.associate.
+
+    ``states`` holds one Kalman state per track, in ``tracks`` order.
+    """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
 
@@ -145,8 +149,8 @@ def associate(tracks, detections, config, embeddings=None):
         cost = np.full((len(confirmed), n_dets), _GATE_COST)
         for row, ti in enumerate(confirmed):
             track = tracks[ti]
-            predicted = _box(track.state.mean)
-            maha = gating_distance(track.state, det_boxes)
+            predicted = _box(states[ti].mean)
+            maha = gating_distance(states[ti], det_boxes)
             for col in range(n_dets):
                 if maha[col] > gate:
                     continue
@@ -167,7 +171,7 @@ def associate(tracks, detections, config, embeddings=None):
     if stage2_tracks and free_dets:
         cost = np.full((len(stage2_tracks), len(free_dets)), _GATE_COST)
         for row, ti in enumerate(stage2_tracks):
-            predicted = _box(tracks[ti].state.mean)
+            predicted = _box(states[ti].mean)
             for col, dj in enumerate(free_dets):
                 value = 1.0 - iou(predicted, det_boxes[dj])
                 if value <= config.max_iou_dist:
@@ -188,6 +192,7 @@ class OracleTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
+        self.states: dict[int, KalmanState] = {}  # live track id -> state
         self._next_id = 1
 
     def live_tracks(self) -> list[Track]:
@@ -195,20 +200,21 @@ class OracleTracker:
 
     def step(self, detections, frame_index, embeddings=None):
         live = self.live_tracks()
+        states = self.states
         for track in live:
-            track.state = kalman_predict(track.state)
+            states[track.track_id] = kalman_predict(states[track.track_id])
 
         matches, unmatched_tracks, unmatched_dets = associate(
-            live, detections, self.config, embeddings)
+            live, [states[t.track_id] for t in live], detections, self.config, embeddings)
 
         alpha = self.config.appearance_ema_alpha
         for track_idx, det_idx in matches:
             track = live[track_idx]
             det = detections[det_idx]
-            track.state = kalman_update(track.state, det.bbox, det.confidence)
-            track.hits += 1
+            states[track.track_id] = kalman_update(states[track.track_id], det.bbox,
+                                                   det.confidence)
             track.frames_since_update = 0
-            track.observe(det)
+            track.records.append(det)
             embedding = embeddings[det_idx] if embeddings is not None else None
             if embedding is not None:
                 if track.appearance is None:
@@ -218,24 +224,22 @@ class OracleTracker:
                     norm = np.linalg.norm(blended)
                     if norm > 0.0:
                         track.appearance = blended / norm
-            if track.status == TENTATIVE and track.hits >= self.config.n_init:
+            if track.status == TENTATIVE and len(track.records) >= self.config.n_init:
                 track.status = CONFIRMED
                 track.ever_confirmed = True
 
         for track_idx in unmatched_tracks:
             track = live[track_idx]
             track.frames_since_update += 1
-            if track.status == TENTATIVE:
+            if track.status == TENTATIVE or track.frames_since_update > self.config.max_age:
                 track.status = DELETED
-            elif track.frames_since_update > self.config.max_age:
-                track.status = DELETED
+                del states[track.track_id]
 
         for det_idx in unmatched_dets:
             det = detections[det_idx]
             embedding = embeddings[det_idx] if embeddings is not None else None
-            track = Track(track_id=self._next_id, state=kalman_initiate(det.bbox),
-                          appearance=embedding)
-            track.observe(det)
+            track = Track(track_id=self._next_id, records=[det], appearance=embedding)
+            states[track.track_id] = kalman_initiate(det.bbox)
             if self.config.n_init <= 1:
                 track.status = CONFIRMED
                 track.ever_confirmed = True

@@ -110,9 +110,6 @@ VALID_VALUES = {
     "focal_length_px": _positive, "image_height_px": _positive,
     "sensor_height_px": _positive,
     "image_width_px": _float_text(min_value=0.0, exclude_min=True, allow_infinity=False),
-    "class_heights": st.dictionaries(_label, st.floats(min_value=0.1, max_value=10.0),
-                                     min_size=1, max_size=3).map(
-        lambda heights: ", ".join(f"{label}:{h!r}" for label, h in heights.items())),
     "nn_metric": st.sampled_from(["cosine", "euclidean"]),
     "max_dist": _open_unit, "max_iou_dist": _open_unit,
     "max_age": st.integers(1, 1000).map(str), "n_init": st.integers(1, 10).map(str),
@@ -127,7 +124,6 @@ VALID_VALUES = {
     "link_start_lon": _float_text(min_value=-180.0, max_value=180.0),
     "link_length_m": _positive,
     "sequence_id": _text,
-    "classes": st.lists(_label, min_size=1, max_size=3).map(",".join),
     "distance_mode": st.sampled_from(["direct", "cumulative"]),
     "frame_rate_hz": _positive,
     "smoothing_window": st.integers(0, 10).map(lambda k: str(2 * k + 1)),
@@ -137,11 +133,34 @@ VALID_VALUES = {
     "include_dontcare": _bool_text,
 }
 
+CLASS_KEYS = {"classes", "class_heights"}
+
+
+@st.composite
+def _class_values(draw):
+    """Valid text of classes and class_heights, drawn together.
+
+    Either key may be left out (the defaults are car and car:1.5), but
+    every class must have a height.
+    """
+    values = {}
+    labels = ["car"]
+    heights = draw(st.none() | st.dictionaries(
+        _label, st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=3))
+    if heights is not None:
+        values["class_heights"] = ", ".join(f"{label}:{h!r}" for label, h in heights.items())
+        labels = list(heights)
+    if "car" not in labels or draw(st.booleans()):
+        values["classes"] = ",".join(
+            draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3)))
+    return values
+
 
 class TestConfigTable:
     def test_every_key_written_once(self):
         assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 39
-        assert set(VALID_VALUES) == set(TABLE_KEYS)
+        assert not CLASS_KEYS & set(VALID_VALUES)
+        assert set(VALID_VALUES) | CLASS_KEYS == set(TABLE_KEYS)
 
     def test_paths_name_fields_and_only_preset_maps_to_none(self):
         defaults = PipelineConfig()
@@ -170,10 +189,10 @@ class TestConfigTable:
                      "use_appearance = true", "max_age = 7", "seed = -3"):
             assert line in lines
 
-    @given(st.fixed_dictionaries({}, optional=VALID_VALUES))
+    @given(st.fixed_dictionaries({}, optional=VALID_VALUES), _class_values())
     @settings(max_examples=150, deadline=None)
-    def test_round_trip_over_valid_values(self, values):
-        cfg = build_config(values)
+    def test_round_trip_over_valid_values(self, values, class_values):
+        cfg = build_config({**values, **class_values})
         assert load_config_from_text(dump_config(cfg)) == cfg
 
     def test_each_key_has_one_flag_and_one_manifest_line(self):
@@ -235,6 +254,10 @@ class TestConfigTable:
         ({"lane_offset_threshold_m": "nan"}, "lane_offset_threshold_m must be finite, got nan"),
         ({"lane_offset_threshold_m": "-inf"},
          "lane_offset_threshold_m must be finite, got -inf"),
+        ({"classes": "car,tram"}, "no class_heights entry for 'tram' in classes"),
+        ({"classes": "Van, truck", "class_heights": "car:1.5,van:2"},
+         "no class_heights entry for 'truck' in classes"),
+        ({"class_heights": "van:2"}, "no class_heights entry for 'car' in classes"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -368,6 +391,16 @@ class TestRunCommand:
         assert str(float(value)) in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_class_without_height_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
+        # rejected before ingest, whether or not the sequence holds that class
+        _, config_path = fixture_dir
+        code = main(["run", config_path, "--classes", "car,tram",
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert ("config error: no class_heights entry for 'tram' in classes"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
     def test_explicit_timestamps_file(self, fixture_dir, tmp_path):
         directory, config_path = fixture_dir
         stamps_path = str(tmp_path / "stamps.txt")
@@ -441,6 +474,7 @@ class TestEvalCommand:
         for include in ("true", "false"):
             out_dir = tmp_path / f"out_{include}"
             assert main(["eval", config_path, "--classes", "car,other",
+                         "--class-heights", "car:1.5,other:1.5",
                          "--include-dontcare", include, "--output-dir", str(out_dir)]) == 0
             diagram = diagram_from_csv((out_dir / "diagram.csv").read_text())
             outputs.append(list(diagram.vehicle_trajectories.values()))

@@ -374,7 +374,8 @@ class TestDontCare:
 
     def _run(self, directory, include_dontcare):
         cfg = load_config(os.path.join(directory, "config.ini"),
-                          {"classes": "car,other", "include_dontcare": include_dontcare})
+                          {"classes": "car,other", "class_heights": "car:1.5,other:1.5",
+                           "include_dontcare": include_dontcare})
         result = run_pipeline(cfg)
         reference = build_reference_diagram(result.gt_records, result.oxts, result.clock, cfg)
         return result, diagram_to_csv(reference)

@@ -94,6 +94,25 @@ class TestParseLabelFile:
             parse_label_file(io.StringIO(LABEL_LINE + " 1.7"))
 
 
+    def test_repeated_identity_in_a_frame_rejected_naming_both_lines(self):
+        # a second row of track 2 in frame 0 would be a second box of one vehicle
+        lines = [LABEL_LINE, LABEL_LINE.replace("0 2 Car", "0 5 Car"), "",
+                 LABEL_LINE.replace("515.2", "600.0")]
+        with pytest.raises(ValidationError,
+                           match=r"^line 4: frame 0 track 2 already has a row on line 1$"):
+            parse_label_file(io.StringIO("\n".join(lines)))
+
+    def test_identity_may_repeat_across_frames_and_dontcare_rows(self):
+        dontcare = ("0 -1 DontCare -1 -1 -10 219.31 188.49 245.50 218.56 "
+                    "-1 -1 -1 -1000 -1000 -1000 -10")
+        lines = [LABEL_LINE, LABEL_LINE.replace("0 2 Car", "1 2 Car"), dontcare, dontcare,
+                 LABEL_LINE.replace("0 2 Car", "0 -1 Car"),
+                 LABEL_LINE.replace("0 2 Car", "0 -1 Van")]
+        records = parse_label_file(io.StringIO("\n".join(lines)))
+        assert [(r.frame_index, r.gt_track_id) for r in records] == [
+            (0, -1), (0, -1), (0, -1), (0, -1), (0, 2), (1, 2)]
+
+
 class TestParseOxts:
     def test_documented_line(self):
         samples = parse_oxts_lines(io.StringIO(OXTS_LINE))

@@ -39,12 +39,27 @@ def box_at(cx, cy, w=40.0, h=50.0):
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
+def _live_states(tracker):
+    """(track, mean, covariance) per live track, read from the tracker's stacked rows."""
+    live = tracker.live_tracks
+    assert tracker._states.mean.shape == (len(live), 8)
+    assert tracker._states.covariance.shape == (len(live), 8, 8)
+    return list(zip(live, tracker._states.mean, tracker._states.covariance))
+
+
 def _summary(tracker):
     """Everything the tracker has produced so far, as comparable values."""
-    return [(t.track_id, t.status, t.hits, t.frames_since_update, t.ever_confirmed,
-             t.class_label, t.majority_gt_track_id, t.records,
-             t.state.mean.tolist(), t.state.covariance.tolist())
-            for t in tracker.tracks]
+    tracks = [(t.track_id, t.status, t.frames_since_update, t.ever_confirmed,
+               t.class_label, t.majority_gt_track_id, t.records)
+              for t in tracker.tracks]
+    states = [(t.track_id, mean.tolist(), covariance.tolist())
+              for t, mean, covariance in _live_states(tracker)]
+    return tracks, states
+
+
+def _associate(tracks, states, dets, config, embeddings=None):
+    boxes = np.array([d.bbox for d in dets], dtype=float).reshape(-1, 4)
+    return associate(tracks, dets, states, boxes, config, embeddings)
 
 
 def _summaries_per_frame(frames):
@@ -484,63 +499,64 @@ class TestAssociate:
     def _tentative_track(self, bbox):
         tracker = Tracker(TrackerConfig())
         tracker.step([det(0, bbox)], 0)
-        return tracker.live_tracks
+        return tracker.live_tracks, tracker._states
 
     def test_track_atop_detection_matches(self):
-        tracks = self._tentative_track(box_at(100, 100))
-        matches, unmatched_t, unmatched_d = associate(
-            tracks, [det(1, box_at(100, 100))], TrackerConfig())
+        tracks, states = self._tentative_track(box_at(100, 100))
+        matches, unmatched_t, unmatched_d = _associate(
+            tracks, states, [det(1, box_at(100, 100))], TrackerConfig())
         assert matches == [(0, 0)]
         assert unmatched_t == [] and unmatched_d == []
 
     def test_low_overlap_fails_gate(self):
         # overlap 0.2 -> cost 0.8 above the 0.7 gate
-        tracks = self._tentative_track((0.0, 0.0, 10.0, 10.0))
+        tracks, states = self._tentative_track((0.0, 0.0, 10.0, 10.0))
         probe = (0.0, 0.0, 10.0, 10.0)
         candidate = (0.0, 0.0, 10.0, 2.0)
         assert iou(probe, candidate) == pytest.approx(0.2)
-        matches, unmatched_t, unmatched_d = associate(
-            tracks, [det(1, candidate)], TrackerConfig())
+        matches, unmatched_t, unmatched_d = _associate(
+            tracks, states, [det(1, candidate)], TrackerConfig())
         assert matches == []
         assert unmatched_t == [0] and unmatched_d == [0]
 
     def test_overlap_gate_is_inclusive(self):
         # overlap 0.5 -> cost exactly 0.5, on the gate
-        tracks = self._tentative_track((0.0, 0.0, 10.0, 10.0))
-        matches, _, _ = associate(tracks, [det(1, (0.0, 0.0, 10.0, 5.0))],
-                                  TrackerConfig(max_iou_dist=0.5))
+        tracks, states = self._tentative_track((0.0, 0.0, 10.0, 10.0))
+        matches, _, _ = _associate(tracks, states, [det(1, (0.0, 0.0, 10.0, 5.0))],
+                                   TrackerConfig(max_iou_dist=0.5))
         assert matches == [(0, 0)]
 
     def test_mahalanobis_gate_is_inclusive(self):
         # a confirmed track and a detection without overlap, so only the
         # first stage can match them, at a distance exactly on the gate
-        track = Track(track_id=1, state=kalman_predict(kalman_initiate(box_at(100, 100))),
-                      status=CONFIRMED)
+        track = Track(track_id=1, status=CONFIRMED)
+        states = kalman_predict(kalman_initiate([box_at(100, 100)]))
         far = box_at(160, 100)
-        distance = float(gating_distance(track.state, [far])[0])
+        distance = float(gating_distance(states, [far])[0, 0])
         assert iou(box_at(100, 100), far) == 0.0
         for gate, expected in ((distance, [(0, 0)]), (np.nextafter(distance, 0.0), [])):
-            matches, _, _ = associate([track], [det(1, far)],
-                                      TrackerConfig(mahalanobis_gate=gate))
+            matches, _, _ = _associate([track], states, [det(1, far)],
+                                       TrackerConfig(mahalanobis_gate=gate))
             assert matches == expected
 
-    def test_explicit_states_equal_stacked_track_states(self):
+    def test_state_rows_follow_track_order(self):
+        # row i of the states is track i's, whatever order the tracks are in
         tracker = Tracker(TrackerConfig(n_init=1))
         tracker.step([det(0, box_at(100, 100)), det(0, box_at(400, 100))], 0)
         tracks = tracker.live_tracks
-        for track in tracks:
-            track.state = kalman_predict(track.state)
+        states = kalman_predict(tracker._states)
         dets = [det(1, box_at(405, 101)), det(1, box_at(103, 99))]
-        states = KalmanState(np.stack([t.state.mean for t in tracks]),
-                             np.stack([t.state.covariance for t in tracks]))
-        assert (associate(tracks, dets, TrackerConfig(), states=states)
-                == associate(tracks, dets, TrackerConfig())
+        assert (_associate(tracks, states, dets, TrackerConfig())
                 == ([(0, 1), (1, 0)], [], []))
+        reversed_states = KalmanState(states.mean[::-1], states.covariance[::-1])
+        assert (_associate(tracks[::-1], reversed_states, dets, TrackerConfig())
+                == ([(0, 0), (1, 1)], [], []))
 
     def test_empty_inputs(self):
-        assert associate([], [], TrackerConfig()) == ([], [], [])
-        tracks = self._tentative_track(box_at(50, 50))
-        assert associate(tracks, [], TrackerConfig()) == ([], [0], [])
+        no_states = KalmanState(np.empty((0, 8)), np.empty((0, 8, 8)))
+        assert _associate([], no_states, [], TrackerConfig()) == ([], [], [])
+        tracks, states = self._tentative_track(box_at(50, 50))
+        assert _associate(tracks, states, [], TrackerConfig()) == ([], [0], [])
 
 
 class TestLifecycle:
@@ -556,7 +572,7 @@ class TestLifecycle:
         tracker.step([det(1, box_at(101, 100))], 1)
         (track,) = tracker.live_tracks
         assert track.status == CONFIRMED
-        assert track.hits == 2
+        assert len(track.records) == 2
 
     def test_deleted_after_max_age_misses(self):
         config = TrackerConfig(max_age=30)
@@ -589,6 +605,15 @@ class TestLifecycle:
         # the rejected call leaves the tracker as it was
         assert tracker.step([det(0, box_at(100, 100))], 0) is None
         assert [t.records[0].frame_index for t in tracker.live_tracks] == [0]
+
+    def test_run_rejects_records_at_or_past_n_frames(self):
+        records = [det(frame, box_at(100 + frame, 100)) for frame in range(20)]
+        tracker = Tracker()
+        with pytest.raises(ValidationError,
+                           match=r"^detection of frame 10 at or past n_frames 10$"):
+            tracker.run(records, n_frames=10)
+        assert tracker.tracks == []
+        assert len(Tracker().run(records, n_frames=20)[0].records) == 20
 
     def test_track_ids_never_reused(self):
         tracker = Tracker()
@@ -673,7 +698,7 @@ class TestAppearance:
         tracker.step([det(0, box_at(100, 100))], 0, [e])
         tracker.step([det(1, box_at(100, 100))], 1, [e])  # confirmed now
         tracker.step([det(2, box_at(104, 100))], 2, [e])
-        assert tracker.tracks[0].hits == 3
+        assert len(tracker.tracks[0].records) == 3
 
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6), seeds,
            st.sampled_from(["cosine", "euclidean"]))
@@ -695,13 +720,13 @@ class TestAppearance:
 
     def test_appearance_gate_is_inclusive(self):
         # appearance cost exactly max_dist, and no overlap for the second stage
-        track = Track(track_id=1, state=kalman_predict(kalman_initiate(box_at(100, 100))),
-                      status=CONFIRMED, appearance=np.array([1.0, 0.0]))
+        track = Track(track_id=1, status=CONFIRMED, appearance=np.array([1.0, 0.0]))
+        states = kalman_predict(kalman_initiate([box_at(100, 100)]))
         far = det(1, box_at(160, 100))
         embedding = np.array([0.5, np.sqrt(0.75)])
         for max_dist, expected in ((0.5, [(0, 0)]), (np.nextafter(0.5, 0.0), [])):
             config = TrackerConfig(use_appearance=True, max_dist=max_dist, mahalanobis_gate=1e9)
-            matches, _, _ = associate([track], [far], config, [embedding])
+            matches, _, _ = _associate([track], states, [far], config, [embedding])
             assert matches == expected
 
     def test_appearance_mismatch_falls_back_to_overlap_stage(self):
@@ -714,7 +739,7 @@ class TestAppearance:
         tracker.step([det(0, box_at(100, 100))], 0, [e])
         tracker.step([det(1, box_at(100, 100))], 1, [e])
         tracker.step([det(2, box_at(100, 100))], 2, [orthogonal])
-        assert tracker.tracks[0].hits == 3
+        assert len(tracker.tracks[0].records) == 3
         assert len(tracker.tracks) == 1  # no spurious new identity
 
 
@@ -796,12 +821,11 @@ class TestTallyLeader:
         # X leads, L draws level (X was seen first), L overtakes, X draws level
         observed = [("van", 7), ("car", 3), ("car", 3), ("van", 7)]
         leaders = [("van", 7), ("van", 7), ("car", 3), ("van", 7)]
-        track = Track(track_id=1, state=kalman_initiate(box_at(100, 100)))
+        track = Track(track_id=1)
         for frame, ((cls, gt), leader) in enumerate(zip(observed, leaders)):
-            track.observe(det(frame, box_at(100, 100), cls=cls, gt=gt))
+            track.records.append(det(frame, box_at(100, 100), cls=cls, gt=gt))
             assert (track.class_label, track.majority_gt_track_id) == leader
-            seeded = Track(track_id=2, state=kalman_initiate(box_at(100, 100)),
-                           records=list(track.records))
+            seeded = Track(track_id=2, records=list(track.records))
             assert (seeded.class_label, seeded.majority_gt_track_id) == leader
             _assert_tallies_match(track)
 
@@ -817,12 +841,11 @@ class TestTrackTallies:
     def test_observe_matches_recount_after_every_step(self, seeded, observed):
         records = [det(f, box_at(100, 100), cls=cls, gt=gt)
                    for f, (cls, gt) in enumerate(seeded)]
-        track = Track(track_id=1, state=kalman_initiate(box_at(100, 100)),
-                      records=records)
+        track = Track(track_id=1, records=records)
         assert track.class_label == _oracle_label(track.records)
         assert track.majority_gt_track_id == _oracle_gt_id(track.records)
         for frame, (cls, gt) in enumerate(observed, start=len(seeded)):
-            track.observe(det(frame, box_at(100, 100), conf=0.5, cls=cls, gt=gt))
+            track.records.append(det(frame, box_at(100, 100), conf=0.5, cls=cls, gt=gt))
             _assert_tallies_match(track)
 
 
@@ -874,36 +897,6 @@ class TestLiveTracks:
         assert len(tracker.tracks) > len(tracker.live_tracks) > 0
 
 
-class TestStateWriteBack:
-    def _stream(self):
-        # a confirmed car throughout; a second box seen once, so its
-        # tentative track dies in frame 1; a third box born in frame 2
-        return [[det(0, box_at(100, 100)), det(0, box_at(600, 100))],
-                [det(1, box_at(103, 100))],
-                [det(2, box_at(106, 100)), det(2, box_at(900, 300))],
-                [det(3, box_at(109, 100)), det(3, box_at(902, 300))]]
-
-    def test_deleted_track_state_owns_its_arrays(self):
-        tracker = Tracker(TrackerConfig(max_age=1))
-        for frame, dets in enumerate(self._stream()[:2]):
-            tracker.step(dets, frame)
-        (dead,) = [t for t in tracker.tracks if t.status == DELETED]
-        assert dead.state.mean.flags.owndata and dead.state.covariance.flags.owndata
-        assert dead.state.mean.shape == (8,) and dead.state.covariance.shape == (8, 8)
-
-    def test_live_states_are_not_the_trackers_own(self):
-        # altering the states handed out must not alter later tracking
-        clean, altered = Tracker(), Tracker()
-        for frame, dets in enumerate(self._stream()):
-            clean.step(dets, frame)
-            altered.step(dets, frame)
-            assert _summary(altered) == _summary(clean)
-            for track in altered.live_tracks:
-                assert not np.shares_memory(track.state.mean, altered._states.mean)
-                track.state.mean[:] = np.nan
-                track.state.covariance[:] = np.nan
-
-
 # A vehicle enters at `start`, moves at constant image velocity while its
 # height changes, and is missed during its gaps; vehicles sharing a row and
 # moving in opposite directions cross in the image.
@@ -947,16 +940,19 @@ def _vehicle_frames(vehicles_spec, seed):
 def _assert_same_tracking(tracker, oracle):
     assert len(tracker.tracks) == len(oracle.tracks)
     for track, expected in zip(tracker.tracks, oracle.tracks):
-        assert ((track.track_id, track.status, track.hits, track.frames_since_update,
+        assert ((track.track_id, track.status, track.frames_since_update,
                  track.ever_confirmed, track.class_label, track.majority_gt_track_id)
-                == (expected.track_id, expected.status, expected.hits,
-                    expected.frames_since_update, expected.ever_confirmed,
-                    expected.class_label, expected.majority_gt_track_id))
+                == (expected.track_id, expected.status, expected.frames_since_update,
+                    expected.ever_confirmed, expected.class_label,
+                    expected.majority_gt_track_id))
         assert track.records == expected.records
-        assert _same_bits(track.state.mean, expected.state.mean)
-        assert _same_bits(track.state.covariance, expected.state.covariance)
     assert ([t.track_id for t in tracker.live_tracks]
             == [t.track_id for t in oracle.live_tracks()])
+    for track, mean, covariance in _live_states(tracker):
+        expected = oracle.states[track.track_id]
+        assert _same_bits(mean, expected.mean)
+        assert _same_bits(covariance, expected.covariance)
+    assert len(oracle.states) == len(tracker.live_tracks)
 
 
 def _one_hot_embeddings(dets):

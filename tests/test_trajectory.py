@@ -5,7 +5,7 @@ from tsdiag.errors import ParseError, ValidationError
 from tsdiag.geodesy import GeoPoint
 from tsdiag.kitti import DetectionRecord, FrameClock, OxtsSample
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
-from tsdiag.tracker import Track, kalman_initiate
+from tsdiag.tracker import Track
 from tsdiag.trajectory import (
     OUT_OF_LINK_MARGIN_M,
     LaneFilterConfig,
@@ -23,7 +23,7 @@ KITTI = kitti_intrinsics()
 CAR_RANGE_AT_100PX = 406644.0 / 36200.0
 
 
-def make_track(track_id, entries, lateral_x=None, confirmed=True):
+def make_track(track_id, entries, lateral_x=None, confirmed=True, track_type=Track):
     """entries: list of (frame, bbox); lateral_x optionally sets annotated x."""
     records = []
     for frame, bbox in entries:
@@ -35,13 +35,23 @@ def make_track(track_id, entries, lateral_x=None, confirmed=True):
         records.append(DetectionRecord(
             frame_index=frame, class_label="car", bbox=bbox,
             gt_track_id=track_id, gt_location_camera=location, gt_depth_m=depth))
-    return Track(
+    return track_type(
         track_id=track_id,
-        state=kalman_initiate(entries[-1][1]),
         status="confirmed" if confirmed else "tentative",
         records=records,
         ever_confirmed=confirmed,
     )
+
+
+class LabelReadCounter(Track):
+    """A track that counts the reads of its class label."""
+
+    reads = 0
+
+    @property
+    def class_label(self) -> str:
+        self.reads += 1
+        return super().class_label
 
 
 def box_with_height(center_x, height, top=100.0):
@@ -203,8 +213,7 @@ class TestBuildDiagram:
         records = [DetectionRecord(frame_index=0, class_label="car",
                                    bbox=box_with_height(300.0, height),
                                    gt_track_id=3, gt_depth_m=37.5)]
-        track = Track(track_id=3, state=kalman_initiate(records[0].bbox),
-                      status="confirmed", ever_confirmed=True,
+        track = Track(track_id=3, status="confirmed", ever_confirmed=True,
                       records=records)
         diagram = build_diagram([track], make_oxts(range(1)), FrameClock(),
                                 GeoPoint(0, 0), 300.0, KITTI, range_source="gt_depth")
@@ -221,6 +230,19 @@ class TestBuildDiagram:
         qualities = [p.quality for p in diagram.vehicle_trajectories[1]]
         assert qualities == ["ok", "above_max_range", "below_min_height"]
         assert len(diagram.vehicle_trajectories[1]) == 3
+
+
+    def test_class_label_read_once_per_track(self):
+        # the label counts over every record when read, so a read per
+        # record would make the diagram quadratic in track length
+        lengths = (1, 5, 40)
+        tracks = [make_track(k + 1, [(f, box_with_height(300.0, 60.0)) for f in range(n)],
+                             track_type=LabelReadCounter)
+                  for k, n in enumerate(lengths)]
+        diagram = build_diagram(tracks, make_oxts(range(40)), FrameClock(), GeoPoint(0, 0),
+                                300.0, KITTI)
+        assert [len(diagram.vehicle_trajectories[t.track_id]) for t in tracks] == [1, 5, 40]
+        assert [t.reads for t in tracks] == [1, 1, 1]
 
 
 class TestSmoothing:
