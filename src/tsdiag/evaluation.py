@@ -216,9 +216,8 @@ def trajectory_error_report(predicted: TimeSpaceDiagram,
     Track correspondence comes from the annotated identities recorded in
     the predicted diagram, else from greedy nearest-mean-distance matching.
     """
-    matching = predicted.metadata.get("gt_track_map")
-    if matching is None:
-        matching = _greedy_mean_distance_matching(predicted, reference)
+    matching = (predicted.gt_track_map
+                or _greedy_mean_distance_matching(predicted, reference))
 
     per_track: dict[int, float] = {}
     count = 0

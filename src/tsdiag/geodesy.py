@@ -640,8 +640,7 @@ def geodesic_inverse(p1: GeoPoint, p2: GeoPoint,
     return InverseSolution(s12, azi1, azi2)
 
 
-def probe_distances(link_start: GeoPoint, fixes, mode: str = "direct",
-                    ellipsoid: Ellipsoid = WGS84) -> list[float]:
+def probe_distances(link_start: GeoPoint, fixes, mode: str = "direct") -> list[float]:
     """Distance of the probe along the link at each GPS fix of a trace.
 
     "direct" measures straight from the link start; "cumulative" measures
@@ -655,9 +654,9 @@ def probe_distances(link_start: GeoPoint, fixes, mode: str = "direct",
     running = 0.0
     for fix in fixes:
         if mode == "direct" or prev is None:
-            running = geodesic_inverse(link_start, fix, ellipsoid).distance_m
+            running = geodesic_inverse(link_start, fix).distance_m
         else:
-            running += geodesic_inverse(prev, fix, ellipsoid).distance_m
+            running += geodesic_inverse(prev, fix).distance_m
         out.append(running)
         prev = fix
     return out

@@ -91,9 +91,11 @@ class DetectionRecord:
 
 @dataclass(frozen=True)
 class OxtsSample:
-    """One GPS/IMU fix; raw_fields keeps the 30 OXTS values verbatim."""
+    """One GPS/IMU fix; raw_fields keeps the 30 OXTS values verbatim.
 
-    frame_index: int
+    A fix's frame is its position in the list load_oxts returns.
+    """
+
     position: GeoPoint
     raw_fields: tuple[float, ...] = ()
 
@@ -265,7 +267,7 @@ def without_dontcare(records: Iterable[DetectionRecord]) -> list[DetectionRecord
     return [r for r in records if not r.is_dontcare]
 
 
-def _parse_oxts_line(line: str, frame_index: int, line_no: int) -> OxtsSample:
+def _parse_oxts_line(line: str, line_no: int) -> OxtsSample:
     fields = line.split()[:_OXTS_FIELD_COUNT]
     if len(fields) < _OXTS_FIELD_COUNT:
         raise ParseError(
@@ -283,21 +285,12 @@ def _parse_oxts_line(line: str, frame_index: int, line_no: int) -> OxtsSample:
         raise ValidationError(f"line {line_no}: latitude {lat} outside [-90, 90]")
     if not -180.0 <= lon <= 180.0:
         raise ValidationError(f"line {line_no}: longitude {lon} outside [-180, 180]")
-    return OxtsSample(
-        frame_index=frame_index,
-        position=GeoPoint(lat, lon),
-        raw_fields=tuple(values),
-    )
+    return OxtsSample(position=GeoPoint(lat, lon), raw_fields=tuple(values))
 
 
 def parse_oxts_lines(stream: IO[str] | Iterable[str]) -> list[OxtsSample]:
     """Parse a single multi-line OXTS file (one fix per line, line order = frame order)."""
-    samples = []
-    frame_index = 0
-    for line_no, line in _iter_content_lines(stream):
-        samples.append(_parse_oxts_line(line, frame_index, line_no))
-        frame_index += 1
-    return samples
+    return [_parse_oxts_line(line, line_no) for line_no, line in _iter_content_lines(stream)]
 
 
 def _oxts_files_by_frame(path: str) -> list[str]:
@@ -365,7 +358,7 @@ def _read_oxts_fix(file_path: str, frame_index: int) -> OxtsSample:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, line in _iter_content_lines(lines):
         try:
-            return _parse_oxts_line(line, frame_index, line_no)
+            return _parse_oxts_line(line, line_no)
         except (ParseError, ValidationError) as exc:
             raise type(exc)(f"{file_path}: {exc}") from None
     raise ValidationError(f"{file_path}: no OXTS fix for frame {frame_index}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy
 
 from .config import PipelineConfig, dump_config
-from .errors import PipelineError, ValidationError
+from .errors import ParseError, PipelineError, ValidationError
 from .evaluation import (
     ErrorReport,
     HotaReport,
@@ -24,10 +24,10 @@ from .evaluation import (
     range_error_report,
     trajectory_error_report,
 )
+from .geodesy import probe_distances
 from .kitti import (
     DetectionRecord,
     FrameClock,
-    OxtsSample,
     load_embeddings,
     load_oxts,
     parse_detections_file,
@@ -59,8 +59,7 @@ class PipelineResult:
     kept_tracks: list[Track]
     detections: list[DetectionRecord]
     gt_records: list[DetectionRecord] | None
-    oxts: list[OxtsSample]
-    clock: FrameClock
+    probe: list[tuple[float, float]]  # (time [s], link distance [m]) at each frame
 
 
 @dataclass
@@ -69,7 +68,6 @@ class EvalResult:
     range_pred: ErrorReport
     trajectory: ErrorReport
     hota_report: HotaReport
-    reference: TimeSpaceDiagram
 
 
 @contextlib.contextmanager
@@ -81,6 +79,25 @@ def _stage(name: str):
         raise
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
+
+
+def _read(parse, path: str):
+    """Parse one input file; a parse error names the file."""
+    with open(path) as fh:
+        try:
+            return parse(fh)
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+
+def _check_frames(records: list[DetectionRecord], path: str, n_fixes: int,
+                  oxts_path: str) -> None:
+    """Every record's frame must have a GPS fix, or it would have no place on the link."""
+    for record in records:
+        if record.frame_index >= n_fixes:
+            raise ValidationError(
+                f"{path}: frame {record.frame_index} has no GPS sample; {oxts_path} holds "
+                f"frames 0 to {n_fixes - 1}")
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -96,20 +113,26 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             raise ValidationError(f"OXTS path {cfg.oxts!r} holds no GPS fixes")
 
         if cfg.labels:
-            with open(cfg.labels) as fh:
-                gt_records = parse_label_file(fh)
+            gt_records = _read(parse_label_file, cfg.labels)
+            _check_frames(gt_records, cfg.labels, len(oxts), cfg.oxts)
 
         if cfg.timestamps:
-            with open(cfg.timestamps) as fh:
-                stamps = parse_timestamps(fh)
+            stamps = _read(parse_timestamps, cfg.timestamps)
+            if len(stamps) < len(oxts):
+                raise ValidationError(f"{cfg.timestamps}: frame {len(stamps)} beyond the "
+                                      f"{len(stamps)} explicit timestamps")
             clock = FrameClock(frame_rate_hz=cfg.frame_rate_hz,
                                explicit_timestamps=tuple(stamps))
         else:
             clock = FrameClock(frame_rate_hz=cfg.frame_rate_hz)
+        distances = probe_distances(cfg.link_start, (s.position for s in oxts),
+                                    cfg.distance_mode)
+        probe = [(clock.time_for_frame(frame), distance)
+                 for frame, distance in enumerate(distances)]
 
         if cfg.detections:
-            with open(cfg.detections) as fh:
-                detections = parse_detections_file(fh)
+            detections = _read(parse_detections_file, cfg.detections)
+            _check_frames(detections, cfg.detections, len(oxts), cfg.oxts)
         elif gt_records is not None:
             base = gt_records if cfg.include_dontcare else without_dontcare(gt_records)
             detections = perturb_ground_truth(base, cfg.jitter_px, cfg.drop_rate, cfg.seed)
@@ -118,27 +141,20 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
         detections = [d for d in detections if d.class_label in cfg.classes]
 
-        embeddings = None
-        if cfg.embeddings:
-            with open(cfg.embeddings) as fh:
-                embeddings = load_embeddings(fh)
+        embeddings = _read(load_embeddings, cfg.embeddings) if cfg.embeddings else None
 
     with _stage("tracking"):
-        n_frames = max(len(oxts),
-                       max((d.frame_index for d in detections), default=-1) + 1)
         tracker = Tracker(cfg.tracker)
-        tracks = tracker.run(detections, n_frames=n_frames, embeddings=embeddings)
+        tracks = tracker.run(detections, n_frames=len(oxts), embeddings=embeddings)
 
     with _stage("lane_filter"):
         kept = opposite_lane_filter(tracks, cfg.image_width_px, cfg.lane)
 
     with _stage("diagram"):
         diagram = build_diagram(
-            kept, oxts, clock, cfg.link_start, cfg.link_length_m, cfg.intrinsics,
-            distance_mode=cfg.distance_mode,
+            kept, probe, cfg.link_length_m, cfg.intrinsics,
             min_bbox_height_px=cfg.min_bbox_height_px,
             max_range_m=cfg.max_range_m,
-            sequence_id=cfg.sequence_id,
         )
         if cfg.smoothing_window > 1:
             diagram = smooth_diagram(diagram, cfg.smoothing_window)
@@ -150,8 +166,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         kept_tracks=kept,
         detections=detections,
         gt_records=gt_records,
-        oxts=oxts,
-        clock=clock,
+        probe=probe,
     )
 
 
@@ -186,20 +201,17 @@ def write_run_outputs(result: PipelineResult, out_dir: str | None = None) -> dic
     return paths
 
 
-def build_reference_diagram(gt_records, oxts, clock, cfg: PipelineConfig) -> TimeSpaceDiagram:
-    """Ground-truth diagram: annotated identities and depths, same lane filter.
+def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpaceDiagram:
+    """Ground-truth diagram: annotated identities and depths, same lane filter,
+    on the run's probe trajectory.
 
     DontCare rows never enter it: tracks_from_ground_truth drops them.
     """
     ref_tracks = tracks_from_ground_truth(
         r for r in gt_records if r.class_label in cfg.classes and r.gt_depth_m is not None)
     ref_tracks = opposite_lane_filter(ref_tracks, cfg.image_width_px, cfg.lane)
-    return build_diagram(
-        ref_tracks, oxts, clock, cfg.link_start, cfg.link_length_m, cfg.intrinsics,
-        distance_mode=cfg.distance_mode,
-        range_source="gt_depth",
-        sequence_id=cfg.sequence_id,
-    )
+    return build_diagram(ref_tracks, probe, cfg.link_length_m, cfg.intrinsics,
+                         range_source="gt_depth")
 
 
 def evaluate(result: PipelineResult) -> EvalResult:
@@ -212,12 +224,11 @@ def evaluate(result: PipelineResult) -> EvalResult:
               if r.class_label in cfg.classes]
         range_gt = range_error_report(gt, cfg.intrinsics)
         range_pred = range_error_report(gt, cfg.intrinsics, predicted=result.detections)
-        reference = build_reference_diagram(result.gt_records, result.oxts,
-                                            result.clock, cfg)
+        reference = build_reference_diagram(result.gt_records, result.probe, cfg)
         trajectory = trajectory_error_report(result.diagram, reference)
         hota_report = hota(boxes_from_records(gt),
                            boxes_from_tracks(result.kept_tracks))
-    return EvalResult(range_gt, range_pred, trajectory, hota_report, reference)
+    return EvalResult(range_gt, range_pred, trajectory, hota_report)
 
 
 def write_eval_outputs(result: PipelineResult, out_dir: str | None = None) -> dict[str, str]:

@@ -58,11 +58,7 @@ def head_on_scene(duration_s: float = 10.0,
         raw = [0.0] * 30
         raw[0], raw[1], raw[2] = 0.0, lon, 112.0
         raw[6], raw[7] = 0.0, probe_speed_mps  # heading due east
-        oxts.append(OxtsSample(
-            frame_index=frame,
-            position=GeoPoint(0.0, lon),
-            raw_fields=tuple(raw),
-        ))
+        oxts.append(OxtsSample(position=GeoPoint(0.0, lon), raw_fields=tuple(raw)))
 
         camera_range = car_d - probe_d
         if camera_range <= 0.0:
@@ -111,8 +107,8 @@ def write_scene_files(scene: SyntheticScene, directory: str) -> dict[str, str]:
             fh.write(_label_line(record) + "\n")
     oxts_dir = os.path.join(directory, "oxts")
     os.makedirs(oxts_dir, exist_ok=True)
-    for sample in scene.oxts:
-        path = os.path.join(oxts_dir, f"{sample.frame_index:010d}.txt")
+    for frame, sample in enumerate(scene.oxts):
+        path = os.path.join(oxts_dir, f"{frame:010d}.txt")
         with open(path, "w") as fh:
             fh.write(" ".join(f"{v!r}" for v in sample.raw_fields) + "\n")
     return {"labels": labels_path, "oxts": oxts_dir}

@@ -1,4 +1,4 @@
-"""Assembly of time-space diagrams from tracks, GPS fixes, and camera ranges.
+"""Assembly of time-space diagrams from tracks, the probe trajectory, and camera ranges.
 
 Each tracked vehicle contributes one polyline of (time, link distance)
 points, where the link distance is the probe's own distance along the link
@@ -14,8 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
-from .geodesy import GeoPoint, probe_distances
-from .kitti import FrameClock, OxtsSample
 from .photogrammetry import (
     CameraIntrinsics,
     DEFAULT_MAX_RANGE_M,
@@ -78,7 +76,9 @@ class TimeSpaceDiagram:
     link_length_m: float
     probe_trajectory: list[tuple[float, float]]
     vehicle_trajectories: dict[int, list[TrajectoryPoint]]
-    metadata: dict = field(default_factory=dict)
+    # diagram track id -> annotated identity most of its records carry;
+    # empty when the records carry none
+    gt_track_map: dict[int, int] = field(default_factory=dict)
 
 
 def _is_closing(ranges: Sequence[float]) -> bool:
@@ -140,16 +140,15 @@ def compose_distance(probe_distance_m: float, camera_range_m: float) -> float:
     return probe_distance_m + camera_range_m
 
 
-def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
-                  clock: FrameClock, link_start: GeoPoint, link_length_m: float,
-                  intrinsics: CameraIntrinsics, *,
-                  distance_mode: str = "direct",
+def build_diagram(tracks: Iterable[Track], probe: Sequence[tuple[float, float]],
+                  link_length_m: float, intrinsics: CameraIntrinsics, *,
                   min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX,
                   max_range_m: float = DEFAULT_MAX_RANGE_M,
-                  range_source: str = "bbox",
-                  sequence_id: str = "") -> TimeSpaceDiagram:
+                  range_source: str = "bbox") -> TimeSpaceDiagram:
     """Compose per-track link distances over time into a diagram.
 
+    probe holds the probe's (time [s], link distance [m]) at each frame,
+    frame i at index i; a record's time and probe distance are its frame's.
     Tracks must already be lane-filtered; only tracks that reached the
     confirmed state contribute.  range_source "bbox" estimates the camera
     range photogrammetrically, "gt_depth" takes the annotated depth and is
@@ -157,13 +156,6 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
     """
     if range_source not in ("bbox", "gt_depth"):
         raise ValidationError(f"unknown range_source {range_source!r}")
-    fixes_sorted = sorted(oxts, key=lambda s: s.frame_index)
-    frame_order = [s.frame_index for s in fixes_sorted]
-    distances = probe_distances(link_start, (s.position for s in fixes_sorted),
-                                distance_mode)
-    probe_by_frame = dict(zip(frame_order, distances))
-    probe_trajectory = [(clock.time_for_frame(f), probe_by_frame[f]) for f in frame_order]
-
     vehicle_trajectories: dict[int, list[TrajectoryPoint]] = {}
     gt_track_map: dict[int, int] = {}
     for track in sorted(tracks, key=lambda t: t.track_id):
@@ -173,9 +165,9 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
         points = []
         for record in track.records:
             frame = record.frame_index
-            if frame not in probe_by_frame:
+            if frame >= len(probe):
                 raise ValidationError(f"frame {frame} has no GPS sample")
-            time_s = clock.time_for_frame(frame)
+            time_s, probe_distance = probe[frame]
             if range_source == "gt_depth":
                 if record.gt_depth_m is None:
                     raise ValidationError(
@@ -188,7 +180,6 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
                     min_bbox_height_px, max_range_m)
                 camera_range = estimate.distance_m
                 quality = estimate.quality_flag
-            probe_distance = probe_by_frame[frame]
             link_distance = compose_distance(probe_distance, camera_range)
             if quality == QUALITY_OK and not (
                     0.0 <= link_distance <= link_length_m + OUT_OF_LINK_MARGIN_M):
@@ -206,19 +197,11 @@ def build_diagram(tracks: Iterable[Track], oxts: Sequence[OxtsSample],
             if gt_id >= 0:
                 gt_track_map[track.track_id] = gt_id
 
-    metadata = {
-        "sequence_id": sequence_id,
-        "frame_rate_hz": clock.frame_rate_hz,
-        "distance_mode": distance_mode,
-        "range_source": range_source,
-    }
-    if gt_track_map:
-        metadata["gt_track_map"] = gt_track_map
     return TimeSpaceDiagram(
         link_length_m=link_length_m,
-        probe_trajectory=probe_trajectory,
+        probe_trajectory=list(probe),
         vehicle_trajectories=vehicle_trajectories,
-        metadata=metadata,
+        gt_track_map=gt_track_map,
     )
 
 
@@ -251,13 +234,11 @@ def smooth_track(points: Sequence[TrajectoryPoint], window: int) -> list[Traject
 def smooth_diagram(diagram: TimeSpaceDiagram, window: int) -> TimeSpaceDiagram:
     smoothed = {tid: smooth_track(points, window)
                 for tid, points in diagram.vehicle_trajectories.items()}
-    metadata = dict(diagram.metadata)
-    metadata["smoothing_window"] = window
     return TimeSpaceDiagram(
         link_length_m=diagram.link_length_m,
         probe_trajectory=list(diagram.probe_trajectory),
         vehicle_trajectories=smoothed,
-        metadata=metadata,
+        gt_track_map=dict(diagram.gt_track_map),
     )
 
 
@@ -319,5 +300,4 @@ def diagram_from_csv(text: str, link_length_m: float | None = None) -> TimeSpace
         link_length_m=link_length_m if link_length_m is not None else max_distance,
         probe_trajectory=probe,
         vehicle_trajectories=vehicles,
-        metadata={"source": "csv"},
     )

@@ -15,7 +15,7 @@ from oracles.assignment_oracle import brute_force_min_cost
 from oracles.hota_oracle import brute_force_hota
 from tsdiag.cli import main
 from tsdiag.evaluation import hota, trajectory_error_report
-from tsdiag.geodesy import GeoPoint, geodesic_inverse
+from tsdiag.geodesy import GeoPoint, geodesic_inverse, probe_distances
 from tsdiag.kitti import parse_label_file, perturb_ground_truth, without_dontcare
 from tsdiag.photogrammetry import (
     CameraIntrinsics,
@@ -131,11 +131,11 @@ def _run_synthetic(scene, jitter_px, seed):
     tracker = Tracker(TrackerConfig())
     tracks = tracker.run(detections, n_frames=len(scene.oxts))
     kept = opposite_lane_filter(tracks, scene.image_width_px)
-    predicted = build_diagram(kept, scene.oxts, scene.clock, scene.link_start,
-                              scene.link_length_m, scene.intrinsics,
+    distances = probe_distances(scene.link_start, (s.position for s in scene.oxts))
+    probe = [(scene.clock.time_for_frame(f), d) for f, d in enumerate(distances)]
+    predicted = build_diagram(kept, probe, scene.link_length_m, scene.intrinsics,
                               max_range_m=25.0)
-    reference = build_diagram(tracks_from_ground_truth(scene.records),
-                              scene.oxts, scene.clock, scene.link_start,
+    reference = build_diagram(tracks_from_ground_truth(scene.records), probe,
                               scene.link_length_m, scene.intrinsics,
                               range_source="gt_depth")
     return tracks, predicted, reference

@@ -603,25 +603,69 @@ class TestSceneFiles:
 
 
 class TestPipelineErrors:
-    def test_frame_without_gps_sample_exits_4(self, tmp_path, capsys):
-        # labels reference frames the GPS trace never covers
+    @pytest.mark.parametrize("frames", [(150,), (150, 151)], ids=["one_row", "two_rows"])
+    def test_frame_without_gps_sample_exits_3(self, tmp_path, capsys, frames):
+        # labels reference frames the 100-fix GPS trace never covers: one
+        # such row used to be dropped silently, two failed at the diagram
         directory = str(tmp_path / "broken")
         config_path = write_fixture(directory)
         labels_path = os.path.join(directory, "labels.txt")
         with open(labels_path) as fh:
             lines = fh.read().splitlines()
-        extra = []
-        for offset, frame in enumerate((150, 151)):
+        for frame in frames:
             fields = lines[0].split()
             fields[0] = str(frame)
-            extra.append(" ".join(fields))
+            lines.append(" ".join(fields))
         with open(labels_path, "w") as fh:
-            fh.write("\n".join(lines + extra) + "\n")
-        code = main(["run", config_path,
-                     "--output-dir", str(tmp_path / "out4")])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "diagram" in err and "frame 15" in err
+            fh.write("\n".join(lines) + "\n")
+        code = main(["run", config_path, "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert (f"pipeline error: ingest: {labels_path}: frame 150 has no GPS sample; "
+                f"{os.path.join(directory, 'oxts')} holds frames 0 to 99"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_detection_frame_without_gps_sample_exits_3(self, tmp_path, capsys):
+        config_path = write_fixture(str(tmp_path / "scene"))
+        dets_path = tmp_path / "dets.txt"
+        dets_path.write_text("3 car 10 10 50 50 0.9\n100 car 10 10 50 50 0.9\n")
+        code = main(["run", config_path, "--detections", str(dets_path),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert f"ingest: {dets_path}: frame 100 has no GPS sample" in capsys.readouterr().err
+
+    def test_too_few_timestamps_exits_3_naming_the_file(self, tmp_path, capsys):
+        config_path = write_fixture(str(tmp_path / "scene"))
+        stamps_path = tmp_path / "stamps.txt"
+        stamps_path.write_text("".join(f"{0.1 * i}\n" for i in range(50)))
+        code = main(["run", config_path, "--timestamps", str(stamps_path),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert (f"pipeline error: ingest: {stamps_path}: frame 50 beyond the 50 explicit "
+                "timestamps" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("labels", None, "line 5: non-numeric field 'x'"),
+        ("detections", "0 car 1 2 30 x 0.9\n", "line 1: non-numeric field 'x'"),
+        ("timestamps", "0.0\n0.1\nabc\n", "line 3: non-numeric field 'abc'"),
+        ("embeddings", "0 0 2 1.0 y\n", "line 1: non-numeric field 'y'"),
+    ], ids=["labels", "detections", "timestamps", "embeddings"])
+    def test_reader_error_names_the_file(self, tmp_path, capsys, key, text, message):
+        config_path = write_fixture(str(tmp_path / "scene"))
+        if text is None:  # a bad token in the fixture's own labels
+            path = tmp_path / "scene" / "labels.txt"
+            lines = path.read_text().splitlines()
+            fields = lines[4].split()
+            fields[6] = "x"
+            lines[4] = " ".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path = tmp_path / f"{key}.txt"
+            path.write_text(text)
+        code = main(["run", config_path, f"--{key}", str(path),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert f"pipeline error: ingest: {path}: {message}" in capsys.readouterr().err
 
 
 class TestEmbeddingsPath:

@@ -18,11 +18,11 @@ from tsdiag.evaluation import (
     rmse,
     trajectory_error_report,
 )
-from tsdiag import evaluation
+from tsdiag import evaluation, geodesy
 from tsdiag.config import load_config
 from tsdiag.kitti import DetectionRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
-from tsdiag.pipeline import build_reference_diagram, run_pipeline
+from tsdiag.pipeline import build_reference_diagram, run_pipeline, write_eval_outputs
 from tsdiag.synth import write_fixture
 from tsdiag.tracker import iou_matrix
 from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint, diagram_to_csv
@@ -40,12 +40,12 @@ def gt_record(frame, track_id, depth, center_x=300.0, height=None):
         gt_location_camera=(-2.0, 1.6, depth))
 
 
-def simple_diagram(points_by_track, probe=None, metadata=None):
+def simple_diagram(points_by_track, probe=None, gt_track_map=None):
     return TimeSpaceDiagram(
         link_length_m=300.0,
         probe_trajectory=probe or [(0.0, 0.0)],
         vehicle_trajectories=points_by_track,
-        metadata=metadata or {},
+        gt_track_map=gt_track_map or {},
     )
 
 
@@ -170,7 +170,7 @@ class TestTrajectoryErrorReport:
     def test_gt_track_map_used_when_present(self):
         ref = {9: traj_points([(0.0, 10.0)])}
         pred_points = {4: traj_points([(0.0, 11.0)])}
-        predicted = simple_diagram(pred_points, metadata={"gt_track_map": {4: 9}})
+        predicted = simple_diagram(pred_points, gt_track_map={4: 9})
         report = trajectory_error_report(predicted, simple_diagram(ref))
         assert report.per_track_rmse_m[4] == pytest.approx(1.0)
 
@@ -377,7 +377,7 @@ class TestDontCare:
                           {"classes": "car,other", "class_heights": "car:1.5,other:1.5",
                            "include_dontcare": include_dontcare})
         result = run_pipeline(cfg)
-        reference = build_reference_diagram(result.gt_records, result.oxts, result.clock, cfg)
+        reference = build_reference_diagram(result.gt_records, result.probe, cfg)
         return result, diagram_to_csv(reference)
 
     def test_include_dontcare_feeds_detections_not_the_reference(self, tmp_path):
@@ -395,3 +395,21 @@ class TestDontCare:
                 if d.is_dontcare] == [(5, "other"), (40, "other")]
         assert not any(d.is_dontcare for d in without_dc.detections)
         assert len(with_dc.detections) == len(without_dc.detections) + 2
+
+
+class TestProbeTrajectory:
+    def test_one_geodesic_solve_per_fix_per_run_and_eval(self, tmp_path, monkeypatch):
+        # the run's diagram and the reference diagram share one probe
+        # trajectory, so evaluating does not solve each fix again
+        cfg = load_config(write_fixture(str(tmp_path / "scene")),
+                          {"distance_mode": "direct", "output_dir": str(tmp_path / "out")})
+        solve = geodesy.geodesic_inverse
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(geodesy, "geodesic_inverse", counted)
+        write_eval_outputs(run_pipeline(cfg))
+        assert len(calls) == 100  # the fixture's fixes

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import tsdiag
-from tsdiag.config import PipelineConfig, dump_config
+from tsdiag.config import PipelineConfig, dump_config, load_config
 from tsdiag.synth import write_fixture
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -35,6 +35,12 @@ def _ini_entries(text: str) -> list[tuple[str, str, str]]:
 def test_configuration_block_lists_every_key_with_its_default():
     listed = _ini_entries(_first_code_block("Configuration"))
     assert listed == _ini_entries(dump_config(PipelineConfig()))
+
+
+def test_configuration_block_loads_as_the_defaults(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(_first_code_block("Configuration"))
+    assert load_config(str(path)) == PipelineConfig()
 
 
 def test_library_example_runs(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ def diagram_with(tracks: dict[int, list[tuple[float, float]]],
         link_length_m=100.0,
         probe_trajectory=probe or [(0.0, 0.0), (1.0, 10.0), (2.0, 20.0)],
         vehicle_trajectories=vehicles,
-        metadata={},
     )
 
 

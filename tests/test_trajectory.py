@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsdiag.errors import ParseError, ValidationError
-from tsdiag.geodesy import GeoPoint
-from tsdiag.kitti import DetectionRecord, FrameClock, OxtsSample
+from tsdiag.kitti import DetectionRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
 from tsdiag.tracker import Track
 from tsdiag.trajectory import (
@@ -59,9 +58,9 @@ def box_with_height(center_x, height, top=100.0):
     return (center_x - w / 2, top, center_x + w / 2, top + height)
 
 
-def make_oxts(frames, lon_per_frame_deg=0.0):
-    return [OxtsSample(frame_index=f, position=GeoPoint(0.0, f * lon_per_frame_deg))
-            for f in frames]
+def make_probe(n_frames, metres_per_frame=0.0):
+    """The probe's (time, link distance) at 10 Hz, one pair per frame."""
+    return [(f / 10.0, f * metres_per_frame) for f in range(n_frames)]
 
 
 class TestComposeDistance:
@@ -150,52 +149,53 @@ class TestBuildDiagram:
     def test_stationary_probe_fixed_car(self):
         height = 100.0
         track = make_track(1, [(f, box_with_height(300.0, height)) for f in range(10)])
-        oxts = make_oxts(range(10))  # probe parked at the link start
-        diagram = build_diagram([track], oxts, FrameClock(), GeoPoint(0, 0),
-                                300.0, KITTI)
+        probe = make_probe(10)  # probe parked at the link start
+        diagram = build_diagram([track], probe, 300.0, KITTI)
         points = diagram.vehicle_trajectories[1]
         assert len(points) == 10
         assert points[0].time_s == 0.0
         assert points[-1].time_s == pytest.approx(0.9)
         for p in points:
             assert p.link_distance_m == pytest.approx(CAR_RANGE_AT_100PX, abs=1e-6)
-            assert p.probe_distance_m == pytest.approx(0.0, abs=1e-9)
+            assert p.probe_distance_m == 0.0
             assert p.quality == "ok"
 
     def test_advancing_probe_slope(self):
-        # 0.00001 deg/frame east = 1.113195 m/frame = 11.13195 m/s at 10 Hz
+        # 1.113195 m/frame = 11.13195 m/s at 10 Hz
         height = 100.0
         track = make_track(1, [(f, box_with_height(300.0, height)) for f in range(10)])
-        oxts = make_oxts(range(10), lon_per_frame_deg=1e-5)
-        diagram = build_diagram([track], oxts, FrameClock(), GeoPoint(0, 0),
-                                300.0, KITTI)
+        diagram = build_diagram([track], make_probe(10, 1.113195), 300.0, KITTI)
         points = diagram.vehicle_trajectories[1]
         slope = ((points[-1].link_distance_m - points[0].link_distance_m)
                  / (points[-1].time_s - points[0].time_s))
-        assert slope == pytest.approx(11.13195, abs=1e-4)
+        assert slope == pytest.approx(11.13195, abs=1e-9)
+
+    def test_record_takes_time_and_probe_distance_of_its_frame(self):
+        # explicit, uneven timestamps: frame f is the probe trajectory's entry f
+        probe = [(0.0, 0.0), (0.15, 2.0), (0.22, 3.5), (0.4, 7.0)]
+        track = make_track(1, [(f, box_with_height(300.0, 100.0)) for f in (1, 3)])
+        diagram = build_diagram([track], probe, 300.0, KITTI)
+        points = diagram.vehicle_trajectories[1]
+        assert [(p.time_s, p.probe_distance_m) for p in points] == [(0.15, 2.0), (0.4, 7.0)]
+        assert diagram.probe_trajectory == probe
 
     def test_no_confirmed_tracks_probe_only(self):
         tentative = make_track(1, [(0, box_with_height(300.0, 50.0))], confirmed=False)
-        oxts = make_oxts(range(5))
-        diagram = build_diagram([tentative], oxts, FrameClock(), GeoPoint(0, 0),
-                                300.0, KITTI)
+        diagram = build_diagram([tentative], make_probe(5), 300.0, KITTI)
         assert diagram.vehicle_trajectories == {}
         assert len(diagram.probe_trajectory) == 5
 
     def test_missing_oxts_frame_names_frame(self):
         track = make_track(1, [(7, box_with_height(300.0, 50.0)),
                                (8, box_with_height(300.0, 51.0))])
-        oxts = make_oxts(range(5))
         with pytest.raises(ValidationError, match="frame 7"):
-            build_diagram([track], oxts, FrameClock(), GeoPoint(0, 0), 300.0, KITTI)
+            build_diagram([track], make_probe(5), 300.0, KITTI)
 
     def test_identity_holds_bit_exact(self):
         heights = [30.0, 35.0, 41.0, 50.0, 66.0]
         track = make_track(1, [(f, box_with_height(250.0, h))
                                for f, h in enumerate(heights)])
-        oxts = make_oxts(range(5), lon_per_frame_deg=2e-5)
-        diagram = build_diagram([track], oxts, FrameClock(), GeoPoint(0, 0),
-                                300.0, KITTI)
+        diagram = build_diagram([track], make_probe(5, 2.2263898), 300.0, KITTI)
         for p in diagram.vehicle_trajectories[1]:
             assert p.link_distance_m == p.probe_distance_m + p.camera_range_m
 
@@ -203,8 +203,7 @@ class TestBuildDiagram:
         # a 5 m link keeps points up to 5 + OUT_OF_LINK_MARGIN_M (20 m) ok
         heights = [bbox_height_at_range(r, "car", KITTI) for r in (24.0, 26.0)]
         track = make_track(1, [(f, box_with_height(300.0, h)) for f, h in enumerate(heights)])
-        diagram = build_diagram([track], make_oxts(range(2)), FrameClock(), GeoPoint(0, 0),
-                                5.0, KITTI)
+        diagram = build_diagram([track], make_probe(2), 5.0, KITTI)
         assert OUT_OF_LINK_MARGIN_M == 20.0
         assert [p.quality for p in diagram.vehicle_trajectories[1]] == ["ok", "out_of_link"]
 
@@ -215,8 +214,8 @@ class TestBuildDiagram:
                                    gt_track_id=3, gt_depth_m=37.5)]
         track = Track(track_id=3, status="confirmed", ever_confirmed=True,
                       records=records)
-        diagram = build_diagram([track], make_oxts(range(1)), FrameClock(),
-                                GeoPoint(0, 0), 300.0, KITTI, range_source="gt_depth")
+        diagram = build_diagram([track], make_probe(1), 300.0, KITTI,
+                                range_source="gt_depth")
         assert diagram.vehicle_trajectories[3][0].camera_range_m == 37.5
 
     def test_quality_flags_retained_not_dropped(self):
@@ -225,8 +224,7 @@ class TestBuildDiagram:
         track = make_track(1, [(0, box_with_height(300.0, 100.0)),
                                (1, box_with_height(300.0, far)),
                                (2, box_with_height(300.0, tiny))])
-        diagram = build_diagram([track], make_oxts(range(3)), FrameClock(),
-                                GeoPoint(0, 0), 300.0, KITTI)
+        diagram = build_diagram([track], make_probe(3), 300.0, KITTI)
         qualities = [p.quality for p in diagram.vehicle_trajectories[1]]
         assert qualities == ["ok", "above_max_range", "below_min_height"]
         assert len(diagram.vehicle_trajectories[1]) == 3
@@ -239,8 +237,7 @@ class TestBuildDiagram:
         tracks = [make_track(k + 1, [(f, box_with_height(300.0, 60.0)) for f in range(n)],
                              track_type=LabelReadCounter)
                   for k, n in enumerate(lengths)]
-        diagram = build_diagram(tracks, make_oxts(range(40)), FrameClock(), GeoPoint(0, 0),
-                                300.0, KITTI)
+        diagram = build_diagram(tracks, make_probe(40), 300.0, KITTI)
         assert [len(diagram.vehicle_trajectories[t.track_id]) for t in tracks] == [1, 5, 40]
         assert [t.reads for t in tracks] == [1, 1, 1]
 
@@ -295,8 +292,7 @@ class TestDiagramCsv:
         heights = [40.0, 50.0, 66.0]
         track = make_track(1, [(f, box_with_height(250.0, h))
                                for f, h in enumerate(heights)])
-        oxts = make_oxts(range(3), lon_per_frame_deg=1e-5)
-        return build_diagram([track], oxts, FrameClock(), GeoPoint(0, 0), 300.0, KITTI)
+        return build_diagram([track], make_probe(3, 1.113195), 300.0, KITTI)
 
     def test_header_and_probe_rows(self):
         diagram = self._diagram()
