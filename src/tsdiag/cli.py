@@ -18,7 +18,7 @@ from .config import CONFIG_SCHEMA, load_config
 from .errors import ConfigError, ParseError, PipelineError, ValidationError
 from .geodesy import Ellipsoid, GeoPoint, geodesic_inverse
 from .kitti import format_detections, parse_label_file, perturb_ground_truth, without_dontcare
-from .pipeline import run_pipeline, write_eval_outputs, write_run_outputs
+from .pipeline import _read, run_pipeline, write_eval_outputs, write_run_outputs
 from .render import render_svg
 from .trajectory import diagram_from_csv
 
@@ -77,8 +77,7 @@ def _cmd_geodesic(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    with open(args.labels) as fh:
-        records = without_dontcare(parse_label_file(fh))
+    records = without_dontcare(_read(parse_label_file, args.labels))
     perturbed = perturb_ground_truth(records, args.jitter_px, args.drop_rate, args.seed)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
@@ -89,12 +88,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def _read_diagram(path: str, link_length_m: float | None):
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return diagram_from_csv(text, link_length_m=link_length_m)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return _read(lambda fh: diagram_from_csv(fh.read(), link_length_m=link_length_m), path)
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

@@ -56,29 +56,21 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Constant-velocity transition and identity matrices, built once and
-# read-only so no caller can alter them for the rest of the process.  The
-# observation takes the first four state components, so it is a slice.
-_TRANSITION = np.eye(8)
-_TRANSITION[:4, 4:] = np.eye(4)
-_TRANSITION = _readonly(_TRANSITION)
-_TRANSITION_T = _TRANSITION.T
+# Read-only identity matrices: no caller can alter them for the rest of the process.
+_EYE2 = _readonly(np.eye(2))
 _EYE4 = _readonly(np.eye(4))
-_EYE8 = _readonly(np.eye(8))
 
-# Noise standard deviations are h * weights + constant per component, h
-# being the box height: every component scales with h except the aspect
-# ratio and its velocity, which get fixed values.
-_STATE_STD_CONSTANT = _readonly(np.array([0.0, 0.0, 1e-2, 0.0, 0.0, 0.0, 1e-5, 0.0]))
+# Noise standard deviations are h * weights + constant, h being the box
+# height; state noise has a (position, velocity) row per box component.
+# Every component scales with h except the aspect ratio and its velocity.
+_STATE_STD_CONSTANT = _readonly(np.array([[0.0, 0.0], [0.0, 0.0], [1e-2, 1e-5], [0.0, 0.0]]))
 _MEASUREMENT_STD_WEIGHTS = _readonly(np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT]))
 _MEASUREMENT_STD_CONSTANT = _readonly(np.array([0.0, 0.0, 1e-1, 0.0]))
 # process noise of one predict; a new track's state starts twice as
 # uncertain in position and ten times as uncertain in velocity
-_PROCESS_STD_WEIGHTS = _readonly(np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT,
-                                           _VEL_WEIGHT, _VEL_WEIGHT, 0.0, _VEL_WEIGHT]))
-_INITIAL_STD_WEIGHTS = _readonly(np.array([2.0 * _POS_WEIGHT, 2.0 * _POS_WEIGHT, 0.0,
-                                           2.0 * _POS_WEIGHT, 10.0 * _VEL_WEIGHT,
-                                           10.0 * _VEL_WEIGHT, 0.0, 10.0 * _VEL_WEIGHT]))
+_PROCESS_STD_WEIGHTS = _readonly(np.array([[_POS_WEIGHT, _VEL_WEIGHT], [_POS_WEIGHT, _VEL_WEIGHT],
+                                           [0.0, 0.0], [_POS_WEIGHT, _VEL_WEIGHT]]))
+_INITIAL_STD_WEIGHTS = _readonly(_PROCESS_STD_WEIGHTS * [2.0, 10.0])
 
 
 @dataclass(frozen=True)
@@ -114,13 +106,15 @@ class TrackerConfig:
 class KalmanState:
     """Box state (cx, cy, aspect, h) plus per-frame velocities, with covariance.
 
-    One track has mean (8,) and covariance (8, 8); a stack of n tracks has
-    mean (n, 8) and covariance (n, 8, 8), and the Kalman functions below
-    work row by row on either.
+    Each box component is correlated only with its own velocity, so the
+    covariance is four 2x2 (position, velocity) blocks in (cx, cy, aspect, h)
+    order.  One track has mean (8,) and covariance (4, 2, 2); a stack of n
+    tracks has mean (n, 8) and covariance (n, 4, 2, 2), and the Kalman
+    functions below work row by row on either.
     """
 
     mean: np.ndarray        # shape (..., 8)
-    covariance: np.ndarray  # shape (..., 8, 8)
+    covariance: np.ndarray  # shape (..., 4, 2, 2)
 
 
 def _bbox_to_xyah(bbox) -> np.ndarray:
@@ -152,23 +146,30 @@ def kalman_initiate(bbox) -> KalmanState:
     """
     measured = _bbox_to_xyah(bbox)
     mean = np.concatenate([measured, np.zeros_like(measured)], axis=-1)
-    std = measured[..., 3:4] * _INITIAL_STD_WEIGHTS + _STATE_STD_CONSTANT
-    return KalmanState(mean, (std ** 2)[..., None] * _EYE8)
+    std = measured[..., 3:4, None] * _INITIAL_STD_WEIGHTS + _STATE_STD_CONSTANT
+    return KalmanState(mean, (std ** 2)[..., None] * _EYE2)
 
 
 def kalman_predict(state: KalmanState) -> KalmanState:
-    """Advance one frame under constant velocity; grow covariance by process noise."""
+    """Advance one frame under constant velocity; grow covariance by process noise.
+
+    Each block P becomes F P F' + Q with F = [[1, 1], [0, 1]].  Q is added
+    whole: its zeros turn an off-diagonal -0.0 into +0.0, as the reference does.
+    """
     if not (np.isfinite(state.mean).all() and np.isfinite(state.covariance).all()):
         raise ValidationError("non-finite Kalman state")
-    std = state.mean[..., 3:4] * _PROCESS_STD_WEIGHTS + _STATE_STD_CONSTANT
-    mean = state.mean @ _TRANSITION_T
-    covariance = (_TRANSITION @ state.covariance @ _TRANSITION_T
-                  + (std ** 2)[..., None] * _EYE8)
+    std = state.mean[..., 3:4, None] * _PROCESS_STD_WEIGHTS + _STATE_STD_CONSTANT
+    mean = state.mean.copy()
+    mean[..., :4] += mean[..., 4:]
+    covariance = state.covariance.copy()
+    covariance[..., 0, :] += covariance[..., 1, :]
+    covariance[..., :, 0] += covariance[..., :, 1]
+    covariance += (std ** 2)[..., None] * _EYE2
     return KalmanState(mean, covariance)
 
 
-def _project(state: KalmanState, confidence) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement-space mean and innovation covariance of (stacked) states.
+def _innovation_variance(state: KalmanState, confidence) -> np.ndarray:
+    """(..., 4) diagonal of the innovation covariance: position variance plus noise.
 
     ``confidence`` broadcasts against (..., 1).  Measurement noise shrinks
     with detection confidence and is floored to stay invertible.  The floor
@@ -180,43 +181,41 @@ def _project(state: KalmanState, confidence) -> tuple[np.ndarray, np.ndarray]:
     std = h * _MEASUREMENT_STD_WEIGHTS + _MEASUREMENT_STD_CONSTANT
     noise = np.maximum((1.0 - confidence) * std ** 2,
                        np.float_power(1e-6 * np.maximum(h, 1.0), 2))
-    return (state.mean[..., :4],
-            state.covariance[..., :4, :4] + noise[..., None] * _EYE4)
+    return state.covariance[..., 0, 0] + noise
 
 
 def kalman_update(state: KalmanState, bbox, confidence) -> KalmanState:
     """Standard linear correction against the measured box.
 
     For a stack of n states, ``bbox`` is (n, 4) and ``confidence`` (n,).
+    Each block's gain k is its first column times 1 / d, d the innovation
+    variance, which rounds as LAPACK's solve does; the block shrinks by (k d) k'.
     """
     confidence = np.asarray(confidence, dtype=float)
     in_range = (confidence >= 0.0) & (confidence <= 1.0)
     if not in_range.all():
         raise ValidationError(f"confidence {confidence[~in_range].flat[0]} outside [0, 1]")
-    measured = _bbox_to_xyah(bbox)
-    projected_mean, projected_cov = _project(state, confidence[..., None])
-    try:
-        # solves gain @ projected_cov = covariance @ observation.T, transposed
-        gain_t = np.linalg.solve(projected_cov.swapaxes(-1, -2),
-                                 state.covariance[..., :, :4].swapaxes(-1, -2))
-    except np.linalg.LinAlgError:
-        raise ValidationError("singular innovation covariance in Kalman update") from None
-    gain = gain_t.swapaxes(-1, -2)
-    innovation = measured - projected_mean
-    mean = state.mean + (gain @ innovation[..., None])[..., 0]
-    covariance = state.covariance - gain @ projected_cov @ gain_t
+    variance = _innovation_variance(state, confidence[..., None])
+    if not (variance > 0.0).all():
+        raise ValidationError("singular innovation covariance in Kalman update")
+    gain = state.covariance[..., 0] * (1.0 / variance)[..., None]  # (..., 4, 2)
+    correction = gain * (_bbox_to_xyah(bbox) - state.mean[..., :4])[..., None]
+    mean = state.mean + correction.swapaxes(-1, -2).reshape(state.mean.shape)
+    covariance = state.covariance - (gain * variance[..., None])[..., :, None] * gain[..., None, :]
     return KalmanState(mean, covariance)
 
 
 def gating_distance(state: KalmanState, bboxes) -> np.ndarray:
     """Squared Mahalanobis distance of m measurements to the predicted box.
 
-    Returns (m,) for one state and (n, m) for a stack of n states.
+    Returns (m,) for one state and (n, m) for a stack of n states.  The
+    diagonal innovation covariance is solved as a matrix: LAPACK rounds one
+    measurement and several differently, and the reference rounds the same.
     """
-    projected_mean, projected_cov = _project(state, 0.0)
+    variance = _innovation_variance(state, 0.0)
     measured = _bbox_to_xyah(np.asarray(bboxes, dtype=float).reshape(-1, 4))
-    diff = (measured - projected_mean[..., None, :]).swapaxes(-1, -2)  # (..., 4, m)
-    product = diff * np.linalg.solve(projected_cov, diff)
+    diff = (measured - state.mean[..., None, :4]).swapaxes(-1, -2)  # (..., 4, m)
+    product = diff * np.linalg.solve(variance[..., None] * _EYE4, diff)
     return product[..., 0, :] + product[..., 1, :] + product[..., 2, :] + product[..., 3, :]
 
 
@@ -499,7 +498,7 @@ class Tracker:
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
         self._live: list[Track] = []  # self.tracks minus DELETED, same order
-        self._states = KalmanState(np.empty((0, 8)), np.empty((0, 8, 8)))
+        self._states = KalmanState(np.empty((0, 8)), np.empty((0, 4, 2, 2)))
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -528,7 +527,7 @@ class Tracker:
                 states = kalman_predict(states)
             except ValidationError:
                 finite = (np.isfinite(states.mean).all(axis=1)
-                          & np.isfinite(states.covariance).all(axis=(1, 2)))
+                          & np.isfinite(states.covariance).all(axis=(1, 2, 3)))
                 ids = [str(live[row].track_id) for row in np.flatnonzero(~finite)]
                 raise ValidationError(
                     f"frame {frame_index}: non-finite Kalman state of "

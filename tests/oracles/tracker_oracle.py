@@ -1,16 +1,18 @@
 """Per-track reference tracker: the tracking loop before states were stacked.
 
 Each frame predicts, gates and updates the live tracks one at a time with
-single-track Kalman functions that build their noise matrices with
-``np.diag`` and project with an explicit observation matrix, and both
-association stages fill their cost matrices pair by pair with the scalar
-``iou``.  Each live track's state is kept on its own, keyed by track id.
-Only ``Track``, ``iou`` and the assignment solver are shared with the
-production tracker, so a batched ``Tracker`` must reproduce this one's
-tracks, lifecycles and states bit for bit.
+single-track Kalman functions on full 8x8 covariances that build their
+noise matrices with ``np.diag`` and project with an explicit observation
+matrix, and both association stages fill their cost matrices pair by pair
+with the scalar ``iou``.  Each live track's state is kept on its own,
+keyed by track id.  Only ``Track``, ``iou`` and the assignment solver are
+shared with the production tracker, so a batched ``Tracker`` must
+reproduce this one's tracks, lifecycles and states bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from tsdiag.tracker import (
     CONFIRMED,
     DELETED,
     TENTATIVE,
-    KalmanState,
     Track,
     TrackerConfig,
     iou,
@@ -34,6 +35,14 @@ _TRANSITION = np.eye(8)
 _TRANSITION[:4, 4:] = np.eye(4)
 _OBSERVATION = np.zeros((4, 8))
 _OBSERVATION[:, :4] = np.eye(4)
+
+
+@dataclass(frozen=True)
+class DenseState:
+    """One track's Kalman state with its full covariance matrix."""
+
+    mean: np.ndarray        # (8,)
+    covariance: np.ndarray  # (8, 8)
 
 
 def _xyah(bbox):
@@ -57,7 +66,7 @@ def kalman_initiate(bbox):
         2.0 * _POS_WEIGHT * h, 2.0 * _POS_WEIGHT * h, 1e-2, 2.0 * _POS_WEIGHT * h,
         10.0 * _VEL_WEIGHT * h, 10.0 * _VEL_WEIGHT * h, 1e-5, 10.0 * _VEL_WEIGHT * h,
     ])
-    return KalmanState(np.concatenate([measured, np.zeros(4)]), np.diag(std ** 2))
+    return DenseState(np.concatenate([measured, np.zeros(4)]), np.diag(std ** 2))
 
 
 def kalman_predict(state):
@@ -70,7 +79,7 @@ def kalman_predict(state):
     ])
     mean = _TRANSITION @ state.mean
     covariance = _TRANSITION @ state.covariance @ _TRANSITION.T + np.diag(std ** 2)
-    return KalmanState(mean, covariance)
+    return DenseState(mean, covariance)
 
 
 def _measurement_noise(h, confidence):
@@ -93,7 +102,7 @@ def kalman_update(state, bbox, confidence):
         raise ValidationError("singular innovation covariance in Kalman update") from None
     mean = state.mean + gain @ (measured - projected_mean)
     covariance = state.covariance - gain @ projected_cov @ gain.T
-    return KalmanState(mean, covariance)
+    return DenseState(mean, covariance)
 
 
 def gating_distance(state, bboxes):
@@ -192,7 +201,7 @@ class OracleTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
-        self.states: dict[int, KalmanState] = {}  # live track id -> state
+        self.states: dict[int, DenseState] = {}  # live track id -> state
         self._next_id = 1
 
     def live_tracks(self) -> list[Track]:

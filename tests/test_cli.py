@@ -27,6 +27,15 @@ def fixture_dir(tmp_path_factory):
     return str(directory), config_path
 
 
+def _put_bad_token_on_line_5(path):
+    """Replace a numeric field on line 5 of a label file with 'x'."""
+    lines = path.read_text().splitlines()
+    fields = lines[4].split()
+    fields[6] = "x"
+    lines[4] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = build_config({})
@@ -528,6 +537,15 @@ class TestPerturbCommand:
         with open(paths[0]) as fa, open(paths[1]) as fb:
             assert fa.read() == fb.read()
 
+    def test_parse_error_names_the_labels_file(self, tmp_path, capsys):
+        write_fixture(str(tmp_path / "scene"))
+        path = tmp_path / "scene" / "labels.txt"
+        _put_bad_token_on_line_5(path)
+        code = main(["perturb", "--labels", str(path), "--out", str(tmp_path / "d.txt")])
+        assert code == 3
+        assert (f"input error: {path}: line 5: non-numeric field 'x'"
+                in capsys.readouterr().err)
+
 
 class TestRenderCommand:
     def test_render_from_csv(self, fixture_dir, tmp_path):
@@ -654,11 +672,7 @@ class TestPipelineErrors:
         config_path = write_fixture(str(tmp_path / "scene"))
         if text is None:  # a bad token in the fixture's own labels
             path = tmp_path / "scene" / "labels.txt"
-            lines = path.read_text().splitlines()
-            fields = lines[4].split()
-            fields[6] = "x"
-            lines[4] = " ".join(fields)
-            path.write_text("\n".join(lines) + "\n")
+            _put_bad_token_on_line_5(path)
         else:
             path = tmp_path / f"{key}.txt"
             path.write_text(text)

@@ -39,11 +39,26 @@ def box_at(cx, cy, w=40.0, h=50.0):
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
+# np.eye(8) as blocks
+_IDENTITY_BLOCKS = np.tile(np.eye(2), (4, 1, 1))
+
+
+def _dense(covariance):
+    """(..., 4, 2, 2) covariance blocks as (..., 8, 8) matrices, every off-block entry +0.0."""
+    covariance = np.asarray(covariance)
+    dense = np.zeros(covariance.shape[:-3] + (8, 8))
+    component = np.arange(4)
+    for a in range(2):
+        for b in range(2):
+            dense[..., component + 4 * a, component + 4 * b] = covariance[..., a, b]
+    return dense
+
+
 def _live_states(tracker):
     """(track, mean, covariance) per live track, read from the tracker's stacked rows."""
     live = tracker.live_tracks
     assert tracker._states.mean.shape == (len(live), 8)
-    assert tracker._states.covariance.shape == (len(live), 8, 8)
+    assert tracker._states.covariance.shape == (len(live), 4, 2, 2)
     return list(zip(live, tracker._states.mean, tracker._states.covariance))
 
 
@@ -77,18 +92,18 @@ class TestKalman:
         state = kalman_initiate((80.0, 75.0, 120.0, 125.0))
         predicted = kalman_predict(state)
         assert np.allclose(predicted.mean[:4], state.mean[:4])
-        assert np.all(np.diag(predicted.covariance) > np.diag(state.covariance))
+        assert np.all(np.diag(_dense(predicted.covariance)) > np.diag(_dense(state.covariance)))
 
     def test_linear_propagation(self):
         mean = np.array([100.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0])
-        state = KalmanState(mean, np.eye(8))
+        state = KalmanState(mean, _IDENTITY_BLOCKS)
         predicted = kalman_predict(state)
         assert np.allclose(predicted.mean,
                            [105.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0])
 
     def test_two_predicts_double_the_displacement(self):
         mean = np.array([100.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0])
-        state = KalmanState(mean, np.eye(8))
+        state = KalmanState(mean, _IDENTITY_BLOCKS)
         twice = kalman_predict(kalman_predict(state))
         assert twice.mean[0] == pytest.approx(110.0)
 
@@ -116,12 +131,12 @@ class TestKalman:
     def test_update_contracts_measured_covariance(self):
         state = kalman_predict(kalman_initiate((10.0, 10.0, 50.0, 60.0)))
         updated = kalman_update(state, (11.0, 11.0, 51.0, 61.0), confidence=0.7)
-        prior_diag = np.diag(state.covariance)[:4]
-        post_diag = np.diag(updated.covariance)[:4]
+        prior_diag = np.diag(_dense(state.covariance))[:4]
+        post_diag = np.diag(_dense(updated.covariance))[:4]
         assert np.all(post_diag <= prior_diag + 1e-12)
 
     def test_non_finite_state_rejected(self):
-        state = KalmanState(np.full(8, np.nan), np.eye(8))
+        state = KalmanState(np.full(8, np.nan), _IDENTITY_BLOCKS)
         with pytest.raises(ValidationError):
             kalman_predict(state)
 
@@ -130,9 +145,9 @@ class TestKalman:
         # leaving a zero innovation covariance
         state = kalman_initiate((0.0, 0.0, 10.0, 10.0))
         h = state.mean[3]
-        noise = np.diag([(h / 20.0) ** 2, (h / 20.0) ** 2, 1e-2, (h / 20.0) ** 2])
-        cov = np.zeros((8, 8))
-        cov[:4, :4] = -noise
+        noise = np.array([(h / 20.0) ** 2, (h / 20.0) ** 2, 1e-2, (h / 20.0) ** 2])
+        cov = np.zeros((4, 2, 2))
+        cov[:, 0, 0] = -noise
         with pytest.raises(ValidationError):
             kalman_update(KalmanState(state.mean, cov), (0.0, 0.0, 10.0, 10.0), 0.0)
 
@@ -194,6 +209,11 @@ def _random_states(rng, n):
 
 def _row(states, i):
     return KalmanState(states.mean[i].copy(), states.covariance[i].copy())
+
+
+def _reference_row(states, i):
+    """Row i of stacked states as the reference's state, with its full covariance."""
+    return reference.DenseState(states.mean[i].copy(), _dense(states.covariance[i]))
 
 
 def _same_bits(a, b):
@@ -267,7 +287,8 @@ class TestStackedKalman:
             if rng.randint(2):
                 tracker._states.mean[row, rng.randint(8)] = rng.choice([np.nan, np.inf])
             else:
-                tracker._states.covariance[row, rng.randint(8), rng.randint(8)] = np.nan
+                tracker._states.covariance[row, rng.randint(4), rng.randint(2),
+                                           rng.randint(2)] = np.nan
         ids = ", ".join(str(tracker.live_tracks[row].track_id) for row in bad)
         noun = "track" if len(bad) == 1 else "tracks"
         with pytest.raises(ValidationError) as info:
@@ -293,9 +314,9 @@ class TestStackedKalman:
         states = kalman_initiate(boxes)
         covariance = states.covariance.copy()
         bad = rng.randint(n + 1)
-        noise = np.diag([(10.0 / 20.0) ** 2, (10.0 / 20.0) ** 2, 1e-2, (10.0 / 20.0) ** 2])
+        noise = np.array([(10.0 / 20.0) ** 2, (10.0 / 20.0) ** 2, 1e-2, (10.0 / 20.0) ** 2])
         covariance[bad] = 0.0
-        covariance[bad, :4, :4] = -noise
+        covariance[bad, :, 0, 0] = -noise
         with pytest.raises(ValidationError, match="singular"):
             kalman_update(KalmanState(states.mean, covariance), boxes, np.zeros(n + 1))
 
@@ -319,15 +340,15 @@ class TestKernelsMatchReference:
             box = tuple(boxes[i].tolist())
             expected = reference.kalman_initiate(box)
             assert _same_bits(initial.mean[i], expected.mean)
-            assert _same_bits(initial.covariance[i], expected.covariance)
-            expected = reference.kalman_predict(_row(states, i))
+            assert _same_bits(_dense(initial.covariance[i]), expected.covariance)
+            expected = reference.kalman_predict(_reference_row(states, i))
             assert _same_bits(predicted.mean[i], expected.mean)
-            assert _same_bits(predicted.covariance[i], expected.covariance)
-            row = _row(predicted, i)
+            assert _same_bits(_dense(predicted.covariance[i]), expected.covariance)
+            row = _reference_row(predicted, i)
             assert _same_bits(distances[i], reference.gating_distance(row, bboxes))
             expected = reference.kalman_update(row, box, confidences[i])
             assert _same_bits(updated.mean[i], expected.mean)
-            assert _same_bits(updated.covariance[i], expected.covariance)
+            assert _same_bits(_dense(updated.covariance[i]), expected.covariance)
 
 
     def test_noise_floor_matches_reference_over_many_heights(self):
@@ -337,14 +358,24 @@ class TestKernelsMatchReference:
         rng = np.random.RandomState(3)
         boxes = _random_boxes(rng, 4000)
         mean = kalman_initiate(boxes).mean
-        covariance = np.zeros((len(boxes), 8, 8))
-        covariance[:, 4:, :4] = covariance[:, :4, 4:] = np.eye(4)
+        covariance = np.zeros((len(boxes), 4, 2, 2))
+        covariance[:, :, 1, 0] = covariance[:, :, 0, 1] = 1.0
         states = KalmanState(mean, covariance)
         updated = kalman_update(states, boxes + 0.5, np.ones(len(boxes)))
         for i in range(len(boxes)):
-            expected = reference.kalman_update(_row(states, i), tuple(boxes[i] + 0.5), 1.0)
+            expected = reference.kalman_update(_reference_row(states, i),
+                                               tuple(boxes[i] + 0.5), 1.0)
             assert _same_bits(updated.mean[i], expected.mean)
-            assert _same_bits(updated.covariance[i], expected.covariance)
+            assert _same_bits(_dense(updated.covariance[i]), expected.covariance)
+
+    def test_negative_zero_blocks_predict_as_reference(self):
+        # the dense sum adds +0.0 to every entry, which turns -0.0 into +0.0
+        state = kalman_initiate((10.0, 20.0, 50.0, 80.0))
+        blocks = np.full((4, 2, 2), -0.0)
+        predicted = kalman_predict(KalmanState(state.mean, blocks))
+        expected = reference.kalman_predict(reference.DenseState(state.mean, _dense(blocks)))
+        assert _same_bits(predicted.mean, expected.mean)
+        assert _same_bits(_dense(predicted.covariance), expected.covariance)
 
 
 box_coordinates = st.floats(-50.0, 50.0, allow_nan=False)
@@ -553,7 +584,7 @@ class TestAssociate:
                 == ([(0, 0), (1, 1)], [], []))
 
     def test_empty_inputs(self):
-        no_states = KalmanState(np.empty((0, 8)), np.empty((0, 8, 8)))
+        no_states = KalmanState(np.empty((0, 8)), np.empty((0, 4, 2, 2)))
         assert _associate([], no_states, [], TrackerConfig()) == ([], [], [])
         tracks, states = self._tentative_track(box_at(50, 50))
         assert _associate(tracks, states, [], TrackerConfig()) == ([], [0], [])
@@ -951,7 +982,7 @@ def _assert_same_tracking(tracker, oracle):
     for track, mean, covariance in _live_states(tracker):
         expected = oracle.states[track.track_id]
         assert _same_bits(mean, expected.mean)
-        assert _same_bits(covariance, expected.covariance)
+        assert _same_bits(_dense(covariance), expected.covariance)
     assert len(oracle.states) == len(tracker.live_tracks)
 
 
