@@ -12,6 +12,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
@@ -45,6 +46,12 @@ _CLASS_LABELS = (
 # location(x y z) rotation_y [score]
 _LABEL_FIELDS_NO_SCORE = 17
 _LABEL_FIELDS_WITH_SCORE = 18
+# the columns read as numbers: frame, track id, truncated, occluded, bbox,
+# location, then the score when there is one
+_LABEL_NUMBERS = itemgetter(0, 1, 3, 4, 6, 7, 8, 9, 13, 14, 15)
+_SCORED_LABEL_NUMBERS = itemgetter(0, 1, 3, 4, 6, 7, 8, 9, 13, 14, 15, 17)
+# an integer token below this in size converts to float exactly; 2**53 + 1 rounds to it
+_EXACT_INT_LIMIT = 2.0 ** 53
 
 _OXTS_FIELD_COUNT = 30
 
@@ -164,6 +171,36 @@ def _iter_content_lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, 
         yield line_no, line
 
 
+def _label_numbers(fields: list[str], line_no: int):
+    """Frame, track id, bbox, location and score of a label row.
+
+    Truncated and occluded are checked, not kept.  One ``map(float)`` pass
+    converts the row; a row it does not take whole (a bad token, a
+    fractional integer column, or an integer of 2**53 or more, which a
+    float may round) goes field by field, which names the first bad token in
+    column order or keeps the integer exact.
+    """
+    scored = len(fields) == _LABEL_FIELDS_WITH_SCORE
+    try:
+        values = list(map(float, (_SCORED_LABEL_NUMBERS if scored else _LABEL_NUMBERS)(fields)))
+    except ValueError:
+        values = None
+    if values is not None and all(map(math.isfinite, values)):
+        frame, track_id, _, occluded = values[:4]
+        if (frame.is_integer() and track_id.is_integer() and occluded.is_integer()
+                and max(abs(frame), abs(track_id), abs(occluded)) < _EXACT_INT_LIMIT):
+            return (int(frame), int(track_id), tuple(values[4:8]), tuple(values[8:11]),
+                    values[11] if scored else 1.0)
+    frame = _int_field(fields[0], line_no)
+    track_id = _int_field(fields[1], line_no)
+    _float_field(fields[3], line_no)
+    _int_field(fields[4], line_no)
+    bbox = tuple(_float_field(fields[i], line_no) for i in range(6, 10))
+    location = tuple(_float_field(fields[i], line_no) for i in range(13, 16))
+    confidence = _float_field(fields[17], line_no) if scored else 1.0
+    return frame, track_id, bbox, location, confidence
+
+
 def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
     """Parse a KITTI tracking label file into records sorted by (frame, track).
 
@@ -180,16 +217,9 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
             raise ParseError(
                 f"line {line_no}: expected {_LABEL_FIELDS_NO_SCORE} or "
                 f"{_LABEL_FIELDS_WITH_SCORE} fields, got {len(fields)}")
-        frame = _int_field(fields[0], line_no)
-        track_id = _int_field(fields[1], line_no)
+        frame, track_id, bbox, location, confidence = _label_numbers(fields, line_no)
         raw_type = fields[2]
         is_dontcare = raw_type.lower() == "dontcare"
-        _float_field(fields[3], line_no)  # truncated and occluded: checked, not kept
-        _int_field(fields[4], line_no)
-        bbox = tuple(_float_field(fields[i], line_no) for i in range(6, 10))
-        location = tuple(_float_field(fields[i], line_no) for i in range(13, 16))
-        confidence = (_float_field(fields[17], line_no)
-                      if len(fields) == _LABEL_FIELDS_WITH_SCORE else 1.0)
         if is_dontcare:
             location = depth = None
         else:
@@ -213,7 +243,7 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
                 raise ValidationError(
                     f"line {line_no}: frame {frame} track {track_id} already has a row "
                     f"on line {first}")
-    records.sort(key=lambda r: (r.frame_index, r.gt_track_id))
+    records.sort(key=attrgetter("frame_index", "gt_track_id"))
     return records
 
 

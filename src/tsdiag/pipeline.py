@@ -7,8 +7,6 @@ import os
 import platform
 from dataclasses import dataclass
 
-import numpy
-
 from .config import PipelineConfig, dump_config
 from .errors import ParseError, PipelineError, ValidationError
 from .evaluation import (
@@ -174,7 +172,6 @@ def _run_meta(cfg: PipelineConfig) -> str:
     lines = [
         "# tsdiag run manifest; re-parses as a pipeline config",
         f"# tsdiag {__version__} on python {platform.python_version()}",
-        f"# numpy {numpy.__version__}",
         f"# seed {cfg.seed}",
         "",
     ]

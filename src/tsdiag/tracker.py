@@ -6,6 +6,10 @@ motion cost for confirmed tracks, then plain overlap for the rest), matched
 states are corrected with measurement noise scaled down for confident
 detections, and track lifecycles follow the usual tentative / confirmed /
 deleted scheme.
+
+The filter runs on plain Python floats: with a handful of live tracks the
+per-call cost of array operations outweighs their arithmetic.  numpy is
+imported only by the appearance stage, whose vectors come as arrays.
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .kitti import DetectionRecord, group_by_frame
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TrackerConfig",
@@ -33,7 +38,6 @@ __all__ = [
     "kalman_update",
     "gating_distance",
     "iou",
-    "iou_matrix",
     "solve_assignment",
     "associate",
     "tracks_from_ground_truth",
@@ -50,27 +54,19 @@ _POS_WEIGHT = 1.0 / 20.0
 _VEL_WEIGHT = 1.0 / 160.0
 _GATE_COST = 1e5  # sentinel for forbidden assignment edges
 
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-# Read-only identity matrices: no caller can alter them for the rest of the process.
-_EYE2 = _readonly(np.eye(2))
-_EYE4 = _readonly(np.eye(4))
-
-# Noise standard deviations are h * weights + constant, h being the box
-# height; state noise has a (position, velocity) row per box component.
-# Every component scales with h except the aspect ratio and its velocity.
-_STATE_STD_CONSTANT = _readonly(np.array([[0.0, 0.0], [0.0, 0.0], [1e-2, 1e-5], [0.0, 0.0]]))
-_MEASUREMENT_STD_WEIGHTS = _readonly(np.array([_POS_WEIGHT, _POS_WEIGHT, 0.0, _POS_WEIGHT]))
-_MEASUREMENT_STD_CONSTANT = _readonly(np.array([0.0, 0.0, 1e-1, 0.0]))
-# process noise of one predict; a new track's state starts twice as
-# uncertain in position and ten times as uncertain in velocity
-_PROCESS_STD_WEIGHTS = _readonly(np.array([[_POS_WEIGHT, _VEL_WEIGHT], [_POS_WEIGHT, _VEL_WEIGHT],
-                                           [0.0, 0.0], [_POS_WEIGHT, _VEL_WEIGHT]]))
-_INITIAL_STD_WEIGHTS = _readonly(_PROCESS_STD_WEIGHTS * [2.0, 10.0])
+# Noise standard deviations are h * weight + constant, h being the box
+# height: every component scales with h except the aspect ratio, whose
+# standard deviations are constants.  A new track's state starts twice as
+# uncertain in position and ten times as uncertain in velocity as one
+# predict adds.
+_INITIAL_POS_WEIGHT = _POS_WEIGHT * 2.0
+_INITIAL_VEL_WEIGHT = _VEL_WEIGHT * 10.0
+_ASPECT_POS_STD = 1e-2
+_ASPECT_VEL_STD = 1e-5
+_ASPECT_MEASUREMENT_STD = 1e-1
+# (h * 0.0 + std) squared, for every finite h: predict takes finite states only
+_ASPECT_POS_VAR = _ASPECT_POS_STD * _ASPECT_POS_STD
+_ASPECT_VEL_VAR = _ASPECT_VEL_STD * _ASPECT_VEL_STD
 
 
 @dataclass(frozen=True)
@@ -102,121 +98,182 @@ class TrackerConfig:
                 f"mahalanobis_gate must be positive, got {self.mahalanobis_gate}")
 
 
-@dataclass(frozen=True)
-class KalmanState:
-    """Box state (cx, cy, aspect, h) plus per-frame velocities, with covariance.
+class KalmanState(NamedTuple):
+    """One track's box state (cx, cy, aspect, h) plus per-frame velocities.
 
-    Each box component is correlated only with its own velocity, so the
-    covariance is four 2x2 (position, velocity) blocks in (cx, cy, aspect, h)
-    order.  One track has mean (8,) and covariance (4, 2, 2); a stack of n
-    tracks has mean (n, 8) and covariance (n, 4, 2, 2), and the Kalman
-    functions below work row by row on either.
+    ``mean`` is 8 floats: the box, then its velocities.  Each box component
+    is correlated only with its own velocity, so ``covariance`` is four
+    2x2 (position, velocity) blocks in (cx, cy, aspect, h) order, 16 floats
+    with block k at ``covariance[4 * k:4 * k + 4]`` as
+    (pos-pos, pos-vel, vel-pos, vel-vel).  The kernels below take and
+    return lists of states and never modify a state they are given.
     """
 
-    mean: np.ndarray        # shape (..., 8)
-    covariance: np.ndarray  # shape (..., 4, 2, 2)
+    mean: list[float]
+    covariance: list[float]
 
 
-def _bbox_to_xyah(bbox) -> np.ndarray:
-    """(..., 4) boxes (left, top, right, bottom) to (..., 4) (cx, cy, aspect, h)."""
-    bbox = np.asarray(bbox, dtype=float)
-    top_left = bbox[..., :2]
-    size = bbox[..., 2:] - top_left  # (w, h)
-    height = size[..., 1:]
-    return np.concatenate([top_left + size / 2.0, size[..., :1] / height, height], axis=-1)
+def _xyah(bbox) -> tuple[float, float, float, float]:
+    """A (left, top, right, bottom) box as the measurement (cx, cy, aspect, h)."""
+    left, top, right, bottom = bbox
+    width = right - left
+    height = bottom - top
+    return (left + width / 2.0, top + height / 2.0, width / height, height)
 
 
-def _xyah_to_bbox(mean) -> np.ndarray:
-    """(..., >= 4) states to (..., 4) boxes (left, top, right, bottom)."""
-    center = mean[..., :2]
-    height = mean[..., 3:4]
-    half = np.concatenate([mean[..., 2:3] * height, height], axis=-1) / 2.0
-    return np.concatenate([center - half, center + half], axis=-1)
+def _box(mean) -> tuple[float, float, float, float]:
+    """The (left, top, right, bottom) box of a state mean."""
+    cx, cy, aspect, height = mean[0], mean[1], mean[2], mean[3]
+    half_width = aspect * height / 2.0
+    half_height = height / 2.0
+    return (cx - half_width, cy - half_height, cx + half_width, cy + half_height)
 
 
-def _take_rows(states: KalmanState, rows) -> KalmanState:
-    """A copy of the given rows of stacked states."""
-    return KalmanState(states.mean.take(rows, axis=0), states.covariance.take(rows, axis=0))
+def _is_finite(state: KalmanState) -> bool:
+    return all(map(math.isfinite, state.mean)) and all(map(math.isfinite, state.covariance))
 
 
-def kalman_initiate(bbox) -> KalmanState:
-    """Initial state from an unassociated detection: zero velocity, wide covariance.
+def kalman_initiate(measurements) -> list[KalmanState]:
+    """Initial states from unassociated measurements: zero velocity, wide covariance."""
+    states = []
+    for cx, cy, aspect, h in measurements:
+        pos = h * _INITIAL_POS_WEIGHT
+        vel = h * _INITIAL_VEL_WEIGHT
+        pos_var, vel_var = pos * pos, vel * vel
+        aspect_pos = h * 0.0 + _ASPECT_POS_STD
+        aspect_vel = h * 0.0 + _ASPECT_VEL_STD
+        states.append(KalmanState(
+            [cx, cy, aspect, h, 0.0, 0.0, 0.0, 0.0],
+            [pos_var, 0.0, 0.0, vel_var,
+             pos_var, 0.0, 0.0, vel_var,
+             aspect_pos * aspect_pos, 0.0, 0.0, aspect_vel * aspect_vel,
+             pos_var, 0.0, 0.0, vel_var]))
+    return states
 
-    ``bbox`` is one box or an (n, 4) array of boxes, giving n states.
-    """
-    measured = _bbox_to_xyah(bbox)
-    mean = np.concatenate([measured, np.zeros_like(measured)], axis=-1)
-    std = measured[..., 3:4, None] * _INITIAL_STD_WEIGHTS + _STATE_STD_CONSTANT
-    return KalmanState(mean, (std ** 2)[..., None] * _EYE2)
 
-
-def kalman_predict(state: KalmanState) -> KalmanState:
+def kalman_predict(states: Sequence[KalmanState]) -> list[KalmanState]:
     """Advance one frame under constant velocity; grow covariance by process noise.
 
-    Each block P becomes F P F' + Q with F = [[1, 1], [0, 1]].  Q is added
-    whole: its zeros turn an off-diagonal -0.0 into +0.0, as the reference does.
+    Each block P becomes F P F' + Q with F = [[1, 1], [0, 1]], summed in
+    the order that matches the dense 8x8 product bit for bit.  Q's zeros
+    are added too: they turn an off-diagonal -0.0 into +0.0, as the dense
+    sum does.
     """
-    if not (np.isfinite(state.mean).all() and np.isfinite(state.covariance).all()):
-        raise ValidationError("non-finite Kalman state")
-    std = state.mean[..., 3:4, None] * _PROCESS_STD_WEIGHTS + _STATE_STD_CONSTANT
-    mean = state.mean.copy()
-    mean[..., :4] += mean[..., 4:]
-    covariance = state.covariance.copy()
-    covariance[..., 0, :] += covariance[..., 1, :]
-    covariance[..., :, 0] += covariance[..., :, 1]
-    covariance += (std ** 2)[..., None] * _EYE2
-    return KalmanState(mean, covariance)
+    predicted = []
+    for state in states:
+        if not _is_finite(state):
+            raise ValidationError("non-finite Kalman state")
+        (x, y, a, h, vx, vy, va, vh), covariance = state
+        pos = h * _POS_WEIGHT
+        vel = h * _VEL_WEIGHT
+        pos_var, vel_var = pos * pos, vel * vel
+        (x00, x01, x10, x11, y00, y01, y10, y11,
+         a00, a01, a10, a11, h00, h01, h10, h11) = covariance
+        x01 += x11
+        y01 += y11
+        a01 += a11
+        h01 += h11
+        predicted.append(KalmanState(
+            [x + vx, y + vy, a + va, h + vh, vx, vy, va, vh],
+            [x00 + x10 + x01 + pos_var, x01 + 0.0, x10 + x11 + 0.0, x11 + vel_var,
+             y00 + y10 + y01 + pos_var, y01 + 0.0, y10 + y11 + 0.0, y11 + vel_var,
+             a00 + a10 + a01 + _ASPECT_POS_VAR, a01 + 0.0, a10 + a11 + 0.0, a11 + _ASPECT_VEL_VAR,
+             h00 + h10 + h01 + pos_var, h01 + 0.0, h10 + h11 + 0.0, h11 + vel_var]))
+    return predicted
 
 
-def _innovation_variance(state: KalmanState, confidence) -> np.ndarray:
-    """(..., 4) diagonal of the innovation covariance: position variance plus noise.
+def _noise_floor(h: float) -> float:
+    """Squared floor of the measurement noise, which keeps it invertible.
 
-    ``confidence`` broadcasts against (..., 1).  Measurement noise shrinks
-    with detection confidence and is floored to stay invertible.  The floor
-    is squared with float_power, which calls the C library's pow like the
-    scalar ``** 2`` it replaces; ``x * x`` differs from that in the last
-    bit for about one value in a thousand.
+    Squared with ``** 2``, which calls the C library's pow like the
+    reference; ``x * x`` differs from that in the last bit for about one
+    value in a thousand.  Where pow overflows Python raises, not inf.
     """
-    h = state.mean[..., 3:4]
-    std = h * _MEASUREMENT_STD_WEIGHTS + _MEASUREMENT_STD_CONSTANT
-    noise = np.maximum((1.0 - confidence) * std ** 2,
-                       np.float_power(1e-6 * np.maximum(h, 1.0), 2))
-    return state.covariance[..., 0, 0] + noise
+    try:
+        return (1e-6 * max(h, 1.0)) ** 2
+    except OverflowError:
+        return math.inf
 
 
-def kalman_update(state: KalmanState, bbox, confidence) -> KalmanState:
-    """Standard linear correction against the measured box.
+def _innovation_variance(state: KalmanState, confidence: float) -> list[float]:
+    """Diagonal of the innovation covariance: position variance plus noise.
 
-    For a stack of n states, ``bbox`` is (n, 4) and ``confidence`` (n,).
+    Measurement noise shrinks with detection confidence and is floored.
+    A NaN noise term stays NaN: ``max`` keeps its first argument when the
+    two do not compare.
+    """
+    h = state.mean[3]
+    cov = state.covariance
+    scale = 1.0 - confidence
+    floor = _noise_floor(h)
+    pos = h * _POS_WEIGHT
+    pos_noise = max(scale * (pos * pos), floor)
+    aspect = h * 0.0 + _ASPECT_MEASUREMENT_STD
+    aspect_noise = max(scale * (aspect * aspect), floor)
+    return [cov[0] + pos_noise, cov[4] + pos_noise, cov[8] + aspect_noise, cov[12] + pos_noise]
+
+
+def kalman_update(states: Sequence[KalmanState], measurements,
+                  confidences: Iterable[float]) -> list[KalmanState]:
+    """Standard linear correction of each state against its measurement.
+
     Each block's gain k is its first column times 1 / d, d the innovation
-    variance, which rounds as LAPACK's solve does; the block shrinks by (k d) k'.
+    variance, which rounds as a linear solve does; the block shrinks by
+    (k d) k'.
     """
-    confidence = np.asarray(confidence, dtype=float)
-    in_range = (confidence >= 0.0) & (confidence <= 1.0)
-    if not in_range.all():
-        raise ValidationError(f"confidence {confidence[~in_range].flat[0]} outside [0, 1]")
-    variance = _innovation_variance(state, confidence[..., None])
-    if not (variance > 0.0).all():
-        raise ValidationError("singular innovation covariance in Kalman update")
-    gain = state.covariance[..., 0] * (1.0 / variance)[..., None]  # (..., 4, 2)
-    correction = gain * (_bbox_to_xyah(bbox) - state.mean[..., :4])[..., None]
-    mean = state.mean + correction.swapaxes(-1, -2).reshape(state.mean.shape)
-    covariance = state.covariance - (gain * variance[..., None])[..., :, None] * gain[..., None, :]
-    return KalmanState(mean, covariance)
+    confidences = list(confidences)
+    for confidence in confidences:
+        if not 0.0 <= confidence <= 1.0:
+            raise ValidationError(f"confidence {float(confidence)} outside [0, 1]")
+    updated = []
+    for state, measured, confidence in zip(states, measurements, confidences, strict=True):
+        variance = _innovation_variance(state, confidence)
+        if not all(v > 0.0 for v in variance):
+            raise ValidationError("singular innovation covariance in Kalman update")
+        mean, cov = state
+        new_mean = list(mean)
+        covariance = []
+        for k, v in enumerate(variance):
+            p00, p01, p10, p11 = cov[4 * k:4 * k + 4]
+            reciprocal = 1.0 / v
+            k0, k1 = p00 * reciprocal, p10 * reciprocal
+            innovation = measured[k] - mean[k]
+            new_mean[k] = mean[k] + k0 * innovation
+            new_mean[k + 4] = mean[k + 4] + k1 * innovation
+            d0, d1 = k0 * v, k1 * v
+            covariance += (p00 - d0 * k0, p01 - d0 * k1, p10 - d1 * k0, p11 - d1 * k1)
+        updated.append(KalmanState(new_mean, covariance))
+    return updated
 
 
-def gating_distance(state: KalmanState, bboxes) -> np.ndarray:
-    """Squared Mahalanobis distance of m measurements to the predicted box.
+def gating_distance(states: Sequence[KalmanState], measurements) -> list[list[float]]:
+    """Squared Mahalanobis distance of each measurement to each predicted box.
 
-    Returns (m,) for one state and (n, m) for a stack of n states.  The
-    diagonal innovation covariance is solved as a matrix: LAPACK rounds one
-    measurement and several differently, and the reference rounds the same.
+    Returns one row of len(measurements) distances per state.  The
+    innovation covariance is diagonal, and each term rounds as a linear
+    solve of it does: one measurement is divided by the variance, several
+    are multiplied by its reciprocal.  A zero variance raises
+    ValidationError, as a singular solve would.
     """
-    variance = _innovation_variance(state, 0.0)
-    measured = _bbox_to_xyah(np.asarray(bboxes, dtype=float).reshape(-1, 4))
-    diff = (measured - state.mean[..., None, :4]).swapaxes(-1, -2)  # (..., 4, m)
-    product = diff * np.linalg.solve(variance[..., None] * _EYE4, diff)
-    return product[..., 0, :] + product[..., 1, :] + product[..., 2, :] + product[..., 3, :]
+    divide = len(measurements) == 1
+    distances = []
+    for state in states:
+        v0, v1, v2, v3 = _innovation_variance(state, 0.0)
+        if not (v0 and v1 and v2 and v3):
+            raise ValidationError("singular innovation covariance in gating")
+        m0, m1, m2, m3 = state.mean[:4]
+        row = []
+        if divide:
+            for z0, z1, z2, z3 in measurements:
+                d0, d1, d2, d3 = z0 - m0, z1 - m1, z2 - m2, z3 - m3
+                row.append(d0 * (d0 / v0) + d1 * (d1 / v1) + d2 * (d2 / v2) + d3 * (d3 / v3))
+        else:
+            r0, r1, r2, r3 = 1.0 / v0, 1.0 / v1, 1.0 / v2, 1.0 / v3
+            for z0, z1, z2, z3 in measurements:
+                d0, d1, d2, d3 = z0 - m0, z1 - m1, z2 - m2, z3 - m3
+                row.append(d0 * (d0 * r0) + d1 * (d1 * r1) + d2 * (d2 * r2) + d3 * (d3 * r3))
+        distances.append(row)
+    return distances
 
 
 def iou(a, b) -> float:
@@ -232,49 +289,37 @@ def iou(a, b) -> float:
     return inter / union if union > 0.0 else 0.0
 
 
-def iou_matrix(a, b) -> np.ndarray:
-    """``iou`` of every pair: boxes a (..., n, 4) and b (..., m, 4) give (..., n, m)."""
-    a = np.asarray(a, dtype=float)[..., :, None, :]
-    b = np.asarray(b, dtype=float)[..., None, :, :]
-    overlap = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
-    inter = overlap[..., 0] * overlap[..., 1]
-    size_a = np.maximum(0.0, a[..., 2:] - a[..., :2])
-    size_b = np.maximum(0.0, b[..., 2:] - b[..., :2])
-    union = size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1] - inter
-    positive = (np.minimum(overlap[..., 0], overlap[..., 1]) > 0.0) & (union > 0.0)
-    return np.divide(inter, union, out=np.zeros(union.shape), where=positive)
-
-
-def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
+def solve_assignment(cost: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
     """Minimum-cost bipartite assignment; returns min(rows, cols) (row, col) pairs.
 
-    Shortest augmenting paths on the rectangular matrix (Crouse 2016, "On
-    implementing 2D rectangular assignment algorithms"), with the scan
-    order and tie-breaks of ``scipy.optimize.linear_sum_assignment``, so an
-    equal-cost optimum resolves to the same pairs.  A tall matrix is solved
-    transposed; pairs come sorted by row.  ``+inf`` forbids a pair; a NaN
-    or ``-inf`` entry, or no complete assignment of finite cost, raises
-    ValueError.
+    ``cost`` is a list of equal-length rows.  Shortest augmenting paths on
+    the rectangular matrix (Crouse 2016, "On implementing 2D rectangular
+    assignment algorithms"), with the scan order and tie-breaks of
+    ``scipy.optimize.linear_sum_assignment``, so an equal-cost optimum
+    resolves to the same pairs.  A tall matrix is solved transposed; pairs
+    come sorted by row.  ``+inf`` forbids a pair; a NaN or ``-inf`` entry,
+    or no complete assignment of finite cost, raises ValueError.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.size == 0:
+    rows = [list(row) for row in cost]
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("cost matrix rows differ in length")
+    if width == 0:
         return []
-    if cost.ndim != 2:
-        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim}-D array")
-    if not cost.min() > -math.inf:  # also false for NaN
+    if not all(value > -math.inf for row in rows for value in row):  # also false for NaN
         raise ValueError("matrix contains invalid numeric entries")
-    if cost.shape[1] < cost.shape[0]:
-        col4row = _solve_wide(cost.T.tolist())
+    if width < len(rows):
+        col4row = _solve_wide(list(zip(*rows)))
         return sorted((row, col) for col, row in enumerate(col4row))
-    return list(enumerate(_solve_wide(cost.tolist())))
+    return list(enumerate(_solve_wide(rows)))
 
 
-def _solve_wide(cost: list[list[float]]) -> list[int]:
+def _solve_wide(cost: Sequence[Sequence[float]]) -> list[int]:
     col4row = _distinct_row_minima(cost)
     return _shortest_augmenting_paths(cost) if col4row is None else col4row
 
 
-def _distinct_row_minima(cost: list[list[float]]) -> list[int] | None:
+def _distinct_row_minima(cost: Sequence[Sequence[float]]) -> list[int] | None:
     """Each row's argmin, if every row has a unique finite minimum in its own column.
 
     That assignment is then the unique optimum, and it is also what the
@@ -291,7 +336,7 @@ def _distinct_row_minima(cost: list[list[float]]) -> list[int] | None:
     return col4row if len(set(col4row)) == len(col4row) else None
 
 
-def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
+def _shortest_augmenting_paths(cost: Sequence[Sequence[float]]) -> list[int]:
     """Column assigned to each row of a wide (rows <= columns) cost matrix.
 
     Rows are added one at a time.  Each addition runs a Dijkstra-like
@@ -367,7 +412,7 @@ class Track:
     length is the track's hit count.  ``class_label`` and
     ``majority_gt_track_id`` count over ``records`` when read; a tie goes
     to the value seen first.  A track holds no Kalman state: ``Tracker``
-    keeps its live tracks' states stacked.
+    keeps its live tracks' states.
     """
 
     track_id: int
@@ -395,32 +440,62 @@ def _most_common(values: Iterable, default):
 def _appearance_cost(appearances: np.ndarray, embeddings: np.ndarray,
                      metric: str) -> np.ndarray:
     """Cost of every (track appearance, detection embedding) pair."""
+    import numpy as np
+
     if metric == "cosine":
         return 1.0 - appearances @ embeddings.T
     return np.linalg.norm(appearances[:, None, :] - embeddings[None, :, :], axis=-1)
 
 
+def _appearance_costs(appearances: Sequence[np.ndarray | None],
+                      embeddings: Sequence[np.ndarray | None],
+                      metric: str) -> list[dict[int, float]]:
+    """Per appearance, the cost of each embedding, by column; none where a vector is missing."""
+    by_row: list[dict[int, float]] = [{} for _ in appearances]
+    rows = [row for row, vector in enumerate(appearances) if vector is not None]
+    cols = [col for col, vector in enumerate(embeddings) if vector is not None]
+    if rows and cols:
+        import numpy as np
+
+        values = _appearance_cost(np.array([appearances[row] for row in rows]),
+                                  np.array([embeddings[col] for col in cols]), metric)
+        for row, line in zip(rows, values.tolist()):
+            by_row[row] = dict(zip(cols, line))
+    return by_row
+
+
+def _blend_appearance(appearance: np.ndarray, embedding: np.ndarray,
+                      alpha: float) -> np.ndarray:
+    """Exponential moving average of unit vectors, renormalized; kept if it vanishes."""
+    import numpy as np
+
+    blended = alpha * appearance + (1.0 - alpha) * embedding
+    norm = np.linalg.norm(blended)
+    return blended / norm if norm > 0.0 else appearance
+
+
 def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
-              states: KalmanState, boxes: np.ndarray, config: TrackerConfig,
+              states: Sequence[KalmanState], measurements, config: TrackerConfig,
               embeddings: Sequence[np.ndarray | None] | None = None,
               ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage matching of track indices to detection indices.
 
-    ``states`` are the tracks' predicted Kalman states stacked row for row,
-    and ``boxes`` the detections' boxes as one (m, 4) array.  Stage 1
-    matches confirmed tracks with an appearance cost (when enabled and
-    embeddings are present) or a combined overlap/Mahalanobis cost, gated
-    by the Mahalanobis distance.  Stage 2 matches everything left over on
-    plain overlap.  Both stages solve the assignment optimally and read
-    their overlaps from one IoU matrix of every track against every
-    detection.
+    ``states`` are the tracks' predicted Kalman states, one per track in
+    order, and ``measurements`` the detections' boxes as (cx, cy, aspect,
+    h).  Stage 1 matches confirmed tracks with an appearance cost (when
+    enabled and embeddings are present) or a combined overlap/Mahalanobis
+    cost, gated by the Mahalanobis distance; a gated pair costs the gate
+    sentinel whatever its overlap, so its IoU is never computed.  Stage 2
+    matches everything left over on plain overlap.  Both stages solve the
+    assignment optimally.
     Returns (matches, unmatched_track_indices, unmatched_detection_indices).
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
 
     n_dets = len(detections)
-    overlap = iou_matrix(_xyah_to_bbox(states.mean), boxes)
+    boxes = [det.bbox for det in detections]
+    predicted = [_box(state.mean) for state in states]
 
     matches: list[tuple[int, int]] = []
 
@@ -433,7 +508,7 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
         assigned_rows = set()
         for row, col in solve_assignment(cost):
             assigned_rows.add(row)
-            if cost[row, col] < _GATE_COST:
+            if cost[row][col] < _GATE_COST:
                 matches.append((track_indices[row], det_indices[col]))
             else:
                 leftover_tracks.append(track_indices[row])
@@ -445,23 +520,27 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     leftover: list[int] = []
     if confirmed:
         gate = config.mahalanobis_gate
-        if others:
-            maha = gating_distance(_take_rows(states, confirmed), boxes)
-            confirmed_overlap = overlap.take(confirmed, axis=0)
-        else:
-            maha = gating_distance(states, boxes)
-            confirmed_overlap = overlap
-        cost = 0.5 * (1.0 - confirmed_overlap) + 0.5 * np.minimum(maha / gate, 1.0)
+        max_dist = config.max_dist
         if config.use_appearance and embeddings is not None:
-            rows = [row for row, ti in enumerate(confirmed)
-                    if tracks[ti].appearance is not None]
-            cols = [col for col in range(n_dets) if embeddings[col] is not None]
-            if rows and cols:
-                value = _appearance_cost(
-                    np.array([tracks[confirmed[row]].appearance for row in rows]),
-                    np.array([embeddings[col] for col in cols]), config.nn_metric)
-                cost[np.ix_(rows, cols)] = np.where(value > config.max_dist, _GATE_COST, value)
-        cost[maha > gate] = _GATE_COST
+            appearance = _appearance_costs([tracks[i].appearance for i in confirmed],
+                                           embeddings, config.nn_metric)
+        else:
+            appearance = [{}] * len(confirmed)
+        cost = []
+        distances = gating_distance([states[i] for i in confirmed], measurements)
+        for track_idx, row_distances, row_appearance in zip(confirmed, distances, appearance):
+            box = predicted[track_idx]
+            line = []
+            for col, distance in enumerate(row_distances):
+                if distance > gate:
+                    line.append(_GATE_COST)
+                elif col in row_appearance:
+                    value = row_appearance[col]
+                    line.append(_GATE_COST if value > max_dist else value)
+                else:
+                    line.append(0.5 * (1.0 - iou(box, boxes[col]))
+                                + 0.5 * min(distance / gate, 1.0))
+            cost.append(line)
         leftover = _run_stage(confirmed, range(n_dets), cost)
 
     def _free_dets():
@@ -471,8 +550,15 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     stage2_tracks = sorted(others + leftover)
     free_dets = _free_dets()
     if stage2_tracks and free_dets:
-        value = 1.0 - overlap.take(stage2_tracks, axis=0).take(free_dets, axis=1)
-        cost = np.where(value <= config.max_iou_dist, value, _GATE_COST)
+        max_iou_dist = config.max_iou_dist
+        cost = []
+        for track_idx in stage2_tracks:
+            box = predicted[track_idx]
+            line = []
+            for det_idx in free_dets:
+                value = 1.0 - iou(box, boxes[det_idx])
+                line.append(value if value <= max_iou_dist else _GATE_COST)
+            cost.append(line)
         unmatched_tracks = _run_stage(stage2_tracks, free_dets, cost)
     else:
         unmatched_tracks = stage2_tracks
@@ -488,17 +574,17 @@ class Tracker:
 
     The result is the track list: ``tracks`` holds every track ever born,
     in birth order, and ``live_tracks`` those not yet deleted; step()
-    returns nothing.  The tracker alone holds Kalman states: those of the
-    live tracks, stacked one row per live track in ``live_tracks`` order,
-    so each step predicts, gates and updates every track with one call
-    each.  A deleted track's state is dropped with its row.
+    returns nothing.  The tracker alone holds Kalman states: one per live
+    track, in ``live_tracks`` order, so each step predicts, gates and
+    updates every track with one call each.  A deleted track's state is
+    dropped with it.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
         self._live: list[Track] = []  # self.tracks minus DELETED, same order
-        self._states = KalmanState(np.empty((0, 8)), np.empty((0, 4, 2, 2)))
+        self._states: list[KalmanState] = []
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -518,7 +604,7 @@ class Tracker:
                     f"detection of frame {det.frame_index} passed to the step of "
                     f"frame {frame_index}")
         self._last_frame = frame_index
-        boxes = np.array([det.bbox for det in detections], dtype=float).reshape(-1, 4)
+        measurements = [_xyah(det.bbox) for det in detections]
 
         live = self._live
         states = self._states
@@ -526,27 +612,21 @@ class Tracker:
             try:
                 states = kalman_predict(states)
             except ValidationError:
-                finite = (np.isfinite(states.mean).all(axis=1)
-                          & np.isfinite(states.covariance).all(axis=(1, 2, 3)))
-                ids = [str(live[row].track_id) for row in np.flatnonzero(~finite)]
+                ids = [str(track.track_id) for track, state in zip(live, states)
+                       if not _is_finite(state)]
                 raise ValidationError(
                     f"frame {frame_index}: non-finite Kalman state of "
                     f"{'track' if len(ids) == 1 else 'tracks'} {', '.join(ids)}") from None
 
         matches, unmatched_tracks, unmatched_dets = associate(
-            live, detections, states, boxes, self.config, embeddings)
+            live, detections, states, measurements, self.config, embeddings)
 
         if matches:
-            rows = [track_idx for track_idx, _ in matches]
-            cols = [det_idx for _, det_idx in matches]
-            measured = boxes.take(cols, axis=0)
-            confidences = [detections[det_idx].confidence for det_idx in cols]
-            if len(rows) == len(live):  # every track matched, in row order
-                states = kalman_update(states, measured, confidences)
-            else:
-                updated = kalman_update(_take_rows(states, rows), measured, confidences)
-                states.mean[rows] = updated.mean
-                states.covariance[rows] = updated.covariance
+            updated = kalman_update([states[track_idx] for track_idx, _ in matches],
+                                    [measurements[det_idx] for _, det_idx in matches],
+                                    [detections[det_idx].confidence for _, det_idx in matches])
+            for (track_idx, _), state in zip(matches, updated):
+                states[track_idx] = state
 
         alpha = self.config.appearance_ema_alpha
         for track_idx, det_idx in matches:
@@ -558,10 +638,7 @@ class Tracker:
                 if track.appearance is None:
                     track.appearance = embedding
                 else:
-                    blended = alpha * track.appearance + (1.0 - alpha) * embedding
-                    norm = np.linalg.norm(blended)
-                    if norm > 0.0:
-                        track.appearance = blended / norm
+                    track.appearance = _blend_appearance(track.appearance, embedding, alpha)
             if track.status == TENTATIVE and len(track.records) >= self.config.n_init:
                 track.status = CONFIRMED
                 track.ever_confirmed = True
@@ -577,10 +654,11 @@ class Tracker:
         if deleted:
             keep = [row for row, track in enumerate(live) if track.status != DELETED]
             live = [live[row] for row in keep]
-            states = _take_rows(states, keep)
+            states = [states[row] for row in keep]
 
         if unmatched_dets:
-            initial = kalman_initiate(boxes.take(unmatched_dets, axis=0))
+            states = states + kalman_initiate([measurements[det_idx]
+                                               for det_idx in unmatched_dets])
             for det_idx in unmatched_dets:
                 embedding = embeddings[det_idx] if embeddings is not None else None
                 track = Track(track_id=self._next_id, records=[detections[det_idx]],
@@ -591,8 +669,6 @@ class Tracker:
                 self._next_id += 1
                 self.tracks.append(track)
                 live.append(track)
-            states = KalmanState(np.concatenate([states.mean, initial.mean]),
-                                 np.concatenate([states.covariance, initial.covariance]))
 
         self._live = live
         self._states = states

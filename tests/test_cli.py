@@ -725,3 +725,36 @@ class TestRuntimeDependencies:
         result = json.loads(done.stdout.splitlines()[-1])
         assert result == {"codes": [0, 0], "after_import": ["scipy"], "after_run": ["scipy"]}
         assert (tmp_path / "scene" / "out" / "hota_report.txt").is_file()
+
+    def test_config_and_run_never_import_numpy(self, tmp_path):
+        # numpy is needed only by eval and embeddings: with its import made
+        # to fail, the config loads, a config error exits 2 with its message,
+        # and run writes the same diagram as a process that has numpy
+        script = textwrap.dedent("""
+            import json, sys
+            sys.modules["numpy"] = None
+            import tsdiag.config
+            from tsdiag.cli import main
+            from tsdiag.synth import write_fixture
+            config = write_fixture(sys.argv[1])
+            codes = [main(["run", config, "--max-age", "0"]), main(["run", config])]
+            print(json.dumps({"codes": codes,
+                              "numpy": sorted(m for m in sys.modules if m.startswith("numpy")
+                                              and sys.modules[m] is not None)}))
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bare")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [2, 0], "numpy": []}
+        assert "config error: max_age must be >= 1, got 0" in done.stderr
+
+        # in a normal process the same scene runs to the same bytes and evaluates
+        config = write_fixture(str(tmp_path / "full"))
+        assert main(["run", config]) == 0
+        assert main(["eval", config]) == 0
+        for name in ("diagram.csv", "diagram.svg"):
+            assert ((tmp_path / "bare" / "out" / name).read_bytes()
+                    == (tmp_path / "full" / "out" / name).read_bytes())
+        assert (tmp_path / "full" / "out" / "hota_report.txt").is_file()

@@ -14,6 +14,7 @@ from tsdiag.evaluation import (
     error_report_to_text,
     hota,
     hota_report_to_csv,
+    iou_matrix,
     range_error_report,
     rmse,
     trajectory_error_report,
@@ -24,7 +25,6 @@ from tsdiag.kitti import DetectionRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
 from tsdiag.pipeline import build_reference_diagram, run_pipeline, write_eval_outputs
 from tsdiag.synth import write_fixture
-from tsdiag.tracker import iou_matrix
 from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint, diagram_to_csv
 
 KITTI = kitti_intrinsics()

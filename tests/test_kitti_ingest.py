@@ -6,6 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tsdiag import kitti
 from tsdiag.errors import ParseError, ValidationError
 from tsdiag.kitti import (
     DetectionRecord,
@@ -111,6 +112,97 @@ class TestParseLabelFile:
         records = parse_label_file(io.StringIO("\n".join(lines)))
         assert [(r.frame_index, r.gt_track_id) for r in records] == [
             (0, -1), (0, -1), (0, -1), (0, -1), (0, 2), (1, 2)]
+
+
+def _labels_field_by_field(lines):
+    """parse_label_file as it read a row before its one-pass conversion: one
+    checked call per numeric column, in column order."""
+    records = []
+    line_of = {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (17, 18):
+            raise ParseError(f"line {line_no}: expected 17 or 18 fields, got {len(fields)}")
+        frame = kitti._int_field(fields[0], line_no)
+        track_id = kitti._int_field(fields[1], line_no)
+        is_dontcare = fields[2].lower() == "dontcare"
+        kitti._float_field(fields[3], line_no)
+        kitti._int_field(fields[4], line_no)
+        bbox = tuple(kitti._float_field(fields[i], line_no) for i in range(6, 10))
+        location = tuple(kitti._float_field(fields[i], line_no) for i in range(13, 16))
+        confidence = kitti._float_field(fields[17], line_no) if len(fields) == 18 else 1.0
+        if is_dontcare:
+            location = depth = None
+        else:
+            depth = location[2] if location[2] > 0.0 else None
+        try:
+            records.append(DetectionRecord(
+                frame_index=frame, class_label=kitti._class_label(fields[2]), bbox=bbox,
+                confidence=confidence, gt_track_id=track_id, gt_location_camera=location,
+                gt_depth_m=depth, is_dontcare=is_dontcare))
+        except ValidationError as exc:
+            raise ValidationError(f"line {line_no}: {exc}") from None
+        if track_id >= 0 and not is_dontcare:
+            first = line_of.setdefault((frame, track_id), line_no)
+            if first != line_no:
+                raise ValidationError(f"line {line_no}: frame {frame} track {track_id} "
+                                      f"already has a row on line {first}")
+    records.sort(key=lambda r: (r.frame_index, r.gt_track_id))
+    return records
+
+
+def _parse_outcome(parse, lines):
+    try:
+        return parse(lines)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+label_numbers = st.one_of(st.integers(-3, 400).map(str),
+                          st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+                          st.sampled_from(["1e1", "3.0", "-0.0", "+2", "5.152e2"]))
+bad_tokens = st.sampled_from([
+    "abc", "nan", "NaN", "inf", "-inf", "Infinity", "1e400",    # not finite
+    "1.5", "2.000001", "-0.5", "1e-3",                          # fractional
+    "9007199254740993", "1e20", "-12345678901234567890",        # integers past 2**53
+])
+
+
+@st.composite
+def label_rows(draw):
+    """A label row as tokens: mostly valid, some values at the edge of valid."""
+    left = draw(st.floats(0.0, 1000.0))
+    top = draw(st.floats(0.0, 300.0))
+    tokens = [
+        draw(st.integers(0, 5).map(str) | st.sampled_from(["3.0", "1e1", "-0.0"])),
+        draw(st.integers(-1, 3).map(str)),
+        draw(st.sampled_from(["Car", "Van", "DontCare", "Pedestrian"])),
+        draw(label_numbers), draw(st.integers(0, 3).map(str)), draw(label_numbers),
+        repr(left), repr(top),
+        repr(left + draw(st.floats(0.5, 200.0))), repr(top + draw(st.floats(0.5, 200.0))),
+        draw(label_numbers), draw(label_numbers), draw(label_numbers),
+        draw(label_numbers), draw(label_numbers), draw(label_numbers), draw(label_numbers),
+    ]
+    if draw(st.booleans()):
+        tokens.append(repr(draw(st.floats(0.0, 1.0))))
+    return tokens
+
+
+class TestLabelOnePass:
+    @given(st.lists(label_rows(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_records_or_first_error_as_field_by_field(self, rows, data):
+        # one corrupted token, in any column of any row, or none
+        if data.draw(st.booleans()):
+            row = data.draw(st.integers(0, len(rows) - 1))
+            column = data.draw(st.integers(0, len(rows[row]) - 1))
+            rows[row][column] = data.draw(bad_tokens)
+        lines = [" ".join(tokens) for tokens in rows]
+        assert (_parse_outcome(parse_label_file, lines)
+                == _parse_outcome(_labels_field_by_field, lines))
 
 
 class TestParseOxts:

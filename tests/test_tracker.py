@@ -8,8 +8,10 @@ from oracles.assignment_oracle import brute_force_min_cost
 from oracles import tracker_oracle as reference
 from oracles.tracker_oracle import OracleTracker
 from tsdiag.errors import ValidationError
+from tsdiag.evaluation import iou_matrix
 from tsdiag.kitti import DetectionRecord, load_embeddings
 from tsdiag.tracker import (
+    CHI2_95_4DOF,
     CONFIRMED,
     DELETED,
     TENTATIVE,
@@ -20,14 +22,13 @@ from tsdiag.tracker import (
     associate,
     gating_distance,
     iou,
-    iou_matrix,
     kalman_initiate,
     kalman_predict,
     kalman_update,
     solve_assignment,
     tracks_from_ground_truth,
 )
-from tsdiag.tracker import _distinct_row_minima
+from tsdiag.tracker import _distinct_row_minima, _xyah
 
 
 def det(frame, bbox, conf=1.0, cls="car", gt=-1):
@@ -39,27 +40,47 @@ def box_at(cx, cy, w=40.0, h=50.0):
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
-# np.eye(8) as blocks
-_IDENTITY_BLOCKS = np.tile(np.eye(2), (4, 1, 1))
+# np.eye(8) as four 2x2 blocks
+_IDENTITY_BLOCKS = [1.0, 0.0, 0.0, 1.0] * 4
 
 
 def _dense(covariance):
-    """(..., 4, 2, 2) covariance blocks as (..., 8, 8) matrices, every off-block entry +0.0."""
-    covariance = np.asarray(covariance)
-    dense = np.zeros(covariance.shape[:-3] + (8, 8))
-    component = np.arange(4)
-    for a in range(2):
-        for b in range(2):
-            dense[..., component + 4 * a, component + 4 * b] = covariance[..., a, b]
+    """16 block floats as an (8, 8) matrix, every off-block entry +0.0."""
+    dense = np.zeros((8, 8))
+    for component in range(4):
+        for a in range(2):
+            for b in range(2):
+                dense[component + 4 * a, component + 4 * b] = covariance[4 * component + 2 * a + b]
     return dense
 
 
+def _measurements(boxes):
+    return [_xyah(tuple(box)) for box in np.asarray(boxes, dtype=float).reshape(-1, 4).tolist()]
+
+
+def _initiate(bbox):
+    return kalman_initiate(_measurements([bbox]))[0]
+
+
+def _predict(state):
+    return kalman_predict([state])[0]
+
+
+def _update(state, bbox, confidence):
+    return kalman_update([state], _measurements([bbox]), [confidence])[0]
+
+
+def _gate(state, bboxes):
+    return gating_distance([state], _measurements(bboxes))[0]
+
+
 def _live_states(tracker):
-    """(track, mean, covariance) per live track, read from the tracker's stacked rows."""
+    """(track, mean, covariance) per live track, read from the tracker's states."""
     live = tracker.live_tracks
-    assert tracker._states.mean.shape == (len(live), 8)
-    assert tracker._states.covariance.shape == (len(live), 4, 2, 2)
-    return list(zip(live, tracker._states.mean, tracker._states.covariance))
+    assert len(tracker._states) == len(live)
+    assert all(len(s.mean) == 8 and len(s.covariance) == 16 for s in tracker._states)
+    return [(track, state.mean, state.covariance)
+            for track, state in zip(live, tracker._states)]
 
 
 def _summary(tracker):
@@ -67,14 +88,14 @@ def _summary(tracker):
     tracks = [(t.track_id, t.status, t.frames_since_update, t.ever_confirmed,
                t.class_label, t.majority_gt_track_id, t.records)
               for t in tracker.tracks]
-    states = [(t.track_id, mean.tolist(), covariance.tolist())
+    states = [(t.track_id, list(mean), list(covariance))
               for t, mean, covariance in _live_states(tracker)]
     return tracks, states
 
 
 def _associate(tracks, states, dets, config, embeddings=None):
-    boxes = np.array([d.bbox for d in dets], dtype=float).reshape(-1, 4)
-    return associate(tracks, dets, states, boxes, config, embeddings)
+    return associate(tracks, dets, states, _measurements([d.bbox for d in dets]), config,
+                     embeddings)
 
 
 def _summaries_per_frame(frames):
@@ -89,77 +110,75 @@ def _summaries_per_frame(frames):
 
 class TestKalman:
     def test_zero_velocity_position_fixed_covariance_grows(self):
-        state = kalman_initiate((80.0, 75.0, 120.0, 125.0))
-        predicted = kalman_predict(state)
+        state = _initiate((80.0, 75.0, 120.0, 125.0))
+        predicted = _predict(state)
         assert np.allclose(predicted.mean[:4], state.mean[:4])
         assert np.all(np.diag(_dense(predicted.covariance)) > np.diag(_dense(state.covariance)))
 
     def test_linear_propagation(self):
-        mean = np.array([100.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0])
-        state = KalmanState(mean, _IDENTITY_BLOCKS)
-        predicted = kalman_predict(state)
+        state = KalmanState([100.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0], _IDENTITY_BLOCKS)
+        predicted = _predict(state)
         assert np.allclose(predicted.mean,
                            [105.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0])
 
     def test_two_predicts_double_the_displacement(self):
-        mean = np.array([100.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0])
-        state = KalmanState(mean, _IDENTITY_BLOCKS)
-        twice = kalman_predict(kalman_predict(state))
+        state = KalmanState([100.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0], _IDENTITY_BLOCKS)
+        twice = _predict(_predict(state))
         assert twice.mean[0] == pytest.approx(110.0)
 
     def test_update_with_predicted_measurement_keeps_mean(self):
-        state = kalman_initiate((10.0, 10.0, 50.0, 60.0))
-        state = kalman_predict(state)
+        state = _predict(_initiate((10.0, 10.0, 50.0, 60.0)))
         bbox = (state.mean[0] - state.mean[2] * state.mean[3] / 2,
                 state.mean[1] - state.mean[3] / 2,
                 state.mean[0] + state.mean[2] * state.mean[3] / 2,
                 state.mean[1] + state.mean[3] / 2)
-        updated = kalman_update(state, bbox, confidence=0.8)
+        updated = _update(state, bbox, confidence=0.8)
         assert np.allclose(updated.mean[:4], state.mean[:4], atol=1e-9)
 
     def test_confident_measurement_pulls_harder(self):
-        base = kalman_predict(kalman_initiate((10.0, 10.0, 50.0, 60.0)))
+        base = _predict(_initiate((10.0, 10.0, 50.0, 60.0)))
         shifted = (18.0, 12.0, 58.0, 62.0)
-        low = kalman_update(base, shifted, confidence=0.0)
-        high = kalman_update(base, shifted, confidence=0.99)
+        low = _update(base, shifted, confidence=0.0)
+        high = _update(base, shifted, confidence=0.99)
         target = np.array([38.0, 37.0])  # measured center
-        base_center = base.mean[:2]
-        assert (np.linalg.norm(high.mean[:2] - target)
-                < np.linalg.norm(low.mean[:2] - target))
-        assert np.linalg.norm(low.mean[:2] - base_center) > 0.0
+        base_center = np.array(base.mean[:2])
+        assert (np.linalg.norm(np.array(high.mean[:2]) - target)
+                < np.linalg.norm(np.array(low.mean[:2]) - target))
+        assert np.linalg.norm(np.array(low.mean[:2]) - base_center) > 0.0
 
     def test_update_contracts_measured_covariance(self):
-        state = kalman_predict(kalman_initiate((10.0, 10.0, 50.0, 60.0)))
-        updated = kalman_update(state, (11.0, 11.0, 51.0, 61.0), confidence=0.7)
+        state = _predict(_initiate((10.0, 10.0, 50.0, 60.0)))
+        updated = _update(state, (11.0, 11.0, 51.0, 61.0), confidence=0.7)
         prior_diag = np.diag(_dense(state.covariance))[:4]
         post_diag = np.diag(_dense(updated.covariance))[:4]
         assert np.all(post_diag <= prior_diag + 1e-12)
 
     def test_non_finite_state_rejected(self):
-        state = KalmanState(np.full(8, np.nan), _IDENTITY_BLOCKS)
+        state = KalmanState([np.nan] * 8, _IDENTITY_BLOCKS)
         with pytest.raises(ValidationError):
-            kalman_predict(state)
+            kalman_predict([state])
 
     def test_singular_innovation_rejected(self):
         # covariance engineered to cancel the measurement noise exactly,
         # leaving a zero innovation covariance
-        state = kalman_initiate((0.0, 0.0, 10.0, 10.0))
+        state = _initiate((0.0, 0.0, 10.0, 10.0))
         h = state.mean[3]
-        noise = np.array([(h / 20.0) ** 2, (h / 20.0) ** 2, 1e-2, (h / 20.0) ** 2])
-        cov = np.zeros((4, 2, 2))
-        cov[:, 0, 0] = -noise
+        noise = [(h / 20.0) ** 2, (h / 20.0) ** 2, 1e-2, (h / 20.0) ** 2]
+        cov = [0.0] * 16
+        for component in range(4):
+            cov[4 * component] = -noise[component]
         with pytest.raises(ValidationError):
-            kalman_update(KalmanState(state.mean, cov), (0.0, 0.0, 10.0, 10.0), 0.0)
+            _update(KalmanState(state.mean, cov), (0.0, 0.0, 10.0, 10.0), 0.0)
 
     def test_mean_constant_when_measurements_match_predictions(self):
-        state = kalman_initiate((10.0, 10.0, 50.0, 60.0))
+        state = _initiate((10.0, 10.0, 50.0, 60.0))
         for _ in range(20):
-            state = kalman_predict(state)
+            state = _predict(state)
             bbox = (state.mean[0] - state.mean[2] * state.mean[3] / 2,
                     state.mean[1] - state.mean[3] / 2,
                     state.mean[0] + state.mean[2] * state.mean[3] / 2,
                     state.mean[1] + state.mean[3] / 2)
-            state = kalman_update(state, bbox, confidence=0.9)
+            state = _update(state, bbox, confidence=0.9)
         # bbox (10, 10, 50, 60): center (30, 35), aspect 40/50, height 50
         assert np.allclose(state.mean[:4], [30.0, 35.0, 0.8, 50.0], atol=1e-6)
 
@@ -197,28 +216,28 @@ def _random_boxes(rng, n):
 
 
 def _random_states(rng, n):
-    # realistic stacks: initiated, then moved and corrected a few times
+    # realistic states: initiated, then moved and corrected a few times
     boxes = _random_boxes(rng, n)
-    states = kalman_initiate(boxes)
+    states = kalman_initiate(_measurements(boxes))
     for _ in range(rng.randint(0, 4)):
         states = kalman_predict(states)
         boxes = boxes + rng.uniform(-3.0, 3.0, size=(n, 1))
-        states = kalman_update(states, boxes, rng.uniform(0.0, 1.0, n))
+        states = kalman_update(states, _measurements(boxes), rng.uniform(0.0, 1.0, n).tolist())
     return states
 
 
-def _row(states, i):
-    return KalmanState(states.mean[i].copy(), states.covariance[i].copy())
-
-
 def _reference_row(states, i):
-    """Row i of stacked states as the reference's state, with its full covariance."""
-    return reference.DenseState(states.mean[i].copy(), _dense(states.covariance[i]))
+    """State i as the reference's state, with its full covariance."""
+    return reference.DenseState(np.array(states[i].mean), _dense(states[i].covariance))
 
 
 def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_state(a, b):
+    return _same_bits(a.mean, b.mean) and _same_bits(a.covariance, b.covariance)
 
 
 stack_sizes = st.integers(0, 6)
@@ -227,57 +246,56 @@ confidence_values = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
 class TestStackedKalman:
-    """Stacked calls equal the single-track calls row by row, bit for bit."""
+    """Calls on n states equal the calls on each state alone, bit for bit."""
 
     @given(stack_sizes, seeds)
     @settings(max_examples=100, deadline=None)
     def test_initiate_and_predict_match_rows(self, n, seed):
         rng = np.random.RandomState(seed)
-        boxes = _random_boxes(rng, n)
-        initial = kalman_initiate(boxes)
+        measurements = _measurements(_random_boxes(rng, n))
+        initial = kalman_initiate(measurements)
         states = _random_states(rng, n)
         predicted = kalman_predict(states)
+        assert len(initial) == len(predicted) == n
         for i in range(n):
-            single = kalman_initiate(tuple(boxes[i].tolist()))
-            assert _same_bits(initial.mean[i], single.mean)
-            assert _same_bits(initial.covariance[i], single.covariance)
-            single = kalman_predict(_row(states, i))
-            assert _same_bits(predicted.mean[i], single.mean)
-            assert _same_bits(predicted.covariance[i], single.covariance)
+            assert _same_state(initial[i], kalman_initiate([measurements[i]])[0])
+            assert _same_state(predicted[i], kalman_predict([states[i]])[0])
 
     @given(stack_sizes, st.integers(1, 6), seeds)
     @settings(max_examples=100, deadline=None)
     def test_gating_matches_rows(self, n, m, seed):
         rng = np.random.RandomState(seed)
         states = kalman_predict(_random_states(rng, n))
-        bboxes = [tuple(b) for b in _random_boxes(rng, m).tolist()]
-        distances = gating_distance(states, bboxes)
-        assert distances.shape == (n, m)
+        measurements = _measurements(_random_boxes(rng, m))
+        distances = gating_distance(states, measurements)
+        assert [len(row) for row in distances] == [m] * n
         for i in range(n):
-            assert _same_bits(distances[i], gating_distance(_row(states, i), bboxes))
+            assert _same_bits(distances[i], gating_distance([states[i]], measurements)[0])
 
     @given(st.data(), stack_sizes, seeds)
     @settings(max_examples=100, deadline=None)
     def test_update_matches_rows(self, data, n, seed):
         rng = np.random.RandomState(seed)
         states = kalman_predict(_random_states(rng, n))
-        boxes = _random_boxes(rng, n)
+        measurements = _measurements(_random_boxes(rng, n))
         confidences = data.draw(st.lists(confidence_values, min_size=n, max_size=n))
-        updated = kalman_update(states, boxes, confidences)
+        updated = kalman_update(states, measurements, confidences)
+        assert len(updated) == n
         for i in range(n):
-            single = kalman_update(_row(states, i), tuple(boxes[i].tolist()), confidences[i])
-            assert _same_bits(updated.mean[i], single.mean)
-            assert _same_bits(updated.covariance[i], single.covariance)
+            single = kalman_update([states[i]], [measurements[i]], [confidences[i]])[0]
+            assert _same_state(updated[i], single)
 
     @given(stack_sizes, seeds)
     @settings(max_examples=50, deadline=None)
     def test_non_finite_row_rejected(self, n, seed):
         rng = np.random.RandomState(seed)
         states = _random_states(rng, n + 1)
-        mean = states.mean.copy()
-        mean[rng.randint(n + 1), rng.randint(8)] = rng.choice([np.nan, np.inf])
+        row = rng.randint(n + 1)
+        mean = list(states[row].mean)
+        mean[rng.randint(8)] = float(rng.choice([np.nan, np.inf]))
+        states[row] = KalmanState(mean, states[row].covariance)
         with pytest.raises(ValidationError, match="non-finite"):
-            kalman_predict(KalmanState(mean, states.covariance))
+            kalman_predict(states)
 
         # through the tracker, the error names the frame and the bad tracks
         tracker = Tracker(TrackerConfig())
@@ -285,10 +303,9 @@ class TestStackedKalman:
         bad = sorted(set(rng.randint(n + 1, size=rng.randint(1, 3)).tolist()))
         for row in bad:
             if rng.randint(2):
-                tracker._states.mean[row, rng.randint(8)] = rng.choice([np.nan, np.inf])
+                tracker._states[row].mean[rng.randint(8)] = float(rng.choice([np.nan, np.inf]))
             else:
-                tracker._states.covariance[row, rng.randint(4), rng.randint(2),
-                                           rng.randint(2)] = np.nan
+                tracker._states[row].covariance[rng.randint(16)] = np.nan
         ids = ", ".join(str(tracker.live_tracks[row].track_id) for row in bad)
         noun = "track" if len(bad) == 1 else "tracks"
         with pytest.raises(ValidationError) as info:
@@ -300,55 +317,56 @@ class TestStackedKalman:
     def test_confidence_outside_unit_interval_rejected(self, n, seed, bad):
         rng = np.random.RandomState(seed)
         states = kalman_predict(_random_states(rng, n + 1))
-        confidences = rng.uniform(0.0, 1.0, n + 1)
+        confidences = rng.uniform(0.0, 1.0, n + 1).tolist()
         confidences[rng.randint(n + 1)] = bad
-        with pytest.raises(ValidationError, match="confidence"):
-            kalman_update(states, _random_boxes(rng, n + 1), confidences)
+        with pytest.raises(ValidationError, match=f"^confidence {bad} outside"):
+            kalman_update(states, _measurements(_random_boxes(rng, n + 1)), confidences)
 
     @given(stack_sizes, seeds)
     @settings(max_examples=50, deadline=None)
     def test_singular_innovation_row_rejected(self, n, seed):
         # one row's covariance cancels its measurement noise exactly
         rng = np.random.RandomState(seed)
-        boxes = np.tile([0.0, 0.0, 10.0, 10.0], (n + 1, 1))
-        states = kalman_initiate(boxes)
-        covariance = states.covariance.copy()
+        measurements = _measurements(np.tile([0.0, 0.0, 10.0, 10.0], (n + 1, 1)))
+        states = kalman_initiate(measurements)
         bad = rng.randint(n + 1)
-        noise = np.array([(10.0 / 20.0) ** 2, (10.0 / 20.0) ** 2, 1e-2, (10.0 / 20.0) ** 2])
-        covariance[bad] = 0.0
-        covariance[bad, :, 0, 0] = -noise
+        noise = [(10.0 / 20.0) ** 2, (10.0 / 20.0) ** 2, 1e-2, (10.0 / 20.0) ** 2]
+        covariance = [0.0] * 16
+        for component in range(4):
+            covariance[4 * component] = -noise[component]
+        states[bad] = KalmanState(states[bad].mean, covariance)
         with pytest.raises(ValidationError, match="singular"):
-            kalman_update(KalmanState(states.mean, covariance), boxes, np.zeros(n + 1))
+            kalman_update(states, measurements, [0.0] * (n + 1))
 
 
 class TestKernelsMatchReference:
-    """Stacked kernels equal the per-track reference kernels bit for bit."""
+    """The kernels equal the per-track dense reference kernels bit for bit."""
 
     @given(st.data(), stack_sizes, st.integers(1, 6), seeds)
     @settings(max_examples=100, deadline=None)
     def test_each_row_equals_reference(self, data, n, m, seed):
         rng = np.random.RandomState(seed)
         boxes = _random_boxes(rng, n)
-        initial = kalman_initiate(boxes)
+        initial = kalman_initiate(_measurements(boxes))
         states = _random_states(rng, n)
         predicted = kalman_predict(states)
         bboxes = [tuple(b) for b in _random_boxes(rng, m).tolist()]
-        distances = gating_distance(predicted, bboxes)
+        distances = gating_distance(predicted, _measurements(bboxes))
         confidences = data.draw(st.lists(confidence_values, min_size=n, max_size=n))
-        updated = kalman_update(predicted, boxes, confidences)
+        updated = kalman_update(predicted, _measurements(boxes), confidences)
         for i in range(n):
             box = tuple(boxes[i].tolist())
             expected = reference.kalman_initiate(box)
-            assert _same_bits(initial.mean[i], expected.mean)
-            assert _same_bits(_dense(initial.covariance[i]), expected.covariance)
+            assert _same_bits(initial[i].mean, expected.mean)
+            assert _same_bits(_dense(initial[i].covariance), expected.covariance)
             expected = reference.kalman_predict(_reference_row(states, i))
-            assert _same_bits(predicted.mean[i], expected.mean)
-            assert _same_bits(_dense(predicted.covariance[i]), expected.covariance)
+            assert _same_bits(predicted[i].mean, expected.mean)
+            assert _same_bits(_dense(predicted[i].covariance), expected.covariance)
             row = _reference_row(predicted, i)
             assert _same_bits(distances[i], reference.gating_distance(row, bboxes))
             expected = reference.kalman_update(row, box, confidences[i])
-            assert _same_bits(updated.mean[i], expected.mean)
-            assert _same_bits(_dense(updated.covariance[i]), expected.covariance)
+            assert _same_bits(updated[i].mean, expected.mean)
+            assert _same_bits(_dense(updated[i].covariance), expected.covariance)
 
 
     def test_noise_floor_matches_reference_over_many_heights(self):
@@ -357,23 +375,23 @@ class TestKernelsMatchReference:
         # divides the cross-covariance by it, so the floor's last bit shows.
         rng = np.random.RandomState(3)
         boxes = _random_boxes(rng, 4000)
-        mean = kalman_initiate(boxes).mean
-        covariance = np.zeros((len(boxes), 4, 2, 2))
-        covariance[:, :, 1, 0] = covariance[:, :, 0, 1] = 1.0
-        states = KalmanState(mean, covariance)
-        updated = kalman_update(states, boxes + 0.5, np.ones(len(boxes)))
+        cross = [0.0, 1.0, 1.0, 0.0] * 4
+        states = [KalmanState(state.mean, cross)
+                  for state in kalman_initiate(_measurements(boxes))]
+        updated = kalman_update(states, _measurements(boxes + 0.5), [1.0] * len(boxes))
         for i in range(len(boxes)):
             expected = reference.kalman_update(_reference_row(states, i),
                                                tuple(boxes[i] + 0.5), 1.0)
-            assert _same_bits(updated.mean[i], expected.mean)
-            assert _same_bits(_dense(updated.covariance[i]), expected.covariance)
+            assert _same_bits(updated[i].mean, expected.mean)
+            assert _same_bits(_dense(updated[i].covariance), expected.covariance)
 
     def test_negative_zero_blocks_predict_as_reference(self):
         # the dense sum adds +0.0 to every entry, which turns -0.0 into +0.0
-        state = kalman_initiate((10.0, 20.0, 50.0, 80.0))
-        blocks = np.full((4, 2, 2), -0.0)
-        predicted = kalman_predict(KalmanState(state.mean, blocks))
-        expected = reference.kalman_predict(reference.DenseState(state.mean, _dense(blocks)))
+        state = _initiate((10.0, 20.0, 50.0, 80.0))
+        blocks = [-0.0] * 16
+        predicted = _predict(KalmanState(state.mean, blocks))
+        expected = reference.kalman_predict(
+            reference.DenseState(np.array(state.mean), _dense(blocks)))
         assert _same_bits(predicted.mean, expected.mean)
         assert _same_bits(_dense(predicted.covariance), expected.covariance)
 
@@ -419,7 +437,7 @@ def _scipy_pairs(cost):
 
 def _our_pairs(cost):
     try:
-        return solve_assignment(cost)
+        return solve_assignment(cost.tolist())
     except ValueError:
         return ValueError
 
@@ -465,7 +483,7 @@ class TestAssignment:
         cost[row, col] = bad
         assert _scipy_pairs(cost) is ValueError
         with pytest.raises(ValueError, match="invalid numeric entries"):
-            solve_assignment(cost)
+            solve_assignment(cost.tolist())
 
     @pytest.mark.parametrize("cost", [
         [[np.inf, np.inf], [1.0, 2.0]],
@@ -480,7 +498,7 @@ class TestAssignment:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 5), (5, 1), (2, 6), (6, 2)])
     def test_shapes(self, shape):
         cost = np.arange(shape[0] * shape[1], dtype=float).reshape(shape)[:, ::-1] % 4
-        pairs = solve_assignment(cost)
+        pairs = solve_assignment(cost.tolist())
         assert pairs == _scipy_pairs(cost)
         assert len(pairs) == min(shape)
         assert [row for row, _ in pairs] == sorted(row for row, _ in pairs)
@@ -502,17 +520,28 @@ class TestAssignment:
         assert _our_pairs(cost) == _scipy_pairs(cost)
 
     def test_constant_matrix_gives_identity(self):
-        assert solve_assignment(np.ones((3, 4))) == [(0, 0), (1, 1), (2, 2)]
-        assert solve_assignment(np.ones((4, 3))) == [(0, 0), (1, 1), (2, 2)]
+        assert solve_assignment([[1.0] * 4] * 3) == [(0, 0), (1, 1), (2, 2)]
+        assert solve_assignment([[1.0] * 3] * 4) == [(0, 0), (1, 1), (2, 2)]
 
     def test_documented_matrix(self):
-        cost = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]])
+        cost = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]]
         pairs = solve_assignment(cost)
         assert sorted(pairs) == [(0, 2), (1, 1), (2, 0)]
-        assert sum(cost[r, c] for r, c in pairs) == 10.0
+        assert sum(cost[r][c] for r, c in pairs) == 10.0
 
     def test_empty(self):
-        assert solve_assignment(np.zeros((0, 3))) == []
+        assert solve_assignment([]) == []
+        assert solve_assignment([[], []]) == []
+
+    @pytest.mark.parametrize("cost", [[[1.0, 2.0], [3.0]], [[], [1.0]], [[1.0], []]])
+    def test_rows_of_unequal_length_rejected(self, cost):
+        with pytest.raises(ValueError, match="rows differ in length"):
+            solve_assignment(cost)
+
+    def test_array_rows_equal_list_rows(self):
+        # the reference tracker passes numpy arrays; rows of any float sequence work
+        cost = np.array([[0.5, 0.2, 0.9], [0.1, 0.4, 0.3]])
+        assert solve_assignment(cost) == solve_assignment(cost.tolist()) == [(0, 1), (1, 0)]
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)
@@ -521,7 +550,7 @@ class TestAssignment:
 
         rng = np.random.RandomState(seed)
         cost = rng.uniform(0.0, 10.0, size=(rows, cols))
-        pairs = solve_assignment(cost)
+        pairs = solve_assignment(cost.tolist())
         total = math.fsum(float(cost[r, c]) for r, c in pairs)
         assert total == brute_force_min_cost(cost.tolist())
 
@@ -561,9 +590,9 @@ class TestAssociate:
         # a confirmed track and a detection without overlap, so only the
         # first stage can match them, at a distance exactly on the gate
         track = Track(track_id=1, status=CONFIRMED)
-        states = kalman_predict(kalman_initiate([box_at(100, 100)]))
+        states = kalman_predict(kalman_initiate(_measurements([box_at(100, 100)])))
         far = box_at(160, 100)
-        distance = float(gating_distance(states, [far])[0, 0])
+        distance = gating_distance(states, _measurements([far]))[0][0]
         assert iou(box_at(100, 100), far) == 0.0
         for gate, expected in ((distance, [(0, 0)]), (np.nextafter(distance, 0.0), [])):
             matches, _, _ = _associate([track], states, [det(1, far)],
@@ -579,13 +608,11 @@ class TestAssociate:
         dets = [det(1, box_at(405, 101)), det(1, box_at(103, 99))]
         assert (_associate(tracks, states, dets, TrackerConfig())
                 == ([(0, 1), (1, 0)], [], []))
-        reversed_states = KalmanState(states.mean[::-1], states.covariance[::-1])
-        assert (_associate(tracks[::-1], reversed_states, dets, TrackerConfig())
+        assert (_associate(tracks[::-1], states[::-1], dets, TrackerConfig())
                 == ([(0, 0), (1, 1)], [], []))
 
     def test_empty_inputs(self):
-        no_states = KalmanState(np.empty((0, 8)), np.empty((0, 4, 2, 2)))
-        assert _associate([], no_states, [], TrackerConfig()) == ([], [], [])
+        assert _associate([], [], [], TrackerConfig()) == ([], [], [])
         tracks, states = self._tentative_track(box_at(50, 50))
         assert _associate(tracks, states, [], TrackerConfig()) == ([], [0], [])
 
@@ -752,7 +779,7 @@ class TestAppearance:
     def test_appearance_gate_is_inclusive(self):
         # appearance cost exactly max_dist, and no overlap for the second stage
         track = Track(track_id=1, status=CONFIRMED, appearance=np.array([1.0, 0.0]))
-        states = kalman_predict(kalman_initiate([box_at(100, 100)]))
+        states = kalman_predict(kalman_initiate(_measurements([box_at(100, 100)])))
         far = det(1, box_at(160, 100))
         embedding = np.array([0.5, np.sqrt(0.75)])
         for max_dist, expected in ((0.5, [(0, 0)]), (np.nextafter(0.5, 0.0), [])):
@@ -776,17 +803,25 @@ class TestAppearance:
 
 class TestGating:
     def test_gating_distance_zero_at_predicted_mean(self):
-        state = kalman_predict(kalman_initiate(box_at(100, 100)))
-        bbox = box_at(float(state.mean[0]), float(state.mean[1]))
-        distances = gating_distance(state, [bbox])
+        state = _predict(_initiate(box_at(100, 100)))
+        bbox = box_at(state.mean[0], state.mean[1])
+        distances = _gate(state, [bbox])
         assert distances[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_gating_distance_grows_with_offset(self):
-        state = kalman_predict(kalman_initiate(box_at(100, 100)))
+        state = _predict(_initiate(box_at(100, 100)))
         near = box_at(102, 100)
         far = box_at(160, 100)
-        values = gating_distance(state, [near, far])
+        values = _gate(state, [near, far])
         assert values[0] < values[1]
+
+    def test_zero_innovation_variance_rejected(self):
+        # a singular solve raised LinAlgError; the float kernel names the cause
+        state = _initiate((0.0, 0.0, 10.0, 10.0))
+        covariance = [0.0] * 16
+        covariance[0] = -((10.0 / 20.0) ** 2)  # cancels the cx measurement noise
+        with pytest.raises(ValidationError, match="^singular innovation covariance in gating$"):
+            _gate(KalmanState(state.mean, covariance), [(0.0, 0.0, 10.0, 10.0)])
 
 
 class TestConcurrentSequences:
@@ -1038,6 +1073,44 @@ class TestTrackerOracle:
                 assert {r.gt_track_id for r in track.records} == {track.majority_gt_track_id}
             # the third car is split into two identities by its long miss
             assert sum(t.majority_gt_track_id == 2 for t in tracker.tracks) == 2
+
+
+# boxes from a few pixels up to 1e300 px, anywhere from the origin to far off it
+huge_boxes = st.builds(
+    lambda scale, left, top, width, height: (left * scale, top * scale,
+                                             left * scale + width * scale,
+                                             top * scale + height * scale),
+    st.sampled_from([1.0, 1e100, 1e150, 1e200, 1e250, 1e300]),
+    st.sampled_from([0.0, -0.5, 0.25]), st.sampled_from([0.0, -1.0, 0.5]),
+    st.floats(0.1, 1.0), st.floats(0.1, 1.0))
+
+
+class TestExtremeBoxes:
+    """Python floats raise where numpy returned inf; the tracker must not."""
+
+    def test_1e200_px_tall_detection_is_a_non_finite_state(self):
+        # its covariance overflows at birth; the next predict names the track
+        tracker = Tracker()
+        tracker.step([det(0, (0.0, 0.0, 10.0, 1e200))], 0)
+        with pytest.raises(ValidationError) as info:
+            tracker.step([det(1, (0.0, 0.0, 10.0, 1e200))], 1)
+        assert str(info.value) == "frame 1: non-finite Kalman state of track 1"
+
+    @given(st.lists(st.lists(huge_boxes, max_size=3), min_size=1, max_size=8),
+           st.sampled_from([0.7, 1.0]), st.sampled_from([1, 2]),
+           st.sampled_from([CHI2_95_4DOF, 1e300]))
+    @settings(max_examples=300, deadline=None)
+    def test_huge_finite_boxes_raise_no_arithmetic_error(self, frames, max_iou_dist, n_init,
+                                                         gate):
+        # OverflowError and ZeroDivisionError are ArithmeticErrors, not
+        # ValueErrors, so they fail the test
+        tracker = Tracker(TrackerConfig(max_iou_dist=max_iou_dist, n_init=n_init,
+                                        mahalanobis_gate=gate))
+        try:
+            for frame, boxes in enumerate(frames):
+                tracker.step([det(frame, box) for box in boxes], frame)
+        except ValueError:
+            pass  # ValidationError, or the solver refusing a NaN cost of an overflowed state
 
 
 class TestConfigValidation:
