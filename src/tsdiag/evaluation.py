@@ -14,16 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .kitti import DetectionRecord, group_by_frame
 from .photogrammetry import CameraIntrinsics, QUALITY_OK, range_from_height
-from .tracker import solve_assignment
+from .tracker import iou, solve_assignment
 from .trajectory import TimeSpaceDiagram
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ErrorReport",
@@ -34,7 +31,6 @@ __all__ = [
     "hota",
     "boxes_from_records",
     "boxes_from_tracks",
-    "iou_matrix",
     "error_report_to_text",
     "error_report_to_csv",
     "hota_report_to_text",
@@ -91,59 +87,41 @@ def _summarize(per_track: dict[int, float], count: int, scenario: str,
     )
 
 
-def iou_matrix(a, b) -> np.ndarray:
-    """``iou`` of every pair: boxes a (..., n, 4) and b (..., m, 4) give (..., n, m).
-
-    Each entry equals ``tsdiag.tracker.iou`` of its pair, bit for bit.
-    """
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)[..., :, None, :]
-    b = np.asarray(b, dtype=float)[..., None, :, :]
-    overlap = np.minimum(a[..., 2:], b[..., 2:]) - np.maximum(a[..., :2], b[..., :2])
-    inter = overlap[..., 0] * overlap[..., 1]
-    size_a = np.maximum(0.0, a[..., 2:] - a[..., :2])
-    size_b = np.maximum(0.0, b[..., 2:] - b[..., :2])
-    union = size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1] - inter
-    positive = (np.minimum(overlap[..., 0], overlap[..., 1]) > 0.0) & (union > 0.0)
-    return np.divide(inter, union, out=np.zeros(union.shape), where=positive)
-
-
 def _overlaps_by_frame(frames: Iterable[int], rows: Mapping[int, Sequence],
-                       cols: Mapping[int, Sequence], box) -> dict[int, np.ndarray]:
-    """IoU matrix between the boxes of rows[f] and cols[f] for each frame f.
+                       cols: Mapping[int, Sequence], box) -> dict[int, list[list[float]]]:
+    """IoU between the boxes of rows[f] and cols[f] for each frame f.
 
     Every frame passed has at least one row and one column.  ``box`` gets
-    the (left, top, right, bottom) box of an item.  Frames with equal box
-    counts share one stacked ``iou_matrix`` call, so the number of numpy
-    calls follows the number of distinct frame shapes, not the number of
-    frames.
+    the (left, top, right, bottom) box of an item.  A frame's overlaps are
+    one list of floats per row, each entry ``tsdiag.tracker.iou`` of its
+    pair; a pair disjoint in x gets that 0.0 without the call.
     """
-    by_shape: dict[tuple[int, int], list[int]] = {}
+    overlaps: dict[int, list[list[float]]] = {}
     for frame in frames:
-        by_shape.setdefault((len(rows[frame]), len(cols[frame])), []).append(frame)
-    overlaps: dict[int, np.ndarray] = {}
-    for (n_rows, n_cols), group in by_shape.items():
-        stacked = iou_matrix([[box(item) for item in rows[f]] for f in group],
-                             [[box(item) for item in cols[f]] for f in group])
-        overlaps.update(zip(group, stacked))
+        col_boxes = [box(item) for item in cols[frame]]
+        matrix = []
+        for item in rows[frame]:
+            a = box(item)
+            left, right = a[0], a[2]
+            matrix.append([0.0 if b[0] >= right or b[2] <= left else iou(a, b)
+                           for b in col_boxes])
+        overlaps[frame] = matrix
     return overlaps
 
 
-def _overlap_matches(overlap: np.ndarray, thresholds: Sequence[float],
+def _overlap_matches(overlap: Sequence[Sequence[float]], thresholds: Sequence[float],
                      ) -> list[list[tuple[int, int, float]]]:
     """Per threshold, the optimal one-to-one matching of an overlap matrix.
 
-    A pair is eligible at threshold t when its overlap is >= t and > 0.
-    The matching minimizes the cost -overlap on eligible pairs and 0
-    elsewhere, and keeps its eligible pairs, as (row, col, overlap) in row
-    order.  Eligible sets are nested in the threshold, so a threshold with
-    as many eligible pairs as the one before it poses the same problem and
-    reuses its matching; a threshold without eligible pairs needs no solve.
+    ``overlap`` is a list of equal-length rows.  A pair is eligible at
+    threshold t when its overlap is >= t and > 0.  The matching minimizes
+    the cost -overlap on eligible pairs and 0 elsewhere, and keeps its
+    eligible pairs, as (row, col, overlap) in row order.  Eligible sets are
+    nested in the threshold, so a threshold with as many eligible pairs as
+    the one before it poses the same problem and reuses its matching; a
+    threshold without eligible pairs needs no solve.
     """
-    import numpy as np
-
-    positive = overlap[overlap > 0.0].tolist()
+    positive = [value for row in overlap for value in row if value > 0.0]
     matches = []
     count, kept = 0, []
     for threshold in thresholds:
@@ -151,8 +129,9 @@ def _overlap_matches(overlap: np.ndarray, thresholds: Sequence[float],
         if eligible != count:
             count, kept = eligible, []
             if eligible:
-                cost = np.where(overlap >= threshold, -overlap, 0.0).tolist()
-                kept = [(i, j, overlap[i, j]) for i, j in solve_assignment(cost)
+                cost = [[-value if value >= threshold else 0.0 for value in row]
+                        for row in overlap]
+                kept = [(i, j, overlap[i][j]) for i, j in solve_assignment(cost)
                         if cost[i][j] < 0.0]
         matches.append(kept)
     return matches

@@ -277,15 +277,21 @@ def gating_distance(states: Sequence[KalmanState], measurements) -> list[list[fl
 
 
 def iou(a, b) -> float:
-    """Intersection-over-union of two (left, top, right, bottom) boxes."""
-    ix = min(a[2], b[2]) - max(a[0], b[0])
-    iy = min(a[3], b[3]) - max(a[1], b[1])
+    """Intersection-over-union of two (left, top, right, bottom) boxes.
+
+    Disjoint, touching, empty and inverted boxes give 0.0, and so does a
+    NaN coordinate: it makes the union NaN.  Two boxes that overlap both
+    have positive width and height, so their areas need no clamp at 0.
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    # min and max as conditionals, which cost a fraction of the builtin calls
+    ix = (b2 if b2 < a2 else a2) - (b0 if b0 > a0 else a0)
+    iy = (b3 if b3 < a3 else a3) - (b1 if b1 > a1 else a1)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    area_a = max(0.0, a[2] - a[0]) * max(0.0, a[3] - a[1])
-    area_b = max(0.0, b[2] - b[0]) * max(0.0, b[3] - b[1])
-    union = area_a + area_b - inter
+    union = (a2 - a0) * (a3 - a1) + (b2 - b0) * (b3 - b1) - inter
     return inter / union if union > 0.0 else 0.0
 
 
@@ -569,6 +575,19 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     return matches, unmatched_tracks, unmatched_dets
 
 
+def _name_tracks(error: ValidationError, frame_index: int,
+                 tracks: Sequence[Track]) -> ValidationError:
+    """``error`` prefixed with the frame and suffixed with the tracks at fault.
+
+    With no track at fault the error is returned as it is.
+    """
+    if not tracks:
+        return error
+    ids = ", ".join(str(track.track_id) for track in tracks)
+    return ValidationError(f"frame {frame_index}: {error} of "
+                           f"{'track' if len(tracks) == 1 else 'tracks'} {ids}")
+
+
 class Tracker:
     """Sequence-local tracking state; call step() once per frame in order.
 
@@ -611,20 +630,31 @@ class Tracker:
         if live:
             try:
                 states = kalman_predict(states)
-            except ValidationError:
-                ids = [str(track.track_id) for track, state in zip(live, states)
-                       if not _is_finite(state)]
-                raise ValidationError(
-                    f"frame {frame_index}: non-finite Kalman state of "
-                    f"{'track' if len(ids) == 1 else 'tracks'} {', '.join(ids)}") from None
+            except ValidationError as exc:
+                bad = [track for track, state in zip(live, states) if not _is_finite(state)]
+                raise _name_tracks(exc, frame_index, bad) from None
 
-        matches, unmatched_tracks, unmatched_dets = associate(
-            live, detections, states, measurements, self.config, embeddings)
+        try:
+            matches, unmatched_tracks, unmatched_dets = associate(
+                live, detections, states, measurements, self.config, embeddings)
+        except ValidationError as exc:
+            # gating found a zero innovation variance
+            bad = [track for track, state in zip(live, states)
+                   if track.status == CONFIRMED and not all(_innovation_variance(state, 0.0))]
+            raise _name_tracks(exc, frame_index, bad) from None
 
         if matches:
-            updated = kalman_update([states[track_idx] for track_idx, _ in matches],
-                                    [measurements[det_idx] for _, det_idx in matches],
-                                    [detections[det_idx].confidence for _, det_idx in matches])
+            matched = [states[track_idx] for track_idx, _ in matches]
+            confidences = [detections[det_idx].confidence for _, det_idx in matches]
+            try:
+                updated = kalman_update(matched,
+                                        [measurements[det_idx] for _, det_idx in matches],
+                                        confidences)
+            except ValidationError as exc:
+                bad = [live[track_idx] for (track_idx, _), state, confidence
+                       in zip(matches, matched, confidences)
+                       if not all(v > 0.0 for v in _innovation_variance(state, confidence))]
+                raise _name_tracks(exc, frame_index, bad) from None
             for (track_idx, _), state in zip(matches, updated):
                 states[track_idx] = state
 

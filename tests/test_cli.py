@@ -758,3 +758,34 @@ class TestRuntimeDependencies:
             assert ((tmp_path / "bare" / "out" / name).read_bytes()
                     == (tmp_path / "full" / "out" / name).read_bytes())
         assert (tmp_path / "full" / "out" / "hota_report.txt").is_file()
+
+    def test_eval_never_imports_numpy(self, tmp_path):
+        # numpy is needed only by embeddings: with its import made to fail,
+        # eval exits 0 and writes the same eight reports as a process that
+        # has numpy
+        script = textwrap.dedent("""
+            import json, sys
+            sys.modules["numpy"] = None
+            from tsdiag.cli import main
+            from tsdiag.synth import write_fixture
+            config = write_fixture(sys.argv[1])
+            codes = [main(["eval", config])]
+            print(json.dumps({"codes": codes,
+                              "numpy": sorted(m for m in sys.modules if m.startswith("numpy")
+                                              and sys.modules[m] is not None)}))
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bare")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0], "numpy": []}
+
+        config = write_fixture(str(tmp_path / "full"))
+        assert main(["eval", config]) == 0
+        reports = [f"{name}.{ext}" for name in ("range_report_gt", "range_report_pred",
+                                                "trajectory_report", "hota_report")
+                   for ext in ("txt", "csv")]
+        for name in reports:
+            assert ((tmp_path / "bare" / "out" / name).read_bytes()
+                    == (tmp_path / "full" / "out" / name).read_bytes()), name

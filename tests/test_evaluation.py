@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles.hota_oracle import brute_force_hota
+from oracles.iou_oracle import iou_matrix
 from tsdiag.errors import ValidationError
 from tsdiag.evaluation import (
     DEFAULT_ALPHAS,
@@ -14,7 +15,6 @@ from tsdiag.evaluation import (
     error_report_to_text,
     hota,
     hota_report_to_csv,
-    iou_matrix,
     range_error_report,
     rmse,
     trajectory_error_report,
@@ -269,6 +269,46 @@ class TestHota:
             assert got.loc_a == pytest.approx(expected["loc_a"], abs=1e-9)
 
 
+# a coarse grid makes touching, zero-area, inverted and disjoint boxes
+# common; the special values check that no pair skips past the oracle
+box_coordinates = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+)
+frame_boxes = st.lists(st.tuples(box_coordinates, box_coordinates, box_coordinates,
+                                 box_coordinates), min_size=1, max_size=5)
+
+
+class TestOverlapsByFrame:
+    @given(st.lists(st.tuples(frame_boxes, frame_boxes), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_iou_matrix_oracle_bit_for_bit(self, frames):
+        rows = {f: a for f, (a, _) in enumerate(frames)}
+        cols = {f: b for f, (_, b) in enumerate(frames)}
+        overlaps = evaluation._overlaps_by_frame(range(len(frames)), rows, cols,
+                                                 lambda box: box)
+        assert sorted(overlaps) == list(range(len(frames)))
+        for f, (a, b) in enumerate(frames):
+            assert all(type(value) is float for row in overlaps[f] for value in row)
+            with np.errstate(invalid="ignore", over="ignore"):
+                expected = iou_matrix(a, b)
+            assert np.array(overlaps[f]).shape == (len(a), len(b))
+            assert np.array(overlaps[f]).tobytes() == expected.tobytes()
+
+    def test_disjoint_touching_and_empty_pairs_are_zero(self):
+        box = (0.0, 0.0, 10.0, 10.0)
+        others = [(10.0, 0.0, 20.0, 10.0),   # touches on the right
+                  (-10.0, 0.0, 0.0, 10.0),   # touches on the left
+                  (0.0, 10.0, 10.0, 20.0),   # touches below
+                  (30.0, 0.0, 40.0, 10.0),   # disjoint in x
+                  (0.0, 30.0, 10.0, 40.0),   # disjoint in y
+                  (5.0, 5.0, 5.0, 8.0),      # zero width, inside
+                  (5.0, 0.0, 15.0, 10.0)]    # half overlap
+        overlaps = evaluation._overlaps_by_frame([7], {7: [box]}, {7: others}, lambda b: b)
+        assert overlaps == {7: [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0 / 150.0]]}
+
+
 def _old_overlap_matches(overlap, threshold):
     """The per-frame matching as it was before thresholds shared solves:
     threshold the cost, solve with scipy, keep the eligible pairs."""
@@ -313,14 +353,14 @@ class TestOverlapMatches:
         thresholds = [0.0, *DEFAULT_ALPHAS, data.draw(st.sampled_from(overlap.ravel().tolist()))]
         # any order: equal eligible counts of neighbouring thresholds still mean equal sets
         thresholds = data.draw(st.permutations(thresholds))
-        got = evaluation._overlap_matches(overlap, thresholds)
+        got = evaluation._overlap_matches(overlap.tolist(), thresholds)
         assert len(got) == len(thresholds)
         for threshold, matches in zip(thresholds, got):
             assert matches == _old_overlap_matches(overlap, threshold), threshold
 
     def test_equal_eligible_sets_share_one_solve(self, monkeypatch):
         calls = counting_solver(monkeypatch)
-        overlap = np.array([[0.0, 0.8, 0.0], [0.6, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        overlap = [[0.0, 0.8, 0.0], [0.6, 0.0, 0.0], [0.0, 0.0, 0.0]]
         assert evaluation._overlap_matches(overlap, [0.0, 0.5, 0.7, 0.75, 0.9]) == [
             [(0, 1, 0.8), (1, 0, 0.6)], [(0, 1, 0.8), (1, 0, 0.6)],
             [(0, 1, 0.8)], [(0, 1, 0.8)], []]
@@ -329,9 +369,9 @@ class TestOverlapMatches:
 
     def test_no_eligible_pair_needs_no_solve(self, monkeypatch):
         calls = counting_solver(monkeypatch)
-        overlap = np.array([[0.5, 0.4], [0.4, 0.0]])
+        overlap = [[0.5, 0.4], [0.4, 0.0]]
         assert evaluation._overlap_matches(overlap, [0.6, 0.9]) == [[], []]
-        assert evaluation._overlap_matches(np.zeros((2, 3)), [0.0]) == [[]]
+        assert evaluation._overlap_matches([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.0]) == [[]]
         assert calls == []
         # at 0.3 row 0 and column 0 each hold two eligible pairs
         assert evaluation._overlap_matches(overlap, [0.3]) == [[(0, 1, 0.4), (1, 0, 0.4)]]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles.assignment_oracle import brute_force_min_cost
+from oracles.iou_oracle import iou_matrix
 from oracles import tracker_oracle as reference
 from oracles.tracker_oracle import OracleTracker
 from tsdiag.errors import ValidationError
-from tsdiag.evaluation import iou_matrix
 from tsdiag.kitti import DetectionRecord, load_embeddings
 from tsdiag.tracker import (
     CHI2_95_4DOF,
@@ -1095,6 +1095,30 @@ class TestExtremeBoxes:
         with pytest.raises(ValidationError) as info:
             tracker.step([det(1, (0.0, 0.0, 10.0, 1e200))], 1)
         assert str(info.value) == "frame 1: non-finite Kalman state of track 1"
+
+    def test_singular_update_names_the_frame_and_the_track(self):
+        # the height doubles from 1e155 px each frame; by frame 3 the
+        # predicted height squares to inf in the measurement noise, and a
+        # confidence of 1 scales that by 0, giving NaN
+        tracker = Tracker()
+        with pytest.raises(ValidationError) as info:
+            for frame in range(4):
+                tracker.step([det(frame, box_at(100.0, 100.0)),
+                              det(frame, (0.0, 0.0, 1e100, 1e155 * 2.0 ** frame))], frame)
+        assert str(info.value) == ("frame 3: singular innovation covariance in "
+                                   "Kalman update of track 2")
+
+    def test_singular_gating_names_the_frame_and_the_track(self):
+        # track 2's position variance in x is set so that, predicted, it
+        # cancels the measurement noise (1 px² for a 20 px box) exactly
+        tracker = Tracker(TrackerConfig(n_init=1))
+        boxes = [(0.0, 0.0, 20.0, 20.0), (100.0, 0.0, 120.0, 20.0)]
+        tracker.step([det(0, box) for box in boxes], 0)
+        mean, covariance = tracker._states[1]
+        tracker._states[1] = KalmanState(mean, [-2.0, 0.0, 0.0, 0.0] + covariance[4:])
+        with pytest.raises(ValidationError) as info:
+            tracker.step([det(1, box) for box in boxes], 1)
+        assert str(info.value) == "frame 1: singular innovation covariance in gating of track 2"
 
     @given(st.lists(st.lists(huge_boxes, max_size=3), min_size=1, max_size=8),
            st.sampled_from([0.7, 1.0]), st.sampled_from([1, 2]),
