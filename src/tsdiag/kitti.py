@@ -23,7 +23,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DetectionRecord",
-    "FrameClock",
     "OxtsSample",
     "format_detections",
     "group_by_frame",
@@ -111,33 +110,6 @@ class OxtsSample:
             raise ValidationError(
                 f"raw_fields must have exactly {_OXTS_FIELD_COUNT} entries, "
                 f"got {len(self.raw_fields)}")
-
-
-@dataclass(frozen=True)
-class FrameClock:
-    """Maps frame indices to seconds; fixed rate unless explicit stamps given."""
-
-    frame_rate_hz: float = 10.0
-    explicit_timestamps: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if not self.frame_rate_hz > 0.0:
-            raise ValidationError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
-        ts = self.explicit_timestamps
-        if ts is not None:
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValidationError("explicit timestamps must be strictly increasing")
-
-    def time_for_frame(self, frame_index: int) -> float:
-        if frame_index < 0:
-            raise ValidationError(f"frame index {frame_index} is negative")
-        if self.explicit_timestamps is not None:
-            if frame_index >= len(self.explicit_timestamps):
-                raise ValidationError(
-                    f"frame {frame_index} beyond the {len(self.explicit_timestamps)} "
-                    "explicit timestamps")
-            return self.explicit_timestamps[frame_index]
-        return frame_index / self.frame_rate_hz
 
 
 def _float_field(token: str, line_no: int) -> float:
@@ -398,7 +370,10 @@ def parse_timestamps(stream: IO[str] | Iterable[str]) -> list[float]:
     """Parse a timestamps file: one strictly increasing value [s] per line."""
     stamps = []
     for line_no, line in _iter_content_lines(stream):
-        value = _float_field(line.split()[0], line_no)
+        fields = line.split()
+        if len(fields) != 1:
+            raise ParseError(f"line {line_no}: expected one timestamp, got {len(fields)} fields")
+        value = _float_field(fields[0], line_no)
         if stamps and value <= stamps[-1]:
             raise ValidationError(
                 f"line {line_no}: timestamp {value} not strictly increasing")

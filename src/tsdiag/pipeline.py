@@ -25,7 +25,6 @@ from .evaluation import (
 from .geodesy import probe_distances
 from .kitti import (
     DetectionRecord,
-    FrameClock,
     load_embeddings,
     load_oxts,
     parse_detections_file,
@@ -57,7 +56,6 @@ class PipelineResult:
     kept_tracks: list[Track]
     detections: list[DetectionRecord]
     gt_records: list[DetectionRecord] | None
-    probe: list[tuple[float, float]]  # (time [s], link distance [m]) at each frame
 
 
 @dataclass
@@ -114,19 +112,16 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             gt_records = _read(parse_label_file, cfg.labels)
             _check_frames(gt_records, cfg.labels, len(oxts), cfg.oxts)
 
+        # the probe's (time, link distance) at each frame; fix i is frame i
         if cfg.timestamps:
-            stamps = _read(parse_timestamps, cfg.timestamps)
-            if len(stamps) < len(oxts):
-                raise ValidationError(f"{cfg.timestamps}: frame {len(stamps)} beyond the "
-                                      f"{len(stamps)} explicit timestamps")
-            clock = FrameClock(frame_rate_hz=cfg.frame_rate_hz,
-                               explicit_timestamps=tuple(stamps))
+            times = _read(parse_timestamps, cfg.timestamps)
+            if len(times) < len(oxts):
+                raise ValidationError(f"{cfg.timestamps}: frame {len(times)} beyond the "
+                                      f"{len(times)} explicit timestamps")
         else:
-            clock = FrameClock(frame_rate_hz=cfg.frame_rate_hz)
-        distances = probe_distances(cfg.link_start, (s.position for s in oxts),
-                                    cfg.distance_mode)
-        probe = [(clock.time_for_frame(frame), distance)
-                 for frame, distance in enumerate(distances)]
+            times = [frame / cfg.frame_rate_hz for frame in range(len(oxts))]
+        probe = list(zip(times, probe_distances(cfg.link_start, (s.position for s in oxts),
+                                                cfg.distance_mode)))
 
         if cfg.detections:
             detections = _read(parse_detections_file, cfg.detections)
@@ -164,7 +159,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         kept_tracks=kept,
         detections=detections,
         gt_records=gt_records,
-        probe=probe,
     )
 
 
@@ -221,7 +215,8 @@ def evaluate(result: PipelineResult) -> EvalResult:
               if r.class_label in cfg.classes]
         range_gt = range_error_report(gt, cfg.intrinsics)
         range_pred = range_error_report(gt, cfg.intrinsics, predicted=result.detections)
-        reference = build_reference_diagram(result.gt_records, result.probe, cfg)
+        reference = build_reference_diagram(result.gt_records,
+                                            result.diagram.probe_trajectory, cfg)
         trajectory = trajectory_error_report(result.diagram, reference)
         hota_report = hota(boxes_from_records(gt),
                            boxes_from_tracks(result.kept_tracks))

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from .geodesy import GeoPoint, WGS84
-from .kitti import DetectionRecord, FrameClock, OxtsSample
+from .kitti import DetectionRecord, OxtsSample
 from .photogrammetry import CameraIntrinsics, bbox_height_at_range, kitti_intrinsics
 
 __all__ = ["SyntheticScene", "head_on_scene", "write_scene_files", "write_fixture"]
@@ -22,7 +22,7 @@ __all__ = ["SyntheticScene", "head_on_scene", "write_scene_files", "write_fixtur
 class SyntheticScene:
     records: list[DetectionRecord]
     oxts: list[OxtsSample]
-    clock: FrameClock
+    frame_rate_hz: float
     link_start: GeoPoint
     link_length_m: float
     intrinsics: CameraIntrinsics
@@ -43,7 +43,6 @@ def head_on_scene(duration_s: float = 10.0,
     intrinsics = kitti_intrinsics()
     link_start = GeoPoint(0.0, 0.0)
     n_frames = int(round(duration_s * frame_rate_hz))
-    clock = FrameClock(frame_rate_hz=frame_rate_hz)
 
     records = []
     oxts = []
@@ -81,7 +80,7 @@ def head_on_scene(duration_s: float = 10.0,
     return SyntheticScene(
         records=records,
         oxts=oxts,
-        clock=clock,
+        frame_rate_hz=frame_rate_hz,
         link_start=link_start,
         link_length_m=link_length_m,
         intrinsics=intrinsics,

@@ -252,14 +252,14 @@ def gating_distance(states: Sequence[KalmanState], measurements) -> list[list[fl
     Returns one row of len(measurements) distances per state.  The
     innovation covariance is diagonal, and each term rounds as a linear
     solve of it does: one measurement is divided by the variance, several
-    are multiplied by its reciprocal.  A zero variance raises
-    ValidationError, as a singular solve would.
+    are multiplied by its reciprocal.  A variance that is not positive
+    raises ValidationError, as in kalman_update.
     """
     divide = len(measurements) == 1
     distances = []
     for state in states:
         v0, v1, v2, v3 = _innovation_variance(state, 0.0)
-        if not (v0 and v1 and v2 and v3):
+        if not (v0 > 0.0 and v1 > 0.0 and v2 > 0.0 and v3 > 0.0):
             raise ValidationError("singular innovation covariance in gating")
         m0, m1, m2, m3 = state.mean[:4]
         row = []
@@ -638,9 +638,10 @@ class Tracker:
             matches, unmatched_tracks, unmatched_dets = associate(
                 live, detections, states, measurements, self.config, embeddings)
         except ValidationError as exc:
-            # gating found a zero innovation variance
+            # gating found an innovation variance that is not positive
             bad = [track for track, state in zip(live, states)
-                   if track.status == CONFIRMED and not all(_innovation_variance(state, 0.0))]
+                   if track.status == CONFIRMED
+                   and not all(v > 0.0 for v in _innovation_variance(state, 0.0))]
             raise _name_tracks(exc, frame_index, bad) from None
 
         if matches:

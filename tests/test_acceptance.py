@@ -132,7 +132,7 @@ def _run_synthetic(scene, jitter_px, seed):
     tracks = tracker.run(detections, n_frames=len(scene.oxts))
     kept = opposite_lane_filter(tracks, scene.image_width_px)
     distances = probe_distances(scene.link_start, (s.position for s in scene.oxts))
-    probe = [(scene.clock.time_for_frame(f), d) for f, d in enumerate(distances)]
+    probe = [(f / scene.frame_rate_hz, d) for f, d in enumerate(distances)]
     predicted = build_diagram(kept, probe, scene.link_length_m, scene.intrinsics,
                               max_range_m=25.0)
     reference = build_diagram(tracks_from_ground_truth(scene.records), probe,

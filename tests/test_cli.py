@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import string
@@ -335,6 +336,7 @@ class TestRunCommand:
             text = fh.read()
         probe_rows = [ln for ln in text.splitlines()[1:] if ln.startswith("0,")]
         assert len(probe_rows) == 100  # one per frame
+        assert probe_rows[13].startswith("0,1.300000,")  # frame 13 at the default 10 Hz
 
     def test_csv_rows_satisfy_identity_to_precision(self, fixture_dir):
         directory, config_path = fixture_dir
@@ -446,6 +448,23 @@ class TestEvalCommand:
         assert "mean_rmse_m = 0.000000" in text
         with open(os.path.join(out_dir, "hota_report.txt")) as fh:
             assert "hota = 1.000000" in fh.read()
+
+    def test_eval_with_uneven_timestamps_is_pinned(self, fixture_dir, tmp_path):
+        # line i of the timestamps file is frame i's time; the reference
+        # diagram is built on the same probe times, so the error stays 0
+        _, config_path = fixture_dir
+        stamps_path = tmp_path / "stamps.txt"
+        stamps_path.write_text("".join(f"{0.1 * i + 0.003 * (i % 4)!r}\n" for i in range(100)))
+        out_dir = tmp_path / "eval_ts"
+        assert main(["eval", config_path, "--timestamps", str(stamps_path),
+                     "--output-dir", str(out_dir)]) == 0
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in ("diagram.csv", "trajectory_report.txt")}
+        assert digests == {
+            "diagram.csv": "04f4959b890b64eb7f7ae2f037e8d5c79bdb615576c56e6cbbce24def4c6b744",
+            "trajectory_report.txt":
+                "0397f540431bbd884008c766122afb8202bfc53a1d3baf6096f05b8cbd69aee2",
+        }
 
     def test_eval_on_noisy_detections_reports_sensible_numbers(self, fixture_dir, tmp_path):
         _, config_path = fixture_dir
@@ -666,8 +685,9 @@ class TestPipelineErrors:
         ("labels", None, "line 5: non-numeric field 'x'"),
         ("detections", "0 car 1 2 30 x 0.9\n", "line 1: non-numeric field 'x'"),
         ("timestamps", "0.0\n0.1\nabc\n", "line 3: non-numeric field 'abc'"),
+        ("timestamps", "0.0\n0.1 7\n", "line 2: expected one timestamp, got 2 fields"),
         ("embeddings", "0 0 2 1.0 y\n", "line 1: non-numeric field 'y'"),
-    ], ids=["labels", "detections", "timestamps", "embeddings"])
+    ], ids=["labels", "detections", "timestamps", "timestamps-extra-field", "embeddings"])
     def test_reader_error_names_the_file(self, tmp_path, capsys, key, text, message):
         config_path = write_fixture(str(tmp_path / "scene"))
         if text is None:  # a bad token in the fixture's own labels

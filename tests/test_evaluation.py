@@ -417,7 +417,8 @@ class TestDontCare:
                           {"classes": "car,other", "class_heights": "car:1.5,other:1.5",
                            "include_dontcare": include_dontcare})
         result = run_pipeline(cfg)
-        reference = build_reference_diagram(result.gt_records, result.probe, cfg)
+        reference = build_reference_diagram(result.gt_records,
+                                            result.diagram.probe_trajectory, cfg)
         return result, diagram_to_csv(reference)
 
     def test_include_dontcare_feeds_detections_not_the_reference(self, tmp_path):

@@ -10,7 +10,6 @@ from tsdiag import kitti
 from tsdiag.errors import ParseError, ValidationError
 from tsdiag.kitti import (
     DetectionRecord,
-    FrameClock,
     format_detections,
     group_by_frame,
     load_oxts,
@@ -528,26 +527,6 @@ class TestPerturb:
             left, top, right, bottom = r.bbox
             assert left < right and top < bottom
             assert 0.5 <= r.confidence <= 1.0
-
-
-class TestFrameClock:
-    def test_default_rate(self):
-        clock = FrameClock()
-        assert clock.time_for_frame(13) == pytest.approx(1.3)
-
-    def test_explicit_timestamps(self):
-        clock = FrameClock(explicit_timestamps=(0.0, 0.11, 0.19))
-        assert clock.time_for_frame(2) == pytest.approx(0.19)
-        with pytest.raises(ValidationError, match="frame 3"):
-            clock.time_for_frame(3)
-
-    def test_non_monotone_timestamps_rejected(self):
-        with pytest.raises(ValidationError):
-            FrameClock(explicit_timestamps=(0.0, 0.2, 0.2))
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValidationError):
-            FrameClock(frame_rate_hz=0.0)
 
 
 class TestTimestampsFile:

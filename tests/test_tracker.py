@@ -816,12 +816,17 @@ class TestGating:
         assert values[0] < values[1]
 
     def test_zero_innovation_variance_rejected(self):
-        # a singular solve raised LinAlgError; the float kernel names the cause
+        # a singular solve raised LinAlgError; the float kernel names the
+        # cause.  -0.25 px² cancels the cx measurement noise; -1e4 leaves a
+        # negative variance, which would gate a box at a distance below 0
         state = _initiate((0.0, 0.0, 10.0, 10.0))
-        covariance = [0.0] * 16
-        covariance[0] = -((10.0 / 20.0) ** 2)  # cancels the cx measurement noise
-        with pytest.raises(ValidationError, match="^singular innovation covariance in gating$"):
-            _gate(KalmanState(state.mean, covariance), [(0.0, 0.0, 10.0, 10.0)])
+        for cx_variance in (-((10.0 / 20.0) ** 2), -1e4):
+            covariance = [0.0] * 16
+            covariance[0] = cx_variance
+            with pytest.raises(ValidationError,
+                               match="^singular innovation covariance in gating$"):
+                _gate(KalmanState(state.mean, covariance),
+                      [(0.0, 0.0, 10.0, 10.0), (1.0, 0.0, 11.0, 10.0)])
 
 
 class TestConcurrentSequences:
@@ -1110,15 +1115,18 @@ class TestExtremeBoxes:
 
     def test_singular_gating_names_the_frame_and_the_track(self):
         # track 2's position variance in x is set so that, predicted, it
-        # cancels the measurement noise (1 px² for a 20 px box) exactly
-        tracker = Tracker(TrackerConfig(n_init=1))
+        # cancels the measurement noise (1 px² for a 20 px box) exactly, or
+        # leaves the innovation variance negative
         boxes = [(0.0, 0.0, 20.0, 20.0), (100.0, 0.0, 120.0, 20.0)]
-        tracker.step([det(0, box) for box in boxes], 0)
-        mean, covariance = tracker._states[1]
-        tracker._states[1] = KalmanState(mean, [-2.0, 0.0, 0.0, 0.0] + covariance[4:])
-        with pytest.raises(ValidationError) as info:
-            tracker.step([det(1, box) for box in boxes], 1)
-        assert str(info.value) == "frame 1: singular innovation covariance in gating of track 2"
+        for cx_variance in (-2.0, -1e4):
+            tracker = Tracker(TrackerConfig(n_init=1))
+            tracker.step([det(0, box) for box in boxes], 0)
+            mean, covariance = tracker._states[1]
+            tracker._states[1] = KalmanState(mean, [cx_variance, 0.0, 0.0, 0.0] + covariance[4:])
+            with pytest.raises(ValidationError) as info:
+                tracker.step([det(1, box) for box in boxes], 1)
+            assert str(info.value) == ("frame 1: singular innovation covariance in gating "
+                                       "of track 2")
 
     @given(st.lists(st.lists(huge_boxes, max_size=3), min_size=1, max_size=8),
            st.sampled_from([0.7, 1.0]), st.sampled_from([1, 2]),
