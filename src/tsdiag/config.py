@@ -25,19 +25,16 @@ from .trajectory import LaneFilterConfig
 __all__ = ["PipelineConfig", "CONFIG_SCHEMA", "load_config", "build_config", "dump_config"]
 
 # section -> key -> attribute path in PipelineConfig; keys are globally
-# unique so each doubles as a CLI flag name.  "preset" sets nothing: the
-# defaults are the KITTI camera, and the key stays so older files parse.
-CONFIG_SCHEMA: dict[str, dict[str, str | None]] = {
+# unique so each doubles as a CLI flag name
+CONFIG_SCHEMA: dict[str, dict[str, str]] = {
     "paths": {
         "labels": "labels",
         "detections": "detections",
         "oxts": "oxts",
         "timestamps": "timestamps",
-        "embeddings": "embeddings",
         "output_dir": "output_dir",
     },
     "camera": {
-        "preset": None,
         "focal_length_px": "intrinsics.focal_length_px",
         "image_height_px": "intrinsics.image_height_px",
         "sensor_height_px": "intrinsics.sensor_height_px",
@@ -85,8 +82,6 @@ CONFIG_SCHEMA: dict[str, dict[str, str | None]] = {
 
 _KEY_PATHS = {key: path for keys in CONFIG_SCHEMA.values() for key, path in keys.items()}
 
-_PRESETS = ("", "none", "kitti")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -94,7 +89,6 @@ class PipelineConfig:
     detections: str = ""
     oxts: str = ""
     timestamps: str = ""
-    embeddings: str = ""
     output_dir: str = "out"
     intrinsics: CameraIntrinsics = field(default_factory=kitti_intrinsics)
     image_width_px: float = 1242.0
@@ -208,7 +202,7 @@ def build_config(values: dict[str, str]) -> PipelineConfig:
     top: dict[str, object] = {}
     nested: dict[str, dict[str, object]] = {}
     for key, path in _KEY_PATHS.items():
-        if key not in values or path is None:
+        if key not in values:
             continue
         value = _convert(key, values[key], type(_lookup(base, path)))
         head, _, leaf = path.partition(".")
@@ -216,9 +210,6 @@ def build_config(values: dict[str, str]) -> PipelineConfig:
             nested.setdefault(head, {})[leaf] = value
         else:
             top[head] = value
-    preset = values.get("preset", "").strip().lower()
-    if preset not in _PRESETS:
-        raise ConfigError(f"unknown camera preset {preset!r}")
     try:
         for head, fields in nested.items():
             top[head] = replace(getattr(base, head), **fields)
@@ -270,7 +261,6 @@ def dump_config(cfg: PipelineConfig) -> str:
     for section, keys in CONFIG_SCHEMA.items():
         out.write(f"[{section}]\n")
         for key, path in keys.items():
-            value = "" if path is None else _format_value(_lookup(cfg, path))
-            out.write(f"{key} = {value}\n")
+            out.write(f"{key} = {_format_value(_lookup(cfg, path))}\n")
         out.write("\n")
     return out.getvalue()

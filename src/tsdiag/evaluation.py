@@ -212,7 +212,10 @@ def _greedy_mean_distance_matching(predicted: TimeSpaceDiagram,
 def trajectory_error_report(predicted: TimeSpaceDiagram,
                             reference: TimeSpaceDiagram,
                             quality_ok_only: bool = False) -> ErrorReport:
-    """Per-track RMSE of link distances at common timestamps.
+    """Per-track RMSE of link distances at equal timestamps.
+
+    Points pair only when their times are the same float: both diagrams
+    are built on one probe trajectory, so a frame has one time in each.
 
     Track correspondence comes from the annotated identities recorded in
     the predicted diagram, else from greedy nearest-mean-distance matching.
@@ -229,9 +232,9 @@ def trajectory_error_report(predicted: TimeSpaceDiagram,
         ref_points = reference.vehicle_trajectories.get(ref_id, [])
         if quality_ok_only:
             pred_points = [p for p in pred_points if p.quality == QUALITY_OK]
-        ref_by_time = {round(p.time_s, 9): p for p in ref_points}
-        pairs = [(p.link_distance_m, ref_by_time[round(p.time_s, 9)].link_distance_m)
-                 for p in pred_points if round(p.time_s, 9) in ref_by_time]
+        ref_by_time = {p.time_s: p for p in ref_points}
+        pairs = [(p.link_distance_m, ref_by_time[p.time_s].link_distance_m)
+                 for p in pred_points if p.time_s in ref_by_time]
         if not pairs:
             skipped += 1
             continue

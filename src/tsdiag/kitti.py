@@ -1,6 +1,6 @@
-"""Ingestion of KITTI-style tracking labels, OXTS GPS logs, timestamps,
-external detection files and appearance embeddings, plus ground-truth
-perturbation for detector-free pipeline runs.
+"""Ingestion of KITTI-style tracking labels, OXTS GPS logs, timestamps and
+external detection files (with optional appearance vectors), plus
+ground-truth perturbation for detector-free pipeline runs.
 
 All parsers are pure functions over text streams and return immutable
 records, so parsed collections can move freely between threads.
@@ -13,20 +13,16 @@ import os
 import random
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
 from .geodesy import GeoPoint
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "DetectionRecord",
     "OxtsSample",
     "format_detections",
     "group_by_frame",
-    "load_embeddings",
     "load_oxts",
     "parse_detections_file",
     "parse_label_file",
@@ -72,6 +68,7 @@ class DetectionRecord:
     gt_location_camera: tuple[float, float, float] | None = None
     gt_depth_m: float | None = None
     is_dontcare: bool = False
+    embedding: tuple[float, ...] | None = None  # unit appearance vector
 
     def __post_init__(self):
         if self.frame_index < 0:
@@ -219,27 +216,58 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
     return records
 
 
+def _appearance_vector(fields: list[str], line_no: int) -> tuple[float, ...]:
+    """The ``dim v1 ... vdim`` fields of a detection row as a unit vector."""
+    dim = _int_field(fields[0], line_no)
+    if dim < 1:
+        raise ParseError(f"line {line_no}: vector dimension must be >= 1, got {dim}")
+    if len(fields) != 1 + dim:
+        raise ParseError(
+            f"line {line_no}: expected {dim} vector components, got {len(fields) - 1}")
+    values = [_float_field(token, line_no) for token in fields[1:]]
+    # scaled by the largest component first, so a norm past the float range stays finite
+    scale = max(map(abs, values))
+    if scale == 0.0:
+        raise ValidationError(f"line {line_no}: zero-norm appearance vector")
+    values = [value / scale for value in values]
+    norm = math.hypot(*values)
+    return tuple(value / norm for value in values)
+
+
 def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
     """Parse the detection interchange format:
 
-        frame class left top right bottom confidence
+        frame class left top right bottom confidence [dim v1 ... vdim]
 
     one object per line, whitespace or comma separated, '#' comments ignored.
+    The optional appearance vector is renormalized to unit length, and
+    every vector must have the first one's dimension.
     """
     records = []
+    first: tuple[int, int] | None = None  # dimension and line of the first vector
     for line_no, line in _iter_content_lines(stream):
         fields = line.replace(",", " ").split()
-        if len(fields) != 7:
+        if len(fields) < 7:
             raise ParseError(f"line {line_no}: expected 7 fields, got {len(fields)}")
         frame = _int_field(fields[0], line_no)
         bbox = tuple(_float_field(fields[i], line_no) for i in range(2, 6))
         confidence = _float_field(fields[6], line_no)
+        embedding = None
+        if len(fields) > 7:
+            embedding = _appearance_vector(fields[7:], line_no)
+            if first is None:
+                first = (len(embedding), line_no)
+            elif len(embedding) != first[0]:
+                raise ValidationError(
+                    f"line {line_no}: {len(embedding)}-dimensional vector, but line "
+                    f"{first[1]} is {first[0]}-dimensional")
         try:
             records.append(DetectionRecord(
                 frame_index=frame,
                 class_label=_class_label(fields[1]),
                 bbox=bbox,
                 confidence=confidence,
+                embedding=embedding,
             ))
         except ValidationError as exc:
             raise ValidationError(f"line {line_no}: {exc}") from None
@@ -248,13 +276,20 @@ def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionReco
 
 
 def format_detections(records: Iterable[DetectionRecord]) -> str:
-    """Serialize records to the detection interchange format (6 decimals)."""
+    """Serialize records to the detection interchange format.
+
+    Boxes and confidences get 6 decimals.  A vector's components are
+    written in full (repr), so it reads back to within the rounding of its
+    renormalization.
+    """
     lines = []
     for r in records:
         left, top, right, bottom = r.bbox
-        lines.append(
-            f"{r.frame_index} {r.class_label} {left:.6f} {top:.6f} "
-            f"{right:.6f} {bottom:.6f} {r.confidence:.6f}")
+        line = (f"{r.frame_index} {r.class_label} {left:.6f} {top:.6f} "
+                f"{right:.6f} {bottom:.6f} {r.confidence:.6f}")
+        if r.embedding is not None:
+            line += f" {len(r.embedding)} " + " ".join(map(repr, r.embedding))
+        lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -381,48 +416,6 @@ def parse_timestamps(stream: IO[str] | Iterable[str]) -> list[float]:
     return stamps
 
 
-def load_embeddings(stream: IO[str] | Iterable[str]) -> dict[tuple[int, int], np.ndarray]:
-    """Load per-detection appearance vectors, keyed by (frame, detection index).
-
-    Format: `frame detection_index dim v1 ... vdim`, one per line; vectors
-    are renormalized to unit length.  Every vector must have the first
-    one's dimension, and a detection may have only one.
-    """
-    # imported here, not at the top: loading numpy before the rest of the
-    # package raised a run's peak RSS by about 0.4 MB (CPython 3.11,
-    # numpy 2.4 on Linux x86-64)
-    import numpy as np
-
-    table: dict[tuple[int, int], np.ndarray] = {}
-    line_of: dict[tuple[int, int], int] = {}
-    first: tuple[int, int] | None = None  # dimension and line of the first vector
-    for line_no, line in _iter_content_lines(stream):
-        fields = line.split()
-        if len(fields) < 4:
-            raise ValidationError(f"line {line_no}: embedding line too short")
-        key = (_int_field(fields[0], line_no), _int_field(fields[1], line_no))
-        dim = _int_field(fields[2], line_no)
-        if len(fields) != 3 + dim:
-            raise ValidationError(
-                f"line {line_no}: expected {dim} vector components, got {len(fields) - 3}")
-        if key in line_of:
-            raise ValidationError(
-                f"line {line_no}: frame {key[0]} detection {key[1]} already has a vector "
-                f"on line {line_of[key]}")
-        if first is None:
-            first = (dim, line_no)
-        elif dim != first[0]:
-            raise ValidationError(f"line {line_no}: {dim}-dimensional vector, but line "
-                                  f"{first[1]} is {first[0]}-dimensional")
-        vec = np.array([_float_field(tok, line_no) for tok in fields[3:]])
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValidationError(f"line {line_no}: zero-norm embedding")
-        table[key] = vec / norm
-        line_of[key] = line_no
-    return table
-
-
 def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
                          drop_rate: float, seed: int) -> list[DetectionRecord]:
     """Simulate detector noise on ground-truth boxes, deterministically.
@@ -465,5 +458,6 @@ def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
             gt_location_camera=record.gt_location_camera,
             gt_depth_m=record.gt_depth_m,
             is_dontcare=record.is_dontcare,
+            embedding=record.embedding,
         ))
     return out

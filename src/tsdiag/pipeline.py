@@ -25,7 +25,6 @@ from .evaluation import (
 from .geodesy import probe_distances
 from .kitti import (
     DetectionRecord,
-    load_embeddings,
     load_oxts,
     parse_detections_file,
     parse_label_file,
@@ -134,11 +133,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
         detections = [d for d in detections if d.class_label in cfg.classes]
 
-        embeddings = _read(load_embeddings, cfg.embeddings) if cfg.embeddings else None
-
     with _stage("tracking"):
         tracker = Tracker(cfg.tracker)
-        tracks = tracker.run(detections, n_frames=len(oxts), embeddings=embeddings)
+        tracks = tracker.run(detections, n_frames=len(oxts))
 
     with _stage("lane_filter"):
         kept = opposite_lane_filter(tracks, cfg.image_width_px, cfg.lane)

@@ -9,7 +9,7 @@ deleted scheme.
 
 The filter runs on plain Python floats: with a handful of live tracks the
 per-call cost of array operations outweighs their arithmetic.  numpy is
-imported only by the appearance stage, whose vectors come as arrays.
+imported only by the appearance stage, which runs only when it is on.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .kitti import DetectionRecord, group_by_frame
@@ -417,15 +417,16 @@ class Track:
     frame, box and confidence are the track's observation history, and its
     length is the track's hit count.  ``class_label`` and
     ``majority_gt_track_id`` count over ``records`` when read; a tie goes
-    to the value seen first.  A track holds no Kalman state: ``Tracker``
-    keeps its live tracks' states.
+    to the value seen first.  ``appearance`` blends the vectors of its
+    detections, and stays None unless the tracker uses appearance.  A track
+    holds no Kalman state: ``Tracker`` keeps its live tracks' states.
     """
 
     track_id: int
     status: str = TENTATIVE
     frames_since_update: int = 0
     records: list[DetectionRecord] = field(default_factory=list)
-    appearance: np.ndarray | None = None
+    appearance: tuple[float, ...] | None = None
     ever_confirmed: bool = False
 
     @property
@@ -453,8 +454,8 @@ def _appearance_cost(appearances: np.ndarray, embeddings: np.ndarray,
     return np.linalg.norm(appearances[:, None, :] - embeddings[None, :, :], axis=-1)
 
 
-def _appearance_costs(appearances: Sequence[np.ndarray | None],
-                      embeddings: Sequence[np.ndarray | None],
+def _appearance_costs(appearances: Sequence[tuple[float, ...] | None],
+                      embeddings: Sequence[tuple[float, ...] | None],
                       metric: str) -> list[dict[int, float]]:
     """Per appearance, the cost of each embedding, by column; none where a vector is missing."""
     by_row: list[dict[int, float]] = [{} for _ in appearances]
@@ -470,30 +471,29 @@ def _appearance_costs(appearances: Sequence[np.ndarray | None],
     return by_row
 
 
-def _blend_appearance(appearance: np.ndarray, embedding: np.ndarray,
-                      alpha: float) -> np.ndarray:
+def _blend_appearance(appearance: tuple[float, ...], embedding: tuple[float, ...],
+                      alpha: float) -> tuple[float, ...]:
     """Exponential moving average of unit vectors, renormalized; kept if it vanishes."""
     import numpy as np
 
-    blended = alpha * appearance + (1.0 - alpha) * embedding
+    blended = alpha * np.array(appearance) + (1.0 - alpha) * np.array(embedding)
     norm = np.linalg.norm(blended)
-    return blended / norm if norm > 0.0 else appearance
+    return tuple((blended / norm).tolist()) if norm > 0.0 else appearance
 
 
 def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
               states: Sequence[KalmanState], measurements, config: TrackerConfig,
-              embeddings: Sequence[np.ndarray | None] | None = None,
               ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage matching of track indices to detection indices.
 
     ``states`` are the tracks' predicted Kalman states, one per track in
     order, and ``measurements`` the detections' boxes as (cx, cy, aspect,
     h).  Stage 1 matches confirmed tracks with an appearance cost (when
-    enabled and embeddings are present) or a combined overlap/Mahalanobis
-    cost, gated by the Mahalanobis distance; a gated pair costs the gate
-    sentinel whatever its overlap, so its IoU is never computed.  Stage 2
-    matches everything left over on plain overlap.  Both stages solve the
-    assignment optimally.
+    enabled and both the track and the detection have a vector) or a
+    combined overlap/Mahalanobis cost, gated by the Mahalanobis distance;
+    a gated pair costs the gate sentinel whatever its overlap, so its IoU
+    is never computed.  Stage 2 matches everything left over on plain
+    overlap.  Both stages solve the assignment optimally.
     Returns (matches, unmatched_track_indices, unmatched_detection_indices).
     """
     if not tracks or not detections:
@@ -527,9 +527,10 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     if confirmed:
         gate = config.mahalanobis_gate
         max_dist = config.max_dist
-        if config.use_appearance and embeddings is not None:
+        if config.use_appearance:
             appearance = _appearance_costs([tracks[i].appearance for i in confirmed],
-                                           embeddings, config.nn_metric)
+                                           [det.embedding for det in detections],
+                                           config.nn_metric)
         else:
             appearance = [{}] * len(confirmed)
         cost = []
@@ -611,8 +612,7 @@ class Tracker:
     def live_tracks(self) -> list[Track]:
         return list(self._live)
 
-    def step(self, detections: Sequence[DetectionRecord], frame_index: int,
-             embeddings: Sequence[np.ndarray | None] | None = None) -> None:
+    def step(self, detections: Sequence[DetectionRecord], frame_index: int) -> None:
         """Predict, associate, update, and manage lifecycles for one frame."""
         if self._last_frame is not None and frame_index <= self._last_frame:
             raise ValidationError(
@@ -636,7 +636,7 @@ class Tracker:
 
         try:
             matches, unmatched_tracks, unmatched_dets = associate(
-                live, detections, states, measurements, self.config, embeddings)
+                live, detections, states, measurements, self.config)
         except ValidationError as exc:
             # gating found an innovation variance that is not positive
             bad = [track for track, state in zip(live, states)
@@ -659,13 +659,15 @@ class Tracker:
             for (track_idx, _), state in zip(matches, updated):
                 states[track_idx] = state
 
+        # with appearance off no vector is kept: nothing would read it
+        use_appearance = self.config.use_appearance
         alpha = self.config.appearance_ema_alpha
         for track_idx, det_idx in matches:
             track = live[track_idx]
             track.frames_since_update = 0
             track.records.append(detections[det_idx])
-            embedding = embeddings[det_idx] if embeddings is not None else None
-            if embedding is not None:
+            embedding = detections[det_idx].embedding
+            if use_appearance and embedding is not None:
                 if track.appearance is None:
                     track.appearance = embedding
                 else:
@@ -691,9 +693,9 @@ class Tracker:
             states = states + kalman_initiate([measurements[det_idx]
                                                for det_idx in unmatched_dets])
             for det_idx in unmatched_dets:
-                embedding = embeddings[det_idx] if embeddings is not None else None
-                track = Track(track_id=self._next_id, records=[detections[det_idx]],
-                              appearance=embedding)
+                det = detections[det_idx]
+                track = Track(track_id=self._next_id, records=[det],
+                              appearance=det.embedding if use_appearance else None)
                 if self.config.n_init <= 1:
                     track.status = CONFIRMED
                     track.ever_confirmed = True
@@ -704,9 +706,8 @@ class Tracker:
         self._live = live
         self._states = states
 
-    def run(self, records: Iterable[DetectionRecord], n_frames: int | None = None,
-            embeddings: Mapping[tuple[int, int], np.ndarray] | None = None,
-            ) -> list[Track]:
+    def run(self, records: Iterable[DetectionRecord],
+            n_frames: int | None = None) -> list[Track]:
         """Track a whole detection stream and return ``tracks``.
 
         Empty frames still age the tracks.  A record of frame ``n_frames``
@@ -720,11 +721,7 @@ class Tracker:
             raise ValidationError(
                 f"detection of frame {min(past)} at or past n_frames {n_frames}")
         for frame in range(n_frames):
-            dets = by_frame.get(frame, [])
-            frame_embeddings = None
-            if embeddings is not None:
-                frame_embeddings = [embeddings.get((frame, j)) for j in range(len(dets))]
-            self.step(dets, frame, frame_embeddings)
+            self.step(by_frame.get(frame, []), frame)
         return self.tracks
 
 

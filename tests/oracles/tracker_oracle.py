@@ -120,7 +120,11 @@ def _appearance_cost(track, embedding, metric):
     return float(np.linalg.norm(track.appearance - embedding))
 
 
-def associate(tracks, states, detections, config, embeddings=None):
+def _vector(det):
+    return None if det.embedding is None else np.asarray(det.embedding)
+
+
+def associate(tracks, states, detections, config):
     """Two-stage matching with per-pair cost loops; see tsdiag.tracker.associate.
 
     ``states`` holds one Kalman state per track, in ``tracks`` order.
@@ -163,7 +167,7 @@ def associate(tracks, states, detections, config, embeddings=None):
             for col in range(n_dets):
                 if maha[col] > gate:
                     continue
-                embedding = embeddings[col] if embeddings is not None else None
+                embedding = _vector(detections[col])
                 if (config.use_appearance and track.appearance is not None
                         and embedding is not None):
                     value = _appearance_cost(track, embedding, config.nn_metric)
@@ -207,14 +211,14 @@ class OracleTracker:
     def live_tracks(self) -> list[Track]:
         return [t for t in self.tracks if t.status != DELETED]
 
-    def step(self, detections, frame_index, embeddings=None):
+    def step(self, detections, frame_index):
         live = self.live_tracks()
         states = self.states
         for track in live:
             states[track.track_id] = kalman_predict(states[track.track_id])
 
         matches, unmatched_tracks, unmatched_dets = associate(
-            live, [states[t.track_id] for t in live], detections, self.config, embeddings)
+            live, [states[t.track_id] for t in live], detections, self.config)
 
         alpha = self.config.appearance_ema_alpha
         for track_idx, det_idx in matches:
@@ -224,7 +228,7 @@ class OracleTracker:
                                                    det.confidence)
             track.frames_since_update = 0
             track.records.append(det)
-            embedding = embeddings[det_idx] if embeddings is not None else None
+            embedding = _vector(det)
             if embedding is not None:
                 if track.appearance is None:
                     track.appearance = embedding
@@ -246,8 +250,7 @@ class OracleTracker:
 
         for det_idx in unmatched_dets:
             det = detections[det_idx]
-            embedding = embeddings[det_idx] if embeddings is not None else None
-            track = Track(track_id=self._next_id, records=[det], appearance=embedding)
+            track = Track(track_id=self._next_id, records=[det], appearance=_vector(det))
             states[track.track_id] = kalman_initiate(det.bbox)
             if self.config.n_init <= 1:
                 track.status = CONFIRMED

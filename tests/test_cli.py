@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from tsdiag.cli import _add_override_flags, _collect_overrides, main
 from tsdiag.config import CONFIG_SCHEMA, PipelineConfig, build_config, dump_config, load_config
 from tsdiag.errors import ConfigError, PipelineError, ValidationError
-from tsdiag.pipeline import _stage
-from tsdiag.kitti import parse_detections_file
+from tsdiag.pipeline import _stage, run_pipeline
+from tsdiag.kitti import format_detections, parse_detections_file
 from tsdiag.synth import head_on_scene, write_fixture, write_scene_files
 from tsdiag.trajectory import diagram_from_csv
 
@@ -62,13 +62,25 @@ class TestConfig:
             build_config({"drop_rate": "1.0"})
 
     def test_kitti_preset_resolves(self):
-        cfg = build_config({"preset": "kitti"})
+        # the KITTI camera is the default one, with no key to select it
+        cfg = build_config({})
         assert cfg.intrinsics.focal_length_px == 721.0
         assert cfg.intrinsics.class_height_m == {"car": 1.5}
 
     def test_explicit_camera_overrides_preset(self):
-        cfg = build_config({"preset": "kitti", "focal_length_px": "800.0"})
+        cfg = build_config({"focal_length_px": "800.0"})
         assert cfg.intrinsics.focal_length_px == 800.0
+        assert cfg.intrinsics.image_height_px == 376.0
+
+    @pytest.mark.parametrize("section, key", [("paths", "embeddings"), ("camera", "preset")])
+    def test_removed_key_in_a_file_exits_2(self, tmp_path, capsys, section, key):
+        # as an older run_meta.txt writes it; ignoring the key would drop
+        # what it meant without a word
+        config_path = tmp_path / "config.ini"
+        config_path.write_text(f"[{section}]\n{key} = \n")
+        assert main(["run", str(config_path)]) == 2
+        assert (f"config error: unknown key {key!r} in section [{section}]"
+                in capsys.readouterr().err)
 
     def test_class_heights_parsed(self):
         cfg = build_config({"class_heights": "car:1.5, van:2.1"})
@@ -84,9 +96,8 @@ TABLE_KEYS = [key for keys in CONFIG_SCHEMA.values() for key in keys]
 
 # dump_config(build_config({})) as it must stay: run_meta.txt is built on it
 DEFAULT_MANIFEST = "\n".join([
-    "[paths]", "labels = ", "detections = ", "oxts = ", "timestamps = ", "embeddings = ",
-    "output_dir = out", "",
-    "[camera]", "preset = ", "focal_length_px = 721.0", "image_height_px = 376.0",
+    "[paths]", "labels = ", "detections = ", "oxts = ", "timestamps = ", "output_dir = out", "",
+    "[camera]", "focal_length_px = 721.0", "image_height_px = 376.0",
     "sensor_height_px = 362.0", "image_width_px = 1242.0", "class_heights = car:1.5", "",
     "[tracker]", "nn_metric = cosine", "max_dist = 0.2", "max_iou_dist = 0.7", "max_age = 30",
     "n_init = 2", "appearance_ema_alpha = 0.9", "use_appearance = false",
@@ -115,8 +126,7 @@ _open_unit = _float_text(min_value=0.0, max_value=1.0, exclude_min=True)
 # one strategy of valid text per key
 VALID_VALUES = {
     "labels": _text, "detections": _text, "oxts": _text, "timestamps": _text,
-    "embeddings": _text, "output_dir": _text,
-    "preset": st.sampled_from(["", "none", "kitti", "KITTI", " None "]),
+    "output_dir": _text,
     "focal_length_px": _positive, "image_height_px": _positive,
     "sensor_height_px": _positive,
     "image_width_px": _float_text(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -168,22 +178,17 @@ def _class_values(draw):
 
 class TestConfigTable:
     def test_every_key_written_once(self):
-        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 39
+        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 37
         assert not CLASS_KEYS & set(VALID_VALUES)
         assert set(VALID_VALUES) | CLASS_KEYS == set(TABLE_KEYS)
 
-    def test_paths_name_fields_and_only_preset_maps_to_none(self):
+    def test_every_path_names_a_field(self):
         defaults = PipelineConfig()
-        unmapped = []
         for keys in CONFIG_SCHEMA.values():
             for key, path in keys.items():
-                if path is None:
-                    unmapped.append(key)
-                    continue
                 *owner_path, name = path.split(".")
                 owner = functools.reduce(getattr, owner_path, defaults)
                 assert name in {f.name for f in dataclasses.fields(owner)}, key
-        assert unmapped == ["preset"]
 
     def test_defaults_equal_dataclass_defaults(self):
         assert build_config({}) == PipelineConfig()
@@ -223,14 +228,17 @@ class TestConfigTable:
         {}, {"focal_length_px": "800.0"}, {"class_heights": "car:1.6, van:2.0"},
         {"image_height_px": "400", "sensor_height_px": "380"}])
     def test_every_preset_spelling_gives_the_same_config(self, preset, camera):
-        assert build_config({"preset": preset, **camera}) == build_config(camera)
+        # each spelling that used to parse, and set nothing, now fails alike
+        with pytest.raises(ConfigError) as info:
+            build_config({"preset": preset, **camera})
+        assert str(info.value) == "unknown configuration key 'preset'"
 
     @pytest.mark.parametrize("values, message", [
         ({"frobnicate": "1"}, "unknown configuration key 'frobnicate'"),
         ({"max_age": "many"}, "bad value 'many' for key 'max_age' (expected int)"),
         ({"use_appearance": "maybe"}, "bad value 'maybe' for key 'use_appearance' (expected bool)"),
         ({"max_dist": "x"}, "bad value 'x' for key 'max_dist' (expected float)"),
-        ({"preset": "Nikon"}, "unknown camera preset 'nikon'"),
+        ({"preset": "kitti"}, "unknown configuration key 'preset'"),
         ({"class_heights": "car"}, "class_heights entry 'car' must look like label:meters"),
         ({"class_heights": "car:-1"}, "class height for 'car' must be positive"),
         ({"focal_length_px": "0"}, "focal_length_px must be positive"),
@@ -268,6 +276,7 @@ class TestConfigTable:
         ({"classes": "Van, truck", "class_heights": "car:1.5,van:2"},
          "no class_heights entry for 'truck' in classes"),
         ({"class_heights": "van:2"}, "no class_heights entry for 'car' in classes"),
+        ({"embeddings": "vectors.txt"}, "unknown configuration key 'embeddings'"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -686,7 +695,8 @@ class TestPipelineErrors:
         ("detections", "0 car 1 2 30 x 0.9\n", "line 1: non-numeric field 'x'"),
         ("timestamps", "0.0\n0.1\nabc\n", "line 3: non-numeric field 'abc'"),
         ("timestamps", "0.0\n0.1 7\n", "line 2: expected one timestamp, got 2 fields"),
-        ("embeddings", "0 0 2 1.0 y\n", "line 1: non-numeric field 'y'"),
+        ("detections", "0 car 1 2 30 40 0.9 2 1.0 0.0\n0 car 1 2 30 40 0.9 2 1.0 y\n",
+         "line 2: non-numeric field 'y'"),
     ], ids=["labels", "detections", "timestamps", "timestamps-extra-field", "embeddings"])
     def test_reader_error_names_the_file(self, tmp_path, capsys, key, text, message):
         config_path = write_fixture(str(tmp_path / "scene"))
@@ -706,19 +716,38 @@ class TestEmbeddingsPath:
     def test_embeddings_file_feeds_appearance_matching(self, tmp_path):
         directory = str(tmp_path / "se")
         config_path = write_fixture(directory)
-        scene = head_on_scene()
-        # constant unit embedding for the single object in every frame
-        emb_path = os.path.join(directory, "embeddings.txt")
-        with open(emb_path, "w") as fh:
-            for r in scene.records:
-                fh.write(f"{r.frame_index} 0 4 1.0 0.0 0.0 0.0\n")
+        # constant unit vector for the single object in every frame
+        records = [dataclasses.replace(r, embedding=(1.0, 0.0, 0.0, 0.0))
+                   for r in head_on_scene().records]
+        dets_path = os.path.join(directory, "dets.txt")
+        with open(dets_path, "w") as fh:
+            fh.write(format_detections(records))
         code = main(["run", config_path,
-                     "--embeddings", emb_path, "--use-appearance", "true",
+                     "--detections", dets_path, "--use-appearance", "true",
                      "--output-dir", str(tmp_path / "oute")])
         assert code == 0
         with open(os.path.join(str(tmp_path / "oute"), "diagram.csv")) as fh:
             rows = [ln for ln in fh.read().splitlines()[1:] if not ln.startswith("0,")]
         assert rows  # the vehicle still tracked end to end
+
+    def test_each_vector_stays_with_its_own_box(self, tmp_path):
+        # a pedestrian row before each car row: the class filter removes
+        # the pedestrians, and the car track must carry the car's vector
+        config_path = write_fixture(str(tmp_path / "scene"))
+        lines = []
+        for r in head_on_scene().records:
+            left, top, right, bottom = r.bbox
+            lines.append(f"{r.frame_index} pedestrian {left - 300.0!r} {top!r} "
+                         f"{left - 280.0!r} {bottom!r} 1.0 2 0.0 1.0")
+            lines.append(f"{r.frame_index} car {left!r} {top!r} {right!r} {bottom!r} "
+                         f"1.0 2 1.0 0.0")
+        dets_path = tmp_path / "dets.txt"
+        dets_path.write_text("\n".join(lines) + "\n")
+        cfg = load_config(config_path, {"detections": str(dets_path),
+                                        "use_appearance": "true"})
+        tracks = run_pipeline(cfg).tracks
+        assert [t.class_label for t in tracks] == ["car"]
+        assert tracks[0].appearance == (1.0, 0.0)
 
 
 class TestRuntimeDependencies:
@@ -747,7 +776,7 @@ class TestRuntimeDependencies:
         assert (tmp_path / "scene" / "out" / "hota_report.txt").is_file()
 
     def test_config_and_run_never_import_numpy(self, tmp_path):
-        # numpy is needed only by eval and embeddings: with its import made
+        # numpy is needed only by appearance matching: with its import made
         # to fail, the config loads, a config error exits 2 with its message,
         # and run writes the same diagram as a process that has numpy
         script = textwrap.dedent("""
@@ -779,10 +808,43 @@ class TestRuntimeDependencies:
                     == (tmp_path / "full" / "out" / name).read_bytes())
         assert (tmp_path / "full" / "out" / "hota_report.txt").is_file()
 
+    def test_run_on_detections_with_vectors_never_imports_numpy(self, tmp_path):
+        # vectors are parsed on plain Python, and with appearance off the
+        # tracker never reads them: the diagram equals a vector-free run's
+        script = textwrap.dedent("""
+            import json, sys
+            sys.modules["numpy"] = None
+            from tsdiag.cli import main
+            from tsdiag.synth import write_fixture
+            config = write_fixture(sys.argv[1])
+            plain, with_vectors = sys.argv[1] + "/dets.txt", sys.argv[1] + "/vectors.txt"
+            codes = [main(["perturb", "--labels", sys.argv[1] + "/labels.txt",
+                           "--out", plain])]
+            with open(plain) as fh, open(with_vectors, "w") as out:
+                out.writelines(line.rstrip("\\n") + " 2 1.0 0.0\\n" for line in fh)
+            codes.append(main(["run", config, "--detections", with_vectors]))
+            print(json.dumps({"codes": codes,
+                              "numpy": sorted(m for m in sys.modules if m.startswith("numpy")
+                                              and sys.modules[m] is not None)}))
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bare")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0], "numpy": []}
+        assert " 2 1.0 0.0" in (tmp_path / "bare" / "vectors.txt").read_text()
+
+        config = str(tmp_path / "bare" / "config.ini")
+        assert main(["run", config, "--detections", str(tmp_path / "bare" / "dets.txt"),
+                     "--output-dir", str(tmp_path / "plain")]) == 0
+        assert ((tmp_path / "bare" / "out" / "diagram.csv").read_bytes()
+                == (tmp_path / "plain" / "diagram.csv").read_bytes())
+
     def test_eval_never_imports_numpy(self, tmp_path):
-        # numpy is needed only by embeddings: with its import made to fail,
-        # eval exits 0 and writes the same eight reports as a process that
-        # has numpy
+        # numpy is needed only by appearance matching: with its import made
+        # to fail, eval exits 0 and writes the same eight reports as a
+        # process that has numpy
         script = textwrap.dedent("""
             import json, sys
             sys.modules["numpy"] = None

@@ -153,6 +153,13 @@ class TestTrajectoryErrorReport:
         assert report.per_track_rmse_m[1] == 0.0
         assert report.instance_count == 2
 
+    def test_points_a_tenth_of_a_nanosecond_apart_pair_with_their_own_frame(self):
+        # parse_timestamps takes 0.0 then 1e-10 as strictly increasing
+        points = {1: traj_points([(0.0, 10.0), (1e-10, 20.0), (0.2, 30.0)])}
+        report = trajectory_error_report(simple_diagram(points), simple_diagram(points))
+        assert report.per_track_rmse_m[1] == 0.0
+        assert report.instance_count == 3
+
     def test_uniform_shift_gives_that_rmse(self):
         ref = {1: traj_points([(0.0, 10.0), (0.1, 12.0), (0.2, 14.0)])}
         pred = {1: traj_points([(0.0, 13.0), (0.1, 15.0), (0.2, 17.0)])}

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import os
 import tempfile
 
@@ -459,8 +460,15 @@ def detection_records(draw):
     w = draw(st.floats(min_value=0.5, max_value=400))
     h = draw(st.floats(min_value=0.5, max_value=200))
     conf = draw(st.floats(min_value=0, max_value=1))
+    # a unit appearance vector, or none
+    vector = draw(st.none() | st.lists(st.integers(-1000, 1000),
+                                       min_size=3, max_size=3).filter(any))
+    if vector is not None:
+        norm = math.hypot(*vector)
+        vector = tuple(v / norm for v in vector)
     return DetectionRecord(frame_index=frame, class_label=label,
-                           bbox=(left, top, left + w, top + h), confidence=conf)
+                           bbox=(left, top, left + w, top + h), confidence=conf,
+                           embedding=vector)
 
 
 class TestInterchangeRoundTrip:
@@ -476,6 +484,10 @@ class TestInterchangeRoundTrip:
             for x, y in zip(a.bbox, b.bbox):
                 assert abs(x - y) <= 1e-6
             assert abs(a.confidence - b.confidence) <= 1e-6
+            if a.embedding is None:
+                assert b.embedding is None
+            else:
+                assert b.embedding == pytest.approx(a.embedding, rel=1e-15, abs=1e-15)
 
 
 class TestPerturb:
@@ -508,7 +520,8 @@ class TestPerturb:
         record = DetectionRecord(frame_index=3, class_label="van",
                                  bbox=(10.0, 20.0, 60.0, 70.0), confidence=0.8,
                                  gt_track_id=9,
-                                 gt_location_camera=(1.0, 2.0, 30.0), gt_depth_m=30.0)
+                                 gt_location_camera=(1.0, 2.0, 30.0), gt_depth_m=30.0,
+                                 embedding=(0.6, 0.8))
         (out,) = perturb_ground_truth([record], 2.0, 0.0, seed=5)
         assert out.bbox != record.bbox
         assert out == dataclasses.replace(record, bbox=out.bbox, confidence=out.confidence)

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,8 @@ from oracles.assignment_oracle import brute_force_min_cost
 from oracles.iou_oracle import iou_matrix
 from oracles import tracker_oracle as reference
 from oracles.tracker_oracle import OracleTracker
-from tsdiag.errors import ValidationError
-from tsdiag.kitti import DetectionRecord, load_embeddings
+from tsdiag.errors import ParseError, ValidationError
+from tsdiag.kitti import DetectionRecord, parse_detections_file
 from tsdiag.tracker import (
     CHI2_95_4DOF,
     CONFIRMED,
@@ -31,9 +32,9 @@ from tsdiag.tracker import (
 from tsdiag.tracker import _distinct_row_minima, _xyah
 
 
-def det(frame, bbox, conf=1.0, cls="car", gt=-1):
+def det(frame, bbox, conf=1.0, cls="car", gt=-1, embedding=None):
     return DetectionRecord(frame_index=frame, class_label=cls, bbox=bbox,
-                           confidence=conf, gt_track_id=gt)
+                           confidence=conf, gt_track_id=gt, embedding=embedding)
 
 
 def box_at(cx, cy, w=40.0, h=50.0):
@@ -93,9 +94,8 @@ def _summary(tracker):
     return tracks, states
 
 
-def _associate(tracks, states, dets, config, embeddings=None):
-    return associate(tracks, dets, states, _measurements([d.bbox for d in dets]), config,
-                     embeddings)
+def _associate(tracks, states, dets, config):
+    return associate(tracks, dets, states, _measurements([d.bbox for d in dets]), config)
 
 
 def _summaries_per_frame(frames):
@@ -710,40 +710,48 @@ class TestDeterminismAndStability:
         assert {t.majority_gt_track_id for t in confirmed} == {1, 2}
 
 
+_ROW = "0 car 100 50 180 120 0.9"
+
+
 class TestAppearance:
-    def test_load_embeddings_renormalizes(self):
-        text = "0 0 3 3.0 0.0 4.0\n1 2 3 0.0 2.0 0.0\n"
-        table = load_embeddings(text.splitlines())
-        assert np.allclose(table[(0, 0)], [0.6, 0.0, 0.8])
-        assert np.allclose(table[(1, 2)], [0.0, 1.0, 0.0])
+    def test_detection_vectors_renormalize(self):
+        text = f"{_ROW} 3 3.0 0.0 4.0\n1,car,100,50,180,120,0.9,3,0.0,2.0,0.0\n{_ROW}\n"
+        first, bare, second = parse_detections_file(text.splitlines())
+        assert first.embedding == pytest.approx((0.6, 0.0, 0.8), abs=1e-15)
+        assert second.embedding == (0.0, 1.0, 0.0)
+        assert bare.embedding is None
+        # components past the float range keep their direction
+        [huge] = parse_detections_file([f"{_ROW} 4 1e308 1e308 1e308 1e308"])
+        assert huge.embedding == (0.5, 0.5, 0.5, 0.5)
 
     def test_bad_embedding_lines_rejected(self):
-        with pytest.raises(ValidationError):
-            load_embeddings(["0 0 3 1.0 0.0"])
-        with pytest.raises(ValidationError):
-            load_embeddings(["0 0 2 0.0 0.0"])
-
-    def test_repeated_detection_rejected_naming_both_lines(self):
-        # a second vector for (frame 0, detection 0) must not replace the first
-        with pytest.raises(ValidationError,
-                           match=r"^line 3: frame 0 detection 0 already has a vector "
-                                 r"on line 1$"):
-            load_embeddings(["0 0 2 1 0", "0 1 2 1 0", "0 0 2 0 1"])
+        for vector, error, message in [
+            ("3 1.0 0.0", ParseError, "expected 3 vector components, got 2"),
+            ("1 1.0 0.0", ParseError, "expected 1 vector components, got 2"),
+            ("7", ParseError, "expected 7 vector components, got 0"),
+            ("0", ParseError, "vector dimension must be >= 1, got 0"),
+            ("-1 1.0", ParseError, "vector dimension must be >= 1, got -1"),
+            ("2.5 1.0 0.0", ParseError, "non-integer field '2.5'"),
+            ("car", ParseError, "non-numeric field 'car'"),
+            ("2 1.0 nan", ParseError, "NaN field"),
+            ("2 1.0 inf", ParseError, "non-finite field 'inf'"),
+            ("2 0.0 -0.0", ValidationError, "zero-norm appearance vector"),
+        ]:
+            with pytest.raises(error, match=f"^line 2: {message}$"):
+                parse_detections_file([f"{_ROW} 2 1 0", f"{_ROW} {vector}"])
 
     def test_dimension_change_rejected_naming_the_lines(self):
         with pytest.raises(ValidationError,
                            match=r"^line 2: 3-dimensional vector, but line 1 is 2-dimensional$"):
-            load_embeddings(["0 0 2 1 0", "1 0 3 1 0 0"])
-        with pytest.raises(ValidationError, match=r"^line 4: 1-dimensional"):
-            load_embeddings(["# dim 2", "0 0 2 1 0", "", "1 0 1 1"])
+            parse_detections_file([f"{_ROW} 2 1 0", f"{_ROW} 3 1 0 0"])
+        with pytest.raises(ValidationError, match=r"^line 5: 1-dimensional"):
+            parse_detections_file(["# dim 2", f"{_ROW} 2 1 0", _ROW, "", f"{_ROW} 1 1"])
 
     def test_appearance_ema_stays_unit_norm(self):
         config = TrackerConfig(use_appearance=True, appearance_ema_alpha=0.9)
         tracker = Tracker(config)
-        e0 = np.array([1.0, 0.0])
-        e1 = np.array([0.0, 1.0])
-        tracker.step([det(0, box_at(100, 100))], 0, [e0])
-        tracker.step([det(1, box_at(100, 100))], 1, [e1])
+        tracker.step([det(0, box_at(100, 100), embedding=(1.0, 0.0))], 0)
+        tracker.step([det(1, box_at(100, 100), embedding=(0.0, 1.0))], 1)
         track = tracker.tracks[0]
         assert np.linalg.norm(track.appearance) == pytest.approx(1.0, abs=1e-12)
         # blend leans toward the running average
@@ -752,11 +760,20 @@ class TestAppearance:
     def test_appearance_match_beats_distance_gate(self):
         config = TrackerConfig(use_appearance=True, max_dist=0.2)
         tracker = Tracker(config)
-        e = np.array([1.0, 0.0])
-        tracker.step([det(0, box_at(100, 100))], 0, [e])
-        tracker.step([det(1, box_at(100, 100))], 1, [e])  # confirmed now
-        tracker.step([det(2, box_at(104, 100))], 2, [e])
+        e = (1.0, 0.0)
+        tracker.step([det(0, box_at(100, 100), embedding=e)], 0)
+        tracker.step([det(1, box_at(100, 100), embedding=e)], 1)  # confirmed now
+        tracker.step([det(2, box_at(104, 100), embedding=e)], 2)
         assert len(tracker.tracks[0].records) == 3
+
+    def test_no_appearance_kept_when_appearance_is_off(self):
+        # vectors on every detection, but nothing reads a track's appearance
+        tracker = Tracker(TrackerConfig(use_appearance=False))
+        for frame, vector in enumerate([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8)]):
+            tracker.step([det(frame, box_at(100, 100), embedding=vector),
+                          det(frame, box_at(400, 100), embedding=vector)], frame)
+        assert [len(t.records) for t in tracker.tracks] == [3, 3]
+        assert [t.appearance for t in tracker.tracks] == [None, None]
 
     @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6), seeds,
            st.sampled_from(["cosine", "euclidean"]))
@@ -778,13 +795,12 @@ class TestAppearance:
 
     def test_appearance_gate_is_inclusive(self):
         # appearance cost exactly max_dist, and no overlap for the second stage
-        track = Track(track_id=1, status=CONFIRMED, appearance=np.array([1.0, 0.0]))
+        track = Track(track_id=1, status=CONFIRMED, appearance=(1.0, 0.0))
         states = kalman_predict(kalman_initiate(_measurements([box_at(100, 100)])))
-        far = det(1, box_at(160, 100))
-        embedding = np.array([0.5, np.sqrt(0.75)])
+        far = det(1, box_at(160, 100), embedding=(0.5, float(np.sqrt(0.75))))
         for max_dist, expected in ((0.5, [(0, 0)]), (np.nextafter(0.5, 0.0), [])):
             config = TrackerConfig(use_appearance=True, max_dist=max_dist, mahalanobis_gate=1e9)
-            matches, _, _ = _associate([track], states, [far], config, [embedding])
+            matches, _, _ = _associate([track], states, [far], config)
             assert matches == expected
 
     def test_appearance_mismatch_falls_back_to_overlap_stage(self):
@@ -792,11 +808,11 @@ class TestAppearance:
         # still gets an overlap-based second chance
         config = TrackerConfig(use_appearance=True, max_dist=0.2)
         tracker = Tracker(config)
-        e = np.array([1.0, 0.0])
-        orthogonal = np.array([0.0, 1.0])
-        tracker.step([det(0, box_at(100, 100))], 0, [e])
-        tracker.step([det(1, box_at(100, 100))], 1, [e])
-        tracker.step([det(2, box_at(100, 100))], 2, [orthogonal])
+        e = (1.0, 0.0)
+        orthogonal = (0.0, 1.0)
+        tracker.step([det(0, box_at(100, 100), embedding=e)], 0)
+        tracker.step([det(1, box_at(100, 100), embedding=e)], 1)
+        tracker.step([det(2, box_at(100, 100), embedding=orthogonal)], 2)
         assert len(tracker.tracks[0].records) == 3
         assert len(tracker.tracks) == 1  # no spurious new identity
 
@@ -1026,17 +1042,19 @@ def _assert_same_tracking(tracker, oracle):
     assert len(oracle.states) == len(tracker.live_tracks)
 
 
-def _one_hot_embeddings(dets):
+def _with_one_hot_vectors(dets):
     # one direction per vehicle: every appearance cost is then exact
-    return [np.eye(8)[d.gt_track_id % 8] for d in dets]
+    return [dataclasses.replace(d, embedding=tuple(np.eye(8)[d.gt_track_id % 8].tolist()))
+            for d in dets]
 
 
 def _run_against_oracle(config, frames):
     tracker, oracle = Tracker(config), OracleTracker(config)
     for frame, dets in enumerate(frames):
-        embeddings = _one_hot_embeddings(dets) if config.use_appearance else None
-        tracker.step(dets, frame, embeddings)
-        oracle.step(dets, frame, embeddings)
+        if config.use_appearance:
+            dets = _with_one_hot_vectors(dets)
+        tracker.step(dets, frame)
+        oracle.step(dets, frame)
         _assert_same_tracking(tracker, oracle)
         if config.use_appearance:
             for track, expected in zip(tracker.tracks, oracle.tracks):
