@@ -161,8 +161,11 @@ def _parse_class_heights(raw: str) -> dict[str, float]:
         if ":" not in chunk:
             raise ConfigError(f"class_heights entry {chunk!r} must look like label:meters")
         label, _, value = chunk.partition(":")
+        label = label.strip().lower()
+        if label in heights:
+            raise ConfigError(f"class_heights names {label!r} more than once")
         try:
-            heights[label.strip().lower()] = float(value)
+            heights[label] = float(value)
         except ValueError:
             raise ConfigError(f"bad class height {chunk!r}") from None
     if not heights:

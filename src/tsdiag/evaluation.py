@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ValidationError
 from .kitti import DetectionRecord, group_by_frame
 from .photogrammetry import CameraIntrinsics, QUALITY_OK, range_from_height
-from .tracker import iou, solve_assignment
+from .tracker import Track, iou, solve_assignment
 from .trajectory import TimeSpaceDiagram
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "HotaReport",
     "rmse",
     "range_error_report",
+    "track_matching",
     "trajectory_error_report",
     "hota",
     "boxes_from_records",
@@ -187,42 +188,38 @@ def range_error_report(records: Sequence[DetectionRecord],
     return _summarize(per_track, count, scenario)
 
 
-def _greedy_mean_distance_matching(predicted: TimeSpaceDiagram,
-                                   reference: TimeSpaceDiagram) -> dict[int, int]:
-    def mean_distance(points):
-        return sum(p.link_distance_m for p in points) / len(points)
+def track_matching(tracks: Sequence[Track],
+                   reference: Sequence[DetectionRecord]) -> dict[int, int]:
+    """Pair each confirmed track with the annotated identity its records match most.
 
-    pred_means = {tid: mean_distance(pts)
-                  for tid, pts in predicted.vehicle_trajectories.items() if pts}
-    ref_means = {tid: mean_distance(pts)
-                 for tid, pts in reference.vehicle_trajectories.items() if pts}
-    candidates = sorted(
-        (abs(pm - rm), pid, rid)
-        for pid, pm in pred_means.items() for rid, rm in ref_means.items())
-    matching: dict[int, int] = {}
-    used_refs: set[int] = set()
-    for _, pid, rid in candidates:
-        if pid in matching or rid in used_refs:
-            continue
-        matching[pid] = rid
-        used_refs.add(rid)
-    return matching
+    A record matches an annotated box when the optimal per-frame matching
+    pairs them at IoU >= 0.5, as in CLEAR MOT and HOTA.  A tie goes to the
+    identity matched first; a track that matches no box with an identity
+    (track id >= 0) stays unpaired.
+    """
+    confirmed = [track for track in tracks if track.ever_confirmed]
+    owner = {id(record): track.track_id for track in confirmed for record in track.records}
+    tallies: dict[int, dict[int, int]] = {}
+    for ref, pred in _match_to_ground_truth(
+            [record for track in confirmed for record in track.records], reference):
+        if ref.gt_track_id >= 0:
+            tally = tallies.setdefault(owner[id(pred)], {})
+            tally[ref.gt_track_id] = tally.get(ref.gt_track_id, 0) + 1
+    # pairs come in frame order, and max keeps the first of equal counts
+    return {track_id: max(tally, key=tally.get) for track_id, tally in sorted(tallies.items())}
 
 
 def trajectory_error_report(predicted: TimeSpaceDiagram,
                             reference: TimeSpaceDiagram,
+                            matching: Mapping[int, int],
                             quality_ok_only: bool = False) -> ErrorReport:
     """Per-track RMSE of link distances at equal timestamps.
 
-    Points pair only when their times are the same float: both diagrams
-    are built on one probe trajectory, so a frame has one time in each.
-
-    Track correspondence comes from the annotated identities recorded in
-    the predicted diagram, else from greedy nearest-mean-distance matching.
+    ``matching`` pairs a predicted track id with a reference track id;
+    ``track_matching`` gives it.  Points pair only when their times are the
+    same float: both diagrams are built on one probe trajectory, so a frame
+    has one time in each.
     """
-    matching = (predicted.gt_track_map
-                or _greedy_mean_distance_matching(predicted, reference))
-
     per_track: dict[int, float] = {}
     count = 0
     skipped = 0

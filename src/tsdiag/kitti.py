@@ -173,6 +173,7 @@ def _label_numbers(fields: list[str], line_no: int):
 def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
     """Parse a KITTI tracking label file into records sorted by (frame, track).
 
+    Every row has the first row's field count: 17, or 18 with a score.
     "DontCare" rows are kept but marked, with no location and no depth:
     KITTI writes -1000 placeholders there.  Use without_dontcare() to drop
     them.  An identity (track id >= 0) has at most one non-DontCare row per
@@ -180,12 +181,18 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
     """
     records = []
     line_of: dict[tuple[int, int], int] = {}  # (frame, track id) -> line
+    width: tuple[int, int] | None = None  # field count and line of the first row
     for line_no, line in _iter_content_lines(stream):
         fields = line.split()
         if len(fields) not in (_LABEL_FIELDS_NO_SCORE, _LABEL_FIELDS_WITH_SCORE):
             raise ParseError(
                 f"line {line_no}: expected {_LABEL_FIELDS_NO_SCORE} or "
                 f"{_LABEL_FIELDS_WITH_SCORE} fields, got {len(fields)}")
+        if width is None:
+            width = (len(fields), line_no)
+        elif len(fields) != width[0]:
+            raise ParseError(f"line {line_no}: {len(fields)} fields, but line {width[1]} "
+                             f"has {width[0]}")
         frame, track_id, bbox, location, confidence = _label_numbers(fields, line_no)
         raw_type = fields[2]
         is_dontcare = raw_type.lower() == "dontcare"
@@ -239,14 +246,20 @@ def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionReco
 
         frame class left top right bottom confidence [dim v1 ... vdim]
 
-    one object per line, whitespace or comma separated, '#' comments ignored.
-    The optional appearance vector is renormalized to unit length, and
-    every vector must have the first one's dimension.
+    one object per line, '#' comments ignored.  A row with a comma is split
+    on commas, and none of its cells may be empty; any other row is split
+    on whitespace.  The optional appearance vector is renormalized to unit
+    length, and every vector must have the first one's dimension.
     """
     records = []
     first: tuple[int, int] | None = None  # dimension and line of the first vector
     for line_no, line in _iter_content_lines(stream):
-        fields = line.replace(",", " ").split()
+        if "," in line:
+            fields = [cell.strip() for cell in line.split(",")]
+            if "" in fields:
+                raise ParseError(f"line {line_no}: cell {fields.index('') + 1} is empty")
+        else:
+            fields = line.split()
         if len(fields) < 7:
             raise ParseError(f"line {line_no}: expected 7 fields, got {len(fields)}")
         frame = _int_field(fields[0], line_no)
@@ -305,10 +318,10 @@ def without_dontcare(records: Iterable[DetectionRecord]) -> list[DetectionRecord
 
 
 def _parse_oxts_line(line: str, line_no: int) -> OxtsSample:
-    fields = line.split()[:_OXTS_FIELD_COUNT]
-    if len(fields) < _OXTS_FIELD_COUNT:
+    fields = line.split()
+    if len(fields) != _OXTS_FIELD_COUNT:
         raise ParseError(
-            f"line {line_no}: OXTS record needs >= {_OXTS_FIELD_COUNT} fields, "
+            f"line {line_no}: OXTS record needs {_OXTS_FIELD_COUNT} fields, "
             f"got {len(fields)}")
     try:
         values = list(map(float, fields))

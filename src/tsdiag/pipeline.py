@@ -20,6 +20,7 @@ from .evaluation import (
     hota_report_to_csv,
     hota_report_to_text,
     range_error_report,
+    track_matching,
     trajectory_error_report,
 )
 from .geodesy import probe_distances
@@ -214,7 +215,8 @@ def evaluate(result: PipelineResult) -> EvalResult:
         range_pred = range_error_report(gt, cfg.intrinsics, predicted=result.detections)
         reference = build_reference_diagram(result.gt_records,
                                             result.diagram.probe_trajectory, cfg)
-        trajectory = trajectory_error_report(result.diagram, reference)
+        trajectory = trajectory_error_report(result.diagram, reference,
+                                             track_matching(result.kept_tracks, gt))
         hota_report = hota(boxes_from_records(gt),
                            boxes_from_tracks(result.kept_tracks))
     return EvalResult(range_gt, range_pred, trajectory, hota_report)

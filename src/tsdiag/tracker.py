@@ -415,11 +415,11 @@ class Track:
 
     ``records`` holds each matched detection once, in frame order; its
     frame, box and confidence are the track's observation history, and its
-    length is the track's hit count.  ``class_label`` and
-    ``majority_gt_track_id`` count over ``records`` when read; a tie goes
-    to the value seen first.  ``appearance`` blends the vectors of its
-    detections, and stays None unless the tracker uses appearance.  A track
-    holds no Kalman state: ``Tracker`` keeps its live tracks' states.
+    length is the track's hit count.  ``class_label`` counts over
+    ``records`` when read; a tie goes to the label seen first.
+    ``appearance`` blends the vectors of its detections, and stays None
+    unless the tracker uses appearance.  A track holds no Kalman state:
+    ``Tracker`` keeps its live tracks' states.
     """
 
     track_id: int
@@ -431,17 +431,8 @@ class Track:
 
     @property
     def class_label(self) -> str:
-        return _most_common((r.class_label for r in self.records), "other")
-
-    @property
-    def majority_gt_track_id(self) -> int:
-        return _most_common((r.gt_track_id for r in self.records if r.gt_track_id >= 0), -1)
-
-
-def _most_common(values: Iterable, default):
-    """The most frequent value, the first seen on a tie; ``default`` if none."""
-    counts = Counter(values)
-    return counts.most_common(1)[0][0] if counts else default
+        counts = Counter(r.class_label for r in self.records)
+        return counts.most_common(1)[0][0] if counts else "other"
 
 
 def _appearance_cost(appearances: np.ndarray, embeddings: np.ndarray,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import ParseError, ValidationError
@@ -76,9 +76,6 @@ class TimeSpaceDiagram:
     link_length_m: float
     probe_trajectory: list[tuple[float, float]]
     vehicle_trajectories: dict[int, list[TrajectoryPoint]]
-    # diagram track id -> annotated identity most of its records carry;
-    # empty when the records carry none
-    gt_track_map: dict[int, int] = field(default_factory=dict)
 
 
 def _is_closing(ranges: Sequence[float]) -> bool:
@@ -157,7 +154,6 @@ def build_diagram(tracks: Iterable[Track], probe: Sequence[tuple[float, float]],
     if range_source not in ("bbox", "gt_depth"):
         raise ValidationError(f"unknown range_source {range_source!r}")
     vehicle_trajectories: dict[int, list[TrajectoryPoint]] = {}
-    gt_track_map: dict[int, int] = {}
     for track in sorted(tracks, key=lambda t: t.track_id):
         if not track.ever_confirmed:
             continue
@@ -193,15 +189,11 @@ def build_diagram(tracks: Iterable[Track], probe: Sequence[tuple[float, float]],
             ))
         if points:
             vehicle_trajectories[track.track_id] = points
-            gt_id = track.majority_gt_track_id
-            if gt_id >= 0:
-                gt_track_map[track.track_id] = gt_id
 
     return TimeSpaceDiagram(
         link_length_m=link_length_m,
         probe_trajectory=list(probe),
         vehicle_trajectories=vehicle_trajectories,
-        gt_track_map=gt_track_map,
     )
 
 
@@ -232,14 +224,9 @@ def smooth_track(points: Sequence[TrajectoryPoint], window: int) -> list[Traject
 
 
 def smooth_diagram(diagram: TimeSpaceDiagram, window: int) -> TimeSpaceDiagram:
-    smoothed = {tid: smooth_track(points, window)
-                for tid, points in diagram.vehicle_trajectories.items()}
-    return TimeSpaceDiagram(
-        link_length_m=diagram.link_length_m,
-        probe_trajectory=list(diagram.probe_trajectory),
-        vehicle_trajectories=smoothed,
-        gt_track_map=dict(diagram.gt_track_map),
-    )
+    return replace(diagram, probe_trajectory=list(diagram.probe_trajectory),
+                   vehicle_trajectories={tid: smooth_track(points, window) for tid, points
+                                         in diagram.vehicle_trajectories.items()})
 
 
 _CSV_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality"

@@ -14,7 +14,7 @@ import pytest
 from oracles.assignment_oracle import brute_force_min_cost
 from oracles.hota_oracle import brute_force_hota
 from tsdiag.cli import main
-from tsdiag.evaluation import hota, trajectory_error_report
+from tsdiag.evaluation import hota, track_matching, trajectory_error_report
 from tsdiag.geodesy import GeoPoint, geodesic_inverse, probe_distances
 from tsdiag.kitti import parse_label_file, perturb_ground_truth, without_dontcare
 from tsdiag.photogrammetry import (
@@ -138,7 +138,7 @@ def _run_synthetic(scene, jitter_px, seed):
     reference = build_diagram(tracks_from_ground_truth(scene.records), probe,
                               scene.link_length_m, scene.intrinsics,
                               range_source="gt_depth")
-    return tracks, predicted, reference
+    return tracks, predicted, reference, track_matching(kept, scene.records)
 
 
 def test_end_to_end_synthetic_scene():
@@ -151,10 +151,10 @@ def test_end_to_end_synthetic_scene():
     assert len(scene.oxts) == 100
 
     # noise-free run reconstructs the full trajectory almost exactly
-    tracks, predicted, reference = _run_synthetic(scene, jitter_px=0.0, seed=0)
+    tracks, predicted, reference, matching = _run_synthetic(scene, jitter_px=0.0, seed=0)
     confirmed = [t for t in tracks if t.ever_confirmed]
     assert len(confirmed) == 1
-    report = trajectory_error_report(predicted, reference, quality_ok_only=False)
+    report = trajectory_error_report(predicted, reference, matching, quality_ok_only=False)
     assert report.per_track_rmse_m, "no trajectory reconstructed"
     assert max(report.per_track_rmse_m.values()) < 0.01
 
@@ -169,11 +169,11 @@ def test_end_to_end_synthetic_scene():
     assert abs(slope - (-15.0)) < 0.5
 
     # jittered run: still one identity, trusted points within a meter
-    tracks, predicted, reference = _run_synthetic(scene, jitter_px=2.0, seed=1)
+    tracks, predicted, reference, matching = _run_synthetic(scene, jitter_px=2.0, seed=1)
     confirmed = [t for t in tracks if t.ever_confirmed]
     assert len(confirmed) == 1, "identity switched under jitter"
     assert all(r.gt_track_id == 1 for r in confirmed[0].records)
-    report = trajectory_error_report(predicted, reference, quality_ok_only=True)
+    report = trajectory_error_report(predicted, reference, matching, quality_ok_only=True)
     assert report.per_track_rmse_m, "no trusted points survived"
     assert max(report.per_track_rmse_m.values()) < 1.0
 

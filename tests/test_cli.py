@@ -277,6 +277,7 @@ class TestConfigTable:
          "no class_heights entry for 'truck' in classes"),
         ({"class_heights": "van:2"}, "no class_heights entry for 'car' in classes"),
         ({"embeddings": "vectors.txt"}, "unknown configuration key 'embeddings'"),
+        ({"class_heights": "car:1.5, Car:1.7"}, "class_heights names 'car' more than once"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -517,6 +518,24 @@ class TestEvalCommand:
             outputs.append(list(diagram.vehicle_trajectories.values()))
         assert outputs[0] == outputs[1]  # the car alone, under its own track id
         assert len(outputs[0]) == 1
+
+    def test_eval_on_a_detections_file_pairs_the_car_by_its_boxes(self, fixture_dir, tmp_path):
+        # the detections file carries no identities: the car's track pairs
+        # with the annotated car through its boxes, and with the boxes as
+        # annotated (to the file's 6 decimals) the trajectory error is 0
+        directory, config_path = fixture_dir
+        dets_path = str(tmp_path / "dets.txt")
+        assert main(["perturb", "--labels", os.path.join(directory, "labels.txt"),
+                     "--out", dets_path]) == 0
+        out_dir = tmp_path / "dets"
+        assert main(["eval", config_path, "--detections", dets_path,
+                     "--output-dir", str(out_dir)]) == 0
+        header, table = (out_dir / "trajectory_report.txt").read_text().split("\n\n")
+        values = dict(line.split(" = ") for line in header.splitlines())
+        assert (values["track_count"], values["skipped_pairs"],
+                values["missed_reference_tracks"]) == ("1", "0", "0")
+        (row,) = table.splitlines()[1:]
+        assert float(row.split()[1]) < 1e-5
 
     def test_eval_requires_labels(self, fixture_dir, tmp_path, capsys):
         directory, config_path = fixture_dir

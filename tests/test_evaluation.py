@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -20,12 +21,19 @@ from tsdiag.evaluation import (
     trajectory_error_report,
 )
 from tsdiag import evaluation, geodesy
-from tsdiag.config import load_config
+from tsdiag.config import build_config, load_config
 from tsdiag.kitti import DetectionRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
-from tsdiag.pipeline import build_reference_diagram, run_pipeline, write_eval_outputs
+from tsdiag.pipeline import (
+    PipelineResult,
+    build_reference_diagram,
+    evaluate,
+    run_pipeline,
+    write_eval_outputs,
+)
 from tsdiag.synth import write_fixture
-from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint, diagram_to_csv
+from tsdiag.tracker import CONFIRMED, Track
+from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint, build_diagram, diagram_to_csv
 
 KITTI = kitti_intrinsics()
 
@@ -40,12 +48,11 @@ def gt_record(frame, track_id, depth, center_x=300.0, height=None):
         gt_location_camera=(-2.0, 1.6, depth))
 
 
-def simple_diagram(points_by_track, probe=None, gt_track_map=None):
+def simple_diagram(points_by_track, probe=None):
     return TimeSpaceDiagram(
         link_length_m=300.0,
         probe_trajectory=probe or [(0.0, 0.0)],
         vehicle_trajectories=points_by_track,
-        gt_track_map=gt_track_map or {},
     )
 
 
@@ -149,53 +156,96 @@ class TestRangeErrorReport:
 class TestTrajectoryErrorReport:
     def test_identical_diagrams_zero(self):
         points = {1: traj_points([(0.0, 10.0), (0.1, 12.0)])}
-        report = trajectory_error_report(simple_diagram(points), simple_diagram(points))
+        report = trajectory_error_report(simple_diagram(points), simple_diagram(points), {1: 1})
         assert report.per_track_rmse_m[1] == 0.0
         assert report.instance_count == 2
 
     def test_points_a_tenth_of_a_nanosecond_apart_pair_with_their_own_frame(self):
         # parse_timestamps takes 0.0 then 1e-10 as strictly increasing
         points = {1: traj_points([(0.0, 10.0), (1e-10, 20.0), (0.2, 30.0)])}
-        report = trajectory_error_report(simple_diagram(points), simple_diagram(points))
+        report = trajectory_error_report(simple_diagram(points), simple_diagram(points), {1: 1})
         assert report.per_track_rmse_m[1] == 0.0
         assert report.instance_count == 3
 
     def test_uniform_shift_gives_that_rmse(self):
         ref = {1: traj_points([(0.0, 10.0), (0.1, 12.0), (0.2, 14.0)])}
         pred = {1: traj_points([(0.0, 13.0), (0.1, 15.0), (0.2, 17.0)])}
-        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref))
+        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref), {1: 1})
         assert report.per_track_rmse_m[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_no_common_timestamps_skipped_with_warning(self):
         ref = {1: traj_points([(5.0, 10.0)])}
         pred = {1: traj_points([(0.0, 10.0)])}
-        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref))
+        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref), {1: 1})
         assert report.skipped_pairs == 1
         assert report.per_track_rmse_m == {}
         assert report.missed_reference_tracks == 1
 
-    def test_gt_track_map_used_when_present(self):
+    def test_matching_names_the_reference_track(self):
         ref = {9: traj_points([(0.0, 10.0)])}
-        pred_points = {4: traj_points([(0.0, 11.0)])}
-        predicted = simple_diagram(pred_points, gt_track_map={4: 9})
-        report = trajectory_error_report(predicted, simple_diagram(ref))
+        pred = {4: traj_points([(0.0, 11.0)])}
+        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref), {4: 9})
         assert report.per_track_rmse_m[4] == pytest.approx(1.0)
-
-    def test_greedy_matching_fallback(self):
-        ref = {1: traj_points([(0.0, 10.0)]), 2: traj_points([(0.0, 100.0)])}
-        pred = {7: traj_points([(0.0, 98.0)]), 8: traj_points([(0.0, 12.0)])}
-        report = trajectory_error_report(simple_diagram(pred), simple_diagram(ref))
-        assert report.per_track_rmse_m[7] == pytest.approx(2.0)
-        assert report.per_track_rmse_m[8] == pytest.approx(2.0)
 
     def test_quality_filter(self):
         ref = {1: traj_points([(0.0, 10.0), (0.1, 12.0)])}
         pred_pts = (traj_points([(0.0, 10.0)]) +
                     traj_points([(0.1, 99.0)], quality="above_max_range"))
         report = trajectory_error_report(simple_diagram({1: pred_pts}),
-                                         simple_diagram(ref), quality_ok_only=True)
+                                         simple_diagram(ref), {1: 1}, quality_ok_only=True)
         assert report.instance_count == 1
         assert report.per_track_rmse_m[1] == 0.0
+
+
+def _as_detection(record):
+    """The record as a detector reports it: its box, no annotation."""
+    return dataclasses.replace(record, gt_track_id=-1, gt_location_camera=None,
+                               gt_depth_m=None)
+
+
+def _confirmed(track_id, records):
+    return Track(track_id=track_id, status=CONFIRMED, records=list(records),
+                 ever_confirmed=True)
+
+
+class TestTrackMatching:
+    def test_crossing_tracks_pair_by_their_boxes_not_their_mean_distances(self):
+        # car 1 closes in from 10 m to 40 m of range while car 2 recedes from
+        # 42 m to 12 m; track 7 sees car 1 only at its last frame and track 8
+        # sees car 2 only at its first, so each track's mean link distance
+        # lies nearer the other car's mean
+        cfg = build_config({})
+        gt = ([gt_record(f, 1, depth) for f, depth in enumerate([10.0, 25.0, 40.0])]
+              + [gt_record(f, 2, depth, center_x=800.0)
+                 for f, depth in enumerate([42.0, 27.0, 12.0])])
+        tracks = [_confirmed(7, [_as_detection(gt[2])]), _confirmed(8, [_as_detection(gt[3])])]
+        probe = [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)]
+        diagram = build_diagram(tracks, probe, cfg.link_length_m, cfg.intrinsics)
+        result = PipelineResult(config=cfg, diagram=diagram, tracks=tracks,
+                                kept_tracks=tracks,
+                                detections=[r for t in tracks for r in t.records],
+                                gt_records=gt)
+        assert evaluation.track_matching(tracks, gt) == {7: 1, 8: 2}
+        report = evaluate(result).trajectory
+        assert report.per_track_rmse_m == {7: pytest.approx(0.0, abs=1e-9),
+                                           8: pytest.approx(0.0, abs=1e-9)}
+        assert report.missed_reference_tracks == 0
+
+    def test_tie_goes_to_the_identity_matched_first(self):
+        gt = [gt_record(0, 5, 20.0), gt_record(1, 3, 20.0),
+              gt_record(2, 3, 20.0, center_x=900.0)]
+        track = _confirmed(1, [_as_detection(r) for r in gt[:2]])
+        assert evaluation.track_matching([track], gt) == {1: 5}
+        track.records.append(_as_detection(gt[2]))
+        assert evaluation.track_matching([track], gt) == {1: 3}
+
+    def test_track_without_a_match_or_never_confirmed_is_left_unpaired(self):
+        gt = [gt_record(0, 1, 20.0), gt_record(1, -1, 20.0)]
+        far = dataclasses.replace(_as_detection(gt[0]), bbox=(900.0, 0.0, 950.0, 40.0))
+        tentative = Track(track_id=3, records=[_as_detection(gt[0])])
+        unidentified = _confirmed(4, [_as_detection(gt[1])])
+        assert evaluation.track_matching([_confirmed(2, [far]), tentative, unidentified],
+                                         gt) == {}
 
 
 def unit_box(x, y, size=10.0):

@@ -95,6 +95,15 @@ class TestParseLabelFile:
             parse_label_file(io.StringIO(LABEL_LINE + " 1.7"))
 
 
+    def test_row_of_the_other_width_rejected_naming_the_line(self):
+        # a scored row that lost a cell would read as unscored, its columns shifted
+        scored = LABEL_LINE + " 0.85"
+        short = scored.replace(" 1.62", "")
+        with pytest.raises(ParseError, match=r"^line 2: 17 fields, but line 1 has 18$"):
+            parse_label_file(io.StringIO(scored + "\n" + short))
+        with pytest.raises(ParseError, match=r"^line 3: 18 fields, but line 1 has 17$"):
+            parse_label_file(io.StringIO(LABEL_LINE + "\n\n" + scored))
+
     def test_repeated_identity_in_a_frame_rejected_naming_both_lines(self):
         # a second row of track 2 in frame 0 would be a second box of one vehicle
         lines = [LABEL_LINE, LABEL_LINE.replace("0 2 Car", "0 5 Car"), "",
@@ -119,6 +128,7 @@ def _labels_field_by_field(lines):
     checked call per numeric column, in column order."""
     records = []
     line_of = {}
+    width = None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -126,6 +136,11 @@ def _labels_field_by_field(lines):
         fields = line.split()
         if len(fields) not in (17, 18):
             raise ParseError(f"line {line_no}: expected 17 or 18 fields, got {len(fields)}")
+        if width is None:
+            width = (len(fields), line_no)
+        elif len(fields) != width[0]:
+            raise ParseError(f"line {line_no}: {len(fields)} fields, but line {width[1]} "
+                             f"has {width[0]}")
         frame = kitti._int_field(fields[0], line_no)
         track_id = kitti._int_field(fields[1], line_no)
         is_dontcare = fields[2].lower() == "dontcare"
@@ -231,6 +246,10 @@ class TestParseOxts:
     def test_too_few_fields(self):
         with pytest.raises(ParseError, match="30"):
             parse_oxts_lines(io.StringIO("49.0 8.4 112.8"))
+
+    def test_too_many_fields(self):
+        with pytest.raises(ParseError, match=r"^line 1: OXTS record needs 30 fields, got 31$"):
+            parse_oxts_lines(io.StringIO(OXTS_LINE + " 0.0"))
 
     def test_multi_line_file_assigns_frames_in_order(self):
         two = OXTS_LINE + "\n" + OXTS_LINE.replace("49.011212", "49.011300")
@@ -408,6 +427,18 @@ class TestParseDetectionsFile:
         records = parse_detections_file(io.StringIO(text))
         assert len(records) == 1
         assert records[0].bbox == (100.0, 50.0, 180.0, 120.0)
+
+    @pytest.mark.parametrize("row, cell", [
+        ("0,car,100,,50,180,120,0.9", 4),
+        ("0,car,100,50,180,120,0.9,2,,1,0", 9),
+        ("0,car,100,50,180,120,0.9,", 8),
+        (", 0 car 100 50 180 120 0.9", 1),
+    ])
+    def test_empty_cell_of_a_comma_row_names_the_line(self, row, cell):
+        # an empty cell dropped would move every later value one column left
+        text = f"0,car,100,50,180,120,0.9\n{row}\n"
+        with pytest.raises(ParseError, match=f"^line 2: cell {cell} is empty$"):
+            parse_detections_file(io.StringIO(text))
 
     def test_wrong_arity(self):
         with pytest.raises(ParseError, match="7 fields"):

@@ -87,7 +87,7 @@ def _live_states(tracker):
 def _summary(tracker):
     """Everything the tracker has produced so far, as comparable values."""
     tracks = [(t.track_id, t.status, t.frames_since_update, t.ever_confirmed,
-               t.class_label, t.majority_gt_track_id, t.records)
+               t.class_label, t.records)
               for t in tracker.tracks]
     states = [(t.track_id, list(mean), list(covariance))
               for t, mean, covariance in _live_states(tracker)]
@@ -707,7 +707,7 @@ class TestDeterminismAndStability:
         for track in confirmed:
             gt_ids = {r.gt_track_id for r in track.records}
             assert len(gt_ids) == 1  # every track stayed on one object
-        assert {t.majority_gt_track_id for t in confirmed} == {1, 2}
+        assert {_oracle_gt_id(t.records) for t in confirmed} == {1, 2}
 
 
 _ROW = "0 car 100 50 180 120 0.9"
@@ -882,7 +882,7 @@ class TestGroundTruthTracks:
         records = [det(f, box_at(10 + f, 10), cls=cls, gt=4) for f, cls in labels.items()]
         (track,) = tracks_from_ground_truth(records)
         assert track.class_label == _oracle_label(track.records) == "van"
-        assert track.majority_gt_track_id == 4
+        assert _oracle_gt_id(track.records) == 4
 
 
 def _oracle_label(records) -> str:
@@ -900,7 +900,6 @@ def _oracle_gt_id(records) -> int:
 
 def _assert_tallies_match(track):
     assert track.class_label == _oracle_label(track.records)
-    assert track.majority_gt_track_id == _oracle_gt_id(track.records)
 
 
 class TestTallyLeader:
@@ -911,9 +910,9 @@ class TestTallyLeader:
         track = Track(track_id=1)
         for frame, ((cls, gt), leader) in enumerate(zip(observed, leaders)):
             track.records.append(det(frame, box_at(100, 100), cls=cls, gt=gt))
-            assert (track.class_label, track.majority_gt_track_id) == leader
+            assert (track.class_label, _oracle_gt_id(track.records)) == leader
             seeded = Track(track_id=2, records=list(track.records))
-            assert (seeded.class_label, seeded.majority_gt_track_id) == leader
+            assert (seeded.class_label, _oracle_gt_id(seeded.records)) == leader
             _assert_tallies_match(track)
 
 
@@ -930,7 +929,6 @@ class TestTrackTallies:
                    for f, (cls, gt) in enumerate(seeded)]
         track = Track(track_id=1, records=records)
         assert track.class_label == _oracle_label(track.records)
-        assert track.majority_gt_track_id == _oracle_gt_id(track.records)
         for frame, (cls, gt) in enumerate(observed, start=len(seeded)):
             track.records.append(det(frame, box_at(100, 100), conf=0.5, cls=cls, gt=gt))
             _assert_tallies_match(track)
@@ -1028,10 +1026,9 @@ def _assert_same_tracking(tracker, oracle):
     assert len(tracker.tracks) == len(oracle.tracks)
     for track, expected in zip(tracker.tracks, oracle.tracks):
         assert ((track.track_id, track.status, track.frames_since_update,
-                 track.ever_confirmed, track.class_label, track.majority_gt_track_id)
+                 track.ever_confirmed, track.class_label)
                 == (expected.track_id, expected.status, expected.frames_since_update,
-                    expected.ever_confirmed, expected.class_label,
-                    expected.majority_gt_track_id))
+                    expected.ever_confirmed, expected.class_label))
         assert track.records == expected.records
     assert ([t.track_id for t in tracker.live_tracks]
             == [t.track_id for t in oracle.live_tracks()])
@@ -1093,9 +1090,9 @@ class TestTrackerOracle:
             assert DELETED in {t.status for t in tracker.tracks}
             # the crossing cars keep their identities through the crossing
             for track in tracker.tracks[:2]:
-                assert {r.gt_track_id for r in track.records} == {track.majority_gt_track_id}
+                assert {r.gt_track_id for r in track.records} == {_oracle_gt_id(track.records)}
             # the third car is split into two identities by its long miss
-            assert sum(t.majority_gt_track_id == 2 for t in tracker.tracks) == 2
+            assert sum(_oracle_gt_id(t.records) == 2 for t in tracker.tracks) == 2
 
 
 # boxes from a few pixels up to 1e300 px, anywhere from the origin to far off it
