@@ -17,7 +17,7 @@ import sys
 from .config import CONFIG_SCHEMA, load_config
 from .errors import ConfigError, ParseError, PipelineError, ValidationError
 from .geodesy import Ellipsoid, GeoPoint, geodesic_inverse
-from .kitti import format_detections, parse_label_file, perturb_ground_truth, without_dontcare
+from .kitti import format_detections, parse_label_file, perturb_ground_truth
 from .pipeline import _read, run_pipeline, write_eval_outputs, write_run_outputs
 from .render import render_svg
 from .trajectory import diagram_from_csv
@@ -77,7 +77,7 @@ def _cmd_geodesic(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    records = without_dontcare(_read(parse_label_file, args.labels))
+    records = _read(parse_label_file, args.labels)
     perturbed = perturb_ground_truth(records, args.jitter_px, args.drop_rate, args.seed)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)

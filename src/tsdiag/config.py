@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, ValidationError
 from .geodesy import GeoPoint
+from .kitti import _CLASS_LABELS
 from .photogrammetry import CameraIntrinsics, kitti_intrinsics
 from .tracker import TrackerConfig
 from .trajectory import LaneFilterConfig
@@ -76,7 +77,6 @@ CONFIG_SCHEMA: dict[str, dict[str, str]] = {
         "seed": "seed",
         "jitter_px": "jitter_px",
         "drop_rate": "drop_rate",
-        "include_dontcare": "include_dontcare",
     },
 }
 
@@ -107,7 +107,6 @@ class PipelineConfig:
     seed: int = 0
     jitter_px: float = 0.0
     drop_rate: float = 0.0
-    include_dontcare: bool = False
 
     def __post_init__(self):
         if self.distance_mode not in ("direct", "cumulative"):
@@ -118,7 +117,7 @@ class PipelineConfig:
                                   f"got {self.smoothing_window}")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValidationError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
-        if self.jitter_px < 0.0:
+        if not self.jitter_px >= 0.0:  # also true for NaN
             raise ValidationError(f"jitter_px must be >= 0, got {self.jitter_px}")
         if not self.frame_rate_hz > 0.0:
             raise ValidationError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
@@ -134,6 +133,10 @@ class PipelineConfig:
             raise ValidationError(f"max_range_m must be positive, got {self.max_range_m}")
         if not self.classes:
             raise ValidationError("classes must name at least one class label")
+        unknown = [c for c in self.classes if c not in _CLASS_LABELS]
+        if unknown:
+            raise ValidationError(f"unknown class {', '.join(map(repr, unknown))} in classes; "
+                                  f"the classes are {', '.join(_CLASS_LABELS)}")
         missing = [c for c in self.classes if c not in self.intrinsics.class_height_m]
         if missing:
             raise ValidationError(f"no class_heights entry for "

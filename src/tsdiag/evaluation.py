@@ -17,7 +17,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .kitti import DetectionRecord, group_by_frame
+from .kitti import DetectionRecord, LabelRecord, group_by_frame
 from .photogrammetry import CameraIntrinsics, QUALITY_OK, range_from_height
 from .tracker import Track, iou, solve_assignment
 from .trajectory import TimeSpaceDiagram
@@ -139,8 +139,8 @@ def _overlap_matches(overlap: Sequence[Sequence[float]], thresholds: Sequence[fl
 
 
 def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
-                           reference: Sequence[DetectionRecord],
-                           ) -> list[tuple[DetectionRecord, DetectionRecord]]:
+                           reference: Sequence[LabelRecord],
+                           ) -> list[tuple[LabelRecord, DetectionRecord]]:
     # optimal per-frame box matching; pairs below _RANGE_MATCH_IOU are not matches
     by_frame_pred = group_by_frame(predicted)
     by_frame_ref = group_by_frame(reference)
@@ -156,7 +156,7 @@ def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
     return pairs
 
 
-def range_error_report(records: Sequence[DetectionRecord],
+def range_error_report(records: Sequence[LabelRecord],
                        intrinsics: CameraIntrinsics,
                        predicted: Sequence[DetectionRecord] | None = None,
                        class_labels: Sequence[str] | None = None) -> ErrorReport:
@@ -189,7 +189,7 @@ def range_error_report(records: Sequence[DetectionRecord],
 
 
 def track_matching(tracks: Sequence[Track],
-                   reference: Sequence[DetectionRecord]) -> dict[int, int]:
+                   reference: Sequence[LabelRecord]) -> dict[int, int]:
     """Pair each confirmed track with the annotated identity its records match most.
 
     A record matches an annotated box when the optimal per-frame matching
@@ -243,7 +243,7 @@ def trajectory_error_report(predicted: TimeSpaceDiagram,
     return _summarize(per_track, count, "trajectory", skipped, missed)
 
 
-def boxes_from_records(records: Iterable[DetectionRecord],
+def boxes_from_records(records: Iterable[LabelRecord],
                        ) -> list[tuple[int, int, tuple[float, float, float, float]]]:
     """Adapt annotated records to (frame, identity, bbox) triples."""
     return [(r.frame_index, r.gt_track_id, r.bbox) for r in records

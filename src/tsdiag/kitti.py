@@ -2,8 +2,10 @@
 external detection files (with optional appearance vectors), plus
 ground-truth perturbation for detector-free pipeline runs.
 
-All parsers are pure functions over text streams and return immutable
-records, so parsed collections can move freely between threads.
+A detection (``DetectionRecord``) holds only what a detector reports; a
+label (``LabelRecord``) adds the annotated truth, which only evaluation
+reads.  All parsers are pure functions over text streams and return
+immutable records, so parsed collections can move freely between threads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .geodesy import GeoPoint
 
 __all__ = [
     "DetectionRecord",
+    "LabelRecord",
     "OxtsSample",
     "format_detections",
     "group_by_frame",
@@ -28,13 +31,14 @@ __all__ = [
     "parse_label_file",
     "parse_timestamps",
     "perturb_ground_truth",
-    "without_dontcare",
 ]
 
+# the object types of the KITTI devkit, lower-cased; its ninth type, DontCare,
+# marks unannotated regions and is read only from label files
 _CLASS_LABELS = (
-    "car", "van", "truck", "tram", "misc",
-    "cyclist", "pedestrian", "person_sitting", "other",
+    "car", "van", "truck", "pedestrian", "person_sitting", "cyclist", "tram", "misc",
 )
+_DONTCARE = "dontcare"
 
 # KITTI tracking label line:
 # frame track_id type truncated occluded alpha bbox(l t r b) dims(h w l)
@@ -51,23 +55,21 @@ _EXACT_INT_LIMIT = 2.0 ** 53
 _OXTS_FIELD_COUNT = 30
 
 
-def _class_label(token: str) -> str:
-    label = token.strip().lower()
-    return label if label in _CLASS_LABELS else "other"
+def _class_label(token: str, line_no: int) -> str:
+    label = token.lower()
+    if label not in _CLASS_LABELS:
+        raise ParseError(f"line {line_no}: unknown class {token!r}")
+    return label
 
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One detected (or annotated) object in one frame."""
+    """One detected object in one frame."""
 
     frame_index: int
     class_label: str
     bbox: tuple[float, float, float, float]  # left, top, right, bottom [px]
     confidence: float = 1.0
-    gt_track_id: int = -1
-    gt_location_camera: tuple[float, float, float] | None = None
-    gt_depth_m: float | None = None
-    is_dontcare: bool = False
     embedding: tuple[float, ...] | None = None  # unit appearance vector
 
     def __post_init__(self):
@@ -80,8 +82,6 @@ class DetectionRecord:
             raise ValidationError(f"degenerate bbox {self.bbox}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
-        if self.gt_depth_m is not None and not self.gt_depth_m > 0.0:
-            raise ValidationError(f"gt_depth_m must be positive, got {self.gt_depth_m}")
 
     @property
     def height(self) -> float:
@@ -90,6 +90,26 @@ class DetectionRecord:
     @property
     def center_x(self) -> float:
         return (self.bbox[0] + self.bbox[2]) / 2.0
+
+
+@dataclass(frozen=True)
+class LabelRecord(DetectionRecord):
+    """One annotated object in one frame: its box plus the annotated truth.
+
+    A DontCare row marks a region left unannotated: its class is
+    ``dontcare``, outside every ``classes`` setting, and it has no
+    location and no depth.
+    """
+
+    gt_track_id: int = -1
+    gt_location_camera: tuple[float, float, float] | None = None
+    gt_depth_m: float | None = None
+    is_dontcare: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.gt_depth_m is not None and not self.gt_depth_m > 0.0:
+            raise ValidationError(f"gt_depth_m must be positive, got {self.gt_depth_m}")
 
 
 @dataclass(frozen=True)
@@ -170,14 +190,15 @@ def _label_numbers(fields: list[str], line_no: int):
     return frame, track_id, bbox, location, confidence
 
 
-def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
+def parse_label_file(stream: IO[str] | Iterable[str]) -> list[LabelRecord]:
     """Parse a KITTI tracking label file into records sorted by (frame, track).
 
     Every row has the first row's field count: 17, or 18 with a score.
+    The type is one of the KITTI devkit's; any other raises ParseError.
     "DontCare" rows are kept but marked, with no location and no depth:
-    KITTI writes -1000 placeholders there.  Use without_dontcare() to drop
-    them.  An identity (track id >= 0) has at most one non-DontCare row per
-    frame; a repeated one raises ValidationError naming both lines.
+    KITTI writes -1000 placeholders there.  An identity (track id >= 0) has
+    at most one non-DontCare row per frame; a repeated one raises
+    ValidationError naming both lines.
     """
     records = []
     line_of: dict[tuple[int, int], int] = {}  # (frame, track id) -> line
@@ -194,16 +215,17 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[DetectionRecord]:
             raise ParseError(f"line {line_no}: {len(fields)} fields, but line {width[1]} "
                              f"has {width[0]}")
         frame, track_id, bbox, location, confidence = _label_numbers(fields, line_no)
-        raw_type = fields[2]
-        is_dontcare = raw_type.lower() == "dontcare"
+        is_dontcare = fields[2].lower() == _DONTCARE
         if is_dontcare:
+            class_label = _DONTCARE
             location = depth = None
         else:
+            class_label = _class_label(fields[2], line_no)
             depth = location[2] if location[2] > 0.0 else None
         try:
-            records.append(DetectionRecord(
+            records.append(LabelRecord(
                 frame_index=frame,
-                class_label=_class_label(raw_type),
+                class_label=class_label,
                 bbox=bbox,
                 confidence=confidence,
                 gt_track_id=track_id,
@@ -246,9 +268,10 @@ def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionReco
 
         frame class left top right bottom confidence [dim v1 ... vdim]
 
-    one object per line, '#' comments ignored.  A row with a comma is split
-    on commas, and none of its cells may be empty; any other row is split
-    on whitespace.  The optional appearance vector is renormalized to unit
+    one object per line, '#' comments ignored.  The class is one of the
+    KITTI devkit's object types.  A row with a comma is split on commas,
+    and none of its cells may be empty; any other row is split on
+    whitespace.  The optional appearance vector is renormalized to unit
     length, and every vector must have the first one's dimension.
     """
     records = []
@@ -263,6 +286,7 @@ def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionReco
         if len(fields) < 7:
             raise ParseError(f"line {line_no}: expected 7 fields, got {len(fields)}")
         frame = _int_field(fields[0], line_no)
+        class_label = _class_label(fields[1], line_no)
         bbox = tuple(_float_field(fields[i], line_no) for i in range(2, 6))
         confidence = _float_field(fields[6], line_no)
         embedding = None
@@ -277,7 +301,7 @@ def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionReco
         try:
             records.append(DetectionRecord(
                 frame_index=frame,
-                class_label=_class_label(fields[1]),
+                class_label=class_label,
                 bbox=bbox,
                 confidence=confidence,
                 embedding=embedding,
@@ -311,10 +335,6 @@ def group_by_frame(records: Iterable[DetectionRecord]) -> dict[int, list[Detecti
     for record in records:
         grouped.setdefault(record.frame_index, []).append(record)
     return grouped
-
-
-def without_dontcare(records: Iterable[DetectionRecord]) -> list[DetectionRecord]:
-    return [r for r in records if not r.is_dontcare]
 
 
 def _parse_oxts_line(line: str, line_no: int) -> OxtsSample:
@@ -431,15 +451,17 @@ def parse_timestamps(stream: IO[str] | Iterable[str]) -> list[float]:
 
 def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
                          drop_rate: float, seed: int) -> list[DetectionRecord]:
-    """Simulate detector noise on ground-truth boxes, deterministically.
+    """Simulate a detector on annotated boxes, deterministically.
 
-    Each surviving box gets independent uniform edge noise in
-    [-jitter_px, +jitter_px] (box validity preserved) and a confidence that
-    shrinks with the applied noise magnitude; records are dropped i.i.d.
-    with probability drop_rate.  Ground-truth fields are kept so the output
-    stays usable for evaluation.
+    DontCare rows are skipped.  Each other record is dropped i.i.d. with
+    probability drop_rate; a survivor becomes a plain DetectionRecord with
+    the record's frame, class and vector, its box moved by independent
+    uniform edge noise in [-jitter_px, +jitter_px] (box validity
+    preserved) and a confidence that shrinks with the applied noise
+    magnitude.  With no jitter the box and confidence stay as they are.
+    No annotated field is carried over.
     """
-    if jitter_px < 0.0:
+    if not jitter_px >= 0.0:  # also true for NaN
         raise ValueError(f"jitter_px must be >= 0, got {jitter_px}")
     if not 0.0 <= drop_rate < 1.0:
         raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
@@ -447,30 +469,28 @@ def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
     uniform = rng.uniform
     out = []
     for record in records:
+        if isinstance(record, LabelRecord) and record.is_dontcare:
+            continue
         if drop_rate > 0.0 and rng.random() < drop_rate:
             continue
-        if jitter_px == 0.0:
-            out.append(record)
-            continue
-        left, top, right, bottom = record.bbox
-        noise = [0.0, 0.0, 0.0, 0.0]
-        for _ in range(100):
-            candidate = [uniform(-jitter_px, jitter_px) for _ in range(4)]
-            if (left + candidate[0] < right + candidate[2] and
-                    top + candidate[1] < bottom + candidate[3]):
-                noise = candidate
-                break
-        magnitude = sum(map(abs, noise)) / 4.0
-        confidence = min(1.0, max(0.5, 1.0 - magnitude / (2.0 * jitter_px)))
+        bbox, confidence = record.bbox, record.confidence
+        if jitter_px > 0.0:
+            left, top, right, bottom = bbox
+            noise = [0.0, 0.0, 0.0, 0.0]
+            for _ in range(100):
+                candidate = [uniform(-jitter_px, jitter_px) for _ in range(4)]
+                if (left + candidate[0] < right + candidate[2] and
+                        top + candidate[1] < bottom + candidate[3]):
+                    noise = candidate
+                    break
+            magnitude = sum(map(abs, noise)) / 4.0
+            confidence = min(1.0, max(0.5, 1.0 - magnitude / (2.0 * jitter_px)))
+            bbox = (left + noise[0], top + noise[1], right + noise[2], bottom + noise[3])
         out.append(DetectionRecord(
             frame_index=record.frame_index,
             class_label=record.class_label,
-            bbox=(left + noise[0], top + noise[1], right + noise[2], bottom + noise[3]),
+            bbox=bbox,
             confidence=confidence,
-            gt_track_id=record.gt_track_id,
-            gt_location_camera=record.gt_location_camera,
-            gt_depth_m=record.gt_depth_m,
-            is_dontcare=record.is_dontcare,
             embedding=record.embedding,
         ))
     return out

@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import os
 import platform
+import statistics
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .config import PipelineConfig, dump_config
 from .errors import ParseError, PipelineError, ValidationError
@@ -26,21 +28,23 @@ from .evaluation import (
 from .geodesy import probe_distances
 from .kitti import (
     DetectionRecord,
+    LabelRecord,
     load_oxts,
     parse_detections_file,
     parse_label_file,
     parse_timestamps,
     perturb_ground_truth,
-    without_dontcare,
 )
+from .photogrammetry import QUALITY_OK
 from .render import render_svg
-from .tracker import Track, Tracker, tracks_from_ground_truth
+from .tracker import Track, Tracker
 from .version import __version__
 from .trajectory import (
     TimeSpaceDiagram,
     build_diagram,
     diagram_to_csv,
     opposite_lane_filter,
+    place_point,
     smooth_diagram,
 )
 
@@ -55,7 +59,7 @@ class PipelineResult:
     tracks: list[Track]
     kept_tracks: list[Track]
     detections: list[DetectionRecord]
-    gt_records: list[DetectionRecord] | None
+    gt_records: list[LabelRecord] | None
 
 
 @dataclass
@@ -97,7 +101,11 @@ def _check_frames(records: list[DetectionRecord], path: str, n_fixes: int,
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Execute ingest -> (perturb) -> track -> lane filter -> diagram."""
+    """Execute ingest -> (perturb) -> track -> lane filter -> diagram.
+
+    Labels reach the tracker only as perturb_ground_truth's plain
+    DetectionRecords; gt_records keeps them for evaluation.
+    """
     gt_records = None
     with _stage("ingest"):
         if not cfg.oxts:
@@ -127,8 +135,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             detections = _read(parse_detections_file, cfg.detections)
             _check_frames(detections, cfg.detections, len(oxts), cfg.oxts)
         elif gt_records is not None:
-            base = gt_records if cfg.include_dontcare else without_dontcare(gt_records)
-            detections = perturb_ground_truth(base, cfg.jitter_px, cfg.drop_rate, cfg.seed)
+            detections = perturb_ground_truth(gt_records, cfg.jitter_px, cfg.drop_rate,
+                                              cfg.seed)
         else:
             raise ValidationError("need either a detections file or a labels file")
 
@@ -191,16 +199,40 @@ def write_run_outputs(result: PipelineResult, out_dir: str | None = None) -> dic
 
 
 def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpaceDiagram:
-    """Ground-truth diagram: annotated identities and depths, same lane filter,
-    on the run's probe trajectory.
+    """Ground-truth diagram on the run's probe trajectory.
 
-    DontCare rows never enter it: tracks_from_ground_truth drops them.
+    One trajectory per annotated identity of a configured class, each point
+    ranged by its annotated depth; DontCare rows and rows without an
+    annotated location and depth are left out.  With the lane filter on,
+    an identity is kept when the median of its lateral offsets lies at or
+    beyond lane_offset_threshold_m (its mirror for left-hand traffic).
     """
-    ref_tracks = tracks_from_ground_truth(
-        r for r in gt_records if r.class_label in cfg.classes and r.gt_depth_m is not None)
-    ref_tracks = opposite_lane_filter(ref_tracks, cfg.image_width_px, cfg.lane)
-    return build_diagram(ref_tracks, probe, cfg.link_length_m, cfg.intrinsics,
-                         range_source="gt_depth")
+    by_identity: dict[int, list[LabelRecord]] = {}
+    for record in gt_records:
+        if (record.gt_track_id >= 0 and not record.is_dontcare
+                and record.class_label in cfg.classes and record.gt_depth_m is not None
+                and record.gt_location_camera is not None):
+            by_identity.setdefault(record.gt_track_id, []).append(record)
+    lane = cfg.lane
+    trajectories = {}
+    for identity in sorted(by_identity):
+        records = sorted(by_identity[identity], key=attrgetter("frame_index"))
+        if lane.enabled:
+            lateral = statistics.median(r.gt_location_camera[0] for r in records)
+            if lane.traffic_side == "right":
+                oncoming = lateral <= lane.lane_offset_threshold_m
+            else:
+                oncoming = lateral >= -lane.lane_offset_threshold_m
+            if not oncoming:
+                continue
+        trajectories[identity] = [
+            place_point(probe, r.frame_index, r.gt_depth_m, QUALITY_OK, cfg.link_length_m)
+            for r in records]
+    return TimeSpaceDiagram(
+        link_length_m=cfg.link_length_m,
+        probe_trajectory=list(probe),
+        vehicle_trajectories=trajectories,
+    )
 
 
 def evaluate(result: PipelineResult) -> EvalResult:
@@ -209,8 +241,8 @@ def evaluate(result: PipelineResult) -> EvalResult:
         raise PipelineError("evaluation", "evaluation requires a labels file")
     cfg = result.config
     with _stage("evaluation"):
-        gt = [r for r in without_dontcare(result.gt_records)
-              if r.class_label in cfg.classes]
+        gt = [r for r in result.gt_records
+              if not r.is_dontcare and r.class_label in cfg.classes]
         range_gt = range_error_report(gt, cfg.intrinsics)
         range_pred = range_error_report(gt, cfg.intrinsics, predicted=result.detections)
         reference = build_reference_diagram(result.gt_records,

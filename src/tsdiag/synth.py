@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from .geodesy import GeoPoint, WGS84
-from .kitti import DetectionRecord, OxtsSample
+from .kitti import LabelRecord, OxtsSample
 from .photogrammetry import CameraIntrinsics, bbox_height_at_range, kitti_intrinsics
 
 __all__ = ["SyntheticScene", "head_on_scene", "write_scene_files", "write_fixture"]
@@ -20,7 +20,7 @@ __all__ = ["SyntheticScene", "head_on_scene", "write_scene_files", "write_fixtur
 
 @dataclass
 class SyntheticScene:
-    records: list[DetectionRecord]
+    records: list[LabelRecord]
     oxts: list[OxtsSample]
     frame_rate_hz: float
     link_start: GeoPoint
@@ -66,7 +66,7 @@ def head_on_scene(duration_s: float = 10.0,
         if not min_visible_height_px <= height <= max_visible_height_px:
             continue
         width = 1.1 * height
-        records.append(DetectionRecord(
+        records.append(LabelRecord(
             frame_index=frame,
             class_label="car",
             bbox=(center_x - width / 2.0, center_y - height / 2.0,
@@ -88,7 +88,7 @@ def head_on_scene(duration_s: float = 10.0,
     )
 
 
-def _label_line(r: DetectionRecord) -> str:
+def _label_line(r: LabelRecord) -> str:
     # full-precision floats so exactly inverted boxes survive the disk trip
     x, y, z = r.gt_location_camera
     left, top, right, bottom = r.bbox

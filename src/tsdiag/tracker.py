@@ -40,7 +40,6 @@ __all__ = [
     "iou",
     "solve_assignment",
     "associate",
-    "tracks_from_ground_truth",
 ]
 
 TENTATIVE = "tentative"
@@ -714,16 +713,3 @@ class Tracker:
         for frame in range(n_frames):
             self.step(by_frame.get(frame, []), frame)
         return self.tracks
-
-
-def tracks_from_ground_truth(records: Iterable[DetectionRecord]) -> list[Track]:
-    """Build reference tracks directly from annotated identities."""
-    grouped: dict[int, list[DetectionRecord]] = {}
-    for record in records:
-        if record.is_dontcare or record.gt_track_id < 0:
-            continue
-        grouped.setdefault(record.gt_track_id, []).append(record)
-    return [Track(track_id=gt_id, status=CONFIRMED,
-                  records=sorted(grouped[gt_id], key=lambda r: r.frame_index),
-                  ever_confirmed=True)
-            for gt_id in sorted(grouped)]

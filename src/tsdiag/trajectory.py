@@ -2,8 +2,8 @@
 
 Each tracked vehicle contributes one polyline of (time, link distance)
 points, where the link distance is the probe's own distance along the link
-plus the camera-to-vehicle range.  Oncoming traffic is selected either by
-annotated lateral position or by an image-side heuristic.
+plus the camera-to-vehicle range.  Oncoming traffic is selected by the side
+of the image its boxes sit on.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "TimeSpaceDiagram",
     "opposite_lane_filter",
     "compose_distance",
+    "place_point",
     "build_diagram",
     "smooth_track",
     "smooth_diagram",
@@ -46,7 +47,9 @@ OUT_OF_LINK_MARGIN_M = 20.0  # how far past the link end a point may lie and sta
 class LaneFilterConfig:
     enabled: bool = True
     traffic_side: str = "right"           # side the probe drives on
-    lane_offset_threshold_m: float = -1.5  # lateral camera x for oncoming traffic
+    # annotated lateral camera x of oncoming traffic; only the reference
+    # diagram reads it, since a run has no annotations
+    lane_offset_threshold_m: float = -1.5
     image_fraction: float = 0.5            # image share where oncoming cars appear
     min_side_fraction: float = 0.7         # share of frames required on that side
 
@@ -78,44 +81,20 @@ class TimeSpaceDiagram:
     vehicle_trajectories: dict[int, list[TrajectoryPoint]]
 
 
-def _is_closing(ranges: Sequence[float]) -> bool:
-    # oncoming traffic closes in, then possibly recedes after passing:
-    # range must fall strictly to its minimum and rise strictly afterwards;
-    # a minimum at the first sample means the track only ever receded
-    if len(ranges) < 2:
-        return True
-    pivot = min(range(len(ranges)), key=lambda i: ranges[i])
-    if pivot == 0:
-        return False
-    falling = all(ranges[i] > ranges[i + 1] for i in range(pivot))
-    rising = all(ranges[i] < ranges[i + 1] for i in range(pivot, len(ranges) - 1))
-    return falling and rising
-
-
 def opposite_lane_filter(tracks: Iterable[Track], image_width_px: float,
                          config: LaneFilterConfig | None = None) -> list[Track]:
     """Keep tracks that look like oncoming traffic.
 
-    With annotated 3D positions the median lateral offset decides; without
-    them a track must sit on the oncoming side of the image for most of its
-    frames and its apparent size must evolve like closing traffic.
+    A track is kept when at least min_side_fraction of its boxes have their
+    centre within image_fraction of the image width on the oncoming side:
+    from the left edge for right-hand traffic, from the right edge for
+    left-hand traffic.  Only the boxes are read.
     """
     config = config or LaneFilterConfig()
     if not config.enabled:
         return list(tracks)
     kept = []
     for track in tracks:
-        lateral = [r.gt_location_camera[0] for r in track.records
-                   if r.gt_location_camera is not None]
-        if lateral:
-            median_x = statistics.median(lateral)
-            if config.traffic_side == "right":
-                if median_x <= config.lane_offset_threshold_m:
-                    kept.append(track)
-            else:
-                if median_x >= -config.lane_offset_threshold_m:
-                    kept.append(track)
-            continue
         centers = [r.center_x for r in track.records]
         if not centers:
             continue
@@ -123,11 +102,7 @@ def opposite_lane_filter(tracks: Iterable[Track], image_width_px: float,
             on_side = [c <= config.image_fraction * image_width_px for c in centers]
         else:
             on_side = [c >= (1.0 - config.image_fraction) * image_width_px for c in centers]
-        if sum(on_side) / len(on_side) < config.min_side_fraction:
-            continue
-        # box height grows as range shrinks, so 1/height tracks the range
-        proxy_ranges = [1.0 / r.height for r in track.records]
-        if _is_closing(proxy_ranges):
+        if sum(on_side) / len(on_side) >= config.min_side_fraction:
             kept.append(track)
     return kept
 
@@ -137,22 +112,41 @@ def compose_distance(probe_distance_m: float, camera_range_m: float) -> float:
     return probe_distance_m + camera_range_m
 
 
+def place_point(probe: Sequence[tuple[float, float]], frame: int, camera_range_m: float,
+                quality: str, link_length_m: float) -> TrajectoryPoint:
+    """The diagram point of a vehicle seen at camera_range_m in a frame.
+
+    probe holds the probe's (time [s], link distance [m]) at each frame,
+    frame i at index i; the point takes its frame's time and probe
+    distance.  An ok point beyond the link, by more than
+    OUT_OF_LINK_MARGIN_M past its end, is flagged out_of_link.
+    """
+    if frame >= len(probe):
+        raise ValidationError(f"frame {frame} has no GPS sample")
+    time_s, probe_distance = probe[frame]
+    link_distance = compose_distance(probe_distance, camera_range_m)
+    if quality == QUALITY_OK and not (
+            0.0 <= link_distance <= link_length_m + OUT_OF_LINK_MARGIN_M):
+        quality = QUALITY_OUT_OF_LINK
+    return TrajectoryPoint(
+        time_s=time_s,
+        link_distance_m=link_distance,
+        probe_distance_m=probe_distance,
+        camera_range_m=camera_range_m,
+        quality=quality,
+    )
+
+
 def build_diagram(tracks: Iterable[Track], probe: Sequence[tuple[float, float]],
                   link_length_m: float, intrinsics: CameraIntrinsics, *,
                   min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX,
-                  max_range_m: float = DEFAULT_MAX_RANGE_M,
-                  range_source: str = "bbox") -> TimeSpaceDiagram:
+                  max_range_m: float = DEFAULT_MAX_RANGE_M) -> TimeSpaceDiagram:
     """Compose per-track link distances over time into a diagram.
 
-    probe holds the probe's (time [s], link distance [m]) at each frame,
-    frame i at index i; a record's time and probe distance are its frame's.
-    Tracks must already be lane-filtered; only tracks that reached the
-    confirmed state contribute.  range_source "bbox" estimates the camera
-    range photogrammetrically, "gt_depth" takes the annotated depth and is
-    used to build reference diagrams.
+    Each record's camera range is estimated from its box height and placed
+    on the probe trajectory by place_point.  Tracks must already be
+    lane-filtered; only tracks that reached the confirmed state contribute.
     """
-    if range_source not in ("bbox", "gt_depth"):
-        raise ValidationError(f"unknown range_source {range_source!r}")
     vehicle_trajectories: dict[int, list[TrajectoryPoint]] = {}
     for track in sorted(tracks, key=lambda t: t.track_id):
         if not track.ever_confirmed:
@@ -160,33 +154,10 @@ def build_diagram(tracks: Iterable[Track], probe: Sequence[tuple[float, float]],
         class_label = track.class_label
         points = []
         for record in track.records:
-            frame = record.frame_index
-            if frame >= len(probe):
-                raise ValidationError(f"frame {frame} has no GPS sample")
-            time_s, probe_distance = probe[frame]
-            if range_source == "gt_depth":
-                if record.gt_depth_m is None:
-                    raise ValidationError(
-                        f"frame {frame}: record lacks annotated depth for reference diagram")
-                camera_range = record.gt_depth_m
-                quality = QUALITY_OK
-            else:
-                estimate = range_from_height(
-                    record.height, class_label, intrinsics,
-                    min_bbox_height_px, max_range_m)
-                camera_range = estimate.distance_m
-                quality = estimate.quality_flag
-            link_distance = compose_distance(probe_distance, camera_range)
-            if quality == QUALITY_OK and not (
-                    0.0 <= link_distance <= link_length_m + OUT_OF_LINK_MARGIN_M):
-                quality = QUALITY_OUT_OF_LINK
-            points.append(TrajectoryPoint(
-                time_s=time_s,
-                link_distance_m=link_distance,
-                probe_distance_m=probe_distance,
-                camera_range_m=camera_range,
-                quality=quality,
-            ))
+            estimate = range_from_height(record.height, class_label, intrinsics,
+                                         min_bbox_height_px, max_range_m)
+            points.append(place_point(probe, record.frame_index, estimate.distance_m,
+                                      estimate.quality_flag, link_length_m))
         if points:
             vehicle_trajectories[track.track_id] = points
 

@@ -16,17 +16,18 @@ from oracles.hota_oracle import brute_force_hota
 from tsdiag.cli import main
 from tsdiag.evaluation import hota, track_matching, trajectory_error_report
 from tsdiag.geodesy import GeoPoint, geodesic_inverse, probe_distances
-from tsdiag.kitti import parse_label_file, perturb_ground_truth, without_dontcare
+from tsdiag.config import PipelineConfig
+from tsdiag.kitti import parse_label_file, perturb_ground_truth
 from tsdiag.photogrammetry import (
     CameraIntrinsics,
     bbox_height_at_range,
     kitti_intrinsics,
     range_from_height,
 )
+from tsdiag.pipeline import build_reference_diagram
 from tsdiag.synth import head_on_scene, write_fixture
-from tsdiag.tracker import CONFIRMED, DELETED, Tracker, TrackerConfig, solve_assignment
+from tsdiag.tracker import CONFIRMED, DELETED, Tracker, TrackerConfig, iou, solve_assignment
 from tsdiag.trajectory import build_diagram, opposite_lane_filter
-from tsdiag.tracker import tracks_from_ground_truth
 
 
 def test_geodesic_oracle_suite(data_dir):
@@ -135,9 +136,9 @@ def _run_synthetic(scene, jitter_px, seed):
     probe = [(f / scene.frame_rate_hz, d) for f, d in enumerate(distances)]
     predicted = build_diagram(kept, probe, scene.link_length_m, scene.intrinsics,
                               max_range_m=25.0)
-    reference = build_diagram(tracks_from_ground_truth(scene.records), probe,
-                              scene.link_length_m, scene.intrinsics,
-                              range_source="gt_depth")
+    reference = build_reference_diagram(
+        scene.records, probe, PipelineConfig(link_length_m=scene.link_length_m,
+                                             image_width_px=scene.image_width_px))
     return tracks, predicted, reference, track_matching(kept, scene.records)
 
 
@@ -172,7 +173,9 @@ def test_end_to_end_synthetic_scene():
     tracks, predicted, reference, matching = _run_synthetic(scene, jitter_px=2.0, seed=1)
     confirmed = [t for t in tracks if t.ever_confirmed]
     assert len(confirmed) == 1, "identity switched under jitter"
-    assert all(r.gt_track_id == 1 for r in confirmed[0].records)
+    labels = {g.frame_index: g.bbox for g in scene.records if g.gt_track_id == 1}
+    assert matching == {confirmed[0].track_id: 1}
+    assert all(iou(r.bbox, labels[r.frame_index]) >= 0.5 for r in confirmed[0].records)
     report = trajectory_error_report(predicted, reference, matching, quality_ok_only=True)
     assert report.per_track_rmse_m, "no trusted points survived"
     assert max(report.per_track_rmse_m.values()) < 1.0
@@ -225,7 +228,7 @@ def test_kitti_ground_truth_range_distribution(kitti_tracking_root):
         if not name.endswith(".txt"):
             continue
         with open(os.path.join(label_dir, name)) as fh:
-            records = without_dontcare(parse_label_file(fh))
+            records = parse_label_file(fh)
         report = range_error_report(records, kitti_intrinsics(),
                                     class_labels=("car",))
         per_track_values.extend(report.per_track_rmse_m.values())

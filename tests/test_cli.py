@@ -16,7 +16,7 @@ from tsdiag.cli import _add_override_flags, _collect_overrides, main
 from tsdiag.config import CONFIG_SCHEMA, PipelineConfig, build_config, dump_config, load_config
 from tsdiag.errors import ConfigError, PipelineError, ValidationError
 from tsdiag.pipeline import _stage, run_pipeline
-from tsdiag.kitti import format_detections, parse_detections_file
+from tsdiag.kitti import DetectionRecord, format_detections, parse_detections_file
 from tsdiag.synth import head_on_scene, write_fixture, write_scene_files
 from tsdiag.trajectory import diagram_from_csv
 
@@ -72,7 +72,8 @@ class TestConfig:
         assert cfg.intrinsics.focal_length_px == 800.0
         assert cfg.intrinsics.image_height_px == 376.0
 
-    @pytest.mark.parametrize("section, key", [("paths", "embeddings"), ("camera", "preset")])
+    @pytest.mark.parametrize("section, key", [("paths", "embeddings"), ("camera", "preset"),
+                                              ("run", "include_dontcare")])
     def test_removed_key_in_a_file_exits_2(self, tmp_path, capsys, section, key):
         # as an older run_meta.txt writes it; ignoring the key would drop
         # what it meant without a word
@@ -107,8 +108,7 @@ DEFAULT_MANIFEST = "\n".join([
     "[range]", "min_bbox_height_px = 8.0", "max_range_m = 120.0", "",
     "[link]", "link_start_lat = 0.0", "link_start_lon = 0.0", "link_length_m = 300.0", "",
     "[run]", "sequence_id = ", "classes = car", "distance_mode = direct", "frame_rate_hz = 10.0",
-    "smoothing_window = 1", "seed = 0", "jitter_px = 0.0", "drop_rate = 0.0",
-    "include_dontcare = false", "", "",
+    "smoothing_window = 1", "seed = 0", "jitter_px = 0.0", "drop_rate = 0.0", "", "",
 ])
 
 
@@ -116,7 +116,8 @@ def _float_text(**bounds):
     return st.floats(allow_nan=False, **bounds).map(repr)
 
 
-_label = st.text(alphabet=string.ascii_lowercase + "_", min_size=1, max_size=8)
+_label = st.sampled_from(["car", "van", "truck", "pedestrian", "person_sitting", "cyclist",
+                          "tram", "misc"])
 _text = st.text(alphabet=string.ascii_letters + string.digits + "/._- ", max_size=12)
 _bool_text = st.sampled_from(["true", "false", "yes", "no", "1", "0", "on", "off", "TRUE", "Off"])
 _positive = _float_text(min_value=1e-3, max_value=1e6)
@@ -150,7 +151,6 @@ VALID_VALUES = {
     "seed": st.integers(-2**31, 2**31).map(str),
     "jitter_px": _float_text(min_value=0.0, max_value=100.0),
     "drop_rate": _float_text(min_value=0.0, max_value=1.0, exclude_max=True),
-    "include_dontcare": _bool_text,
 }
 
 CLASS_KEYS = {"classes", "class_heights"}
@@ -178,7 +178,7 @@ def _class_values(draw):
 
 class TestConfigTable:
     def test_every_key_written_once(self):
-        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 37
+        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 36
         assert not CLASS_KEYS & set(VALID_VALUES)
         assert set(VALID_VALUES) | CLASS_KEYS == set(TABLE_KEYS)
 
@@ -278,6 +278,13 @@ class TestConfigTable:
         ({"class_heights": "van:2"}, "no class_heights entry for 'car' in classes"),
         ({"embeddings": "vectors.txt"}, "unknown configuration key 'embeddings'"),
         ({"class_heights": "car:1.5, Car:1.7"}, "class_heights names 'car' more than once"),
+        ({"classes": "car,bus", "class_heights": "car:1.5,bus:3"},
+         "unknown class 'bus' in classes; the classes are car, van, truck, pedestrian, "
+         "person_sitting, cyclist, tram, misc"),
+        ({"classes": "other,dontcare"}, "unknown class 'other', 'dontcare' in classes; the "
+         "classes are car, van, truck, pedestrian, person_sitting, cyclist, tram, misc"),
+        ({"include_dontcare": "true"}, "unknown configuration key 'include_dontcare'"),
+        ({"jitter_px": "nan"}, "jitter_px must be >= 0, got nan"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -503,21 +510,55 @@ class TestEvalCommand:
     def test_dontcare_region_does_not_reach_the_diagram(self, tmp_path):
         # KITTI writes a DontCare row's location as -1000 placeholders; read
         # as a lateral offset, they made a region marked in ten frames an
-        # oncoming "other" track, which has no real-world height (exit 4)
+        # oncoming track.  Neither diagram nor any report sees the rows.
         config_path = write_fixture(str(tmp_path / "scene"))
-        with open(tmp_path / "scene" / "labels.txt", "a") as fh:
-            fh.writelines(f"{frame} -1 DontCare -1 -1 -10 900.0 50.0 950.0 100.0 "
-                          "-1 -1 -1 -1000 -1000 -1000 -10\n" for frame in range(10, 20))
         outputs = []
-        for include in ("true", "false"):
-            out_dir = tmp_path / f"out_{include}"
-            assert main(["eval", config_path, "--classes", "car,other",
-                         "--class-heights", "car:1.5,other:1.5",
-                         "--include-dontcare", include, "--output-dir", str(out_dir)]) == 0
-            diagram = diagram_from_csv((out_dir / "diagram.csv").read_text())
-            outputs.append(list(diagram.vehicle_trajectories.values()))
-        assert outputs[0] == outputs[1]  # the car alone, under its own track id
-        assert len(outputs[0]) == 1
+        for name in ("clean", "dontcare"):
+            if name == "dontcare":
+                with open(tmp_path / "scene" / "labels.txt", "a") as fh:
+                    fh.writelines(f"{frame} -1 DontCare -1 -1 -10 900.0 50.0 950.0 100.0 "
+                                  "-1 -1 -1 -1000 -1000 -1000 -10\n" for frame in range(10, 20))
+            out_dir = tmp_path / name
+            assert main(["eval", config_path, "--output-dir", str(out_dir)]) == 0
+            outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()
+                            if path.name != "run_meta.txt"})
+        assert outputs[0] == outputs[1]
+        diagram = diagram_from_csv(outputs[1]["diagram.csv"].decode())
+        assert len(diagram.vehicle_trajectories) == 1  # the car alone
+
+    def test_labels_and_a_detections_file_of_the_same_boxes_score_alike(self, fixture_dir,
+                                                                        tmp_path):
+        # the run reads no annotation, so noisy boxes from the labels and the
+        # same boxes read back from a detections file give one result
+        directory, config_path = fixture_dir
+        labels_out = tmp_path / "labels"
+        assert main(["eval", config_path, "--jitter-px", "2", "--seed", "1",
+                     "--output-dir", str(labels_out)]) == 0
+        dets_path = tmp_path / "dets.txt"
+        assert main(["perturb", "--labels", os.path.join(directory, "labels.txt"),
+                     "--out", str(dets_path), "--jitter-px", "2", "--seed", "1"]) == 0
+        dets_out = tmp_path / "dets"
+        assert main(["eval", config_path, "--detections", str(dets_path),
+                     "--output-dir", str(dets_out)]) == 0
+        for name in ("hota_report.txt", "hota_report.csv"):
+            assert (dets_out / name).read_bytes() == (labels_out / name).read_bytes(), name
+
+        def trajectories(out_dir):
+            return len(diagram_from_csv((out_dir / "diagram.csv").read_text())
+                       .vehicle_trajectories)
+
+        assert trajectories(dets_out) == trajectories(labels_out) == 1
+
+    @pytest.mark.parametrize("jitter", ["0", "2"])
+    def test_run_path_holds_plain_detections_only(self, fixture_dir, jitter):
+        _, config_path = fixture_dir
+        result = run_pipeline(load_config(config_path, {"jitter_px": jitter, "seed": "1"}))
+        records = result.detections + [r for t in result.tracks for r in t.records]
+        assert records and result.kept_tracks
+        annotated = ("gt_track_id", "gt_location_camera", "gt_depth_m", "is_dontcare")
+        for record in records:
+            assert type(record) is DetectionRecord
+            assert not any(hasattr(record, name) for name in annotated)
 
     def test_eval_on_a_detections_file_pairs_the_car_by_its_boxes(self, fixture_dir, tmp_path):
         # the detections file carries no identities: the car's track pairs

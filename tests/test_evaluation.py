@@ -22,7 +22,7 @@ from tsdiag.evaluation import (
 )
 from tsdiag import evaluation, geodesy
 from tsdiag.config import build_config, load_config
-from tsdiag.kitti import DetectionRecord
+from tsdiag.kitti import DetectionRecord, LabelRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
 from tsdiag.pipeline import (
     PipelineResult,
@@ -41,7 +41,7 @@ KITTI = kitti_intrinsics()
 def gt_record(frame, track_id, depth, center_x=300.0, height=None):
     h = height if height is not None else bbox_height_at_range(depth, "car", KITTI)
     w = 1.1 * h
-    return DetectionRecord(
+    return LabelRecord(
         frame_index=frame, class_label="car",
         bbox=(center_x - w / 2, 100.0, center_x + w / 2, 100.0 + h),
         gt_track_id=track_id, gt_depth_m=depth,
@@ -198,9 +198,9 @@ class TestTrajectoryErrorReport:
 
 
 def _as_detection(record):
-    """The record as a detector reports it: its box, no annotation."""
-    return dataclasses.replace(record, gt_track_id=-1, gt_location_camera=None,
-                               gt_depth_m=None)
+    """The label as a detector reports it: its box, no annotation."""
+    return DetectionRecord(frame_index=record.frame_index, class_label=record.class_label,
+                           bbox=record.bbox)
 
 
 def _confirmed(track_id, records):
@@ -455,8 +455,8 @@ class TestSerialization:
 
     def test_boxes_from_records_excludes_dontcare(self):
         records = [gt_record(0, 1, 10.0)]
-        dc = DetectionRecord(frame_index=0, class_label="other",
-                             bbox=(0.0, 0.0, 5.0, 5.0), is_dontcare=True)
+        dc = LabelRecord(frame_index=0, class_label="dontcare",
+                         bbox=(0.0, 0.0, 5.0, 5.0), is_dontcare=True)
         assert len(boxes_from_records(records + [dc])) == 1
 
 
@@ -469,30 +469,85 @@ class TestDontCare:
         "40 7 DontCare 0 0 0.0 1000.0 40.0 1060.0 90.0 1.5 1.6 3.9 -4.0 1.6 30.0 0.0",
     ]
 
-    def _run(self, directory, include_dontcare):
-        cfg = load_config(os.path.join(directory, "config.ini"),
-                          {"classes": "car,other", "class_heights": "car:1.5,other:1.5",
-                           "include_dontcare": include_dontcare})
+    def _run(self, directory):
+        cfg = load_config(os.path.join(directory, "config.ini"))
         result = run_pipeline(cfg)
         reference = build_reference_diagram(result.gt_records,
                                             result.diagram.probe_trajectory, cfg)
         return result, diagram_to_csv(reference)
 
-    def test_include_dontcare_feeds_detections_not_the_reference(self, tmp_path):
+    def test_dontcare_rows_reach_neither_detections_nor_reference(self, tmp_path):
         directory = str(tmp_path / "scene")
         write_fixture(directory)
+        clean, clean_reference = self._run(directory)
         with open(os.path.join(directory, "labels.txt"), "a") as fh:
             fh.write("\n".join(self.DONTCARE_ROWS) + "\n")
-        with_dc, reference_with = self._run(directory, "true")
-        without_dc, reference_without = self._run(directory, "false")
-        assert sum(r.is_dontcare for r in with_dc.gt_records) == 2
-        assert reference_with == reference_without
+        result, reference = self._run(directory)
+        assert [(r.frame_index, r.class_label) for r in result.gt_records
+                if r.is_dontcare] == [(5, "dontcare"), (40, "dontcare")]
+        assert result.detections == clean.detections
+        assert reference == clean_reference
         # the probe (track id 0) and the car; no row of a DontCare region
-        assert {row.split(",")[0] for row in reference_with.splitlines()[1:]} == {"0", "1"}
-        assert [(d.frame_index, d.class_label) for d in with_dc.detections
-                if d.is_dontcare] == [(5, "other"), (40, "other")]
-        assert not any(d.is_dontcare for d in without_dc.detections)
-        assert len(with_dc.detections) == len(without_dc.detections) + 2
+        assert {row.split(",")[0] for row in reference.splitlines()[1:]} == {"0", "1"}
+
+
+class TestReferenceDiagram:
+    PROBE = [(f / 10.0, 2.0 * f) for f in range(4)]
+
+    @staticmethod
+    def _at(record, lateral_x):
+        return dataclasses.replace(record, gt_location_camera=(lateral_x, 1.6, record.gt_depth_m))
+
+    def _identities(self, labels, **values):
+        return set(build_reference_diagram(labels, self.PROBE,
+                                           build_config(values)).vehicle_trajectories)
+
+    def test_one_trajectory_per_identity_at_annotated_depth(self):
+        # rows out of frame order, with boxes whose heights give other ranges
+        labels = [gt_record(2, 4, 30.0, height=50.0), gt_record(1, 9, 20.0, height=50.0),
+                  gt_record(0, 4, 37.5, height=50.0)]
+        reference = build_reference_diagram(labels, self.PROBE, build_config({}))
+        assert sorted(reference.vehicle_trajectories) == [4, 9]
+        assert [(p.time_s, p.probe_distance_m, p.camera_range_m, p.link_distance_m, p.quality)
+                for p in reference.vehicle_trajectories[4]] == [
+            (0.0, 0.0, 37.5, 37.5, "ok"), (0.2, 4.0, 30.0, 34.0, "ok")]
+        assert reference.probe_trajectory == self.PROBE
+
+    def test_median_annotated_offset_decides(self):
+        # identity 1 drives in the probe's lane but on the oncoming side of
+        # the image; identity 2 is oncoming at the image's far right, with
+        # one stray offset that moves its mean past the threshold
+        labels = ([self._at(gt_record(f, 1, 20.0, center_x=100.0), 2.0) for f in range(3)]
+                  + [self._at(gt_record(f, 2, 20.0, center_x=1200.0), x)
+                     for f, x in enumerate([-3.0, -2.0, 4.0])])
+        assert self._identities(labels) == {2}
+        assert self._identities(labels, traffic_side="left") == {1}
+        assert self._identities(labels, lane_offset_threshold_m="-2.5") == set()
+        assert self._identities(labels, lane_filter="false") == {1, 2}
+
+    def test_unusable_rows_left_out(self):
+        dontcare = LabelRecord(frame_index=0, class_label="dontcare",
+                               bbox=(0.0, 0.0, 5.0, 5.0), gt_track_id=5,
+                               gt_location_camera=(-4.0, 1.6, 30.0), gt_depth_m=30.0,
+                               is_dontcare=True)
+        labels = [gt_record(0, 1, 20.0), gt_record(1, -1, 20.0),
+                  dataclasses.replace(gt_record(0, 2, 20.0), class_label="van"),
+                  dataclasses.replace(gt_record(0, 3, 20.0), gt_depth_m=None),
+                  dataclasses.replace(gt_record(0, 6, 20.0), gt_location_camera=None),
+                  dontcare]
+        assert self._identities(labels) == {1}
+        assert self._identities(labels, classes="car,van", class_heights="car:1.5,van:2") \
+            == {1, 2}
+
+    def test_points_are_placed_as_in_the_run_diagram(self):
+        # one placement for both diagrams: a 5 m link keeps points up to
+        # 5 + OUT_OF_LINK_MARGIN_M ok, and a frame without a fix is an error
+        labels = [gt_record(0, 1, 24.0), gt_record(1, 1, 24.0)]
+        reference = build_reference_diagram(labels, self.PROBE,
+                                            build_config({"link_length_m": "5"}))
+        assert [p.quality for p in reference.vehicle_trajectories[1]] == ["ok", "out_of_link"]
+        with pytest.raises(ValidationError, match="frame 7 has no GPS sample"):
+            build_reference_diagram([gt_record(7, 1, 20.0)], self.PROBE, build_config({}))
 
 
 class TestProbeTrajectory:

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import tempfile
 
 import pytest
@@ -11,6 +12,7 @@ from tsdiag import kitti
 from tsdiag.errors import ParseError, ValidationError
 from tsdiag.kitti import (
     DetectionRecord,
+    LabelRecord,
     format_detections,
     group_by_frame,
     load_oxts,
@@ -19,8 +21,8 @@ from tsdiag.kitti import (
     parse_oxts_lines,
     parse_timestamps,
     perturb_ground_truth,
-    without_dontcare,
 )
+from tsdiag.synth import write_fixture
 
 LABEL_LINE = "0 2 Car 0 0 -1.79 515.2 178.9 616.3 260.2 1.50 1.62 3.88 -2.7 1.7 13.8 -1.6"
 OXTS_LINE = ("49.011212 8.422885 112.83 0.03 0.01 -0.9 "
@@ -40,6 +42,7 @@ class TestParseLabelFile:
         assert r.gt_location_camera == (-2.7, 1.7, 13.8)
         assert r.confidence == 1.0
         assert not r.is_dontcare
+        assert type(r) is LabelRecord
 
     def test_wrong_field_count_names_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -51,17 +54,26 @@ class TestParseLabelFile:
         assert records[0].class_label == "van"
         assert records[0].bbox == (515.2, 178.9, 616.3, 260.2)
 
-    def test_unknown_class_maps_to_other(self):
-        line = LABEL_LINE.replace("Car", "Unicycle")
-        assert parse_label_file(io.StringIO(line))[0].class_label == "other"
+    def test_unknown_class_rejected_naming_line_and_token(self):
+        # read as some catch-all class, a bus would vanish under classes = car,bus
+        lines = [LABEL_LINE, LABEL_LINE.replace("0 2 Car", "1 2 Bus")]
+        with pytest.raises(ParseError, match=r"^line 2: unknown class 'Bus'$"):
+            parse_label_file(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize("token", ["Car", "Van", "Truck", "Pedestrian", "Person_sitting",
+                                       "Cyclist", "Tram", "Misc"])
+    def test_every_kitti_object_type_read(self, token):
+        line = LABEL_LINE.replace("Car", token)
+        assert parse_label_file(io.StringIO(line))[0].class_label == token.lower()
 
     def test_dontcare_retained_but_flagged(self):
         line = "0 -1 DontCare -1 -1 -10 219.31 188.49 245.50 218.56 -1 -1 -1 -1000 -1000 -1000 -10"
         records = parse_label_file(io.StringIO(line))
         assert len(records) == 1
         assert records[0].is_dontcare
+        assert records[0].class_label == "dontcare"
         assert records[0].gt_depth_m is None
-        assert without_dontcare(records) == []
+        assert records[0].gt_location_camera is None
 
     def test_empty_file_is_empty_list(self):
         assert parse_label_file(io.StringIO("")) == []
@@ -150,12 +162,14 @@ def _labels_field_by_field(lines):
         location = tuple(kitti._float_field(fields[i], line_no) for i in range(13, 16))
         confidence = kitti._float_field(fields[17], line_no) if len(fields) == 18 else 1.0
         if is_dontcare:
+            class_label = "dontcare"
             location = depth = None
         else:
+            class_label = kitti._class_label(fields[2], line_no)
             depth = location[2] if location[2] > 0.0 else None
         try:
-            records.append(DetectionRecord(
-                frame_index=frame, class_label=kitti._class_label(fields[2]), bbox=bbox,
+            records.append(LabelRecord(
+                frame_index=frame, class_label=class_label, bbox=bbox,
                 confidence=confidence, gt_track_id=track_id, gt_location_camera=location,
                 gt_depth_m=depth, is_dontcare=is_dontcare))
         except ValidationError as exc:
@@ -411,8 +425,7 @@ class TestParseDetectionsFile:
         assert (r.frame_index, r.class_label) == (0, "car")
         assert r.bbox == (100.0, 50.0, 180.0, 120.0)
         assert r.confidence == pytest.approx(0.91)
-        assert r.gt_track_id == -1
-        assert r.gt_depth_m is None
+        assert type(r) is DetectionRecord
 
     def test_inverted_bbox_rejected(self):
         with pytest.raises(ValidationError, match="line 1"):
@@ -421,6 +434,12 @@ class TestParseDetectionsFile:
     def test_confidence_out_of_range_rejected(self):
         with pytest.raises(ValidationError, match="line 1"):
             parse_detections_file(io.StringIO("3 van 10 10 20 30 1.2"))
+
+    @pytest.mark.parametrize("token", ["bus", "other", "DontCare", "5"])
+    def test_unknown_class_rejected(self, token):
+        text = f"0 car 100 50 180 120 0.9\n1 {token} 100 50 180 120 0.9\n"
+        with pytest.raises(ParseError, match=f"^line 2: unknown class {token!r}$"):
+            parse_detections_file(io.StringIO(text))
 
     def test_comma_separated_and_comments(self):
         text = "# header comment\n0,car,100,50,180,120,0.91\n"
@@ -502,6 +521,55 @@ def detection_records(draw):
                            embedding=vector)
 
 
+def _one_cell_mutations(rows):
+    """(line number, lines) for each row with one cell deleted, duplicated or
+    emptied; of the rows that split on whitespace into the same fields, as
+    an emptied cell and the same cell deleted do, only the first."""
+    for index, row in enumerate(rows):
+        cells = row.split(" ")
+        seen = set()
+        for j in range(len(cells)):
+            for mutated in (cells[:j] + cells[j + 1:], cells[:j + 1] + cells[j:],
+                            cells[:j] + [""] + cells[j + 1:]):
+                line = " ".join(mutated)
+                if tuple(line.split()) not in seen:
+                    seen.add(tuple(line.split()))
+                    yield index + 1, rows[:index] + [line] + rows[index + 1:]
+
+
+class TestReadersNeverShiftACell:
+    """Over the demo fixture's inputs, deleting, duplicating or emptying any
+    one cell of any row gives an error naming that row's line, or the
+    records read before."""
+
+    @pytest.fixture(scope="class")
+    def fixture_rows(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("scene")
+        write_fixture(str(directory))
+        labels = (directory / "labels.txt").read_text().splitlines()
+        detections = format_detections(
+            perturb_ground_truth(parse_label_file(labels), 2.0, 0.0, seed=1)).splitlines()
+        oxts = [(directory / "oxts" / name).read_text().strip()
+                for name in sorted(os.listdir(directory / "oxts"))]
+        return {"labels": labels, "detections": detections, "oxts": oxts}
+
+    @pytest.mark.parametrize("name, parse", [("labels", parse_label_file),
+                                             ("detections", parse_detections_file),
+                                             ("oxts", parse_oxts_lines)],
+                             ids=["labels", "detections", "oxts"])
+    def test_one_cell_mutated(self, fixture_rows, name, parse):
+        rows = fixture_rows[name]
+        before = parse(rows)
+        assert len(before) == len(rows)
+        for line_no, lines in _one_cell_mutations(rows):
+            try:
+                after = parse(lines)
+            except (ParseError, ValidationError) as exc:
+                assert re.search(rf"\bline {line_no}\b", str(exc)), (lines[line_no - 1], exc)
+            else:
+                assert after == before, lines[line_no - 1]
+
+
 class TestInterchangeRoundTrip:
     @given(st.lists(detection_records(), max_size=20))
     @settings(max_examples=50)
@@ -524,8 +592,14 @@ class TestInterchangeRoundTrip:
 class TestPerturb:
     def _records(self, n=100):
         return [DetectionRecord(frame_index=i, class_label="car",
-                                bbox=(10.0 + i, 20.0, 60.0 + i, 70.0),
-                                gt_track_id=i % 5)
+                                bbox=(10.0 + i, 20.0, 60.0 + i, 70.0))
+                for i in range(n)]
+
+    def _labels(self, n=100):
+        return [LabelRecord(frame_index=i, class_label="car",
+                            bbox=(10.0 + i, 20.0, 60.0 + i, 70.0), confidence=0.9,
+                            gt_track_id=i % 5, gt_location_camera=(-2.0, 1.6, 30.0),
+                            gt_depth_m=30.0)
                 for i in range(n)]
 
     def test_zero_jitter_zero_drop_is_identity(self):
@@ -548,19 +622,41 @@ class TestPerturb:
             perturb_ground_truth(self._records(), 0.0, 1.0, seed=0)
 
     def test_perturbed_record_keeps_every_other_field(self):
-        record = DetectionRecord(frame_index=3, class_label="van",
-                                 bbox=(10.0, 20.0, 60.0, 70.0), confidence=0.8,
-                                 gt_track_id=9,
-                                 gt_location_camera=(1.0, 2.0, 30.0), gt_depth_m=30.0,
-                                 embedding=(0.6, 0.8))
+        # of the fields a detection has; the annotated ones are dropped
+        record = LabelRecord(frame_index=3, class_label="van",
+                             bbox=(10.0, 20.0, 60.0, 70.0), confidence=0.8,
+                             gt_track_id=9,
+                             gt_location_camera=(1.0, 2.0, 30.0), gt_depth_m=30.0,
+                             embedding=(0.6, 0.8))
         (out,) = perturb_ground_truth([record], 2.0, 0.0, seed=5)
         assert out.bbox != record.bbox
-        assert out == dataclasses.replace(record, bbox=out.bbox, confidence=out.confidence)
+        assert out == DetectionRecord(frame_index=3, class_label="van", bbox=out.bbox,
+                                      confidence=out.confidence, embedding=(0.6, 0.8))
 
-    def test_track_ids_preserved(self):
-        records = self._records()
-        out = perturb_ground_truth(records, 3.0, 0.0, seed=1)
-        assert [r.gt_track_id for r in out] == [r.gt_track_id for r in records]
+    @pytest.mark.parametrize("jitter", [0.0, 3.0])
+    def test_labels_become_plain_detections_in_order(self, jitter):
+        labels = self._labels()
+        out = perturb_ground_truth(labels, jitter, 0.0, seed=1)
+        assert all(type(r) is DetectionRecord for r in out)
+        assert [r.frame_index for r in out] == [r.frame_index for r in labels]
+        if not jitter:
+            assert [(r.bbox, r.confidence) for r in out] == [(r.bbox, r.confidence)
+                                                             for r in labels]
+
+    def test_dontcare_rows_skipped_without_a_draw(self):
+        # a DontCare row draws nothing, so the rows around it get the noise
+        # they get without it
+        labels = self._labels(10)
+        dontcare = LabelRecord(frame_index=4, class_label="dontcare",
+                               bbox=(0.0, 0.0, 5.0, 5.0), is_dontcare=True)
+        with_dontcare = labels[:4] + [dontcare] + labels[4:]
+        assert (perturb_ground_truth(with_dontcare, 2.0, 0.3, seed=4)
+                == perturb_ground_truth(labels, 2.0, 0.3, seed=4))
+
+    @pytest.mark.parametrize("jitter", [-1.0, float("nan")])
+    def test_negative_or_nan_jitter_rejected(self, jitter):
+        with pytest.raises(ValueError, match="jitter_px must be >= 0"):
+            perturb_ground_truth(self._records(), jitter, 0.0, seed=0)
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.floats(min_value=0.0, max_value=20.0))
@@ -602,8 +698,18 @@ class TestRecordValidation:
 
     def test_nonpositive_depth_rejected(self):
         with pytest.raises(ValidationError):
-            DetectionRecord(frame_index=0, class_label="car", bbox=(0, 0, 1, 1),
-                            gt_depth_m=0.0)
+            LabelRecord(frame_index=0, class_label="car", bbox=(0, 0, 1, 1),
+                        gt_depth_m=0.0)
+
+    def test_label_validates_its_box_as_a_detection_does(self):
+        with pytest.raises(ValidationError, match="degenerate bbox"):
+            LabelRecord(frame_index=0, class_label="car", bbox=(1, 0, 1, 1), gt_depth_m=5.0)
+
+    def test_detection_has_no_annotated_field(self):
+        names = {f.name for f in dataclasses.fields(DetectionRecord)}
+        assert names == {"frame_index", "class_label", "bbox", "confidence", "embedding"}
+        assert {f.name for f in dataclasses.fields(LabelRecord)} - names == {
+            "gt_track_id", "gt_location_camera", "gt_depth_m", "is_dontcare"}
 
     @pytest.mark.parametrize("bbox", [(0, 0, float("inf"), 1), (float("-inf"), 0, 1, 1),
                                       (0, float("nan"), 1, 1)])

@@ -10,7 +10,7 @@ from oracles.iou_oracle import iou_matrix
 from oracles import tracker_oracle as reference
 from oracles.tracker_oracle import OracleTracker
 from tsdiag.errors import ParseError, ValidationError
-from tsdiag.kitti import DetectionRecord, parse_detections_file
+from tsdiag.kitti import LabelRecord, parse_detections_file
 from tsdiag.tracker import (
     CHI2_95_4DOF,
     CONFIRMED,
@@ -27,14 +27,15 @@ from tsdiag.tracker import (
     kalman_predict,
     kalman_update,
     solve_assignment,
-    tracks_from_ground_truth,
 )
 from tsdiag.tracker import _distinct_row_minima, _xyah
 
 
 def det(frame, bbox, conf=1.0, cls="car", gt=-1, embedding=None):
-    return DetectionRecord(frame_index=frame, class_label=cls, bbox=bbox,
-                           confidence=conf, gt_track_id=gt, embedding=embedding)
+    # a label, so that a test can tell which object a track followed; the
+    # tracker reads only the fields of a detection
+    return LabelRecord(frame_index=frame, class_label=cls, bbox=bbox,
+                       confidence=conf, gt_track_id=gt, embedding=embedding)
 
 
 def box_at(cx, cy, w=40.0, h=50.0):
@@ -869,18 +870,23 @@ class TestConcurrentSequences:
 
 class TestGroundTruthTracks:
     def test_builds_one_track_per_identity(self):
+        # noise-free boxes of two far-apart identities, one of them missed
+        # in a frame: the tracker follows each with one track
         records = [det(0, box_at(10, 10), gt=4), det(1, box_at(12, 10), gt=4),
-                   det(0, box_at(300, 10), gt=9)]
-        tracks = tracks_from_ground_truth(records)
-        assert [t.track_id for t in tracks] == [4, 9]
-        assert [len(t.records) for t in tracks] == [2, 1]
+                   det(2, box_at(14, 10), gt=4), det(0, box_at(300, 10), gt=9),
+                   det(2, box_at(300, 10), gt=9)]
+        tracks = Tracker(TrackerConfig(n_init=1)).run(records)
+        assert [_oracle_gt_id(t.records) for t in tracks] == [4, 9]
+        assert [len(t.records) for t in tracks] == [3, 2]
         assert all(t.ever_confirmed for t in tracks)
+        assert all({r.gt_track_id for r in t.records} == {_oracle_gt_id(t.records)}
+                   for t in tracks)
 
     def test_label_and_identity_tallies_seeded(self):
-        # frames given out of order; the tie resolves toward frame order
+        # one identity's labels in frame order; the tie resolves toward it
         labels = {3: "car", 0: "van", 2: "van", 1: "car", 4: "truck"}
-        records = [det(f, box_at(10 + f, 10), cls=cls, gt=4) for f, cls in labels.items()]
-        (track,) = tracks_from_ground_truth(records)
+        records = [det(f, box_at(10 + f, 10), cls=labels[f], gt=4) for f in sorted(labels)]
+        track = Track(track_id=4, status=CONFIRMED, records=records, ever_confirmed=True)
         assert track.class_label == _oracle_label(track.records) == "van"
         assert _oracle_gt_id(track.records) == 4
 

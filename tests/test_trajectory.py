@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tsdiag.config import PipelineConfig
 from tsdiag.errors import ParseError, ValidationError
-from tsdiag.kitti import DetectionRecord
+from tsdiag.kitti import DetectionRecord, LabelRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
+from tsdiag.pipeline import build_reference_diagram
 from tsdiag.tracker import Track
 from tsdiag.trajectory import (
     OUT_OF_LINK_MARGIN_M,
@@ -14,6 +16,7 @@ from tsdiag.trajectory import (
     diagram_from_csv,
     diagram_to_csv,
     opposite_lane_filter,
+    place_point,
     smooth_diagram,
     smooth_track,
 )
@@ -22,18 +25,10 @@ KITTI = kitti_intrinsics()
 CAR_RANGE_AT_100PX = 406644.0 / 36200.0
 
 
-def make_track(track_id, entries, lateral_x=None, confirmed=True, track_type=Track):
-    """entries: list of (frame, bbox); lateral_x optionally sets annotated x."""
-    records = []
-    for frame, bbox in entries:
-        depth = None
-        location = None
-        if lateral_x is not None:
-            depth = 10.0
-            location = (lateral_x, 1.6, depth)
-        records.append(DetectionRecord(
-            frame_index=frame, class_label="car", bbox=bbox,
-            gt_track_id=track_id, gt_location_camera=location, gt_depth_m=depth))
+def make_track(track_id, entries, confirmed=True, track_type=Track):
+    """entries: list of (frame, bbox)."""
+    records = [DetectionRecord(frame_index=frame, class_label="car", bbox=bbox)
+               for frame, bbox in entries]
     return track_type(
         track_id=track_id,
         status="confirmed" if confirmed else "tentative",
@@ -90,23 +85,23 @@ class TestOppositeLaneFilter:
                                for f, h in enumerate(heights)])
         assert opposite_lane_filter([track], self.WIDTH) == []
 
-    def test_annotated_lateral_position_dominates(self):
+    def test_annotations_are_not_read(self):
+        # a label that places the car in the probe's own lane, on the
+        # oncoming side of the image: only the image side counts
         heights = [20.0, 25.0, 31.0, 40.0]
-        track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
-                               for f, h in enumerate(heights)], lateral_x=2.0)
-        assert opposite_lane_filter([track], self.WIDTH) == []
-
-    def test_annotated_oncoming_kept_regardless_of_image_side(self):
-        heights = [20.0, 18.0, 16.0]  # receding, image-side heuristic would drop
-        track = make_track(1, [(f, box_with_height(0.8 * self.WIDTH, h))
-                               for f, h in enumerate(heights)], lateral_x=-2.5)
+        records = [LabelRecord(frame_index=f, class_label="car",
+                               bbox=box_with_height(0.25 * self.WIDTH, h), gt_track_id=1,
+                               gt_location_camera=(2.0, 1.6, 10.0), gt_depth_m=10.0)
+                   for f, h in enumerate(heights)]
+        track = Track(track_id=1, status="confirmed", records=records, ever_confirmed=True)
         assert opposite_lane_filter([track], self.WIDTH) == [track]
 
-    def test_receding_unannotated_track_removed(self):
-        heights = [40.0, 31.0, 25.0, 20.0]  # growing range: leading traffic
+    def test_receding_track_on_the_oncoming_side_kept(self):
+        # only the image side decides, not how the box heights evolve
+        heights = [40.0, 31.0, 25.0, 20.0]
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH) == []
+        assert opposite_lane_filter([track], self.WIDTH) == [track]
 
     def test_passing_v_shape_kept(self):
         heights = [20.0, 30.0, 45.0, 30.0, 20.0]  # closes, passes, recedes
@@ -120,9 +115,9 @@ class TestOppositeLaneFilter:
         right_track = make_track(1, [(f, box_with_height(0.8 * self.WIDTH, h))
                                      for f, h in enumerate(heights)])
         assert opposite_lane_filter([right_track], self.WIDTH, config) == [right_track]
-        annotated = make_track(2, [(f, box_with_height(0.8 * self.WIDTH, h))
-                                   for f, h in enumerate(heights)], lateral_x=2.0)
-        assert opposite_lane_filter([annotated], self.WIDTH, config) == [annotated]
+        left_track = make_track(2, [(f, box_with_height(0.2 * self.WIDTH, h))
+                                    for f, h in enumerate(heights)])
+        assert opposite_lane_filter([left_track], self.WIDTH, config) == []
 
     def test_idempotent(self):
         heights = [20.0, 25.0, 31.0, 40.0]
@@ -208,15 +203,16 @@ class TestBuildDiagram:
         assert [p.quality for p in diagram.vehicle_trajectories[1]] == ["ok", "out_of_link"]
 
     def test_gt_depth_reference_mode(self):
+        # the reference diagram ranges a label by its annotated depth, not
+        # its box, and places it with the place_point build_diagram uses
         height = bbox_height_at_range(40.0, "car", KITTI)
-        records = [DetectionRecord(frame_index=0, class_label="car",
-                                   bbox=box_with_height(300.0, height),
-                                   gt_track_id=3, gt_depth_m=37.5)]
-        track = Track(track_id=3, status="confirmed", ever_confirmed=True,
-                      records=records)
-        diagram = build_diagram([track], make_probe(1), 300.0, KITTI,
-                                range_source="gt_depth")
-        assert diagram.vehicle_trajectories[3][0].camera_range_m == 37.5
+        label = LabelRecord(frame_index=1, class_label="car",
+                            bbox=box_with_height(300.0, height), gt_track_id=3,
+                            gt_location_camera=(-2.0, 1.6, 37.5), gt_depth_m=37.5)
+        probe = make_probe(2, 1.5)
+        reference = build_reference_diagram([label], probe, PipelineConfig())
+        assert reference.vehicle_trajectories == {3: [place_point(probe, 1, 37.5, "ok", 300.0)]}
+        assert reference.vehicle_trajectories[3][0].camera_range_m == 37.5
 
     def test_quality_flags_retained_not_dropped(self):
         far = bbox_height_at_range(140.0, "car", KITTI)  # past the 120 m cutoff
