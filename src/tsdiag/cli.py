@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 input parse error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -77,8 +78,11 @@ def _cmd_geodesic(args: argparse.Namespace) -> int:
 
 
 def _cmd_perturb(args: argparse.Namespace) -> int:
-    records = _read(parse_label_file, args.labels)
-    perturbed = perturb_ground_truth(records, args.jitter_px, args.drop_rate, args.seed)
+    cfg = load_config(args.config, _collect_overrides(args))
+    if not cfg.labels:
+        raise ConfigError("perturb needs a labels file, from the config or --labels")
+    records = _read(parse_label_file, cfg.labels)
+    perturbed = perturb_ground_truth(records, cfg.jitter_px, cfg.drop_rate, cfg.seed)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w") as fh:
@@ -92,6 +96,8 @@ def _read_diagram(path: str, link_length_m: float | None):
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    if args.link_length is not None and not 0.0 < args.link_length < math.inf:
+        raise ConfigError(f"--link-length must be finite and positive, got {args.link_length}")
     diagram = _read_diagram(args.csv, args.link_length)
     reference = _read_diagram(args.reference, args.link_length) if args.reference else None
     with open(args.out, "w") as fh:
@@ -127,12 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     geo_p.add_argument("--flattening", type=float, default=1.0 / 298.257223563)
     geo_p.set_defaults(func=_cmd_geodesic)
 
-    pert_p = sub.add_parser("perturb", help="synthesize noisy detections from labels")
-    pert_p.add_argument("--labels", required=True)
+    pert_p = sub.add_parser("perturb", help="synthesize noisy detections from labels, "
+                                            "as a run with no detections file does")
+    pert_p.add_argument("config", nargs="?", default=None,
+                        help="INI config file; its labels, jitter_px, drop_rate and seed apply")
     pert_p.add_argument("--out", required=True)
-    pert_p.add_argument("--jitter-px", type=float, default=0.0)
-    pert_p.add_argument("--drop-rate", type=float, default=0.0)
-    pert_p.add_argument("--seed", type=int, default=0)
+    _add_override_flags(pert_p)
     pert_p.set_defaults(func=_cmd_perturb)
 
     render_p = sub.add_parser("render", help="re-render an SVG from a diagram CSV")

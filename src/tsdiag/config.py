@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError, ValidationError
 from .geodesy import GeoPoint
 from .kitti import _CLASS_LABELS
-from .photogrammetry import CameraIntrinsics, kitti_intrinsics
+from .photogrammetry import (DEFAULT_MAX_RANGE_M, DEFAULT_MIN_BBOX_HEIGHT_PX, CameraIntrinsics,
+                             kitti_intrinsics)
 from .tracker import TrackerConfig
 from .trajectory import LaneFilterConfig
 
@@ -94,8 +95,8 @@ class PipelineConfig:
     image_width_px: float = 1242.0
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     lane: LaneFilterConfig = field(default_factory=LaneFilterConfig)
-    min_bbox_height_px: float = 8.0
-    max_range_m: float = 120.0
+    min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX
+    max_range_m: float = DEFAULT_MAX_RANGE_M
     link_start_lat: float = 0.0
     link_start_lon: float = 0.0
     link_length_m: float = 300.0
@@ -119,10 +120,12 @@ class PipelineConfig:
             raise ValidationError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
         if not self.jitter_px >= 0.0:  # also true for NaN
             raise ValidationError(f"jitter_px must be >= 0, got {self.jitter_px}")
-        if not self.frame_rate_hz > 0.0:
-            raise ValidationError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
-        if not self.link_length_m > 0.0:
-            raise ValidationError(f"link_length_m must be positive, got {self.link_length_m}")
+        for name in ("frame_rate_hz", "link_length_m"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValidationError(f"{name} must be positive, got {value}")
+            if value == math.inf:
+                raise ValidationError(f"{name} must be finite, got inf")
         if not (math.isfinite(self.image_width_px) and self.image_width_px > 0.0):
             raise ValidationError(f"image_width_px must be finite and positive, "
                                   f"got {self.image_width_px}")
@@ -133,10 +136,12 @@ class PipelineConfig:
             raise ValidationError(f"max_range_m must be positive, got {self.max_range_m}")
         if not self.classes:
             raise ValidationError("classes must name at least one class label")
-        unknown = [c for c in self.classes if c not in _CLASS_LABELS]
-        if unknown:
-            raise ValidationError(f"unknown class {', '.join(map(repr, unknown))} in classes; "
-                                  f"the classes are {', '.join(_CLASS_LABELS)}")
+        for key, labels in (("classes", self.classes),
+                            ("class_heights", self.intrinsics.class_height_m)):
+            unknown = [c for c in labels if c not in _CLASS_LABELS]
+            if unknown:
+                raise ValidationError(f"unknown class {', '.join(map(repr, unknown))} in {key}; "
+                                      f"the classes are {', '.join(_CLASS_LABELS)}")
         missing = [c for c in self.classes if c not in self.intrinsics.class_height_m]
         if missing:
             raise ValidationError(f"no class_heights entry for "

@@ -253,11 +253,20 @@ def _appearance_vector(fields: list[str], line_no: int) -> tuple[float, ...]:
     if len(fields) != 1 + dim:
         raise ParseError(
             f"line {line_no}: expected {dim} vector components, got {len(fields) - 1}")
-    values = [_float_field(token, line_no) for token in fields[1:]]
-    # scaled by the largest component first, so a norm past the float range stays finite
+    vector = _unit_vector([_float_field(token, line_no) for token in fields[1:]])
+    if vector is None:
+        raise ValidationError(f"line {line_no}: zero-norm appearance vector")
+    return vector
+
+
+def _unit_vector(values: list[float]) -> tuple[float, ...] | None:
+    """Finite ``values`` at unit length, None for the zero vector.
+
+    Scaled by the largest component first, so that the norm stays finite.
+    """
     scale = max(map(abs, values))
     if scale == 0.0:
-        raise ValidationError(f"line {line_no}: zero-norm appearance vector")
+        return None
     values = [value / scale for value in values]
     norm = math.hypot(*values)
     return tuple(value / norm for value in values)

@@ -8,6 +8,7 @@ tiny boxes or beyond a configurable range are flagged rather than dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -42,12 +43,15 @@ class CameraIntrinsics:
     class_height_m: Mapping[str, float]
 
     def __post_init__(self):
-        for name in ("focal_length_px", "image_height_px", "sensor_height_px"):
-            if not getattr(self, name) > 0.0:
+        values = [(name, getattr(self, name))
+                  for name in ("focal_length_px", "image_height_px", "sensor_height_px")]
+        values += [(f"class height for {label!r}", height)
+                   for label, height in self.class_height_m.items()]
+        for name, value in values:
+            if not value > 0.0:
                 raise ValidationError(f"{name} must be positive")
-        for label, height in self.class_height_m.items():
-            if not height > 0.0:
-                raise ValidationError(f"class height for {label!r} must be positive")
+            if value == math.inf:
+                raise ValidationError(f"{name} must be finite, got inf")
 
     def height_for_class(self, class_label: str) -> float:
         try:

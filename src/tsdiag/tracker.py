@@ -7,9 +7,8 @@ states are corrected with measurement noise scaled down for confident
 detections, and track lifecycles follow the usual tentative / confirmed /
 deleted scheme.
 
-The filter runs on plain Python floats: with a handful of live tracks the
-per-call cost of array operations outweighs their arithmetic.  numpy is
-imported only by the appearance stage, which runs only when it is on.
+The tracker runs on plain Python floats: with a handful of live tracks
+the per-call cost of array operations outweighs their arithmetic.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .kitti import DetectionRecord, group_by_frame
-
-if TYPE_CHECKING:
-    import numpy as np
+from .kitti import DetectionRecord, _unit_vector, group_by_frame
 
 __all__ = [
     "TrackerConfig",
@@ -434,41 +431,20 @@ class Track:
         return counts.most_common(1)[0][0] if counts else "other"
 
 
-def _appearance_cost(appearances: np.ndarray, embeddings: np.ndarray,
-                     metric: str) -> np.ndarray:
-    """Cost of every (track appearance, detection embedding) pair."""
-    import numpy as np
-
+def _appearance_cost(appearance: tuple[float, ...], embedding: tuple[float, ...],
+                     metric: str) -> float:
+    """Cosine or Euclidean distance of a track appearance to a detection vector."""
     if metric == "cosine":
-        return 1.0 - appearances @ embeddings.T
-    return np.linalg.norm(appearances[:, None, :] - embeddings[None, :, :], axis=-1)
-
-
-def _appearance_costs(appearances: Sequence[tuple[float, ...] | None],
-                      embeddings: Sequence[tuple[float, ...] | None],
-                      metric: str) -> list[dict[int, float]]:
-    """Per appearance, the cost of each embedding, by column; none where a vector is missing."""
-    by_row: list[dict[int, float]] = [{} for _ in appearances]
-    rows = [row for row, vector in enumerate(appearances) if vector is not None]
-    cols = [col for col, vector in enumerate(embeddings) if vector is not None]
-    if rows and cols:
-        import numpy as np
-
-        values = _appearance_cost(np.array([appearances[row] for row in rows]),
-                                  np.array([embeddings[col] for col in cols]), metric)
-        for row, line in zip(rows, values.tolist()):
-            by_row[row] = dict(zip(cols, line))
-    return by_row
+        return 1.0 - sum(map(mul, appearance, embedding))
+    return math.dist(appearance, embedding)
 
 
 def _blend_appearance(appearance: tuple[float, ...], embedding: tuple[float, ...],
                       alpha: float) -> tuple[float, ...]:
     """Exponential moving average of unit vectors, renormalized; kept if it vanishes."""
-    import numpy as np
-
-    blended = alpha * np.array(appearance) + (1.0 - alpha) * np.array(embedding)
-    norm = np.linalg.norm(blended)
-    return tuple((blended / norm).tolist()) if norm > 0.0 else appearance
+    beta = 1.0 - alpha
+    blended = _unit_vector([alpha * a + beta * e for a, e in zip(appearance, embedding)])
+    return appearance if blended is None else blended
 
 
 def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
@@ -481,9 +457,9 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     h).  Stage 1 matches confirmed tracks with an appearance cost (when
     enabled and both the track and the detection have a vector) or a
     combined overlap/Mahalanobis cost, gated by the Mahalanobis distance;
-    a gated pair costs the gate sentinel whatever its overlap, so its IoU
-    is never computed.  Stage 2 matches everything left over on plain
-    overlap.  Both stages solve the assignment optimally.
+    a gated pair costs the gate sentinel whatever its overlap and its
+    appearance, so neither is computed.  Stage 2 matches everything left
+    over on plain overlap.  Both stages solve the assignment optimally.
     Returns (matches, unmatched_track_indices, unmatched_detection_indices).
     """
     if not tracks or not detections:
@@ -517,22 +493,19 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     if confirmed:
         gate = config.mahalanobis_gate
         max_dist = config.max_dist
-        if config.use_appearance:
-            appearance = _appearance_costs([tracks[i].appearance for i in confirmed],
-                                           [det.embedding for det in detections],
-                                           config.nn_metric)
-        else:
-            appearance = [{}] * len(confirmed)
+        metric = config.nn_metric
+        vectors = [det.embedding for det in detections]
         cost = []
         distances = gating_distance([states[i] for i in confirmed], measurements)
-        for track_idx, row_distances, row_appearance in zip(confirmed, distances, appearance):
+        for track_idx, row_distances in zip(confirmed, distances):
             box = predicted[track_idx]
+            appearance = tracks[track_idx].appearance if config.use_appearance else None
             line = []
             for col, distance in enumerate(row_distances):
                 if distance > gate:
                     line.append(_GATE_COST)
-                elif col in row_appearance:
-                    value = row_appearance[col]
+                elif appearance is not None and vectors[col] is not None:
+                    value = _appearance_cost(appearance, vectors[col], metric)
                     line.append(_GATE_COST if value > max_dist else value)
                 else:
                     line.append(0.5 * (1.0 - iou(box, boxes[col]))

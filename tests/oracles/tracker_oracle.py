@@ -12,6 +12,7 @@ reproduce this one's tracks, lifecycles and states bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,21 @@ def _appearance_cost(track, embedding, metric):
     if metric == "cosine":
         return 1.0 - float(np.dot(track.appearance, embedding))
     return float(np.linalg.norm(track.appearance - embedding))
+
+
+def _unit(values):
+    """values at unit length, None for the zero vector.
+
+    The tracker's formula: scaled by the largest component, then by
+    ``math.hypot``.  ``np.linalg.norm`` sums squares with a BLAS dot, which
+    rounds differently in the last bit.
+    """
+    scale = max(map(abs, values))
+    if scale == 0.0:
+        return None
+    scaled = [value / scale for value in values]
+    norm = math.hypot(*scaled)
+    return [value / norm for value in scaled]
 
 
 def _vector(det):
@@ -234,9 +250,9 @@ class OracleTracker:
                     track.appearance = embedding
                 else:
                     blended = alpha * track.appearance + (1.0 - alpha) * embedding
-                    norm = np.linalg.norm(blended)
-                    if norm > 0.0:
-                        track.appearance = blended / norm
+                    unit = _unit(blended.tolist())
+                    if unit is not None:
+                        track.appearance = np.array(unit)
             if track.status == TENTATIVE and len(track.records) >= self.config.n_init:
                 track.status = CONFIRMED
                 track.ever_confirmed = True

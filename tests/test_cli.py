@@ -285,6 +285,15 @@ class TestConfigTable:
          "classes are car, van, truck, pedestrian, person_sitting, cyclist, tram, misc"),
         ({"include_dontcare": "true"}, "unknown configuration key 'include_dontcare'"),
         ({"jitter_px": "nan"}, "jitter_px must be >= 0, got nan"),
+        ({"focal_length_px": "inf"}, "focal_length_px must be finite, got inf"),
+        ({"image_height_px": "inf"}, "image_height_px must be finite, got inf"),
+        ({"sensor_height_px": "inf"}, "sensor_height_px must be finite, got inf"),
+        ({"class_heights": "car:inf"}, "class height for 'car' must be finite, got inf"),
+        ({"link_length_m": "inf"}, "link_length_m must be finite, got inf"),
+        ({"frame_rate_hz": "inf"}, "frame_rate_hz must be finite, got inf"),
+        ({"class_heights": "car:1.5,bsu:3"},
+         "unknown class 'bsu' in class_heights; the classes are car, van, truck, "
+         "pedestrian, person_sitting, cyclist, tram, misc"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -625,6 +634,37 @@ class TestPerturbCommand:
         with open(paths[0]) as fa, open(paths[1]) as fb:
             assert fa.read() == fb.read()
 
+    def test_config_gives_the_run_detections(self, tmp_path):
+        # the config's labels, jitter, drop rate and seed are those the run
+        # perturbs, and a flag overrides the config as for run
+        config = write_fixture(str(tmp_path / "scene"))
+        labels = str(tmp_path / "scene" / "labels.txt")
+        noise = ["--jitter-px", "1.5", "--drop-rate", "0.2", "--seed", "11"]
+        assert main(["perturb", config, "--out", str(tmp_path / "a.txt"), *noise]) == 0
+        assert main(["perturb", "--labels", labels, "--out", str(tmp_path / "b.txt"),
+                     *noise]) == 0
+        assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text()
+        cfg = load_config(config, {"jitter_px": "1.5", "drop_rate": "0.2", "seed": "11"})
+        assert (tmp_path / "a.txt").read_text() == format_detections(
+            run_pipeline(cfg).detections)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--jitter-px", "nan"], "jitter_px must be >= 0, got nan"),
+        (["--jitter-px", "-1"], "jitter_px must be >= 0, got -1.0"),
+        (["--drop-rate", "1.5"], "drop_rate must be in [0, 1), got 1.5"),
+        (["--seed", "x"], "bad value 'x' for key 'seed' (expected int)"),
+        (["--labels", ""], "perturb needs a labels file, from the config or --labels"),
+    ])
+    def test_bad_value_exits_2_naming_it(self, fixture_dir, tmp_path, capsys, flags,
+                                         message):
+        directory, _ = fixture_dir
+        out = tmp_path / "d.txt"
+        code = main(["perturb", "--labels", os.path.join(directory, "labels.txt"),
+                     "--out", str(out), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_parse_error_names_the_labels_file(self, tmp_path, capsys):
         write_fixture(str(tmp_path / "scene"))
         path = tmp_path / "scene" / "labels.txt"
@@ -680,6 +720,20 @@ class TestRenderCommand:
         assert f"{csv_path}: line 3: non-finite time_s 'nan'" in err
         assert str(good_path) not in err
         assert not (tmp_path / "bad.svg").exists()
+
+    @pytest.mark.parametrize("length, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"),
+                                               ("-5", "-5.0")])
+    def test_link_length_must_be_finite_and_positive(self, fixture_dir, tmp_path, capsys,
+                                                     length, shown):
+        directory, config_path = fixture_dir
+        main(["run", config_path])
+        csv_path = os.path.join(directory, "out", "diagram.csv")
+        code = main(["render", "--csv", csv_path, "--out", str(tmp_path / "r.svg"),
+                     "--link-length", length])
+        assert code == 2
+        assert capsys.readouterr().err == (f"config error: --link-length must be finite and "
+                                           f"positive, got {shown}\n")
+        assert not (tmp_path / "r.svg").exists()
 
     def test_render_deterministic(self, fixture_dir, tmp_path):
         directory, config_path = fixture_dir
@@ -835,99 +889,86 @@ class TestRuntimeDependencies:
         assert result == {"codes": [0, 0], "after_import": ["scipy"], "after_run": ["scipy"]}
         assert (tmp_path / "scene" / "out" / "hota_report.txt").is_file()
 
-    def test_config_and_run_never_import_numpy(self, tmp_path):
-        # numpy is needed only by appearance matching: with its import made
-        # to fail, the config loads, a config error exits 2 with its message,
-        # and run writes the same diagram as a process that has numpy
+    @pytest.fixture(scope="class")
+    def numpy_blocked(self, tmp_path_factory):
+        # numpy is a test-only dependency: one process with its import made
+        # to fail loads the config, hits a config error, runs, evaluates,
+        # perturbs, and runs on detections with vectors, appearance off and
+        # on with either metric; each test below checks its part of the run
+        bare = tmp_path_factory.mktemp("numpy_blocked") / "bare"
         script = textwrap.dedent("""
             import json, sys
             sys.modules["numpy"] = None
             import tsdiag.config
             from tsdiag.cli import main
             from tsdiag.synth import write_fixture
-            config = write_fixture(sys.argv[1])
-            codes = [main(["run", config, "--max-age", "0"]), main(["run", config])]
+            scene = sys.argv[1]
+            config = write_fixture(scene)
+            plain, with_vectors = scene + "/dets.txt", scene + "/vectors.txt"
+            codes = [main(["run", config, "--max-age", "0"]), main(["run", config]),
+                     main(["eval", config]), main(["perturb", config, "--out", plain])]
+            with open(plain) as fh, open(with_vectors, "w") as out:
+                for row, line in enumerate(fh):
+                    vector = " 2 1.0 0.0" if row % 2 else " 2 0.9 0.2"
+                    out.write(line.rstrip("\\n") + vector + "\\n")
+            codes.append(main(["run", config, "--detections", with_vectors,
+                               "--output-dir", scene + "/vectors"]))
+            for metric in ("cosine", "euclidean"):
+                codes.append(main(["run", config, "--detections", with_vectors,
+                                   "--use-appearance", "true", "--nn-metric", metric,
+                                   "--output-dir", scene + "/" + metric]))
             print(json.dumps({"codes": codes,
                               "numpy": sorted(m for m in sys.modules if m.startswith("numpy")
                                               and sys.modules[m] is not None)}))
         """)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bare")],
+        done = subprocess.run([sys.executable, "-c", script, str(bare)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [2, 0], "numpy": []}
-        assert "config error: max_age must be >= 1, got 0" in done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["numpy"] == []
+        return bare, result["codes"], done.stderr
 
-        # in a normal process the same scene runs to the same bytes and evaluates
+    def test_config_and_run_never_import_numpy(self, numpy_blocked, tmp_path):
+        # the config loads, a config error exits 2 with its message, and run
+        # writes the same diagram as a process that has numpy
+        bare, codes, stderr = numpy_blocked
+        assert codes[:2] == [2, 0]
+        assert "config error: max_age must be >= 1, got 0" in stderr
+
         config = write_fixture(str(tmp_path / "full"))
         assert main(["run", config]) == 0
-        assert main(["eval", config]) == 0
         for name in ("diagram.csv", "diagram.svg"):
-            assert ((tmp_path / "bare" / "out" / name).read_bytes()
-                    == (tmp_path / "full" / "out" / name).read_bytes())
-        assert (tmp_path / "full" / "out" / "hota_report.txt").is_file()
+            assert ((bare / "out" / name).read_bytes()
+                    == (tmp_path / "full" / "out" / name).read_bytes()), name
 
-    def test_run_on_detections_with_vectors_never_imports_numpy(self, tmp_path):
-        # vectors are parsed on plain Python, and with appearance off the
-        # tracker never reads them: the diagram equals a vector-free run's
-        script = textwrap.dedent("""
-            import json, sys
-            sys.modules["numpy"] = None
-            from tsdiag.cli import main
-            from tsdiag.synth import write_fixture
-            config = write_fixture(sys.argv[1])
-            plain, with_vectors = sys.argv[1] + "/dets.txt", sys.argv[1] + "/vectors.txt"
-            codes = [main(["perturb", "--labels", sys.argv[1] + "/labels.txt",
-                           "--out", plain])]
-            with open(plain) as fh, open(with_vectors, "w") as out:
-                out.writelines(line.rstrip("\\n") + " 2 1.0 0.0\\n" for line in fh)
-            codes.append(main(["run", config, "--detections", with_vectors]))
-            print(json.dumps({"codes": codes,
-                              "numpy": sorted(m for m in sys.modules if m.startswith("numpy")
-                                              and sys.modules[m] is not None)}))
-        """)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bare")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0], "numpy": []}
-        assert " 2 1.0 0.0" in (tmp_path / "bare" / "vectors.txt").read_text()
-
-        config = str(tmp_path / "bare" / "config.ini")
-        assert main(["run", config, "--detections", str(tmp_path / "bare" / "dets.txt"),
-                     "--output-dir", str(tmp_path / "plain")]) == 0
-        assert ((tmp_path / "bare" / "out" / "diagram.csv").read_bytes()
-                == (tmp_path / "plain" / "diagram.csv").read_bytes())
-
-    def test_eval_never_imports_numpy(self, tmp_path):
-        # numpy is needed only by appearance matching: with its import made
-        # to fail, eval exits 0 and writes the same eight reports as a
-        # process that has numpy
-        script = textwrap.dedent("""
-            import json, sys
-            sys.modules["numpy"] = None
-            from tsdiag.cli import main
-            from tsdiag.synth import write_fixture
-            config = write_fixture(sys.argv[1])
-            codes = [main(["eval", config])]
-            print(json.dumps({"codes": codes,
-                              "numpy": sorted(m for m in sys.modules if m.startswith("numpy")
-                                              and sys.modules[m] is not None)}))
-        """)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "bare")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0], "numpy": []}
+    def test_eval_never_imports_numpy(self, numpy_blocked, tmp_path):
+        # eval exits 0 and writes the same eight reports as a process that
+        # has numpy
+        bare, codes, _ = numpy_blocked
+        assert codes[2] == 0
 
         config = write_fixture(str(tmp_path / "full"))
+        assert main(["run", config]) == 0
         assert main(["eval", config]) == 0
         reports = [f"{name}.{ext}" for name in ("range_report_gt", "range_report_pred",
                                                 "trajectory_report", "hota_report")
                    for ext in ("txt", "csv")]
         for name in reports:
-            assert ((tmp_path / "bare" / "out" / name).read_bytes()
+            assert ((bare / "out" / name).read_bytes()
                     == (tmp_path / "full" / "out" / name).read_bytes()), name
+
+    def test_run_on_detections_with_vectors_never_imports_numpy(self, numpy_blocked, tmp_path):
+        # perturb writes detections, vectors are parsed on plain Python, and
+        # with appearance off the vectors leave the diagram as it was, and
+        # with it on the one car is tracked as without them
+        bare, codes, _ = numpy_blocked
+        assert codes[3:] == [0, 0, 0, 0]
+        assert " 2 1.0 0.0" in (bare / "vectors.txt").read_text()
+
+        assert main(["run", str(bare / "config.ini"), "--detections", str(bare / "dets.txt"),
+                     "--output-dir", str(tmp_path / "plain")]) == 0
+        plain = (tmp_path / "plain" / "diagram.csv").read_bytes()
+        for run in ("vectors", "cosine", "euclidean"):
+            assert (bare / run / "diagram.csv").read_bytes() == plain, run

@@ -28,7 +28,7 @@ from tsdiag.tracker import (
     kalman_update,
     solve_assignment,
 )
-from tsdiag.tracker import _distinct_row_minima, _xyah
+from tsdiag.tracker import _appearance_cost, _distinct_row_minima, _xyah
 
 
 def det(frame, bbox, conf=1.0, cls="car", gt=-1, embedding=None):
@@ -780,19 +780,18 @@ class TestAppearance:
            st.sampled_from(["cosine", "euclidean"]))
     @settings(max_examples=50, deadline=None)
     def test_appearance_costs_match_pairwise_formula(self, k, l, dim, seed, metric):
-        from tsdiag.tracker import _appearance_cost
-
         rng = np.random.RandomState(seed)
         appearances = rng.normal(size=(k, dim))
         embeddings = rng.normal(size=(l, dim))
-        cost = _appearance_cost(appearances, embeddings, metric)
         for i in range(k):
             for j in range(l):
+                cost = _appearance_cost(tuple(appearances[i].tolist()),
+                                        tuple(embeddings[j].tolist()), metric)
                 if metric == "cosine":
                     expected = 1.0 - float(np.dot(appearances[i], embeddings[j]))
                 else:
                     expected = float(np.linalg.norm(appearances[i] - embeddings[j]))
-                assert cost[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                assert cost == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_appearance_gate_is_inclusive(self):
         # appearance cost exactly max_dist, and no overlap for the second stage
@@ -1099,6 +1098,77 @@ class TestTrackerOracle:
                 assert {r.gt_track_id for r in track.records} == {_oracle_gt_id(track.records)}
             # the third car is split into two identities by its long miss
             assert sum(_oracle_gt_id(t.records) == 2 for t in tracker.tracks) == 2
+
+
+def _random_vehicles(rng, n):
+    """n vehicles drawn from the ranges of the ``vehicles`` strategy."""
+    return [dict(start=int(rng.randint(0, 21)), length=int(rng.randint(1, 26)),
+                 cx=float(rng.uniform(100.0, 1100.0)),
+                 cy=float(rng.choice([150.0, 200.0, 260.0])),
+                 vx=float(rng.choice([-14.0, -6.0, -2.0, 0.0, 3.0, 9.0])),
+                 vy=float(rng.uniform(-1.5, 1.5)), w=float(rng.uniform(20.0, 120.0)),
+                 h=float(rng.uniform(20.0, 100.0)), dh=float(rng.uniform(-1.0, 1.0)),
+                 gaps=[(int(rng.randint(0, 25)), int(rng.randint(1, 8)))
+                       for _ in range(rng.randint(0, 3))])
+            for _ in range(n)]
+
+
+def _with_random_vectors(frames, seed, dim=16):
+    """Per vehicle a random direction; per detection that direction plus noise, unit length.
+
+    The noise puts same-vehicle cosine costs around the default max_dist
+    of 0.2, so the appearance gate both passes and rejects such pairs.
+    """
+    rng = np.random.RandomState(seed)
+    directions = rng.normal(size=(8, dim))
+    out = []
+    for dets in frames:
+        row = []
+        for d in dets:
+            vector = directions[d.gt_track_id] + rng.normal(scale=0.5, size=dim)
+            row.append(dataclasses.replace(
+                d, embedding=tuple((vector / np.linalg.norm(vector)).tolist())))
+        out.append(row)
+    return out
+
+
+def _partition(config, frames):
+    """Each track's detections as its first frame and, per frame from there,
+    the vehicle it held or '-' for a miss."""
+    tracker = Tracker(config)
+    for frame, dets in enumerate(frames):
+        tracker.step(dets, frame)
+    out = []
+    for track in tracker.tracks:
+        held = {r.frame_index: r.gt_track_id for r in track.records}
+        first = min(held)
+        out.append(f"{first}:" + "".join(str(held.get(frame, "-"))
+                                         for frame in range(first, max(held) + 1)))
+    return out
+
+
+class TestAppearancePartition:
+    """Which detections each track holds with appearance on, pinned.
+
+    Random unit vectors, not one-hot ones, so every cost and blend rounds:
+    a change in that arithmetic which moves an assignment shows here.  On
+    these scenes appearance decides: with it off, the partitions differ.
+    """
+
+    @pytest.mark.parametrize("seed, expected", [
+        (34, ["1:00000000000", "5:5555555555", "6:1111111111111111111111-33",
+              "6:3333333333333", "8:222222222", "19:44444444444", "22:22", "24:33"]),
+        (100, ["8:0000000000000000-00000000", "14:3333333333", "15:11", "15:55---555555",
+               "17:1", "17:444", "18:1", "19:22222", "19:1", "27:444444444444", "31:3"]),
+    ])
+    @pytest.mark.parametrize("metric, max_dist", [("cosine", 0.2), ("euclidean", 0.6)])
+    def test_track_partition_pinned(self, seed, expected, metric, max_dist):
+        frames = _with_random_vectors(
+            _vehicle_frames(_random_vehicles(np.random.RandomState(seed), 6), seed), seed)
+        config = TrackerConfig(max_age=3, use_appearance=True, nn_metric=metric,
+                               max_dist=max_dist)
+        assert _partition(config, frames) == expected
+        assert _partition(TrackerConfig(max_age=3), frames) != expected
 
 
 # boxes from a few pixels up to 1e300 px, anywhere from the origin to far off it
