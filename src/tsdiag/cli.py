@@ -51,6 +51,13 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file, creating its directory if missing."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _collect_overrides(args))
     paths = write_run_outputs(run_pipeline(cfg))
@@ -83,10 +90,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
         raise ConfigError("perturb needs a labels file, from the config or --labels")
     records = _read(parse_label_file, cfg.labels)
     perturbed = perturb_ground_truth(records, cfg.jitter_px, cfg.drop_rate, cfg.seed)
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w") as fh:
-        fh.write(format_detections(perturbed))
+    _write(args.out, format_detections(perturbed))
     print(f"wrote {len(perturbed)} detections to {args.out}")
     return EXIT_OK
 
@@ -100,8 +104,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         raise ConfigError(f"--link-length must be finite and positive, got {args.link_length}")
     diagram = _read_diagram(args.csv, args.link_length)
     reference = _read_diagram(args.reference, args.link_length) if args.reference else None
-    with open(args.out, "w") as fh:
-        fh.write(render_svg(diagram, reference, title=args.title))
+    _write(args.out, render_svg(diagram, reference, title=args.title))
     print(f"wrote {args.out}")
     return EXIT_OK
 

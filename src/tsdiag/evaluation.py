@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
-from .kitti import DetectionRecord, LabelRecord, group_by_frame
+from .kitti import DetectionRecord, LabelRecord
 from .photogrammetry import CameraIntrinsics, QUALITY_OK, range_from_height
 from .tracker import Track, iou, solve_assignment
 from .trajectory import TimeSpaceDiagram
@@ -88,26 +87,17 @@ def _summarize(per_track: dict[int, float], count: int, scenario: str,
     )
 
 
-def _overlaps_by_frame(frames: Iterable[int], rows: Mapping[int, Sequence],
-                       cols: Mapping[int, Sequence], box) -> dict[int, list[list[float]]]:
-    """IoU between the boxes of rows[f] and cols[f] for each frame f.
+def _overlaps(rows: Sequence[tuple], cols: Sequence[tuple]) -> list[list[float]]:
+    """IoU between every (left, top, right, bottom) box of rows and of cols.
 
-    Every frame passed has at least one row and one column.  ``box`` gets
-    the (left, top, right, bottom) box of an item.  A frame's overlaps are
-    one list of floats per row, each entry ``tsdiag.tracker.iou`` of its
+    One list of floats per row, each entry ``tsdiag.tracker.iou`` of its
     pair; a pair disjoint in x gets that 0.0 without the call.
     """
-    overlaps: dict[int, list[list[float]]] = {}
-    for frame in frames:
-        col_boxes = [box(item) for item in cols[frame]]
-        matrix = []
-        for item in rows[frame]:
-            a = box(item)
-            left, right = a[0], a[2]
-            matrix.append([0.0 if b[0] >= right or b[2] <= left else iou(a, b)
-                           for b in col_boxes])
-        overlaps[frame] = matrix
-    return overlaps
+    matrix = []
+    for a in rows:
+        left, right = a[0], a[2]
+        matrix.append([0.0 if b[0] >= right or b[2] <= left else iou(a, b) for b in cols])
+    return matrix
 
 
 def _overlap_matches(overlap: Sequence[Sequence[float]], thresholds: Sequence[float],
@@ -138,21 +128,29 @@ def _overlap_matches(overlap: Sequence[Sequence[float]], thresholds: Sequence[fl
     return matches
 
 
-def _match_to_ground_truth(predicted: Sequence[DetectionRecord],
-                           reference: Sequence[LabelRecord],
-                           ) -> list[tuple[LabelRecord, DetectionRecord]]:
-    # optimal per-frame box matching; pairs below _RANGE_MATCH_IOU are not matches
-    by_frame_pred = group_by_frame(predicted)
-    by_frame_ref = group_by_frame(reference)
-    overlaps = _overlaps_by_frame([f for f in by_frame_ref if f in by_frame_pred],
-                                  by_frame_ref, by_frame_pred, attrgetter("bbox"))
-    pairs = []
-    for frame, refs in sorted(by_frame_ref.items()):
-        preds = by_frame_pred.get(frame, [])
-        if not preds:
-            continue
-        [matches] = _overlap_matches(overlaps[frame], (_RANGE_MATCH_IOU,))
-        pairs.extend((refs[i], preds[j]) for i, j, _ in matches)
+def _frame_matches(refs: Iterable[tuple[int, object, tuple]],
+                   preds: Iterable[tuple[int, object, tuple]],
+                   thresholds: Sequence[float]) -> list[list[tuple[object, object, float]]]:
+    """Per threshold, the (ref key, pred key, overlap) pairs of each frame's matching.
+
+    ``refs`` and ``preds`` are (frame, key, bbox) triples.  Each frame that
+    holds both is matched by ``_overlap_matches`` on the overlaps of its
+    boxes, references as rows in input order; pairs come frame by frame in
+    frame order.
+    """
+    cols_by_frame: dict[int, list] = {}
+    for item in preds:
+        cols_by_frame.setdefault(item[0], []).append(item)
+    rows_by_frame: dict[int, list] = {}
+    for item in refs:
+        if item[0] in cols_by_frame:
+            rows_by_frame.setdefault(item[0], []).append(item)
+    pairs: list[list[tuple[object, object, float]]] = [[] for _ in thresholds]
+    for frame, rows in sorted(rows_by_frame.items()):
+        cols = cols_by_frame[frame]
+        overlap = _overlaps([bbox for _, _, bbox in rows], [bbox for _, _, bbox in cols])
+        for kept, matches in zip(pairs, _overlap_matches(overlap, thresholds)):
+            kept.extend((rows[i][1], cols[j][1], o) for i, j, o in matches)
     return pairs
 
 
@@ -173,7 +171,10 @@ def range_error_report(records: Sequence[LabelRecord],
     if predicted is None:
         instances = [(r, r) for r in gt]
     else:
-        instances = _match_to_ground_truth(predicted, gt)
+        [matches] = _frame_matches([(r.frame_index, r, r.bbox) for r in gt],
+                                   [(d.frame_index, d, d.bbox) for d in predicted],
+                                   (_RANGE_MATCH_IOU,))
+        instances = [(r, d) for r, d, _ in matches]
 
     errors_by_track: dict[int, list[float]] = {}
     count = 0
@@ -193,18 +194,19 @@ def track_matching(tracks: Sequence[Track],
     """Pair each confirmed track with the annotated identity its records match most.
 
     A record matches an annotated box when the optimal per-frame matching
-    pairs them at IoU >= 0.5, as in CLEAR MOT and HOTA.  A tie goes to the
-    identity matched first; a track that matches no box with an identity
-    (track id >= 0) stays unpaired.
+    pairs them at IoU >= 0.5, as in CLEAR MOT and HOTA.  Every label takes
+    part in the matching, so one without an identity (track id < 0) can
+    take a box, but it pairs with no track.  A tie goes to the identity
+    matched first; a track that matches no box with an identity stays
+    unpaired.
     """
-    confirmed = [track for track in tracks if track.ever_confirmed]
-    owner = {id(record): track.track_id for track in confirmed for record in track.records}
+    [matches] = _frame_matches([(r.frame_index, r.gt_track_id, r.bbox) for r in reference],
+                               boxes_from_tracks(tracks), (_RANGE_MATCH_IOU,))
     tallies: dict[int, dict[int, int]] = {}
-    for ref, pred in _match_to_ground_truth(
-            [record for track in confirmed for record in track.records], reference):
-        if ref.gt_track_id >= 0:
-            tally = tallies.setdefault(owner[id(pred)], {})
-            tally[ref.gt_track_id] = tally.get(ref.gt_track_id, 0) + 1
+    for gt_id, track_id, _ in matches:
+        if gt_id >= 0:
+            tally = tallies.setdefault(track_id, {})
+            tally[gt_id] = tally.get(gt_id, 0) + 1
     # pairs come in frame order, and max keeps the first of equal counts
     return {track_id: max(tally, key=tally.get) for track_id, tally in sorted(tallies.items())}
 
@@ -265,19 +267,10 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
     scores 1.0 across the board by convention.
     """
     if not gt_boxes and not pred_boxes:
-        ones = [1.0] * len(alpha_values)
         per_alpha = [{"alpha": a, "det_a": 1.0, "ass_a": 1.0, "loc_a": 1.0,
                       "hota": 1.0, "tp": 0, "fn": 0, "fp": 0}
                      for a in alpha_values]
         return HotaReport(1.0, 1.0, 1.0, 1.0, per_alpha, True)
-
-    frames = sorted({f for f, _, _ in gt_boxes} | {f for f, _, _ in pred_boxes})
-    gt_by_frame = {f: [] for f in frames}
-    pred_by_frame = {f: [] for f in frames}
-    for f, tid, bbox in gt_boxes:
-        gt_by_frame[f].append((tid, bbox))
-    for f, tid, bbox in pred_boxes:
-        pred_by_frame[f].append((tid, bbox))
 
     gt_counts: dict[int, int] = {}
     for f, tid, _ in gt_boxes:
@@ -288,20 +281,8 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
     total_gt = len(gt_boxes)
     total_pred = len(pred_boxes)
 
-    # overlap matrices are alpha-independent; compute once
-    overlaps = _overlaps_by_frame([f for f in frames if gt_by_frame[f] and pred_by_frame[f]],
-                                  gt_by_frame, pred_by_frame, itemgetter(1))
-
     # (gt_id, pred_id, iou) of each alpha's true positives, in frame order
-    tp_by_alpha: list[list[tuple[int, int, float]]] = [[] for _ in alpha_values]
-    for f in frames:
-        gts = gt_by_frame[f]
-        preds = pred_by_frame[f]
-        if not gts or not preds:
-            continue
-        for tp_pairs, matches in zip(tp_by_alpha, _overlap_matches(overlaps[f], alpha_values)):
-            tp_pairs.extend((gts[i][0], preds[j][0], o) for i, j, o in matches)
-
+    tp_by_alpha = _frame_matches(gt_boxes, pred_boxes, alpha_values)
     per_alpha = []
     for alpha, tp_pairs in zip(alpha_values, tp_by_alpha):
         tp = len(tp_pairs)

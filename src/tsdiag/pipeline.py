@@ -126,6 +126,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             if len(times) < len(oxts):
                 raise ValidationError(f"{cfg.timestamps}: frame {len(times)} beyond the "
                                       f"{len(times)} explicit timestamps")
+            if len(times) > len(oxts):
+                raise ValidationError(f"{cfg.timestamps}: {len(times)} timestamps for the "
+                                      f"{len(oxts)} GPS fixes in {cfg.oxts}")
         else:
             times = [frame / cfg.frame_rate_hz for frame in range(len(oxts))]
         probe = list(zip(times, probe_distances(cfg.link_start, (s.position for s in oxts),

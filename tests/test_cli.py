@@ -701,6 +701,14 @@ class TestRenderCommand:
             svg = fh.read()
         assert svg.count("<polyline") == 2 * n_tracks + 2
 
+    def test_missing_output_directory_is_created(self, fixture_dir, tmp_path):
+        directory, config_path = fixture_dir
+        main(["run", config_path])
+        csv_path = os.path.join(directory, "out", "diagram.csv")
+        svg_path = tmp_path / "new" / "deeper" / "re.svg"
+        assert main(["render", "--csv", csv_path, "--out", str(svg_path)]) == 0
+        assert svg_path.read_text().startswith("<svg")
+
     def test_non_finite_csv_value_exits_3_naming_line_and_column(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("track_id,time_s,link_distance_m,probe_distance_m,"
@@ -803,6 +811,18 @@ class TestPipelineErrors:
         assert code == 3
         assert (f"pipeline error: ingest: {stamps_path}: frame 50 beyond the 50 explicit "
                 "timestamps" in capsys.readouterr().err)
+
+    def test_too_many_timestamps_exits_3_naming_both_files(self, tmp_path, capsys):
+        config_path = write_fixture(str(tmp_path / "scene"))
+        stamps_path = tmp_path / "stamps.txt"
+        stamps_path.write_text("".join(f"{0.1 * i}\n" for i in range(150)))
+        code = main(["run", config_path, "--timestamps", str(stamps_path),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        oxts_path = load_config(config_path).oxts
+        assert (f"pipeline error: ingest: {stamps_path}: 150 timestamps for the 100 GPS "
+                f"fixes in {oxts_path}" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, text, message", [
         ("labels", None, "line 5: non-numeric field 'x'"),

@@ -97,6 +97,12 @@ class TestRmse:
             value, rel=1e-12, abs=1e-12)
 
 
+# boxes on a coarse integer grid: equal and half overlaps are common
+grid_boxes = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 6),
+                       st.integers(1, 6)).map(
+    lambda b: (float(b[0]), float(b[1]), float(b[0] + b[2]), float(b[1] + b[3])))
+
+
 class TestRangeErrorReport:
     def test_exactly_inverted_boxes_give_zero(self):
         records = [gt_record(f, tid, depth)
@@ -146,6 +152,20 @@ class TestRangeErrorReport:
         assert report.instance_count == 0
         assert report.per_track_rmse_m == {}
         assert report.mean_rmse_m == 0.0
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), grid_boxes), max_size=12),
+           st.lists(st.tuples(st.integers(0, 2), grid_boxes), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_predicted_instances_are_hota_true_positives_at_half_overlap(self, labels, boxes):
+        labels = [LabelRecord(frame_index=f, class_label="car", bbox=bbox, gt_track_id=tid,
+                              gt_depth_m=20.0) for f, tid, bbox in labels]
+        dets = [DetectionRecord(frame_index=f, class_label="car", bbox=bbox)
+                for f, bbox in boxes]
+        report = hota(boxes_from_records(labels),
+                      [(d.frame_index, k, d.bbox) for k, d in enumerate(dets)])
+        assert DEFAULT_ALPHAS[9] == 0.5
+        assert (range_error_report(labels, KITTI, predicted=dets).instance_count
+                == report.per_alpha[9]["tp"])
 
     def test_class_filter(self):
         records = [gt_record(0, 1, 10.0)]
@@ -247,6 +267,18 @@ class TestTrackMatching:
         assert evaluation.track_matching([_confirmed(2, [far]), tentative, unidentified],
                                          gt) == {}
 
+    def test_unidentified_label_takes_the_box_it_overlaps_most(self):
+        # the label without an identity overlaps the track's box at IoU 0.9,
+        # the one with identity 5 at IoU 0.6: the first takes the box, so
+        # the track pairs with no identity
+        box = (0.0, 0.0, 10.0, 10.0)
+        gt = [LabelRecord(frame_index=0, class_label="car", bbox=(0.0, 0.0, 9.0, 10.0)),
+              LabelRecord(frame_index=0, class_label="car", bbox=(0.0, 0.0, 6.0, 10.0),
+                          gt_track_id=5)]
+        track = _confirmed(1, [DetectionRecord(frame_index=0, class_label="car", bbox=box)])
+        assert evaluation.track_matching([track], gt) == {}
+        assert evaluation.track_matching([track], gt[1:]) == {1: 5}
+
 
 def unit_box(x, y, size=10.0):
     return (x, y, x + size, y + size)
@@ -341,17 +373,13 @@ class TestOverlapsByFrame:
     @given(st.lists(st.tuples(frame_boxes, frame_boxes), min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_equals_iou_matrix_oracle_bit_for_bit(self, frames):
-        rows = {f: a for f, (a, _) in enumerate(frames)}
-        cols = {f: b for f, (_, b) in enumerate(frames)}
-        overlaps = evaluation._overlaps_by_frame(range(len(frames)), rows, cols,
-                                                 lambda box: box)
-        assert sorted(overlaps) == list(range(len(frames)))
-        for f, (a, b) in enumerate(frames):
-            assert all(type(value) is float for row in overlaps[f] for value in row)
+        for a, b in frames:
+            overlaps = evaluation._overlaps(a, b)
+            assert all(type(value) is float for row in overlaps for value in row)
             with np.errstate(invalid="ignore", over="ignore"):
                 expected = iou_matrix(a, b)
-            assert np.array(overlaps[f]).shape == (len(a), len(b))
-            assert np.array(overlaps[f]).tobytes() == expected.tobytes()
+            assert np.array(overlaps).shape == (len(a), len(b))
+            assert np.array(overlaps).tobytes() == expected.tobytes()
 
     def test_disjoint_touching_and_empty_pairs_are_zero(self):
         box = (0.0, 0.0, 10.0, 10.0)
@@ -362,8 +390,8 @@ class TestOverlapsByFrame:
                   (0.0, 30.0, 10.0, 40.0),   # disjoint in y
                   (5.0, 5.0, 5.0, 8.0),      # zero width, inside
                   (5.0, 0.0, 15.0, 10.0)]    # half overlap
-        overlaps = evaluation._overlaps_by_frame([7], {7: [box]}, {7: others}, lambda b: b)
-        assert overlaps == {7: [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0 / 150.0]]}
+        assert evaluation._overlaps([box], others) == [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                                         50.0 / 150.0]]
 
 
 def _old_overlap_matches(overlap, threshold):
