@@ -4,22 +4,22 @@ Subcommands: run (full pipeline), eval (reports against ground truth),
 geodesic (ad-hoc inverse queries), perturb (synthesize noisy detections),
 render (re-render an SVG from a diagram CSV).
 
-Exit codes: 0 success, 2 configuration error, 3 input parse error,
-4 pipeline error.
+Exit codes, by the role of what failed: 0 success, 2 configuration (the
+config file or a value), 3 input (a file that is read), 4 pipeline (a stage
+after ingest), 5 output (a file that is written).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .config import CONFIG_SCHEMA, load_config
-from .errors import ConfigError, ParseError, PipelineError, ValidationError
+from .errors import ConfigError, OutputError, ParseError, PipelineError, ValidationError
 from .geodesy import Ellipsoid, GeoPoint, geodesic_inverse
 from .kitti import format_detections, parse_label_file, perturb_ground_truth
-from .pipeline import _read, run_pipeline, write_eval_outputs, write_run_outputs
+from .pipeline import _read, _write, run_pipeline, write_eval_outputs, write_run_outputs
 from .render import render_svg
 from .trajectory import diagram_from_csv
 
@@ -27,8 +27,9 @@ __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_PARSE = 3
+EXIT_INPUT = 3
 EXIT_PIPELINE = 4
+EXIT_OUTPUT = 5
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
@@ -51,17 +52,10 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def _write(path: str, text: str) -> None:
-    """Write an output file, creating its directory if missing."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _collect_overrides(args))
     paths = write_run_outputs(run_pipeline(cfg))
-    print(f"{args.config}: wrote {paths['csv']}")
+    print(f"{args.config}: wrote {paths['diagram.csv']}")
     return EXIT_OK
 
 
@@ -163,15 +157,17 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except PipelineError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
-        return EXIT_PARSE if exc.stage == "ingest" else EXIT_PIPELINE
-    except (ParseError, ValidationError) as exc:
+        return EXIT_INPUT if exc.stage == "ingest" else EXIT_PIPELINE
+    except (ParseError, ValidationError, OSError) as exc:
+        # every write goes through pipeline._write, which raises OutputError,
+        # so an OSError here comes from reading an input
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

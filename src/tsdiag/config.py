@@ -44,7 +44,6 @@ CONFIG_SCHEMA: dict[str, dict[str, str]] = {
         "class_heights": "intrinsics.class_height_m",
     },
     "tracker": {
-        "nn_metric": "tracker.nn_metric",
         "max_dist": "tracker.max_dist",
         "max_iou_dist": "tracker.max_iou_dist",
         "max_age": "tracker.max_age",

@@ -19,3 +19,7 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+
+
+class OutputError(RuntimeError):
+    """An output file could not be written; the message leads with its path."""

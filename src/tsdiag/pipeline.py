@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .config import PipelineConfig, dump_config
-from .errors import ParseError, PipelineError, ValidationError
+from .errors import OutputError, ParseError, PipelineError, ValidationError
 from .evaluation import (
     ErrorReport,
     HotaReport,
@@ -75,7 +75,7 @@ def _stage(name: str):
     """Re-raise a failure inside the block as a PipelineError naming the stage."""
     try:
         yield
-    except PipelineError:
+    except (PipelineError, OutputError):
         raise
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
@@ -88,6 +88,24 @@ def _read(parse, path: str):
             return parse(fh)
         except (ParseError, ValidationError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write one output file, creating its directory if missing; a failure names the file."""
+    try:
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc}") from exc
+
+
+def _write_files(out_dir: str, files: dict[str, str]) -> dict[str, str]:
+    """Write each file name's text into out_dir; returns each file name's path."""
+    paths = {name: os.path.join(out_dir, name) for name in files}
+    for name, text in files.items():
+        _write(paths[name], text)
+    return paths
 
 
 def _check_frames(records: list[DetectionRecord], path: str, n_fixes: int,
@@ -182,23 +200,15 @@ def _run_meta(cfg: PipelineConfig) -> str:
 
 
 def write_run_outputs(result: PipelineResult, out_dir: str | None = None) -> dict[str, str]:
-    """Write diagram.csv, diagram.svg, and run_meta.txt; returns the paths."""
-    out_dir = out_dir or result.config.output_dir
+    """Write diagram.csv, diagram.svg and run_meta.txt; returns each file name's path."""
+    cfg = result.config
     with _stage("render"):
-        os.makedirs(out_dir, exist_ok=True)
-        paths = {
-            "csv": os.path.join(out_dir, "diagram.csv"),
-            "svg": os.path.join(out_dir, "diagram.svg"),
-            "meta": os.path.join(out_dir, "run_meta.txt"),
+        files = {
+            "diagram.csv": diagram_to_csv(result.diagram),
+            "diagram.svg": render_svg(result.diagram, title=cfg.sequence_id or None),
+            "run_meta.txt": _run_meta(cfg),
         }
-        with open(paths["csv"], "w") as fh:
-            fh.write(diagram_to_csv(result.diagram))
-        with open(paths["svg"], "w") as fh:
-            fh.write(render_svg(result.diagram,
-                                title=result.config.sequence_id or None))
-        with open(paths["meta"], "w") as fh:
-            fh.write(_run_meta(result.config))
-    return paths
+        return _write_files(out_dir or cfg.output_dir, files)
 
 
 def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpaceDiagram:
@@ -258,23 +268,14 @@ def evaluate(result: PipelineResult) -> EvalResult:
 
 
 def write_eval_outputs(result: PipelineResult, out_dir: str | None = None) -> dict[str, str]:
+    """Write each report as .txt and .csv; returns each file name's path."""
     evaluation = evaluate(result)
-    out_dir = out_dir or result.config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    files = {}
     for name, report in (("range_report_gt", evaluation.range_gt),
                          ("range_report_pred", evaluation.range_pred),
                          ("trajectory_report", evaluation.trajectory)):
-        paths[name + ".txt"] = os.path.join(out_dir, name + ".txt")
-        paths[name + ".csv"] = os.path.join(out_dir, name + ".csv")
-        with open(paths[name + ".txt"], "w") as fh:
-            fh.write(error_report_to_text(report))
-        with open(paths[name + ".csv"], "w") as fh:
-            fh.write(error_report_to_csv(report))
-    paths["hota_report.txt"] = os.path.join(out_dir, "hota_report.txt")
-    paths["hota_report.csv"] = os.path.join(out_dir, "hota_report.csv")
-    with open(paths["hota_report.txt"], "w") as fh:
-        fh.write(hota_report_to_text(evaluation.hota_report))
-    with open(paths["hota_report.csv"], "w") as fh:
-        fh.write(hota_report_to_csv(evaluation.hota_report))
-    return paths
+        files[name + ".txt"] = error_report_to_text(report)
+        files[name + ".csv"] = error_report_to_csv(report)
+    files["hota_report.txt"] = hota_report_to_text(evaluation.hota_report)
+    files["hota_report.csv"] = hota_report_to_csv(evaluation.hota_report)
+    return _write_files(out_dir or result.config.output_dir, files)

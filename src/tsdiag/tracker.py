@@ -67,7 +67,6 @@ _ASPECT_VEL_VAR = _ASPECT_VEL_STD * _ASPECT_VEL_STD
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    nn_metric: str = "cosine"          # cosine | euclidean
     max_dist: float = 0.2              # appearance matching threshold
     max_iou_dist: float = 0.7          # overlap-stage gate on (1 - IoU)
     max_age: int = 30                  # missed frames before deletion
@@ -77,8 +76,6 @@ class TrackerConfig:
     mahalanobis_gate: float = CHI2_95_4DOF
 
     def __post_init__(self):
-        if self.nn_metric not in ("cosine", "euclidean"):
-            raise ValidationError(f"unknown nn_metric {self.nn_metric!r}")
         if not 0.0 < self.max_dist <= 1.0:
             raise ValidationError(f"max_dist {self.max_dist} outside (0, 1]")
         if not 0.0 < self.max_iou_dist <= 1.0:
@@ -431,12 +428,9 @@ class Track:
         return counts.most_common(1)[0][0] if counts else "other"
 
 
-def _appearance_cost(appearance: tuple[float, ...], embedding: tuple[float, ...],
-                     metric: str) -> float:
-    """Cosine or Euclidean distance of a track appearance to a detection vector."""
-    if metric == "cosine":
-        return 1.0 - sum(map(mul, appearance, embedding))
-    return math.dist(appearance, embedding)
+def _appearance_cost(appearance: tuple[float, ...], embedding: tuple[float, ...]) -> float:
+    """Cosine distance of a track appearance to a detection vector, both unit vectors."""
+    return 1.0 - sum(map(mul, appearance, embedding))
 
 
 def _blend_appearance(appearance: tuple[float, ...], embedding: tuple[float, ...],
@@ -493,7 +487,6 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     if confirmed:
         gate = config.mahalanobis_gate
         max_dist = config.max_dist
-        metric = config.nn_metric
         vectors = [det.embedding for det in detections]
         cost = []
         distances = gating_distance([states[i] for i in confirmed], measurements)
@@ -505,7 +498,7 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
                 if distance > gate:
                     line.append(_GATE_COST)
                 elif appearance is not None and vectors[col] is not None:
-                    value = _appearance_cost(appearance, vectors[col], metric)
+                    value = _appearance_cost(appearance, vectors[col])
                     line.append(_GATE_COST if value > max_dist else value)
                 else:
                     line.append(0.5 * (1.0 - iou(box, boxes[col]))

@@ -115,10 +115,8 @@ def gating_distance(state, bboxes):
     return np.sum(diff.T * solved, axis=0)
 
 
-def _appearance_cost(track, embedding, metric):
-    if metric == "cosine":
-        return 1.0 - float(np.dot(track.appearance, embedding))
-    return float(np.linalg.norm(track.appearance - embedding))
+def _appearance_cost(track, embedding):
+    return 1.0 - float(np.dot(track.appearance, embedding))
 
 
 def _unit(values):
@@ -186,7 +184,7 @@ def associate(tracks, states, detections, config):
                 embedding = _vector(detections[col])
                 if (config.use_appearance and track.appearance is not None
                         and embedding is not None):
-                    value = _appearance_cost(track, embedding, config.nn_metric)
+                    value = _appearance_cost(track, embedding)
                     if value > config.max_dist:
                         continue
                 else:

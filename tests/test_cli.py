@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from tsdiag.cli import _add_override_flags, _collect_overrides, main
 from tsdiag.config import CONFIG_SCHEMA, PipelineConfig, build_config, dump_config, load_config
-from tsdiag.errors import ConfigError, PipelineError, ValidationError
+from tsdiag.errors import ConfigError, OutputError, PipelineError, ValidationError
 from tsdiag.pipeline import _stage, run_pipeline
 from tsdiag.kitti import DetectionRecord, format_detections, parse_detections_file
 from tsdiag.synth import head_on_scene, write_fixture, write_scene_files
-from tsdiag.trajectory import diagram_from_csv
+from tsdiag.trajectory import diagram_from_csv, diagram_to_csv, smooth_diagram
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,8 @@ class TestConfig:
         assert cfg.intrinsics.image_height_px == 376.0
 
     @pytest.mark.parametrize("section, key", [("paths", "embeddings"), ("camera", "preset"),
-                                              ("run", "include_dontcare")])
+                                              ("run", "include_dontcare"),
+                                              ("tracker", "nn_metric")])
     def test_removed_key_in_a_file_exits_2(self, tmp_path, capsys, section, key):
         # as an older run_meta.txt writes it; ignoring the key would drop
         # what it meant without a word
@@ -100,7 +101,7 @@ DEFAULT_MANIFEST = "\n".join([
     "[paths]", "labels = ", "detections = ", "oxts = ", "timestamps = ", "output_dir = out", "",
     "[camera]", "focal_length_px = 721.0", "image_height_px = 376.0",
     "sensor_height_px = 362.0", "image_width_px = 1242.0", "class_heights = car:1.5", "",
-    "[tracker]", "nn_metric = cosine", "max_dist = 0.2", "max_iou_dist = 0.7", "max_age = 30",
+    "[tracker]", "max_dist = 0.2", "max_iou_dist = 0.7", "max_age = 30",
     "n_init = 2", "appearance_ema_alpha = 0.9", "use_appearance = false",
     "mahalanobis_gate = 9.4877", "",
     "[lane_filter]", "lane_filter = true", "traffic_side = right",
@@ -131,7 +132,6 @@ VALID_VALUES = {
     "focal_length_px": _positive, "image_height_px": _positive,
     "sensor_height_px": _positive,
     "image_width_px": _float_text(min_value=0.0, exclude_min=True, allow_infinity=False),
-    "nn_metric": st.sampled_from(["cosine", "euclidean"]),
     "max_dist": _open_unit, "max_iou_dist": _open_unit,
     "max_age": st.integers(1, 1000).map(str), "n_init": st.integers(1, 10).map(str),
     "appearance_ema_alpha": _unit, "use_appearance": _bool_text,
@@ -178,7 +178,7 @@ def _class_values(draw):
 
 class TestConfigTable:
     def test_every_key_written_once(self):
-        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 36
+        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 35
         assert not CLASS_KEYS & set(VALID_VALUES)
         assert set(VALID_VALUES) | CLASS_KEYS == set(TABLE_KEYS)
 
@@ -328,6 +328,13 @@ class TestStage:
                 raise inner
         assert info.value is inner
 
+    def test_output_error_passes_unchanged(self):
+        inner = OutputError("out/diagram.csv: [Errno 21] Is a directory")
+        with pytest.raises(OutputError) as info:
+            with _stage("render"):
+                raise inner
+        assert info.value is inner
+
     def test_interrupt_is_not_wrapped(self):
         with pytest.raises(KeyboardInterrupt):
             with _stage("tracking"):
@@ -378,6 +385,21 @@ class TestRunCommand:
         cfg = load_config(config_path)
         reparsed = load_config(os.path.join(directory, "out", "run_meta.txt"))
         assert reparsed == cfg
+
+    def test_smoothing_window_smooths_the_written_diagram(self, fixture_dir, tmp_path):
+        # jittered boxes, so the median filter moves points
+        _, config_path = fixture_dir
+        noise = {"jitter_px": "2", "seed": "1"}
+        raw = run_pipeline(load_config(config_path, noise)).diagram
+        out_dir = tmp_path / "smoothed"
+        assert main(["run", config_path, "--jitter-px", "2", "--seed", "1",
+                     "--smoothing-window", "5", "--output-dir", str(out_dir)]) == 0
+        text = (out_dir / "diagram.csv").read_text()
+        assert text == diagram_to_csv(smooth_diagram(raw, 5))
+        assert text != diagram_to_csv(raw)
+        for line in text.splitlines()[1:]:
+            _, _, link, probe, camera, _ = line.split(",")
+            assert abs(float(link) - (float(probe) + float(camera))) <= 2e-6
 
     def test_determinism_byte_identical(self, fixture_dir, tmp_path):
         _, config_path = fixture_dir
@@ -846,6 +868,98 @@ class TestPipelineErrors:
         assert f"pipeline error: ingest: {path}: {message}" in capsys.readouterr().err
 
 
+_DIAGRAM_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality\n"
+
+# each command's path arguments as (flag, kind); None is the positional
+# config file, and out and output_dir are the written paths
+_PATH_ARGUMENTS = {
+    "run": [(None, "config"), ("--labels", "labels"), ("--detections", "detections"),
+            ("--oxts", "oxts"), ("--timestamps", "timestamps"), ("--output-dir", "output_dir")],
+    "perturb": [(None, "config"), ("--labels", "labels"), ("--out", "out")],
+    "render": [("--csv", "diagram"), ("--reference", "diagram"), ("--out", "out")],
+}
+_PATH_ARGUMENTS["eval"] = _PATH_ARGUMENTS["run"]
+_OUTPUTS = {"out", "output_dir"}
+# a malformed file of each kind that is read
+_MALFORMED = {
+    "config": "no section header\n",
+    "labels": "0 1 Car x\n",
+    "detections": "0 car 1 2 30 x 0.9\n",
+    "oxts": "49.0 x\n",
+    "timestamps": "abc\n",
+    "diagram": _DIAGRAM_HEADER + "0,nan,0,0,0,ok\n",
+}
+# a file the command writes late into its output directory
+_LATE_OUTPUT = {"run": "run_meta.txt", "eval": "hota_report.txt"}
+_FAULTS = ("missing", "directory", "file", "malformed")
+
+
+def _faulty_path(tmp_path, command, kind, fault):
+    """A path of the given kind with one fault."""
+    if fault == "missing":
+        return tmp_path / "missing" / "deeper" / "name"
+    if fault == "file":  # a file where a directory belongs
+        (tmp_path / "a_file").write_text("")
+        return tmp_path / "a_file" if kind == "output_dir" else tmp_path / "a_file" / "name"
+    if fault == "directory":  # a directory where a file belongs
+        if kind == "output_dir":
+            (tmp_path / "out" / _LATE_OUTPUT[command]).mkdir(parents=True)
+            return tmp_path / "out"
+        (tmp_path / "a_dir").mkdir()
+        return tmp_path / "a_dir"
+    path = tmp_path / "malformed"
+    path.write_text(_MALFORMED[kind])
+    return path
+
+
+def _argv(command, config_path, tmp_path):
+    """The command on good paths: the fixture's inputs, outputs in tmp_path."""
+    if command == "render":
+        diagram = tmp_path / "diagram.csv"
+        diagram.write_text(_DIAGRAM_HEADER + "0,0.000000,0.0,0.0,0.0,ok\n")
+        return ["render", "--csv", str(diagram), "--out", str(tmp_path / "diagram.svg")]
+    if command == "perturb":
+        return ["perturb", config_path, "--out", str(tmp_path / "dets.txt")]
+    return [command, config_path, "--output-dir", str(tmp_path / "out")]
+
+
+class TestFailureContract:
+    """Every path argument of every command under each fault.
+
+    The exit code follows the path's role, whatever the exception: 2 for
+    the config file, 3 for a file that is read, 5 for one that is written
+    (a missing output directory is created).  The message names the path.
+    """
+
+    @pytest.mark.parametrize("command, flag, kind, fault", [
+        pytest.param(command, flag, kind, fault,
+                     id=f"{command}-{(flag or 'config').lstrip('-')}-{fault}")
+        for command, arguments in _PATH_ARGUMENTS.items() for flag, kind in arguments
+        for fault in _FAULTS if not (kind in _OUTPUTS and fault == "malformed")])
+    def test_exit_code_follows_the_role_of_the_path(self, fixture_dir, tmp_path, capsys,
+                                                    command, flag, kind, fault):
+        _, config_path = fixture_dir
+        path = _faulty_path(tmp_path, command, kind, fault)
+        argv = _argv(command, config_path, tmp_path)
+        if flag is None:
+            argv[1] = str(path)
+        elif flag in argv:
+            argv[argv.index(flag) + 1] = str(path)
+        else:
+            argv += [flag, str(path)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if kind in _OUTPUTS and fault == "missing":
+            assert (code, err) == (0, "")
+            assert path.exists()
+        elif kind in _OUTPUTS:
+            assert code == 5, err
+            assert err.startswith(f"output error: {path}")
+        else:
+            assert code == (2 if kind == "config" else 3), err
+            assert str(path) in err
+
+
 class TestEmbeddingsPath:
     def test_embeddings_file_feeds_appearance_matching(self, tmp_path):
         directory = str(tmp_path / "se")
@@ -914,7 +1028,7 @@ class TestRuntimeDependencies:
         # numpy is a test-only dependency: one process with its import made
         # to fail loads the config, hits a config error, runs, evaluates,
         # perturbs, and runs on detections with vectors, appearance off and
-        # on with either metric; each test below checks its part of the run
+        # on; each test below checks its part of the run
         bare = tmp_path_factory.mktemp("numpy_blocked") / "bare"
         script = textwrap.dedent("""
             import json, sys
@@ -933,10 +1047,8 @@ class TestRuntimeDependencies:
                     out.write(line.rstrip("\\n") + vector + "\\n")
             codes.append(main(["run", config, "--detections", with_vectors,
                                "--output-dir", scene + "/vectors"]))
-            for metric in ("cosine", "euclidean"):
-                codes.append(main(["run", config, "--detections", with_vectors,
-                                   "--use-appearance", "true", "--nn-metric", metric,
-                                   "--output-dir", scene + "/" + metric]))
+            codes.append(main(["run", config, "--detections", with_vectors,
+                               "--use-appearance", "true", "--output-dir", scene + "/appearance"]))
             print(json.dumps({"codes": codes,
                               "numpy": sorted(m for m in sys.modules if m.startswith("numpy")
                                               and sys.modules[m] is not None)}))
@@ -984,11 +1096,11 @@ class TestRuntimeDependencies:
         # with appearance off the vectors leave the diagram as it was, and
         # with it on the one car is tracked as without them
         bare, codes, _ = numpy_blocked
-        assert codes[3:] == [0, 0, 0, 0]
+        assert codes[3:] == [0, 0, 0]
         assert " 2 1.0 0.0" in (bare / "vectors.txt").read_text()
 
         assert main(["run", str(bare / "config.ini"), "--detections", str(bare / "dets.txt"),
                      "--output-dir", str(tmp_path / "plain")]) == 0
         plain = (tmp_path / "plain" / "diagram.csv").read_bytes()
-        for run in ("vectors", "cosine", "euclidean"):
+        for run in ("vectors", "appearance"):
             assert (bare / run / "diagram.csv").read_bytes() == plain, run

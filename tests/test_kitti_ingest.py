@@ -418,6 +418,36 @@ class TestLoadOxtsDirectory:
             assert found == expected
 
 
+def _oxts_file(path, lines):
+    """One multi-line OXTS file: a comment, then line k + 1 is frame k's fix."""
+    path.write_text("# lat lon alt ...\n" + "".join(line + "\n" for line in lines))
+    return str(path)
+
+
+class TestLoadOxtsFile:
+    """The one-file layout, as the dense_traffic benchmark scene writes it."""
+
+    def test_same_fixes_as_the_directory_layout(self, tmp_path):
+        write_fixture(str(tmp_path / "scene"))
+        directory = tmp_path / "scene" / "oxts"
+        lines = [(directory / f"{frame:010d}.txt").read_text().strip() for frame in range(100)]
+        one_file = _oxts_file(tmp_path / "oxts.txt", lines)
+        from_file, from_directory = load_oxts(one_file), load_oxts(str(directory))
+        assert len(from_file) == 100
+        assert from_file == from_directory
+
+    @pytest.mark.parametrize("line", [2, 8, 44])
+    def test_bad_token_names_the_file_and_the_line(self, tmp_path, line):
+        # the comment is line 1, so line k holds frame k - 2's fix
+        lines = [OXTS_LINE.replace("49.011212", f"49.{k:06d}") for k in range(43)]
+        lines[line - 2] = lines[line - 2].replace("8.422885", "abc")
+        path = _oxts_file(tmp_path / "oxts.txt", lines)
+        with pytest.raises(ParseError) as info:
+            load_oxts(path)
+        assert str(info.value) == f"{path}: line {line}: non-numeric field 'abc'"
+
+
+
 class TestParseDetectionsFile:
     def test_documented_line(self):
         records = parse_detections_file(io.StringIO("0 car 100 50 180 120 0.91"))

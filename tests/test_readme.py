@@ -1,10 +1,12 @@
 """The README's configuration listing and library example stay true."""
 
 import os
+import re
 import subprocess
 import sys
 
 import tsdiag
+from tsdiag import cli
 from tsdiag.config import PipelineConfig, dump_config, load_config
 from tsdiag.synth import write_fixture
 
@@ -60,3 +62,11 @@ def test_package_root_loads_only_the_version():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "['tsdiag.version']"
+
+
+def test_exit_code_sentence_lists_every_exit_code():
+    with open(README) as fh:
+        sentence = fh.read().split("\nExit codes", 1)[1].split(".", 1)[0]
+    listed = [int(code) for code in re.findall(r"(?:: |, )(\d+) ", sentence)]
+    assert listed == sorted(value for name, value in vars(cli).items()
+                            if name.startswith("EXIT_"))

@@ -776,21 +776,17 @@ class TestAppearance:
         assert [len(t.records) for t in tracker.tracks] == [3, 3]
         assert [t.appearance for t in tracker.tracks] == [None, None]
 
-    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6), seeds,
-           st.sampled_from(["cosine", "euclidean"]))
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6), seeds)
     @settings(max_examples=50, deadline=None)
-    def test_appearance_costs_match_pairwise_formula(self, k, l, dim, seed, metric):
+    def test_appearance_costs_match_pairwise_formula(self, k, l, dim, seed):
         rng = np.random.RandomState(seed)
         appearances = rng.normal(size=(k, dim))
         embeddings = rng.normal(size=(l, dim))
         for i in range(k):
             for j in range(l):
                 cost = _appearance_cost(tuple(appearances[i].tolist()),
-                                        tuple(embeddings[j].tolist()), metric)
-                if metric == "cosine":
-                    expected = 1.0 - float(np.dot(appearances[i], embeddings[j]))
-                else:
-                    expected = float(np.linalg.norm(appearances[i] - embeddings[j]))
+                                        tuple(embeddings[j].tolist()))
+                expected = 1.0 - float(np.dot(appearances[i], embeddings[j]))
                 assert cost == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_appearance_gate_is_inclusive(self):
@@ -1161,12 +1157,10 @@ class TestAppearancePartition:
         (100, ["8:0000000000000000-00000000", "14:3333333333", "15:11", "15:55---555555",
                "17:1", "17:444", "18:1", "19:22222", "19:1", "27:444444444444", "31:3"]),
     ])
-    @pytest.mark.parametrize("metric, max_dist", [("cosine", 0.2), ("euclidean", 0.6)])
-    def test_track_partition_pinned(self, seed, expected, metric, max_dist):
+    def test_track_partition_pinned(self, seed, expected):
         frames = _with_random_vectors(
             _vehicle_frames(_random_vehicles(np.random.RandomState(seed), 6), seed), seed)
-        config = TrackerConfig(max_age=3, use_appearance=True, nn_metric=metric,
-                               max_dist=max_dist)
+        config = TrackerConfig(max_age=3, use_appearance=True)
         assert _partition(config, frames) == expected
         assert _partition(TrackerConfig(max_age=3), frames) != expected
 
@@ -1246,5 +1240,3 @@ class TestConfigValidation:
             TrackerConfig(max_age=0)
         with pytest.raises(ValidationError):
             TrackerConfig(n_init=0)
-        with pytest.raises(ValidationError):
-            TrackerConfig(nn_metric="manhattan")
