@@ -16,10 +16,10 @@ import math
 import sys
 
 from .config import CONFIG_SCHEMA, load_config
-from .errors import ConfigError, OutputError, ParseError, PipelineError, ValidationError
+from .errors import ConfigError, InputError, OutputError, PipelineError, ValidationError
 from .geodesy import Ellipsoid, GeoPoint, geodesic_inverse
-from .kitti import format_detections, parse_label_file, perturb_ground_truth
-from .pipeline import _read, _write, run_pipeline, write_eval_outputs, write_run_outputs
+from .kitti import format_detections, parse_label_file, perturb_ground_truth, read_input
+from .pipeline import _write, run_pipeline, write_eval_outputs, write_run_outputs
 from .render import render_svg
 from .trajectory import diagram_from_csv
 
@@ -61,6 +61,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _collect_overrides(args))
+    if not cfg.labels:
+        raise ConfigError("eval needs a labels file, from the config or --labels")
     result = run_pipeline(cfg)
     write_run_outputs(result)
     paths = write_eval_outputs(result)
@@ -69,9 +71,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_geodesic(args: argparse.Namespace) -> int:
-    ellipsoid = Ellipsoid(args.semi_major_axis_m, args.flattening)
-    solution = geodesic_inverse(GeoPoint(args.lat1, args.lon1),
-                                GeoPoint(args.lat2, args.lon2), ellipsoid)
+    try:  # every value comes from the command line, so a bad one is a config error
+        ellipsoid = Ellipsoid(args.semi_major_axis_m, args.flattening)
+        start, end = GeoPoint(args.lat1, args.lon1), GeoPoint(args.lat2, args.lon2)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
+    solution = geodesic_inverse(start, end, ellipsoid)
     print(f"distance_m = {solution.distance_m:.4f}")
     print(f"azimuth1_deg = {solution.azimuth1_deg:.9f}")
     print(f"azimuth2_deg = {solution.azimuth2_deg:.9f}")
@@ -82,7 +87,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _collect_overrides(args))
     if not cfg.labels:
         raise ConfigError("perturb needs a labels file, from the config or --labels")
-    records = _read(parse_label_file, cfg.labels)
+    records = read_input(cfg.labels, parse_label_file)
     perturbed = perturb_ground_truth(records, cfg.jitter_px, cfg.drop_rate, cfg.seed)
     _write(args.out, format_detections(perturbed))
     print(f"wrote {len(perturbed)} detections to {args.out}")
@@ -90,7 +95,8 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def _read_diagram(path: str, link_length_m: float | None):
-    return _read(lambda fh: diagram_from_csv(fh.read(), link_length_m=link_length_m), path)
+    return read_input(path, lambda lines: diagram_from_csv("\n".join(lines),
+                                                           link_length_m=link_length_m))
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -157,17 +163,15 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except PipelineError as exc:
+        print(f"pipeline error: {exc}", file=sys.stderr)
+        return EXIT_PIPELINE
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    except PipelineError as exc:
-        print(f"pipeline error: {exc}", file=sys.stderr)
-        return EXIT_INPUT if exc.stage == "ingest" else EXIT_PIPELINE
-    except (ParseError, ValidationError, OSError) as exc:
-        # every write goes through pipeline._write, which raises OutputError,
-        # so an OSError here comes from reading an input
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -237,7 +237,7 @@ def load_config(path: str | None = None,
         try:
             with open(path) as fh:
                 parser.read_file(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}") from None

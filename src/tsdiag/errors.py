@@ -23,3 +23,7 @@ class PipelineError(RuntimeError):
 
 class OutputError(RuntimeError):
     """An output file could not be written; the message leads with its path."""
+
+
+class InputError(RuntimeError):
+    """An input file could not be read or parsed; the message leads with its path."""

@@ -5,7 +5,8 @@ ground-truth perturbation for detector-free pipeline runs.
 A detection (``DetectionRecord``) holds only what a detector reports; a
 label (``LabelRecord``) adds the annotated truth, which only evaluation
 reads.  All parsers are pure functions over text streams and return
-immutable records, so parsed collections can move freely between threads.
+immutable records, so parsed collections can move freely between threads;
+``read_input`` is the one function that opens an input file for them.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import os
 import random
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
-from .errors import ParseError, ValidationError
+from .errors import InputError, ParseError, ValidationError
 from .geodesy import GeoPoint
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "parse_label_file",
     "parse_timestamps",
     "perturb_ground_truth",
+    "read_input",
 ]
 
 # the object types of the KITTI devkit, lower-cased; its ninth type, DontCare,
@@ -53,6 +55,12 @@ _SCORED_LABEL_NUMBERS = itemgetter(0, 1, 3, 4, 6, 7, 8, 9, 13, 14, 15, 17)
 _EXACT_INT_LIMIT = 2.0 ** 53
 
 _OXTS_FIELD_COUNT = 30
+
+# what reading an input file can raise: the file cannot be opened or
+# decoded, or its content is malformed or invalid
+_INPUT_FAULTS = (OSError, UnicodeDecodeError, ParseError, ValidationError)
+
+_T = TypeVar("_T")
 
 
 def _class_label(token: str, line_no: int) -> str:
@@ -375,23 +383,33 @@ def parse_oxts_lines(stream: IO[str] | Iterable[str]) -> list[OxtsSample]:
 def _oxts_files_by_frame(path: str) -> list[str]:
     # a per-frame file is named by its frame number (0000000042.txt); every
     # frame from 0 up must have exactly one file, so none can shift
-    files: dict[int, str] = {}
-    for name in os.listdir(path):
-        if not name.endswith(".txt"):
-            continue
-        stem = name[:-4]
-        if not (stem.isascii() and stem.isdigit()):
-            raise ValidationError(f"{path}: OXTS file {name!r} is not named by a frame number")
-        frame_index = int(stem)
-        if frame_index in files:
-            raise ValidationError(
-                f"{path}: OXTS files {files[frame_index]!r} and {name!r} are both frame "
-                f"{frame_index}")
-        files[frame_index] = name
-    for frame_index in range(len(files)):
-        if frame_index not in files:
-            raise ValidationError(f"{path}: no OXTS file for frame {frame_index}")
+    try:
+        files: dict[int, str] = {}
+        for name in os.listdir(path):
+            if not name.endswith(".txt"):
+                continue
+            stem = name[:-4]
+            if not (stem.isascii() and stem.isdigit()):
+                raise ValidationError(f"OXTS file {name!r} is not named by a frame number")
+            frame_index = int(stem)
+            if frame_index in files:
+                raise ValidationError(
+                    f"OXTS files {files[frame_index]!r} and {name!r} are both frame "
+                    f"{frame_index}")
+            files[frame_index] = name
+        for frame_index in range(len(files)):
+            if frame_index not in files:
+                raise ValidationError(f"no OXTS file for frame {frame_index}")
+    except _INPUT_FAULTS as exc:
+        raise InputError(f"{path}: {exc}") from exc
     return [files[frame_index] for frame_index in range(len(files))]
+
+
+def _first_fix(lines: Iterable[str]) -> OxtsSample:
+    """The fix of a per-frame OXTS file: the first it holds."""
+    for line_no, line in _iter_content_lines(lines):
+        return _parse_oxts_line(line, line_no)
+    raise ValidationError("no OXTS fix")
 
 
 def load_oxts(path: str) -> list[OxtsSample]:
@@ -401,13 +419,9 @@ def load_oxts(path: str) -> list[OxtsSample]:
     its name gives; frames must run from 0 without a gap.
     """
     if os.path.isdir(path):
-        return [_read_oxts_fix(os.path.join(path, name), frame_index)
-                for frame_index, name in enumerate(_oxts_files_by_frame(path))]
-    with open(path) as fh:
-        try:
-            return parse_oxts_lines(fh)
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+        return [read_input(os.path.join(path, name), _first_fix)
+                for name in _oxts_files_by_frame(path)]
+    return read_input(path, parse_oxts_lines)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -421,26 +435,41 @@ def _read_bytes(path: str) -> bytes:
     return b"".join(chunks)
 
 
-def _read_oxts_fix(file_path: str, frame_index: int) -> OxtsSample:
-    """The first fix of a per-frame OXTS file, read whole as raw bytes.
+def _lines(text: str) -> Iterator[str]:
+    """The LF-separated lines of text, one at a time.
 
-    The reader sees the lines a text-mode reader sees: they end at LF,
-    CRLF or a lone CR, and a file that is not plain ASCII is decoded in
-    the locale's encoding, as ``open`` does.
+    A list of every line of a large file, held beside the records parsed
+    from it, would raise the run's peak memory.
     """
-    data = _read_bytes(file_path)
-    if data.isascii():
-        text = data.decode("ascii")
-    else:
-        with open(file_path) as fh:
-            text = fh.read()
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for line_no, line in _iter_content_lines(lines):
-        try:
-            return _parse_oxts_line(line, line_no)
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"{file_path}: {exc}") from None
-    raise ValidationError(f"{file_path}: no OXTS fix for frame {frame_index}")
+    start = 0
+    end = text.find("\n")
+    while end >= 0:
+        yield text[start:end]
+        start = end + 1
+        end = text.find("\n", start)
+    yield text[start:]
+
+
+def read_input(path: str, parse: Callable[[Iterator[str]], _T]) -> _T:
+    """``parse`` applied to the lines of one input file; any failure names the file.
+
+    The file is read whole as raw bytes, and ``parse`` gets the lines a
+    text-mode reader sees: they end at LF, CRLF or a lone CR, and a file
+    that is not plain ASCII is decoded in the locale's encoding, as
+    ``open`` does.  A read, decode, parse or validation failure becomes
+    an InputError that leads with the path and keeps the failure as its
+    cause.
+    """
+    try:
+        data = _read_bytes(path)
+        if data.isascii():
+            text = data.decode("ascii")
+        else:
+            with open(path) as fh:
+                text = fh.read()
+        return parse(_lines(text.replace("\r\n", "\n").replace("\r", "\n")))
+    except _INPUT_FAULTS as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def parse_timestamps(stream: IO[str] | Iterable[str]) -> list[float]:

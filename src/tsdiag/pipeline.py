@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .config import PipelineConfig, dump_config
-from .errors import OutputError, ParseError, PipelineError, ValidationError
+from .errors import ConfigError, InputError, OutputError, PipelineError
 from .evaluation import (
     ErrorReport,
     HotaReport,
@@ -34,6 +34,7 @@ from .kitti import (
     parse_label_file,
     parse_timestamps,
     perturb_ground_truth,
+    read_input,
 )
 from .photogrammetry import QUALITY_OK
 from .render import render_svg
@@ -72,22 +73,16 @@ class EvalResult:
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Re-raise a failure inside the block as a PipelineError naming the stage."""
+    """Re-raise a failure inside the block as a PipelineError naming the stage.
+
+    An InputError or OutputError already names its file and passes unchanged.
+    """
     try:
         yield
-    except (PipelineError, OutputError):
+    except (PipelineError, InputError, OutputError):
         raise
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
-
-
-def _read(parse, path: str):
-    """Parse one input file; a parse error names the file."""
-    with open(path) as fh:
-        try:
-            return parse(fh)
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -113,7 +108,7 @@ def _check_frames(records: list[DetectionRecord], path: str, n_fixes: int,
     """Every record's frame must have a GPS fix, or it would have no place on the link."""
     for record in records:
         if record.frame_index >= n_fixes:
-            raise ValidationError(
+            raise InputError(
                 f"{path}: frame {record.frame_index} has no GPS sample; {oxts_path} holds "
                 f"frames 0 to {n_fixes - 1}")
 
@@ -124,42 +119,40 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     Labels reach the tracker only as perturb_ground_truth's plain
     DetectionRecords; gt_records keeps them for evaluation.
     """
+    if not cfg.oxts:
+        raise ConfigError("no OXTS path configured")
+    if not (cfg.detections or cfg.labels):
+        raise ConfigError("need either a detections file or a labels file")
     gt_records = None
     with _stage("ingest"):
-        if not cfg.oxts:
-            raise ValidationError("no OXTS path configured")
-        if not os.path.exists(cfg.oxts):
-            raise ValidationError(f"OXTS path {cfg.oxts!r} does not exist")
         oxts = load_oxts(cfg.oxts)
         if not oxts:
-            raise ValidationError(f"OXTS path {cfg.oxts!r} holds no GPS fixes")
+            raise InputError(f"{cfg.oxts}: holds no GPS fixes")
 
         if cfg.labels:
-            gt_records = _read(parse_label_file, cfg.labels)
+            gt_records = read_input(cfg.labels, parse_label_file)
             _check_frames(gt_records, cfg.labels, len(oxts), cfg.oxts)
 
         # the probe's (time, link distance) at each frame; fix i is frame i
         if cfg.timestamps:
-            times = _read(parse_timestamps, cfg.timestamps)
+            times = read_input(cfg.timestamps, parse_timestamps)
             if len(times) < len(oxts):
-                raise ValidationError(f"{cfg.timestamps}: frame {len(times)} beyond the "
-                                      f"{len(times)} explicit timestamps")
+                raise InputError(f"{cfg.timestamps}: frame {len(times)} beyond the "
+                                 f"{len(times)} explicit timestamps")
             if len(times) > len(oxts):
-                raise ValidationError(f"{cfg.timestamps}: {len(times)} timestamps for the "
-                                      f"{len(oxts)} GPS fixes in {cfg.oxts}")
+                raise InputError(f"{cfg.timestamps}: {len(times)} timestamps for the "
+                                 f"{len(oxts)} GPS fixes in {cfg.oxts}")
         else:
             times = [frame / cfg.frame_rate_hz for frame in range(len(oxts))]
         probe = list(zip(times, probe_distances(cfg.link_start, (s.position for s in oxts),
                                                 cfg.distance_mode)))
 
         if cfg.detections:
-            detections = _read(parse_detections_file, cfg.detections)
+            detections = read_input(cfg.detections, parse_detections_file)
             _check_frames(detections, cfg.detections, len(oxts), cfg.oxts)
-        elif gt_records is not None:
+        else:
             detections = perturb_ground_truth(gt_records, cfg.jitter_px, cfg.drop_rate,
                                               cfg.seed)
-        else:
-            raise ValidationError("need either a detections file or a labels file")
 
         detections = [d for d in detections if d.class_label in cfg.classes]
 
@@ -251,7 +244,7 @@ def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpace
 def evaluate(result: PipelineResult) -> EvalResult:
     """Range, trajectory, and tracking reports against the annotated truth."""
     if result.gt_records is None:
-        raise PipelineError("evaluation", "evaluation requires a labels file")
+        raise ConfigError("evaluation requires a labels file")
     cfg = result.config
     with _stage("evaluation"):
         gt = [r for r in result.gt_records

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsdiag.cli import _add_override_flags, _collect_overrides, main
 from tsdiag.config import CONFIG_SCHEMA, PipelineConfig, build_config, dump_config, load_config
-from tsdiag.errors import ConfigError, OutputError, PipelineError, ValidationError
+from tsdiag.errors import ConfigError, InputError, OutputError, PipelineError, ValidationError
 from tsdiag.pipeline import _stage, run_pipeline
 from tsdiag.kitti import DetectionRecord, format_detections, parse_detections_file
 from tsdiag.synth import head_on_scene, write_fixture, write_scene_files
@@ -328,6 +328,13 @@ class TestStage:
                 raise inner
         assert info.value is inner
 
+    def test_input_error_passes_unchanged(self):
+        inner = InputError("labels.txt: line 5: non-numeric field 'x'")
+        with pytest.raises(InputError) as info:
+            with _stage("ingest"):
+                raise inner
+        assert info.value is inner
+
     def test_output_error_passes_unchanged(self):
         inner = OutputError("out/diagram.csv: [Errno 21] Is a directory")
         with pytest.raises(OutputError) as info:
@@ -429,13 +436,27 @@ class TestRunCommand:
         bad.write_text(" ".join(fields) + "\n")
         code = main(["run", config_path, "--output-dir", str(tmp_path / "out")])
         assert code == 3
-        assert (f"pipeline error: ingest: {bad}: line 1: non-numeric field 'abc'"
+        assert (f"input error: {bad}: line 1: non-numeric field 'abc'"
                 in capsys.readouterr().err)
 
     def test_config_error_exits_2(self, fixture_dir, tmp_path, capsys):
         _, config_path = fixture_dir
         code = main(["run", config_path, "--max-age", "zero"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--oxts", "", "--labels", "/missing/labels.txt"], "no OXTS path configured"),
+        (["--oxts", "/missing/oxts", "--labels", "", "--detections", ""],
+         "need either a detections file or a labels file"),
+    ], ids=["oxts", "detections-or-labels"])
+    def test_unset_input_path_exits_2_before_any_read(self, fixture_dir, tmp_path, capsys,
+                                                      flags, message):
+        # the other input path is missing: had it been read first, the exit would be 3
+        _, config_path = fixture_dir
+        code = main(["run", config_path, *flags, "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [("--min-side-fraction", "3"),
                                              ("--image-fraction", "-1"),
@@ -614,11 +635,14 @@ class TestEvalCommand:
         dets_path = str(tmp_path / "dets.txt")
         main(["perturb", "--labels", os.path.join(directory, "labels.txt"),
               "--out", dets_path])
+        capsys.readouterr()
         code = main(["eval", config_path, "--labels", "",
                      "--detections", dets_path,
                      "--output-dir", str(tmp_path / "e2")])
-        assert code == 4
-        assert "labels" in capsys.readouterr().err
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: eval needs a labels file, from the config or --labels\n")
+        assert not (tmp_path / "e2").exists()
 
 
 class TestGeodesicCommand:
@@ -632,6 +656,17 @@ class TestGeodesicCommand:
         assert main(["geodesic", "0", "0", "0", "1", "--flattening", "0"]) == 0
         out = capsys.readouterr().out
         assert "distance_m = 111319.4908" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["95", "0", "0", "0"], "latitude 95.0 outside [-90, 90]"),
+        (["0", "0", "0", "inf"], "longitude inf is not finite"),
+        (["0", "0", "0", "1", "--semi-major-axis-m", "-1"],
+         "semi-major axis must be positive, got -1.0"),
+    ], ids=["latitude", "longitude", "ellipsoid"])
+    def test_bad_value_exits_2_naming_it(self, capsys, argv, message):
+        # no file is read: every value is a flag's
+        assert main(["geodesic", *argv]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 class TestPerturbCommand:
@@ -810,7 +845,7 @@ class TestPipelineErrors:
             fh.write("\n".join(lines) + "\n")
         code = main(["run", config_path, "--output-dir", str(tmp_path / "out")])
         assert code == 3
-        assert (f"pipeline error: ingest: {labels_path}: frame 150 has no GPS sample; "
+        assert (f"input error: {labels_path}: frame 150 has no GPS sample; "
                 f"{os.path.join(directory, 'oxts')} holds frames 0 to 99"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
@@ -822,7 +857,8 @@ class TestPipelineErrors:
         code = main(["run", config_path, "--detections", str(dets_path),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
-        assert f"ingest: {dets_path}: frame 100 has no GPS sample" in capsys.readouterr().err
+        assert (f"input error: {dets_path}: frame 100 has no GPS sample"
+                in capsys.readouterr().err)
 
     def test_too_few_timestamps_exits_3_naming_the_file(self, tmp_path, capsys):
         config_path = write_fixture(str(tmp_path / "scene"))
@@ -831,7 +867,7 @@ class TestPipelineErrors:
         code = main(["run", config_path, "--timestamps", str(stamps_path),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
-        assert (f"pipeline error: ingest: {stamps_path}: frame 50 beyond the 50 explicit "
+        assert (f"input error: {stamps_path}: frame 50 beyond the 50 explicit "
                 "timestamps" in capsys.readouterr().err)
 
     def test_too_many_timestamps_exits_3_naming_both_files(self, tmp_path, capsys):
@@ -842,7 +878,7 @@ class TestPipelineErrors:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         oxts_path = load_config(config_path).oxts
-        assert (f"pipeline error: ingest: {stamps_path}: 150 timestamps for the 100 GPS "
+        assert (f"input error: {stamps_path}: 150 timestamps for the 100 GPS "
                 f"fixes in {oxts_path}" in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
@@ -865,7 +901,7 @@ class TestPipelineErrors:
         code = main(["run", config_path, f"--{key}", str(path),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
-        assert f"pipeline error: ingest: {path}: {message}" in capsys.readouterr().err
+        assert f"input error: {path}: {message}" in capsys.readouterr().err
 
 
 _DIAGRAM_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality\n"
@@ -891,7 +927,8 @@ _MALFORMED = {
 }
 # a file the command writes late into its output directory
 _LATE_OUTPUT = {"run": "run_meta.txt", "eval": "hota_report.txt"}
-_FAULTS = ("missing", "directory", "file", "malformed")
+_FAULTS = ("missing", "directory", "file", "malformed", "undecodable")
+_CONTENT_FAULTS = ("malformed", "undecodable")
 
 
 def _faulty_path(tmp_path, command, kind, fault):
@@ -907,8 +944,11 @@ def _faulty_path(tmp_path, command, kind, fault):
             return tmp_path / "out"
         (tmp_path / "a_dir").mkdir()
         return tmp_path / "a_dir"
-    path = tmp_path / "malformed"
-    path.write_text(_MALFORMED[kind])
+    path = tmp_path / fault
+    if fault == "undecodable":  # not UTF-8
+        path.write_bytes(b"\xff\n")
+    else:
+        path.write_text(_MALFORMED[kind])
     return path
 
 
@@ -928,14 +968,15 @@ class TestFailureContract:
 
     The exit code follows the path's role, whatever the exception: 2 for
     the config file, 3 for a file that is read, 5 for one that is written
-    (a missing output directory is created).  The message names the path.
+    (a missing output directory is created).  The message names the path,
+    and an input or output error's message leads with it.
     """
 
     @pytest.mark.parametrize("command, flag, kind, fault", [
         pytest.param(command, flag, kind, fault,
                      id=f"{command}-{(flag or 'config').lstrip('-')}-{fault}")
         for command, arguments in _PATH_ARGUMENTS.items() for flag, kind in arguments
-        for fault in _FAULTS if not (kind in _OUTPUTS and fault == "malformed")])
+        for fault in _FAULTS if not (kind in _OUTPUTS and fault in _CONTENT_FAULTS)])
     def test_exit_code_follows_the_role_of_the_path(self, fixture_dir, tmp_path, capsys,
                                                     command, flag, kind, fault):
         _, config_path = fixture_dir
@@ -955,9 +996,12 @@ class TestFailureContract:
         elif kind in _OUTPUTS:
             assert code == 5, err
             assert err.startswith(f"output error: {path}")
+        elif kind == "config":
+            assert code == 2, err
+            assert err.startswith("config error: ") and str(path) in err
         else:
-            assert code == (2 if kind == "config" else 3), err
-            assert str(path) in err
+            assert code == 3, err
+            assert err.startswith(f"input error: {path}: ")
 
 
 class TestEmbeddingsPath:

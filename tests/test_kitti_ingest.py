@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import locale
 import math
 import os
 import re
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsdiag import kitti
-from tsdiag.errors import ParseError, ValidationError
+from tsdiag.errors import InputError, ParseError, ValidationError
 from tsdiag.kitti import (
     DetectionRecord,
     LabelRecord,
@@ -21,8 +22,11 @@ from tsdiag.kitti import (
     parse_oxts_lines,
     parse_timestamps,
     perturb_ground_truth,
+    read_input,
 )
+from tsdiag.cli import _read_diagram
 from tsdiag.synth import write_fixture
+from tsdiag.trajectory import diagram_from_csv
 
 LABEL_LINE = "0 2 Car 0 0 -1.79 515.2 178.9 616.3 260.2 1.50 1.62 3.88 -2.7 1.7 13.8 -1.6"
 OXTS_LINE = ("49.011212 8.422885 112.83 0.03 0.01 -0.9 "
@@ -279,16 +283,34 @@ class TestParseOxts:
 
 # line ends of every kind, comments, whitespace that str.split() splits on
 # but bytes.split() does not, a line separator only str.splitlines() knows,
-# a fix and a bad token
-_OXTS_PIECES = ["\n", "\r\n", "\r", "# comment", "  ", "\t", "\x0c", "\x1c", "\xa0",
-                "\u2028", OXTS_LINE, OXTS_LINE.replace("112.83", "abc"), "abc"]
+# and a byte that is not UTF-8
+_LINE_PIECES = ["\n", "\r\n", "\r", "# comment", "  ", "\t", "\x0c", "\x1c", "\xa0",
+                "\u2028", b"\xff"]
+# and a fix and a bad token
+_OXTS_PIECES = _LINE_PIECES + [OXTS_LINE, OXTS_LINE.replace("112.83", "abc"), "abc"]
+
+
+def _write_pieces(path, pieces):
+    """The pieces as one file: text in the encoding ``open`` uses, line ends as given."""
+    encoding = locale.getpreferredencoding(False)
+    with open(path, "wb") as fh:
+        fh.write(b"".join(p if isinstance(p, bytes) else p.encode(encoding) for p in pieces))
 
 
 def _outcome(read):
     try:
         return read()
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
         return type(exc), str(exc)
+
+
+def _input_outcome(path, read):
+    """What read() returns, or the failure its InputError wraps, as _outcome gives it."""
+    try:
+        return read()
+    except InputError as exc:
+        assert str(exc) == f"{path}: {exc.__cause__}"
+        return type(exc.__cause__), str(exc.__cause__)
 
 
 def _oxts_dir(directory, frame_names):
@@ -316,31 +338,37 @@ class TestLoadOxtsDirectory:
         # 0000000002.txt is absent: frame 2 must not get frame 3's fix
         names = [f"{i:010d}.txt" for i in (0, 1, 3, 4, 6)]
         path = _oxts_dir(tmp_path / "oxts", names)
-        with pytest.raises(ValidationError, match=r"frame 2\b") as info:
+        with pytest.raises(InputError, match=r"frame 2\b") as info:
             load_oxts(path)
-        assert path in str(info.value)
+        assert str(info.value).startswith(f"{path}: ")
+        assert type(info.value.__cause__) is ValidationError
 
     def test_first_frame_missing(self, tmp_path):
         path = _oxts_dir(tmp_path / "oxts", [f"{i:010d}.txt" for i in (1, 2)])
-        with pytest.raises(ValidationError, match=r"frame 0\b"):
+        with pytest.raises(InputError, match=r"frame 0\b") as info:
             load_oxts(path)
+        assert type(info.value.__cause__) is ValidationError
 
     def test_non_numeric_name_rejected(self, tmp_path):
         path = _oxts_dir(tmp_path / "oxts", ["0000000000.txt", "notes.txt"])
-        with pytest.raises(ValidationError, match="notes.txt") as info:
+        with pytest.raises(InputError, match="notes.txt") as info:
             load_oxts(path)
-        assert path in str(info.value)
+        assert str(info.value).startswith(f"{path}: ")
+        assert type(info.value.__cause__) is ValidationError
 
     def test_two_files_for_one_frame_rejected(self, tmp_path):
         path = _oxts_dir(tmp_path / "oxts", ["0.txt", "00.txt", "1.txt"])
-        with pytest.raises(ValidationError, match=r"frame 0\b"):
+        with pytest.raises(InputError, match=r"frame 0\b") as info:
             load_oxts(path)
+        assert type(info.value.__cause__) is ValidationError
 
     def test_file_without_a_fix_names_the_file(self, tmp_path):
         path = _oxts_dir(tmp_path / "oxts", [f"{i:010d}.txt" for i in range(4)])
         (tmp_path / "oxts" / "0000000002.txt").write_text("# no fix here\n")
-        with pytest.raises(ValidationError, match="0000000002.txt"):
+        with pytest.raises(InputError) as info:
             load_oxts(path)
+        assert str(info.value) == f"{tmp_path / 'oxts' / '0000000002.txt'}: no OXTS fix"
+        assert type(info.value.__cause__) is ValidationError
 
     def test_other_extensions_ignored(self, tmp_path):
         path = _oxts_dir(tmp_path / "oxts", ["0.txt", "1.txt"])
@@ -359,9 +387,10 @@ class TestLoadOxtsDirectory:
         path = _oxts_dir(tmp_path / "oxts", [f"{i:010d}.txt" for i in range(43)])
         bad = tmp_path / "oxts" / "0000000042.txt"
         bad.write_text(bad.read_text().replace(old, new))
-        with pytest.raises(error) as info:
+        with pytest.raises(InputError) as info:
             load_oxts(path)
         assert str(info.value) == f"{bad}: {message}"
+        assert type(info.value.__cause__) is error
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_crlf_and_cr_end_lines(self, tmp_path, newline):
@@ -372,8 +401,9 @@ class TestLoadOxtsDirectory:
         (directory / "0.txt").write_bytes(text.encode())
         (directory / "1.txt").write_bytes(
             newline.join(["# bad fix", "  ", OXTS_LINE.replace("112.83", "x")]).encode())
-        with pytest.raises(ParseError, match=r"1\.txt: line 3: non-numeric field 'x'"):
+        with pytest.raises(InputError, match=r"1\.txt: line 3: non-numeric field 'x'") as info:
             load_oxts(str(directory))
+        assert type(info.value.__cause__) is ParseError
         (directory / "1.txt").unlink()
         (sample,) = load_oxts(str(directory))
         assert sample.position.latitude_deg == pytest.approx(49.011212)
@@ -391,8 +421,7 @@ class TestLoadOxtsDirectory:
     def test_reader_sees_the_lines_of_the_text_mode_reader(self, pieces):
         with tempfile.TemporaryDirectory() as directory:
             path = os.path.join(directory, "0.txt")
-            with open(path, "w", newline="") as fh:  # newlines written as given
-                fh.write("".join(pieces))
+            _write_pieces(path, pieces)
 
             def text_mode():
                 # the lines up to the first that is neither blank nor a comment
@@ -407,15 +436,12 @@ class TestLoadOxtsDirectory:
             def per_frame():
                 try:
                     return load_oxts(directory)
-                except ValidationError as exc:
-                    if str(exc) == f"{path}: no OXTS fix for frame 0":
+                except InputError as exc:
+                    if str(exc) == f"{path}: no OXTS fix":
                         return []
                     raise
 
-            expected, found = _outcome(text_mode), _outcome(per_frame)
-            if isinstance(expected, tuple):
-                expected = (expected[0], f"{path}: {expected[1]}")
-            assert found == expected
+            assert _input_outcome(path, per_frame) == _outcome(text_mode)
 
 
 def _oxts_file(path, lines):
@@ -442,10 +468,56 @@ class TestLoadOxtsFile:
         lines = [OXTS_LINE.replace("49.011212", f"49.{k:06d}") for k in range(43)]
         lines[line - 2] = lines[line - 2].replace("8.422885", "abc")
         path = _oxts_file(tmp_path / "oxts.txt", lines)
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(InputError) as info:
             load_oxts(path)
         assert str(info.value) == f"{path}: line {line}: non-numeric field 'abc'"
+        assert type(info.value.__cause__) is ParseError
 
+
+
+_DIAGRAM_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality"
+# each whole-file reader as (text-mode parse, reader of a path, first piece,
+# pieces of its lines: good ones and a bad one)
+_READERS = {
+    "labels": (parse_label_file, lambda path: read_input(path, parse_label_file), "",
+               [LABEL_LINE, LABEL_LINE.replace("13.8", "abc")]),
+    "detections": (parse_detections_file,
+                   lambda path: read_input(path, parse_detections_file), "",
+                   ["0 car 1 2 30 40 0.9", "1,car,1,2,30,40,0.5", "2 car 1 2 30 x 0.9"]),
+    "timestamps": (parse_timestamps, lambda path: read_input(path, parse_timestamps), "",
+                   ["0.5", "1.5", "abc"]),
+    "oxts-file": (parse_oxts_lines, load_oxts, "",
+                  [OXTS_LINE, OXTS_LINE.replace("112.83", "abc")]),
+    "diagram": (lambda fh: diagram_from_csv(fh.read()),
+                lambda path: _read_diagram(path, None), _DIAGRAM_HEADER,
+                ["0,0.000000,0.0,0.0,0.0,ok", "1,0.1,5.0,0.0,5.0,ok", "1,nan,0,0,0,ok"]),
+}
+
+
+class TestReadInput:
+    @pytest.mark.parametrize("name", list(_READERS))
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_records_or_error_as_the_text_mode_reader(self, name, data):
+        parse, read, first, lines = _READERS[name]
+        pieces = [first] + data.draw(st.lists(st.sampled_from(_LINE_PIECES + lines),
+                                              max_size=8))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, name)
+            _write_pieces(path, pieces)
+
+            def text_mode():
+                with open(path) as fh:
+                    return parse(fh)
+
+            assert _input_outcome(path, lambda: read(path)) == _outcome(text_mode)
+
+    def test_failure_keeps_its_cause_and_leads_with_the_path(self, tmp_path):
+        path = tmp_path / "missing.txt"
+        with pytest.raises(InputError) as info:
+            read_input(str(path), list)
+        assert type(info.value.__cause__) is FileNotFoundError
+        assert str(info.value) == f"{path}: {info.value.__cause__}"
 
 
 class TestParseDetectionsFile:
