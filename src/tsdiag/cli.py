@@ -95,8 +95,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def _read_diagram(path: str, link_length_m: float | None):
-    return read_input(path, lambda lines: diagram_from_csv("\n".join(lines),
-                                                           link_length_m=link_length_m))
+    return read_input(path, lambda lines: diagram_from_csv(lines, link_length_m))
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

@@ -165,7 +165,7 @@ def range_error_report(records: Sequence[LabelRecord],
     annotated boxes themselves are used.
     """
     gt = [r for r in records
-          if not r.is_dontcare and r.gt_depth_m is not None
+          if r.gt_depth_m is not None
           and (class_labels is None or r.class_label in class_labels)]
     scenario = "gt_boxes" if predicted is None else "predicted_boxes"
     if predicted is None:
@@ -248,8 +248,7 @@ def trajectory_error_report(predicted: TimeSpaceDiagram,
 def boxes_from_records(records: Iterable[LabelRecord],
                        ) -> list[tuple[int, int, tuple[float, float, float, float]]]:
     """Adapt annotated records to (frame, identity, bbox) triples."""
-    return [(r.frame_index, r.gt_track_id, r.bbox) for r in records
-            if not r.is_dontcare and r.gt_track_id >= 0]
+    return [(r.frame_index, r.gt_track_id, r.bbox) for r in records if r.gt_track_id >= 0]
 
 
 def boxes_from_tracks(tracks) -> list[tuple[int, int, tuple[float, float, float, float]]]:

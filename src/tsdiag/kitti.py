@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # the object types of the KITTI devkit, lower-cased; its ninth type, DontCare,
-# marks unannotated regions and is read only from label files
+# marks unannotated regions, and the label reader leaves its rows out
 _CLASS_LABELS = (
     "car", "van", "truck", "pedestrian", "person_sitting", "cyclist", "tram", "misc",
 )
@@ -102,22 +102,16 @@ class DetectionRecord:
 
 @dataclass(frozen=True)
 class LabelRecord(DetectionRecord):
-    """One annotated object in one frame: its box plus the annotated truth.
-
-    A DontCare row marks a region left unannotated: its class is
-    ``dontcare``, outside every ``classes`` setting, and it has no
-    location and no depth.
-    """
+    """One annotated object in one frame: its box plus the annotated truth."""
 
     gt_track_id: int = -1
     gt_location_camera: tuple[float, float, float] | None = None
-    gt_depth_m: float | None = None
-    is_dontcare: bool = False
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.gt_depth_m is not None and not self.gt_depth_m > 0.0:
-            raise ValidationError(f"gt_depth_m must be positive, got {self.gt_depth_m}")
+    @property
+    def gt_depth_m(self) -> float | None:
+        """The location's forward coordinate when it is positive, else None."""
+        location = self.gt_location_camera
+        return location[2] if location is not None and location[2] > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -203,10 +197,10 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[LabelRecord]:
 
     Every row has the first row's field count: 17, or 18 with a score.
     The type is one of the KITTI devkit's; any other raises ParseError.
-    "DontCare" rows are kept but marked, with no location and no depth:
-    KITTI writes -1000 placeholders there.  An identity (track id >= 0) has
-    at most one non-DontCare row per frame; a repeated one raises
-    ValidationError naming both lines.
+    A DontCare row is checked like any other, then left out: it only
+    marks a region left unannotated.  An identity (track id >= 0) has at
+    most one row per frame; a repeated one raises ValidationError naming
+    both lines.
     """
     records = []
     line_of: dict[tuple[int, int], int] = {}  # (frame, track id) -> line
@@ -223,27 +217,22 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[LabelRecord]:
             raise ParseError(f"line {line_no}: {len(fields)} fields, but line {width[1]} "
                              f"has {width[0]}")
         frame, track_id, bbox, location, confidence = _label_numbers(fields, line_no)
-        is_dontcare = fields[2].lower() == _DONTCARE
-        if is_dontcare:
-            class_label = _DONTCARE
-            location = depth = None
-        else:
-            class_label = _class_label(fields[2], line_no)
-            depth = location[2] if location[2] > 0.0 else None
+        dontcare = fields[2].lower() == _DONTCARE
         try:
-            records.append(LabelRecord(
+            record = LabelRecord(
                 frame_index=frame,
-                class_label=class_label,
+                class_label=_DONTCARE if dontcare else _class_label(fields[2], line_no),
                 bbox=bbox,
                 confidence=confidence,
                 gt_track_id=track_id,
                 gt_location_camera=location,
-                gt_depth_m=depth,
-                is_dontcare=is_dontcare,
-            ))
+            )
         except ValidationError as exc:
             raise ValidationError(f"line {line_no}: {exc}") from None
-        if track_id >= 0 and not is_dontcare:
+        if dontcare:
+            continue
+        records.append(record)
+        if track_id >= 0:
             first = line_of.setdefault((frame, track_id), line_no)
             if first != line_no:
                 raise ValidationError(
@@ -491,13 +480,13 @@ def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
                          drop_rate: float, seed: int) -> list[DetectionRecord]:
     """Simulate a detector on annotated boxes, deterministically.
 
-    DontCare rows are skipped.  Each other record is dropped i.i.d. with
-    probability drop_rate; a survivor becomes a plain DetectionRecord with
-    the record's frame, class and vector, its box moved by independent
-    uniform edge noise in [-jitter_px, +jitter_px] (box validity
-    preserved) and a confidence that shrinks with the applied noise
-    magnitude.  With no jitter the box and confidence stay as they are.
-    No annotated field is carried over.
+    Each record is dropped i.i.d. with probability drop_rate; a survivor
+    becomes a plain DetectionRecord with the record's frame, class and
+    vector, its box moved by independent uniform edge noise in
+    [-jitter_px, +jitter_px] (box validity preserved) and a confidence
+    that shrinks with the applied noise magnitude.  With no jitter the
+    box and confidence stay as they are.  No annotated field is carried
+    over.
     """
     if not jitter_px >= 0.0:  # also true for NaN
         raise ValueError(f"jitter_px must be >= 0, got {jitter_px}")
@@ -507,8 +496,6 @@ def perturb_ground_truth(records: Iterable[DetectionRecord], jitter_px: float,
     uniform = rng.uniform
     out = []
     for record in records:
-        if isinstance(record, LabelRecord) and record.is_dontcare:
-            continue
         if drop_rate > 0.0 and rng.random() < drop_rate:
             continue
         bbox, confidence = record.bbox, record.confidence

@@ -208,16 +208,15 @@ def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpace
     """Ground-truth diagram on the run's probe trajectory.
 
     One trajectory per annotated identity of a configured class, each point
-    ranged by its annotated depth; DontCare rows and rows without an
-    annotated location and depth are left out.  With the lane filter on,
-    an identity is kept when the median of its lateral offsets lies at or
-    beyond lane_offset_threshold_m (its mirror for left-hand traffic).
+    ranged by its annotated depth; rows without a positive depth are left
+    out.  With the lane filter on, an identity is kept when the median of
+    its lateral offsets lies at or beyond lane_offset_threshold_m (its
+    mirror for left-hand traffic).
     """
     by_identity: dict[int, list[LabelRecord]] = {}
     for record in gt_records:
-        if (record.gt_track_id >= 0 and not record.is_dontcare
-                and record.class_label in cfg.classes and record.gt_depth_m is not None
-                and record.gt_location_camera is not None):
+        if (record.gt_track_id >= 0 and record.class_label in cfg.classes
+                and record.gt_depth_m is not None):
             by_identity.setdefault(record.gt_track_id, []).append(record)
     lane = cfg.lane
     trajectories = {}
@@ -247,8 +246,7 @@ def evaluate(result: PipelineResult) -> EvalResult:
         raise ConfigError("evaluation requires a labels file")
     cfg = result.config
     with _stage("evaluation"):
-        gt = [r for r in result.gt_records
-              if not r.is_dontcare and r.class_label in cfg.classes]
+        gt = [r for r in result.gt_records if r.class_label in cfg.classes]
         range_gt = range_error_report(gt, cfg.intrinsics)
         range_pred = range_error_report(gt, cfg.intrinsics, predicted=result.detections)
         reference = build_reference_diagram(result.gt_records,

@@ -74,7 +74,6 @@ def head_on_scene(duration_s: float = 10.0,
             confidence=1.0,
             gt_track_id=1,
             gt_location_camera=(lateral_offset_m, 1.6, camera_range),
-            gt_depth_m=camera_range,
         ))
 
     return SyntheticScene(

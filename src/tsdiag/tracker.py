@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -454,7 +455,8 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     a gated pair costs the gate sentinel whatever its overlap and its
     appearance, so neither is computed.  Stage 2 matches everything left
     over on plain overlap.  Both stages solve the assignment optimally.
-    Returns (matches, unmatched_track_indices, unmatched_detection_indices).
+    Returns (matches, unmatched_track_indices, unmatched_detection_indices);
+    the unmatched indices are those no match uses, in order.
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
@@ -465,25 +467,21 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
 
     matches: list[tuple[int, int]] = []
 
-    confirmed = [i for i, t in enumerate(tracks) if t.status == CONFIRMED]
-    others = [i for i, t in enumerate(tracks) if t.status != CONFIRMED]
-
     def _run_stage(track_indices, det_indices, cost):
-        # assign, then split gated-out pairs and leftovers back to unmatched
-        leftover_tracks = []
-        assigned_rows = set()
-        for row, col in solve_assignment(cost):
-            assigned_rows.add(row)
-            if cost[row][col] < _GATE_COST:
-                matches.append((track_indices[row], det_indices[col]))
-            else:
-                leftover_tracks.append(track_indices[row])
-        for row in range(len(track_indices)):
-            if row not in assigned_rows:
-                leftover_tracks.append(track_indices[row])
-        return leftover_tracks
+        # keep the assigned pairs that pass the gate
+        matches.extend((track_indices[row], det_indices[col])
+                       for row, col in solve_assignment(cost) if cost[row][col] < _GATE_COST)
 
-    leftover: list[int] = []
+    def _unmatched():
+        # the track and detection indices that no match uses, in order
+        free_tracks = [True] * len(tracks)
+        free_dets = [True] * n_dets
+        for track_idx, det_idx in matches:
+            free_tracks[track_idx] = free_dets[det_idx] = False
+        return (list(compress(range(len(tracks)), free_tracks)),
+                list(compress(range(n_dets), free_dets)))
+
+    confirmed = [i for i, t in enumerate(tracks) if t.status == CONFIRMED]
     if confirmed:
         gate = config.mahalanobis_gate
         max_dist = config.max_dist
@@ -504,31 +502,23 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
                     line.append(0.5 * (1.0 - iou(box, boxes[col]))
                                 + 0.5 * min(distance / gate, 1.0))
             cost.append(line)
-        leftover = _run_stage(confirmed, range(n_dets), cost)
+        _run_stage(confirmed, range(n_dets), cost)
 
-    def _free_dets():
-        matched = {det_idx for _, det_idx in matches}
-        return [det_idx for det_idx in range(n_dets) if det_idx not in matched]
-
-    stage2_tracks = sorted(others + leftover)
-    free_dets = _free_dets()
-    if stage2_tracks and free_dets:
+    unmatched_tracks, unmatched_dets = _unmatched()
+    if unmatched_tracks and unmatched_dets:
         max_iou_dist = config.max_iou_dist
         cost = []
-        for track_idx in stage2_tracks:
+        for track_idx in unmatched_tracks:
             box = predicted[track_idx]
             line = []
-            for det_idx in free_dets:
+            for det_idx in unmatched_dets:
                 value = 1.0 - iou(box, boxes[det_idx])
                 line.append(value if value <= max_iou_dist else _GATE_COST)
             cost.append(line)
-        unmatched_tracks = _run_stage(stage2_tracks, free_dets, cost)
-    else:
-        unmatched_tracks = stage2_tracks
+        _run_stage(unmatched_tracks, unmatched_dets, cost)
+        unmatched_tracks, unmatched_dets = _unmatched()
 
-    unmatched_dets = _free_dets()
     matches.sort()
-    unmatched_tracks.sort()
     return matches, unmatched_tracks, unmatched_dets
 
 

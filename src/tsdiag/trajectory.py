@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 from .photogrammetry import (
     CameraIntrinsics,
     DEFAULT_MAX_RANGE_M,
     DEFAULT_MIN_BBOX_HEIGHT_PX,
+    QUALITY_ABOVE_MAX_RANGE,
+    QUALITY_BELOW_MIN_HEIGHT,
     QUALITY_OK,
     range_from_height,
 )
@@ -29,7 +31,6 @@ __all__ = [
     "TrajectoryPoint",
     "TimeSpaceDiagram",
     "opposite_lane_filter",
-    "compose_distance",
     "place_point",
     "build_diagram",
     "smooth_track",
@@ -41,6 +42,12 @@ __all__ = [
 QUALITY_OUT_OF_LINK = "out_of_link"
 
 OUT_OF_LINK_MARGIN_M = 20.0  # how far past the link end a point may lie and stay ok
+
+# a diagram CSV's link cell may differ from its probe and range cells' sum by
+# this much: three values each rounded to 6 decimals
+_LINK_TOLERANCE_M = 2e-6
+_QUALITIES = frozenset(
+    (QUALITY_OK, QUALITY_BELOW_MIN_HEIGHT, QUALITY_ABOVE_MAX_RANGE, QUALITY_OUT_OF_LINK))
 
 
 @dataclass(frozen=True)
@@ -68,10 +75,14 @@ class LaneFilterConfig:
 @dataclass(frozen=True)
 class TrajectoryPoint:
     time_s: float
-    link_distance_m: float
     probe_distance_m: float
     camera_range_m: float
     quality: str = QUALITY_OK
+
+    @property
+    def link_distance_m(self) -> float:
+        """The vehicle's distance along the link: probe distance plus camera range."""
+        return self.probe_distance_m + self.camera_range_m
 
 
 @dataclass
@@ -107,11 +118,6 @@ def opposite_lane_filter(tracks: Iterable[Track], image_width_px: float,
     return kept
 
 
-def compose_distance(probe_distance_m: float, camera_range_m: float) -> float:
-    """Vehicle distance along the link: probe distance plus camera range."""
-    return probe_distance_m + camera_range_m
-
-
 def place_point(probe: Sequence[tuple[float, float]], frame: int, camera_range_m: float,
                 quality: str, link_length_m: float) -> TrajectoryPoint:
     """The diagram point of a vehicle seen at camera_range_m in a frame.
@@ -124,17 +130,12 @@ def place_point(probe: Sequence[tuple[float, float]], frame: int, camera_range_m
     if frame >= len(probe):
         raise ValidationError(f"frame {frame} has no GPS sample")
     time_s, probe_distance = probe[frame]
-    link_distance = compose_distance(probe_distance, camera_range_m)
+    point = TrajectoryPoint(time_s=time_s, probe_distance_m=probe_distance,
+                            camera_range_m=camera_range_m, quality=quality)
     if quality == QUALITY_OK and not (
-            0.0 <= link_distance <= link_length_m + OUT_OF_LINK_MARGIN_M):
-        quality = QUALITY_OUT_OF_LINK
-    return TrajectoryPoint(
-        time_s=time_s,
-        link_distance_m=link_distance,
-        probe_distance_m=probe_distance,
-        camera_range_m=camera_range_m,
-        quality=quality,
-    )
+            0.0 <= point.link_distance_m <= link_length_m + OUT_OF_LINK_MARGIN_M):
+        point = replace(point, quality=QUALITY_OUT_OF_LINK)
+    return point
 
 
 def build_diagram(tracks: Iterable[Track], probe: Sequence[tuple[float, float]],
@@ -171,8 +172,8 @@ def build_diagram(tracks: Iterable[Track], probe: Sequence[tuple[float, float]],
 def smooth_track(points: Sequence[TrajectoryPoint], window: int) -> list[TrajectoryPoint]:
     """Centered median filter on the link distance (edge windows truncated).
 
-    The camera range is re-derived from the smoothed link distance so the
-    probe + range = link identity stays exact.  Window 1 is the identity.
+    Each point keeps its probe distance and takes the camera range that
+    puts it at the smoothed link distance.  Window 1 is the identity.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be a positive odd integer, got {window}")
@@ -185,12 +186,7 @@ def smooth_track(points: Sequence[TrajectoryPoint], window: int) -> list[Traject
         lo = max(0, i - half)
         hi = min(len(values), i + half + 1)
         med = statistics.median(values[lo:hi])
-        camera_range = med - point.probe_distance_m
-        out.append(replace(
-            point,
-            camera_range_m=camera_range,
-            link_distance_m=compose_distance(point.probe_distance_m, camera_range),
-        ))
+        out.append(replace(point, camera_range_m=med - point.probe_distance_m))
     return out
 
 
@@ -205,35 +201,35 @@ _CSV_COLUMNS = _CSV_HEADER.split(",")
 
 
 def diagram_to_csv(diagram: TimeSpaceDiagram) -> str:
-    """Serialize a diagram; probe rows carry track_id 0.
-
-    Every vehicle row is re-checked against the probe + range = link
-    identity before it is written.
-    """
+    """Serialize a diagram; probe rows carry track_id 0."""
     lines = [_CSV_HEADER]
     for time_s, distance in diagram.probe_trajectory:
         lines.append(f"0,{time_s:.6f},{distance:.6f},{distance:.6f},0.000000,ok")
     for track_id in sorted(diagram.vehicle_trajectories):
         for p in diagram.vehicle_trajectories[track_id]:
-            if p.link_distance_m != p.probe_distance_m + p.camera_range_m:
-                raise ValidationError(
-                    f"track {track_id} at t={p.time_s}: link distance "
-                    "does not equal probe distance plus camera range")
             lines.append(
                 f"{track_id},{p.time_s:.6f},{p.link_distance_m:.6f},"
                 f"{p.probe_distance_m:.6f},{p.camera_range_m:.6f},{p.quality}")
     return "\n".join(lines) + "\n"
 
 
-def diagram_from_csv(text: str, link_length_m: float | None = None) -> TimeSpaceDiagram:
-    """Rebuild a diagram from its CSV form (values carry 6-decimal rounding)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _CSV_HEADER:
+def diagram_from_csv(stream: IO[str] | Iterable[str],
+                     link_length_m: float | None = None) -> TimeSpaceDiagram:
+    """Rebuild a diagram from the lines of its CSV form.
+
+    Values carry 6-decimal rounding, so a row's link cell may differ from
+    its probe and range cells' sum by at most 2e-6 m; the link distance is
+    derived from those two.  The quality is one of the four flags.  Blank
+    lines are skipped, and an error names its line's place in the file.
+    """
+    rows = ((line_no, line.rstrip("\n")) for line_no, line in enumerate(stream, start=1)
+            if line.strip())
+    if next(rows, (0, None))[1] != _CSV_HEADER:
         raise ParseError("missing or unexpected diagram CSV header")
     probe = []
     vehicles: dict[int, list[TrajectoryPoint]] = {}
     max_distance = 0.0
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in rows:
         fields = line.split(",")
         if len(fields) != 6:
             raise ParseError(f"line {line_no}: expected 6 columns, got {len(fields)}")
@@ -246,13 +242,17 @@ def diagram_from_csv(text: str, link_length_m: float | None = None) -> TimeSpace
                                       fields[1:5]):
             if not math.isfinite(value):
                 raise ParseError(f"line {line_no}: non-finite {name} {token!r}")
+        if not abs(link - (probe_d + camera)) <= _LINK_TOLERANCE_M:
+            raise ValidationError(f"line {line_no}: link_distance_m {fields[2]!r} is not "
+                                  "probe_distance_m + camera_range_m")
+        if fields[5] not in _QUALITIES:
+            raise ParseError(f"line {line_no}: unknown quality {fields[5]!r}")
         max_distance = max(max_distance, link)
         if track_id == 0:
             probe.append((time_s, probe_d))
         else:
             vehicles.setdefault(track_id, []).append(TrajectoryPoint(
-                time_s=time_s, link_distance_m=link,
-                probe_distance_m=probe_d, camera_range_m=camera,
+                time_s=time_s, probe_distance_m=probe_d, camera_range_m=camera,
                 quality=fields[5]))
     return TimeSpaceDiagram(
         link_length_m=link_length_m if link_length_m is not None else max_distance,

@@ -575,7 +575,7 @@ class TestEvalCommand:
             outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()
                             if path.name != "run_meta.txt"})
         assert outputs[0] == outputs[1]
-        diagram = diagram_from_csv(outputs[1]["diagram.csv"].decode())
+        diagram = diagram_from_csv(outputs[1]["diagram.csv"].decode().splitlines())
         assert len(diagram.vehicle_trajectories) == 1  # the car alone
 
     def test_labels_and_a_detections_file_of_the_same_boxes_score_alike(self, fixture_dir,
@@ -596,7 +596,7 @@ class TestEvalCommand:
             assert (dets_out / name).read_bytes() == (labels_out / name).read_bytes(), name
 
         def trajectories(out_dir):
-            return len(diagram_from_csv((out_dir / "diagram.csv").read_text())
+            return len(diagram_from_csv((out_dir / "diagram.csv").read_text().splitlines())
                        .vehicle_trajectories)
 
         assert trajectories(dets_out) == trajectories(labels_out) == 1
@@ -607,7 +607,7 @@ class TestEvalCommand:
         result = run_pipeline(load_config(config_path, {"jitter_px": jitter, "seed": "1"}))
         records = result.detections + [r for t in result.tracks for r in t.records]
         assert records and result.kept_tracks
-        annotated = ("gt_track_id", "gt_location_camera", "gt_depth_m", "is_dontcare")
+        annotated = ("gt_track_id", "gt_location_camera", "gt_depth_m")
         for record in records:
             assert type(record) is DetectionRecord
             assert not any(hasattr(record, name) for name in annotated)
@@ -749,7 +749,7 @@ class TestRenderCommand:
         main(["run", config_path])
         csv_path = os.path.join(directory, "out", "diagram.csv")
         with open(csv_path) as fh:
-            diagram = diagram_from_csv(fh.read())
+            diagram = diagram_from_csv(fh)
         n_tracks = len(diagram.vehicle_trajectories)
         svg_path = str(tmp_path / "overlay.svg")
         assert main(["render", "--csv", csv_path, "--out", svg_path,
@@ -785,6 +785,28 @@ class TestRenderCommand:
         assert f"{csv_path}: line 3: non-finite time_s 'nan'" in err
         assert str(good_path) not in err
         assert not (tmp_path / "bad.svg").exists()
+
+    def test_error_after_a_blank_line_names_the_line_of_the_file(self, tmp_path, capsys):
+        csv_path = tmp_path / "blank.csv"
+        csv_path.write_text(_DIAGRAM_HEADER + "\n0,nan,0,0,0,ok\n")
+        code = main(["render", "--csv", str(csv_path), "--out", str(tmp_path / "r.svg")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"input error: {csv_path}: line 3: non-finite time_s 'nan'\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,0.1,5.0,0.0,5.0,good", "unknown quality 'good'"),
+        ("1,0.1,5.0,0.0,5.0,5.000000", "unknown quality '5.000000'"),
+        ("1,0.1,5.00001,0.0,5.0,ok", "link_distance_m '5.00001' is not probe_distance_m + "
+                                     "camera_range_m"),
+    ], ids=["misspelled", "shifted", "link"])
+    def test_bad_row_exits_3_naming_its_line(self, tmp_path, capsys, row, message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(_DIAGRAM_HEADER + "0,0.0,0.0,0.0,0.0,ok\n\n" + row + "\n")
+        code = main(["render", "--csv", str(csv_path), "--out", str(tmp_path / "r.svg")])
+        assert code == 3
+        assert capsys.readouterr().err == f"input error: {csv_path}: line 4: {message}\n"
+        assert not (tmp_path / "r.svg").exists()
 
     @pytest.mark.parametrize("length, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"),
                                                ("-5", "-5.0")])
@@ -849,6 +871,20 @@ class TestPipelineErrors:
                 f"{os.path.join(directory, 'oxts')} holds frames 0 to 99"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_dontcare_row_past_the_last_fix_is_not_placed(self, tmp_path):
+        # a DontCare row only marks a region, so its frame needs no GPS fix
+        config_path = write_fixture(str(tmp_path / "scene"))
+        clean = tmp_path / "clean"
+        assert main(["eval", config_path, "--output-dir", str(clean)]) == 0
+        with open(tmp_path / "scene" / "labels.txt", "a") as fh:
+            fh.write("150 -1 DontCare -1 -1 -10 900.0 50.0 950.0 100.0 "
+                     "-1 -1 -1 -1000 -1000 -1000 -10\n")
+        out = tmp_path / "out"
+        assert main(["eval", config_path, "--output-dir", str(out)]) == 0
+        for path in clean.iterdir():
+            if path.name != "run_meta.txt":
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_detection_frame_without_gps_sample_exits_3(self, tmp_path, capsys):
         config_path = write_fixture(str(tmp_path / "scene"))

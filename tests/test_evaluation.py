@@ -22,7 +22,7 @@ from tsdiag.evaluation import (
 )
 from tsdiag import evaluation, geodesy
 from tsdiag.config import build_config, load_config
-from tsdiag.kitti import DetectionRecord, LabelRecord
+from tsdiag.kitti import DetectionRecord, LabelRecord, parse_label_file
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
 from tsdiag.pipeline import (
     PipelineResult,
@@ -44,8 +44,7 @@ def gt_record(frame, track_id, depth, center_x=300.0, height=None):
     return LabelRecord(
         frame_index=frame, class_label="car",
         bbox=(center_x - w / 2, 100.0, center_x + w / 2, 100.0 + h),
-        gt_track_id=track_id, gt_depth_m=depth,
-        gt_location_camera=(-2.0, 1.6, depth))
+        gt_track_id=track_id, gt_location_camera=(-2.0, 1.6, depth))
 
 
 def simple_diagram(points_by_track, probe=None):
@@ -57,8 +56,8 @@ def simple_diagram(points_by_track, probe=None):
 
 
 def traj_points(pairs, quality="ok"):
-    return [TrajectoryPoint(time_s=t, link_distance_m=d,
-                            probe_distance_m=0.0, camera_range_m=d, quality=quality)
+    return [TrajectoryPoint(time_s=t, probe_distance_m=0.0, camera_range_m=d,
+                            quality=quality)
             for t, d in pairs]
 
 
@@ -158,7 +157,8 @@ class TestRangeErrorReport:
     @settings(max_examples=200, deadline=None)
     def test_predicted_instances_are_hota_true_positives_at_half_overlap(self, labels, boxes):
         labels = [LabelRecord(frame_index=f, class_label="car", bbox=bbox, gt_track_id=tid,
-                              gt_depth_m=20.0) for f, tid, bbox in labels]
+                              gt_location_camera=(-2.0, 1.6, 20.0))
+                  for f, tid, bbox in labels]
         dets = [DetectionRecord(frame_index=f, class_label="car", bbox=bbox)
                 for f, bbox in boxes]
         report = hota(boxes_from_records(labels),
@@ -482,10 +482,11 @@ class TestSerialization:
         assert len(lines) == 1 + len(DEFAULT_ALPHAS)
 
     def test_boxes_from_records_excludes_dontcare(self):
-        records = [gt_record(0, 1, 10.0)]
-        dc = LabelRecord(frame_index=0, class_label="dontcare",
-                         bbox=(0.0, 0.0, 5.0, 5.0), is_dontcare=True)
-        assert len(boxes_from_records(records + [dc])) == 1
+        # the label reader leaves a DontCare row out, even one with an identity
+        lines = ["0 1 Car 0 0 0.0 100.0 100.0 150.0 150.0 1.5 1.6 3.9 -2.0 1.6 10.0 0.0",
+                 "0 7 DontCare 0 0 0.0 0.0 0.0 5.0 5.0 1.5 1.6 3.9 -4.0 1.6 30.0 0.0"]
+        assert boxes_from_records(parse_label_file(lines)) == [
+            (0, 1, (100.0, 100.0, 150.0, 150.0))]
 
 
 class TestDontCare:
@@ -511,8 +512,7 @@ class TestDontCare:
         with open(os.path.join(directory, "labels.txt"), "a") as fh:
             fh.write("\n".join(self.DONTCARE_ROWS) + "\n")
         result, reference = self._run(directory)
-        assert [(r.frame_index, r.class_label) for r in result.gt_records
-                if r.is_dontcare] == [(5, "dontcare"), (40, "dontcare")]
+        assert result.gt_records == clean.gt_records
         assert result.detections == clean.detections
         assert reference == clean_reference
         # the probe (track id 0) and the car; no row of a DontCare region
@@ -554,13 +554,14 @@ class TestReferenceDiagram:
         assert self._identities(labels, lane_filter="false") == {1, 2}
 
     def test_unusable_rows_left_out(self):
+        # left out: no identity, a class not configured, a non-positive
+        # depth, no location, and a class no configuration can name
         dontcare = LabelRecord(frame_index=0, class_label="dontcare",
                                bbox=(0.0, 0.0, 5.0, 5.0), gt_track_id=5,
-                               gt_location_camera=(-4.0, 1.6, 30.0), gt_depth_m=30.0,
-                               is_dontcare=True)
+                               gt_location_camera=(-4.0, 1.6, 30.0))
         labels = [gt_record(0, 1, 20.0), gt_record(1, -1, 20.0),
                   dataclasses.replace(gt_record(0, 2, 20.0), class_label="van"),
-                  dataclasses.replace(gt_record(0, 3, 20.0), gt_depth_m=None),
+                  dataclasses.replace(gt_record(0, 3, 20.0), gt_location_camera=(-2.0, 1.6, 0.0)),
                   dataclasses.replace(gt_record(0, 6, 20.0), gt_location_camera=None),
                   dontcare]
         assert self._identities(labels) == {1}

@@ -45,7 +45,6 @@ class TestParseLabelFile:
         assert r.gt_depth_m == pytest.approx(13.8)
         assert r.gt_location_camera == (-2.7, 1.7, 13.8)
         assert r.confidence == 1.0
-        assert not r.is_dontcare
         assert type(r) is LabelRecord
 
     def test_wrong_field_count_names_line(self):
@@ -70,14 +69,18 @@ class TestParseLabelFile:
         line = LABEL_LINE.replace("Car", token)
         assert parse_label_file(io.StringIO(line))[0].class_label == token.lower()
 
-    def test_dontcare_retained_but_flagged(self):
+    def test_dontcare_checked_then_left_out(self):
+        # a DontCare row only marks a region left unannotated
         line = "0 -1 DontCare -1 -1 -10 219.31 188.49 245.50 218.56 -1 -1 -1 -1000 -1000 -1000 -10"
-        records = parse_label_file(io.StringIO(line))
-        assert len(records) == 1
-        assert records[0].is_dontcare
-        assert records[0].class_label == "dontcare"
-        assert records[0].gt_depth_m is None
-        assert records[0].gt_location_camera is None
+        assert parse_label_file(io.StringIO(line)) == []
+        assert parse_label_file(io.StringIO(LABEL_LINE + "\n" + line)) == \
+            parse_label_file(io.StringIO(LABEL_LINE))
+        with pytest.raises(ParseError, match=r"^line 2: non-numeric field 'abc'$"):
+            parse_label_file(io.StringIO(LABEL_LINE + "\n" + line.replace("219.31", "abc")))
+        with pytest.raises(ValidationError, match=r"^line 1: degenerate bbox"):
+            parse_label_file(io.StringIO(line.replace("245.50", "219.31")))
+        with pytest.raises(ParseError, match=r"^line 2: 18 fields, but line 1 has 17$"):
+            parse_label_file(io.StringIO(LABEL_LINE + "\n" + line + " 0.5"))
 
     def test_empty_file_is_empty_list(self):
         assert parse_label_file(io.StringIO("")) == []
@@ -136,7 +139,7 @@ class TestParseLabelFile:
                  LABEL_LINE.replace("0 2 Car", "0 -1 Van")]
         records = parse_label_file(io.StringIO("\n".join(lines)))
         assert [(r.frame_index, r.gt_track_id) for r in records] == [
-            (0, -1), (0, -1), (0, -1), (0, -1), (0, 2), (1, 2)]
+            (0, -1), (0, -1), (0, 2), (1, 2)]
 
 
 def _labels_field_by_field(lines):
@@ -159,26 +162,23 @@ def _labels_field_by_field(lines):
                              f"has {width[0]}")
         frame = kitti._int_field(fields[0], line_no)
         track_id = kitti._int_field(fields[1], line_no)
-        is_dontcare = fields[2].lower() == "dontcare"
+        dontcare = fields[2].lower() == "dontcare"
         kitti._float_field(fields[3], line_no)
         kitti._int_field(fields[4], line_no)
         bbox = tuple(kitti._float_field(fields[i], line_no) for i in range(6, 10))
         location = tuple(kitti._float_field(fields[i], line_no) for i in range(13, 16))
         confidence = kitti._float_field(fields[17], line_no) if len(fields) == 18 else 1.0
-        if is_dontcare:
-            class_label = "dontcare"
-            location = depth = None
-        else:
-            class_label = kitti._class_label(fields[2], line_no)
-            depth = location[2] if location[2] > 0.0 else None
+        class_label = "dontcare" if dontcare else kitti._class_label(fields[2], line_no)
         try:
-            records.append(LabelRecord(
+            record = LabelRecord(
                 frame_index=frame, class_label=class_label, bbox=bbox,
-                confidence=confidence, gt_track_id=track_id, gt_location_camera=location,
-                gt_depth_m=depth, is_dontcare=is_dontcare))
+                confidence=confidence, gt_track_id=track_id, gt_location_camera=location)
         except ValidationError as exc:
             raise ValidationError(f"line {line_no}: {exc}") from None
-        if track_id >= 0 and not is_dontcare:
+        if dontcare:
+            continue
+        records.append(record)
+        if track_id >= 0:
             first = line_of.setdefault((frame, track_id), line_no)
             if first != line_no:
                 raise ValidationError(f"line {line_no}: frame {frame} track {track_id} "
@@ -236,6 +236,81 @@ class TestLabelOnePass:
         lines = [" ".join(tokens) for tokens in rows]
         assert (_parse_outcome(parse_label_file, lines)
                 == _parse_outcome(_labels_field_by_field, lines))
+
+
+@st.composite
+def dontcare_row(draw, scored):
+    """A valid DontCare row as tokens, with KITTI's placeholders for the rest."""
+    left = draw(st.floats(0.0, 1000.0))
+    top = draw(st.floats(0.0, 300.0))
+    tokens = [str(draw(st.integers(0, 5))), str(draw(st.integers(-1, 3))),
+              draw(st.sampled_from(["DontCare", "dontcare", "DONTCARE"])), "-1", "-1", "-10",
+              repr(left), repr(top),
+              repr(left + draw(st.floats(0.5, 200.0))), repr(top + draw(st.floats(0.5, 200.0))),
+              "-1", "-1", "-1", "-1000", "-1000", "-1000", "-10"]
+    if scored:
+        tokens.append(repr(draw(st.floats(0.0, 1.0))))
+    return tokens
+
+
+@st.composite
+def label_file_and_dontcare_rows(draw):
+    """Rows of one width, one identity each, and DontCare rows of that width."""
+    scored = draw(st.booleans())
+    rows = []
+    for k, tokens in enumerate(draw(st.lists(label_rows(), max_size=5))):
+        tokens = tokens[:17] + ([repr(draw(st.floats(0.0, 1.0)))] if scored else [])
+        tokens[1] = str(k)
+        rows.append(tokens)
+    extra = draw(st.lists(dontcare_row(scored), min_size=1, max_size=4))
+    return rows, extra
+
+
+def _insert(rows, extra, data):
+    """rows with each of extra inserted at a drawn place; returns the lines and
+    the line number each extra row landed on."""
+    lines = [" ".join(tokens) for tokens in rows]
+    marked = [None] * len(lines)
+    for k, tokens in enumerate(extra):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, " ".join(tokens))
+        marked.insert(at, k)
+    return lines, [marked.index(k) + 1 for k in range(len(extra))]
+
+
+# columns a DontCare row still has checked, and tokens each kind rejects
+_INT_COLUMNS = (0, 1, 4)
+_FLOAT_COLUMNS = (3, 6, 7, 8, 9, 13, 14, 15)
+_NON_FINITE = ["abc", "nan", "NaN", "inf", "-inf", "Infinity", "1e400"]
+_NON_INTEGER = _NON_FINITE + ["1.5", "2.000001", "-0.5", "1e-3"]
+
+
+class TestDontCarePlacement:
+    @given(label_file_and_dontcare_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dontcare_rows_anywhere_leave_the_records_as_they_are(self, files, data):
+        rows, extra = files
+        lines, _ = _insert(rows, extra, data)
+        assert (_parse_outcome(parse_label_file, lines)
+                == _parse_outcome(parse_label_file, [" ".join(tokens) for tokens in rows]))
+
+    @given(label_file_and_dontcare_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_dontcare_row_fails_naming_its_line(self, files, data):
+        rows, extra = files
+        bad = list(extra[0])
+        if data.draw(st.booleans()):
+            bad[8] = bad[6]  # right edge on the left edge
+            expected = ValidationError, "degenerate bbox"
+        else:
+            column = data.draw(st.sampled_from(
+                _INT_COLUMNS + _FLOAT_COLUMNS + ((17,) if len(bad) == 18 else ())))
+            tokens = _NON_INTEGER if column in _INT_COLUMNS else _NON_FINITE
+            bad[column] = data.draw(st.sampled_from(tokens))
+            expected = ParseError, ""
+        lines, line_numbers = _insert(rows, [bad] + extra[1:], data)
+        with pytest.raises(expected[0], match=rf"^line {line_numbers[0]}: {expected[1]}"):
+            parse_label_file(lines)
 
 
 class TestParseOxts:
@@ -488,7 +563,7 @@ _READERS = {
                    ["0.5", "1.5", "abc"]),
     "oxts-file": (parse_oxts_lines, load_oxts, "",
                   [OXTS_LINE, OXTS_LINE.replace("112.83", "abc")]),
-    "diagram": (lambda fh: diagram_from_csv(fh.read()),
+    "diagram": (diagram_from_csv,
                 lambda path: _read_diagram(path, None), _DIAGRAM_HEADER,
                 ["0,0.000000,0.0,0.0,0.0,ok", "1,0.1,5.0,0.0,5.0,ok", "1,nan,0,0,0,ok"]),
 }
@@ -700,8 +775,7 @@ class TestPerturb:
     def _labels(self, n=100):
         return [LabelRecord(frame_index=i, class_label="car",
                             bbox=(10.0 + i, 20.0, 60.0 + i, 70.0), confidence=0.9,
-                            gt_track_id=i % 5, gt_location_camera=(-2.0, 1.6, 30.0),
-                            gt_depth_m=30.0)
+                            gt_track_id=i % 5, gt_location_camera=(-2.0, 1.6, 30.0))
                 for i in range(n)]
 
     def test_zero_jitter_zero_drop_is_identity(self):
@@ -728,8 +802,7 @@ class TestPerturb:
         record = LabelRecord(frame_index=3, class_label="van",
                              bbox=(10.0, 20.0, 60.0, 70.0), confidence=0.8,
                              gt_track_id=9,
-                             gt_location_camera=(1.0, 2.0, 30.0), gt_depth_m=30.0,
-                             embedding=(0.6, 0.8))
+                             gt_location_camera=(1.0, 2.0, 30.0), embedding=(0.6, 0.8))
         (out,) = perturb_ground_truth([record], 2.0, 0.0, seed=5)
         assert out.bbox != record.bbox
         assert out == DetectionRecord(frame_index=3, class_label="van", bbox=out.bbox,
@@ -746,14 +819,13 @@ class TestPerturb:
                                                              for r in labels]
 
     def test_dontcare_rows_skipped_without_a_draw(self):
-        # a DontCare row draws nothing, so the rows around it get the noise
-        # they get without it
-        labels = self._labels(10)
-        dontcare = LabelRecord(frame_index=4, class_label="dontcare",
-                               bbox=(0.0, 0.0, 5.0, 5.0), is_dontcare=True)
-        with_dontcare = labels[:4] + [dontcare] + labels[4:]
+        # the label reader leaves a DontCare row out, so it draws nothing and
+        # the rows around it get the noise they get without it
+        lines = [LABEL_LINE.replace("0 2 Car", f"{i} {i % 5} Car") for i in range(10)]
+        dontcare = "4 -1 DontCare -1 -1 -10 0.0 0.0 5.0 5.0 -1 -1 -1 -1000 -1000 -1000 -10"
+        with_dontcare = parse_label_file(lines[:4] + [dontcare] + lines[4:])
         assert (perturb_ground_truth(with_dontcare, 2.0, 0.3, seed=4)
-                == perturb_ground_truth(labels, 2.0, 0.3, seed=4))
+                == perturb_ground_truth(parse_label_file(lines), 2.0, 0.3, seed=4))
 
     @pytest.mark.parametrize("jitter", [-1.0, float("nan")])
     def test_negative_or_nan_jitter_rejected(self, jitter):
@@ -798,20 +870,26 @@ class TestRecordValidation:
         with pytest.raises(ValidationError):
             DetectionRecord(frame_index=-1, class_label="car", bbox=(0, 0, 1, 1))
 
-    def test_nonpositive_depth_rejected(self):
-        with pytest.raises(ValidationError):
-            LabelRecord(frame_index=0, class_label="car", bbox=(0, 0, 1, 1),
-                        gt_depth_m=0.0)
+    def test_nonpositive_depth_reads_as_none(self):
+        # the depth is the location's forward coordinate, and only a positive one
+        def depth(location):
+            return LabelRecord(frame_index=0, class_label="car", bbox=(0, 0, 1, 1),
+                               gt_location_camera=location).gt_depth_m
+        assert depth((1.0, 2.0, 13.8)) == 13.8
+        assert depth((1.0, 2.0, 0.0)) is None
+        assert depth((1.0, 2.0, -1000.0)) is None
+        assert depth(None) is None
 
     def test_label_validates_its_box_as_a_detection_does(self):
         with pytest.raises(ValidationError, match="degenerate bbox"):
-            LabelRecord(frame_index=0, class_label="car", bbox=(1, 0, 1, 1), gt_depth_m=5.0)
+            LabelRecord(frame_index=0, class_label="car", bbox=(1, 0, 1, 1),
+                        gt_location_camera=(1.0, 2.0, 5.0))
 
     def test_detection_has_no_annotated_field(self):
         names = {f.name for f in dataclasses.fields(DetectionRecord)}
         assert names == {"frame_index", "class_label", "bbox", "confidence", "embedding"}
         assert {f.name for f in dataclasses.fields(LabelRecord)} - names == {
-            "gt_track_id", "gt_location_camera", "gt_depth_m", "is_dontcare"}
+            "gt_track_id", "gt_location_camera"}
 
     @pytest.mark.parametrize("bbox", [(0, 0, float("inf"), 1), (float("-inf"), 0, 1, 1),
                                       (0, float("nan"), 1, 1)])

@@ -7,8 +7,7 @@ from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint
 def diagram_with(tracks: dict[int, list[tuple[float, float]]],
                  probe=None) -> TimeSpaceDiagram:
     vehicles = {
-        tid: [TrajectoryPoint(time_s=t, link_distance_m=d,
-                              probe_distance_m=0.0, camera_range_m=d)
+        tid: [TrajectoryPoint(time_s=t, probe_distance_m=0.0, camera_range_m=d)
               for t, d in points]
         for tid, points in tracks.items()
     }

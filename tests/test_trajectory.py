@@ -10,9 +10,9 @@ from tsdiag.tracker import Track
 from tsdiag.trajectory import (
     OUT_OF_LINK_MARGIN_M,
     LaneFilterConfig,
+    TimeSpaceDiagram,
     TrajectoryPoint,
     build_diagram,
-    compose_distance,
     diagram_from_csv,
     diagram_to_csv,
     opposite_lane_filter,
@@ -22,6 +22,7 @@ from tsdiag.trajectory import (
 )
 
 KITTI = kitti_intrinsics()
+_CSV_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality"
 CAR_RANGE_AT_100PX = 406644.0 / 36200.0
 
 
@@ -58,16 +59,21 @@ def make_probe(n_frames, metres_per_frame=0.0):
     return [(f / 10.0, f * metres_per_frame) for f in range(n_frames)]
 
 
+def link_distance(probe_distance_m, camera_range_m):
+    return TrajectoryPoint(time_s=0.0, probe_distance_m=probe_distance_m,
+                           camera_range_m=camera_range_m).link_distance_m
+
+
 class TestComposeDistance:
+    # a point's link distance is derived: probe distance plus camera range
     def test_worked_example(self):
-        assert compose_distance(50.0, CAR_RANGE_AT_100PX) == pytest.approx(
-            61.2332, abs=1e-3)
+        assert link_distance(50.0, CAR_RANGE_AT_100PX) == pytest.approx(61.2332, abs=1e-3)
 
     def test_probe_at_link_start(self):
-        assert compose_distance(0.0, 7.5) == 7.5
+        assert link_distance(0.0, 7.5) == 7.5
 
     def test_colocated_vehicle(self):
-        assert compose_distance(12.25, 0.0) == 12.25
+        assert link_distance(12.25, 0.0) == 12.25
 
 
 class TestOppositeLaneFilter:
@@ -91,7 +97,7 @@ class TestOppositeLaneFilter:
         heights = [20.0, 25.0, 31.0, 40.0]
         records = [LabelRecord(frame_index=f, class_label="car",
                                bbox=box_with_height(0.25 * self.WIDTH, h), gt_track_id=1,
-                               gt_location_camera=(2.0, 1.6, 10.0), gt_depth_m=10.0)
+                               gt_location_camera=(2.0, 1.6, 10.0))
                    for f, h in enumerate(heights)]
         track = Track(track_id=1, status="confirmed", records=records, ever_confirmed=True)
         assert opposite_lane_filter([track], self.WIDTH) == [track]
@@ -208,7 +214,7 @@ class TestBuildDiagram:
         height = bbox_height_at_range(40.0, "car", KITTI)
         label = LabelRecord(frame_index=1, class_label="car",
                             bbox=box_with_height(300.0, height), gt_track_id=3,
-                            gt_location_camera=(-2.0, 1.6, 37.5), gt_depth_m=37.5)
+                            gt_location_camera=(-2.0, 1.6, 37.5))
         probe = make_probe(2, 1.5)
         reference = build_reference_diagram([label], probe, PipelineConfig())
         assert reference.vehicle_trajectories == {3: [place_point(probe, 1, 37.5, "ok", 300.0)]}
@@ -240,8 +246,8 @@ class TestBuildDiagram:
 
 class TestSmoothing:
     def _points(self, link_values, probe=5.0):
-        return [TrajectoryPoint(time_s=0.1 * i, link_distance_m=v,
-                                probe_distance_m=probe, camera_range_m=v - probe)
+        return [TrajectoryPoint(time_s=0.1 * i, probe_distance_m=probe,
+                                camera_range_m=v - probe)
                 for i, v in enumerate(link_values)]
 
     def test_window_one_is_identity(self):
@@ -304,7 +310,7 @@ class TestDiagramCsv:
 
     def test_round_trip_structure(self):
         diagram = self._diagram()
-        parsed = diagram_from_csv(diagram_to_csv(diagram), link_length_m=300.0)
+        parsed = diagram_from_csv(diagram_to_csv(diagram).splitlines(), link_length_m=300.0)
         assert len(parsed.probe_trajectory) == len(diagram.probe_trajectory)
         assert set(parsed.vehicle_trajectories) == set(diagram.vehicle_trajectories)
         for tid, points in diagram.vehicle_trajectories.items():
@@ -324,15 +330,69 @@ class TestDiagramCsv:
         text = diagram_to_csv(self._diagram()) + row + "\n"
         line_no = text.count("\n")
         with pytest.raises(ParseError, match=rf"^line {line_no}: non-finite {column} "):
-            diagram_from_csv(text)
+            diagram_from_csv(text.splitlines())
 
-    def test_writer_rejects_broken_identity(self):
-        diagram = self._diagram()
-        bad = TrajectoryPoint(time_s=9.9, link_distance_m=1.0,
-                              probe_distance_m=2.0, camera_range_m=3.0)
-        diagram.vehicle_trajectories[1].append(bad)
-        with pytest.raises(ValidationError):
-            diagram_to_csv(diagram)
+    def test_reader_rejects_broken_identity(self):
+        # a link cell more than the rounding of three cells off probe + range
+        for link in ("4.000003", "3.999997", "1.000000"):
+            lines = diagram_to_csv(self._diagram()).splitlines() + [f"1,9.9,{link},2,2,ok"]
+            with pytest.raises(ValidationError, match=rf"^line {len(lines)}: link_distance_m "
+                                                      rf"'{link}' is not "):
+                diagram_from_csv(lines)
+
+    def test_reader_takes_the_link_within_rounding(self):
+        lines = diagram_to_csv(self._diagram()).splitlines()
+        for link in ("4.000001", "3.999999"):
+            diagram = diagram_from_csv(lines + [f"9,9.9,{link},2,2,ok"])
+            assert diagram.vehicle_trajectories[9][0].link_distance_m == 4.0
+
+    def test_error_names_the_line_of_the_file(self):
+        # blank lines keep their place in the line count
+        lines = [_CSV_HEADER, "", "0,nan,0,0,0,ok"]
+        with pytest.raises(ParseError, match=r"^line 3: non-finite time_s 'nan'$"):
+            diagram_from_csv(lines)
+        with pytest.raises(ParseError, match=r"^line 5: "):
+            diagram_from_csv(["", " ", _CSV_HEADER, "0,0,0,0,0,ok", "0,0,0,0,0,okay"])
+
+    @pytest.mark.parametrize("quality", ["okay", "OK", "", "1", " ok", "below-min-height"])
+    def test_reader_rejects_an_unknown_quality(self, quality):
+        lines = [_CSV_HEADER, "0,0,0,0,0,ok", f"1,0,5,0,5,{quality}"]
+        with pytest.raises(ParseError, match=rf"^line 3: unknown quality {quality!r}$"):
+            diagram_from_csv(lines)
+
+    def test_reader_takes_every_quality_flag(self):
+        flags = ["ok", "below_min_height", "above_max_range", "out_of_link"]
+        lines = [_CSV_HEADER] + [f"1,{k},5,0,5,{flag}" for k, flag in enumerate(flags)]
+        diagram = diagram_from_csv(lines)
+        assert [p.quality for p in diagram.vehicle_trajectories[1]] == flags
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.floats(0.0, 1e4), st.floats(-1e4, 1e5),
+                              st.floats(-150.0, 150.0), st.sampled_from(
+                                  ["ok", "below_min_height", "above_max_range",
+                                   "out_of_link"])), min_size=1, max_size=12),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_written_rows_read_back_and_a_moved_link_cell_fails(self, rows, data):
+        points = {}
+        for track_id, time_s, probe_distance, camera_range, quality in rows:
+            points.setdefault(track_id, []).append(TrajectoryPoint(
+                time_s=time_s, probe_distance_m=probe_distance,
+                camera_range_m=camera_range, quality=quality))
+        diagram = TimeSpaceDiagram(300.0, [(0.0, 0.0)], points)
+        lines = diagram_to_csv(diagram).splitlines()
+        parsed = diagram_from_csv(lines)
+        for track_id, written in points.items():
+            read = parsed.vehicle_trajectories[track_id]
+            assert [p.quality for p in read] == [p.quality for p in written]
+            for a, b in zip(written, read):
+                assert abs(b.link_distance_m - a.link_distance_m) <= 2e-6
+        # move one vehicle row's link cell by 1e-5 m
+        line_no = data.draw(st.integers(3, len(lines)))
+        fields = lines[line_no - 1].split(",")
+        fields[2] = f"{float(fields[2]) + data.draw(st.sampled_from([1e-5, -1e-5])):.6f}"
+        lines[line_no - 1] = ",".join(fields)
+        with pytest.raises(ValidationError, match=rf"^line {line_no}: link_distance_m "):
+            diagram_from_csv(lines)
 
     def test_smoothed_diagram_still_serializes(self):
         diagram = smooth_diagram(self._diagram(), 3)
