@@ -135,6 +135,9 @@ class PipelineConfig:
             raise ValidationError(f"max_range_m must be positive, got {self.max_range_m}")
         if not self.classes:
             raise ValidationError("classes must name at least one class label")
+        repeated = [c for i, c in enumerate(self.classes) if c in self.classes[:i]]
+        if repeated:
+            raise ValidationError(f"classes names {repeated[0]!r} more than once")
         for key, labels in (("classes", self.classes),
                             ("class_heights", self.intrinsics.class_height_m)):
             unknown = [c for c in labels if c not in _CLASS_LABELS]

@@ -12,7 +12,7 @@ the two, averaged over alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
@@ -43,23 +43,40 @@ _RANGE_MATCH_IOU = 0.5  # overlap at which a predicted box is a range instance
 
 @dataclass
 class ErrorReport:
+    """Per-track RMSE rows; the mean and spread are derived from them."""
+
     per_track_rmse_m: dict[int, float]
-    mean_rmse_m: float
-    std_rmse_m: float
     instance_count: int
     scenario: str
     skipped_pairs: int = 0
     missed_reference_tracks: int = 0
 
+    @property
+    def mean_rmse_m(self) -> float:
+        values = list(self.per_track_rmse_m.values())
+        return sum(values) / len(values) if values else 0.0
+
+    @property
+    def std_rmse_m(self) -> float:
+        values = list(self.per_track_rmse_m.values())
+        mean = self.mean_rmse_m
+        return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values)) if values else 0.0
+
 
 @dataclass
 class HotaReport:
-    hota: float
-    det_a: float
-    ass_a: float
-    loc_a: float
-    per_alpha: list[dict] = field(default_factory=list)
+    """One row per alpha; each score is the mean of its column over the rows."""
+
+    per_alpha: list[dict]
     degenerate: bool = False
+
+    def _mean(self, column: str) -> float:
+        return sum(row[column] for row in self.per_alpha) / len(self.per_alpha)
+
+    hota = property(lambda self: self._mean("hota"))
+    det_a = property(lambda self: self._mean("det_a"))
+    ass_a = property(lambda self: self._mean("ass_a"))
+    loc_a = property(lambda self: self._mean("loc_a"))
 
 
 def rmse(pred: Sequence[float], truth: Sequence[float]) -> float:
@@ -69,22 +86,6 @@ def rmse(pred: Sequence[float], truth: Sequence[float]) -> float:
     if not pred:
         raise ValidationError("rmse of empty lists is undefined")
     return math.sqrt(sum((p - t) ** 2 for p, t in zip(pred, truth)) / len(pred))
-
-
-def _summarize(per_track: dict[int, float], count: int, scenario: str,
-               skipped: int = 0, missed: int = 0) -> ErrorReport:
-    values = list(per_track.values())
-    mean = sum(values) / len(values) if values else 0.0
-    std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values)) if values else 0.0
-    return ErrorReport(
-        per_track_rmse_m=per_track,
-        mean_rmse_m=mean,
-        std_rmse_m=std,
-        instance_count=count,
-        scenario=scenario,
-        skipped_pairs=skipped,
-        missed_reference_tracks=missed,
-    )
 
 
 def _overlaps(rows: Sequence[tuple], cols: Sequence[tuple]) -> list[list[float]]:
@@ -186,7 +187,7 @@ def range_error_report(records: Sequence[LabelRecord],
         count += 1
     per_track = {tid: math.sqrt(sum(e * e for e in errs) / len(errs))
                  for tid, errs in sorted(errors_by_track.items())}
-    return _summarize(per_track, count, scenario)
+    return ErrorReport(per_track, count, scenario)
 
 
 def track_matching(tracks: Sequence[Track],
@@ -242,7 +243,7 @@ def trajectory_error_report(predicted: TimeSpaceDiagram,
         count += len(pairs)
     missed = len([tid for tid in reference.vehicle_trajectories
                   if tid not in matched_refs])
-    return _summarize(per_track, count, "trajectory", skipped, missed)
+    return ErrorReport(per_track, count, "trajectory", skipped, missed)
 
 
 def boxes_from_records(records: Iterable[LabelRecord],
@@ -269,7 +270,7 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
         per_alpha = [{"alpha": a, "det_a": 1.0, "ass_a": 1.0, "loc_a": 1.0,
                       "hota": 1.0, "tp": 0, "fn": 0, "fp": 0}
                      for a in alpha_values]
-        return HotaReport(1.0, 1.0, 1.0, 1.0, per_alpha, True)
+        return HotaReport(per_alpha, degenerate=True)
 
     gt_counts: dict[int, int] = {}
     for f, tid, _ in gt_boxes:
@@ -310,14 +311,7 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
             "tp": tp, "fn": fn, "fp": fp,
         })
 
-    n = len(per_alpha)
-    return HotaReport(
-        hota=sum(row["hota"] for row in per_alpha) / n,
-        det_a=sum(row["det_a"] for row in per_alpha) / n,
-        ass_a=sum(row["ass_a"] for row in per_alpha) / n,
-        loc_a=sum(row["loc_a"] for row in per_alpha) / n,
-        per_alpha=per_alpha,
-    )
+    return HotaReport(per_alpha)
 
 
 # ---------------------------------------------------------------------------

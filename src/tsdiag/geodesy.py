@@ -629,9 +629,6 @@ def geodesic_inverse(p1: GeoPoint, p2: GeoPoint,
 
     Coincident points return distance 0 with both azimuths 0 by convention.
     """
-    for p in (p1, p2):
-        if not (math.isfinite(p.latitude_deg) and math.isfinite(p.longitude_deg)):
-            raise ValidationError(f"non-finite coordinate in {p!r}")
     if (p1.latitude_deg == p2.latitude_deg and
             p1.longitude_deg == p2.longitude_deg):
         return InverseSolution(0.0, 0.0, 0.0)

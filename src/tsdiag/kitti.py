@@ -116,19 +116,23 @@ class LabelRecord(DetectionRecord):
 
 @dataclass(frozen=True)
 class OxtsSample:
-    """One GPS/IMU fix; raw_fields keeps the 30 OXTS values verbatim.
+    """One GPS/IMU fix: the 30 OXTS values verbatim.
 
-    A fix's frame is its position in the list load_oxts returns.
+    Its position is read from the first two, latitude and longitude.  A
+    fix's frame is its position in the list load_oxts returns.
     """
 
-    position: GeoPoint
-    raw_fields: tuple[float, ...] = ()
+    raw_fields: tuple[float, ...]
 
     def __post_init__(self):
-        if self.raw_fields and len(self.raw_fields) != _OXTS_FIELD_COUNT:
+        if len(self.raw_fields) != _OXTS_FIELD_COUNT:
             raise ValidationError(
                 f"raw_fields must have exactly {_OXTS_FIELD_COUNT} entries, "
                 f"got {len(self.raw_fields)}")
+
+    @property
+    def position(self) -> GeoPoint:
+        return GeoPoint(self.raw_fields[0], self.raw_fields[1])
 
 
 def _float_field(token: str, line_no: int) -> float:
@@ -361,7 +365,7 @@ def _parse_oxts_line(line: str, line_no: int) -> OxtsSample:
         raise ValidationError(f"line {line_no}: latitude {lat} outside [-90, 90]")
     if not -180.0 <= lon <= 180.0:
         raise ValidationError(f"line {line_no}: longitude {lon} outside [-180, 180]")
-    return OxtsSample(position=GeoPoint(lat, lon), raw_fields=tuple(values))
+    return OxtsSample(tuple(values))
 
 
 def parse_oxts_lines(stream: IO[str] | Iterable[str]) -> list[OxtsSample]:

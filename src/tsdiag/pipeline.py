@@ -192,8 +192,8 @@ def _run_meta(cfg: PipelineConfig) -> str:
     return "\n".join(lines) + dump_config(cfg)
 
 
-def write_run_outputs(result: PipelineResult, out_dir: str | None = None) -> dict[str, str]:
-    """Write diagram.csv, diagram.svg and run_meta.txt; returns each file name's path."""
+def write_run_outputs(result: PipelineResult) -> dict[str, str]:
+    """Write diagram.csv, diagram.svg and run_meta.txt to output_dir; returns each one's path."""
     cfg = result.config
     with _stage("render"):
         files = {
@@ -201,7 +201,7 @@ def write_run_outputs(result: PipelineResult, out_dir: str | None = None) -> dic
             "diagram.svg": render_svg(result.diagram, title=cfg.sequence_id or None),
             "run_meta.txt": _run_meta(cfg),
         }
-        return _write_files(out_dir or cfg.output_dir, files)
+        return _write_files(cfg.output_dir, files)
 
 
 def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpaceDiagram:
@@ -258,8 +258,8 @@ def evaluate(result: PipelineResult) -> EvalResult:
     return EvalResult(range_gt, range_pred, trajectory, hota_report)
 
 
-def write_eval_outputs(result: PipelineResult, out_dir: str | None = None) -> dict[str, str]:
-    """Write each report as .txt and .csv; returns each file name's path."""
+def write_eval_outputs(result: PipelineResult) -> dict[str, str]:
+    """Write each report as .txt and .csv to output_dir; returns each file name's path."""
     evaluation = evaluate(result)
     files = {}
     for name, report in (("range_report_gt", evaluation.range_gt),
@@ -269,4 +269,4 @@ def write_eval_outputs(result: PipelineResult, out_dir: str | None = None) -> di
         files[name + ".csv"] = error_report_to_csv(report)
     files["hota_report.txt"] = hota_report_to_text(evaluation.hota_report)
     files["hota_report.csv"] = hota_report_to_csv(evaluation.hota_report)
-    return _write_files(out_dir or result.config.output_dir, files)
+    return _write_files(result.config.output_dir, files)

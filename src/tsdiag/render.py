@@ -18,10 +18,10 @@ _PROBE_COLOR = "#555555"
 _WIDTH, _HEIGHT = 900, 620  # document size [px]
 
 
-def _nice_step(span: float, target_ticks: int = 6) -> float:
+def _nice_step(span: float) -> float:
     if span <= 0.0:
         return 1.0
-    raw = span / target_ticks
+    raw = span / 6  # about 6 ticks
     magnitude = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * magnitude:

@@ -29,41 +29,37 @@ class SyntheticScene:
     image_width_px: float
 
 
-def head_on_scene(duration_s: float = 10.0,
-                  frame_rate_hz: float = 10.0,
-                  probe_speed_mps: float = 10.0,
-                  car_speed_mps: float = 15.0,
-                  car_start_link_m: float = 255.0,
-                  min_visible_height_px: float = 10.0,
-                  max_visible_height_px: float = 370.0,
-                  image_width_px: float = 1242.0,
-                  lateral_offset_m: float = -2.0,
-                  link_length_m: float = 300.0) -> SyntheticScene:
-    """One probe, one oncoming car, boxes synthesized while the car is in view."""
+def head_on_scene() -> SyntheticScene:
+    """One probe, one oncoming car, boxes synthesized while the car is in view.
+
+    10 s at 10 Hz on a 300 m link: the probe drives east at 10 m/s, and the
+    car, 255 m along the link at the start and 2 m to the probe's left,
+    closes at 15 m/s.  A box is kept while its height is 10 to 370 px.
+    """
     intrinsics = kitti_intrinsics()
-    link_start = GeoPoint(0.0, 0.0)
-    n_frames = int(round(duration_s * frame_rate_hz))
+    frame_rate_hz, probe_speed_mps = 10.0, 10.0
+    image_width_px, link_length_m = 1242.0, 300.0
 
     records = []
     oxts = []
     center_x = 0.3 * image_width_px
     center_y = 190.0
-    for frame in range(n_frames):
+    for frame in range(100):
         t = frame / frame_rate_hz
         probe_d = probe_speed_mps * t
-        car_d = car_start_link_m - car_speed_mps * t
+        car_d = 255.0 - 15.0 * t
 
         lon = math.degrees(probe_d / WGS84.semi_major_axis_m)
         raw = [0.0] * 30
         raw[0], raw[1], raw[2] = 0.0, lon, 112.0
         raw[6], raw[7] = 0.0, probe_speed_mps  # heading due east
-        oxts.append(OxtsSample(position=GeoPoint(0.0, lon), raw_fields=tuple(raw)))
+        oxts.append(OxtsSample(tuple(raw)))
 
         camera_range = car_d - probe_d
         if camera_range <= 0.0:
             continue
         height = bbox_height_at_range(camera_range, "car", intrinsics)
-        if not min_visible_height_px <= height <= max_visible_height_px:
+        if not 10.0 <= height <= 370.0:
             continue
         width = 1.1 * height
         records.append(LabelRecord(
@@ -73,14 +69,14 @@ def head_on_scene(duration_s: float = 10.0,
                   center_x + width / 2.0, center_y + height / 2.0),
             confidence=1.0,
             gt_track_id=1,
-            gt_location_camera=(lateral_offset_m, 1.6, camera_range),
+            gt_location_camera=(-2.0, 1.6, camera_range),
         ))
 
     return SyntheticScene(
         records=records,
         oxts=oxts,
         frame_rate_hz=frame_rate_hz,
-        link_start=link_start,
+        link_start=GeoPoint(0.0, 0.0),
         link_length_m=link_length_m,
         intrinsics=intrinsics,
         image_width_px=image_width_px,
@@ -112,14 +108,14 @@ def write_scene_files(scene: SyntheticScene, directory: str) -> dict[str, str]:
     return {"labels": labels_path, "oxts": oxts_dir}
 
 
-def write_fixture(directory: str, **scene_kwargs) -> str:
+def write_fixture(directory: str) -> str:
     """Write a ready-to-run demo sequence plus config; returns the config path.
 
     Try it with:  tsdiag run <directory>/config.ini
     """
     from .config import build_config, dump_config
 
-    scene = head_on_scene(**scene_kwargs)
+    scene = head_on_scene()
     paths = write_scene_files(scene, directory)
     cfg = build_config({
         "labels": paths["labels"],

@@ -539,11 +539,11 @@ class Tracker:
     """Sequence-local tracking state; call step() once per frame in order.
 
     The result is the track list: ``tracks`` holds every track ever born,
-    in birth order, and ``live_tracks`` those not yet deleted; step()
-    returns nothing.  The tracker alone holds Kalman states: one per live
-    track, in ``live_tracks`` order, so each step predicts, gates and
-    updates every track with one call each.  A deleted track's state is
-    dropped with it.
+    in birth order, so track ids run 1, 2, ... along it, and
+    ``live_tracks`` those not yet deleted; step() returns nothing.  The
+    tracker alone holds Kalman states: one per live track, in
+    ``live_tracks`` order, so each step predicts, gates and updates every
+    track with one call each.  A deleted track's state is dropped with it.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -551,7 +551,6 @@ class Tracker:
         self.tracks: list[Track] = []
         self._live: list[Track] = []  # self.tracks minus DELETED, same order
         self._states: list[KalmanState] = []
-        self._next_id = 1
         self._last_frame: int | None = None
 
     @property
@@ -602,25 +601,9 @@ class Tracker:
                        in zip(matches, matched, confidences)
                        if not all(v > 0.0 for v in _innovation_variance(state, confidence))]
                 raise _name_tracks(exc, frame_index, bad) from None
-            for (track_idx, _), state in zip(matches, updated):
+            for (track_idx, det_idx), state in zip(matches, updated):
                 states[track_idx] = state
-
-        # with appearance off no vector is kept: nothing would read it
-        use_appearance = self.config.use_appearance
-        alpha = self.config.appearance_ema_alpha
-        for track_idx, det_idx in matches:
-            track = live[track_idx]
-            track.frames_since_update = 0
-            track.records.append(detections[det_idx])
-            embedding = detections[det_idx].embedding
-            if use_appearance and embedding is not None:
-                if track.appearance is None:
-                    track.appearance = embedding
-                else:
-                    track.appearance = _blend_appearance(track.appearance, embedding, alpha)
-            if track.status == TENTATIVE and len(track.records) >= self.config.n_init:
-                track.status = CONFIRMED
-                track.ever_confirmed = True
+                self._take(live[track_idx], detections[det_idx])
 
         deleted = False
         for track_idx in unmatched_tracks:
@@ -639,18 +622,31 @@ class Tracker:
             states = states + kalman_initiate([measurements[det_idx]
                                                for det_idx in unmatched_dets])
             for det_idx in unmatched_dets:
-                det = detections[det_idx]
-                track = Track(track_id=self._next_id, records=[det],
-                              appearance=det.embedding if use_appearance else None)
-                if self.config.n_init <= 1:
-                    track.status = CONFIRMED
-                    track.ever_confirmed = True
-                self._next_id += 1
+                track = Track(track_id=len(self.tracks) + 1)
+                self._take(track, detections[det_idx])
                 self.tracks.append(track)
                 live.append(track)
 
         self._live = live
         self._states = states
+
+    def _take(self, track: Track, det: DetectionRecord) -> None:
+        """One detection taken by a track, matched or born from it.
+
+        With appearance off no vector is kept: nothing would read it.  A
+        tentative track is confirmed at its n_init-th record.
+        """
+        track.frames_since_update = 0
+        track.records.append(det)
+        if self.config.use_appearance and det.embedding is not None:
+            if track.appearance is None:
+                track.appearance = det.embedding
+            else:
+                track.appearance = _blend_appearance(track.appearance, det.embedding,
+                                                     self.config.appearance_ema_alpha)
+        if track.status == TENTATIVE and len(track.records) >= self.config.n_init:
+            track.status = CONFIRMED
+            track.ever_confirmed = True
 
     def run(self, records: Iterable[DetectionRecord],
             n_frames: int | None = None) -> list[Track]:

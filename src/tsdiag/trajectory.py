@@ -217,10 +217,12 @@ def diagram_from_csv(stream: IO[str] | Iterable[str],
                      link_length_m: float | None = None) -> TimeSpaceDiagram:
     """Rebuild a diagram from the lines of its CSV form.
 
-    Values carry 6-decimal rounding, so a row's link cell may differ from
-    its probe and range cells' sum by at most 2e-6 m; the link distance is
-    derived from those two.  The quality is one of the four flags.  Blank
-    lines are skipped, and an error names its line's place in the file.
+    A track id is 0 (a probe row, whose range is 0) or a positive integer,
+    written as diagram_to_csv writes it.  Values carry 6-decimal rounding,
+    so a row's link cell may differ from its probe and range cells' sum by
+    at most 2e-6 m; the link distance is derived from those two.  The
+    quality is one of the four flags.  Blank lines are skipped, and an
+    error names its line's place in the file.
     """
     rows = ((line_no, line.rstrip("\n")) for line_no, line in enumerate(stream, start=1)
             if line.strip())
@@ -238,6 +240,9 @@ def diagram_from_csv(stream: IO[str] | Iterable[str],
             time_s, link, probe_d, camera = map(float, fields[1:5])
         except ValueError:
             raise ParseError(f"line {line_no}: non-numeric column") from None
+        if track_id < 0 or str(track_id) != fields[0]:
+            raise ParseError(f"line {line_no}: track_id {fields[0]!r} is not 0 or a "
+                             "positive integer in plain digits")
         for name, value, token in zip(_CSV_COLUMNS[1:5], (time_s, link, probe_d, camera),
                                       fields[1:5]):
             if not math.isfinite(value):
@@ -249,6 +254,9 @@ def diagram_from_csv(stream: IO[str] | Iterable[str],
             raise ParseError(f"line {line_no}: unknown quality {fields[5]!r}")
         max_distance = max(max_distance, link)
         if track_id == 0:
+            if camera != 0.0:
+                raise ParseError(f"line {line_no}: probe row (track_id 0) has "
+                                 f"camera_range_m {fields[4]!r}, not 0")
             probe.append((time_s, probe_d))
         else:
             vehicles.setdefault(track_id, []).append(TrajectoryPoint(

@@ -161,7 +161,7 @@ def _class_values(draw):
     """Valid text of classes and class_heights, drawn together.
 
     Either key may be left out (the defaults are car and car:1.5), but
-    every class must have a height.
+    every class must have a height, and no class is named twice.
     """
     values = {}
     labels = ["car"]
@@ -172,7 +172,7 @@ def _class_values(draw):
         labels = list(heights)
     if "car" not in labels or draw(st.booleans()):
         values["classes"] = ",".join(
-            draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3)))
+            draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)))
     return values
 
 
@@ -294,6 +294,7 @@ class TestConfigTable:
         ({"class_heights": "car:1.5,bsu:3"},
          "unknown class 'bsu' in class_heights; the classes are car, van, truck, "
          "pedestrian, person_sitting, cyclist, tram, misc"),
+        ({"classes": "car, Car"}, "classes names 'car' more than once"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -479,6 +480,15 @@ class TestRunCommand:
         assert code == 2
         assert ("config error: no class_heights entry for 'tram' in classes"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    def test_repeated_class_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
+        # as a repeated class_heights label is; it used to run and write classes = car,car
+        _, config_path = fixture_dir
+        code = main(["run", config_path, "--classes", "car,Car",
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: classes names 'car' more than once\n"
         assert not (tmp_path / "x").exists()
 
     def test_explicit_timestamps_file(self, fixture_dir, tmp_path):
@@ -799,7 +809,13 @@ class TestRenderCommand:
         ("1,0.1,5.0,0.0,5.0,5.000000", "unknown quality '5.000000'"),
         ("1,0.1,5.00001,0.0,5.0,ok", "link_distance_m '5.00001' is not probe_distance_m + "
                                      "camera_range_m"),
-    ], ids=["misspelled", "shifted", "link"])
+        # int() takes both: "00" used to read as a probe point, "-3" as vehicle -3
+        ("00,0.1,40.0,11.0,29.0,ok", "track_id '00' is not 0 or a positive integer in plain "
+                                     "digits"),
+        ("-3,0.1,40.0,11.0,29.0,ok", "track_id '-3' is not 0 or a positive integer in plain "
+                                     "digits"),
+        ("0,0.1,40.0,11.0,29.0,ok", "probe row (track_id 0) has camera_range_m '29.0', not 0"),
+    ], ids=["misspelled", "shifted", "link", "zero-padded", "negative", "probe-range"])
     def test_bad_row_exits_3_naming_its_line(self, tmp_path, capsys, row, message):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text(_DIAGRAM_HEADER + "0,0.0,0.0,0.0,0.0,ok\n\n" + row + "\n")
@@ -847,6 +863,28 @@ class TestSceneFiles:
         oxts = load_oxts(paths["oxts"])
         assert len(oxts) == len(scene.oxts)
         assert oxts[0].position.latitude_deg == 0.0
+
+    def test_demo_fixture_bytes_pinned(self, tmp_path):
+        # the demo scene is the cold_small benchmark's input and CI's demo run
+        directory = str(tmp_path / "scene")
+        config_path = write_fixture(directory)
+        oxts_dir = os.path.join(directory, "oxts")
+        names = sorted(os.listdir(oxts_dir))
+        assert names == [f"{frame:010d}.txt" for frame in range(100)]
+        oxts = b""
+        for name in names:
+            with open(os.path.join(oxts_dir, name), "rb") as fh:
+                oxts += fh.read()
+        with open(os.path.join(directory, "labels.txt"), "rb") as fh:
+            labels = fh.read()
+        with open(config_path, "rb") as fh:
+            config = fh.read().replace(directory.encode(), b"<dir>")
+        assert hashlib.sha256(labels).hexdigest() == (
+            "ff576efc47002a8829d05e87523fadaa7a0aa2c7cae2d89764fb824637bf8e7b")
+        assert hashlib.sha256(oxts).hexdigest() == (
+            "bce897c035a29ac731dabf29a1068293128c8e437a24d12fe0e14677cf06657c")
+        assert hashlib.sha256(config).hexdigest() == (
+            "68510277bfbc5c72284b2bfa3cd0ebd6c3802a64117cc9c502ec39d03330fecc")
 
 
 class TestPipelineErrors:

@@ -366,6 +366,32 @@ class TestDiagramCsv:
         diagram = diagram_from_csv(lines)
         assert [p.quality for p in diagram.vehicle_trajectories[1]] == flags
 
+    def test_reader_rejects_a_probe_row_with_a_range(self):
+        lines = [_CSV_HEADER, "0,0.000000,10.000000,10.000000,0.000000,ok",
+                 "0,0.100000,40.000000,11.000000,29.000000,ok"]
+        with pytest.raises(ParseError, match=r"^line 3: probe row \(track_id 0\) has "
+                                             r"camera_range_m '29.000000', not 0$"):
+            diagram_from_csv(lines)
+
+    @given(st.text(alphabet="0123456789+-_ ", min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_only_a_written_track_id_reads_back(self, token):
+        # int() takes "00", "-0", "+1", " 1" and "1_0"; "00" used to read as
+        # a probe row and "-3" as vehicle -3
+        lines = [_CSV_HEADER, f"{token},0.100000,5.000000,5.000000,0.000000,ok"]
+        written = token.isdigit() and (token == "0" or not token.startswith("0"))
+        if not written:
+            with pytest.raises(ParseError, match=r"^line 2: (non-numeric column|track_id )"):
+                diagram_from_csv(lines)
+            return
+        diagram = diagram_from_csv(lines)
+        if token == "0":
+            assert diagram.probe_trajectory == [(0.1, 5.0)]
+            assert diagram.vehicle_trajectories == {}
+        else:
+            assert diagram.probe_trajectory == []
+            assert list(diagram.vehicle_trajectories) == [int(token)]
+
     @given(st.lists(st.tuples(st.integers(1, 4), st.floats(0.0, 1e4), st.floats(-1e4, 1e5),
                               st.floats(-150.0, 150.0), st.sampled_from(
                                   ["ok", "below_min_height", "above_max_range",
