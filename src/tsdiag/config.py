@@ -1,10 +1,10 @@
 """Run configuration: INI-style files with key = value sections.
 
 CONFIG_SCHEMA lists every key once, with the PipelineConfig attribute it
-sets; a key's type and default are those of its attribute.  Every key can
-also be supplied as a command-line flag of the same name; dump_config()
-writes a manifest that re-parses to an equal PipelineConfig, which is
-what run_meta.txt relies on.
+sets; a key's type, default and check are those of its attribute, all
+defined here.  Every key is also a command-line flag of the same name;
+dump_config() writes a manifest that re-parses to an equal PipelineConfig,
+which is what run_meta.txt relies on.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, ValidationError
 from .geodesy import GeoPoint
-from .kitti import _CLASS_LABELS
 from .photogrammetry import (DEFAULT_MAX_RANGE_M, DEFAULT_MIN_BBOX_HEIGHT_PX, CameraIntrinsics,
                              kitti_intrinsics)
-from .tracker import TrackerConfig
-from .trajectory import LaneFilterConfig
 
-__all__ = ["PipelineConfig", "CONFIG_SCHEMA", "load_config", "build_config", "dump_config"]
+__all__ = ["PipelineConfig", "TrackerConfig", "LaneFilterConfig", "CONFIG_SCHEMA",
+           "load_config", "build_config", "dump_config"]
 
 # section -> key -> attribute path in PipelineConfig; keys are globally
 # unique so each doubles as a CLI flag name
@@ -81,6 +79,62 @@ CONFIG_SCHEMA: dict[str, dict[str, str]] = {
 }
 
 _KEY_PATHS = {key: path for keys in CONFIG_SCHEMA.values() for key, path in keys.items()}
+
+
+# the object types of the KITTI devkit, lower-cased
+_CLASS_LABELS = (
+    "car", "van", "truck", "pedestrian", "person_sitting", "cyclist", "tram", "misc",
+)
+# chi-square 95% quantile for 4 degrees of freedom
+CHI2_95_4DOF = 9.4877
+
+
+@dataclass(frozen=True)
+class TrackerConfig:
+    max_dist: float = 0.2              # appearance matching threshold
+    max_iou_dist: float = 0.7          # overlap-stage gate on (1 - IoU)
+    max_age: int = 30                  # missed frames before deletion
+    n_init: int = 2                    # hits needed to confirm
+    appearance_ema_alpha: float = 0.9
+    use_appearance: bool = False
+    mahalanobis_gate: float = CHI2_95_4DOF
+
+    def __post_init__(self):
+        if not 0.0 < self.max_dist <= 1.0:
+            raise ValidationError(f"max_dist {self.max_dist} outside (0, 1]")
+        if not 0.0 < self.max_iou_dist <= 1.0:
+            raise ValidationError(f"max_iou_dist {self.max_iou_dist} outside (0, 1]")
+        if self.max_age < 1:
+            raise ValidationError(f"max_age must be >= 1, got {self.max_age}")
+        if self.n_init < 1:
+            raise ValidationError(f"n_init must be >= 1, got {self.n_init}")
+        if not 0.0 <= self.appearance_ema_alpha <= 1.0:
+            raise ValidationError("appearance_ema_alpha outside [0, 1]")
+        if not self.mahalanobis_gate > 0.0:  # also false for NaN
+            raise ValidationError(
+                f"mahalanobis_gate must be positive, got {self.mahalanobis_gate}")
+
+
+@dataclass(frozen=True)
+class LaneFilterConfig:
+    enabled: bool = True
+    traffic_side: str = "right"           # side the probe drives on
+    # annotated lateral camera x of oncoming traffic; only the reference
+    # diagram reads it, since a run has no annotations
+    lane_offset_threshold_m: float = -1.5
+    image_fraction: float = 0.5            # image share where oncoming cars appear
+    min_side_fraction: float = 0.7         # share of frames required on that side
+
+    def __post_init__(self):
+        if self.traffic_side not in ("right", "left"):
+            raise ValidationError(f"traffic_side must be right or left, got {self.traffic_side!r}")
+        if not math.isfinite(self.lane_offset_threshold_m):
+            raise ValidationError(f"lane_offset_threshold_m must be finite, "
+                                  f"got {self.lane_offset_threshold_m}")
+        for name in ("image_fraction", "min_side_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)

@@ -264,8 +264,12 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
     """HOTA over (frame, identity, bbox) triples; see the module docstring.
 
     An instance with no ground truth and no predictions is degenerate and
-    scores 1.0 across the board by convention.
+    scores 1.0 across the board by convention.  alpha_values must hold at
+    least one value, each in (0, 1].
     """
+    if not alpha_values or not all(0.0 < a <= 1.0 for a in alpha_values):  # NaN fails too
+        raise ValidationError(f"alpha_values must be one or more values in (0, 1], "
+                              f"got {tuple(alpha_values)}")
     if not gt_boxes and not pred_boxes:
         per_alpha = [{"alpha": a, "det_a": 1.0, "ass_a": 1.0, "loc_a": 1.0,
                       "hota": 1.0, "tp": 0, "fn": 0, "fp": 0}

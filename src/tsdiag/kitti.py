@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
+from .config import _CLASS_LABELS
 from .errors import InputError, ParseError, ValidationError
 from .geodesy import GeoPoint
 
@@ -35,11 +36,7 @@ __all__ = [
     "read_input",
 ]
 
-# the object types of the KITTI devkit, lower-cased; its ninth type, DontCare,
-# marks unannotated regions, and the label reader leaves its rows out
-_CLASS_LABELS = (
-    "car", "van", "truck", "pedestrian", "person_sitting", "cyclist", "tram", "misc",
-)
+# DontCare, the devkit's ninth type, marks unannotated regions; the label reader drops its rows
 _DONTCARE = "dontcare"
 
 # KITTI tracking label line:

@@ -125,31 +125,33 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         raise ConfigError("need either a detections file or a labels file")
     gt_records = None
     with _stage("ingest"):
-        oxts = load_oxts(cfg.oxts)
-        if not oxts:
+        # the probe's link distance at each frame; fix i is frame i.  Only the
+        # distances are kept: nothing after this reads a fix
+        distances = probe_distances(cfg.link_start,
+                                    (s.position for s in load_oxts(cfg.oxts)), cfg.distance_mode)
+        n_fixes = len(distances)
+        if not n_fixes:
             raise InputError(f"{cfg.oxts}: holds no GPS fixes")
 
         if cfg.labels:
             gt_records = read_input(cfg.labels, parse_label_file)
-            _check_frames(gt_records, cfg.labels, len(oxts), cfg.oxts)
+            _check_frames(gt_records, cfg.labels, n_fixes, cfg.oxts)
 
-        # the probe's (time, link distance) at each frame; fix i is frame i
         if cfg.timestamps:
             times = read_input(cfg.timestamps, parse_timestamps)
-            if len(times) < len(oxts):
+            if len(times) < n_fixes:
                 raise InputError(f"{cfg.timestamps}: frame {len(times)} beyond the "
                                  f"{len(times)} explicit timestamps")
-            if len(times) > len(oxts):
+            if len(times) > n_fixes:
                 raise InputError(f"{cfg.timestamps}: {len(times)} timestamps for the "
-                                 f"{len(oxts)} GPS fixes in {cfg.oxts}")
+                                 f"{n_fixes} GPS fixes in {cfg.oxts}")
         else:
-            times = [frame / cfg.frame_rate_hz for frame in range(len(oxts))]
-        probe = list(zip(times, probe_distances(cfg.link_start, (s.position for s in oxts),
-                                                cfg.distance_mode)))
+            times = [frame / cfg.frame_rate_hz for frame in range(n_fixes)]
+        probe = list(zip(times, distances))
 
         if cfg.detections:
             detections = read_input(cfg.detections, parse_detections_file)
-            _check_frames(detections, cfg.detections, len(oxts), cfg.oxts)
+            _check_frames(detections, cfg.detections, n_fixes, cfg.oxts)
         else:
             detections = perturb_ground_truth(gt_records, cfg.jitter_px, cfg.drop_rate,
                                               cfg.seed)
@@ -158,7 +160,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 
     with _stage("tracking"):
         tracker = Tracker(cfg.tracker)
-        tracks = tracker.run(detections, n_frames=len(oxts))
+        tracks = tracker.run(detections, n_frames=n_fixes)
 
     with _stage("lane_filter"):
         kept = opposite_lane_filter(tracks, cfg.image_width_px, cfg.lane)

@@ -11,6 +11,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from .config import build_config, dump_config
 from .geodesy import GeoPoint, WGS84
 from .kitti import LabelRecord, OxtsSample
 from .photogrammetry import CameraIntrinsics, bbox_height_at_range, kitti_intrinsics
@@ -113,8 +114,6 @@ def write_fixture(directory: str) -> str:
 
     Try it with:  tsdiag run <directory>/config.ini
     """
-    from .config import build_config, dump_config
-
     scene = head_on_scene()
     paths = write_scene_files(scene, directory)
     cfg = build_config({

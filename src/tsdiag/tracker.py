@@ -20,11 +20,11 @@ from itertools import compress
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
+from .config import TrackerConfig
 from .errors import ValidationError
 from .kitti import DetectionRecord, _unit_vector, group_by_frame
 
 __all__ = [
-    "TrackerConfig",
     "KalmanState",
     "Track",
     "Tracker",
@@ -44,9 +44,6 @@ TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 DELETED = "deleted"
 
-# chi-square 95% quantile for 4 degrees of freedom
-CHI2_95_4DOF = 9.4877
-
 _POS_WEIGHT = 1.0 / 20.0
 _VEL_WEIGHT = 1.0 / 160.0
 _GATE_COST = 1e5  # sentinel for forbidden assignment edges
@@ -64,32 +61,6 @@ _ASPECT_MEASUREMENT_STD = 1e-1
 # (h * 0.0 + std) squared, for every finite h: predict takes finite states only
 _ASPECT_POS_VAR = _ASPECT_POS_STD * _ASPECT_POS_STD
 _ASPECT_VEL_VAR = _ASPECT_VEL_STD * _ASPECT_VEL_STD
-
-
-@dataclass(frozen=True)
-class TrackerConfig:
-    max_dist: float = 0.2              # appearance matching threshold
-    max_iou_dist: float = 0.7          # overlap-stage gate on (1 - IoU)
-    max_age: int = 30                  # missed frames before deletion
-    n_init: int = 2                    # hits needed to confirm
-    appearance_ema_alpha: float = 0.9
-    use_appearance: bool = False
-    mahalanobis_gate: float = CHI2_95_4DOF
-
-    def __post_init__(self):
-        if not 0.0 < self.max_dist <= 1.0:
-            raise ValidationError(f"max_dist {self.max_dist} outside (0, 1]")
-        if not 0.0 < self.max_iou_dist <= 1.0:
-            raise ValidationError(f"max_iou_dist {self.max_iou_dist} outside (0, 1]")
-        if self.max_age < 1:
-            raise ValidationError(f"max_age must be >= 1, got {self.max_age}")
-        if self.n_init < 1:
-            raise ValidationError(f"n_init must be >= 1, got {self.n_init}")
-        if not 0.0 <= self.appearance_ema_alpha <= 1.0:
-            raise ValidationError("appearance_ema_alpha outside [0, 1]")
-        if not self.mahalanobis_gate > 0.0:  # also false for NaN
-            raise ValidationError(
-                f"mahalanobis_gate must be positive, got {self.mahalanobis_gate}")
 
 
 class KalmanState(NamedTuple):

@@ -13,6 +13,7 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
+from .config import LaneFilterConfig
 from .errors import ParseError, ValidationError
 from .photogrammetry import (
     CameraIntrinsics,
@@ -27,7 +28,6 @@ from .tracker import Track
 
 __all__ = [
     "QUALITY_OUT_OF_LINK",
-    "LaneFilterConfig",
     "TrajectoryPoint",
     "TimeSpaceDiagram",
     "opposite_lane_filter",
@@ -48,28 +48,6 @@ OUT_OF_LINK_MARGIN_M = 20.0  # how far past the link end a point may lie and sta
 _LINK_TOLERANCE_M = 2e-6
 _QUALITIES = frozenset(
     (QUALITY_OK, QUALITY_BELOW_MIN_HEIGHT, QUALITY_ABOVE_MAX_RANGE, QUALITY_OUT_OF_LINK))
-
-
-@dataclass(frozen=True)
-class LaneFilterConfig:
-    enabled: bool = True
-    traffic_side: str = "right"           # side the probe drives on
-    # annotated lateral camera x of oncoming traffic; only the reference
-    # diagram reads it, since a run has no annotations
-    lane_offset_threshold_m: float = -1.5
-    image_fraction: float = 0.5            # image share where oncoming cars appear
-    min_side_fraction: float = 0.7         # share of frames required on that side
-
-    def __post_init__(self):
-        if self.traffic_side not in ("right", "left"):
-            raise ValidationError(f"traffic_side must be right or left, got {self.traffic_side!r}")
-        if not math.isfinite(self.lane_offset_threshold_m):
-            raise ValidationError(f"lane_offset_threshold_m must be finite, "
-                                  f"got {self.lane_offset_threshold_m}")
-        for name in ("image_fraction", "min_side_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)

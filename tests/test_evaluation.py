@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 
@@ -22,7 +23,7 @@ from tsdiag.evaluation import (
 )
 from tsdiag import evaluation, geodesy
 from tsdiag.config import build_config, load_config
-from tsdiag.kitti import DetectionRecord, LabelRecord, parse_label_file
+from tsdiag.kitti import DetectionRecord, LabelRecord, OxtsSample, parse_label_file
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
 from tsdiag.pipeline import (
     PipelineResult,
@@ -32,7 +33,7 @@ from tsdiag.pipeline import (
     write_eval_outputs,
 )
 from tsdiag.synth import write_fixture
-from tsdiag.tracker import CONFIRMED, Track
+from tsdiag.tracker import CONFIRMED, Track, Tracker
 from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint, build_diagram, diagram_to_csv
 
 KITTI = kitti_intrinsics()
@@ -315,6 +316,15 @@ class TestHota:
         assert report.degenerate
         assert report.hota == 1.0
 
+    @pytest.mark.parametrize("alpha_values", [(), (0.0,), (1.5,), (math.nan,)])
+    def test_unusable_alpha_list_rejected(self, alpha_values):
+        gt = [(0, 1, unit_box(0.0, 0.0))]
+        for pred in (gt, []):
+            with pytest.raises(ValidationError, match="alpha_values"):
+                hota(gt, pred, alpha_values=alpha_values)
+        with pytest.raises(ValidationError, match="alpha_values"):
+            hota([], [], alpha_values=alpha_values)
+
     def test_alpha_grid_default(self):
         assert DEFAULT_ALPHAS[0] == pytest.approx(0.05)
         assert DEFAULT_ALPHAS[-1] == pytest.approx(0.95)
@@ -595,3 +605,22 @@ class TestProbeTrajectory:
         monkeypatch.setattr(geodesy, "geodesic_inverse", counted)
         write_eval_outputs(run_pipeline(cfg))
         assert len(calls) == 100  # the fixture's fixes
+
+    def test_gps_fixes_are_freed_before_tracking(self, tmp_path, monkeypatch):
+        # ingest keeps only the probe distances; the fixes are not held
+        # through tracking and the diagram
+        cfg = load_config(write_fixture(str(tmp_path / "scene")))
+        run = Tracker.run
+        alive = []
+
+        def fixes_alive():
+            return sum(isinstance(obj, OxtsSample) for obj in gc.get_objects())
+
+        def counted(self, *args, **kwargs):
+            alive.append(fixes_alive())
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tracker, "run", counted)
+        before = fixes_alive()
+        run_pipeline(cfg)
+        assert alive == [before]

@@ -1,11 +1,15 @@
-"""Every name a module lists in ``__all__`` exists on that module."""
+"""Every name a module lists in ``__all__`` exists on that module, and the
+package states one version."""
 
 import importlib
+import os
 import pkgutil
+import re
 
 import pytest
 
 import tsdiag
+from tsdiag.version import __version__
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tsdiag.__path__, "tsdiag."))
 
@@ -16,3 +20,10 @@ def test_all_names_resolve(module_name):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
 
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path) as fh:
+        project = fh.read().split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]*)"$', project, re.MULTILINE) == [__version__]

@@ -1,5 +1,6 @@
 """The README's configuration listing and library example stay true."""
 
+import ast
 import os
 import re
 import subprocess
@@ -55,13 +56,24 @@ def test_library_example_runs(tmp_path, monkeypatch):
     assert len(diagram.probe_trajectory) == 100
 
 
-def test_package_root_loads_only_the_version():
-    code = ("import sys, tsdiag; "
-            "print(sorted(name for name in sys.modules if name.startswith('tsdiag.')))")
+def _tsdiag_modules_loaded_by(statement: str) -> list[str]:
+    """The tsdiag modules a fresh interpreter holds after running statement."""
+    code = (f"import sys; {statement}; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'tsdiag'))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(tsdiag.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "['tsdiag.version']"
+    return ast.literal_eval(out)
+
+
+def test_package_root_loads_only_the_version():
+    assert _tsdiag_modules_loaded_by("import tsdiag") == ["tsdiag", "tsdiag.version"]
+
+
+def test_config_loads_no_pipeline_stage():
+    assert _tsdiag_modules_loaded_by("import tsdiag.config") == [
+        "tsdiag", "tsdiag.config", "tsdiag.errors", "tsdiag.geodesy", "tsdiag.photogrammetry",
+        "tsdiag.version"]
 
 
 def test_exit_code_sentence_lists_every_exit_code():

@@ -9,10 +9,10 @@ from oracles.assignment_oracle import brute_force_min_cost
 from oracles.iou_oracle import iou_matrix
 from oracles import tracker_oracle as reference
 from oracles.tracker_oracle import OracleTracker
+from tsdiag.config import CHI2_95_4DOF
 from tsdiag.errors import ParseError, ValidationError
 from tsdiag.kitti import LabelRecord, parse_detections_file
 from tsdiag.tracker import (
-    CHI2_95_4DOF,
     CONFIRMED,
     DELETED,
     TENTATIVE,
