@@ -54,8 +54,6 @@ CONFIG_SCHEMA: dict[str, dict[str, str]] = {
         "lane_filter": "lane.enabled",
         "traffic_side": "lane.traffic_side",
         "lane_offset_threshold_m": "lane.lane_offset_threshold_m",
-        "image_fraction": "lane.image_fraction",
-        "min_side_fraction": "lane.min_side_fraction",
     },
     "range": {
         "min_bbox_height_px": "min_bbox_height_px",
@@ -119,11 +117,9 @@ class TrackerConfig:
 class LaneFilterConfig:
     enabled: bool = True
     traffic_side: str = "right"           # side the probe drives on
-    # annotated lateral camera x of oncoming traffic; only the reference
-    # diagram reads it, since a run has no annotations
+    # lateral camera x [m] of oncoming traffic: a run tests the offsets its
+    # boxes give, the reference diagram the annotated ones
     lane_offset_threshold_m: float = -1.5
-    image_fraction: float = 0.5            # image share where oncoming cars appear
-    min_side_fraction: float = 0.7         # share of frames required on that side
 
     def __post_init__(self):
         if self.traffic_side not in ("right", "left"):
@@ -131,10 +127,6 @@ class LaneFilterConfig:
         if not math.isfinite(self.lane_offset_threshold_m):
             raise ValidationError(f"lane_offset_threshold_m must be finite, "
                                   f"got {self.lane_offset_threshold_m}")
-        for name in ("image_fraction", "min_side_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)

@@ -322,15 +322,12 @@ def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionReco
 def format_detections(records: Iterable[DetectionRecord]) -> str:
     """Serialize records to the detection interchange format.
 
-    Boxes and confidences get 6 decimals.  A vector's components are
-    written in full (repr), so it reads back to within the rounding of its
-    renormalization.
+    Every float is written in full (repr): a box and a confidence read back
+    exactly, and a vector to within the rounding of its renormalization.
     """
     lines = []
     for r in records:
-        left, top, right, bottom = r.bbox
-        line = (f"{r.frame_index} {r.class_label} {left:.6f} {top:.6f} "
-                f"{right:.6f} {bottom:.6f} {r.confidence:.6f}")
+        line = f"{r.frame_index} {r.class_label} " + " ".join(map(repr, (*r.bbox, r.confidence)))
         if r.embedding is not None:
             line += f" {len(r.embedding)} " + " ".join(map(repr, r.embedding))
         lines.append(line)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import os
 import platform
-import statistics
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -44,6 +43,7 @@ from .trajectory import (
     TimeSpaceDiagram,
     build_diagram,
     diagram_to_csv,
+    is_oncoming,
     opposite_lane_filter,
     place_point,
     smooth_diagram,
@@ -163,7 +163,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         tracks = tracker.run(detections, n_frames=n_fixes)
 
     with _stage("lane_filter"):
-        kept = opposite_lane_filter(tracks, cfg.image_width_px, cfg.lane)
+        kept = opposite_lane_filter(tracks, cfg.image_width_px, cfg.intrinsics, cfg.lane)
 
     with _stage("diagram"):
         diagram = build_diagram(
@@ -211,9 +211,9 @@ def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpace
 
     One trajectory per annotated identity of a configured class, each point
     ranged by its annotated depth; rows without a positive depth are left
-    out.  With the lane filter on, an identity is kept when the median of
-    its lateral offsets lies at or beyond lane_offset_threshold_m (its
-    mirror for left-hand traffic).
+    out.  With the lane filter on, an identity is kept when is_oncoming
+    holds for its annotated lateral offsets, as a run's track is kept for
+    the offsets its boxes give.
     """
     by_identity: dict[int, list[LabelRecord]] = {}
     for record in gt_records:
@@ -224,14 +224,8 @@ def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpace
     trajectories = {}
     for identity in sorted(by_identity):
         records = sorted(by_identity[identity], key=attrgetter("frame_index"))
-        if lane.enabled:
-            lateral = statistics.median(r.gt_location_camera[0] for r in records)
-            if lane.traffic_side == "right":
-                oncoming = lateral <= lane.lane_offset_threshold_m
-            else:
-                oncoming = lateral >= -lane.lane_offset_threshold_m
-            if not oncoming:
-                continue
+        if lane.enabled and not is_oncoming((r.gt_location_camera[0] for r in records), lane):
+            continue
         trajectories[identity] = [
             place_point(probe, r.frame_index, r.gt_depth_m, QUALITY_OK, cfg.link_length_m)
             for r in records]

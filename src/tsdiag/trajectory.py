@@ -2,8 +2,8 @@
 
 Each tracked vehicle contributes one polyline of (time, link distance)
 points, where the link distance is the probe's own distance along the link
-plus the camera-to-vehicle range.  Oncoming traffic is selected by the side
-of the image its boxes sit on.
+plus the camera-to-vehicle range.  Oncoming traffic is selected by its
+lateral offset from the camera, estimated from the boxes.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "QUALITY_OUT_OF_LINK",
     "TrajectoryPoint",
     "TimeSpaceDiagram",
+    "is_oncoming",
     "opposite_lane_filter",
     "place_point",
     "build_diagram",
@@ -70,28 +71,43 @@ class TimeSpaceDiagram:
     vehicle_trajectories: dict[int, list[TrajectoryPoint]]
 
 
+def is_oncoming(lateral_offsets_m: Iterable[float], config: LaneFilterConfig) -> bool:
+    """Whether a vehicle at these lateral camera offsets [m] drives in the oncoming lanes.
+
+    An offset is the camera-frame x, positive to the right.  The median
+    offset must be at most lane_offset_threshold_m for right-hand traffic,
+    or at least its negation for left-hand traffic.
+    """
+    median = statistics.median(lateral_offsets_m)
+    if config.traffic_side == "right":
+        return median <= config.lane_offset_threshold_m
+    return median >= -config.lane_offset_threshold_m
+
+
 def opposite_lane_filter(tracks: Iterable[Track], image_width_px: float,
+                         intrinsics: CameraIntrinsics,
                          config: LaneFilterConfig | None = None) -> list[Track]:
     """Keep tracks that look like oncoming traffic.
 
-    A track is kept when at least min_side_fraction of its boxes have their
-    centre within image_fraction of the image width on the oncoming side:
-    from the left edge for right-hand traffic, from the right edge for
-    left-hand traffic.  Only the boxes are read.
+    Each box gives the vehicle's lateral offset X = (center_x - c_x) * r / f,
+    with c_x half the image width, f the focal length and r the range
+    range_from_height gives its height for the track's class; a track is
+    kept when is_oncoming holds for its offsets.  Only the boxes are read.
     """
     config = config or LaneFilterConfig()
     if not config.enabled:
         return list(tracks)
+    principal_x = image_width_px / 2.0
+    focal = intrinsics.focal_length_px
     kept = []
     for track in tracks:
-        centers = [r.center_x for r in track.records]
-        if not centers:
+        if not track.records:
             continue
-        if config.traffic_side == "right":
-            on_side = [c <= config.image_fraction * image_width_px for c in centers]
-        else:
-            on_side = [c >= (1.0 - config.image_fraction) * image_width_px for c in centers]
-        if sum(on_side) / len(on_side) >= config.min_side_fraction:
+        class_label = track.class_label
+        offsets = [(r.center_x - principal_x)
+                   * range_from_height(r.height, class_label, intrinsics).distance_m / focal
+                   for r in track.records]
+        if is_oncoming(offsets, config):
             kept.append(track)
     return kept
 

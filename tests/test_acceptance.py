@@ -131,7 +131,7 @@ def _run_synthetic(scene, jitter_px, seed):
     detections = perturb_ground_truth(scene.records, jitter_px, 0.0, seed)
     tracker = Tracker(TrackerConfig())
     tracks = tracker.run(detections, n_frames=len(scene.oxts))
-    kept = opposite_lane_filter(tracks, scene.image_width_px)
+    kept = opposite_lane_filter(tracks, scene.image_width_px, scene.intrinsics)
     distances = probe_distances(scene.link_start, (s.position for s in scene.oxts))
     probe = [(f / scene.frame_rate_hz, d) for f, d in enumerate(distances)]
     predicted = build_diagram(kept, probe, scene.link_length_m, scene.intrinsics,

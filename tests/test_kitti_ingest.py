@@ -757,9 +757,7 @@ class TestInterchangeRoundTrip:
         for a, b in zip(sorted(records, key=lambda r: r.frame_index), reparsed):
             assert a.frame_index == b.frame_index
             assert a.class_label == b.class_label
-            for x, y in zip(a.bbox, b.bbox):
-                assert abs(x - y) <= 1e-6
-            assert abs(a.confidence - b.confidence) <= 1e-6
+            assert (a.bbox, a.confidence) == (b.bbox, b.confidence)
             if a.embedding is None:
                 assert b.embedding is None
             else:

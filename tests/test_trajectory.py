@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tsdiag.config import PipelineConfig
 from tsdiag.errors import ParseError, ValidationError
 from tsdiag.kitti import DetectionRecord, LabelRecord
-from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics
+from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics, range_from_height
 from tsdiag.pipeline import build_reference_diagram
 from tsdiag.tracker import Track
 from tsdiag.trajectory import (
@@ -15,6 +15,7 @@ from tsdiag.trajectory import (
     build_diagram,
     diagram_from_csv,
     diagram_to_csv,
+    is_oncoming,
     opposite_lane_filter,
     place_point,
     smooth_diagram,
@@ -22,6 +23,7 @@ from tsdiag.trajectory import (
 )
 
 KITTI = kitti_intrinsics()
+IMAGE_WIDTH_PX = 1242.0  # the image the pinhole tracks are boxed in
 _CSV_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality"
 CAR_RANGE_AT_100PX = 406644.0 / 36200.0
 
@@ -54,6 +56,27 @@ def box_with_height(center_x, height, top=100.0):
     return (center_x - w / 2, top, center_x + w / 2, top + height)
 
 
+def pinhole_track(lateral_m, ranges_m, edge_jitter_px=None):
+    """A car at a lateral camera offset, one frame per range, boxed by the
+    pinhole model: height from bbox_height_at_range, centre at
+    W/2 + f * X / r; edge_jitter_px adds (left, top, right, bottom) per box."""
+    entries = []
+    for frame, range_m in enumerate(ranges_m):
+        height = bbox_height_at_range(range_m, "car", KITTI)
+        center_x = IMAGE_WIDTH_PX / 2 + KITTI.focal_length_px * lateral_m / range_m
+        box = box_with_height(center_x, height, top=150.0)
+        if edge_jitter_px is not None:
+            box = tuple(edge + noise for edge, noise in zip(box, edge_jitter_px[frame]))
+        entries.append((frame, box))
+    return make_track(1, entries)
+
+
+def estimated_offset(record):
+    """The lateral offset a box gives: (center_x - W/2) * r / f."""
+    range_m = range_from_height(record.height, "car", KITTI).distance_m
+    return (record.center_x - IMAGE_WIDTH_PX / 2) * range_m / KITTI.focal_length_px
+
+
 def make_probe(n_frames, metres_per_frame=0.0):
     """The probe's (time, link distance) at 10 Hz, one pair per frame."""
     return [(f / 10.0, f * metres_per_frame) for f in range(n_frames)]
@@ -83,47 +106,47 @@ class TestOppositeLaneFilter:
         heights = [20.0, 25.0, 31.0, 40.0]  # shrinking range
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH) == [track]
+        assert opposite_lane_filter([track], self.WIDTH, KITTI) == [track]
 
     def test_wrong_side_removed(self):
         heights = [20.0, 25.0, 31.0, 40.0]
         track = make_track(1, [(f, box_with_height(0.8 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH) == []
+        assert opposite_lane_filter([track], self.WIDTH, KITTI) == []
 
     def test_annotations_are_not_read(self):
-        # a label that places the car in the probe's own lane, on the
-        # oncoming side of the image: only the image side counts
+        # a label that places the car in the probe's own lane, boxed far to
+        # the oncoming side: only the offsets the boxes give count
         heights = [20.0, 25.0, 31.0, 40.0]
         records = [LabelRecord(frame_index=f, class_label="car",
                                bbox=box_with_height(0.25 * self.WIDTH, h), gt_track_id=1,
                                gt_location_camera=(2.0, 1.6, 10.0))
                    for f, h in enumerate(heights)]
         track = Track(track_id=1, status="confirmed", records=records, ever_confirmed=True)
-        assert opposite_lane_filter([track], self.WIDTH) == [track]
+        assert opposite_lane_filter([track], self.WIDTH, KITTI) == [track]
 
     def test_receding_track_on_the_oncoming_side_kept(self):
-        # only the image side decides, not how the box heights evolve
+        # only the offsets decide, not how the box heights evolve
         heights = [40.0, 31.0, 25.0, 20.0]
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH) == [track]
+        assert opposite_lane_filter([track], self.WIDTH, KITTI) == [track]
 
     def test_passing_v_shape_kept(self):
         heights = [20.0, 30.0, 45.0, 30.0, 20.0]  # closes, passes, recedes
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH) == [track]
+        assert opposite_lane_filter([track], self.WIDTH, KITTI) == [track]
 
     def test_left_hand_traffic_mirrors_sides(self):
         config = LaneFilterConfig(traffic_side="left")
         heights = [20.0, 25.0, 31.0, 40.0]
         right_track = make_track(1, [(f, box_with_height(0.8 * self.WIDTH, h))
                                      for f, h in enumerate(heights)])
-        assert opposite_lane_filter([right_track], self.WIDTH, config) == [right_track]
+        assert opposite_lane_filter([right_track], self.WIDTH, KITTI, config) == [right_track]
         left_track = make_track(2, [(f, box_with_height(0.2 * self.WIDTH, h))
                                     for f, h in enumerate(heights)])
-        assert opposite_lane_filter([left_track], self.WIDTH, config) == []
+        assert opposite_lane_filter([left_track], self.WIDTH, KITTI, config) == []
 
     def test_idempotent(self):
         heights = [20.0, 25.0, 31.0, 40.0]
@@ -133,17 +156,74 @@ class TestOppositeLaneFilter:
             make_track(2, [(f, box_with_height(0.9 * self.WIDTH, h))
                            for f, h in enumerate(heights)]),
         ]
-        once = opposite_lane_filter(tracks, self.WIDTH)
-        twice = opposite_lane_filter(once, self.WIDTH)
+        once = opposite_lane_filter(tracks, self.WIDTH, KITTI)
+        twice = opposite_lane_filter(once, self.WIDTH, KITTI)
         assert once == twice
 
     def test_disabled_filter_keeps_everything(self):
         config = LaneFilterConfig(enabled=False)
         track = make_track(1, [(0, box_with_height(0.9 * self.WIDTH, 20.0))])
-        assert opposite_lane_filter([track], self.WIDTH, config) == [track]
+        assert opposite_lane_filter([track], self.WIDTH, KITTI, config) == [track]
 
     def test_empty_input(self):
-        assert opposite_lane_filter([], self.WIDTH) == []
+        assert opposite_lane_filter([], self.WIDTH, KITTI) == []
+
+    @pytest.mark.parametrize("side, lateral_m, kept", [
+        ("right", 0.0, False), ("right", -0.3, False), ("right", -3.5, True),
+        ("right", 3.5, False),
+        ("left", 0.0, False), ("left", 0.3, False), ("left", 3.5, True), ("left", -3.5, False)])
+    def test_kept_by_estimated_lateral_offset(self, side, lateral_m, kept):
+        # noise-free boxes over 40 to 8 m: a lead dead ahead, or 0.3 m to
+        # the oncoming side of the camera axis, drives in the probe's lane
+        # although its box centres lie on the oncoming half of the image
+        track = pinhole_track(lateral_m, [40.0, 30.0, 20.0, 12.0, 8.0])
+        config = LaneFilterConfig(traffic_side=side)
+        assert opposite_lane_filter([track], self.WIDTH, KITTI, config) == (
+            [track] if kept else [])
+
+    @given(st.sampled_from(["right", "left"]), st.floats(-12.0, 12.0),
+           st.lists(st.tuples(st.floats(5.0, 60.0), st.tuples(*[st.floats(-1.0, 1.0)] * 4)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_kept_exactly_on_the_oncoming_side_of_the_threshold(self, side, lateral_m, boxes):
+        # at least 1 m from the threshold, 1 px of edge noise at up to 60 m
+        # cannot move a track's estimated offset across it
+        config = LaneFilterConfig(traffic_side=side)
+        threshold = config.lane_offset_threshold_m * (1.0 if side == "right" else -1.0)
+        assume(abs(lateral_m - threshold) >= 1.0)
+        ranges, noise = zip(*boxes)
+        track = pinhole_track(lateral_m, ranges, noise)
+        oncoming = lateral_m <= threshold if side == "right" else lateral_m >= threshold
+        assert opposite_lane_filter([track], self.WIDTH, KITTI, config) == (
+            [track] if oncoming else [])
+
+    @given(st.sampled_from(["right", "left"]), st.floats(-4.0, 4.0),
+           st.lists(st.tuples(st.floats(5.0, 60.0), st.tuples(*[st.floats(-1.0, 1.0)] * 4)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_run_and_reference_agree_on_the_same_offsets(self, side, lateral_m, boxes):
+        # labels annotated with the offsets their boxes give: the reference
+        # diagram keeps the identity exactly when the run keeps the track
+        ranges, noise = zip(*boxes)
+        track = pinhole_track(lateral_m, ranges, noise)
+        labels = [LabelRecord(frame_index=r.frame_index, class_label="car", bbox=r.bbox,
+                              gt_track_id=1,
+                              gt_location_camera=(estimated_offset(r), 1.6, range_m))
+                  for r, range_m in zip(track.records, ranges)]
+        cfg = PipelineConfig(lane=LaneFilterConfig(traffic_side=side))
+        reference = build_reference_diagram(labels, make_probe(len(labels)), cfg)
+        kept = opposite_lane_filter([track], self.WIDTH, KITTI, cfg.lane)
+        assert bool(kept) == (1 in reference.vehicle_trajectories)
+
+
+class TestIsOncoming:
+    def test_median_against_the_threshold(self):
+        right, left = LaneFilterConfig(), LaneFilterConfig(traffic_side="left")
+        assert is_oncoming([-1.5], right) and not is_oncoming([-1.4], right)
+        assert is_oncoming([1.5], left) and not is_oncoming([1.4], left)
+        # one stray offset does not move the median
+        assert is_oncoming([-3.0, -2.0, 4.0], right)
+        assert not is_oncoming([-3.0, 1.0, 4.0], right)
 
 
 class TestBuildDiagram:
