@@ -38,7 +38,7 @@ CONFIG_SCHEMA: dict[str, dict[str, str]] = {
         "focal_length_px": "intrinsics.focal_length_px",
         "image_height_px": "intrinsics.image_height_px",
         "sensor_height_px": "intrinsics.sensor_height_px",
-        "image_width_px": "image_width_px",
+        "image_width_px": "intrinsics.image_width_px",
         "class_heights": "intrinsics.class_height_m",
     },
     "tracker": {
@@ -137,7 +137,6 @@ class PipelineConfig:
     timestamps: str = ""
     output_dir: str = "out"
     intrinsics: CameraIntrinsics = field(default_factory=kitti_intrinsics)
-    image_width_px: float = 1242.0
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     lane: LaneFilterConfig = field(default_factory=LaneFilterConfig)
     min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX
@@ -171,9 +170,6 @@ class PipelineConfig:
                 raise ValidationError(f"{name} must be positive, got {value}")
             if value == math.inf:
                 raise ValidationError(f"{name} must be finite, got inf")
-        if not (math.isfinite(self.image_width_px) and self.image_width_px > 0.0):
-            raise ValidationError(f"image_width_px must be finite and positive, "
-                                  f"got {self.image_width_px}")
         if not (math.isfinite(self.min_bbox_height_px) and self.min_bbox_height_px >= 0.0):
             raise ValidationError(f"min_bbox_height_px must be finite and >= 0, "
                                   f"got {self.min_bbox_height_px}")

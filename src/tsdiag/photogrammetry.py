@@ -35,14 +35,19 @@ DEFAULT_MAX_RANGE_M = 120.0
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole parameters plus real-world object heights per class [m]."""
+    """The whole camera: pinhole parameters, image size [px] (c_x at half the
+    width) and real-world object heights per class [m]."""
 
     focal_length_px: float
     image_height_px: float
     sensor_height_px: float
+    image_width_px: float
     class_height_m: Mapping[str, float]
 
     def __post_init__(self):
+        if not (math.isfinite(self.image_width_px) and self.image_width_px > 0.0):
+            raise ValidationError(f"image_width_px must be finite and positive, "
+                                  f"got {self.image_width_px}")
         values = [(name, getattr(self, name))
                   for name in ("focal_length_px", "image_height_px", "sensor_height_px")]
         values += [(f"class height for {label!r}", height)
@@ -62,12 +67,13 @@ class CameraIntrinsics:
 
 
 def kitti_intrinsics() -> CameraIntrinsics:
-    """Preset for the KITTI camera: 721 px focal length, 376 px image height,
-    362 px sensor height, 1.50 m average car height."""
+    """Preset for the KITTI colour camera: 721 px focal length, a 1242 x 376 px
+    image, 362 px sensor height, 1.50 m average car height."""
     return CameraIntrinsics(
         focal_length_px=721.0,
         image_height_px=376.0,
         sensor_height_px=362.0,
+        image_width_px=1242.0,
         class_height_m={"car": 1.50},
     )
 

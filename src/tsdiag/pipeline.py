@@ -163,7 +163,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         tracks = tracker.run(detections, n_frames=n_fixes)
 
     with _stage("lane_filter"):
-        kept = opposite_lane_filter(tracks, cfg.image_width_px, cfg.intrinsics, cfg.lane)
+        kept = opposite_lane_filter(tracks, cfg.intrinsics, cfg.lane)
 
     with _stage("diagram"):
         diagram = build_diagram(

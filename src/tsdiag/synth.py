@@ -27,7 +27,6 @@ class SyntheticScene:
     link_start: GeoPoint
     link_length_m: float
     intrinsics: CameraIntrinsics
-    image_width_px: float
 
 
 def head_on_scene() -> SyntheticScene:
@@ -39,11 +38,10 @@ def head_on_scene() -> SyntheticScene:
     """
     intrinsics = kitti_intrinsics()
     frame_rate_hz, probe_speed_mps = 10.0, 10.0
-    image_width_px, link_length_m = 1242.0, 300.0
+    link_length_m, lateral_m = 300.0, -2.0
 
     records = []
     oxts = []
-    center_x = 0.3 * image_width_px
     center_y = 190.0
     for frame in range(100):
         t = frame / frame_rate_hz
@@ -63,6 +61,8 @@ def head_on_scene() -> SyntheticScene:
         if not 10.0 <= height <= 370.0:
             continue
         width = 1.1 * height
+        center_x = (intrinsics.image_width_px / 2.0
+                    + intrinsics.focal_length_px * lateral_m / camera_range)
         records.append(LabelRecord(
             frame_index=frame,
             class_label="car",
@@ -70,7 +70,7 @@ def head_on_scene() -> SyntheticScene:
                   center_x + width / 2.0, center_y + height / 2.0),
             confidence=1.0,
             gt_track_id=1,
-            gt_location_camera=(-2.0, 1.6, camera_range),
+            gt_location_camera=(lateral_m, 1.6, camera_range),
         ))
 
     return SyntheticScene(
@@ -80,7 +80,6 @@ def head_on_scene() -> SyntheticScene:
         link_start=GeoPoint(0.0, 0.0),
         link_length_m=link_length_m,
         intrinsics=intrinsics,
-        image_width_px=image_width_px,
     )
 
 

@@ -84,20 +84,19 @@ def is_oncoming(lateral_offsets_m: Iterable[float], config: LaneFilterConfig) ->
     return median >= -config.lane_offset_threshold_m
 
 
-def opposite_lane_filter(tracks: Iterable[Track], image_width_px: float,
-                         intrinsics: CameraIntrinsics,
+def opposite_lane_filter(tracks: Iterable[Track], intrinsics: CameraIntrinsics,
                          config: LaneFilterConfig | None = None) -> list[Track]:
     """Keep tracks that look like oncoming traffic.
 
     Each box gives the vehicle's lateral offset X = (center_x - c_x) * r / f,
-    with c_x half the image width, f the focal length and r the range
+    with c_x half the camera's image width, f its focal length and r the range
     range_from_height gives its height for the track's class; a track is
     kept when is_oncoming holds for its offsets.  Only the boxes are read.
     """
     config = config or LaneFilterConfig()
     if not config.enabled:
         return list(tracks)
-    principal_x = image_width_px / 2.0
+    principal_x = intrinsics.image_width_px / 2.0
     focal = intrinsics.focal_length_px
     kept = []
     for track in tracks:

@@ -59,7 +59,7 @@ def test_geodesic_oracle_suite(data_dir):
 def test_photogrammetry_round_trip():
     """1000 random (class, range) pairs invert to 1e-9 relative; the worked
     example lands within 1e-3 m; runtime under a second."""
-    intrinsics = CameraIntrinsics(721.0, 376.0, 362.0,
+    intrinsics = CameraIntrinsics(721.0, 376.0, 362.0, 1242.0,
                                   {"car": 1.50, "van": 2.0, "truck": 3.2})
     rng = random.Random(1234)
     start = time.perf_counter()
@@ -131,14 +131,13 @@ def _run_synthetic(scene, jitter_px, seed):
     detections = perturb_ground_truth(scene.records, jitter_px, 0.0, seed)
     tracker = Tracker(TrackerConfig())
     tracks = tracker.run(detections, n_frames=len(scene.oxts))
-    kept = opposite_lane_filter(tracks, scene.image_width_px, scene.intrinsics)
+    kept = opposite_lane_filter(tracks, scene.intrinsics)
     distances = probe_distances(scene.link_start, (s.position for s in scene.oxts))
     probe = [(f / scene.frame_rate_hz, d) for f, d in enumerate(distances)]
     predicted = build_diagram(kept, probe, scene.link_length_m, scene.intrinsics,
                               max_range_m=25.0)
     reference = build_reference_diagram(
-        scene.records, probe, PipelineConfig(link_length_m=scene.link_length_m,
-                                             image_width_px=scene.image_width_px))
+        scene.records, probe, PipelineConfig(link_length_m=scene.link_length_m))
     return tracks, predicted, reference, track_matching(kept, scene.records)
 
 

@@ -423,6 +423,18 @@ class TestRunCommand:
             outputs.append((csv_bytes, svg_bytes))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("threshold, rows", [("-1.9", 42), ("-2.1", 0)])
+    def test_lane_threshold_keeps_the_car_by_its_offset(self, fixture_dir, tmp_path,
+                                                         threshold, rows):
+        # the demo car is boxed 2.0 m to the probe's left: a threshold just
+        # past that offset keeps all its 42 boxes, one just short drops it
+        _, config_path = fixture_dir
+        out_dir = tmp_path / "lane"
+        assert main(["run", config_path, "--lane-offset-threshold-m", threshold,
+                     "--output-dir", str(out_dir)]) == 0
+        lines = (out_dir / "diagram.csv").read_text().splitlines()[1:]
+        assert sum(not line.startswith("0,") for line in lines) == rows
+
     def test_missing_oxts_exits_3_and_names_path(self, fixture_dir, tmp_path, capsys):
         _, config_path = fixture_dir
         code = main(["run", config_path, "--oxts", "/nonexistent/oxts",
@@ -880,7 +892,7 @@ class TestSceneFiles:
         with open(config_path, "rb") as fh:
             config = fh.read().replace(directory.encode(), b"<dir>")
         assert hashlib.sha256(labels).hexdigest() == (
-            "ff576efc47002a8829d05e87523fadaa7a0aa2c7cae2d89764fb824637bf8e7b")
+            "f2073d8f97233b70aa7d04341910df6385b75f31876262d58bb1330e8d0f84e7")
         assert hashlib.sha256(oxts).hexdigest() == (
             "bce897c035a29ac731dabf29a1068293128c8e437a24d12fe0e14677cf06657c")
         assert hashlib.sha256(config).hexdigest() == (

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,17 +82,17 @@ class TestInversion:
 
 class TestScaleLaws:
     def test_focal_length_scaling(self):
-        doubled = CameraIntrinsics(2 * 721.0, 376.0, 362.0, {"car": 1.5})
+        doubled = CameraIntrinsics(2 * 721.0, 376.0, 362.0, 1242.0, {"car": 1.5})
         assert range_from_height(100.0, "car", doubled).distance_m == pytest.approx(
             2 * CAR_RANGE_AT_100PX, rel=1e-12)
 
     def test_sensor_height_scaling(self):
-        doubled = CameraIntrinsics(721.0, 376.0, 2 * 362.0, {"car": 1.5})
+        doubled = CameraIntrinsics(721.0, 376.0, 2 * 362.0, 1242.0, {"car": 1.5})
         assert range_from_height(100.0, "car", doubled).distance_m == pytest.approx(
             CAR_RANGE_AT_100PX / 2, rel=1e-12)
 
     def test_class_height_scaling(self):
-        doubled = CameraIntrinsics(721.0, 376.0, 362.0, {"car": 3.0})
+        doubled = CameraIntrinsics(721.0, 376.0, 362.0, 1242.0, {"car": 3.0})
         assert range_from_height(100.0, "car", doubled).distance_m == pytest.approx(
             2 * CAR_RANGE_AT_100PX, rel=1e-12)
 
@@ -108,12 +110,19 @@ class TestScaleLaws:
 class TestIntrinsicsValidation:
     def test_positive_parameters_required(self):
         with pytest.raises(ValidationError):
-            CameraIntrinsics(0.0, 376.0, 362.0, {"car": 1.5})
+            CameraIntrinsics(0.0, 376.0, 362.0, 1242.0, {"car": 1.5})
         with pytest.raises(ValidationError):
-            CameraIntrinsics(721.0, 376.0, 362.0, {"car": -1.0})
+            CameraIntrinsics(721.0, 376.0, 362.0, 1242.0, {"car": -1.0})
+
+    @pytest.mark.parametrize("width, shown", [(0.0, "0.0"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_image_width_finite_and_positive(self, width, shown):
+        with pytest.raises(ValidationError) as info:
+            CameraIntrinsics(721.0, 376.0, 362.0, width, {"car": 1.5})
+        assert str(info.value) == f"image_width_px must be finite and positive, got {shown}"
 
     def test_kitti_preset_values(self):
         assert KITTI.focal_length_px == 721.0
         assert KITTI.image_height_px == 376.0
+        assert KITTI.image_width_px == 1242.0
         assert KITTI.sensor_height_px == 362.0
         assert KITTI.class_height_m["car"] == 1.50

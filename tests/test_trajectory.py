@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -23,7 +25,6 @@ from tsdiag.trajectory import (
 )
 
 KITTI = kitti_intrinsics()
-IMAGE_WIDTH_PX = 1242.0  # the image the pinhole tracks are boxed in
 _CSV_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality"
 CAR_RANGE_AT_100PX = 406644.0 / 36200.0
 
@@ -63,7 +64,7 @@ def pinhole_track(lateral_m, ranges_m, edge_jitter_px=None):
     entries = []
     for frame, range_m in enumerate(ranges_m):
         height = bbox_height_at_range(range_m, "car", KITTI)
-        center_x = IMAGE_WIDTH_PX / 2 + KITTI.focal_length_px * lateral_m / range_m
+        center_x = KITTI.image_width_px / 2 + KITTI.focal_length_px * lateral_m / range_m
         box = box_with_height(center_x, height, top=150.0)
         if edge_jitter_px is not None:
             box = tuple(edge + noise for edge, noise in zip(box, edge_jitter_px[frame]))
@@ -74,7 +75,7 @@ def pinhole_track(lateral_m, ranges_m, edge_jitter_px=None):
 def estimated_offset(record):
     """The lateral offset a box gives: (center_x - W/2) * r / f."""
     range_m = range_from_height(record.height, "car", KITTI).distance_m
-    return (record.center_x - IMAGE_WIDTH_PX / 2) * range_m / KITTI.focal_length_px
+    return (record.center_x - KITTI.image_width_px / 2) * range_m / KITTI.focal_length_px
 
 
 def make_probe(n_frames, metres_per_frame=0.0):
@@ -100,19 +101,19 @@ class TestComposeDistance:
 
 
 class TestOppositeLaneFilter:
-    WIDTH = 1242.0
+    WIDTH = KITTI.image_width_px
 
     def test_left_side_closing_track_kept(self):
         heights = [20.0, 25.0, 31.0, 40.0]  # shrinking range
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH, KITTI) == [track]
+        assert opposite_lane_filter([track], KITTI) == [track]
 
     def test_wrong_side_removed(self):
         heights = [20.0, 25.0, 31.0, 40.0]
         track = make_track(1, [(f, box_with_height(0.8 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH, KITTI) == []
+        assert opposite_lane_filter([track], KITTI) == []
 
     def test_annotations_are_not_read(self):
         # a label that places the car in the probe's own lane, boxed far to
@@ -123,30 +124,30 @@ class TestOppositeLaneFilter:
                                gt_location_camera=(2.0, 1.6, 10.0))
                    for f, h in enumerate(heights)]
         track = Track(track_id=1, status="confirmed", records=records, ever_confirmed=True)
-        assert opposite_lane_filter([track], self.WIDTH, KITTI) == [track]
+        assert opposite_lane_filter([track], KITTI) == [track]
 
     def test_receding_track_on_the_oncoming_side_kept(self):
         # only the offsets decide, not how the box heights evolve
         heights = [40.0, 31.0, 25.0, 20.0]
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH, KITTI) == [track]
+        assert opposite_lane_filter([track], KITTI) == [track]
 
     def test_passing_v_shape_kept(self):
         heights = [20.0, 30.0, 45.0, 30.0, 20.0]  # closes, passes, recedes
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], self.WIDTH, KITTI) == [track]
+        assert opposite_lane_filter([track], KITTI) == [track]
 
     def test_left_hand_traffic_mirrors_sides(self):
         config = LaneFilterConfig(traffic_side="left")
         heights = [20.0, 25.0, 31.0, 40.0]
         right_track = make_track(1, [(f, box_with_height(0.8 * self.WIDTH, h))
                                      for f, h in enumerate(heights)])
-        assert opposite_lane_filter([right_track], self.WIDTH, KITTI, config) == [right_track]
+        assert opposite_lane_filter([right_track], KITTI, config) == [right_track]
         left_track = make_track(2, [(f, box_with_height(0.2 * self.WIDTH, h))
                                     for f, h in enumerate(heights)])
-        assert opposite_lane_filter([left_track], self.WIDTH, KITTI, config) == []
+        assert opposite_lane_filter([left_track], KITTI, config) == []
 
     def test_idempotent(self):
         heights = [20.0, 25.0, 31.0, 40.0]
@@ -156,17 +157,25 @@ class TestOppositeLaneFilter:
             make_track(2, [(f, box_with_height(0.9 * self.WIDTH, h))
                            for f, h in enumerate(heights)]),
         ]
-        once = opposite_lane_filter(tracks, self.WIDTH, KITTI)
-        twice = opposite_lane_filter(once, self.WIDTH, KITTI)
+        once = opposite_lane_filter(tracks, KITTI)
+        twice = opposite_lane_filter(once, KITTI)
         assert once == twice
 
     def test_disabled_filter_keeps_everything(self):
         config = LaneFilterConfig(enabled=False)
         track = make_track(1, [(0, box_with_height(0.9 * self.WIDTH, 20.0))])
-        assert opposite_lane_filter([track], self.WIDTH, KITTI, config) == [track]
+        assert opposite_lane_filter([track], KITTI, config) == [track]
 
     def test_empty_input(self):
-        assert opposite_lane_filter([], self.WIDTH, KITTI) == []
+        assert opposite_lane_filter([], KITTI) == []
+
+    def test_principal_point_is_half_the_camera_width(self):
+        # boxes centred at 500 px: dead ahead on a 1000-px camera, well to
+        # the oncoming side on the 1242-px KITTI one
+        heights = [20.0, 25.0, 31.0, 40.0]
+        track = make_track(1, [(f, box_with_height(500.0, h)) for f, h in enumerate(heights)])
+        assert opposite_lane_filter([track], replace(KITTI, image_width_px=1000.0)) == []
+        assert opposite_lane_filter([track], KITTI) == [track]
 
     @pytest.mark.parametrize("side, lateral_m, kept", [
         ("right", 0.0, False), ("right", -0.3, False), ("right", -3.5, True),
@@ -178,7 +187,7 @@ class TestOppositeLaneFilter:
         # although its box centres lie on the oncoming half of the image
         track = pinhole_track(lateral_m, [40.0, 30.0, 20.0, 12.0, 8.0])
         config = LaneFilterConfig(traffic_side=side)
-        assert opposite_lane_filter([track], self.WIDTH, KITTI, config) == (
+        assert opposite_lane_filter([track], KITTI, config) == (
             [track] if kept else [])
 
     @given(st.sampled_from(["right", "left"]), st.floats(-12.0, 12.0),
@@ -194,7 +203,7 @@ class TestOppositeLaneFilter:
         ranges, noise = zip(*boxes)
         track = pinhole_track(lateral_m, ranges, noise)
         oncoming = lateral_m <= threshold if side == "right" else lateral_m >= threshold
-        assert opposite_lane_filter([track], self.WIDTH, KITTI, config) == (
+        assert opposite_lane_filter([track], KITTI, config) == (
             [track] if oncoming else [])
 
     @given(st.sampled_from(["right", "left"]), st.floats(-4.0, 4.0),
@@ -212,7 +221,7 @@ class TestOppositeLaneFilter:
                   for r, range_m in zip(track.records, ranges)]
         cfg = PipelineConfig(lane=LaneFilterConfig(traffic_side=side))
         reference = build_reference_diagram(labels, make_probe(len(labels)), cfg)
-        kept = opposite_lane_filter([track], self.WIDTH, KITTI, cfg.lane)
+        kept = opposite_lane_filter([track], KITTI, cfg.lane)
         assert bool(kept) == (1 in reference.vehicle_trajectories)
 
 
