@@ -249,10 +249,16 @@ def _convert(key: str, raw: str, kind: type):
 
 
 def build_config(values: dict[str, str]) -> PipelineConfig:
-    """Build a validated PipelineConfig from flat key -> string values."""
-    for key in values:
+    """Build a validated PipelineConfig from flat key -> string values.
+
+    A value holding a line break is rejected: ``dump_config`` writes each
+    value on one line.
+    """
+    for key, raw in values.items():
         if key not in _KEY_PATHS:
             raise ConfigError(f"unknown configuration key {key!r}")
+        if "\n" in raw or "\r" in raw:
+            raise ConfigError(f"value of key {key!r} holds a line break")
     base = PipelineConfig()  # fresh, so no two configs share a class-height dict
     top: dict[str, object] = {}
     nested: dict[str, dict[str, object]] = {}

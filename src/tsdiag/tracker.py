@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -70,8 +70,8 @@ class KalmanState(NamedTuple):
     is correlated only with its own velocity, so ``covariance`` is four
     2x2 (position, velocity) blocks in (cx, cy, aspect, h) order, 16 floats
     with block k at ``covariance[4 * k:4 * k + 4]`` as
-    (pos-pos, pos-vel, vel-pos, vel-vel).  The kernels below take and
-    return lists of states and never modify a state they are given.
+    (pos-pos, pos-vel, vel-pos, vel-vel).  The kernels below each take
+    one state and never modify it.
     """
 
     mean: list[float]
@@ -98,25 +98,23 @@ def _is_finite(state: KalmanState) -> bool:
     return all(map(math.isfinite, state.mean)) and all(map(math.isfinite, state.covariance))
 
 
-def kalman_initiate(measurements) -> list[KalmanState]:
-    """Initial states from unassociated measurements: zero velocity, wide covariance."""
-    states = []
-    for cx, cy, aspect, h in measurements:
-        pos = h * _INITIAL_POS_WEIGHT
-        vel = h * _INITIAL_VEL_WEIGHT
-        pos_var, vel_var = pos * pos, vel * vel
-        aspect_pos = h * 0.0 + _ASPECT_POS_STD
-        aspect_vel = h * 0.0 + _ASPECT_VEL_STD
-        states.append(KalmanState(
-            [cx, cy, aspect, h, 0.0, 0.0, 0.0, 0.0],
-            [pos_var, 0.0, 0.0, vel_var,
-             pos_var, 0.0, 0.0, vel_var,
-             aspect_pos * aspect_pos, 0.0, 0.0, aspect_vel * aspect_vel,
-             pos_var, 0.0, 0.0, vel_var]))
-    return states
+def kalman_initiate(measurement) -> KalmanState:
+    """Initial state from an unassociated measurement: zero velocity, wide covariance."""
+    cx, cy, aspect, h = measurement
+    pos = h * _INITIAL_POS_WEIGHT
+    vel = h * _INITIAL_VEL_WEIGHT
+    pos_var, vel_var = pos * pos, vel * vel
+    aspect_pos = h * 0.0 + _ASPECT_POS_STD
+    aspect_vel = h * 0.0 + _ASPECT_VEL_STD
+    return KalmanState(
+        [cx, cy, aspect, h, 0.0, 0.0, 0.0, 0.0],
+        [pos_var, 0.0, 0.0, vel_var,
+         pos_var, 0.0, 0.0, vel_var,
+         aspect_pos * aspect_pos, 0.0, 0.0, aspect_vel * aspect_vel,
+         pos_var, 0.0, 0.0, vel_var])
 
 
-def kalman_predict(states: Sequence[KalmanState]) -> list[KalmanState]:
+def kalman_predict(state: KalmanState) -> KalmanState:
     """Advance one frame under constant velocity; grow covariance by process noise.
 
     Each block P becomes F P F' + Q with F = [[1, 1], [0, 1]], summed in
@@ -124,27 +122,24 @@ def kalman_predict(states: Sequence[KalmanState]) -> list[KalmanState]:
     are added too: they turn an off-diagonal -0.0 into +0.0, as the dense
     sum does.
     """
-    predicted = []
-    for state in states:
-        if not _is_finite(state):
-            raise ValidationError("non-finite Kalman state")
-        (x, y, a, h, vx, vy, va, vh), covariance = state
-        pos = h * _POS_WEIGHT
-        vel = h * _VEL_WEIGHT
-        pos_var, vel_var = pos * pos, vel * vel
-        (x00, x01, x10, x11, y00, y01, y10, y11,
-         a00, a01, a10, a11, h00, h01, h10, h11) = covariance
-        x01 += x11
-        y01 += y11
-        a01 += a11
-        h01 += h11
-        predicted.append(KalmanState(
-            [x + vx, y + vy, a + va, h + vh, vx, vy, va, vh],
-            [x00 + x10 + x01 + pos_var, x01 + 0.0, x10 + x11 + 0.0, x11 + vel_var,
-             y00 + y10 + y01 + pos_var, y01 + 0.0, y10 + y11 + 0.0, y11 + vel_var,
-             a00 + a10 + a01 + _ASPECT_POS_VAR, a01 + 0.0, a10 + a11 + 0.0, a11 + _ASPECT_VEL_VAR,
-             h00 + h10 + h01 + pos_var, h01 + 0.0, h10 + h11 + 0.0, h11 + vel_var]))
-    return predicted
+    if not _is_finite(state):
+        raise ValidationError("non-finite Kalman state")
+    (x, y, a, h, vx, vy, va, vh), covariance = state
+    pos = h * _POS_WEIGHT
+    vel = h * _VEL_WEIGHT
+    pos_var, vel_var = pos * pos, vel * vel
+    (x00, x01, x10, x11, y00, y01, y10, y11,
+     a00, a01, a10, a11, h00, h01, h10, h11) = covariance
+    x01 += x11
+    y01 += y11
+    a01 += a11
+    h01 += h11
+    return KalmanState(
+        [x + vx, y + vy, a + va, h + vh, vx, vy, va, vh],
+        [x00 + x10 + x01 + pos_var, x01 + 0.0, x10 + x11 + 0.0, x11 + vel_var,
+         y00 + y10 + y01 + pos_var, y01 + 0.0, y10 + y11 + 0.0, y11 + vel_var,
+         a00 + a10 + a01 + _ASPECT_POS_VAR, a01 + 0.0, a10 + a11 + 0.0, a11 + _ASPECT_VEL_VAR,
+         h00 + h10 + h01 + pos_var, h01 + 0.0, h10 + h11 + 0.0, h11 + vel_var])
 
 
 def _noise_floor(h: float) -> float:
@@ -178,67 +173,56 @@ def _innovation_variance(state: KalmanState, confidence: float) -> list[float]:
     return [cov[0] + pos_noise, cov[4] + pos_noise, cov[8] + aspect_noise, cov[12] + pos_noise]
 
 
-def kalman_update(states: Sequence[KalmanState], measurements,
-                  confidences: Iterable[float]) -> list[KalmanState]:
-    """Standard linear correction of each state against its measurement.
+def kalman_update(state: KalmanState, measurement, confidence: float) -> KalmanState:
+    """Standard linear correction of a state against its measurement.
 
     Each block's gain k is its first column times 1 / d, d the innovation
     variance, which rounds as a linear solve does; the block shrinks by
     (k d) k'.
     """
-    confidences = list(confidences)
-    for confidence in confidences:
-        if not 0.0 <= confidence <= 1.0:
-            raise ValidationError(f"confidence {float(confidence)} outside [0, 1]")
-    updated = []
-    for state, measured, confidence in zip(states, measurements, confidences, strict=True):
-        variance = _innovation_variance(state, confidence)
-        if not all(v > 0.0 for v in variance):
-            raise ValidationError("singular innovation covariance in Kalman update")
-        mean, cov = state
-        new_mean = list(mean)
-        covariance = []
-        for k, v in enumerate(variance):
-            p00, p01, p10, p11 = cov[4 * k:4 * k + 4]
-            reciprocal = 1.0 / v
-            k0, k1 = p00 * reciprocal, p10 * reciprocal
-            innovation = measured[k] - mean[k]
-            new_mean[k] = mean[k] + k0 * innovation
-            new_mean[k + 4] = mean[k + 4] + k1 * innovation
-            d0, d1 = k0 * v, k1 * v
-            covariance += (p00 - d0 * k0, p01 - d0 * k1, p10 - d1 * k0, p11 - d1 * k1)
-        updated.append(KalmanState(new_mean, covariance))
-    return updated
+    if not 0.0 <= confidence <= 1.0:
+        raise ValidationError(f"confidence {float(confidence)} outside [0, 1]")
+    variance = _innovation_variance(state, confidence)
+    if not all(v > 0.0 for v in variance):
+        raise ValidationError("singular innovation covariance in Kalman update")
+    mean, cov = state
+    new_mean = list(mean)
+    covariance = []
+    for k, v in enumerate(variance):
+        p00, p01, p10, p11 = cov[4 * k:4 * k + 4]
+        reciprocal = 1.0 / v
+        k0, k1 = p00 * reciprocal, p10 * reciprocal
+        innovation = measurement[k] - mean[k]
+        new_mean[k] = mean[k] + k0 * innovation
+        new_mean[k + 4] = mean[k + 4] + k1 * innovation
+        d0, d1 = k0 * v, k1 * v
+        covariance += (p00 - d0 * k0, p01 - d0 * k1, p10 - d1 * k0, p11 - d1 * k1)
+    return KalmanState(new_mean, covariance)
 
 
-def gating_distance(states: Sequence[KalmanState], measurements) -> list[list[float]]:
-    """Squared Mahalanobis distance of each measurement to each predicted box.
+def gating_distance(state: KalmanState, measurements) -> list[float]:
+    """Squared Mahalanobis distance of each measurement to the predicted box.
 
-    Returns one row of len(measurements) distances per state.  The
-    innovation covariance is diagonal, and each term rounds as a linear
-    solve of it does: one measurement is divided by the variance, several
-    are multiplied by its reciprocal.  A variance that is not positive
-    raises ValidationError, as in kalman_update.
+    The innovation covariance is diagonal, and each term rounds as a
+    linear solve of it does: one measurement is divided by the variance,
+    several are multiplied by its reciprocal.  A variance that is not
+    positive raises ValidationError, as in kalman_update.
     """
-    divide = len(measurements) == 1
-    distances = []
-    for state in states:
-        v0, v1, v2, v3 = _innovation_variance(state, 0.0)
-        if not (v0 > 0.0 and v1 > 0.0 and v2 > 0.0 and v3 > 0.0):
-            raise ValidationError("singular innovation covariance in gating")
-        m0, m1, m2, m3 = state.mean[:4]
-        row = []
-        if divide:
-            for z0, z1, z2, z3 in measurements:
-                d0, d1, d2, d3 = z0 - m0, z1 - m1, z2 - m2, z3 - m3
-                row.append(d0 * (d0 / v0) + d1 * (d1 / v1) + d2 * (d2 / v2) + d3 * (d3 / v3))
-        else:
-            r0, r1, r2, r3 = 1.0 / v0, 1.0 / v1, 1.0 / v2, 1.0 / v3
-            for z0, z1, z2, z3 in measurements:
-                d0, d1, d2, d3 = z0 - m0, z1 - m1, z2 - m2, z3 - m3
-                row.append(d0 * (d0 * r0) + d1 * (d1 * r1) + d2 * (d2 * r2) + d3 * (d3 * r3))
-        distances.append(row)
-    return distances
+    v0, v1, v2, v3 = _innovation_variance(state, 0.0)
+    if not (v0 > 0.0 and v1 > 0.0 and v2 > 0.0 and v3 > 0.0):
+        raise ValidationError("singular innovation covariance in gating")
+    m0, m1, m2, m3 = state.mean[:4]
+    row = []
+    if len(measurements) == 1:
+        for z0, z1, z2, z3 in measurements:
+            d0, d1, d2, d3 = z0 - m0, z1 - m1, z2 - m2, z3 - m3
+            row.append(d0 * (d0 / v0) + d1 * (d1 / v1) + d2 * (d2 / v2) + d3 * (d3 / v3))
+    else:
+        r0, r1, r2, r3 = 1.0 / v0, 1.0 / v1, 1.0 / v2, 1.0 / v3
+        for z0, z1, z2, z3 in measurements:
+            d0, d1, d2, d3 = z0 - m0, z1 - m1, z2 - m2, z3 - m3
+            row.append(d0 * (d0 * r0) + d1 * (d1 * r1) + d2 * (d2 * r2) + d3 * (d3 * r3))
+    return row
 
 
 def iou(a, b) -> float:
@@ -383,8 +367,9 @@ class Track:
     length is the track's hit count.  ``class_label`` counts over
     ``records`` when read; a tie goes to the label seen first.
     ``appearance`` blends the vectors of its detections, and stays None
-    unless the tracker uses appearance.  A track holds no Kalman state:
-    ``Tracker`` keeps its live tracks' states.
+    unless the tracker uses appearance.  ``state`` is its Kalman state,
+    predicted and corrected at each step while the track lives and kept
+    as it was when the track is deleted.
     """
 
     track_id: int
@@ -393,6 +378,7 @@ class Track:
     records: list[DetectionRecord] = field(default_factory=list)
     appearance: tuple[float, ...] | None = None
     ever_confirmed: bool = False
+    state: KalmanState | None = None
 
     @property
     def class_label(self) -> str:
@@ -413,28 +399,51 @@ def _blend_appearance(appearance: tuple[float, ...], embedding: tuple[float, ...
     return appearance if blended is None else blended
 
 
+def _each_track(kernel, tracks: Sequence[Track], *columns) -> list:
+    """``kernel(track.state, *row)`` for each track and its row of ``columns``.
+
+    When a call raises ValidationError, each track is tried on its own,
+    and one error names every track whose call raised the first failing
+    track's message: "<message> of track 2" or "<message> of tracks 2, 4".
+    """
+    try:
+        return list(map(kernel, [track.state for track in tracks], *columns))
+    except ValidationError:
+        pass  # run again, track by track, to name every track at fault
+    failed: dict[str, list[str]] = {}
+    for track, *row in zip(tracks, *columns):
+        try:
+            kernel(track.state, *row)
+        except ValidationError as exc:
+            failed.setdefault(str(exc), []).append(str(track.track_id))
+    message, ids = next(iter(failed.items()))
+    raise ValidationError(
+        f"{message} of {'track' if len(ids) == 1 else 'tracks'} {', '.join(ids)}")
+
+
 def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
-              states: Sequence[KalmanState], measurements, config: TrackerConfig,
+              measurements, config: TrackerConfig,
               ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Two-stage matching of track indices to detection indices.
 
-    ``states`` are the tracks' predicted Kalman states, one per track in
-    order, and ``measurements`` the detections' boxes as (cx, cy, aspect,
-    h).  Stage 1 matches confirmed tracks with an appearance cost (when
+    Each track's ``state`` is its predicted Kalman state, and
+    ``measurements`` are the detections' boxes as (cx, cy, aspect, h).
+    Stage 1 matches confirmed tracks with an appearance cost (when
     enabled and both the track and the detection have a vector) or a
     combined overlap/Mahalanobis cost, gated by the Mahalanobis distance;
     a gated pair costs the gate sentinel whatever its overlap and its
     appearance, so neither is computed.  Stage 2 matches everything left
     over on plain overlap.  Both stages solve the assignment optimally.
     Returns (matches, unmatched_track_indices, unmatched_detection_indices);
-    the unmatched indices are those no match uses, in order.
+    the unmatched indices are those no match uses, in order.  A gating
+    failure raises ValidationError naming the tracks at fault.
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
 
     n_dets = len(detections)
     boxes = [det.bbox for det in detections]
-    predicted = [_box(state.mean) for state in states]
+    predicted = [_box(track.state.mean) for track in tracks]
 
     matches: list[tuple[int, int]] = []
 
@@ -458,7 +467,8 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
         max_dist = config.max_dist
         vectors = [det.embedding for det in detections]
         cost = []
-        distances = gating_distance([states[i] for i in confirmed], measurements)
+        distances = _each_track(gating_distance, [tracks[i] for i in confirmed],
+                                repeat(measurements))
         for track_idx, row_distances in zip(confirmed, distances):
             box = predicted[track_idx]
             appearance = tracks[track_idx].appearance if config.use_appearance else None
@@ -493,35 +503,21 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
     return matches, unmatched_tracks, unmatched_dets
 
 
-def _name_tracks(error: ValidationError, frame_index: int,
-                 tracks: Sequence[Track]) -> ValidationError:
-    """``error`` prefixed with the frame and suffixed with the tracks at fault.
-
-    With no track at fault the error is returned as it is.
-    """
-    if not tracks:
-        return error
-    ids = ", ".join(str(track.track_id) for track in tracks)
-    return ValidationError(f"frame {frame_index}: {error} of "
-                           f"{'track' if len(tracks) == 1 else 'tracks'} {ids}")
-
-
 class Tracker:
     """Sequence-local tracking state; call step() once per frame in order.
 
     The result is the track list: ``tracks`` holds every track ever born,
     in birth order, so track ids run 1, 2, ... along it, and
-    ``live_tracks`` those not yet deleted; step() returns nothing.  The
-    tracker alone holds Kalman states: one per live track, in
-    ``live_tracks`` order, so each step predicts, gates and updates every
-    track with one call each.  A deleted track's state is dropped with it.
+    ``live_tracks`` those not yet deleted; step() returns nothing.  Each
+    step predicts every live track's ``state`` and corrects each matched
+    one; a kernel's failure raises ValidationError naming the frame and
+    the tracks at fault.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
         self._live: list[Track] = []  # self.tracks minus DELETED, same order
-        self._states: list[KalmanState] = []
         self._last_frame: int | None = None
 
     @property
@@ -542,64 +538,37 @@ class Tracker:
         measurements = [_xyah(det.bbox) for det in detections]
 
         live = self._live
-        states = self._states
-        if live:
-            try:
-                states = kalman_predict(states)
-            except ValidationError as exc:
-                bad = [track for track, state in zip(live, states) if not _is_finite(state)]
-                raise _name_tracks(exc, frame_index, bad) from None
-
         try:
+            for track, state in zip(live, _each_track(kalman_predict, live)):
+                track.state = state
             matches, unmatched_tracks, unmatched_dets = associate(
-                live, detections, states, measurements, self.config)
+                live, detections, measurements, self.config)
+            matched = [live[track_idx] for track_idx, _ in matches]
+            updated = _each_track(kalman_update, matched,
+                                  [measurements[det_idx] for _, det_idx in matches],
+                                  [detections[det_idx].confidence for _, det_idx in matches])
         except ValidationError as exc:
-            # gating found an innovation variance that is not positive
-            bad = [track for track, state in zip(live, states)
-                   if track.status == CONFIRMED
-                   and not all(v > 0.0 for v in _innovation_variance(state, 0.0))]
-            raise _name_tracks(exc, frame_index, bad) from None
+            raise ValidationError(f"frame {frame_index}: {exc}") from None
+        for track, state, (_, det_idx) in zip(matched, updated, matches):
+            track.state = state
+            self._take(track, detections[det_idx])
 
-        if matches:
-            matched = [states[track_idx] for track_idx, _ in matches]
-            confidences = [detections[det_idx].confidence for _, det_idx in matches]
-            try:
-                updated = kalman_update(matched,
-                                        [measurements[det_idx] for _, det_idx in matches],
-                                        confidences)
-            except ValidationError as exc:
-                bad = [live[track_idx] for (track_idx, _), state, confidence
-                       in zip(matches, matched, confidences)
-                       if not all(v > 0.0 for v in _innovation_variance(state, confidence))]
-                raise _name_tracks(exc, frame_index, bad) from None
-            for (track_idx, det_idx), state in zip(matches, updated):
-                states[track_idx] = state
-                self._take(live[track_idx], detections[det_idx])
-
-        deleted = False
         for track_idx in unmatched_tracks:
             track = live[track_idx]
             track.frames_since_update += 1
             # a miss before confirmation kills the candidate immediately
             if track.status == TENTATIVE or track.frames_since_update > self.config.max_age:
                 track.status = DELETED
-                deleted = True
-        if deleted:
-            keep = [row for row, track in enumerate(live) if track.status != DELETED]
-            live = [live[row] for row in keep]
-            states = [states[row] for row in keep]
+        if unmatched_tracks:
+            live = [track for track in live if track.status != DELETED]
 
-        if unmatched_dets:
-            states = states + kalman_initiate([measurements[det_idx]
-                                               for det_idx in unmatched_dets])
-            for det_idx in unmatched_dets:
-                track = Track(track_id=len(self.tracks) + 1)
-                self._take(track, detections[det_idx])
-                self.tracks.append(track)
-                live.append(track)
-
+        for det_idx in unmatched_dets:
+            track = Track(track_id=len(self.tracks) + 1,
+                          state=kalman_initiate(measurements[det_idx]))
+            self._take(track, detections[det_idx])
+            self.tracks.append(track)
+            live.append(track)
         self._live = live
-        self._states = states
 
     def _take(self, track: Track, det: DetectionRecord) -> None:
         """One detection taken by a track, matched or born from it.

@@ -1,13 +1,14 @@
-"""Per-track reference tracker: the tracking loop before states were stacked.
+"""Per-track reference tracker on dense covariances.
 
 Each frame predicts, gates and updates the live tracks one at a time with
 single-track Kalman functions on full 8x8 covariances that build their
 noise matrices with ``np.diag`` and project with an explicit observation
 matrix, and both association stages fill their cost matrices pair by pair
-with the scalar ``iou``.  Each live track's state is kept on its own,
-keyed by track id.  Only ``Track``, ``iou`` and the assignment solver are
-shared with the production tracker, so a batched ``Tracker`` must
-reproduce this one's tracks, lifecycles and states bit for bit.
+with the scalar ``iou``.  Each live track's state is kept apart from its
+``Track``, keyed by track id.  Only ``Track``, ``iou`` and the assignment
+solver are shared with the production tracker, so ``Tracker``, whose
+kernels keep a covariance as four 2x2 blocks, must reproduce this one's
+tracks, lifecycles and states bit for bit.
 """
 
 from __future__ import annotations

@@ -296,6 +296,9 @@ class TestConfigTable:
          "unknown class 'bsu' in class_heights; the classes are car, van, truck, "
          "pedestrian, person_sitting, cyclist, tram, misc"),
         ({"classes": "car, Car"}, "classes names 'car' more than once"),
+        ({"sequence_id": "demo\nrun 2"}, "value of key 'sequence_id' holds a line break"),
+        ({"labels": "a.txt\r"}, "value of key 'labels' holds a line break"),
+        ({"max_age": "3\n"}, "value of key 'max_age' holds a line break"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -482,6 +485,29 @@ class TestRunCommand:
         code = main(["run", config_path, flag, value, "--output-dir", str(tmp_path / "x")])
         assert code == 2
         assert str(float(value)) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_value_with_a_line_break_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
+        # run_meta.txt would hold the value's second line as a line of its own
+        _, config_path = fixture_dir
+        code = main(["run", config_path, "--sequence-id", "demo\nrun 2",
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "config error: value of key 'sequence_id' holds a line break\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_continuation_line_exits_2_naming_the_key(self, fixture_dir, tmp_path, capsys):
+        _, config_path = fixture_dir
+        with open(config_path) as fh:
+            text = fh.read()
+        continued = tmp_path / "continued.ini"
+        continued.write_text(text.replace("sequence_id = synthetic-head-on\n",
+                                          "sequence_id = demo\n  second line\n"))
+        code = main(["run", str(continued), "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "config error: value of key 'sequence_id' holds a line break\n")
         assert not (tmp_path / "x").exists()
 
     def test_class_without_height_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):

@@ -29,6 +29,7 @@ from tsdiag.tracker import (
     solve_assignment,
 )
 from tsdiag.tracker import _appearance_cost, _distinct_row_minima, _xyah
+import tsdiag.tracker as tracker_module
 
 
 def det(frame, bbox, conf=1.0, cls="car", gt=-1, embedding=None):
@@ -61,28 +62,22 @@ def _measurements(boxes):
 
 
 def _initiate(bbox):
-    return kalman_initiate(_measurements([bbox]))[0]
-
-
-def _predict(state):
-    return kalman_predict([state])[0]
+    return kalman_initiate(_xyah(bbox))
 
 
 def _update(state, bbox, confidence):
-    return kalman_update([state], _measurements([bbox]), [confidence])[0]
+    return kalman_update(state, _xyah(bbox), confidence)
 
 
 def _gate(state, bboxes):
-    return gating_distance([state], _measurements(bboxes))[0]
+    return gating_distance(state, _measurements(bboxes))
 
 
 def _live_states(tracker):
-    """(track, mean, covariance) per live track, read from the tracker's states."""
+    """(track, mean, covariance) per live track, read from the track's state."""
     live = tracker.live_tracks
-    assert len(tracker._states) == len(live)
-    assert all(len(s.mean) == 8 and len(s.covariance) == 16 for s in tracker._states)
-    return [(track, state.mean, state.covariance)
-            for track, state in zip(live, tracker._states)]
+    assert all(len(t.state.mean) == 8 and len(t.state.covariance) == 16 for t in live)
+    return [(track, track.state.mean, track.state.covariance) for track in live]
 
 
 def _summary(tracker):
@@ -95,8 +90,8 @@ def _summary(tracker):
     return tracks, states
 
 
-def _associate(tracks, states, dets, config):
-    return associate(tracks, dets, states, _measurements([d.bbox for d in dets]), config)
+def _associate(tracks, dets, config):
+    return associate(tracks, dets, _measurements([d.bbox for d in dets]), config)
 
 
 def _summaries_per_frame(frames):
@@ -112,23 +107,23 @@ def _summaries_per_frame(frames):
 class TestKalman:
     def test_zero_velocity_position_fixed_covariance_grows(self):
         state = _initiate((80.0, 75.0, 120.0, 125.0))
-        predicted = _predict(state)
+        predicted = kalman_predict(state)
         assert np.allclose(predicted.mean[:4], state.mean[:4])
         assert np.all(np.diag(_dense(predicted.covariance)) > np.diag(_dense(state.covariance)))
 
     def test_linear_propagation(self):
         state = KalmanState([100.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0], _IDENTITY_BLOCKS)
-        predicted = _predict(state)
+        predicted = kalman_predict(state)
         assert np.allclose(predicted.mean,
                            [105.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0])
 
     def test_two_predicts_double_the_displacement(self):
         state = KalmanState([100.0, 100.0, 2.0, 50.0, 5.0, 0.0, 0.0, 0.0], _IDENTITY_BLOCKS)
-        twice = _predict(_predict(state))
+        twice = kalman_predict(kalman_predict(state))
         assert twice.mean[0] == pytest.approx(110.0)
 
     def test_update_with_predicted_measurement_keeps_mean(self):
-        state = _predict(_initiate((10.0, 10.0, 50.0, 60.0)))
+        state = kalman_predict(_initiate((10.0, 10.0, 50.0, 60.0)))
         bbox = (state.mean[0] - state.mean[2] * state.mean[3] / 2,
                 state.mean[1] - state.mean[3] / 2,
                 state.mean[0] + state.mean[2] * state.mean[3] / 2,
@@ -137,7 +132,7 @@ class TestKalman:
         assert np.allclose(updated.mean[:4], state.mean[:4], atol=1e-9)
 
     def test_confident_measurement_pulls_harder(self):
-        base = _predict(_initiate((10.0, 10.0, 50.0, 60.0)))
+        base = kalman_predict(_initiate((10.0, 10.0, 50.0, 60.0)))
         shifted = (18.0, 12.0, 58.0, 62.0)
         low = _update(base, shifted, confidence=0.0)
         high = _update(base, shifted, confidence=0.99)
@@ -148,7 +143,7 @@ class TestKalman:
         assert np.linalg.norm(np.array(low.mean[:2]) - base_center) > 0.0
 
     def test_update_contracts_measured_covariance(self):
-        state = _predict(_initiate((10.0, 10.0, 50.0, 60.0)))
+        state = kalman_predict(_initiate((10.0, 10.0, 50.0, 60.0)))
         updated = _update(state, (11.0, 11.0, 51.0, 61.0), confidence=0.7)
         prior_diag = np.diag(_dense(state.covariance))[:4]
         post_diag = np.diag(_dense(updated.covariance))[:4]
@@ -157,7 +152,7 @@ class TestKalman:
     def test_non_finite_state_rejected(self):
         state = KalmanState([np.nan] * 8, _IDENTITY_BLOCKS)
         with pytest.raises(ValidationError):
-            kalman_predict([state])
+            kalman_predict(state)
 
     def test_singular_innovation_rejected(self):
         # covariance engineered to cancel the measurement noise exactly,
@@ -174,7 +169,7 @@ class TestKalman:
     def test_mean_constant_when_measurements_match_predictions(self):
         state = _initiate((10.0, 10.0, 50.0, 60.0))
         for _ in range(20):
-            state = _predict(state)
+            state = kalman_predict(state)
             bbox = (state.mean[0] - state.mean[2] * state.mean[3] / 2,
                     state.mean[1] - state.mean[3] / 2,
                     state.mean[0] + state.mean[2] * state.mean[3] / 2,
@@ -219,17 +214,18 @@ def _random_boxes(rng, n):
 def _random_states(rng, n):
     # realistic states: initiated, then moved and corrected a few times
     boxes = _random_boxes(rng, n)
-    states = kalman_initiate(_measurements(boxes))
+    states = [kalman_initiate(m) for m in _measurements(boxes)]
     for _ in range(rng.randint(0, 4)):
-        states = kalman_predict(states)
         boxes = boxes + rng.uniform(-3.0, 3.0, size=(n, 1))
-        states = kalman_update(states, _measurements(boxes), rng.uniform(0.0, 1.0, n).tolist())
+        states = [kalman_update(kalman_predict(state), measured, confidence)
+                  for state, measured, confidence
+                  in zip(states, _measurements(boxes), rng.uniform(0.0, 1.0, n).tolist())]
     return states
 
 
-def _reference_row(states, i):
-    """State i as the reference's state, with its full covariance."""
-    return reference.DenseState(np.array(states[i].mean), _dense(states[i].covariance))
+def _reference_state(state):
+    """The state as the reference's state, with its full covariance."""
+    return reference.DenseState(np.array(state.mean), _dense(state.covariance))
 
 
 def _same_bits(a, b):
@@ -237,54 +233,26 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _same_state(a, b):
-    return _same_bits(a.mean, b.mean) and _same_bits(a.covariance, b.covariance)
-
-
 stack_sizes = st.integers(0, 6)
 seeds = st.integers(0, 2**31 - 1)
 confidence_values = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
+def _tracks_with_cx_variance(config, boxes, rows, cx_variance):
+    """A tracker born on the boxes at frame 0, the tracks at ``rows`` given
+    a position variance in x of ``cx_variance``."""
+    tracker = Tracker(config)
+    tracker.step([det(0, box) for box in boxes], 0)
+    for row in rows:
+        track = tracker.live_tracks[row]
+        mean, covariance = track.state
+        track.state = KalmanState(mean, [cx_variance, 0.0, 0.0, 0.0] + covariance[4:])
+    return tracker
+
+
 class TestStackedKalman:
-    """Calls on n states equal the calls on each state alone, bit for bit."""
-
-    @given(stack_sizes, seeds)
-    @settings(max_examples=100, deadline=None)
-    def test_initiate_and_predict_match_rows(self, n, seed):
-        rng = np.random.RandomState(seed)
-        measurements = _measurements(_random_boxes(rng, n))
-        initial = kalman_initiate(measurements)
-        states = _random_states(rng, n)
-        predicted = kalman_predict(states)
-        assert len(initial) == len(predicted) == n
-        for i in range(n):
-            assert _same_state(initial[i], kalman_initiate([measurements[i]])[0])
-            assert _same_state(predicted[i], kalman_predict([states[i]])[0])
-
-    @given(stack_sizes, st.integers(1, 6), seeds)
-    @settings(max_examples=100, deadline=None)
-    def test_gating_matches_rows(self, n, m, seed):
-        rng = np.random.RandomState(seed)
-        states = kalman_predict(_random_states(rng, n))
-        measurements = _measurements(_random_boxes(rng, m))
-        distances = gating_distance(states, measurements)
-        assert [len(row) for row in distances] == [m] * n
-        for i in range(n):
-            assert _same_bits(distances[i], gating_distance([states[i]], measurements)[0])
-
-    @given(st.data(), stack_sizes, seeds)
-    @settings(max_examples=100, deadline=None)
-    def test_update_matches_rows(self, data, n, seed):
-        rng = np.random.RandomState(seed)
-        states = kalman_predict(_random_states(rng, n))
-        measurements = _measurements(_random_boxes(rng, n))
-        confidences = data.draw(st.lists(confidence_values, min_size=n, max_size=n))
-        updated = kalman_update(states, measurements, confidences)
-        assert len(updated) == n
-        for i in range(n):
-            single = kalman_update([states[i]], [measurements[i]], [confidences[i]])[0]
-            assert _same_state(updated[i], single)
+    """Kernel failures among several tracks: each kernel rejects its one bad
+    state, and the tracker names every track at fault in one error."""
 
     @given(stack_sizes, seeds)
     @settings(max_examples=50, deadline=None)
@@ -295,18 +263,23 @@ class TestStackedKalman:
         mean = list(states[row].mean)
         mean[rng.randint(8)] = float(rng.choice([np.nan, np.inf]))
         states[row] = KalmanState(mean, states[row].covariance)
-        with pytest.raises(ValidationError, match="non-finite"):
-            kalman_predict(states)
+        for i, state in enumerate(states):
+            if i == row:
+                with pytest.raises(ValidationError, match="^non-finite Kalman state$"):
+                    kalman_predict(state)
+            else:
+                kalman_predict(state)
 
         # through the tracker, the error names the frame and the bad tracks
         tracker = Tracker(TrackerConfig())
         tracker.step([det(0, box_at(100.0 * k, 100.0)) for k in range(n + 1)], 0)
         bad = sorted(set(rng.randint(n + 1, size=rng.randint(1, 3)).tolist()))
         for row in bad:
+            state = tracker.live_tracks[row].state
             if rng.randint(2):
-                tracker._states[row].mean[rng.randint(8)] = float(rng.choice([np.nan, np.inf]))
+                state.mean[rng.randint(8)] = float(rng.choice([np.nan, np.inf]))
             else:
-                tracker._states[row].covariance[rng.randint(16)] = np.nan
+                state.covariance[rng.randint(16)] = np.nan
         ids = ", ".join(str(tracker.live_tracks[row].track_id) for row in bad)
         noun = "track" if len(bad) == 1 else "tracks"
         with pytest.raises(ValidationError) as info:
@@ -317,27 +290,67 @@ class TestStackedKalman:
     @settings(max_examples=50, deadline=None)
     def test_confidence_outside_unit_interval_rejected(self, n, seed, bad):
         rng = np.random.RandomState(seed)
-        states = kalman_predict(_random_states(rng, n + 1))
+        states = [kalman_predict(state) for state in _random_states(rng, n + 1)]
+        measurements = _measurements(_random_boxes(rng, n + 1))
         confidences = rng.uniform(0.0, 1.0, n + 1).tolist()
-        confidences[rng.randint(n + 1)] = bad
-        with pytest.raises(ValidationError, match=f"^confidence {bad} outside"):
-            kalman_update(states, _measurements(_random_boxes(rng, n + 1)), confidences)
+        row = rng.randint(n + 1)
+        confidences[row] = bad
+        for i, state in enumerate(states):
+            if i == row:
+                with pytest.raises(ValidationError, match=f"^confidence {bad} outside"):
+                    kalman_update(state, measurements[i], confidences[i])
+            else:
+                kalman_update(state, measurements[i], confidences[i])
 
     @given(stack_sizes, seeds)
     @settings(max_examples=50, deadline=None)
     def test_singular_innovation_row_rejected(self, n, seed):
-        # one row's covariance cancels its measurement noise exactly
+        # one state's covariance cancels its measurement noise exactly
         rng = np.random.RandomState(seed)
-        measurements = _measurements(np.tile([0.0, 0.0, 10.0, 10.0], (n + 1, 1)))
-        states = kalman_initiate(measurements)
-        bad = rng.randint(n + 1)
+        measured = _xyah((0.0, 0.0, 10.0, 10.0))
         noise = [(10.0 / 20.0) ** 2, (10.0 / 20.0) ** 2, 1e-2, (10.0 / 20.0) ** 2]
         covariance = [0.0] * 16
         for component in range(4):
             covariance[4 * component] = -noise[component]
-        states[bad] = KalmanState(states[bad].mean, covariance)
-        with pytest.raises(ValidationError, match="singular"):
-            kalman_update(states, measurements, [0.0] * (n + 1))
+        bad = rng.randint(n + 1)
+        for i in range(n + 1):
+            state = kalman_initiate(measured)
+            if i == bad:
+                with pytest.raises(ValidationError, match="^singular innovation covariance"):
+                    kalman_update(KalmanState(state.mean, covariance), measured, 0.0)
+            else:
+                kalman_update(state, measured, 0.0)
+
+    def test_singular_gating_of_two_tracks_names_both(self):
+        # tracks 2 and 3 each cancel their x measurement noise (1 px² for a
+        # 20 px box) once predicted
+        boxes = [(0.0, 0.0, 20.0, 20.0), (100.0, 0.0, 120.0, 20.0), (200.0, 0.0, 220.0, 20.0)]
+        tracker = _tracks_with_cx_variance(TrackerConfig(n_init=1), boxes, [1, 2], -2.0)
+        with pytest.raises(ValidationError) as info:
+            tracker.step([det(1, box) for box in boxes], 1)
+        assert str(info.value) == ("frame 1: singular innovation covariance in gating "
+                                   "of tracks 2, 3")
+
+    def test_associate_alone_names_the_tracks_without_a_frame(self):
+        boxes = [(0.0, 0.0, 20.0, 20.0), (100.0, 0.0, 120.0, 20.0), (200.0, 0.0, 220.0, 20.0)]
+        tracker = _tracks_with_cx_variance(TrackerConfig(n_init=1), boxes, [1, 2], -2.0)
+        tracks = tracker.live_tracks
+        for track in tracks:
+            track.state = kalman_predict(track.state)
+        with pytest.raises(ValidationError) as info:
+            _associate(tracks, [det(1, box) for box in boxes], TrackerConfig())
+        assert str(info.value) == "singular innovation covariance in gating of tracks 2, 3"
+
+    def test_singular_update_of_two_tracks_names_both(self):
+        # tentative tracks are matched on overlap alone, so no gating runs;
+        # a confidence of 1 leaves only the noise floor, which a predicted
+        # x variance of -99 px² outweighs
+        boxes = [(0.0, 0.0, 20.0, 20.0), (100.0, 0.0, 120.0, 20.0), (200.0, 0.0, 220.0, 20.0)]
+        tracker = _tracks_with_cx_variance(TrackerConfig(), boxes, [0, 2], -100.0)
+        with pytest.raises(ValidationError) as info:
+            tracker.step([det(1, box, conf=1.0) for box in boxes], 1)
+        assert str(info.value) == ("frame 1: singular innovation covariance in "
+                                   "Kalman update of tracks 1, 3")
 
 
 class TestKernelsMatchReference:
@@ -348,26 +361,26 @@ class TestKernelsMatchReference:
     def test_each_row_equals_reference(self, data, n, m, seed):
         rng = np.random.RandomState(seed)
         boxes = _random_boxes(rng, n)
-        initial = kalman_initiate(_measurements(boxes))
         states = _random_states(rng, n)
-        predicted = kalman_predict(states)
         bboxes = [tuple(b) for b in _random_boxes(rng, m).tolist()]
-        distances = gating_distance(predicted, _measurements(bboxes))
         confidences = data.draw(st.lists(confidence_values, min_size=n, max_size=n))
-        updated = kalman_update(predicted, _measurements(boxes), confidences)
-        for i in range(n):
-            box = tuple(boxes[i].tolist())
-            expected = reference.kalman_initiate(box)
-            assert _same_bits(initial[i].mean, expected.mean)
-            assert _same_bits(_dense(initial[i].covariance), expected.covariance)
-            expected = reference.kalman_predict(_reference_row(states, i))
-            assert _same_bits(predicted[i].mean, expected.mean)
-            assert _same_bits(_dense(predicted[i].covariance), expected.covariance)
-            row = _reference_row(predicted, i)
-            assert _same_bits(distances[i], reference.gating_distance(row, bboxes))
-            expected = reference.kalman_update(row, box, confidences[i])
-            assert _same_bits(updated[i].mean, expected.mean)
-            assert _same_bits(_dense(updated[i].covariance), expected.covariance)
+        for box, measured, state, confidence in zip(boxes.tolist(), _measurements(boxes),
+                                                    states, confidences):
+            initial = kalman_initiate(measured)
+            expected = reference.kalman_initiate(tuple(box))
+            assert _same_bits(initial.mean, expected.mean)
+            assert _same_bits(_dense(initial.covariance), expected.covariance)
+            predicted = kalman_predict(state)
+            expected = reference.kalman_predict(_reference_state(state))
+            assert _same_bits(predicted.mean, expected.mean)
+            assert _same_bits(_dense(predicted.covariance), expected.covariance)
+            row = _reference_state(predicted)
+            assert _same_bits(gating_distance(predicted, _measurements(bboxes)),
+                              reference.gating_distance(row, bboxes))
+            updated = kalman_update(predicted, measured, confidence)
+            expected = reference.kalman_update(row, tuple(box), confidence)
+            assert _same_bits(updated.mean, expected.mean)
+            assert _same_bits(_dense(updated.covariance), expected.covariance)
 
 
     def test_noise_floor_matches_reference_over_many_heights(self):
@@ -377,20 +390,19 @@ class TestKernelsMatchReference:
         rng = np.random.RandomState(3)
         boxes = _random_boxes(rng, 4000)
         cross = [0.0, 1.0, 1.0, 0.0] * 4
-        states = [KalmanState(state.mean, cross)
-                  for state in kalman_initiate(_measurements(boxes))]
-        updated = kalman_update(states, _measurements(boxes + 0.5), [1.0] * len(boxes))
-        for i in range(len(boxes)):
-            expected = reference.kalman_update(_reference_row(states, i),
-                                               tuple(boxes[i] + 0.5), 1.0)
-            assert _same_bits(updated[i].mean, expected.mean)
-            assert _same_bits(_dense(updated[i].covariance), expected.covariance)
+        for box, measured, shifted in zip(boxes, _measurements(boxes),
+                                          _measurements(boxes + 0.5)):
+            state = KalmanState(kalman_initiate(measured).mean, cross)
+            updated = kalman_update(state, shifted, 1.0)
+            expected = reference.kalman_update(_reference_state(state), tuple(box + 0.5), 1.0)
+            assert _same_bits(updated.mean, expected.mean)
+            assert _same_bits(_dense(updated.covariance), expected.covariance)
 
     def test_negative_zero_blocks_predict_as_reference(self):
         # the dense sum adds +0.0 to every entry, which turns -0.0 into +0.0
         state = _initiate((10.0, 20.0, 50.0, 80.0))
         blocks = [-0.0] * 16
-        predicted = _predict(KalmanState(state.mean, blocks))
+        predicted = kalman_predict(KalmanState(state.mean, blocks))
         expected = reference.kalman_predict(
             reference.DenseState(np.array(state.mean), _dense(blocks)))
         assert _same_bits(predicted.mean, expected.mean)
@@ -560,62 +572,63 @@ class TestAssociate:
     def _tentative_track(self, bbox):
         tracker = Tracker(TrackerConfig())
         tracker.step([det(0, bbox)], 0)
-        return tracker.live_tracks, tracker._states
+        return tracker.live_tracks
 
     def test_track_atop_detection_matches(self):
-        tracks, states = self._tentative_track(box_at(100, 100))
+        tracks = self._tentative_track(box_at(100, 100))
         matches, unmatched_t, unmatched_d = _associate(
-            tracks, states, [det(1, box_at(100, 100))], TrackerConfig())
+            tracks, [det(1, box_at(100, 100))], TrackerConfig())
         assert matches == [(0, 0)]
         assert unmatched_t == [] and unmatched_d == []
 
     def test_low_overlap_fails_gate(self):
         # overlap 0.2 -> cost 0.8 above the 0.7 gate
-        tracks, states = self._tentative_track((0.0, 0.0, 10.0, 10.0))
+        tracks = self._tentative_track((0.0, 0.0, 10.0, 10.0))
         probe = (0.0, 0.0, 10.0, 10.0)
         candidate = (0.0, 0.0, 10.0, 2.0)
         assert iou(probe, candidate) == pytest.approx(0.2)
         matches, unmatched_t, unmatched_d = _associate(
-            tracks, states, [det(1, candidate)], TrackerConfig())
+            tracks, [det(1, candidate)], TrackerConfig())
         assert matches == []
         assert unmatched_t == [0] and unmatched_d == [0]
 
     def test_overlap_gate_is_inclusive(self):
         # overlap 0.5 -> cost exactly 0.5, on the gate
-        tracks, states = self._tentative_track((0.0, 0.0, 10.0, 10.0))
-        matches, _, _ = _associate(tracks, states, [det(1, (0.0, 0.0, 10.0, 5.0))],
+        tracks = self._tentative_track((0.0, 0.0, 10.0, 10.0))
+        matches, _, _ = _associate(tracks, [det(1, (0.0, 0.0, 10.0, 5.0))],
                                    TrackerConfig(max_iou_dist=0.5))
         assert matches == [(0, 0)]
 
     def test_mahalanobis_gate_is_inclusive(self):
         # a confirmed track and a detection without overlap, so only the
         # first stage can match them, at a distance exactly on the gate
-        track = Track(track_id=1, status=CONFIRMED)
-        states = kalman_predict(kalman_initiate(_measurements([box_at(100, 100)])))
+        track = Track(track_id=1, status=CONFIRMED,
+                      state=kalman_predict(_initiate(box_at(100, 100))))
         far = box_at(160, 100)
-        distance = gating_distance(states, _measurements([far]))[0][0]
+        distance = _gate(track.state, [far])[0]
         assert iou(box_at(100, 100), far) == 0.0
         for gate, expected in ((distance, [(0, 0)]), (np.nextafter(distance, 0.0), [])):
-            matches, _, _ = _associate([track], states, [det(1, far)],
+            matches, _, _ = _associate([track], [det(1, far)],
                                        TrackerConfig(mahalanobis_gate=gate))
             assert matches == expected
 
     def test_state_rows_follow_track_order(self):
-        # row i of the states is track i's, whatever order the tracks are in
+        # each track is matched on its own state, whatever order the tracks are in
         tracker = Tracker(TrackerConfig(n_init=1))
         tracker.step([det(0, box_at(100, 100)), det(0, box_at(400, 100))], 0)
         tracks = tracker.live_tracks
-        states = kalman_predict(tracker._states)
+        for track in tracks:
+            track.state = kalman_predict(track.state)
         dets = [det(1, box_at(405, 101)), det(1, box_at(103, 99))]
-        assert (_associate(tracks, states, dets, TrackerConfig())
+        assert (_associate(tracks, dets, TrackerConfig())
                 == ([(0, 1), (1, 0)], [], []))
-        assert (_associate(tracks[::-1], states[::-1], dets, TrackerConfig())
+        assert (_associate(tracks[::-1], dets, TrackerConfig())
                 == ([(0, 0), (1, 1)], [], []))
 
     def test_empty_inputs(self):
-        assert _associate([], [], [], TrackerConfig()) == ([], [], [])
-        tracks, states = self._tentative_track(box_at(50, 50))
-        assert _associate(tracks, states, [], TrackerConfig()) == ([], [0], [])
+        assert _associate([], [], TrackerConfig()) == ([], [], [])
+        tracks = self._tentative_track(box_at(50, 50))
+        assert _associate(tracks, [], TrackerConfig()) == ([], [0], [])
 
 
 class TestLifecycle:
@@ -791,12 +804,12 @@ class TestAppearance:
 
     def test_appearance_gate_is_inclusive(self):
         # appearance cost exactly max_dist, and no overlap for the second stage
-        track = Track(track_id=1, status=CONFIRMED, appearance=(1.0, 0.0))
-        states = kalman_predict(kalman_initiate(_measurements([box_at(100, 100)])))
+        track = Track(track_id=1, status=CONFIRMED, appearance=(1.0, 0.0),
+                      state=kalman_predict(_initiate(box_at(100, 100))))
         far = det(1, box_at(160, 100), embedding=(0.5, float(np.sqrt(0.75))))
         for max_dist, expected in ((0.5, [(0, 0)]), (np.nextafter(0.5, 0.0), [])):
             config = TrackerConfig(use_appearance=True, max_dist=max_dist, mahalanobis_gate=1e9)
-            matches, _, _ = _associate([track], states, [far], config)
+            matches, _, _ = _associate([track], [far], config)
             assert matches == expected
 
     def test_appearance_mismatch_falls_back_to_overlap_stage(self):
@@ -815,13 +828,13 @@ class TestAppearance:
 
 class TestGating:
     def test_gating_distance_zero_at_predicted_mean(self):
-        state = _predict(_initiate(box_at(100, 100)))
+        state = kalman_predict(_initiate(box_at(100, 100)))
         bbox = box_at(state.mean[0], state.mean[1])
         distances = _gate(state, [bbox])
         assert distances[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_gating_distance_grows_with_offset(self):
-        state = _predict(_initiate(box_at(100, 100)))
+        state = kalman_predict(_initiate(box_at(100, 100)))
         near = box_at(102, 100)
         far = box_at(160, 100)
         values = _gate(state, [near, far])
@@ -983,6 +996,34 @@ class TestLiveTracks:
         assert len(tracker.tracks) > len(tracker.live_tracks) > 0
 
 
+class TestGrowthOrder:
+    def test_each_step_predicts_only_the_live_tracks(self, monkeypatch):
+        # deleted tracks keep their last state; a step that predicted them
+        # too would cost more with every track the sequence has seen
+        predict = tracker_module.kalman_predict
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return predict(state)
+
+        monkeypatch.setattr(tracker_module, "kalman_predict", counted)
+        # 30 cars, each seen for 4 to 6 frames, a new one every 2 frames
+        rng = np.random.RandomState(7)
+        spans = [(2 * k, 2 * k + rng.randint(4, 7)) for k in range(30)]
+        tracker = Tracker(TrackerConfig(max_age=2))
+        for frame in range(70):
+            dets = [det(frame, box_at(100.0 + 150.0 * (k % 8) + frame, 80.0 + 60.0 * (k // 8)))
+                    for k, (start, end) in enumerate(spans) if start <= frame < end]
+            live = len(tracker.live_tracks)
+            calls.clear()
+            tracker.step(dets, frame)
+            assert len(calls) == live
+        deleted = [t for t in tracker.tracks if t.status == DELETED]
+        assert len(tracker.tracks) >= 20 and len(deleted) >= 20
+        assert all(t.state is not None for t in deleted)
+
+
 # A vehicle enters at `start`, moves at constant image velocity while its
 # height changes, and is missed during its gaps; vehicles sharing a row and
 # moving in opposite directions cross in the image.
@@ -1061,7 +1102,7 @@ def _run_against_oracle(config, frames):
 
 
 class TestTrackerOracle:
-    """The batched tracker reproduces the per-track loop after every frame."""
+    """The tracker reproduces the dense per-track reference after every frame."""
 
     @given(st.lists(vehicles, min_size=1, max_size=6), seeds,
            st.integers(1, 4), st.integers(1, 3), st.booleans())
@@ -1204,10 +1245,7 @@ class TestExtremeBoxes:
         # leaves the innovation variance negative
         boxes = [(0.0, 0.0, 20.0, 20.0), (100.0, 0.0, 120.0, 20.0)]
         for cx_variance in (-2.0, -1e4):
-            tracker = Tracker(TrackerConfig(n_init=1))
-            tracker.step([det(0, box) for box in boxes], 0)
-            mean, covariance = tracker._states[1]
-            tracker._states[1] = KalmanState(mean, [cx_variance, 0.0, 0.0, 0.0] + covariance[4:])
+            tracker = _tracks_with_cx_variance(TrackerConfig(n_init=1), boxes, [1], cx_variance)
             with pytest.raises(ValidationError) as info:
                 tracker.step([det(1, box) for box in boxes], 1)
             assert str(info.value) == ("frame 1: singular innovation covariance in gating "
