@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 
-from .config import CONFIG_SCHEMA, load_config
+from .config import CONFIG_SCHEMA, _check_title, load_config
 from .errors import ConfigError, InputError, OutputError, PipelineError, ValidationError
 from .geodesy import Ellipsoid, GeoPoint, geodesic_inverse
 from .kitti import format_detections, parse_label_file, perturb_ground_truth, read_input
@@ -101,6 +101,7 @@ def _read_diagram(path: str, link_length_m: float | None):
 def _cmd_render(args: argparse.Namespace) -> int:
     if args.link_length is not None and not 0.0 < args.link_length < math.inf:
         raise ConfigError(f"--link-length must be finite and positive, got {args.link_length}")
+    _check_title("--title", args.title or "")
     diagram = _read_diagram(args.csv, args.link_length)
     reference = _read_diagram(args.reference, args.link_length) if args.reference else None
     _write(args.out, render_svg(diagram, reference, title=args.title))

@@ -13,6 +13,7 @@ import configparser
 import functools
 import io
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
@@ -248,17 +249,29 @@ def _convert(key: str, raw: str, kind: type):
                           f"(expected {kind.__name__})") from None
 
 
+# a title is one line of XML 1.0 characters: no C0 control but tab, no lone
+# surrogate, neither U+FFFE nor U+FFFF
+_NON_TITLE_CHAR = re.compile("[\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _check_title(name: str, title: str) -> None:
+    if bad := _NON_TITLE_CHAR.search(title):
+        raise ConfigError(f"{name} holds U+{ord(bad.group()):04X}, which an XML title cannot hold")
+
+
 def build_config(values: dict[str, str]) -> PipelineConfig:
     """Build a validated PipelineConfig from flat key -> string values.
 
     A value holding a line break is rejected: ``dump_config`` writes each
-    value on one line.
+    value on one line.  ``sequence_id`` titles the SVG, so it must pass ``_check_title``.
     """
     for key, raw in values.items():
         if key not in _KEY_PATHS:
             raise ConfigError(f"unknown configuration key {key!r}")
         if "\n" in raw or "\r" in raw:
             raise ConfigError(f"value of key {key!r} holds a line break")
+        if key == "sequence_id":
+            _check_title(f"value of key {key!r}", raw)
     base = PipelineConfig()  # fresh, so no two configs share a class-height dict
     top: dict[str, object] = {}
     nested: dict[str, dict[str, object]] = {}

@@ -12,6 +12,8 @@ the two, averaged over alpha.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -113,11 +115,11 @@ def _overlap_matches(overlap: Sequence[Sequence[float]], thresholds: Sequence[fl
     the one before it poses the same problem and reuses its matching; a
     threshold without eligible pairs needs no solve.
     """
-    positive = [value for row in overlap for value in row if value > 0.0]
+    positive = sorted(value for row in overlap for value in row if value > 0.0)
     matches = []
     count, kept = 0, []
     for threshold in thresholds:
-        eligible = sum(value >= threshold for value in positive)
+        eligible = len(positive) - bisect_left(positive, threshold)
         if eligible != count:
             count, kept = eligible, []
             if eligible:
@@ -276,12 +278,8 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
                      for a in alpha_values]
         return HotaReport(per_alpha, degenerate=True)
 
-    gt_counts: dict[int, int] = {}
-    for f, tid, _ in gt_boxes:
-        gt_counts[tid] = gt_counts.get(tid, 0) + 1
-    pred_counts: dict[int, int] = {}
-    for f, tid, _ in pred_boxes:
-        pred_counts[tid] = pred_counts.get(tid, 0) + 1
+    gt_counts = Counter(tid for _, tid, _ in gt_boxes)
+    pred_counts = Counter(tid for _, tid, _ in pred_boxes)
     total_gt = len(gt_boxes)
     total_pred = len(pred_boxes)
 
@@ -293,9 +291,7 @@ def hota(gt_boxes: Sequence[tuple[int, int, tuple]],
         fn = total_gt - tp
         fp = total_pred - tp
         det_a = tp / (tp + fn + fp) if (tp + fn + fp) > 0 else 0.0
-        pair_counts: dict[tuple[int, int], int] = {}
-        for g, p, _ in tp_pairs:
-            pair_counts[(g, p)] = pair_counts.get((g, p), 0) + 1
+        pair_counts = Counter((g, p) for g, p, _ in tp_pairs)
         if tp > 0:
             ass_sum = 0.0
             for g, p, _ in tp_pairs:

@@ -11,6 +11,7 @@ immutable records, so parsed collections can move freely between threads;
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import random
@@ -411,50 +412,18 @@ def load_oxts(path: str) -> list[OxtsSample]:
     return read_input(path, parse_oxts_lines)
 
 
-def _read_bytes(path: str) -> bytes:
-    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
-    try:
-        chunks = []
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
-
-
-def _lines(text: str) -> Iterator[str]:
-    """The LF-separated lines of text, one at a time.
-
-    A list of every line of a large file, held beside the records parsed
-    from it, would raise the run's peak memory.
-    """
-    start = 0
-    end = text.find("\n")
-    while end >= 0:
-        yield text[start:end]
-        start = end + 1
-        end = text.find("\n", start)
-    yield text[start:]
-
-
-def read_input(path: str, parse: Callable[[Iterator[str]], _T]) -> _T:
+def read_input(path: str, parse: Callable[[IO[str]], _T]) -> _T:
     """``parse`` applied to the lines of one input file; any failure names the file.
 
-    The file is read whole as raw bytes, and ``parse`` gets the lines a
-    text-mode reader sees: they end at LF, CRLF or a lone CR, and a file
-    that is not plain ASCII is decoded in the locale's encoding, as
-    ``open`` does.  A read, decode, parse or validation failure becomes
-    an InputError that leads with the path and keeps the failure as its
-    cause.
+    The file is read whole in text mode, in the locale's encoding, with
+    lines ending at LF, CRLF or a lone CR, and ``parse`` gets its lines one
+    at a time.  A read, decode, parse or validation failure becomes an
+    InputError that leads with the path and keeps the failure as its cause.
     """
     try:
-        data = _read_bytes(path)
-        if data.isascii():
-            text = data.decode("ascii")
-        else:
-            with open(path) as fh:
-                text = fh.read()
-        return parse(_lines(text.replace("\r\n", "\n").replace("\r", "\n")))
+        with open(path) as fh:  # whole, so a decode error gives its position in the file
+            text = fh.read()
+        return parse(io.StringIO(text))
     except _INPUT_FAULTS as exc:
         raise InputError(f"{path}: {exc}") from exc
 

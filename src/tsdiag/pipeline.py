@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-import platform
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -187,7 +187,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
 def _run_meta(cfg: PipelineConfig) -> str:
     lines = [
         "# tsdiag run manifest; re-parses as a pipeline config",
-        f"# tsdiag {__version__} on python {platform.python_version()}",
+        f"# tsdiag {__version__} on python {sys.version.split()[0]}",
         f"# seed {cfg.seed}",
         "",
     ]

@@ -9,7 +9,6 @@ lateral offset from the camera, estimated from the boxes.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
@@ -71,6 +70,13 @@ class TimeSpaceDiagram:
     vehicle_trajectories: dict[int, list[TrajectoryPoint]]
 
 
+def _median(values: Iterable[float]) -> float:
+    """The middle value, or the mean of the middle two, as ``statistics.median`` computes it."""
+    values = sorted(values)
+    half = len(values) // 2
+    return values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
+
+
 def is_oncoming(lateral_offsets_m: Iterable[float], config: LaneFilterConfig) -> bool:
     """Whether a vehicle at these lateral camera offsets [m] drives in the oncoming lanes.
 
@@ -78,7 +84,7 @@ def is_oncoming(lateral_offsets_m: Iterable[float], config: LaneFilterConfig) ->
     offset must be at most lane_offset_threshold_m for right-hand traffic,
     or at least its negation for left-hand traffic.
     """
-    median = statistics.median(lateral_offsets_m)
+    median = _median(lateral_offsets_m)
     if config.traffic_side == "right":
         return median <= config.lane_offset_threshold_m
     return median >= -config.lane_offset_threshold_m
@@ -178,7 +184,7 @@ def smooth_track(points: Sequence[TrajectoryPoint], window: int) -> list[Traject
     for i, point in enumerate(points):
         lo = max(0, i - half)
         hi = min(len(values), i + half + 1)
-        med = statistics.median(values[lo:hi])
+        med = _median(values[lo:hi])
         out.append(replace(point, camera_range_m=med - point.probe_distance_m))
     return out
 

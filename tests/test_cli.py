@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import textwrap
+import xml.dom.minidom
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +300,16 @@ class TestConfigTable:
         ({"sequence_id": "demo\nrun 2"}, "value of key 'sequence_id' holds a line break"),
         ({"labels": "a.txt\r"}, "value of key 'labels' holds a line break"),
         ({"max_age": "3\n"}, "value of key 'max_age' holds a line break"),
+        ({"sequence_id": "demo\x0brun"},
+         "value of key 'sequence_id' holds U+000B, which an XML title cannot hold"),
+        ({"sequence_id": "\x00"},
+         "value of key 'sequence_id' holds U+0000, which an XML title cannot hold"),
+        ({"sequence_id": "run \udcff"},
+         "value of key 'sequence_id' holds U+DCFF, which an XML title cannot hold"),
+        ({"sequence_id": "run \ufffe"},
+         "value of key 'sequence_id' holds U+FFFE, which an XML title cannot hold"),
+        ({"sequence_id": "run \uffff"},
+         "value of key 'sequence_id' holds U+FFFF, which an XML title cannot hold"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -495,6 +506,16 @@ class TestRunCommand:
         assert code == 2
         assert (capsys.readouterr().err
                 == "config error: value of key 'sequence_id' holds a line break\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_title_control_character_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
+        # diagram.svg is titled with the sequence id, and XML has no vertical tab
+        _, config_path = fixture_dir
+        code = main(["run", config_path, "--sequence-id", "demo\x0brun",
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: value of key 'sequence_id' holds "
+                                           "U+000B, which an XML title cannot hold\n")
         assert not (tmp_path / "x").exists()
 
     def test_continuation_line_exits_2_naming_the_key(self, fixture_dir, tmp_path, capsys):
@@ -876,6 +897,25 @@ class TestRenderCommand:
                                            f"positive, got {shown}\n")
         assert not (tmp_path / "r.svg").exists()
 
+    def test_title_control_character_exits_2_before_any_read(self, tmp_path, capsys):
+        # the --csv file is missing: had it been read first, the exit would be 3
+        svg_path = tmp_path / "r.svg"
+        code = main(["render", "--csv", str(tmp_path / "missing.csv"), "--out", str(svg_path),
+                     "--title", "a\x01b"])
+        assert code == 2
+        assert capsys.readouterr().err == ("config error: --title holds U+0001, which an XML "
+                                           "title cannot hold\n")
+        assert not svg_path.exists()
+
+    def test_title_with_a_tab_renders(self, fixture_dir, tmp_path):
+        directory, config_path = fixture_dir
+        main(["run", config_path])
+        csv_path = os.path.join(directory, "out", "diagram.csv")
+        svg_path = str(tmp_path / "tab.svg")
+        assert main(["render", "--csv", csv_path, "--out", svg_path, "--title", "a\tb"]) == 0
+        texts = xml.dom.minidom.parse(svg_path).getElementsByTagName("text")
+        assert [t.firstChild.data for t in texts if "\t" in t.firstChild.data] == ["a\tb"]
+
     def test_render_deterministic(self, fixture_dir, tmp_path):
         directory, config_path = fixture_dir
         main(["run", config_path])
@@ -1014,6 +1054,23 @@ class TestPipelineErrors:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         assert f"input error: {path}: {message}" in capsys.readouterr().err
+
+    def test_undecodable_byte_deep_in_a_large_file_is_placed_in_the_file(self, tmp_path):
+        # a UTF-8 labels file with a bad byte 20,000 bytes in, past two 8 KiB
+        # chunks: the position counts from the start of the file
+        config_path = write_fixture(str(tmp_path / "scene"))
+        path = tmp_path / "scene" / "labels.txt"
+        head = "# Kennzeichen unleserlich: \u00fc\n".encode("utf-8") + path.read_bytes()
+        path.write_bytes(head + b"#" + b"x" * (20000 - len(head) - 2) + b"\n\xff\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONUTF8="1")
+        script = "import sys; from tsdiag.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", script, "run", config_path,
+                               "--output-dir", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == (f"input error: {path}: 'utf-8' codec can't decode byte 0xff "
+                               f"in position 20000: invalid start byte\n")
 
 
 _DIAGRAM_HEADER = "track_id,time_s,link_distance_m,probe_distance_m,camera_range_m,quality\n"
@@ -1178,6 +1235,18 @@ class TestRuntimeDependencies:
         result = json.loads(done.stdout.splitlines()[-1])
         assert result == {"codes": [0, 0], "after_import": ["scipy"], "after_run": ["scipy"]}
         assert (tmp_path / "scene" / "out" / "hota_report.txt").is_file()
+
+    def test_cli_import_leaves_out_statistics_and_platform(self):
+        # run needs neither, and with them every start-up paid for fractions,
+        # decimal and platform's regexes; -S keeps site's imports out
+        script = ("import sys, tsdiag.cli; print(sorted({'statistics', 'platform', "
+                  "'fractions', 'decimal'} & set(sys.modules)))")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-S", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     @pytest.fixture(scope="class")
     def numpy_blocked(self, tmp_path_factory):

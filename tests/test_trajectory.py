@@ -1,3 +1,4 @@
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -14,6 +15,7 @@ from tsdiag.trajectory import (
     LaneFilterConfig,
     TimeSpaceDiagram,
     TrajectoryPoint,
+    _median,
     build_diagram,
     diagram_from_csv,
     diagram_to_csv,
@@ -233,6 +235,17 @@ class TestIsOncoming:
         # one stray offset does not move the median
         assert is_oncoming([-3.0, -2.0, 4.0], right)
         assert not is_oncoming([-3.0, 1.0, 4.0], right)
+
+    # the edges of the float range too: the mean of two values near 1e308 overflows
+    _FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+        [0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+
+    @given(st.lists(_FLOATS, min_size=1, max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_median_is_statistics_median_bit_for_bit(self, values):
+        # float.hex tells -0.0 from 0.0, and nan from inf
+        assert _median(values).hex() == statistics.median(values).hex()
+        assert _median(values + values[:1]).hex() == statistics.median(values + values[:1]).hex()
 
 
 class TestBuildDiagram:
