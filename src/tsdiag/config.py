@@ -15,9 +15,9 @@ import io
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-from .errors import ConfigError, ValidationError
+from .errors import Checked, ConfigError, ValidationError
 from .geodesy import GeoPoint
 from .photogrammetry import (DEFAULT_MAX_RANGE_M, DEFAULT_MIN_BBOX_HEIGHT_PX, CameraIntrinsics,
                              kitti_intrinsics)
@@ -88,8 +88,7 @@ _CLASS_LABELS = (
 CHI2_95_4DOF = 9.4877
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
+class _TrackerConfig(NamedTuple):
     max_dist: float = 0.2              # appearance matching threshold
     max_iou_dist: float = 0.7          # overlap-stage gate on (1 - IoU)
     max_age: int = 30                  # missed frames before deletion
@@ -98,7 +97,11 @@ class TrackerConfig:
     use_appearance: bool = False
     mahalanobis_gate: float = CHI2_95_4DOF
 
-    def __post_init__(self):
+
+class TrackerConfig(Checked, _TrackerConfig):
+    __slots__ = ()
+
+    def _check(self):
         if not 0.0 < self.max_dist <= 1.0:
             raise ValidationError(f"max_dist {self.max_dist} outside (0, 1]")
         if not 0.0 < self.max_iou_dist <= 1.0:
@@ -114,15 +117,18 @@ class TrackerConfig:
                 f"mahalanobis_gate must be positive, got {self.mahalanobis_gate}")
 
 
-@dataclass(frozen=True)
-class LaneFilterConfig:
+class _LaneFilterConfig(NamedTuple):
     enabled: bool = True
     traffic_side: str = "right"           # side the probe drives on
     # lateral camera x [m] of oncoming traffic: a run tests the offsets its
     # boxes give, the reference diagram the annotated ones
     lane_offset_threshold_m: float = -1.5
 
-    def __post_init__(self):
+
+class LaneFilterConfig(Checked, _LaneFilterConfig):
+    __slots__ = ()
+
+    def _check(self):
         if self.traffic_side not in ("right", "left"):
             raise ValidationError(f"traffic_side must be right or left, got {self.traffic_side!r}")
         if not math.isfinite(self.lane_offset_threshold_m):
@@ -130,16 +136,15 @@ class LaneFilterConfig:
                                   f"got {self.lane_offset_threshold_m}")
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfig(NamedTuple):
     labels: str = ""
     detections: str = ""
     oxts: str = ""
     timestamps: str = ""
     output_dir: str = "out"
-    intrinsics: CameraIntrinsics = field(default_factory=kitti_intrinsics)
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    lane: LaneFilterConfig = field(default_factory=LaneFilterConfig)
+    intrinsics: CameraIntrinsics | None = None  # None: kitti_intrinsics()
+    tracker: TrackerConfig = TrackerConfig()
+    lane: LaneFilterConfig = LaneFilterConfig()
     min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX
     max_range_m: float = DEFAULT_MAX_RANGE_M
     link_start_lat: float = 0.0
@@ -154,7 +159,18 @@ class PipelineConfig:
     jitter_px: float = 0.0
     drop_rate: float = 0.0
 
-    def __post_init__(self):
+
+class PipelineConfig(Checked, _PipelineConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = _PipelineConfig.__new__(cls, *args, **kwargs)
+        if self.intrinsics is None:  # a fresh one each, so no two configs share a class-height dict
+            return self._replace(intrinsics=kitti_intrinsics())
+        self._check()
+        return self
+
+    def _check(self):
         if self.distance_mode not in ("direct", "cumulative"):
             raise ValidationError(f"distance_mode must be direct or cumulative, "
                                   f"got {self.distance_mode!r}")
@@ -286,8 +302,8 @@ def build_config(values: dict[str, str]) -> PipelineConfig:
             top[head] = value
     try:
         for head, fields in nested.items():
-            top[head] = replace(getattr(base, head), **fields)
-        return replace(base, **top)
+            top[head] = getattr(base, head)._replace(**fields)
+        return base._replace(**top)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -1,4 +1,21 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the base of checked records."""
+
+
+class Checked:
+    """Mixin for a NamedTuple subclass whose ``_check`` raises on bad fields.
+
+    It runs on each new record, and on each ``_replace``: namedtuple's
+    ``_make`` would skip ``__new__``, so this one calls the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class ParseError(ValueError):

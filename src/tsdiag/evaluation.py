@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .kitti import DetectionRecord, LabelRecord
@@ -43,8 +42,7 @@ DEFAULT_ALPHAS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 _RANGE_MATCH_IOU = 0.5  # overlap at which a predicted box is a range instance
 
 
-@dataclass
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Per-track RMSE rows; the mean and spread are derived from them."""
 
     per_track_rmse_m: dict[int, float]
@@ -65,8 +63,7 @@ class ErrorReport:
         return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values)) if values else 0.0
 
 
-@dataclass
-class HotaReport:
+class HotaReport(NamedTuple):
     """One row per alpha; each score is the mean of its column over the rows."""
 
     per_alpha: list[dict]

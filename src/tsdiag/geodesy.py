@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import Checked, ValidationError
 
 __all__ = [
     "Ellipsoid",
@@ -28,14 +28,17 @@ _WGS84_A = 6378137.0
 _WGS84_F = 1.0 / 298.257223563
 
 
-@dataclass(frozen=True)
-class Ellipsoid:
-    """Reference ellipsoid: equatorial radius [m] and flattening."""
-
+class _Ellipsoid(NamedTuple):
     semi_major_axis_m: float = _WGS84_A
     flattening: float = _WGS84_F
 
-    def __post_init__(self):
+
+class Ellipsoid(Checked, _Ellipsoid):
+    """Reference ellipsoid: equatorial radius [m] and flattening."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not (math.isfinite(self.semi_major_axis_m) and self.semi_major_axis_m > 0):
             raise ValidationError(f"semi-major axis must be positive, got {self.semi_major_axis_m!r}")
         if not (math.isfinite(self.flattening) and 0.0 <= self.flattening < 1.0):
@@ -45,29 +48,29 @@ class Ellipsoid:
 WGS84 = Ellipsoid()
 
 
-@dataclass(frozen=True)
-class GeoPoint:
-    """A position on the ellipsoid, degrees; longitude normalized to (-180, 180]."""
-
+class _GeoPoint(NamedTuple):
     latitude_deg: float
     longitude_deg: float
 
-    def __post_init__(self):
-        lat = float(self.latitude_deg)
-        lon = float(self.longitude_deg)
+
+class GeoPoint(Checked, _GeoPoint):
+    """A position on the ellipsoid, degrees; longitude normalized to (-180, 180]."""
+
+    __slots__ = ()
+
+    def __new__(cls, latitude_deg: float, longitude_deg: float):
+        lat, lon = float(latitude_deg), float(longitude_deg)
         if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
-            raise ValidationError(f"latitude {self.latitude_deg!r} outside [-90, 90]")
+            raise ValidationError(f"latitude {latitude_deg!r} outside [-90, 90]")
         if not math.isfinite(lon):
-            raise ValidationError(f"longitude {self.longitude_deg!r} is not finite")
+            raise ValidationError(f"longitude {longitude_deg!r} is not finite")
         lon = math.remainder(lon, 360.0)
         if lon <= -180.0:
             lon = 180.0
-        object.__setattr__(self, "latitude_deg", lat)
-        object.__setattr__(self, "longitude_deg", lon)
+        return tuple.__new__(cls, (lat, lon))
 
 
-@dataclass(frozen=True)
-class InverseSolution:
+class InverseSolution(NamedTuple):
     distance_m: float
     azimuth1_deg: float
     azimuth2_deg: float

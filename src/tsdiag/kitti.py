@@ -15,12 +15,12 @@ import io
 import math
 import os
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter, itemgetter
-from typing import IO, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .config import _CLASS_LABELS
-from .errors import InputError, ParseError, ValidationError
+from .errors import Checked, InputError, ParseError, ValidationError
 from .geodesy import GeoPoint
 
 __all__ = [
@@ -68,17 +68,26 @@ def _class_label(token: str, line_no: int) -> str:
     return label
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One detected object in one frame."""
-
+class _Detection(NamedTuple):
     frame_index: int
     class_label: str
     bbox: tuple[float, float, float, float]  # left, top, right, bottom [px]
     confidence: float = 1.0
     embedding: tuple[float, ...] | None = None  # unit appearance vector
 
-    def __post_init__(self):
+
+# a label's fields: a detection's five, then the annotated truth, gt_track_id
+# (int) and gt_location_camera ((x, y, z) [m] in the camera frame, or None)
+_Label = namedtuple("_Label", (*_Detection._fields, "gt_track_id", "gt_location_camera"),
+                    defaults=(*_Detection._field_defaults.values(), -1, None))
+
+
+class _Box(Checked):
+    """The check and geometry of a record's box, shared by detections and labels."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.frame_index < 0:
             raise ValidationError(f"frame_index must be >= 0, got {self.frame_index}")
         if not all(map(math.isfinite, self.bbox)):
@@ -98,12 +107,16 @@ class DetectionRecord:
         return (self.bbox[0] + self.bbox[2]) / 2.0
 
 
-@dataclass(frozen=True)
-class LabelRecord(DetectionRecord):
-    """One annotated object in one frame: its box plus the annotated truth."""
+class DetectionRecord(_Box, _Detection):
+    """One detected object in one frame."""
 
-    gt_track_id: int = -1
-    gt_location_camera: tuple[float, float, float] | None = None
+    __slots__ = ()
+
+
+class LabelRecord(_Box, _Label):
+    """One annotated object in one frame: a detection's five fields, then the annotated truth."""
+
+    __slots__ = ()
 
     @property
     def gt_depth_m(self) -> float | None:
@@ -112,17 +125,20 @@ class LabelRecord(DetectionRecord):
         return location[2] if location is not None and location[2] > 0.0 else None
 
 
-@dataclass(frozen=True)
-class OxtsSample:
+class _OxtsSample(NamedTuple):
+    raw_fields: tuple[float, ...]
+
+
+class OxtsSample(Checked, _OxtsSample):
     """One GPS/IMU fix: the 30 OXTS values verbatim.
 
     Its position is read from the first two, latitude and longitude.  A
     fix's frame is its position in the list load_oxts returns.
     """
 
-    raw_fields: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.raw_fields) != _OXTS_FIELD_COUNT:
             raise ValidationError(
                 f"raw_fields must have exactly {_OXTS_FIELD_COUNT} entries, "

@@ -9,10 +9,9 @@ tiny boxes or beyond a configurable range are flagged rather than dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .errors import ValidationError
+from .errors import Checked, ValidationError
 
 __all__ = [
     "CameraIntrinsics",
@@ -33,18 +32,21 @@ DEFAULT_MIN_BBOX_HEIGHT_PX = 8.0
 DEFAULT_MAX_RANGE_M = 120.0
 
 
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    """The whole camera: pinhole parameters, image size [px] (c_x at half the
-    width) and real-world object heights per class [m]."""
-
+class _CameraIntrinsics(NamedTuple):
     focal_length_px: float
     image_height_px: float
     sensor_height_px: float
     image_width_px: float
     class_height_m: Mapping[str, float]
 
-    def __post_init__(self):
+
+class CameraIntrinsics(Checked, _CameraIntrinsics):
+    """The whole camera: pinhole parameters, image size [px] (c_x at half the
+    width) and real-world object heights per class [m]."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not (math.isfinite(self.image_width_px) and self.image_width_px > 0.0):
             raise ValidationError(f"image_width_px must be finite and positive, "
                                   f"got {self.image_width_px}")
@@ -78,8 +80,7 @@ def kitti_intrinsics() -> CameraIntrinsics:
     )
 
 
-@dataclass(frozen=True)
-class RangeEstimate:
+class RangeEstimate(NamedTuple):
     distance_m: float
     quality_flag: str = QUALITY_OK
 

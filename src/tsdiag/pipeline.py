@@ -5,8 +5,8 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .config import PipelineConfig, dump_config
 from .errors import ConfigError, InputError, OutputError, PipelineError
@@ -53,8 +53,7 @@ __all__ = ["PipelineResult", "run_pipeline", "write_run_outputs",
            "build_reference_diagram", "evaluate", "write_eval_outputs"]
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     config: PipelineConfig
     diagram: TimeSpaceDiagram
     tracks: list[Track]
@@ -63,8 +62,7 @@ class PipelineResult:
     gt_records: list[LabelRecord] | None
 
 
-@dataclass
-class EvalResult:
+class EvalResult(NamedTuple):
     range_gt: ErrorReport
     range_pred: ErrorReport
     trajectory: ErrorReport

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import build_config, dump_config
 from .geodesy import GeoPoint, WGS84
@@ -19,8 +19,7 @@ from .photogrammetry import CameraIntrinsics, bbox_height_at_range, kitti_intrin
 __all__ = ["SyntheticScene", "head_on_scene", "write_scene_files", "write_fixture"]
 
 
-@dataclass
-class SyntheticScene:
+class SyntheticScene(NamedTuple):
     records: list[LabelRecord]
     oxts: list[OxtsSample]
     frame_rate_hz: float

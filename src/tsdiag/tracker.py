@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -358,7 +357,6 @@ def _shortest_augmenting_paths(cost: Sequence[Sequence[float]]) -> list[int]:
     return col4row
 
 
-@dataclass
 class Track:
     """One identity's lifecycle, matched observations and appearance.
 
@@ -372,13 +370,20 @@ class Track:
     as it was when the track is deleted.
     """
 
-    track_id: int
-    status: str = TENTATIVE
-    frames_since_update: int = 0
-    records: list[DetectionRecord] = field(default_factory=list)
-    appearance: tuple[float, ...] | None = None
-    ever_confirmed: bool = False
-    state: KalmanState | None = None
+    __slots__ = ("track_id", "status", "frames_since_update", "records", "appearance",
+                 "ever_confirmed", "state")
+
+    def __init__(self, track_id: int, status: str = TENTATIVE, frames_since_update: int = 0,
+                 records: list[DetectionRecord] | None = None,
+                 appearance: tuple[float, ...] | None = None, ever_confirmed: bool = False,
+                 state: KalmanState | None = None):
+        self.track_id = track_id
+        self.status = status
+        self.frames_since_update = frames_since_update
+        self.records = [] if records is None else records
+        self.appearance = appearance
+        self.ever_confirmed = ever_confirmed
+        self.state = state
 
     @property
     def class_label(self) -> str:

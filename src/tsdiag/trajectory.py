@@ -9,8 +9,7 @@ lateral offset from the camera, estimated from the boxes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .config import LaneFilterConfig
 from .errors import ParseError, ValidationError
@@ -50,8 +49,7 @@ _QUALITIES = frozenset(
     (QUALITY_OK, QUALITY_BELOW_MIN_HEIGHT, QUALITY_ABOVE_MAX_RANGE, QUALITY_OUT_OF_LINK))
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
+class TrajectoryPoint(NamedTuple):
     time_s: float
     probe_distance_m: float
     camera_range_m: float
@@ -63,8 +61,7 @@ class TrajectoryPoint:
         return self.probe_distance_m + self.camera_range_m
 
 
-@dataclass
-class TimeSpaceDiagram:
+class TimeSpaceDiagram(NamedTuple):
     link_length_m: float
     probe_trajectory: list[tuple[float, float]]
     vehicle_trajectories: dict[int, list[TrajectoryPoint]]
@@ -133,7 +130,7 @@ def place_point(probe: Sequence[tuple[float, float]], frame: int, camera_range_m
                             camera_range_m=camera_range_m, quality=quality)
     if quality == QUALITY_OK and not (
             0.0 <= point.link_distance_m <= link_length_m + OUT_OF_LINK_MARGIN_M):
-        point = replace(point, quality=QUALITY_OUT_OF_LINK)
+        point = point._replace(quality=QUALITY_OUT_OF_LINK)
     return point
 
 
@@ -185,12 +182,12 @@ def smooth_track(points: Sequence[TrajectoryPoint], window: int) -> list[Traject
         lo = max(0, i - half)
         hi = min(len(values), i + half + 1)
         med = _median(values[lo:hi])
-        out.append(replace(point, camera_range_m=med - point.probe_distance_m))
+        out.append(point._replace(camera_range_m=med - point.probe_distance_m))
     return out
 
 
 def smooth_diagram(diagram: TimeSpaceDiagram, window: int) -> TimeSpaceDiagram:
-    return replace(diagram, probe_trajectory=list(diagram.probe_trajectory),
+    return diagram._replace(probe_trajectory=list(diagram.probe_trajectory),
                    vehicle_trajectories={tid: smooth_track(points, window) for tid, points
                                          in diagram.vehicle_trajectories.items()})
 

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -190,7 +189,7 @@ class TestConfigTable:
             for key, path in keys.items():
                 *owner_path, name = path.split(".")
                 owner = functools.reduce(getattr, owner_path, defaults)
-                assert name in {f.name for f in dataclasses.fields(owner)}, key
+                assert name in owner._fields, key
 
     def test_defaults_equal_dataclass_defaults(self):
         assert build_config({}) == PipelineConfig()
@@ -1178,7 +1177,7 @@ class TestEmbeddingsPath:
         directory = str(tmp_path / "se")
         config_path = write_fixture(directory)
         # constant unit vector for the single object in every frame
-        records = [dataclasses.replace(r, embedding=(1.0, 0.0, 0.0, 0.0))
+        records = [r._replace(embedding=(1.0, 0.0, 0.0, 0.0))
                    for r in head_on_scene().records]
         dets_path = os.path.join(directory, "dets.txt")
         with open(dets_path, "w") as fh:
@@ -1238,9 +1237,11 @@ class TestRuntimeDependencies:
 
     def test_cli_import_leaves_out_statistics_and_platform(self):
         # run needs neither, and with them every start-up paid for fractions,
-        # decimal and platform's regexes; -S keeps site's imports out
+        # decimal and platform's regexes; nor does it need dataclasses, which
+        # loads inspect, dis, ast and tokenize; -S keeps site's imports out
         script = ("import sys, tsdiag.cli; print(sorted({'statistics', 'platform', "
-                  "'fractions', 'decimal'} & set(sys.modules)))")
+                  "'fractions', 'decimal', 'dataclasses', 'inspect', 'dis', 'ast', "
+                  "'tokenize'} & set(sys.modules)))")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
         done = subprocess.run([sys.executable, "-S", "-c", script],

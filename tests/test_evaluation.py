@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import os
@@ -262,7 +261,7 @@ class TestTrackMatching:
 
     def test_track_without_a_match_or_never_confirmed_is_left_unpaired(self):
         gt = [gt_record(0, 1, 20.0), gt_record(1, -1, 20.0)]
-        far = dataclasses.replace(_as_detection(gt[0]), bbox=(900.0, 0.0, 950.0, 40.0))
+        far = _as_detection(gt[0])._replace(bbox=(900.0, 0.0, 950.0, 40.0))
         tentative = Track(track_id=3, records=[_as_detection(gt[0])])
         unidentified = _confirmed(4, [_as_detection(gt[1])])
         assert evaluation.track_matching([_confirmed(2, [far]), tentative, unidentified],
@@ -534,7 +533,7 @@ class TestReferenceDiagram:
 
     @staticmethod
     def _at(record, lateral_x):
-        return dataclasses.replace(record, gt_location_camera=(lateral_x, 1.6, record.gt_depth_m))
+        return record._replace(gt_location_camera=(lateral_x, 1.6, record.gt_depth_m))
 
     def _identities(self, labels, **values):
         return set(build_reference_diagram(labels, self.PROBE,
@@ -570,9 +569,9 @@ class TestReferenceDiagram:
                                bbox=(0.0, 0.0, 5.0, 5.0), gt_track_id=5,
                                gt_location_camera=(-4.0, 1.6, 30.0))
         labels = [gt_record(0, 1, 20.0), gt_record(1, -1, 20.0),
-                  dataclasses.replace(gt_record(0, 2, 20.0), class_label="van"),
-                  dataclasses.replace(gt_record(0, 3, 20.0), gt_location_camera=(-2.0, 1.6, 0.0)),
-                  dataclasses.replace(gt_record(0, 6, 20.0), gt_location_camera=None),
+                  gt_record(0, 2, 20.0)._replace(class_label="van"),
+                  gt_record(0, 3, 20.0)._replace(gt_location_camera=(-2.0, 1.6, 0.0)),
+                  gt_record(0, 6, 20.0)._replace(gt_location_camera=None),
                   dontcare]
         assert self._identities(labels) == {1}
         assert self._identities(labels, classes="car,van", class_heights="car:1.5,van:2") \

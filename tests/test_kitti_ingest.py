@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import locale
 import math
@@ -884,9 +883,9 @@ class TestRecordValidation:
                         gt_location_camera=(1.0, 2.0, 5.0))
 
     def test_detection_has_no_annotated_field(self):
-        names = {f.name for f in dataclasses.fields(DetectionRecord)}
+        names = set(DetectionRecord._fields)
         assert names == {"frame_index", "class_label", "bbox", "confidence", "embedding"}
-        assert {f.name for f in dataclasses.fields(LabelRecord)} - names == {
+        assert set(LabelRecord._fields) - names == {
             "gt_track_id", "gt_location_camera"}
 
     @pytest.mark.parametrize("bbox", [(0, 0, float("inf"), 1), (float("-inf"), 0, 1, 1),

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -1083,7 +1082,7 @@ def _assert_same_tracking(tracker, oracle):
 
 def _with_one_hot_vectors(dets):
     # one direction per vehicle: every appearance cost is then exact
-    return [dataclasses.replace(d, embedding=tuple(np.eye(8)[d.gt_track_id % 8].tolist()))
+    return [d._replace(embedding=tuple(np.eye(8)[d.gt_track_id % 8].tolist()))
             for d in dets]
 
 
@@ -1163,8 +1162,8 @@ def _with_random_vectors(frames, seed, dim=16):
         row = []
         for d in dets:
             vector = directions[d.gt_track_id] + rng.normal(scale=0.5, size=dim)
-            row.append(dataclasses.replace(
-                d, embedding=tuple((vector / np.linalg.norm(vector)).tolist())))
+            row.append(d._replace(
+                embedding=tuple((vector / np.linalg.norm(vector)).tolist())))
         out.append(row)
     return out
 

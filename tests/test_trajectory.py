@@ -1,5 +1,4 @@
 import statistics
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -176,7 +175,7 @@ class TestOppositeLaneFilter:
         # the oncoming side on the 1242-px KITTI one
         heights = [20.0, 25.0, 31.0, 40.0]
         track = make_track(1, [(f, box_with_height(500.0, h)) for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], replace(KITTI, image_width_px=1000.0)) == []
+        assert opposite_lane_filter([track], KITTI._replace(image_width_px=1000.0)) == []
         assert opposite_lane_filter([track], KITTI) == [track]
 
     @pytest.mark.parametrize("side, lateral_m, kept", [
