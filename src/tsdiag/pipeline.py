@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from operator import attrgetter
 from typing import NamedTuple
 
 from .config import PipelineConfig, dump_config
@@ -35,17 +34,16 @@ from .kitti import (
     perturb_ground_truth,
     read_input,
 )
-from .photogrammetry import QUALITY_OK
 from .render import render_svg
 from .tracker import Track, Tracker
 from .version import __version__
 from .trajectory import (
+    Observation,
     TimeSpaceDiagram,
     build_diagram,
     diagram_to_csv,
-    is_oncoming,
+    observe,
     opposite_lane_filter,
-    place_point,
     smooth_diagram,
 )
 
@@ -112,7 +110,7 @@ def _check_frames(records: list[DetectionRecord], path: str, n_fixes: int,
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Execute ingest -> (perturb) -> track -> lane filter -> diagram.
+    """Execute ingest -> (perturb) -> track -> observe -> lane filter -> diagram.
 
     Labels reach the tracker only as perturb_ground_truth's plain
     DetectionRecords; gt_records keeps them for evaluation.
@@ -161,14 +159,12 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         tracks = tracker.run(detections, n_frames=n_fixes)
 
     with _stage("lane_filter"):
-        kept = opposite_lane_filter(tracks, cfg.intrinsics, cfg.lane)
+        observed = observe(tracks, cfg.intrinsics, min_bbox_height_px=cfg.min_bbox_height_px,
+                           max_range_m=cfg.max_range_m)
+        kept = opposite_lane_filter(observed, cfg.lane)
 
     with _stage("diagram"):
-        diagram = build_diagram(
-            kept, probe, cfg.link_length_m, cfg.intrinsics,
-            min_bbox_height_px=cfg.min_bbox_height_px,
-            max_range_m=cfg.max_range_m,
-        )
+        diagram = build_diagram(kept, probe, cfg.link_length_m)
         if cfg.smoothing_window > 1:
             diagram = smooth_diagram(diagram, cfg.smoothing_window)
 
@@ -176,7 +172,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         config=cfg,
         diagram=diagram,
         tracks=tracks,
-        kept_tracks=kept,
+        kept_tracks=[t for t in tracks if t.track_id in kept],
         detections=detections,
         gt_records=gt_records,
     )
@@ -207,31 +203,18 @@ def write_run_outputs(result: PipelineResult) -> dict[str, str]:
 def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpaceDiagram:
     """Ground-truth diagram on the run's probe trajectory.
 
-    One trajectory per annotated identity of a configured class, each point
-    ranged by its annotated depth; rows without a positive depth are left
-    out.  With the lane filter on, an identity is kept when is_oncoming
-    holds for its annotated lateral offsets, as a run's track is kept for
-    the offsets its boxes give.
+    Each annotated identity of a configured class is observed at its
+    annotated depth and lateral offset, in frame order; rows without a
+    positive depth are left out.  The identities then pass the run's lane
+    filter and diagram builder, as a run's observed tracks do.
     """
-    by_identity: dict[int, list[LabelRecord]] = {}
-    for record in gt_records:
+    observed: dict[int, list[Observation]] = {}
+    for record in sorted(gt_records, key=lambda r: r.frame_index):
         if (record.gt_track_id >= 0 and record.class_label in cfg.classes
                 and record.gt_depth_m is not None):
-            by_identity.setdefault(record.gt_track_id, []).append(record)
-    lane = cfg.lane
-    trajectories = {}
-    for identity in sorted(by_identity):
-        records = sorted(by_identity[identity], key=attrgetter("frame_index"))
-        if lane.enabled and not is_oncoming((r.gt_location_camera[0] for r in records), lane):
-            continue
-        trajectories[identity] = [
-            place_point(probe, r.frame_index, r.gt_depth_m, QUALITY_OK, cfg.link_length_m)
-            for r in records]
-    return TimeSpaceDiagram(
-        link_length_m=cfg.link_length_m,
-        probe_trajectory=list(probe),
-        vehicle_trajectories=trajectories,
-    )
+            observed.setdefault(record.gt_track_id, []).append(Observation(
+                record.frame_index, record.gt_depth_m, record.gt_location_camera[0]))
+    return build_diagram(opposite_lane_filter(observed, cfg.lane), probe, cfg.link_length_m)
 
 
 def evaluate(result: PipelineResult) -> EvalResult:

@@ -1,9 +1,10 @@
-"""Assembly of time-space diagrams from tracks, the probe trajectory, and camera ranges.
+"""Assembly of time-space diagrams from vehicle observations and the probe trajectory.
 
-Each tracked vehicle contributes one polyline of (time, link distance)
-points, where the link distance is the probe's own distance along the link
-plus the camera-to-vehicle range.  Oncoming traffic is selected by its
-lateral offset from the camera, estimated from the boxes.
+An observation is a vehicle's camera range and lateral camera offset in one
+frame: observe ranges each box of a run's tracks once, and the reference
+diagram takes both from the annotations.  Oncoming vehicles are kept by their
+offsets, and each kept one contributes one polyline of (time, link distance)
+points: the probe's own distance along the link plus the camera range.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ __all__ = [
     "QUALITY_OUT_OF_LINK",
     "TrajectoryPoint",
     "TimeSpaceDiagram",
+    "Observation",
+    "observe",
     "is_oncoming",
     "opposite_lane_filter",
     "place_point",
@@ -67,6 +70,15 @@ class TimeSpaceDiagram(NamedTuple):
     vehicle_trajectories: dict[int, list[TrajectoryPoint]]
 
 
+class Observation(NamedTuple):
+    """A vehicle seen in one frame: its camera range [m], its lateral camera
+    offset [m] (x, positive to the right) and the range's quality flag."""
+    frame_index: int
+    range_m: float
+    lateral_offset_m: float
+    quality: str = QUALITY_OK
+
+
 def _median(values: Iterable[float]) -> float:
     """The middle value, or the mean of the middle two, as ``statistics.median`` computes it."""
     values = sorted(values)
@@ -87,31 +99,43 @@ def is_oncoming(lateral_offsets_m: Iterable[float], config: LaneFilterConfig) ->
     return median >= -config.lane_offset_threshold_m
 
 
-def opposite_lane_filter(tracks: Iterable[Track], intrinsics: CameraIntrinsics,
-                         config: LaneFilterConfig | None = None) -> list[Track]:
-    """Keep tracks that look like oncoming traffic.
+def observe(tracks: Iterable[Track], intrinsics: CameraIntrinsics, *,
+            min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX,
+            max_range_m: float = DEFAULT_MAX_RANGE_M) -> dict[int, list[Observation]]:
+    """Each confirmed track's observations by track id, one per box.
 
-    Each box gives the vehicle's lateral offset X = (center_x - c_x) * r / f,
-    with c_x half the camera's image width, f its focal length and r the range
-    range_from_height gives its height for the track's class; a track is
-    kept when is_oncoming holds for its offsets.  Only the boxes are read.
+    A box is ranged once, by range_from_height for the track's class, and
+    gives the lateral offset X = (center_x - c_x) * r / f, with c_x half the
+    camera's image width and f its focal length.  Only the boxes are read.
     """
-    config = config or LaneFilterConfig()
-    if not config.enabled:
-        return list(tracks)
     principal_x = intrinsics.image_width_px / 2.0
     focal = intrinsics.focal_length_px
-    kept = []
+    observed = {}
     for track in tracks:
-        if not track.records:
+        if not (track.ever_confirmed and track.records):
             continue
         class_label = track.class_label
-        offsets = [(r.center_x - principal_x)
-                   * range_from_height(r.height, class_label, intrinsics).distance_m / focal
-                   for r in track.records]
-        if is_oncoming(offsets, config):
-            kept.append(track)
-    return kept
+        observations = []
+        for record in track.records:
+            estimate = range_from_height(record.height, class_label, intrinsics,
+                                         min_bbox_height_px, max_range_m)
+            observations.append(Observation(
+                record.frame_index, estimate.distance_m,
+                (record.center_x - principal_x) * estimate.distance_m / focal,
+                estimate.quality_flag))
+        observed[track.track_id] = observations
+    return observed
+
+
+def opposite_lane_filter(observed: dict[int, list[Observation]],
+                         config: LaneFilterConfig | None = None) -> dict[int, list[Observation]]:
+    """Keep the vehicles that look like oncoming traffic: those whose lateral
+    offsets satisfy is_oncoming."""
+    config = config or LaneFilterConfig()
+    if not config.enabled:
+        return dict(observed)
+    return {vehicle_id: observations for vehicle_id, observations in observed.items()
+            if is_oncoming((o.lateral_offset_m for o in observations), config)}
 
 
 def place_point(probe: Sequence[tuple[float, float]], frame: int, camera_range_m: float,
@@ -134,29 +158,19 @@ def place_point(probe: Sequence[tuple[float, float]], frame: int, camera_range_m
     return point
 
 
-def build_diagram(tracks: Iterable[Track], probe: Sequence[tuple[float, float]],
-                  link_length_m: float, intrinsics: CameraIntrinsics, *,
-                  min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX,
-                  max_range_m: float = DEFAULT_MAX_RANGE_M) -> TimeSpaceDiagram:
-    """Compose per-track link distances over time into a diagram.
-
-    Each record's camera range is estimated from its box height and placed
-    on the probe trajectory by place_point.  Tracks must already be
-    lane-filtered; only tracks that reached the confirmed state contribute.
-    """
+def build_diagram(observed: dict[int, list[Observation]],
+                  probe: Sequence[tuple[float, float]],
+                  link_length_m: float) -> TimeSpaceDiagram:
+    """Place each lane-filtered vehicle's observations on the probe trajectory
+    with place_point; a failure names the vehicle and its frame."""
     vehicle_trajectories: dict[int, list[TrajectoryPoint]] = {}
-    for track in sorted(tracks, key=lambda t: t.track_id):
-        if not track.ever_confirmed:
-            continue
-        class_label = track.class_label
-        points = []
-        for record in track.records:
-            estimate = range_from_height(record.height, class_label, intrinsics,
-                                         min_bbox_height_px, max_range_m)
-            points.append(place_point(probe, record.frame_index, estimate.distance_m,
-                                      estimate.quality_flag, link_length_m))
-        if points:
-            vehicle_trajectories[track.track_id] = points
+    for vehicle_id in sorted(observed):
+        try:
+            vehicle_trajectories[vehicle_id] = [
+                place_point(probe, o.frame_index, o.range_m, o.quality, link_length_m)
+                for o in observed[vehicle_id]]
+        except ValidationError as exc:
+            raise ValidationError(f"vehicle {vehicle_id}: {exc}") from None
 
     return TimeSpaceDiagram(
         link_length_m=link_length_m,

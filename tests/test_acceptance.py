@@ -27,7 +27,7 @@ from tsdiag.photogrammetry import (
 from tsdiag.pipeline import build_reference_diagram
 from tsdiag.synth import head_on_scene, write_fixture
 from tsdiag.tracker import CONFIRMED, DELETED, Tracker, TrackerConfig, iou, solve_assignment
-from tsdiag.trajectory import build_diagram, opposite_lane_filter
+from tsdiag.trajectory import build_diagram, observe, opposite_lane_filter
 
 
 def test_geodesic_oracle_suite(data_dir):
@@ -131,14 +131,14 @@ def _run_synthetic(scene, jitter_px, seed):
     detections = perturb_ground_truth(scene.records, jitter_px, 0.0, seed)
     tracker = Tracker(TrackerConfig())
     tracks = tracker.run(detections, n_frames=len(scene.oxts))
-    kept = opposite_lane_filter(tracks, scene.intrinsics)
+    kept = opposite_lane_filter(observe(tracks, scene.intrinsics, max_range_m=25.0))
     distances = probe_distances(scene.link_start, (s.position for s in scene.oxts))
     probe = [(f / scene.frame_rate_hz, d) for f, d in enumerate(distances)]
-    predicted = build_diagram(kept, probe, scene.link_length_m, scene.intrinsics,
-                              max_range_m=25.0)
+    predicted = build_diagram(kept, probe, scene.link_length_m)
     reference = build_reference_diagram(
         scene.records, probe, PipelineConfig(link_length_m=scene.link_length_m))
-    return tracks, predicted, reference, track_matching(kept, scene.records)
+    return tracks, predicted, reference, track_matching(
+        [t for t in tracks if t.track_id in kept], scene.records)
 
 
 def test_end_to_end_synthetic_scene():

@@ -33,7 +33,13 @@ from tsdiag.pipeline import (
 )
 from tsdiag.synth import write_fixture
 from tsdiag.tracker import CONFIRMED, Track, Tracker
-from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint, build_diagram, diagram_to_csv
+from tsdiag.trajectory import (
+    TimeSpaceDiagram,
+    TrajectoryPoint,
+    build_diagram,
+    diagram_to_csv,
+    observe,
+)
 
 KITTI = kitti_intrinsics()
 
@@ -240,7 +246,7 @@ class TestTrackMatching:
                  for f, depth in enumerate([42.0, 27.0, 12.0])])
         tracks = [_confirmed(7, [_as_detection(gt[2])]), _confirmed(8, [_as_detection(gt[3])])]
         probe = [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)]
-        diagram = build_diagram(tracks, probe, cfg.link_length_m, cfg.intrinsics)
+        diagram = build_diagram(observe(tracks, cfg.intrinsics), probe, cfg.link_length_m)
         result = PipelineResult(config=cfg, diagram=diagram, tracks=tracks,
                                 kept_tracks=tracks,
                                 detections=[r for t in tracks for r in t.records],

@@ -3,11 +3,13 @@ import statistics
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tsdiag.config import PipelineConfig
+import tsdiag.trajectory
+from tsdiag.config import PipelineConfig, load_config
 from tsdiag.errors import ParseError, ValidationError
 from tsdiag.kitti import DetectionRecord, LabelRecord
 from tsdiag.photogrammetry import bbox_height_at_range, kitti_intrinsics, range_from_height
-from tsdiag.pipeline import build_reference_diagram
+from tsdiag.pipeline import build_reference_diagram, run_pipeline
+from tsdiag.synth import write_fixture
 from tsdiag.tracker import Track
 from tsdiag.trajectory import (
     OUT_OF_LINK_MARGIN_M,
@@ -19,6 +21,7 @@ from tsdiag.trajectory import (
     diagram_from_csv,
     diagram_to_csv,
     is_oncoming,
+    observe,
     opposite_lane_filter,
     place_point,
     smooth_diagram,
@@ -73,10 +76,21 @@ def pinhole_track(lateral_m, ranges_m, edge_jitter_px=None):
     return make_track(1, entries)
 
 
+def estimated_range(record):
+    """The camera range a box gives for a car."""
+    return range_from_height(record.height, "car", KITTI).distance_m
+
+
 def estimated_offset(record):
     """The lateral offset a box gives: (center_x - W/2) * r / f."""
-    range_m = range_from_height(record.height, "car", KITTI).distance_m
-    return (record.center_x - KITTI.image_width_px / 2) * range_m / KITTI.focal_length_px
+    return (record.center_x - KITTI.image_width_px / 2) * estimated_range(record) / (
+        KITTI.focal_length_px)
+
+
+def lane_filter(tracks, intrinsics, config=None):
+    """The tracks opposite_lane_filter keeps of what observe gives for them."""
+    kept = opposite_lane_filter(observe(tracks, intrinsics), config)
+    return [t for t in tracks if t.track_id in kept]
 
 
 def make_probe(n_frames, metres_per_frame=0.0):
@@ -108,13 +122,13 @@ class TestOppositeLaneFilter:
         heights = [20.0, 25.0, 31.0, 40.0]  # shrinking range
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], KITTI) == [track]
+        assert lane_filter([track], KITTI) == [track]
 
     def test_wrong_side_removed(self):
         heights = [20.0, 25.0, 31.0, 40.0]
         track = make_track(1, [(f, box_with_height(0.8 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], KITTI) == []
+        assert lane_filter([track], KITTI) == []
 
     def test_annotations_are_not_read(self):
         # a label that places the car in the probe's own lane, boxed far to
@@ -125,30 +139,30 @@ class TestOppositeLaneFilter:
                                gt_location_camera=(2.0, 1.6, 10.0))
                    for f, h in enumerate(heights)]
         track = Track(track_id=1, status="confirmed", records=records, ever_confirmed=True)
-        assert opposite_lane_filter([track], KITTI) == [track]
+        assert lane_filter([track], KITTI) == [track]
 
     def test_receding_track_on_the_oncoming_side_kept(self):
         # only the offsets decide, not how the box heights evolve
         heights = [40.0, 31.0, 25.0, 20.0]
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], KITTI) == [track]
+        assert lane_filter([track], KITTI) == [track]
 
     def test_passing_v_shape_kept(self):
         heights = [20.0, 30.0, 45.0, 30.0, 20.0]  # closes, passes, recedes
         track = make_track(1, [(f, box_with_height(0.25 * self.WIDTH, h))
                                for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], KITTI) == [track]
+        assert lane_filter([track], KITTI) == [track]
 
     def test_left_hand_traffic_mirrors_sides(self):
         config = LaneFilterConfig(traffic_side="left")
         heights = [20.0, 25.0, 31.0, 40.0]
         right_track = make_track(1, [(f, box_with_height(0.8 * self.WIDTH, h))
                                      for f, h in enumerate(heights)])
-        assert opposite_lane_filter([right_track], KITTI, config) == [right_track]
+        assert lane_filter([right_track], KITTI, config) == [right_track]
         left_track = make_track(2, [(f, box_with_height(0.2 * self.WIDTH, h))
                                     for f, h in enumerate(heights)])
-        assert opposite_lane_filter([left_track], KITTI, config) == []
+        assert lane_filter([left_track], KITTI, config) == []
 
     def test_idempotent(self):
         heights = [20.0, 25.0, 31.0, 40.0]
@@ -158,25 +172,25 @@ class TestOppositeLaneFilter:
             make_track(2, [(f, box_with_height(0.9 * self.WIDTH, h))
                            for f, h in enumerate(heights)]),
         ]
-        once = opposite_lane_filter(tracks, KITTI)
-        twice = opposite_lane_filter(once, KITTI)
+        once = lane_filter(tracks, KITTI)
+        twice = lane_filter(once, KITTI)
         assert once == twice
 
     def test_disabled_filter_keeps_everything(self):
         config = LaneFilterConfig(enabled=False)
         track = make_track(1, [(0, box_with_height(0.9 * self.WIDTH, 20.0))])
-        assert opposite_lane_filter([track], KITTI, config) == [track]
+        assert lane_filter([track], KITTI, config) == [track]
 
     def test_empty_input(self):
-        assert opposite_lane_filter([], KITTI) == []
+        assert lane_filter([], KITTI) == []
 
     def test_principal_point_is_half_the_camera_width(self):
         # boxes centred at 500 px: dead ahead on a 1000-px camera, well to
         # the oncoming side on the 1242-px KITTI one
         heights = [20.0, 25.0, 31.0, 40.0]
         track = make_track(1, [(f, box_with_height(500.0, h)) for f, h in enumerate(heights)])
-        assert opposite_lane_filter([track], KITTI._replace(image_width_px=1000.0)) == []
-        assert opposite_lane_filter([track], KITTI) == [track]
+        assert lane_filter([track], KITTI._replace(image_width_px=1000.0)) == []
+        assert lane_filter([track], KITTI) == [track]
 
     @pytest.mark.parametrize("side, lateral_m, kept", [
         ("right", 0.0, False), ("right", -0.3, False), ("right", -3.5, True),
@@ -188,7 +202,7 @@ class TestOppositeLaneFilter:
         # although its box centres lie on the oncoming half of the image
         track = pinhole_track(lateral_m, [40.0, 30.0, 20.0, 12.0, 8.0])
         config = LaneFilterConfig(traffic_side=side)
-        assert opposite_lane_filter([track], KITTI, config) == (
+        assert lane_filter([track], KITTI, config) == (
             [track] if kept else [])
 
     @given(st.sampled_from(["right", "left"]), st.floats(-12.0, 12.0),
@@ -204,7 +218,7 @@ class TestOppositeLaneFilter:
         ranges, noise = zip(*boxes)
         track = pinhole_track(lateral_m, ranges, noise)
         oncoming = lateral_m <= threshold if side == "right" else lateral_m >= threshold
-        assert opposite_lane_filter([track], KITTI, config) == (
+        assert lane_filter([track], KITTI, config) == (
             [track] if oncoming else [])
 
     @given(st.sampled_from(["right", "left"]), st.floats(-4.0, 4.0),
@@ -212,18 +226,23 @@ class TestOppositeLaneFilter:
                     min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_run_and_reference_agree_on_the_same_offsets(self, side, lateral_m, boxes):
-        # labels annotated with the offsets their boxes give: the reference
-        # diagram keeps the identity exactly when the run keeps the track
+        # labels annotated with the ranges and offsets their boxes give: the
+        # reference diagram keeps the identity exactly when the run keeps the
+        # track, and places it at the run's points
         ranges, noise = zip(*boxes)
         track = pinhole_track(lateral_m, ranges, noise)
         labels = [LabelRecord(frame_index=r.frame_index, class_label="car", bbox=r.bbox,
                               gt_track_id=1,
-                              gt_location_camera=(estimated_offset(r), 1.6, range_m))
-                  for r, range_m in zip(track.records, ranges)]
+                              gt_location_camera=(estimated_offset(r), 1.6, estimated_range(r)))
+                  for r in track.records]
         cfg = PipelineConfig(lane=LaneFilterConfig(traffic_side=side))
-        reference = build_reference_diagram(labels, make_probe(len(labels)), cfg)
-        kept = opposite_lane_filter([track], KITTI, cfg.lane)
+        probe = make_probe(len(labels))
+        reference = build_reference_diagram(labels, probe, cfg)
+        kept = lane_filter([track], KITTI, cfg.lane)
         assert bool(kept) == (1 in reference.vehicle_trajectories)
+        run = build_diagram(opposite_lane_filter(observe([track], KITTI), cfg.lane), probe,
+                            cfg.link_length_m)
+        assert reference.vehicle_trajectories == run.vehicle_trajectories
 
 
 class TestIsOncoming:
@@ -252,7 +271,7 @@ class TestBuildDiagram:
         height = 100.0
         track = make_track(1, [(f, box_with_height(300.0, height)) for f in range(10)])
         probe = make_probe(10)  # probe parked at the link start
-        diagram = build_diagram([track], probe, 300.0, KITTI)
+        diagram = build_diagram(observe([track], KITTI), probe, 300.0)
         points = diagram.vehicle_trajectories[1]
         assert len(points) == 10
         assert points[0].time_s == 0.0
@@ -266,7 +285,7 @@ class TestBuildDiagram:
         # 1.113195 m/frame = 11.13195 m/s at 10 Hz
         height = 100.0
         track = make_track(1, [(f, box_with_height(300.0, height)) for f in range(10)])
-        diagram = build_diagram([track], make_probe(10, 1.113195), 300.0, KITTI)
+        diagram = build_diagram(observe([track], KITTI), make_probe(10, 1.113195), 300.0)
         points = diagram.vehicle_trajectories[1]
         slope = ((points[-1].link_distance_m - points[0].link_distance_m)
                  / (points[-1].time_s - points[0].time_s))
@@ -276,28 +295,29 @@ class TestBuildDiagram:
         # explicit, uneven timestamps: frame f is the probe trajectory's entry f
         probe = [(0.0, 0.0), (0.15, 2.0), (0.22, 3.5), (0.4, 7.0)]
         track = make_track(1, [(f, box_with_height(300.0, 100.0)) for f in (1, 3)])
-        diagram = build_diagram([track], probe, 300.0, KITTI)
+        diagram = build_diagram(observe([track], KITTI), probe, 300.0)
         points = diagram.vehicle_trajectories[1]
         assert [(p.time_s, p.probe_distance_m) for p in points] == [(0.15, 2.0), (0.4, 7.0)]
         assert diagram.probe_trajectory == probe
 
     def test_no_confirmed_tracks_probe_only(self):
         tentative = make_track(1, [(0, box_with_height(300.0, 50.0))], confirmed=False)
-        diagram = build_diagram([tentative], make_probe(5), 300.0, KITTI)
+        diagram = build_diagram(observe([tentative], KITTI), make_probe(5), 300.0)
         assert diagram.vehicle_trajectories == {}
         assert len(diagram.probe_trajectory) == 5
 
     def test_missing_oxts_frame_names_frame(self):
         track = make_track(1, [(7, box_with_height(300.0, 50.0)),
                                (8, box_with_height(300.0, 51.0))])
-        with pytest.raises(ValidationError, match="frame 7"):
-            build_diagram([track], make_probe(5), 300.0, KITTI)
+        with pytest.raises(ValidationError, match="frame 7") as failure:
+            build_diagram(observe([track], KITTI), make_probe(5), 300.0)
+        assert str(failure.value) == "vehicle 1: frame 7 has no GPS sample"
 
     def test_identity_holds_bit_exact(self):
         heights = [30.0, 35.0, 41.0, 50.0, 66.0]
         track = make_track(1, [(f, box_with_height(250.0, h))
                                for f, h in enumerate(heights)])
-        diagram = build_diagram([track], make_probe(5, 2.2263898), 300.0, KITTI)
+        diagram = build_diagram(observe([track], KITTI), make_probe(5, 2.2263898), 300.0)
         for p in diagram.vehicle_trajectories[1]:
             assert p.link_distance_m == p.probe_distance_m + p.camera_range_m
 
@@ -305,7 +325,7 @@ class TestBuildDiagram:
         # a 5 m link keeps points up to 5 + OUT_OF_LINK_MARGIN_M (20 m) ok
         heights = [bbox_height_at_range(r, "car", KITTI) for r in (24.0, 26.0)]
         track = make_track(1, [(f, box_with_height(300.0, h)) for f, h in enumerate(heights)])
-        diagram = build_diagram([track], make_probe(2), 5.0, KITTI)
+        diagram = build_diagram(observe([track], KITTI), make_probe(2), 5.0)
         assert OUT_OF_LINK_MARGIN_M == 20.0
         assert [p.quality for p in diagram.vehicle_trajectories[1]] == ["ok", "out_of_link"]
 
@@ -327,7 +347,7 @@ class TestBuildDiagram:
         track = make_track(1, [(0, box_with_height(300.0, 100.0)),
                                (1, box_with_height(300.0, far)),
                                (2, box_with_height(300.0, tiny))])
-        diagram = build_diagram([track], make_probe(3), 300.0, KITTI)
+        diagram = build_diagram(observe([track], KITTI), make_probe(3), 300.0)
         qualities = [p.quality for p in diagram.vehicle_trajectories[1]]
         assert qualities == ["ok", "above_max_range", "below_min_height"]
         assert len(diagram.vehicle_trajectories[1]) == 3
@@ -335,14 +355,29 @@ class TestBuildDiagram:
 
     def test_class_label_read_once_per_track(self):
         # the label counts over every record when read, so a read per
-        # record would make the diagram quadratic in track length
+        # record would make observing quadratic in track length
         lengths = (1, 5, 40)
         tracks = [make_track(k + 1, [(f, box_with_height(300.0, 60.0)) for f in range(n)],
                              track_type=LabelReadCounter)
                   for k, n in enumerate(lengths)]
-        diagram = build_diagram(tracks, make_probe(40), 300.0, KITTI)
-        assert [len(diagram.vehicle_trajectories[t.track_id]) for t in tracks] == [1, 5, 40]
+        observed = observe(tracks, KITTI)
+        assert [len(observed[t.track_id]) for t in tracks] == [1, 5, 40]
         assert [t.reads for t in tracks] == [1, 1, 1]
+
+    def test_run_ranges_each_box_of_a_confirmed_track_once(self, tmp_path, monkeypatch):
+        # the lane filter and the diagram read the same observations, so a
+        # kept car's boxes are not ranged a second time
+        ranged = []
+        range_from_height = tsdiag.trajectory.range_from_height
+
+        def counting(*args, **kwargs):
+            ranged.append(args)
+            return range_from_height(*args, **kwargs)
+
+        monkeypatch.setattr(tsdiag.trajectory, "range_from_height", counting)
+        result = run_pipeline(load_config(write_fixture(str(tmp_path))))
+        assert result.diagram.vehicle_trajectories
+        assert len(ranged) == sum(len(t.records) for t in result.tracks if t.ever_confirmed)
 
 
 class TestSmoothing:
@@ -395,7 +430,7 @@ class TestDiagramCsv:
         heights = [40.0, 50.0, 66.0]
         track = make_track(1, [(f, box_with_height(250.0, h))
                                for f, h in enumerate(heights)])
-        return build_diagram([track], make_probe(3, 1.113195), 300.0, KITTI)
+        return build_diagram(observe([track], KITTI), make_probe(3, 1.113195), 300.0)
 
     def test_header_and_probe_rows(self):
         diagram = self._diagram()
