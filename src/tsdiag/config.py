@@ -67,7 +67,6 @@ CONFIG_SCHEMA: dict[str, dict[str, str]] = {
     },
     "run": {
         "sequence_id": "sequence_id",
-        "classes": "classes",
         "distance_mode": "distance_mode",
         "frame_rate_hz": "frame_rate_hz",
         "smoothing_window": "smoothing_window",
@@ -151,7 +150,6 @@ class _PipelineConfig(NamedTuple):
     link_start_lon: float = 0.0
     link_length_m: float = 300.0
     sequence_id: str = ""
-    classes: tuple[str, ...] = ("car",)
     distance_mode: str = "direct"
     frame_rate_hz: float = 10.0
     smoothing_window: int = 1
@@ -192,21 +190,13 @@ class PipelineConfig(Checked, _PipelineConfig):
                                   f"got {self.min_bbox_height_px}")
         if not self.max_range_m > 0.0:
             raise ValidationError(f"max_range_m must be positive, got {self.max_range_m}")
-        if not self.classes:
-            raise ValidationError("classes must name at least one class label")
-        repeated = [c for i, c in enumerate(self.classes) if c in self.classes[:i]]
-        if repeated:
-            raise ValidationError(f"classes names {repeated[0]!r} more than once")
-        for key, labels in (("classes", self.classes),
-                            ("class_heights", self.intrinsics.class_height_m)):
-            unknown = [c for c in labels if c not in _CLASS_LABELS]
-            if unknown:
-                raise ValidationError(f"unknown class {', '.join(map(repr, unknown))} in {key}; "
-                                      f"the classes are {', '.join(_CLASS_LABELS)}")
-        missing = [c for c in self.classes if c not in self.intrinsics.class_height_m]
-        if missing:
-            raise ValidationError(f"no class_heights entry for "
-                                  f"{', '.join(map(repr, missing))} in classes")
+        # the classes with a height are the classes tracked and evaluated
+        if not self.intrinsics.class_height_m:
+            raise ValidationError("class_heights must name at least one class")
+        unknown = [c for c in self.intrinsics.class_height_m if c not in _CLASS_LABELS]
+        if unknown:
+            raise ValidationError(f"unknown class {', '.join(map(repr, unknown))} in "
+                                  f"class_heights; the classes are {', '.join(_CLASS_LABELS)}")
         try:
             self.link_start  # builds the GeoPoint, which range-checks it
         except ValidationError as exc:
@@ -237,8 +227,6 @@ def _parse_class_heights(raw: str) -> dict[str, float]:
             heights[label] = float(value)
         except ValueError:
             raise ConfigError(f"bad class height {chunk!r}") from None
-    if not heights:
-        raise ConfigError("class_heights must define at least one class")
     return heights
 
 
@@ -256,8 +244,6 @@ def _convert(key: str, raw: str, kind: type):
     raw = raw.strip()
     if kind is dict:
         return _parse_class_heights(raw)
-    if kind is tuple:
-        return tuple(c.strip().lower() for c in raw.split(",") if c.strip())
     try:
         return _parse_bool(raw) if kind is bool else kind(raw)
     except ValueError:
@@ -338,8 +324,6 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(value)
     if isinstance(value, Mapping):
         return ",".join(f"{label}:{height!r}" for label, height in sorted(value.items()))
     return str(value)

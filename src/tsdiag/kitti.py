@@ -409,11 +409,16 @@ def _oxts_files_by_frame(path: str) -> list[str]:
     return [files[frame_index] for frame_index in range(len(files))]
 
 
-def _first_fix(lines: Iterable[str]) -> OxtsSample:
-    """The fix of a per-frame OXTS file: the first it holds."""
+def _one_fix(lines: Iterable[str]) -> OxtsSample:
+    """The fix of a per-frame OXTS file, which holds one."""
+    fix = None
     for line_no, line in _iter_content_lines(lines):
-        return _parse_oxts_line(line, line_no)
-    raise ValidationError("no OXTS fix")
+        if fix is not None:
+            raise ParseError(f"line {line_no}: a per-frame OXTS file holds one fix")
+        fix = _parse_oxts_line(line, line_no)
+    if fix is None:
+        raise ValidationError("no OXTS fix")
+    return fix
 
 
 def load_oxts(path: str) -> list[OxtsSample]:
@@ -423,7 +428,7 @@ def load_oxts(path: str) -> list[OxtsSample]:
     its name gives; frames must run from 0 without a gap.
     """
     if os.path.isdir(path):
-        return [read_input(os.path.join(path, name), _first_fix)
+        return [read_input(os.path.join(path, name), _one_fix)
                 for name in _oxts_files_by_frame(path)]
     return read_input(path, parse_oxts_lines)
 

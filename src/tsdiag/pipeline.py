@@ -55,7 +55,6 @@ class PipelineResult(NamedTuple):
     config: PipelineConfig
     diagram: TimeSpaceDiagram
     tracks: list[Track]
-    kept_tracks: list[Track]
     detections: list[DetectionRecord]
     gt_records: list[LabelRecord] | None
 
@@ -152,7 +151,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
             detections = perturb_ground_truth(gt_records, cfg.jitter_px, cfg.drop_rate,
                                               cfg.seed)
 
-        detections = [d for d in detections if d.class_label in cfg.classes]
+        detections = [d for d in detections if d.class_label in cfg.intrinsics.class_height_m]
 
     with _stage("tracking"):
         tracker = Tracker(cfg.tracker)
@@ -172,7 +171,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         config=cfg,
         diagram=diagram,
         tracks=tracks,
-        kept_tracks=[t for t in tracks if t.track_id in kept],
         detections=detections,
         gt_records=gt_records,
     )
@@ -182,7 +180,6 @@ def _run_meta(cfg: PipelineConfig) -> str:
     lines = [
         "# tsdiag run manifest; re-parses as a pipeline config",
         f"# tsdiag {__version__} on python {sys.version.split()[0]}",
-        f"# seed {cfg.seed}",
         "",
     ]
     return "\n".join(lines) + dump_config(cfg)
@@ -203,14 +200,14 @@ def write_run_outputs(result: PipelineResult) -> dict[str, str]:
 def build_reference_diagram(gt_records, probe, cfg: PipelineConfig) -> TimeSpaceDiagram:
     """Ground-truth diagram on the run's probe trajectory.
 
-    Each annotated identity of a configured class is observed at its
+    Each annotated identity of a class with a height is observed at its
     annotated depth and lateral offset, in frame order; rows without a
     positive depth are left out.  The identities then pass the run's lane
     filter and diagram builder, as a run's observed tracks do.
     """
     observed: dict[int, list[Observation]] = {}
     for record in sorted(gt_records, key=lambda r: r.frame_index):
-        if (record.gt_track_id >= 0 and record.class_label in cfg.classes
+        if (record.gt_track_id >= 0 and record.class_label in cfg.intrinsics.class_height_m
                 and record.gt_depth_m is not None):
             observed.setdefault(record.gt_track_id, []).append(Observation(
                 record.frame_index, record.gt_depth_m, record.gt_location_camera[0]))
@@ -223,15 +220,16 @@ def evaluate(result: PipelineResult) -> EvalResult:
         raise ConfigError("evaluation requires a labels file")
     cfg = result.config
     with _stage("evaluation"):
-        gt = [r for r in result.gt_records if r.class_label in cfg.classes]
+        gt = [r for r in result.gt_records if r.class_label in cfg.intrinsics.class_height_m]
+        kept = [t for t in result.tracks if t.track_id in result.diagram.vehicle_trajectories]
         range_gt = range_error_report(gt, cfg.intrinsics)
         range_pred = range_error_report(gt, cfg.intrinsics, predicted=result.detections)
         reference = build_reference_diagram(result.gt_records,
                                             result.diagram.probe_trajectory, cfg)
         trajectory = trajectory_error_report(result.diagram, reference,
-                                             track_matching(result.kept_tracks, gt))
+                                             track_matching(kept, gt))
         hota_report = hota(boxes_from_records(gt),
-                           boxes_from_tracks(result.kept_tracks))
+                           boxes_from_tracks(kept))
     return EvalResult(range_gt, range_pred, trajectory, hota_report)
 
 

@@ -62,7 +62,7 @@ def render_svg(diagram: TimeSpaceDiagram,
     plot_h = _HEIGHT - margin_top - margin_bottom
 
     diagrams = [diagram] + ([reference] if reference is not None else [])
-    t_values = [0.0]
+    t_values = []
     d_values = [0.0, diagram.link_length_m]
     for dia in diagrams:
         t_values.extend(t for t, _ in dia.probe_trajectory)
@@ -70,14 +70,17 @@ def render_svg(diagram: TimeSpaceDiagram,
         for points in dia.vehicle_trajectories.values():
             t_values.extend(p.time_s for p in points)
             d_values.extend(p.link_distance_m for p in points)
-    t_max = max(t_values) or 1.0
+    # the time axis spans the drawn times, first to last
+    t_min, t_max = min(t_values, default=0.0), max(t_values, default=0.0)
+    if t_max <= t_min:
+        t_max = t_min + 1.0
     d_min = min(d_values)
     d_max = max(d_values)
     if d_max <= d_min:
         d_max = d_min + 1.0
 
     def sx(t: float) -> float:
-        return margin_left + (t / t_max) * plot_w
+        return margin_left + ((t - t_min) / (t_max - t_min)) * plot_w
 
     def sy(d: float) -> float:
         return margin_top + plot_h - ((d - d_min) / (d_max - d_min)) * plot_h
@@ -92,7 +95,7 @@ def render_svg(diagram: TimeSpaceDiagram,
             f'<text x="{_WIDTH / 2:.0f}" y="24" font-family="monospace" font-size="15" '
             f'text-anchor="middle">{_xml_text(title)}</text>')
 
-    for tick in _ticks(0.0, t_max):
+    for tick in _ticks(t_min, t_max):
         x = sx(tick)
         parts.append(f'<line x1="{_fmt(x)}" y1="{margin_top}" x2="{_fmt(x)}" '
                      f'y2="{margin_top + plot_h}" stroke="#dddddd" stroke-width="1"/>')

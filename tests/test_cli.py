@@ -17,6 +17,7 @@ from tsdiag.config import CONFIG_SCHEMA, PipelineConfig, build_config, dump_conf
 from tsdiag.errors import ConfigError, InputError, OutputError, PipelineError, ValidationError
 from tsdiag.pipeline import _stage, run_pipeline
 from tsdiag.kitti import DetectionRecord, format_detections, parse_detections_file
+from tsdiag.photogrammetry import kitti_intrinsics
 from tsdiag.synth import head_on_scene, write_fixture, write_scene_files
 from tsdiag.trajectory import diagram_from_csv, diagram_to_csv, smooth_diagram
 
@@ -76,15 +77,18 @@ class TestConfig:
                                               ("run", "include_dontcare"),
                                               ("tracker", "nn_metric"),
                                               ("lane_filter", "image_fraction"),
-                                              ("lane_filter", "min_side_fraction")])
+                                              ("lane_filter", "min_side_fraction"),
+                                              ("run", "classes")])
     def test_removed_key_in_a_file_exits_2(self, tmp_path, capsys, section, key):
         # as an older run_meta.txt writes it; ignoring the key would drop
         # what it meant without a word
         config_path = tmp_path / "config.ini"
         config_path.write_text(f"[{section}]\n{key} = \n")
-        assert main(["run", str(config_path)]) == 2
+        out_dir = tmp_path / "out"
+        assert main(["run", str(config_path), "--output-dir", str(out_dir)]) == 2
         assert (f"config error: unknown key {key!r} in section [{section}]"
                 in capsys.readouterr().err)
+        assert not out_dir.exists()
 
     def test_class_heights_parsed(self):
         cfg = build_config({"class_heights": "car:1.5, van:2.1"})
@@ -110,7 +114,7 @@ DEFAULT_MANIFEST = "\n".join([
     "lane_offset_threshold_m = -1.5", "",
     "[range]", "min_bbox_height_px = 8.0", "max_range_m = 120.0", "",
     "[link]", "link_start_lat = 0.0", "link_start_lon = 0.0", "link_length_m = 300.0", "",
-    "[run]", "sequence_id = ", "classes = car", "distance_mode = direct", "frame_rate_hz = 10.0",
+    "[run]", "sequence_id = ", "distance_mode = direct", "frame_rate_hz = 10.0",
     "smoothing_window = 1", "seed = 0", "jitter_px = 0.0", "drop_rate = 0.0", "", "",
 ])
 
@@ -134,6 +138,9 @@ VALID_VALUES = {
     "focal_length_px": _positive, "image_height_px": _positive,
     "sensor_height_px": _positive,
     "image_width_px": _float_text(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "class_heights": st.dictionaries(
+        _label, st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=3).map(
+        lambda heights: ", ".join(f"{label}:{h!r}" for label, h in heights.items())),
     "max_dist": _open_unit, "max_iou_dist": _open_unit,
     "max_age": st.integers(1, 1000).map(str), "n_init": st.integers(1, 10).map(str),
     "appearance_ema_alpha": _unit, "use_appearance": _bool_text,
@@ -154,34 +161,10 @@ VALID_VALUES = {
     "drop_rate": _float_text(min_value=0.0, max_value=1.0, exclude_max=True),
 }
 
-CLASS_KEYS = {"classes", "class_heights"}
-
-
-@st.composite
-def _class_values(draw):
-    """Valid text of classes and class_heights, drawn together.
-
-    Either key may be left out (the defaults are car and car:1.5), but
-    every class must have a height, and no class is named twice.
-    """
-    values = {}
-    labels = ["car"]
-    heights = draw(st.none() | st.dictionaries(
-        _label, st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=3))
-    if heights is not None:
-        values["class_heights"] = ", ".join(f"{label}:{h!r}" for label, h in heights.items())
-        labels = list(heights)
-    if "car" not in labels or draw(st.booleans()):
-        values["classes"] = ",".join(
-            draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)))
-    return values
-
-
 class TestConfigTable:
     def test_every_key_written_once(self):
-        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 33
-        assert not CLASS_KEYS & set(VALID_VALUES)
-        assert set(VALID_VALUES) | CLASS_KEYS == set(TABLE_KEYS)
+        assert len(TABLE_KEYS) == len(set(TABLE_KEYS)) == 32
+        assert set(VALID_VALUES) == set(TABLE_KEYS)
 
     def test_every_path_names_a_field(self):
         defaults = PipelineConfig()
@@ -198,17 +181,17 @@ class TestConfigTable:
         assert dump_config(build_config({})) == DEFAULT_MANIFEST
 
     def test_manifest_formats_composite_values(self):
-        cfg = build_config({"classes": "Car, van", "class_heights": "van:2, car:1.5",
+        cfg = build_config({"class_heights": "van:2, Car:1.5",
                             "use_appearance": "YES", "max_age": "7", "seed": "-3"})
         lines = dump_config(cfg).splitlines()
-        for line in ("classes = car,van", "class_heights = car:1.5,van:2.0",
+        for line in ("class_heights = car:1.5,van:2.0",
                      "use_appearance = true", "max_age = 7", "seed = -3"):
             assert line in lines
 
-    @given(st.fixed_dictionaries({}, optional=VALID_VALUES), _class_values())
+    @given(st.fixed_dictionaries({}, optional=VALID_VALUES))
     @settings(max_examples=150, deadline=None)
-    def test_round_trip_over_valid_values(self, values, class_values):
-        cfg = build_config({**values, **class_values})
+    def test_round_trip_over_valid_values(self, values):
+        cfg = build_config(values)
         assert load_config_from_text(dump_config(cfg)) == cfg
 
     def test_each_key_has_one_flag_and_one_manifest_line(self):
@@ -252,8 +235,8 @@ class TestConfigTable:
         ({"jitter_px": "-1"}, "jitter_px must be >= 0, got -1.0"),
         ({"frame_rate_hz": "0"}, "frame_rate_hz must be positive, got 0.0"),
         ({"link_length_m": "-5"}, "link_length_m must be positive, got -5.0"),
-        ({"classes": " , "}, "classes must name at least one class label"),
-        ({"classes": "", "link_length_m": "0"}, "link_length_m must be positive, got 0.0"),
+        ({"class_heights": " , "}, "class_heights must name at least one class"),
+        ({"link_length_m": "0"}, "link_length_m must be positive, got 0.0"),
         ({"image_fraction": "0.5"}, "unknown configuration key 'image_fraction'"),
         ({"min_side_fraction": "0.7"}, "unknown configuration key 'min_side_fraction'"),
         ({"lane_offset_threshold_m": "inf"}, "lane_offset_threshold_m must be finite, got inf"),
@@ -273,17 +256,17 @@ class TestConfigTable:
         ({"lane_offset_threshold_m": "nan"}, "lane_offset_threshold_m must be finite, got nan"),
         ({"lane_offset_threshold_m": "-inf"},
          "lane_offset_threshold_m must be finite, got -inf"),
-        ({"classes": "car,tram"}, "no class_heights entry for 'tram' in classes"),
-        ({"classes": "Van, truck", "class_heights": "car:1.5,van:2"},
-         "no class_heights entry for 'truck' in classes"),
-        ({"class_heights": "van:2"}, "no class_heights entry for 'car' in classes"),
+        ({"class_heights": "car:"}, "bad class height 'car:'"),
+        ({"class_heights": "car:nan"}, "class height for 'car' must be positive"),
+        ({"class_heights": ":1.5"}, "unknown class '' in class_heights; the classes are car, "
+         "van, truck, pedestrian, person_sitting, cyclist, tram, misc"),
         ({"embeddings": "vectors.txt"}, "unknown configuration key 'embeddings'"),
         ({"class_heights": "car:1.5, Car:1.7"}, "class_heights names 'car' more than once"),
-        ({"classes": "car,bus", "class_heights": "car:1.5,bus:3"},
-         "unknown class 'bus' in classes; the classes are car, van, truck, pedestrian, "
-         "person_sitting, cyclist, tram, misc"),
-        ({"classes": "other,dontcare"}, "unknown class 'other', 'dontcare' in classes; the "
-         "classes are car, van, truck, pedestrian, person_sitting, cyclist, tram, misc"),
+        ({"class_heights": "car:1.5,dontcare:1"},
+         "unknown class 'dontcare' in class_heights; the classes are car, van, truck, "
+         "pedestrian, person_sitting, cyclist, tram, misc"),
+        ({"class_heights": "other:1, bus:3"}, "unknown class 'other', 'bus' in class_heights; "
+         "the classes are car, van, truck, pedestrian, person_sitting, cyclist, tram, misc"),
         ({"include_dontcare": "true"}, "unknown configuration key 'include_dontcare'"),
         ({"jitter_px": "nan"}, "jitter_px must be >= 0, got nan"),
         ({"focal_length_px": "inf"}, "focal_length_px must be finite, got inf"),
@@ -295,7 +278,7 @@ class TestConfigTable:
         ({"class_heights": "car:1.5,bsu:3"},
          "unknown class 'bsu' in class_heights; the classes are car, van, truck, "
          "pedestrian, person_sitting, cyclist, tram, misc"),
-        ({"classes": "car, Car"}, "classes names 'car' more than once"),
+        ({"class_heights": "car:1.5, car:1.5"}, "class_heights names 'car' more than once"),
         ({"sequence_id": "demo\nrun 2"}, "value of key 'sequence_id' holds a line break"),
         ({"labels": "a.txt\r"}, "value of key 'labels' holds a line break"),
         ({"max_age": "3\n"}, "value of key 'max_age' holds a line break"),
@@ -318,8 +301,8 @@ class TestConfigTable:
     def test_range_checks_live_on_the_dataclass(self):
         with pytest.raises(ValidationError, match="smoothing_window"):
             PipelineConfig(smoothing_window=4)
-        with pytest.raises(ValidationError, match="classes"):
-            PipelineConfig(classes=())
+        with pytest.raises(ValidationError, match="class_heights must name at least one class"):
+            PipelineConfig(intrinsics=kitti_intrinsics()._replace(class_height_m={}))
 
     def test_configs_do_not_share_class_heights(self):
         assert build_config({}).intrinsics.class_height_m is not \
@@ -530,23 +513,24 @@ class TestRunCommand:
                 == "config error: value of key 'sequence_id' holds a line break\n")
         assert not (tmp_path / "x").exists()
 
-    def test_class_without_height_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
+    def test_unknown_class_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
         # rejected before ingest, whether or not the sequence holds that class
         _, config_path = fixture_dir
-        code = main(["run", config_path, "--classes", "car,tram",
+        code = main(["run", config_path, "--class-heights", "car:1.5,bus:3",
                      "--output-dir", str(tmp_path / "x")])
         assert code == 2
-        assert ("config error: no class_heights entry for 'tram' in classes"
+        assert ("config error: unknown class 'bus' in class_heights"
                 in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     def test_repeated_class_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
-        # as a repeated class_heights label is; it used to run and write classes = car,car
+        # even with the same height twice
         _, config_path = fixture_dir
-        code = main(["run", config_path, "--classes", "car,Car",
+        code = main(["run", config_path, "--class-heights", "car:1.5,Car:1.5",
                      "--output-dir", str(tmp_path / "x")])
         assert code == 2
-        assert capsys.readouterr().err == "config error: classes names 'car' more than once\n"
+        assert (capsys.readouterr().err
+                == "config error: class_heights names 'car' more than once\n")
         assert not (tmp_path / "x").exists()
 
     def test_explicit_timestamps_file(self, fixture_dir, tmp_path):
@@ -674,7 +658,7 @@ class TestEvalCommand:
         _, config_path = fixture_dir
         result = run_pipeline(load_config(config_path, {"jitter_px": jitter, "seed": "1"}))
         records = result.detections + [r for t in result.tracks for r in t.records]
-        assert records and result.kept_tracks
+        assert records and result.diagram.vehicle_trajectories
         annotated = ("gt_track_id", "gt_location_camera", "gt_depth_m")
         for record in records:
             assert type(record) is DetectionRecord
@@ -961,7 +945,7 @@ class TestSceneFiles:
         assert hashlib.sha256(oxts).hexdigest() == (
             "bce897c035a29ac731dabf29a1068293128c8e437a24d12fe0e14677cf06657c")
         assert hashlib.sha256(config).hexdigest() == (
-            "d8e53dce1864cc07385126db2ccc5dc75df4cd0bde6604d8c02171b8309d3b33")
+            "cccbbc009e1ec5b44d6d73c6725ab7c215f1d28c80a72f1904f7c9200a547730")
 
 
 class TestPipelineErrors:

@@ -248,7 +248,6 @@ class TestTrackMatching:
         probe = [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)]
         diagram = build_diagram(observe(tracks, cfg.intrinsics), probe, cfg.link_length_m)
         result = PipelineResult(config=cfg, diagram=diagram, tracks=tracks,
-                                kept_tracks=tracks,
                                 detections=[r for t in tracks for r in t.records],
                                 gt_records=gt)
         assert evaluation.track_matching(tracks, gt) == {7: 1, 8: 2}
@@ -569,7 +568,7 @@ class TestReferenceDiagram:
         assert self._identities(labels, lane_filter="false") == {1, 2}
 
     def test_unusable_rows_left_out(self):
-        # left out: no identity, a class not configured, a non-positive
+        # left out: no identity, a class without a height, a non-positive
         # depth, no location, and a class no configuration can name
         dontcare = LabelRecord(frame_index=0, class_label="dontcare",
                                bbox=(0.0, 0.0, 5.0, 5.0), gt_track_id=5,
@@ -580,8 +579,7 @@ class TestReferenceDiagram:
                   gt_record(0, 6, 20.0)._replace(gt_location_camera=None),
                   dontcare]
         assert self._identities(labels) == {1}
-        assert self._identities(labels, classes="car,van", class_heights="car:1.5,van:2") \
-            == {1, 2}
+        assert self._identities(labels, class_heights="car:1.5,van:2") == {1, 2}
 
     def test_points_are_placed_as_in_the_run_diagram(self):
         # one placement for both diagrams: a 5 m link keeps points up to

@@ -57,7 +57,7 @@ class TestParseLabelFile:
         assert records[0].bbox == (515.2, 178.9, 616.3, 260.2)
 
     def test_unknown_class_rejected_naming_line_and_token(self):
-        # read as some catch-all class, a bus would vanish under classes = car,bus
+        # read as some catch-all class, a bus would vanish from every run
         lines = [LABEL_LINE, LABEL_LINE.replace("0 2 Car", "1 2 Bus")]
         with pytest.raises(ParseError, match=r"^line 2: unknown class 'Bus'$"):
             parse_label_file(io.StringIO("\n".join(lines)))
@@ -470,8 +470,7 @@ class TestLoadOxtsDirectory:
     def test_crlf_and_cr_end_lines(self, tmp_path, newline):
         directory = tmp_path / "oxts"
         directory.mkdir()
-        later = OXTS_LINE.replace("49.011212", "1.0")
-        text = newline.join(["# written by the logger", "", OXTS_LINE, later, ""])
+        text = newline.join(["# written by the logger", "", OXTS_LINE, ""])
         (directory / "0.txt").write_bytes(text.encode())
         (directory / "1.txt").write_bytes(
             newline.join(["# bad fix", "  ", OXTS_LINE.replace("112.83", "x")]).encode())
@@ -482,6 +481,17 @@ class TestLoadOxtsDirectory:
         (sample,) = load_oxts(str(directory))
         assert sample.position.latitude_deg == pytest.approx(49.011212)
         assert sample.raw_fields == parse_oxts_lines(io.StringIO(OXTS_LINE))[0].raw_fields
+
+    def test_second_fix_names_the_file_and_the_line(self, tmp_path):
+        # a second fix would otherwise be dropped without a word
+        path = _oxts_dir(tmp_path / "oxts", [f"{i:010d}.txt" for i in range(6)])
+        second = tmp_path / "oxts" / "0000000005.txt"
+        second.write_text(f"{second.read_text()}# a comment\n\n"
+                          f"{OXTS_LINE.replace('49.011212', '49.012212')}\n")
+        with pytest.raises(InputError) as info:
+            load_oxts(path)
+        assert str(info.value) == f"{second}: line 4: a per-frame OXTS file holds one fix"
+        assert type(info.value.__cause__) is ParseError
 
     def test_comment_before_the_fix(self, tmp_path):
         directory = tmp_path / "oxts"
@@ -498,13 +508,18 @@ class TestLoadOxtsDirectory:
             _write_pieces(path, pieces)
 
             def text_mode():
-                # the lines up to the first that is neither blank nor a comment
-                lines = []
+                # the lines before the second that is neither blank nor a
+                # comment; such a second line is an error once the first parses
+                lines, fixes = [], 0
                 with open(path) as fh:
-                    for line in fh:
-                        lines.append(line)
+                    for line_no, line in enumerate(fh, start=1):
                         if line.strip() and not line.strip().startswith("#"):
-                            break
+                            fixes += 1
+                            if fixes == 2:
+                                parse_oxts_lines(lines)
+                                raise ParseError(
+                                    f"line {line_no}: a per-frame OXTS file holds one fix")
+                        lines.append(line)
                 return parse_oxts_lines(lines)
 
             def per_frame():

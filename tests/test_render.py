@@ -52,3 +52,18 @@ class TestRenderSvg:
     def test_negative_distances_still_render(self):
         svg = render_svg(diagram_with({1: [(0.0, -5.0), (1.0, 9.0)]}))
         assert svg.count("<polyline") == 2
+
+    def test_time_axis_spans_the_drawn_times(self):
+        # a sequence timed from 1000 s is drawn across the whole plot, not
+        # squeezed into its last hundredth
+        times = [1000.0 + 0.1 * k for k in range(100)]
+        diagram = diagram_with({1: [(t, 30.0) for t in times]},
+                               probe=[(t, 0.5 * k) for k, t in enumerate(times)])
+        document = minidom.parseString(render_svg(diagram))
+        xs = [float(pair.split(",")[0])
+              for line in document.getElementsByTagName("polyline")
+              for pair in line.getAttribute("points").split()]
+        assert (min(xs), max(xs)) == (70.0, 870.0)
+        tick_labels = [float(t.firstChild.data) for t in document.getElementsByTagName("text")
+                       if t.getAttribute("y") == "583"]
+        assert tick_labels and tick_labels[0] >= 1000.0
