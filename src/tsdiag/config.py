@@ -307,6 +307,8 @@ def load_config(path: str | None = None,
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}") from None
+        if parser.defaults():  # configparser would merge these keys into every section
+            raise ConfigError(f"unknown config section [{parser.default_section}]")
         for section in parser.sections():
             if section not in CONFIG_SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")

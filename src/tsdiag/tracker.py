@@ -263,31 +263,9 @@ def solve_assignment(cost: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
     if not all(value > -math.inf for row in rows for value in row):  # also false for NaN
         raise ValueError("matrix contains invalid numeric entries")
     if width < len(rows):
-        col4row = _solve_wide(list(zip(*rows)))
+        col4row = _shortest_augmenting_paths(list(zip(*rows)))
         return sorted((row, col) for col, row in enumerate(col4row))
-    return list(enumerate(_solve_wide(rows)))
-
-
-def _solve_wide(cost: Sequence[Sequence[float]]) -> list[int]:
-    col4row = _distinct_row_minima(cost)
-    return _shortest_augmenting_paths(cost) if col4row is None else col4row
-
-
-def _distinct_row_minima(cost: Sequence[Sequence[float]]) -> list[int] | None:
-    """Each row's argmin, if every row has a unique finite minimum in its own column.
-
-    That assignment is then the unique optimum, and it is also what the
-    augmenting-path search returns: with every dual still 0 each row's
-    reduced costs are its own costs, so each row in turn takes its
-    minimum column while that column is still free.  None otherwise.
-    """
-    col4row = []
-    for row in cost:
-        lowest = min(row)
-        if lowest == math.inf or row.count(lowest) != 1:
-            return None
-        col4row.append(row.index(lowest))
-    return col4row if len(set(col4row)) == len(col4row) else None
+    return list(enumerate(_shortest_augmenting_paths(rows)))
 
 
 def _shortest_augmenting_paths(cost: Sequence[Sequence[float]]) -> list[int]:
@@ -296,15 +274,34 @@ def _shortest_augmenting_paths(cost: Sequence[Sequence[float]]) -> list[int]:
     Rows are added one at a time.  Each addition runs a Dijkstra-like
     search over reduced costs from the new row to an unassigned column,
     then flips the path and updates the row and column duals.
+
+    Each search's first step scans the new row alone, on builtins: its
+    reduced costs are its own costs until the loop first runs, then
+    ``c - v[col]``.  If a free column holds their minimum, the first one
+    ends the search, as in the loop, which on a tie prefers a column that
+    ends the path; else (an all-``+inf`` row, or a taken minimum) the loop runs.
     """
-    n_rows, n_cols = len(cost), len(cost[0])
+    n_cols = len(cost[0])
     inf = math.inf
-    u = [0.0] * n_rows
-    v = [0.0] * n_cols
-    path = [-1] * n_cols
-    col4row = [-1] * n_rows
+    u: list[float] = []  # the row duals and col4row grow by one row per search
+    col4row: list[int] = []
     row4col = [-1] * n_cols
-    for cur_row in range(n_rows):
+    v: list[float] = []  # with path, allocated when the loop first runs
+    for cur_row in range(len(cost)):
+        first_scan = [c - d for c, d in zip(cost[cur_row], v)] if v else cost[cur_row]
+        lowest = min(first_scan)
+        col = first_scan.index(lowest)
+        while row4col[col] != -1 and lowest in first_scan[col + 1:]:
+            col = first_scan.index(lowest, col + 1)
+        if lowest < inf and row4col[col] == -1:
+            u.append(0.0 + lowest)  # the loop's 0.0 + c: -0.0 is stored as 0.0
+            col4row.append(col)
+            row4col[col] = cur_row
+            continue
+        u.append(0.0)
+        col4row.append(-1)
+        if not v:
+            v, path = [0.0] * n_cols, [-1] * n_cols
         shortest = [inf] * n_cols
         # scanned last to first, so a constant matrix gives the identity
         remaining = list(range(n_cols - 1, -1, -1))

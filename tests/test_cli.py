@@ -513,6 +513,19 @@ class TestRunCommand:
                 == "config error: value of key 'sequence_id' holds a line break\n")
         assert not (tmp_path / "x").exists()
 
+    def test_default_section_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
+        # configparser merges [DEFAULT] keys into every section: max_age is a
+        # [tracker] key, and used to be reported against [paths]
+        _, config_path = fixture_dir
+        with open(config_path) as fh:
+            text = fh.read()
+        defaulted = tmp_path / "defaulted.ini"
+        defaulted.write_text("[DEFAULT]\nmax_age = 5\n" + text)
+        code = main(["run", str(defaulted), "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: unknown config section [DEFAULT]\n"
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_class_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
         # rejected before ingest, whether or not the sequence holds that class
         _, config_path = fixture_dir

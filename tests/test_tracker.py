@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import numpy as np
@@ -8,9 +9,13 @@ from oracles.assignment_oracle import brute_force_min_cost
 from oracles.iou_oracle import iou_matrix
 from oracles import tracker_oracle as reference
 from oracles.tracker_oracle import OracleTracker
-from tsdiag.config import CHI2_95_4DOF
+from tsdiag import evaluation
+from tsdiag.config import CHI2_95_4DOF, load_config
 from tsdiag.errors import ParseError, ValidationError
 from tsdiag.kitti import LabelRecord, parse_detections_file
+from tsdiag.photogrammetry import bbox_height_at_range
+from tsdiag.pipeline import evaluate, run_pipeline
+from tsdiag.synth import head_on_scene, write_fixture, write_scene_files
 from tsdiag.tracker import (
     CONFIRMED,
     DELETED,
@@ -27,7 +32,7 @@ from tsdiag.tracker import (
     kalman_update,
     solve_assignment,
 )
-from tsdiag.tracker import _appearance_cost, _distinct_row_minima, _xyah
+from tsdiag.tracker import _appearance_cost, _xyah
 import tsdiag.tracker as tracker_module
 
 
@@ -436,6 +441,44 @@ class TestIouMatrix:
             assert _same_bits(stacked[f], iou_matrix(a[f], b[f]))
 
 
+def _demo_with_more_cars(directory, cars, seed):
+    """The demo fixture's files with ``cars`` more cars, oncoming and ahead.
+
+    Cars share lateral offsets, so their boxes overlap as they pass, and
+    each is hidden for a few frames.  Returns the config path.
+    """
+    config_path = write_fixture(directory)
+    scene = head_on_scene()
+    camera = scene.intrinsics
+    rng = random.Random(seed)
+    records = list(scene.records)
+    for identity in range(2, 2 + cars):
+        start_m = rng.uniform(20.0, 280.0)
+        speed_mps = rng.choice([-15.0, -12.0, 8.0, 11.0])  # oncoming or ahead
+        lateral_m = rng.choice([-5.5, -2.0, 1.5])
+        gap = rng.randrange(100)
+        hidden = range(gap, gap + rng.randrange(3, 8))
+        for frame in range(100):
+            t = frame / scene.frame_rate_hz
+            camera_range = start_m + speed_mps * t - 10.0 * t
+            if frame in hidden or camera_range <= 0.0:
+                continue
+            height = bbox_height_at_range(camera_range, "car", camera)
+            if not 10.0 <= height <= 370.0:
+                continue
+            center_x = (camera.image_width_px / 2.0
+                        + camera.focal_length_px * lateral_m / camera_range)
+            half = 0.55 * height
+            records.append(LabelRecord(
+                frame_index=frame, class_label="car",
+                bbox=(center_x - half, 190.0 - height / 2.0,
+                      center_x + half, 190.0 + height / 2.0),
+                gt_track_id=identity, gt_location_camera=(lateral_m, 1.6, camera_range)))
+    records.sort(key=lambda r: (r.frame_index, r.gt_track_id))
+    write_scene_files(scene._replace(records=records), directory)
+    return config_path
+
+
 def _scipy_pairs(cost):
     """linear_sum_assignment's pairs, or ValueError; the reference solver."""
     from scipy.optimize import linear_sum_assignment
@@ -515,20 +558,21 @@ class TestAssignment:
         assert len(pairs) == min(shape)
         assert [row for row, _ in pairs] == sorted(row for row, _ in pairs)
 
-    @pytest.mark.parametrize("cost, distinct_minima", [
-        ([[1.0, 1.0, 2.0], [0.0, 3.0, 3.0]], False),    # row 0's minimum is tied
-        ([[1.0, 2.0, 3.0], [0.5, 4.0, 1.0]], False),    # both rows' minimum is column 0
-        ([[np.inf, np.inf, np.inf], [0.0, 1.0, 2.0]], False),  # an all-+inf row
-        ([[np.inf, np.inf], [1.0, 2.0], [3.0, 0.0]], True),    # tall: left unassigned
-        ([[0.1, 5.0], [4.0, 0.2], [3.0, 3.0]], True),          # tall
-        ([[0.3, 0.1, 0.2], [0.0, 9.0, 0.5]], True),
-        ([[0.0, -0.0, 1.0], [1.0, 1.0, 0.0]], False),   # -0.0 ties 0.0
+    @pytest.mark.parametrize("cost", [
+        [[1.0, 1.0, 2.0], [0.0, 3.0, 3.0]],      # row 0's minimum is tied
+        [[1.0, 2.0, 3.0], [0.5, 4.0, 1.0]],      # both rows' minimum is column 0
+        [[np.inf, np.inf, np.inf], [0.0, 1.0, 2.0]],  # an all-+inf row
+        [[np.inf, np.inf], [1.0, 2.0], [3.0, 0.0]],   # tall: left unassigned
+        [[0.1, 5.0], [4.0, 0.2], [3.0, 3.0]],         # tall
+        [[0.3, 0.1, 0.2], [0.0, 9.0, 0.5]],
+        [[0.0, -0.0, 1.0], [1.0, 1.0, 0.0]],     # -0.0 ties 0.0
+        # an earlier row's first scan takes the column a later row's minimum needs
+        [[0.0, 5.0], [0.0, 9.0]],
+        [[1e5, 1e5, 1e5], [0.2, 1e5, 1e5]],
     ])
-    def test_distinct_row_minima_equal_scipy(self, cost, distinct_minima):
-        # the shortcut takes each row's strict minimum when no two rows share it
+    def test_rows_ending_at_the_first_scan_equal_scipy(self, cost):
+        # a row whose minimum lies in a free column ends its search at the first scan
         cost = np.array(cost)
-        wide = cost if cost.shape[0] <= cost.shape[1] else cost.T
-        assert (_distinct_row_minima(wide.tolist()) is not None) == distinct_minima
         assert _our_pairs(cost) == _scipy_pairs(cost)
 
     def test_constant_matrix_gives_identity(self):
@@ -565,6 +609,29 @@ class TestAssignment:
         pairs = solve_assignment(cost.tolist())
         total = math.fsum(float(cost[r, c]) for r, c in pairs)
         assert total == brute_force_min_cost(cost.tolist())
+
+    @pytest.mark.parametrize("cars", [0, 8], ids=["demo", "multi_vehicle"])
+    def test_pipeline_matrices_equal_scipy(self, tmp_path, monkeypatch, cars):
+        # every matrix the run and its evaluation solve, gate sentinels and
+        # shared minima included
+        seen = []
+
+        def recording(cost):
+            seen.append([list(row) for row in cost])
+            return solve_assignment(cost)
+
+        monkeypatch.setattr(tracker_module, "solve_assignment", recording)
+        monkeypatch.setattr(evaluation, "solve_assignment", recording)
+        config_path = _demo_with_more_cars(str(tmp_path / "scene"), cars, seed=3)
+        noise = {"jitter_px": "3", "drop_rate": "0.1", "seed": "1"} if cars else {}
+        evaluate(run_pipeline(load_config(config_path, noise)))
+        assert seen
+        for cost in seen:
+            assert solve_assignment(cost) == _scipy_pairs(np.array(cost))
+        if cars:
+            # some rows share a minimum column, so the search runs past its first scan
+            wide = [cost if len(cost) <= len(cost[0]) else list(zip(*cost)) for cost in seen]
+            assert any(len({row.index(min(row)) for row in cost}) < len(cost) for cost in wide)
 
 
 class TestAssociate:
