@@ -110,7 +110,8 @@ class TrackerConfig(Checked, _TrackerConfig):
         if self.n_init < 1:
             raise ValidationError(f"n_init must be >= 1, got {self.n_init}")
         if not 0.0 <= self.appearance_ema_alpha <= 1.0:
-            raise ValidationError("appearance_ema_alpha outside [0, 1]")
+            raise ValidationError(
+                f"appearance_ema_alpha {self.appearance_ema_alpha} outside [0, 1]")
         if not self.mahalanobis_gate > 0.0:  # also false for NaN
             raise ValidationError(
                 f"mahalanobis_gate must be positive, got {self.mahalanobis_gate}")
@@ -141,7 +142,7 @@ class _PipelineConfig(NamedTuple):
     oxts: str = ""
     timestamps: str = ""
     output_dir: str = "out"
-    intrinsics: CameraIntrinsics | None = None  # None: kitti_intrinsics()
+    intrinsics: CameraIntrinsics = kitti_intrinsics()
     tracker: TrackerConfig = TrackerConfig()
     lane: LaneFilterConfig = LaneFilterConfig()
     min_bbox_height_px: float = DEFAULT_MIN_BBOX_HEIGHT_PX
@@ -160,13 +161,6 @@ class _PipelineConfig(NamedTuple):
 
 class PipelineConfig(Checked, _PipelineConfig):
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = _PipelineConfig.__new__(cls, *args, **kwargs)
-        if self.intrinsics is None:  # a fresh one each, so no two configs share a class-height dict
-            return self._replace(intrinsics=kitti_intrinsics())
-        self._check()
-        return self
 
     def _check(self):
         if self.distance_mode not in ("direct", "cumulative"):
@@ -242,7 +236,7 @@ def _parse_bool(raw: str) -> bool:
 def _convert(key: str, raw: str, kind: type):
     """A key's text as a value of its attribute's type."""
     raw = raw.strip()
-    if kind is dict:
+    if issubclass(kind, Mapping):
         return _parse_class_heights(raw)
     try:
         return _parse_bool(raw) if kind is bool else kind(raw)
@@ -274,7 +268,7 @@ def build_config(values: dict[str, str]) -> PipelineConfig:
             raise ConfigError(f"value of key {key!r} holds a line break")
         if key == "sequence_id":
             _check_title(f"value of key {key!r}", raw)
-    base = PipelineConfig()  # fresh, so no two configs share a class-height dict
+    base = PipelineConfig()
     top: dict[str, object] = {}
     nested: dict[str, dict[str, object]] = {}
     for key, path in _KEY_PATHS.items():

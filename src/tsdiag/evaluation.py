@@ -254,7 +254,7 @@ def boxes_from_records(records: Iterable[LabelRecord],
 def boxes_from_tracks(tracks) -> list[tuple[int, int, tuple[float, float, float, float]]]:
     """Adapt confirmed tracks to (frame, identity, bbox) triples."""
     return [(record.frame_index, track.track_id, record.bbox)
-            for track in tracks if track.ever_confirmed for record in track.records]
+            for track in tracks if track.confirmed for record in track.records]
 
 
 def hota(gt_boxes: Sequence[tuple[int, int, tuple]],

@@ -95,6 +95,12 @@ class _Box(Checked):
         left, top, right, bottom = self.bbox
         if not (left < right and top < bottom):
             raise ValidationError(f"degenerate bbox {self.bbox}")
+        # the tracker measures a box by these, and an overflow would reach
+        # its Kalman state a frame later, blamed on that frame
+        width, height = right - left, bottom - top
+        if not (width < math.inf and height < math.inf and width / height < math.inf):
+            raise ValidationError(
+                f"bbox {self.bbox} has a non-finite width, height or width / height")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
 

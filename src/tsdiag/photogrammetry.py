@@ -9,6 +9,7 @@ tiny boxes or beyond a configurable range are flagged rather than dropped.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import Checked, ValidationError
@@ -45,6 +46,12 @@ class CameraIntrinsics(Checked, _CameraIntrinsics):
     width) and real-world object heights per class [m]."""
 
     __slots__ = ()
+
+    def __new__(cls, focal_length_px, image_height_px, sensor_height_px, image_width_px,
+                class_height_m):
+        # a read-only copy of the heights: a checked camera cannot change, so it may be shared
+        return super().__new__(cls, focal_length_px, image_height_px, sensor_height_px,
+                               image_width_px, MappingProxyType(dict(class_height_m)))
 
     def _check(self):
         if not (math.isfinite(self.image_width_px) and self.image_width_px > 0.0):

@@ -30,14 +30,12 @@ def _nice_step(span: float) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
+    """The multiples of a nice step in [lo, hi], built by index: a step
+    under half an ulp of lo would leave a running sum where it is."""
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step - 1e-9) * step
-    ticks = []
-    value = first
-    while value <= hi + 1e-9:
-        ticks.append(0.0 + round(value / step) * step)
-        value += step
-    return ticks
+    first = math.ceil(lo / step - 1e-9)
+    last = math.floor(hi / step + 1e-9)
+    return [0.0 + k * step for k in range(first, last + 1)]
 
 
 def _fmt(value: float) -> str:

@@ -27,9 +27,6 @@ __all__ = [
     "KalmanState",
     "Track",
     "Tracker",
-    "TENTATIVE",
-    "CONFIRMED",
-    "DELETED",
     "kalman_initiate",
     "kalman_predict",
     "kalman_update",
@@ -38,10 +35,6 @@ __all__ = [
     "solve_assignment",
     "associate",
 ]
-
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
-DELETED = "deleted"
 
 _POS_WEIGHT = 1.0 / 20.0
 _VEL_WEIGHT = 1.0 / 160.0
@@ -361,25 +354,23 @@ class Track:
     frame, box and confidence are the track's observation history, and its
     length is the track's hit count.  ``class_label`` counts over
     ``records`` when read; a tie goes to the label seen first.
+    ``confirmed`` is set at the ``n_init``-th record and never cleared.
     ``appearance`` blends the vectors of its detections, and stays None
     unless the tracker uses appearance.  ``state`` is its Kalman state,
     predicted and corrected at each step while the track lives and kept
     as it was when the track is deleted.
     """
 
-    __slots__ = ("track_id", "status", "frames_since_update", "records", "appearance",
-                 "ever_confirmed", "state")
+    __slots__ = ("track_id", "confirmed", "frames_since_update", "records", "appearance", "state")
 
-    def __init__(self, track_id: int, status: str = TENTATIVE, frames_since_update: int = 0,
+    def __init__(self, track_id: int, confirmed: bool = False, frames_since_update: int = 0,
                  records: list[DetectionRecord] | None = None,
-                 appearance: tuple[float, ...] | None = None, ever_confirmed: bool = False,
-                 state: KalmanState | None = None):
+                 appearance: tuple[float, ...] | None = None, state: KalmanState | None = None):
         self.track_id = track_id
-        self.status = status
+        self.confirmed = confirmed
         self.frames_since_update = frames_since_update
         self.records = [] if records is None else records
         self.appearance = appearance
-        self.ever_confirmed = ever_confirmed
         self.state = state
 
     @property
@@ -463,7 +454,7 @@ def associate(tracks: Sequence[Track], detections: Sequence[DetectionRecord],
         return (list(compress(range(len(tracks)), free_tracks)),
                 list(compress(range(n_dets), free_dets)))
 
-    confirmed = [i for i, t in enumerate(tracks) if t.status == CONFIRMED]
+    confirmed = [i for i, t in enumerate(tracks) if t.confirmed]
     if confirmed:
         gate = config.mahalanobis_gate
         max_dist = config.max_dist
@@ -513,13 +504,14 @@ class Tracker:
     ``live_tracks`` those not yet deleted; step() returns nothing.  Each
     step predicts every live track's ``state`` and corrects each matched
     one; a kernel's failure raises ValidationError naming the frame and
-    the tracks at fault.
+    the tracks at fault.  A track is deleted, leaving ``live_tracks``, at
+    its first miss while unconfirmed and at miss ``max_age + 1`` once confirmed.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[Track] = []
-        self._live: list[Track] = []  # self.tracks minus DELETED, same order
+        self._live: list[Track] = []  # the tracks not yet deleted, in birth order
         self._last_frame: int | None = None
 
     @property
@@ -555,14 +547,13 @@ class Tracker:
             track.state = state
             self._take(track, detections[det_idx])
 
-        for track_idx in unmatched_tracks:
-            track = live[track_idx]
-            track.frames_since_update += 1
-            # a miss before confirmation kills the candidate immediately
-            if track.status == TENTATIVE or track.frames_since_update > self.config.max_age:
-                track.status = DELETED
         if unmatched_tracks:
-            live = [track for track in live if track.status != DELETED]
+            for track_idx in unmatched_tracks:
+                live[track_idx].frames_since_update += 1
+            # a miss before confirmation kills the candidate immediately
+            max_age = self.config.max_age
+            live = [track for track in live
+                    if track.frames_since_update <= (max_age if track.confirmed else 0)]
 
         for det_idx in unmatched_dets:
             track = Track(track_id=len(self.tracks) + 1,
@@ -576,7 +567,7 @@ class Tracker:
         """One detection taken by a track, matched or born from it.
 
         With appearance off no vector is kept: nothing would read it.  A
-        tentative track is confirmed at its n_init-th record.
+        track is confirmed at its n_init-th record.
         """
         track.frames_since_update = 0
         track.records.append(det)
@@ -586,9 +577,8 @@ class Tracker:
             else:
                 track.appearance = _blend_appearance(track.appearance, det.embedding,
                                                      self.config.appearance_ema_alpha)
-        if track.status == TENTATIVE and len(track.records) >= self.config.n_init:
-            track.status = CONFIRMED
-            track.ever_confirmed = True
+        if len(track.records) == self.config.n_init:
+            track.confirmed = True
 
     def run(self, records: Iterable[DetectionRecord],
             n_frames: int | None = None) -> list[Track]:

@@ -112,7 +112,7 @@ def observe(tracks: Iterable[Track], intrinsics: CameraIntrinsics, *,
     focal = intrinsics.focal_length_px
     observed = {}
     for track in tracks:
-        if not (track.ever_confirmed and track.records):
+        if not (track.confirmed and track.records):
             continue
         class_label = track.class_label
         observations = []

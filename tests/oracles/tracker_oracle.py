@@ -19,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tsdiag.errors import ValidationError
-from tsdiag.tracker import (
-    CONFIRMED,
-    DELETED,
-    TENTATIVE,
-    Track,
-    TrackerConfig,
-    iou,
-    solve_assignment,
-)
+from tsdiag.tracker import Track, TrackerConfig, iou, solve_assignment
 
 _POS_WEIGHT = 1.0 / 20.0
 _VEL_WEIGHT = 1.0 / 160.0
@@ -154,8 +146,8 @@ def associate(tracks, states, detections, config):
     matches = []
     matched_dets = set()
 
-    confirmed = [i for i, t in enumerate(tracks) if t.status == CONFIRMED]
-    others = [i for i, t in enumerate(tracks) if t.status != CONFIRMED]
+    confirmed = [i for i, t in enumerate(tracks) if t.confirmed]
+    others = [i for i, t in enumerate(tracks) if not t.confirmed]
 
     def _run_stage(track_indices, det_indices, cost):
         leftover_tracks = []
@@ -224,7 +216,8 @@ class OracleTracker:
         self._next_id = 1
 
     def live_tracks(self) -> list[Track]:
-        return [t for t in self.tracks if t.status != DELETED]
+        """The tracks whose state is still kept: a deletion drops it."""
+        return [t for t in self.tracks if t.track_id in self.states]
 
     def step(self, detections, frame_index):
         live = self.live_tracks()
@@ -252,23 +245,19 @@ class OracleTracker:
                     unit = _unit(blended.tolist())
                     if unit is not None:
                         track.appearance = np.array(unit)
-            if track.status == TENTATIVE and len(track.records) >= self.config.n_init:
-                track.status = CONFIRMED
-                track.ever_confirmed = True
+            if len(track.records) >= self.config.n_init:
+                track.confirmed = True
 
         for track_idx in unmatched_tracks:
             track = live[track_idx]
             track.frames_since_update += 1
-            if track.status == TENTATIVE or track.frames_since_update > self.config.max_age:
-                track.status = DELETED
+            if not track.confirmed or track.frames_since_update > self.config.max_age:
                 del states[track.track_id]
 
         for det_idx in unmatched_dets:
             det = detections[det_idx]
-            track = Track(track_id=self._next_id, records=[det], appearance=_vector(det))
+            track = Track(track_id=self._next_id, confirmed=self.config.n_init <= 1,
+                          records=[det], appearance=_vector(det))
             states[track.track_id] = kalman_initiate(det.bbox)
-            if self.config.n_init <= 1:
-                track.status = CONFIRMED
-                track.ever_confirmed = True
             self._next_id += 1
             self.tracks.append(track)

@@ -26,7 +26,7 @@ from tsdiag.photogrammetry import (
 )
 from tsdiag.pipeline import build_reference_diagram
 from tsdiag.synth import head_on_scene, write_fixture
-from tsdiag.tracker import CONFIRMED, DELETED, Tracker, TrackerConfig, iou, solve_assignment
+from tsdiag.tracker import Tracker, TrackerConfig, iou, solve_assignment
 from tsdiag.trajectory import build_diagram, observe, opposite_lane_filter
 
 
@@ -152,7 +152,7 @@ def test_end_to_end_synthetic_scene():
 
     # noise-free run reconstructs the full trajectory almost exactly
     tracks, predicted, reference, matching = _run_synthetic(scene, jitter_px=0.0, seed=0)
-    confirmed = [t for t in tracks if t.ever_confirmed]
+    confirmed = [t for t in tracks if t.confirmed]
     assert len(confirmed) == 1
     report = trajectory_error_report(predicted, reference, matching, quality_ok_only=False)
     assert report.per_track_rmse_m, "no trajectory reconstructed"
@@ -170,7 +170,7 @@ def test_end_to_end_synthetic_scene():
 
     # jittered run: still one identity, trusted points within a meter
     tracks, predicted, reference, matching = _run_synthetic(scene, jitter_px=2.0, seed=1)
-    confirmed = [t for t in tracks if t.ever_confirmed]
+    confirmed = [t for t in tracks if t.confirmed]
     assert len(confirmed) == 1, "identity switched under jitter"
     labels = {g.frame_index: g.bbox for g in scene.records if g.gt_track_id == 1}
     assert matching == {confirmed[0].track_id: 1}
@@ -197,21 +197,21 @@ def test_tracker_lifecycle():
     tracker = Tracker(config)
     tracker.step([det(0)], 0)
     track = tracker.tracks[0]
-    assert track.status == "tentative"
+    assert not track.confirmed
     tracker.step([det(1)], 1)
-    assert track.status == CONFIRMED  # hit number n_init
+    assert track.confirmed  # hit number n_init
 
     for frame in range(2, 2 + config.max_age):
         tracker.step([], frame)
-        assert track.status == CONFIRMED, f"deleted too early at miss {frame - 1}"
+        assert tracker.live_tracks == [track], f"deleted too early at miss {frame - 1}"
     tracker.step([], 2 + config.max_age)
-    assert track.status == DELETED  # miss number max_age + 1
+    assert tracker.live_tracks == []  # miss number max_age + 1
 
     # a tentative track disappears after a single miss
     tracker2 = Tracker(config)
     tracker2.step([det(0)], 0)
     tracker2.step([], 1)
-    assert tracker2.tracks[0].status == DELETED
+    assert tracker2.live_tracks == []
 
 
 def test_kitti_ground_truth_range_distribution(kitti_tracking_root):

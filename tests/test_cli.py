@@ -292,6 +292,7 @@ class TestConfigTable:
          "value of key 'sequence_id' holds U+FFFE, which an XML title cannot hold"),
         ({"sequence_id": "run \uffff"},
          "value of key 'sequence_id' holds U+FFFF, which an XML title cannot hold"),
+        ({"appearance_ema_alpha": "1.5"}, "appearance_ema_alpha 1.5 outside [0, 1]"),
     ])
     def test_error_messages(self, values, message):
         with pytest.raises(ConfigError) as info:
@@ -304,9 +305,17 @@ class TestConfigTable:
         with pytest.raises(ValidationError, match="class_heights must name at least one class"):
             PipelineConfig(intrinsics=kitti_intrinsics()._replace(class_height_m={}))
 
-    def test_configs_do_not_share_class_heights(self):
-        assert build_config({}).intrinsics.class_height_m is not \
-            build_config({}).intrinsics.class_height_m
+    def test_class_heights_are_read_only(self):
+        # a height set after the check would reach the manifest unchecked
+        for cfg in (PipelineConfig(), build_config({"class_heights": "car:1.5,van:2.1"})):
+            with pytest.raises(TypeError):
+                cfg.intrinsics.class_height_m["bus"] = 3.0
+        heights = {"car": 1.5}
+        camera = kitti_intrinsics()._replace(class_height_m=heights)
+        heights["bus"] = 3.0  # the camera holds a copy
+        assert camera.class_height_m == {"car": 1.5}
+        with pytest.raises(TypeError):
+            camera.class_height_m["bus"] = 3.0
 
 
 class TestStage:
@@ -524,6 +533,18 @@ class TestRunCommand:
         code = main(["run", str(defaulted), "--output-dir", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err == "config error: unknown config section [DEFAULT]\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_misspelt_section_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
+        # read as no section at all, its keys would leave the camera as it was
+        _, config_path = fixture_dir
+        with open(config_path) as fh:
+            text = fh.read()
+        misspelt = tmp_path / "misspelt.ini"
+        misspelt.write_text(text + "[camra]\nfocal_length_px = 700.0\n")
+        code = main(["run", str(misspelt), "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: unknown config section [camra]\n"
         assert not (tmp_path / "x").exists()
 
     def test_unknown_class_exits_2_naming_it(self, fixture_dir, tmp_path, capsys):
@@ -1037,7 +1058,15 @@ class TestPipelineErrors:
         ("timestamps", "0.0\n0.1 7\n", "line 2: expected one timestamp, got 2 fields"),
         ("detections", "0 car 1 2 30 40 0.9 2 1.0 0.0\n0 car 1 2 30 40 0.9 2 1.0 y\n",
          "line 2: non-numeric field 'y'"),
-    ], ids=["labels", "detections", "timestamps", "timestamps-extra-field", "embeddings"])
+        # a box whose size overflows is the file's fault, not the tracker's
+        ("detections", "0 car -1e308 100 1e308 150 0.9\n",
+         "line 1: bbox (-1e+308, 100.0, 1e+308, 150.0) has a non-finite width, height or "
+         "width / height"),
+        ("labels", "0 1 Car 0 0 -1.6 0 0 1e300 1e-14 1.5 1.6 3.9 -2.0 1.7 13.8 -1.6\n",
+         "line 1: bbox (0.0, 0.0, 1e+300, 1e-14) has a non-finite width, height or "
+         "width / height"),
+    ], ids=["labels", "detections", "timestamps", "timestamps-extra-field", "embeddings",
+            "detections-box-overflow", "labels-box-overflow"])
     def test_reader_error_names_the_file(self, tmp_path, capsys, key, text, message):
         config_path = write_fixture(str(tmp_path / "scene"))
         if text is None:  # a bad token in the fixture's own labels
@@ -1126,6 +1155,22 @@ def _argv(command, config_path, tmp_path):
     if command == "perturb":
         return ["perturb", config_path, "--out", str(tmp_path / "dets.txt")]
     return [command, config_path, "--output-dir", str(tmp_path / "out")]
+
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_failing_stage_exits_4_naming_it(self, fixture_dir, tmp_path, capsys, monkeypatch,
+                                             command):
+        # a stage that fails for a reason no input names: exit 4, the stage
+        # named, and nothing written
+        def broken(*args, **kwargs):
+            raise ValueError("no diagram today")
+
+        monkeypatch.setattr("tsdiag.pipeline.build_diagram", broken)
+        _, config_path = fixture_dir
+        code = main([command, config_path, "--output-dir", str(tmp_path / "out")])
+        assert code == 4
+        assert capsys.readouterr().err == "pipeline error: diagram: no diagram today\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestFailureContract:

@@ -32,7 +32,7 @@ from tsdiag.pipeline import (
     write_eval_outputs,
 )
 from tsdiag.synth import write_fixture
-from tsdiag.tracker import CONFIRMED, Track, Tracker
+from tsdiag.tracker import Track, Tracker
 from tsdiag.trajectory import (
     TimeSpaceDiagram,
     TrajectoryPoint,
@@ -230,8 +230,7 @@ def _as_detection(record):
 
 
 def _confirmed(track_id, records):
-    return Track(track_id=track_id, status=CONFIRMED, records=list(records),
-                 ever_confirmed=True)
+    return Track(track_id=track_id, confirmed=True, records=list(records))
 
 
 class TestTrackMatching:

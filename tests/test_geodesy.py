@@ -104,6 +104,17 @@ class TestOracleAgreement:
             fresh = inverse_distance(*case["p1"], *case["p2"])
             assert fresh == pytest.approx(case["distance_m"], abs=1e-6)
 
+    @pytest.mark.parametrize("delta_deg", [1e-8, 1e-7, 1e-6])
+    def test_short_lines_match_the_live_oracle(self, delta_deg):
+        # fixes millimetres to decimetres apart, as while the probe waits:
+        # lines this short take the solver's short-line shortcut
+        from oracles.geodesic_oracle import inverse_distance
+
+        p1, p2 = (49.011, 8.423), (49.011 + delta_deg, 8.423 + delta_deg)
+        got = dist(*p1, *p2)
+        assert 1e-3 < got < 0.2
+        assert got == pytest.approx(inverse_distance(*p1, *p2), abs=1e-3)
+
     def test_near_antipodal_worked_case(self):
         # convergence in the region where naive iterations fail
         value = dist(0, 0, 0.5, 179.5)

@@ -28,6 +28,8 @@ from tsdiag.synth import write_fixture
 from tsdiag.trajectory import diagram_from_csv
 
 LABEL_LINE = "0 2 Car 0 0 -1.79 515.2 178.9 616.3 260.2 1.50 1.62 3.88 -2.7 1.7 13.8 -1.6"
+# finite boxes whose width, height or width / height overflows
+OVERFLOWING_BOXES = ["-1e308 100 1e308 150", "100 -1e308 150 1e308", "0 0 1e300 1e-14"]
 OXTS_LINE = ("49.011212 8.422885 112.83 0.03 0.01 -0.9 "
              + " ".join("0.0" for _ in range(24)))
 
@@ -667,6 +669,25 @@ class TestParseDetectionsFile:
     def test_nan_field_names_line(self):
         with pytest.raises(ParseError, match="line 1: NaN field"):
             parse_detections_file(io.StringIO("0 car 100 nan 180 150 0.9"))
+
+    @pytest.mark.parametrize("box", OVERFLOWING_BOXES)
+    def test_box_whose_size_overflows_names_line(self, box):
+        # read, it would fail the tracker a frame later, blaming that frame
+        text = f"0 car 100 100 180 150 0.9\n1 car {box} 0.9\n"
+        with pytest.raises(ValidationError,
+                           match=r"^line 2: bbox .* has a non-finite width, height or "
+                                 r"width / height$"):
+            parse_detections_file(io.StringIO(text))
+
+    @pytest.mark.parametrize("box", OVERFLOWING_BOXES)
+    def test_label_box_whose_size_overflows_names_line(self, box):
+        fields = LABEL_LINE.split()
+        fields[1] = "3"  # another identity
+        fields[6:10] = box.split()
+        with pytest.raises(ValidationError,
+                           match=r"^line 2: bbox .* has a non-finite width, height or "
+                                 r"width / height$"):
+            parse_label_file(io.StringIO(LABEL_LINE + "\n" + " ".join(fields)))
 
     @pytest.mark.parametrize("token", ["1.7", "-0.5", "2.000001", "1e-3"])
     def test_fractional_frame_names_line_and_token(self, token):

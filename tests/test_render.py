@@ -1,6 +1,11 @@
+import os
+import shutil
+import subprocess
+import sys
 from xml.dom import minidom
 
 from tsdiag.render import render_svg
+from tsdiag.synth import write_fixture
 from tsdiag.trajectory import TimeSpaceDiagram, TrajectoryPoint
 
 
@@ -67,3 +72,31 @@ class TestRenderSvg:
         tick_labels = [float(t.firstChild.data) for t in document.getElementsByTagName("text")
                        if t.getAttribute("y") == "583"]
         assert tick_labels and tick_labels[0] >= 1000.0
+
+
+def test_time_span_of_one_ulp_renders(tmp_path):
+    # two fixes stamped one ulp apart at 1e22 s: the tick step is under half
+    # an ulp there, so a running sum of steps would never pass the last tick.
+    # The run is a child process with its address space capped and a
+    # timeout, so a tick list that grows without bound fails the test
+    # rather than hanging the suite.
+    config_path = write_fixture(str(tmp_path / "scene"))
+    oxts = tmp_path / "oxts"
+    oxts.mkdir()
+    for name in sorted(os.listdir(tmp_path / "scene" / "oxts"))[:2]:
+        shutil.copy(tmp_path / "scene" / "oxts" / name, oxts / name)
+    (tmp_path / "timestamps.txt").write_text("1e22\n1.0000000000000002e22\n")
+    (tmp_path / "detections.txt").write_text("")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    script = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from tsdiag.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "run", config_path, "--oxts", str(oxts),
+         "--timestamps", str(tmp_path / "timestamps.txt"),
+         "--detections", str(tmp_path / "detections.txt"), "--labels", "",
+         "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    document = minidom.parse(str(tmp_path / "out" / "diagram.svg"))
+    assert len(document.getElementsByTagName("polyline")) == 1  # the probe alone

@@ -17,9 +17,6 @@ from tsdiag.photogrammetry import bbox_height_at_range
 from tsdiag.pipeline import evaluate, run_pipeline
 from tsdiag.synth import head_on_scene, write_fixture, write_scene_files
 from tsdiag.tracker import (
-    CONFIRMED,
-    DELETED,
-    TENTATIVE,
     KalmanState,
     Track,
     Tracker,
@@ -86,8 +83,7 @@ def _live_states(tracker):
 
 def _summary(tracker):
     """Everything the tracker has produced so far, as comparable values."""
-    tracks = [(t.track_id, t.status, t.frames_since_update, t.ever_confirmed,
-               t.class_label, t.records)
+    tracks = [(t.track_id, t.confirmed, t.frames_since_update, t.class_label, t.records)
               for t in tracker.tracks]
     states = [(t.track_id, list(mean), list(covariance))
               for t, mean, covariance in _live_states(tracker)]
@@ -668,7 +664,7 @@ class TestAssociate:
     def test_mahalanobis_gate_is_inclusive(self):
         # a confirmed track and a detection without overlap, so only the
         # first stage can match them, at a distance exactly on the gate
-        track = Track(track_id=1, status=CONFIRMED,
+        track = Track(track_id=1, confirmed=True,
                       state=kalman_predict(_initiate(box_at(100, 100))))
         far = box_at(160, 100)
         distance = _gate(track.state, [far])[0]
@@ -702,14 +698,14 @@ class TestLifecycle:
         tracker = Tracker()
         tracker.step([det(0, box_at(100, 100)), det(0, box_at(400, 100))], 0)
         assert [t.track_id for t in tracker.live_tracks] == [1, 2]
-        assert all(t.status == TENTATIVE for t in tracker.live_tracks)
+        assert not any(t.confirmed for t in tracker.live_tracks)
 
     def test_confirmed_on_second_hit(self):
         tracker = Tracker(TrackerConfig(n_init=2))
         tracker.step([det(0, box_at(100, 100))], 0)
         tracker.step([det(1, box_at(101, 100))], 1)
         (track,) = tracker.live_tracks
-        assert track.status == CONFIRMED
+        assert track.confirmed
         assert len(track.records) == 2
 
     def test_deleted_after_max_age_misses(self):
@@ -719,15 +715,15 @@ class TestLifecycle:
         tracker.step([det(1, box_at(100, 100))], 1)  # confirm
         for frame in range(2, 2 + config.max_age):
             tracker.step([], frame)
-            assert tracker.tracks[0].status == CONFIRMED
+            assert tracker.live_tracks == tracker.tracks
         tracker.step([], 2 + config.max_age)  # miss number max_age + 1
-        assert tracker.tracks[0].status == DELETED
+        assert tracker.live_tracks == [] and tracker.tracks[0].confirmed
 
     def test_tentative_miss_deletes_immediately(self):
         tracker = Tracker()
         tracker.step([det(0, box_at(100, 100))], 0)
         tracker.step([], 1)
-        assert tracker.tracks[0].status == DELETED
+        assert tracker.live_tracks == [] and not tracker.tracks[0].confirmed
 
     def test_out_of_order_frame_rejected(self):
         tracker = Tracker()
@@ -782,7 +778,7 @@ class TestDeterminismAndStability:
         tracker = Tracker()
         for frame, dets in enumerate(self._stream()):
             tracker.step(dets, frame)
-        confirmed = [t for t in tracker.tracks if t.ever_confirmed]
+        confirmed = [t for t in tracker.tracks if t.confirmed]
         assert len(confirmed) == 2
         for track in confirmed:
             gt_ids = {r.gt_track_id for r in track.records}
@@ -870,7 +866,7 @@ class TestAppearance:
 
     def test_appearance_gate_is_inclusive(self):
         # appearance cost exactly max_dist, and no overlap for the second stage
-        track = Track(track_id=1, status=CONFIRMED, appearance=(1.0, 0.0),
+        track = Track(track_id=1, confirmed=True, appearance=(1.0, 0.0),
                       state=kalman_predict(_initiate(box_at(100, 100))))
         far = det(1, box_at(160, 100), embedding=(0.5, float(np.sqrt(0.75))))
         for max_dist, expected in ((0.5, [(0, 0)]), (np.nextafter(0.5, 0.0), [])):
@@ -952,7 +948,7 @@ class TestGroundTruthTracks:
         tracks = Tracker(TrackerConfig(n_init=1)).run(records)
         assert [_oracle_gt_id(t.records) for t in tracks] == [4, 9]
         assert [len(t.records) for t in tracks] == [3, 2]
-        assert all(t.ever_confirmed for t in tracks)
+        assert all(t.confirmed for t in tracks)
         assert all({r.gt_track_id for r in t.records} == {_oracle_gt_id(t.records)}
                    for t in tracks)
 
@@ -960,7 +956,7 @@ class TestGroundTruthTracks:
         # one identity's labels in frame order; the tie resolves toward it
         labels = {3: "car", 0: "van", 2: "van", 1: "car", 4: "truck"}
         records = [det(f, box_at(10 + f, 10), cls=labels[f], gt=4) for f in sorted(labels)]
-        track = Track(track_id=4, status=CONFIRMED, records=records, ever_confirmed=True)
+        track = Track(track_id=4, confirmed=True, records=records)
         assert track.class_label == _oracle_label(track.records) == "van"
         assert _oracle_gt_id(track.records) == 4
 
@@ -1037,6 +1033,12 @@ class TestTrackerTallies:
                 _assert_tallies_match(track)
 
 
+def _not_deleted(tracks, max_age):
+    """The tracks the deletion rule keeps, from each one's flag and miss count:
+    an unconfirmed track dies at its first miss, a confirmed one past max_age."""
+    return [t for t in tracks if t.frames_since_update <= (max_age if t.confirmed else 0)]
+
+
 class TestLiveTracks:
     @given(frame_streams)
     @settings(max_examples=100, deadline=None)
@@ -1044,7 +1046,7 @@ class TestLiveTracks:
         tracker = Tracker(TrackerConfig(max_age=3))
         for frame, objects in enumerate(stream):
             tracker.step(_stream_detections(frame, objects), frame)
-            expected = [t for t in tracker.tracks if t.status != DELETED]
+            expected = _not_deleted(tracker.tracks, 3)
             assert [id(t) for t in tracker.live_tracks] == [id(t) for t in expected]
 
     def test_births_misses_and_deletions(self):
@@ -1052,13 +1054,15 @@ class TestLiveTracks:
         a, b = ("car", 1), ("van", 2)
         stream = [(a, None), (a, b), (a, b), (None, b), (None, None), (a, None),
                   (None, None), (None, None), (None, None), (a, b), (a, b)]
-        statuses = set()
+        stages = set()
         for frame, objects in enumerate(stream):
             tracker.step(_stream_detections(frame, objects), frame)
-            statuses.update(t.status for t in tracker.tracks)
-            expected = [t for t in tracker.tracks if t.status != DELETED]
-            assert [id(t) for t in tracker.live_tracks] == [id(t) for t in expected]
-        assert statuses == {TENTATIVE, CONFIRMED, DELETED}
+            live = tracker.live_tracks
+            stages.update("deleted" if t not in live else "confirmed" if t.confirmed
+                          else "tentative" for t in tracker.tracks)
+            expected = _not_deleted(tracker.tracks, 2)
+            assert [id(t) for t in live] == [id(t) for t in expected]
+        assert stages == {"tentative", "confirmed", "deleted"}
         assert len(tracker.tracks) > len(tracker.live_tracks) > 0
 
 
@@ -1085,7 +1089,7 @@ class TestGrowthOrder:
             calls.clear()
             tracker.step(dets, frame)
             assert len(calls) == live
-        deleted = [t for t in tracker.tracks if t.status == DELETED]
+        deleted = [t for t in tracker.tracks if t not in tracker.live_tracks]
         assert len(tracker.tracks) >= 20 and len(deleted) >= 20
         assert all(t.state is not None for t in deleted)
 
@@ -1133,10 +1137,10 @@ def _vehicle_frames(vehicles_spec, seed):
 def _assert_same_tracking(tracker, oracle):
     assert len(tracker.tracks) == len(oracle.tracks)
     for track, expected in zip(tracker.tracks, oracle.tracks):
-        assert ((track.track_id, track.status, track.frames_since_update,
-                 track.ever_confirmed, track.class_label)
-                == (expected.track_id, expected.status, expected.frames_since_update,
-                    expected.ever_confirmed, expected.class_label))
+        assert ((track.track_id, track.confirmed, track.frames_since_update,
+                 track.class_label)
+                == (expected.track_id, expected.confirmed, expected.frames_since_update,
+                    expected.class_label))
         assert track.records == expected.records
     assert ([t.track_id for t in tracker.live_tracks]
             == [t.track_id for t in oracle.live_tracks()])
@@ -1195,7 +1199,7 @@ class TestTrackerOracle:
         frames = _vehicle_frames(spec, seed=7)
         for n_init in (1, 2):
             tracker = _run_against_oracle(TrackerConfig(max_age=3, n_init=n_init), frames)
-            assert DELETED in {t.status for t in tracker.tracks}
+            assert len(tracker.live_tracks) < len(tracker.tracks)  # some track was deleted
             # the crossing cars keep their identities through the crossing
             for track in tracker.tracks[:2]:
                 assert {r.gt_track_id for r in track.records} == {_oracle_gt_id(track.records)}

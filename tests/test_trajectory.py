@@ -39,9 +39,8 @@ def make_track(track_id, entries, confirmed=True, track_type=Track):
                for frame, bbox in entries]
     return track_type(
         track_id=track_id,
-        status="confirmed" if confirmed else "tentative",
+        confirmed=confirmed,
         records=records,
-        ever_confirmed=confirmed,
     )
 
 
@@ -138,7 +137,7 @@ class TestOppositeLaneFilter:
                                bbox=box_with_height(0.25 * self.WIDTH, h), gt_track_id=1,
                                gt_location_camera=(2.0, 1.6, 10.0))
                    for f, h in enumerate(heights)]
-        track = Track(track_id=1, status="confirmed", records=records, ever_confirmed=True)
+        track = Track(track_id=1, confirmed=True, records=records)
         assert lane_filter([track], KITTI) == [track]
 
     def test_receding_track_on_the_oncoming_side_kept(self):
@@ -377,7 +376,7 @@ class TestBuildDiagram:
         monkeypatch.setattr(tsdiag.trajectory, "range_from_height", counting)
         result = run_pipeline(load_config(write_fixture(str(tmp_path))))
         assert result.diagram.vehicle_trajectories
-        assert len(ranged) == sum(len(t.records) for t in result.tracks if t.ever_confirmed)
+        assert len(ranged) == sum(len(t.records) for t in result.tracks if t.confirmed)
 
 
 class TestSmoothing:
