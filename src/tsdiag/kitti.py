@@ -17,7 +17,7 @@ import os
 import random
 from collections import namedtuple
 from operator import attrgetter, itemgetter
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .config import _CLASS_LABELS
 from .errors import Checked, InputError, ParseError, ValidationError
@@ -46,9 +46,13 @@ _DONTCARE = "dontcare"
 _LABEL_FIELDS_NO_SCORE = 17
 _LABEL_FIELDS_WITH_SCORE = 18
 # the columns read as numbers: frame, track id, truncated, occluded, bbox,
-# location, then the score when there is one
+# location, then the score when there is one.  Frame, track id and occluded
+# are integers; truncated and occluded are checked, not kept
 _LABEL_NUMBERS = itemgetter(0, 1, 3, 4, 6, 7, 8, 9, 13, 14, 15)
 _SCORED_LABEL_NUMBERS = itemgetter(0, 1, 3, 4, 6, 7, 8, 9, 13, 14, 15, 17)
+_LABEL_INTEGERS = (0, 1, 3)
+# a detection row's numbers before its vector: frame, bbox, confidence
+_DETECTION_NUMBERS = itemgetter(0, 2, 3, 4, 5, 6)
 # an integer token below this in size converts to float exactly; 2**53 + 1 rounds to it
 _EXACT_INT_LIMIT = 2.0 ** 53
 
@@ -101,6 +105,9 @@ class _Box(Checked):
         if not (width < math.inf and height < math.inf and width / height < math.inf):
             raise ValidationError(
                 f"bbox {self.bbox} has a non-finite width, height or width / height")
+        # the largest square a track forms from its box, in its covariance
+        if not height * height < math.inf:
+            raise ValidationError(f"bbox {self.bbox} has a height whose square is not finite")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValidationError(f"confidence {self.confidence} outside [0, 1]")
 
@@ -186,34 +193,31 @@ def _iter_content_lines(stream: IO[str] | Iterable[str]) -> Iterator[tuple[int, 
         yield line_no, line
 
 
-def _label_numbers(fields: list[str], line_no: int):
-    """Frame, track id, bbox, location and score of a label row.
+def _numbers(tokens: Sequence[str], line_no: int,
+             integers: tuple[int, ...] = ()) -> list[float]:
+    """The numbers of a row's ``tokens``, in order; those at the positions
+    ``integers`` lists become ints.
 
-    Truncated and occluded are checked, not kept.  One ``map(float)`` pass
-    converts the row; a row it does not take whole (a bad token, a
-    fractional integer column, or an integer of 2**53 or more, which a
-    float may round) goes field by field, which names the first bad token in
-    column order or keeps the integer exact.
+    One ``map(float)`` pass converts the row.  A row it does not take whole
+    (a bad token, a fractional integer, or an integer of 2**53 or more,
+    which a float may round) goes token by token, which names the first bad
+    token or keeps the integer exact.
     """
-    scored = len(fields) == _LABEL_FIELDS_WITH_SCORE
     try:
-        values = list(map(float, (_SCORED_LABEL_NUMBERS if scored else _LABEL_NUMBERS)(fields)))
+        values = list(map(float, tokens))
     except ValueError:
-        values = None
-    if values is not None and all(map(math.isfinite, values)):
-        frame, track_id, _, occluded = values[:4]
-        if (frame.is_integer() and track_id.is_integer() and occluded.is_integer()
-                and max(abs(frame), abs(track_id), abs(occluded)) < _EXACT_INT_LIMIT):
-            return (int(frame), int(track_id), tuple(values[4:8]), tuple(values[8:11]),
-                    values[11] if scored else 1.0)
-    frame = _int_field(fields[0], line_no)
-    track_id = _int_field(fields[1], line_no)
-    _float_field(fields[3], line_no)
-    _int_field(fields[4], line_no)
-    bbox = tuple(_float_field(fields[i], line_no) for i in range(6, 10))
-    location = tuple(_float_field(fields[i], line_no) for i in range(13, 16))
-    confidence = _float_field(fields[17], line_no) if scored else 1.0
-    return frame, track_id, bbox, location, confidence
+        pass
+    else:
+        if all(map(math.isfinite, values)):
+            for i in integers:
+                value = values[i]
+                if not (value.is_integer() and abs(value) < _EXACT_INT_LIMIT):
+                    break
+                values[i] = int(value)
+            else:
+                return values
+    return [(_int_field if i in integers else _float_field)(token, line_no)
+            for i, token in enumerate(tokens)]
 
 
 def parse_label_file(stream: IO[str] | Iterable[str]) -> list[LabelRecord]:
@@ -237,19 +241,22 @@ def parse_label_file(stream: IO[str] | Iterable[str]) -> list[LabelRecord]:
                 f"{_LABEL_FIELDS_WITH_SCORE} fields, got {len(fields)}")
         if width is None:
             width = (len(fields), line_no)
+            scored = len(fields) == _LABEL_FIELDS_WITH_SCORE
+            numbers = _SCORED_LABEL_NUMBERS if scored else _LABEL_NUMBERS
         elif len(fields) != width[0]:
             raise ParseError(f"line {line_no}: {len(fields)} fields, but line {width[1]} "
                              f"has {width[0]}")
-        frame, track_id, bbox, location, confidence = _label_numbers(fields, line_no)
+        values = _numbers(numbers(fields), line_no, _LABEL_INTEGERS)
+        frame, track_id = values[0], values[1]
         dontcare = fields[2].lower() == _DONTCARE
         try:
             record = LabelRecord(
                 frame_index=frame,
                 class_label=_DONTCARE if dontcare else _class_label(fields[2], line_no),
-                bbox=bbox,
-                confidence=confidence,
+                bbox=tuple(values[4:8]),
+                confidence=values[11] if scored else 1.0,
                 gt_track_id=track_id,
-                gt_location_camera=location,
+                gt_location_camera=tuple(values[8:11]),
             )
         except ValidationError as exc:
             raise ValidationError(f"line {line_no}: {exc}") from None
@@ -274,7 +281,7 @@ def _appearance_vector(fields: list[str], line_no: int) -> tuple[float, ...]:
     if len(fields) != 1 + dim:
         raise ParseError(
             f"line {line_no}: expected {dim} vector components, got {len(fields) - 1}")
-    vector = _unit_vector([_float_field(token, line_no) for token in fields[1:]])
+    vector = _unit_vector(_numbers(fields[1:], line_no))
     if vector is None:
         raise ValidationError(f"line {line_no}: zero-norm appearance vector")
     return vector
@@ -315,10 +322,9 @@ def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionReco
             fields = line.split()
         if len(fields) < 7:
             raise ParseError(f"line {line_no}: expected 7 fields, got {len(fields)}")
-        frame = _int_field(fields[0], line_no)
+        frame, left, top, right, bottom, confidence = _numbers(
+            _DETECTION_NUMBERS(fields), line_no, (0,))
         class_label = _class_label(fields[1], line_no)
-        bbox = tuple(_float_field(fields[i], line_no) for i in range(2, 6))
-        confidence = _float_field(fields[6], line_no)
         embedding = None
         if len(fields) > 7:
             embedding = _appearance_vector(fields[7:], line_no)
@@ -332,7 +338,7 @@ def parse_detections_file(stream: IO[str] | Iterable[str]) -> list[DetectionReco
             records.append(DetectionRecord(
                 frame_index=frame,
                 class_label=class_label,
-                bbox=bbox,
+                bbox=(left, top, right, bottom),
                 confidence=confidence,
                 embedding=embedding,
             ))
@@ -370,13 +376,7 @@ def _parse_oxts_line(line: str, line_no: int) -> OxtsSample:
         raise ParseError(
             f"line {line_no}: OXTS record needs {_OXTS_FIELD_COUNT} fields, "
             f"got {len(fields)}")
-    try:
-        values = list(map(float, fields))
-        clean = all(map(math.isfinite, values))
-    except ValueError:
-        clean = False
-    if not clean:  # parse field by field for the error that names the bad token
-        values = [_float_field(tok, line_no) for tok in fields]
+    values = _numbers(fields, line_no)
     lat, lon = values[0], values[1]
     if not -90.0 <= lat <= 90.0:
         raise ValidationError(f"line {line_no}: latitude {lat} outside [-90, 90]")
@@ -462,7 +462,7 @@ def parse_timestamps(stream: IO[str] | Iterable[str]) -> list[float]:
         fields = line.split()
         if len(fields) != 1:
             raise ParseError(f"line {line_no}: expected one timestamp, got {len(fields)} fields")
-        value = _float_field(fields[0], line_no)
+        [value] = _numbers(fields, line_no)
         if stamps and value <= stamps[-1]:
             raise ValidationError(
                 f"line {line_no}: timestamp {value} not strictly increasing")

@@ -29,21 +29,22 @@ def _nice_step(span: float) -> float:
     return 10.0 * magnitude
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    """The multiples of a nice step in [lo, hi], built by index: a step
-    under half an ulp of lo would leave a running sum where it is."""
+def _ticks(lo: float, hi: float) -> dict[str, float]:
+    """The multiples of a nice step in [lo, hi] by their labels, built by
+    index: a step under half an ulp of lo would leave a running sum where
+    it is.  Of ticks whose labels read the same, the first is kept."""
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step - 1e-9)
     last = math.floor(hi / step + 1e-9)
-    return [0.0 + k * step for k in range(first, last + 1)]
+    ticks: dict[str, float] = {}
+    for k in range(first, last + 1):
+        tick = 0.0 + k * step
+        ticks.setdefault(f"{tick:g}", tick)
+    return ticks
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
-
-
-def _label(value: float) -> str:
-    return f"{value:g}"
 
 
 def _xml_text(text: str) -> str:
@@ -93,21 +94,21 @@ def render_svg(diagram: TimeSpaceDiagram,
             f'<text x="{_WIDTH / 2:.0f}" y="24" font-family="monospace" font-size="15" '
             f'text-anchor="middle">{_xml_text(title)}</text>')
 
-    for tick in _ticks(t_min, t_max):
+    for label, tick in _ticks(t_min, t_max).items():
         x = sx(tick)
         parts.append(f'<line x1="{_fmt(x)}" y1="{margin_top}" x2="{_fmt(x)}" '
                      f'y2="{margin_top + plot_h}" stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{_fmt(x)}" y="{margin_top + plot_h + 18}" '
                      f'font-family="monospace" font-size="11" text-anchor="middle">'
-                     f'{_label(tick)}</text>')
-    for tick in _ticks(d_min, d_max):
+                     f'{label}</text>')
+    for label, tick in _ticks(d_min, d_max).items():
         y = sy(tick)
         parts.append(f'<line x1="{margin_left}" y1="{_fmt(y)}" '
                      f'x2="{margin_left + plot_w}" y2="{_fmt(y)}" '
                      f'stroke="#dddddd" stroke-width="1"/>')
         parts.append(f'<text x="{margin_left - 8}" y="{_fmt(y + 4)}" '
                      f'font-family="monospace" font-size="11" text-anchor="end">'
-                     f'{_label(tick)}</text>')
+                     f'{label}</text>')
 
     parts.append(f'<rect x="{margin_left}" y="{margin_top}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="black" stroke-width="1"/>')

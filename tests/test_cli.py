@@ -1213,6 +1213,27 @@ class TestFailureContract:
             assert code == 3, err
             assert err.startswith(f"input error: {path}: ")
 
+    @pytest.mark.parametrize("command, kind", [
+        (command, kind) for command in ("run", "eval", "perturb")
+        for kind in ("detections", "labels") if (command, kind) != ("perturb", "detections")])
+    def test_box_too_tall_to_track_is_the_files_fault(self, fixture_dir, tmp_path, capsys,
+                                                      command, kind):
+        # the box's height squares past the largest float, as a track's
+        # covariance would: exit 3 naming the file and the line, not the
+        # tracker's failure a frame later, and nothing written
+        text = {"detections": "0 car 0 0 1e300 1e300 0.9\n",
+                "labels": "0 1 Car 0 0 -1.6 0 0 1e300 1e300 1.5 1.6 3.9 -2.0 1.7 13.8 -1.6\n"}
+        _, config_path = fixture_dir
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text[kind])
+        argv = _argv(command, config_path, tmp_path) + [f"--{kind}", str(path)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith(f"input error: {path}: line 1: bbox "), err
+        assert err.endswith(" has a height whose square is not finite\n"), err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "dets.txt").exists()
+
 
 class TestEmbeddingsPath:
     def test_embeddings_file_feeds_appearance_matching(self, tmp_path):

@@ -205,6 +205,15 @@ bad_tokens = st.sampled_from([
 ])
 
 
+def _corrupt_one_token(rows, data):
+    """rows as lines, with one token of one row replaced by a bad token, or none."""
+    if data.draw(st.booleans()):
+        row = data.draw(st.integers(0, len(rows) - 1))
+        column = data.draw(st.integers(0, len(rows[row]) - 1))
+        rows[row][column] = data.draw(bad_tokens)
+    return [" ".join(tokens) for tokens in rows]
+
+
 @st.composite
 def label_rows(draw):
     """A label row as tokens: mostly valid, some values at the edge of valid."""
@@ -229,14 +238,122 @@ class TestLabelOnePass:
     @given(st.lists(label_rows(), min_size=1, max_size=4), st.data())
     @settings(max_examples=300, deadline=None)
     def test_same_records_or_first_error_as_field_by_field(self, rows, data):
-        # one corrupted token, in any column of any row, or none
-        if data.draw(st.booleans()):
-            row = data.draw(st.integers(0, len(rows) - 1))
-            column = data.draw(st.integers(0, len(rows[row]) - 1))
-            rows[row][column] = data.draw(bad_tokens)
-        lines = [" ".join(tokens) for tokens in rows]
+        lines = _corrupt_one_token(rows, data)
         assert (_parse_outcome(parse_label_file, lines)
                 == _parse_outcome(_labels_field_by_field, lines))
+
+
+def _oxts_field_by_field(lines):
+    """parse_oxts_lines with one checked call per token."""
+    samples = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 30:
+            raise ParseError(f"line {line_no}: OXTS record needs 30 fields, got {len(fields)}")
+        values = [kitti._float_field(token, line_no) for token in fields]
+        if not -90.0 <= values[0] <= 90.0:
+            raise ValidationError(f"line {line_no}: latitude {values[0]} outside [-90, 90]")
+        if not -180.0 <= values[1] <= 180.0:
+            raise ValidationError(f"line {line_no}: longitude {values[1]} outside [-180, 180]")
+        samples.append(kitti.OxtsSample(tuple(values)))
+    return samples
+
+
+@st.composite
+def oxts_rows(draw):
+    return [repr(draw(st.floats(-90.0, 90.0))), repr(draw(st.floats(-180.0, 180.0))),
+            *(draw(label_numbers) for _ in range(28))]
+
+
+def _detections_field_by_field(lines):
+    """parse_detections_file with one checked call per number, in the
+    reader's order: frame, box and confidence, then the class, then the
+    vector's dimension and its components."""
+    records = []
+    first = None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [cell.strip() for cell in line.split(",")] if "," in line else line.split()
+        if len(fields) < 7:
+            raise ParseError(f"line {line_no}: expected 7 fields, got {len(fields)}")
+        frame = kitti._int_field(fields[0], line_no)
+        bbox = tuple(kitti._float_field(fields[i], line_no) for i in range(2, 6))
+        confidence = kitti._float_field(fields[6], line_no)
+        class_label = kitti._class_label(fields[1], line_no)
+        embedding = None
+        if len(fields) > 7:
+            dim = kitti._int_field(fields[7], line_no)
+            if dim < 1:
+                raise ParseError(f"line {line_no}: vector dimension must be >= 1, got {dim}")
+            if len(fields) != 8 + dim:
+                raise ParseError(f"line {line_no}: expected {dim} vector components, "
+                                 f"got {len(fields) - 8}")
+            embedding = kitti._unit_vector(
+                [kitti._float_field(token, line_no) for token in fields[8:]])
+            if embedding is None:
+                raise ValidationError(f"line {line_no}: zero-norm appearance vector")
+            if first is None:
+                first = (dim, line_no)
+            elif dim != first[0]:
+                raise ValidationError(f"line {line_no}: {dim}-dimensional vector, but line "
+                                      f"{first[1]} is {first[0]}-dimensional")
+        try:
+            records.append(DetectionRecord(frame_index=frame, class_label=class_label,
+                                           bbox=bbox, confidence=confidence,
+                                           embedding=embedding))
+        except ValidationError as exc:
+            raise ValidationError(f"line {line_no}: {exc}") from None
+    records.sort(key=lambda r: r.frame_index)
+    return records
+
+
+@st.composite
+def detection_rows(draw, dim):
+    """A detection row as tokens, with a vector of ``dim`` components or none."""
+    left = draw(st.floats(0.0, 1000.0))
+    top = draw(st.floats(0.0, 300.0))
+    tokens = [
+        draw(st.integers(0, 5).map(str) | st.sampled_from(["3.0", "1e1", "-0.0"])),
+        draw(st.sampled_from(["car", "Van", "pedestrian"])),
+        repr(left), repr(top),
+        repr(left + draw(st.floats(0.5, 200.0))), repr(top + draw(st.floats(0.5, 200.0))),
+        repr(draw(st.floats(0.0, 1.0))),
+    ]
+    if draw(st.booleans()):
+        tokens += [str(dim), *(draw(label_numbers) for _ in range(dim))]
+    return tokens
+
+
+@st.composite
+def detection_files(draw):
+    """Rows of one vector dimension, each with or without its vector."""
+    dim = draw(st.integers(1, 3))
+    return draw(st.lists(detection_rows(dim), min_size=1, max_size=4))
+
+
+class TestOxtsOnePass:
+    @given(st.lists(oxts_rows(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_fixes_or_first_error_as_field_by_field(self, rows, data):
+        lines = _corrupt_one_token(rows, data)
+        assert (_parse_outcome(parse_oxts_lines, lines)
+                == _parse_outcome(_oxts_field_by_field, lines))
+
+
+class TestDetectionsOnePass:
+    @given(detection_files(), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_records_or_first_error_as_field_by_field(self, rows, commas, data):
+        lines = _corrupt_one_token(rows, data)
+        if commas:
+            lines = [",".join(line.split()) for line in lines]
+        assert (_parse_outcome(parse_detections_file, lines)
+                == _parse_outcome(_detections_field_by_field, lines))
 
 
 @st.composite
@@ -688,6 +805,27 @@ class TestParseDetectionsFile:
                            match=r"^line 2: bbox .* has a non-finite width, height or "
                                  r"width / height$"):
             parse_label_file(io.StringIO(LABEL_LINE + "\n" + " ".join(fields)))
+
+    def test_box_too_tall_to_track_names_line(self):
+        # finite width, height and aspect, but a track's covariance squares
+        # the height: read, it would fail the tracker a frame later
+        text = "0 car 100 100 180 150 0.9\n0 car 0 0 1e300 1e300 0.9\n"
+        with pytest.raises(ValidationError,
+                           match=r"^line 2: bbox \(0\.0, 0\.0, 1e\+300, 1e\+300\) has a "
+                                 r"height whose square is not finite$"):
+            parse_detections_file(io.StringIO(text))
+
+    def test_label_box_too_tall_to_track_names_line(self):
+        fields = LABEL_LINE.split()
+        fields[1] = "3"  # another identity
+        fields[6:10] = ["0", "0", "10", "1.5e154"]
+        with pytest.raises(ValidationError,
+                           match=r"^line 2: bbox .* has a height whose square is not finite$"):
+            parse_label_file(io.StringIO(LABEL_LINE + "\n" + " ".join(fields)))
+
+    def test_tallest_trackable_box_accepted(self):
+        [record] = parse_detections_file(io.StringIO("0 car 0 0 1 1.3e154 0.9"))
+        assert record.height == 1.3e154
 
     @pytest.mark.parametrize("token", ["1.7", "-0.5", "2.000001", "1e-3"])
     def test_fractional_frame_names_line_and_token(self, token):

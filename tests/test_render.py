@@ -100,3 +100,6 @@ def test_time_span_of_one_ulp_renders(tmp_path):
     assert done.returncode == 0, done.stderr
     document = minidom.parse(str(tmp_path / "out" / "diagram.svg"))
     assert len(document.getElementsByTagName("polyline")) == 1  # the probe alone
+    # every tick of the span reads 1e+22, and that label is drawn once
+    assert [t.firstChild.data for t in document.getElementsByTagName("text")
+            if t.getAttribute("y") == "583"] == ["1e+22"]

@@ -40,6 +40,12 @@ def det(frame, bbox, conf=1.0, cls="car", gt=-1, embedding=None):
                        confidence=conf, gt_track_id=gt, embedding=embedding)
 
 
+def unchecked_det(frame, bbox):
+    # a box the record check refuses, its height squaring past the largest
+    # float: the tracker's own guards must still name the frame and the track
+    return tuple.__new__(LabelRecord, (frame, "car", bbox, 1.0, None, -1, None))
+
+
 def box_at(cx, cy, w=40.0, h=50.0):
     return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
@@ -1292,9 +1298,9 @@ class TestExtremeBoxes:
     def test_1e200_px_tall_detection_is_a_non_finite_state(self):
         # its covariance overflows at birth; the next predict names the track
         tracker = Tracker()
-        tracker.step([det(0, (0.0, 0.0, 10.0, 1e200))], 0)
+        tracker.step([unchecked_det(0, (0.0, 0.0, 10.0, 1e200))], 0)
         with pytest.raises(ValidationError) as info:
-            tracker.step([det(1, (0.0, 0.0, 10.0, 1e200))], 1)
+            tracker.step([unchecked_det(1, (0.0, 0.0, 10.0, 1e200))], 1)
         assert str(info.value) == "frame 1: non-finite Kalman state of track 1"
 
     def test_singular_update_names_the_frame_and_the_track(self):
@@ -1305,7 +1311,8 @@ class TestExtremeBoxes:
         with pytest.raises(ValidationError) as info:
             for frame in range(4):
                 tracker.step([det(frame, box_at(100.0, 100.0)),
-                              det(frame, (0.0, 0.0, 1e100, 1e155 * 2.0 ** frame))], frame)
+                              unchecked_det(frame, (0.0, 0.0, 1e100, 1e155 * 2.0 ** frame))],
+                             frame)
         assert str(info.value) == ("frame 3: singular innovation covariance in "
                                    "Kalman update of track 2")
 
@@ -1328,12 +1335,13 @@ class TestExtremeBoxes:
     def test_huge_finite_boxes_raise_no_arithmetic_error(self, frames, max_iou_dist, n_init,
                                                          gate):
         # OverflowError and ZeroDivisionError are ArithmeticErrors, not
-        # ValueErrors, so they fail the test
+        # ValueErrors, so they fail the test; the boxes are unchecked, so
+        # that those taller than the record check allows reach the tracker
         tracker = Tracker(TrackerConfig(max_iou_dist=max_iou_dist, n_init=n_init,
                                         mahalanobis_gate=gate))
         try:
             for frame, boxes in enumerate(frames):
-                tracker.step([det(frame, box) for box in boxes], frame)
+                tracker.step([unchecked_det(frame, box) for box in boxes], frame)
         except ValueError:
             pass  # ValidationError, or the solver refusing a NaN cost of an overflowed state
 
